@@ -1,9 +1,11 @@
 //! Criterion benches for the wire protocol: frame encode/decode and
-//! streaming reassembly throughput.
+//! streaming reassembly throughput, plus the live byte path's three
+//! per-byte costs (`crc32`, `encode`, `decode`) on the two `ShipInput`
+//! sizes the repo benchmark ships (1 KB: `live-chunks`, 1 MB: `live-bulk`).
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cwc_net::{Frame, FrameCodec};
+use cwc_net::{crc32, Frame, FrameCodec};
 use cwc_types::{JobId, PhoneId, RadioTech};
 use std::hint::black_box;
 
@@ -84,5 +86,67 @@ fn bench_decode_stream(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode_stream);
+/// A `ShipInput` carrying `len` payload bytes, as the live driver ships it.
+fn ship_input(len: usize) -> Frame {
+    Frame::ShipInput {
+        job: JobId(7),
+        seq: 41,
+        offset_kb: 0,
+        len_kb: (len as u64).div_ceil(1024),
+        resume_from: None,
+        trace_id: 7,
+        span_id: 19,
+        parent_span: 0,
+        replica: false,
+        data: Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+    }
+}
+
+const SHIP_SIZES: [(&str, usize); 2] = [("1KB", 1 << 10), ("1MB", 1 << 20)];
+
+/// The byte path, one cost at a time, in payload bytes per second.
+fn bench_byte_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for (name, len) in SHIP_SIZES {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
+            b.iter(|| black_box(crc32(black_box(data))));
+        });
+    }
+    group.finish();
+
+    // Encode into a fresh buffer, as `queue_frame` does per send.
+    let mut group = c.benchmark_group("encode");
+    for (name, len) in SHIP_SIZES {
+        let frame = ship_input(len);
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &frame, |b, frame| {
+            b.iter(|| {
+                let mut buf = BytesMut::new();
+                black_box(frame).encode(&mut buf);
+                black_box(buf);
+            });
+        });
+    }
+    group.finish();
+
+    // Decode from a long-lived codec, as a connection does per frame.
+    let mut group = c.benchmark_group("decode");
+    for (name, len) in SHIP_SIZES {
+        let mut wire = BytesMut::new();
+        ship_input(len).encode(&mut wire);
+        let mut codec = FrameCodec::new();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &wire, |b, wire| {
+            b.iter(|| {
+                codec.extend(black_box(wire));
+                black_box(codec.next_frame().unwrap().expect("whole frame"));
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_encode, bench_decode_stream, bench_byte_path);
 criterion_main!(benches);

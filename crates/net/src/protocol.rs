@@ -24,7 +24,7 @@
 //! Strings are `u16 BE length + UTF-8`; byte blobs are `u32 BE length +
 //! bytes`; `f64` travels as IEEE-754 bits.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use cwc_types::{CwcError, CwcResult, JobId, PhoneId, RadioTech};
 
 /// Application-layer keep-alive period (30 s in the prototype).
@@ -44,37 +44,77 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `bytes`.
 ///
 /// Guards every frame body against in-flight corruption; a single flipped
-/// bit anywhere in tag or payload is always detected.
+/// bit anywhere in tag or payload is always detected. Slicing-by-8: eight
+/// input bytes per step through eight const-built 256-entry tables, the
+/// sub-word tail through the first table alone.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut c = !0u32;
-    for &b in bytes {
-        // Infallible: the index is masked to 0..=255 and TABLE has 256
-        // entries. cwc-lint: allow(panic_safety)
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    crc32_extend(0, bytes)
+}
+
+/// Continues a CRC32: `crc` is the checksum of the bytes so far (0 for
+/// none); returns the checksum of those bytes followed by `bytes`.
+fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut c = !crc;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        c = crc_lut(7, lo as u8)
+            ^ crc_lut(6, (lo >> 8) as u8)
+            ^ crc_lut(5, (lo >> 16) as u8)
+            ^ crc_lut(4, (lo >> 24) as u8)
+            ^ crc_lut(3, b4)
+            ^ crc_lut(2, b5)
+            ^ crc_lut(1, b6)
+            ^ crc_lut(0, b7);
+    }
+    for &b in tail {
+        c = crc_lut(0, b ^ (c as u8)) ^ (c >> 8);
     }
     !c
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[k][byte]`: the CRC of `byte` followed by `k` zero bytes.
+#[inline(always)]
+fn crc_lut(k: usize, byte: u8) -> u32 {
+    // Infallible: every caller passes a literal k < 8, and a u8 indexes a
+    // 256-entry table. cwc-lint: allow(panic_safety)
+    CRC_TABLES[k][usize::from(byte)]
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
-            k += 1;
+            bit += 1;
         }
         // Infallible: const-evaluated with i < 256. cwc-lint: allow(panic_safety)
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            // Infallible: const-evaluated with k < 8, i < 256 and a masked
+            // index. cwc-lint: allow(panic_safety)
+            let prev = t[k - 1][i];
+            // cwc-lint: allow(panic_safety)
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Whether `tag` (the first body byte of an encoded frame) belongs to the
@@ -266,6 +306,7 @@ fn put_string(buf: &mut BytesMut, s: &str) {
 
 fn put_blob(buf: &mut BytesMut, b: &[u8]) {
     assert!(b.len() <= u32::MAX as usize);
+    buf.reserve(4 + b.len()); // one allocation, not a doubling ladder
     buf.put_u32(b.len() as u32);
     buf.put_slice(b);
 }
@@ -357,9 +398,12 @@ impl<'a> Reader<'a> {
 }
 
 impl Frame {
-    /// Encodes the frame (with its length prefix) into `out`.
+    /// Appends the encoded frame to `out`: the body is written once,
+    /// straight into `out` behind a reserved header that is patched with
+    /// length and CRC afterwards — no staging buffer, one CRC pass.
     pub fn encode(&self, out: &mut BytesMut) {
-        let mut body = BytesMut::with_capacity(32);
+        let start = out.len();
+        out.put_slice(&[0u8; FRAME_HEADER_LEN]);
         match self {
             Frame::Register {
                 phone,
@@ -368,42 +412,42 @@ impl Frame {
                 radio,
                 ram_kb,
             } => {
-                body.put_u8(tag::REGISTER);
-                body.put_u32(phone.0);
-                body.put_u32(*clock_mhz);
-                body.put_u32(*cores);
-                body.put_u8(radio_to_u8(*radio));
-                body.put_u64(*ram_kb);
+                out.put_u8(tag::REGISTER);
+                out.put_u32(phone.0);
+                out.put_u32(*clock_mhz);
+                out.put_u32(*cores);
+                out.put_u8(radio_to_u8(*radio));
+                out.put_u64(*ram_kb);
             }
             Frame::RegisterAck { server_time_us } => {
-                body.put_u8(tag::REGISTER_ACK);
-                body.put_u64(*server_time_us);
+                out.put_u8(tag::REGISTER_ACK);
+                out.put_u64(*server_time_us);
             }
             Frame::BandwidthProbe {
                 probe_id,
                 payload_kb,
             } => {
-                body.put_u8(tag::BW_PROBE);
-                body.put_u32(*probe_id);
-                body.put_u32(*payload_kb);
+                out.put_u8(tag::BW_PROBE);
+                out.put_u32(*probe_id);
+                out.put_u32(*payload_kb);
             }
             Frame::BandwidthReport {
                 probe_id,
                 kb_per_sec,
             } => {
-                body.put_u8(tag::BW_REPORT);
-                body.put_u32(*probe_id);
-                body.put_u64(kb_per_sec.to_bits());
+                out.put_u8(tag::BW_REPORT);
+                out.put_u32(*probe_id);
+                out.put_u64(kb_per_sec.to_bits());
             }
             Frame::ShipExecutable {
                 job,
                 program,
                 exe_kb,
             } => {
-                body.put_u8(tag::SHIP_EXE);
-                body.put_u32(job.0);
-                put_string(&mut body, program);
-                body.put_u64(*exe_kb);
+                out.put_u8(tag::SHIP_EXE);
+                out.put_u32(job.0);
+                put_string(out, program);
+                out.put_u64(*exe_kb);
             }
             Frame::ShipInput {
                 job,
@@ -417,23 +461,23 @@ impl Frame {
                 replica,
                 data,
             } => {
-                body.put_u8(tag::SHIP_INPUT);
-                body.put_u32(job.0);
-                body.put_u64(*seq);
-                body.put_u64(*offset_kb);
-                body.put_u64(*len_kb);
+                out.put_u8(tag::SHIP_INPUT);
+                out.put_u32(job.0);
+                out.put_u64(*seq);
+                out.put_u64(*offset_kb);
+                out.put_u64(*len_kb);
                 match resume_from {
                     Some(state) => {
-                        body.put_u8(1);
-                        put_blob(&mut body, state);
+                        out.put_u8(1);
+                        put_blob(out, state);
                     }
-                    None => body.put_u8(0),
+                    None => out.put_u8(0),
                 }
-                body.put_u64(*trace_id);
-                body.put_u64(*span_id);
-                body.put_u64(*parent_span);
-                body.put_u8(u8::from(*replica));
-                put_blob(&mut body, data);
+                out.put_u64(*trace_id);
+                out.put_u64(*span_id);
+                out.put_u64(*parent_span);
+                out.put_u8(u8::from(*replica));
+                put_blob(out, data);
             }
             Frame::TaskComplete {
                 job,
@@ -441,11 +485,11 @@ impl Frame {
                 exec_ms,
                 result,
             } => {
-                body.put_u8(tag::TASK_COMPLETE);
-                body.put_u32(job.0);
-                body.put_u64(*seq);
-                body.put_u64(*exec_ms);
-                put_blob(&mut body, result);
+                out.put_u8(tag::TASK_COMPLETE);
+                out.put_u32(job.0);
+                out.put_u64(*seq);
+                out.put_u64(*exec_ms);
+                put_blob(out, result);
             }
             Frame::TaskFailed {
                 job,
@@ -453,32 +497,35 @@ impl Frame {
                 processed_kb,
                 checkpoint,
             } => {
-                body.put_u8(tag::TASK_FAILED);
-                body.put_u32(job.0);
-                body.put_u64(*seq);
-                body.put_u64(*processed_kb);
-                put_blob(&mut body, checkpoint);
+                out.put_u8(tag::TASK_FAILED);
+                out.put_u32(job.0);
+                out.put_u64(*seq);
+                out.put_u64(*processed_kb);
+                put_blob(out, checkpoint);
             }
             Frame::KeepAlive { seq } => {
-                body.put_u8(tag::KEEPALIVE);
-                body.put_u64(*seq);
+                out.put_u8(tag::KEEPALIVE);
+                out.put_u64(*seq);
             }
             Frame::KeepAliveAck { seq } => {
-                body.put_u8(tag::KEEPALIVE_ACK);
-                body.put_u64(*seq);
+                out.put_u8(tag::KEEPALIVE_ACK);
+                out.put_u64(*seq);
             }
-            Frame::Plugged => body.put_u8(tag::PLUGGED),
-            Frame::Unplugged => body.put_u8(tag::UNPLUGGED),
+            Frame::Plugged => out.put_u8(tag::PLUGGED),
+            Frame::Unplugged => out.put_u8(tag::UNPLUGGED),
             Frame::CancelTask { job, seq } => {
-                body.put_u8(tag::CANCEL_TASK);
-                body.put_u32(job.0);
-                body.put_u64(*seq);
+                out.put_u8(tag::CANCEL_TASK);
+                out.put_u32(job.0);
+                out.put_u64(*seq);
             }
-            Frame::Shutdown => body.put_u8(tag::SHUTDOWN),
+            Frame::Shutdown => out.put_u8(tag::SHUTDOWN),
         }
-        out.put_u32(body.len() as u32);
-        out.put_u32(crc32(&body));
-        out.put_slice(&body);
+        let body = out.get(start + FRAME_HEADER_LEN..).unwrap_or(&[]);
+        // u32 BE length then u32 BE CRC is one u64 BE.
+        let header = (u64::from(body.len() as u32) << 32 | u64::from(crc32(body))).to_be_bytes();
+        if let Some(slot) = out.get_mut(start..start + FRAME_HEADER_LEN) {
+            slot.copy_from_slice(&header);
+        }
     }
 
     /// Decodes one frame body (without the length prefix).
@@ -579,9 +626,12 @@ impl Frame {
 
 /// Incremental decoder over a growing byte buffer.
 ///
-/// Feed raw socket bytes with [`FrameCodec::extend`]; pull complete frames
-/// with [`FrameCodec::next_frame`] until it returns `Ok(None)` (incomplete
-/// tail remains buffered).
+/// Bytes arrive either straight off a socket ([`FrameCodec::read_from`], no
+/// intermediate scratch) or from memory ([`FrameCodec::extend`]); pull
+/// complete frames with [`FrameCodec::next_frame`] until it returns
+/// `Ok(None)` (incomplete tail remains buffered). Frames are CRC-checked
+/// and decoded in place, so a blob is copied exactly once, into its
+/// [`Bytes`].
 ///
 /// Frames whose CRC32 does not match their body are *skipped whole* rather
 /// than surfaced as errors: the length prefix keeps the stream framed, the
@@ -592,9 +642,27 @@ impl Frame {
 /// is an error, because framing itself is then lost.
 #[derive(Debug, Default)]
 pub struct FrameCodec {
-    buf: BytesMut,
+    /// Initialised storage; the undecoded bytes are `buf[head..tail]`.
+    /// Keeping the spare tail initialised lets reads land in it directly
+    /// without re-zeroing per read.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// CRC32 of the first `summed` body bytes of the frame at the head:
+    /// each `next_frame` call checksums what arrived since the last one.
+    crc: u32,
+    summed: usize,
     crc_rejected: u64,
 }
+
+/// Most bytes one [`FrameCodec::read_from`] call asks a socket for, and the
+/// reactor's per-connection, per-tick bound on bytes read (and checksummed):
+/// a 1 MB partition crosses in a tick, a fast sender costs about a millisecond.
+pub const MAX_READ: usize = 1024 * 1024;
+
+/// Smallest read [`FrameCodec::read_from`] issues, however little the head
+/// frame lacks, so a burst of small frames costs one syscall.
+const READ_FLOOR: usize = 8 * 1024;
 
 impl FrameCodec {
     /// Creates an empty codec.
@@ -604,12 +672,62 @@ impl FrameCodec {
 
     /// Appends newly received bytes.
     pub fn extend(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.spare(data.len()).copy_from_slice(data);
+        self.tail += data.len();
+    }
+
+    /// One `read` from `src` straight into the codec's own buffer, sized to
+    /// what the frame at the head still lacks (at least [`READ_FLOOR`], at
+    /// most `limit`). Returns the byte count; `Ok(0)` is end of stream (or
+    /// `limit == 0`). The single read routine under both the blocking
+    /// [`crate::tcp::FramedTcp`] and the reactor's [`crate::reactor::Conn`].
+    pub fn read_from(
+        &mut self,
+        src: &mut impl std::io::Read,
+        limit: usize,
+    ) -> std::io::Result<usize> {
+        let want = self.lacking().max(READ_FLOOR).min(limit);
+        // `.min(want)` keeps a misbehaving `Read` impl from corrupting the
+        // cursor; a well-behaved one never reports more than it was given.
+        let n = src.read(self.spare(want))?.min(want);
+        self.tail += n;
+        Ok(n)
+    }
+
+    /// Bytes the frame at the head of the buffer still needs before it can
+    /// be decoded; 0 when that is unknown (no header yet) or the header is
+    /// one [`FrameCodec::next_frame`] will refuse.
+    fn lacking(&self) -> usize {
+        let live = self.buf.get(self.head..self.tail).unwrap_or(&[]);
+        match be_u32_at(live, 0) {
+            Some(len) if len as usize <= MAX_FRAME_LEN => {
+                (FRAME_HEADER_LEN + len as usize).saturating_sub(live.len())
+            }
+            _ => 0,
+        }
+    }
+
+    /// `n` writable bytes directly after the buffered ones, sliding the
+    /// buffered bytes to the front or growing the storage as needed. Reads
+    /// sized by [`FrameCodec::lacking`] end on frame boundaries, so what
+    /// slides is at most a sub-[`READ_FLOOR`] fragment of the next frame.
+    fn spare(&mut self, n: usize) -> &mut [u8] {
+        if self.buf.len() - self.tail < n && self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() - self.tail < n {
+            self.buf.resize(self.tail + n, 0);
+        }
+        self.buf
+            .get_mut(self.tail..self.tail + n)
+            .unwrap_or_default()
     }
 
     /// Bytes currently buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.tail - self.head
     }
 
     /// How many complete frames were rejected (and skipped) because their
@@ -621,29 +739,31 @@ impl FrameCodec {
     /// Attempts to decode the next complete, integrity-checked frame.
     pub fn next_frame(&mut self) -> CwcResult<Option<Frame>> {
         loop {
-            if self.buf.len() < FRAME_HEADER_LEN {
-                return Ok(None);
-            }
-            let (Some(len), Some(want_crc)) = (be_u32_at(&self.buf, 0), be_u32_at(&self.buf, 4))
-            else {
-                // Unreachable given the header-length check above, but a
-                // missing header must never be able to panic the codec.
+            let live = self.buf.get(self.head..self.tail).unwrap_or(&[]);
+            let (Some(len), Some(want_crc)) = (be_u32_at(live, 0), be_u32_at(live, 4)) else {
                 return Ok(None);
             };
             let len = len as usize;
             if len == 0 || len > MAX_FRAME_LEN {
                 return Err(CwcError::Protocol(format!("bad frame length {len}")));
             }
-            if self.buf.len() < FRAME_HEADER_LEN + len {
+            let body = live.get(FRAME_HEADER_LEN..).unwrap_or(&[]);
+            let body = body.get(..len).unwrap_or(body);
+            self.crc = crc32_extend(self.crc, body.get(self.summed..).unwrap_or(&[]));
+            self.summed = body.len();
+            if body.len() < len {
                 return Ok(None);
             }
-            self.buf.advance(FRAME_HEADER_LEN);
-            let body = self.buf.split_to(len);
-            if crc32(&body) != want_crc {
-                self.crc_rejected += 1;
-                continue; // reject the corrupt frame; framing survives
+            let decoded = (self.crc == want_crc).then(|| Frame::decode_body(body));
+            (self.crc, self.summed) = (0, 0);
+            self.head += FRAME_HEADER_LEN + len;
+            if self.head == self.tail {
+                (self.head, self.tail) = (0, 0);
             }
-            return Frame::decode_body(&body).map(Some);
+            match decoded {
+                Some(frame) => return frame.map(Some),
+                None => self.crc_rejected += 1, // reject the corrupt frame; framing survives
+            }
         }
     }
 }
@@ -660,6 +780,7 @@ fn be_u32_at(buf: &[u8], at: usize) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwc_types::{JobId, PhoneId, RadioTech};
 
     /// Wraps a hand-built body in correct framing (length + CRC), so tests
     /// can target *decode* failures rather than tripping the CRC gate.
@@ -905,10 +1026,379 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC32 the sliced one replaced — kept as the
+    /// oracle. Returns the *running* state so prefixes share one pass.
+    fn crc32_bytewise_step(state: u32, b: u8) -> u32 {
+        let mut c = (state ^ u32::from(b)) & 0xFF;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        c ^ (state >> 8)
+    }
+
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |c, &b| crc32_bytewise_step(c, b))
+    }
+
     #[test]
     fn crc32_reference_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_on_a_megabyte() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..(1 << 20) + 5)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        assert_eq!(crc32(&buf[3..]), crc32_bytewise(&buf[3..]));
+    }
+
+    proptest::proptest! {
+        // 32 776 slices ≈ 67 MB of CRC per case: ~10 s unoptimised, so one case.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1))]
+
+        /// Every length 0..=4096 at every start offset 0..8: the 8-byte
+        /// steps, the sub-word tail and every alignment of the two.
+        #[test]
+        fn crc32_matches_the_bytewise_oracle_at_every_length_and_offset(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 4096 + 8),
+        ) {
+            for offset in 0..8 {
+                let window = &buf[offset..offset + 4096];
+                let mut running = !0u32;
+                for len in 0..=window.len() {
+                    assert_eq!(crc32(&window[..len]), !running, "offset {offset} len {len}");
+                    if let Some(&b) = window.get(len) {
+                        running = crc32_bytewise_step(running, b);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One value of every [`Frame`] variant with the exact bytes the
+    /// pre-rewrite encoder (staging buffer + bytewise CRC) put on the wire
+    /// for it, captured from that commit: "byte-identical wire format" as
+    /// a test. Workers in the field speak these bytes.
+    fn golden() -> Vec<(Frame, &'static str)> {
+        vec![
+            (
+                Frame::Register {
+                    phone: PhoneId(3),
+                    clock_mhz: 1200,
+                    cores: 2,
+                    radio: RadioTech::ThreeG,
+                    ram_kb: 1_048_576,
+                },
+                "00000016d60089ff0100000003000004b000000002030000000000100000",
+            ),
+            (
+                Frame::RegisterAck { server_time_us: 42 },
+                "000000091344f5fe02000000000000002a",
+            ),
+            (
+                Frame::BandwidthProbe {
+                    probe_id: 7,
+                    payload_kb: 256,
+                },
+                "0000000974bfc53a030000000700000100",
+            ),
+            (
+                Frame::BandwidthReport {
+                    probe_id: 7,
+                    kb_per_sec: 812.75,
+                },
+                "0000000d4112c05604000000074089660000000000",
+            ),
+            (
+                Frame::ShipExecutable {
+                    job: JobId(9),
+                    program: "wordcount".into(),
+                    exe_kb: 30,
+                },
+                "000000187d9fd7ea05000000090009776f7264636f756e74000000000000001e",
+            ),
+            (
+                Frame::ShipInput {
+                    job: JobId(9),
+                    seq: 12,
+                    offset_kb: 100,
+                    len_kb: 250,
+                    resume_from: Some(Bytes::from_static(b"state")),
+                    trace_id: 9,
+                    span_id: 7,
+                    parent_span: 4,
+                    replica: true,
+                    data: Bytes::from_static(b"payload bytes"),
+                },
+                "00000051b95fdb1b0600000009000000000000000c00000000000000640000000000\
+                 0000fa01000000057374617465000000000000000900000000000000070000000000\
+                 000004010000000d7061796c6f6164206279746573",
+            ),
+            (
+                Frame::ShipInput {
+                    job: JobId(9),
+                    seq: 11,
+                    offset_kb: 0,
+                    len_kb: 1,
+                    resume_from: None,
+                    trace_id: 9,
+                    span_id: 4,
+                    parent_span: 0,
+                    replica: false,
+                    data: Bytes::new(),
+                },
+                "0000003b7cf235190600000009000000000000000b00000000000000000000000000\
+                 000001000000000000000009000000000000000400000000000000000000000000",
+            ),
+            (
+                Frame::TaskComplete {
+                    job: JobId(9),
+                    seq: 11,
+                    exec_ms: 1234,
+                    result: Bytes::from_static(b"42"),
+                },
+                "0000001b45fe71b60700000009000000000000000b00000000000004d2000000023432",
+            ),
+            (
+                Frame::TaskFailed {
+                    job: JobId(9),
+                    seq: 12,
+                    processed_kb: 77,
+                    checkpoint: Bytes::from_static(b"ckpt"),
+                },
+                "0000001d760b99030800000009000000000000000c000000000000004d00000004636b7074",
+            ),
+            (
+                Frame::KeepAlive { seq: 1 },
+                "000000093dad9263090000000000000001",
+            ),
+            (
+                Frame::KeepAliveAck { seq: 1 },
+                "000000090420aea60a0000000000000001",
+            ),
+            (Frame::Plugged, "0000000145d036050b"),
+            (Frame::Unplugged, "00000001dbb4a3a60c"),
+            (
+                Frame::CancelTask {
+                    job: JobId(9),
+                    seq: 12,
+                },
+                "0000000d5087b0420e00000009000000000000000c",
+            ),
+            (Frame::Shutdown, "00000001acb393300d"),
+        ]
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s
+            .chars()
+            .filter_map(|c| c.to_digit(16))
+            .map(|d| d as u8)
+            .collect();
+        digits.chunks(2).map(|p| p[0] << 4 | p[1]).collect()
+    }
+
+    #[test]
+    fn wire_bytes_match_the_golden_capture_for_every_variant() {
+        let mut variants = std::collections::BTreeSet::new();
+        for (frame, hex) in golden() {
+            let want = unhex(hex);
+            let mut wire = BytesMut::new();
+            frame.encode(&mut wire);
+            assert_eq!(&wire[..], &want[..], "encode drifted for {frame:?}");
+            // ...and the golden bytes still decode to the same value.
+            let mut codec = FrameCodec::new();
+            codec.extend(&want);
+            assert_eq!(codec.next_frame().unwrap(), Some(frame));
+            variants.insert(want[FRAME_HEADER_LEN]);
+        }
+        // Every tag the protocol defines appears above.
+        assert_eq!(variants.len(), 14);
+        assert_eq!(variants.last(), Some(&tag::CANCEL_TASK));
+    }
+
+    #[test]
+    fn encode_appended_to_a_non_empty_buffer_patches_its_own_header() {
+        let first = Frame::KeepAlive { seq: 7 };
+        let second = Frame::TaskComplete {
+            job: JobId(2),
+            seq: 8,
+            exec_ms: 3,
+            result: Bytes::from_static(b"abc"),
+        };
+        let mut alone = BytesMut::new();
+        second.encode(&mut alone);
+
+        let mut wire = BytesMut::new();
+        wire.put_slice(b"junk-before"); // bytes that are not a frame at all
+        let prefix = wire.len();
+        first.encode(&mut wire);
+        let first_end = wire.len();
+        second.encode(&mut wire);
+        assert_eq!(
+            &wire[..prefix],
+            b"junk-before",
+            "encode touched earlier bytes"
+        );
+        assert_eq!(
+            &wire[first_end..],
+            &alone[..],
+            "header patched at the wrong offset"
+        );
+
+        let mut codec = FrameCodec::new();
+        codec.extend(&wire[prefix..]);
+        assert_eq!(codec.next_frame().unwrap(), Some(first));
+        assert_eq!(codec.next_frame().unwrap(), Some(second));
+        assert_eq!(codec.buffered(), 0);
+    }
+
+    #[test]
+    fn corrupt_blob_frame_then_good_frame_in_one_buffer() {
+        // The in-place reject path: the corrupt frame's body is never
+        // copied out, the cursor steps over it, and the neighbour behind it
+        // in the same buffer decodes intact.
+        let big = Frame::ShipInput {
+            job: JobId(1),
+            seq: 1,
+            offset_kb: 0,
+            len_kb: 64,
+            resume_from: None,
+            trace_id: 1,
+            span_id: 1,
+            parent_span: 0,
+            replica: false,
+            data: Bytes::from(vec![0x5Au8; 64 * 1024]),
+        };
+        let good = Frame::TaskComplete {
+            job: JobId(1),
+            seq: 1,
+            exec_ms: 9,
+            result: Bytes::from_static(b"ok"),
+        };
+        let mut wire = BytesMut::new();
+        big.encode(&mut wire);
+        let mid = wire.len() / 2;
+        good.encode(&mut wire);
+        let mut raw = wire.to_vec();
+        raw[mid] ^= 0x01;
+
+        let mut codec = FrameCodec::new();
+        codec.extend(&raw);
+        assert_eq!(codec.next_frame().unwrap(), Some(good));
+        assert_eq!(codec.crc_rejections(), 1);
+        assert_eq!(codec.next_frame().unwrap(), None);
+        assert_eq!(codec.buffered(), 0);
+    }
+
+    #[test]
+    fn frames_arriving_in_pieces_are_checksummed_as_they_arrive() {
+        // `next_frame` after every piece: the running CRC must cover each
+        // body byte exactly once whatever the piece boundaries (mid-header,
+        // odd sizes, a piece spanning two frames), start afresh after a
+        // rejected frame, and survive the buffer sliding under it.
+        let data: Vec<u8> = (0..40_000u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let big = |seq| Frame::ShipInput {
+            job: JobId(1),
+            seq,
+            offset_kb: 0,
+            len_kb: 40,
+            resume_from: None,
+            trace_id: 1,
+            span_id: 1,
+            parent_span: 0,
+            replica: false,
+            data: Bytes::from(data.clone()),
+        };
+        let mut wire = BytesMut::new();
+        big(1).encode(&mut wire);
+        let corrupt_at = wire.len() + 20_000;
+        big(2).encode(&mut wire);
+        big(3).encode(&mut wire);
+        let mut raw = wire.to_vec();
+        raw[corrupt_at] ^= 0x80;
+
+        let mut codec = FrameCodec::new();
+        let mut got = Vec::new();
+        let mut rest = raw.as_slice();
+        for piece in [3, 4, 1, 7, 8, 9, 4_096, 30_000, 50_001, 13].iter().cycle() {
+            let (now, later) = rest.split_at((*piece).min(rest.len()));
+            codec.extend(now);
+            while let Some(frame) = codec.next_frame().unwrap() {
+                got.push(frame);
+            }
+            rest = later;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(got, vec![big(1), big(3)]);
+        assert_eq!(codec.crc_rejections(), 1);
+        assert_eq!(codec.buffered(), 0);
+    }
+
+    #[test]
+    fn read_from_sizes_reads_to_the_frame_at_the_head() {
+        /// A `Read` that always has more, and records what it was asked for.
+        struct Endless<'a> {
+            wire: &'a [u8],
+            asked: Vec<usize>,
+        }
+        impl std::io::Read for Endless<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.asked.push(out.len());
+                let n = out.len().min(self.wire.len());
+                out[..n].copy_from_slice(&self.wire[..n]);
+                self.wire = &self.wire[n..];
+                Ok(n)
+            }
+        }
+        let frame = Frame::ShipInput {
+            job: JobId(1),
+            seq: 1,
+            offset_kb: 0,
+            len_kb: 300,
+            resume_from: None,
+            trace_id: 1,
+            span_id: 1,
+            parent_span: 0,
+            replica: false,
+            data: Bytes::from(vec![7u8; 300 * 1024]),
+        };
+        let mut wire = BytesMut::new();
+        frame.encode(&mut wire);
+        frame.encode(&mut wire);
+        let mut src = Endless {
+            wire: &wire,
+            asked: Vec::new(),
+        };
+        let mut codec = FrameCodec::new();
+        // No header yet: the floor. Then exactly the rest of the frame, so
+        // the read ends on the frame boundary and nothing has to slide.
+        assert_eq!(codec.read_from(&mut src, MAX_READ).unwrap(), READ_FLOOR);
+        let rest = wire.len() / 2 - READ_FLOOR;
+        assert_eq!(codec.read_from(&mut src, MAX_READ).unwrap(), rest);
+        assert_eq!(src.asked, vec![READ_FLOOR, rest]);
+        assert_eq!(codec.next_frame().unwrap().as_ref(), Some(&frame));
+        assert_eq!(codec.buffered(), 0);
+        // The caller's limit always wins.
+        assert_eq!(codec.read_from(&mut src, 100).unwrap(), 100);
+        assert_eq!(codec.read_from(&mut src, 0).unwrap(), 0);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! latency) never loses an edge. The shim is Linux-only; other platforms
 //! would add a kqueue/poll variant behind the same [`Poller`] API.
 
-use crate::protocol::{Frame, FrameCodec};
+use crate::protocol::{Frame, FrameCodec, MAX_READ};
 use cwc_types::{CwcError, CwcResult, Micros};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -377,16 +377,6 @@ pub enum ReadStatus {
     Eof,
 }
 
-/// Per-read scratch size. Frames can be larger; the codec reassembles.
-/// Kept small because every connection owns one scratch buffer and a
-/// 10k-worker fleet holds 10k of them.
-const READ_CHUNK: usize = 8 * 1024;
-
-/// How many scratch reads a single [`Conn::fill`] performs before yielding
-/// back to the event loop. Level-triggered polling re-reports the fd, so a
-/// fast sender cannot monopolise one tick.
-const MAX_READS_PER_TICK: usize = 16;
-
 /// A non-blocking framed connection: the streaming CRC32 codec on the read
 /// side, an ordered byte/pause/close queue on the write side, and explicit
 /// backpressure accounting ([`Conn::queued_bytes`]) so the driver can decide
@@ -394,7 +384,6 @@ const MAX_READS_PER_TICK: usize = 16;
 pub struct Conn {
     stream: TcpStream,
     codec: FrameCodec,
-    scratch: Vec<u8>,
     queue: VecDeque<WriteStep>,
     /// Byte offset already written within the queue's front `Bytes` step.
     head_written: usize,
@@ -427,7 +416,6 @@ impl Conn {
         Ok(Conn {
             stream,
             codec: FrameCodec::new(),
-            scratch: vec![0u8; READ_CHUNK],
             queue: VecDeque::new(),
             head_written: 0,
             queued_bytes: 0,
@@ -466,6 +454,18 @@ impl Conn {
     /// Unwritten outbound bytes — the backpressure signal.
     pub fn queued_bytes(&self) -> usize {
         self.queued_bytes
+    }
+
+    /// Unwritten bytes queued *behind* the chunk currently at the head of
+    /// the queue — what a slow peer is holding hostage beyond the one
+    /// frame that is legitimately in flight. A frame of any legal size
+    /// always gets to drain; only what piles up after it counts.
+    pub fn queued_behind_head(&self) -> usize {
+        let head_rest = match self.queue.front() {
+            Some(WriteStep::Bytes(buf)) => buf.len().saturating_sub(self.head_written),
+            _ => 0,
+        };
+        self.queued_bytes.saturating_sub(head_rest)
     }
 
     /// Whether the queue still holds work and is not paused — i.e. whether
@@ -552,17 +552,16 @@ impl Conn {
         }
     }
 
-    /// Reads whatever the socket holds into the frame codec (bounded per
-    /// call; level-triggered polling re-reports leftovers). Decode the
-    /// results with [`Conn::next_frame`].
+    /// Reads what the socket holds straight into the frame codec's buffer,
+    /// at most [`MAX_READ`] bytes per call so a fast sender cannot
+    /// monopolise one tick (level-triggered polling re-reports leftovers).
+    /// Decode the results with [`Conn::next_frame`].
     pub fn fill(&mut self) -> CwcResult<ReadStatus> {
-        for _ in 0..MAX_READS_PER_TICK {
-            match self.stream.read(&mut self.scratch) {
+        let mut budget = MAX_READ;
+        while budget > 0 {
+            match self.codec.read_from(&mut self.stream, budget) {
                 Ok(0) => return Ok(ReadStatus::Eof),
-                Ok(n) => {
-                    self.codec
-                        .extend(self.scratch.get(..n).unwrap_or(&self.scratch));
-                }
+                Ok(n) => budget = budget.saturating_sub(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(ReadStatus::Open),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(CwcError::Transport(format!("read: {e}"))),
@@ -781,6 +780,84 @@ mod tests {
         assert_eq!(conn.queued_bytes(), 0, "queue must drain once peer reads");
         drop(conn); // closes the socket so the drainer sees EOF
         assert!(drainer.join().unwrap() > 0);
+    }
+
+    #[test]
+    fn backlog_behind_the_head_excludes_the_chunk_in_flight() {
+        let (_client, server) = pair();
+        let mut conn = Conn::from_stream(server).unwrap();
+        assert_eq!(conn.queued_behind_head(), 0);
+
+        // One oversized chunk the (never-reading) peer cannot absorb, then
+        // two small ones behind it.
+        conn.queue_bytes(vec![1u8; 16 << 20]);
+        conn.queue_bytes(vec![2u8; 1000]);
+        conn.queue_bytes(vec![3u8; 24]);
+        assert_eq!(conn.queued_bytes(), (16 << 20) + 1024);
+        assert_eq!(conn.queued_behind_head(), 1024);
+
+        // Partially written: the total shrinks, what waits behind does not.
+        assert_eq!(conn.flush().unwrap(), FlushStatus::Blocked);
+        assert!(conn.queued_bytes() < (16 << 20) + 1024);
+        assert!(conn.queued_bytes() > 1024);
+        assert_eq!(conn.queued_behind_head(), 1024);
+    }
+
+    #[test]
+    fn megabyte_frames_reassemble_across_ticks_within_the_per_tick_bound() {
+        let (client, server) = pair();
+        let mut conn = Conn::from_stream(server).unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(conn.fd(), 7, Interest::READ).unwrap();
+
+        let frame = Frame::ShipInput {
+            job: cwc_types::JobId(3),
+            seq: 5,
+            offset_kb: 0,
+            len_kb: 1024,
+            resume_from: None,
+            trace_id: 3,
+            span_id: 5,
+            parent_span: 0,
+            replica: false,
+            data: (0..1u32 << 20)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<u8>>()
+                .into(),
+        };
+        let mut wire = BytesMut::new();
+        frame.encode(&mut wire);
+        assert!(wire.len() > MAX_READ, "each frame must outgrow one tick");
+
+        // A sender that always has more queued than one tick may take.
+        const FRAMES: usize = 4;
+        let sender = std::thread::spawn(move || {
+            let mut client = client;
+            for _ in 0..FRAMES {
+                client.write_all(&wire).unwrap();
+            }
+            client // keep the socket open until the receiver is done
+        });
+
+        let (mut decoded, mut fills) = (0usize, 0usize);
+        while decoded < FRAMES {
+            wait_readable(&mut poller, 7);
+            let before = conn.codec.buffered();
+            assert_eq!(conn.fill().unwrap(), ReadStatus::Open);
+            let taken = conn.codec.buffered() - before;
+            assert!(taken <= MAX_READ, "one fill took {taken} bytes");
+            fills += 1;
+            while let Some(got) = conn.next_frame().unwrap() {
+                assert_eq!(got, frame, "frame {decoded} reassembled wrong");
+                decoded += 1;
+            }
+        }
+        assert!(
+            fills > FRAMES,
+            "{FRAMES} frames in only {fills} bounded fills"
+        );
+        assert_eq!(conn.codec.buffered(), 0);
+        drop(sender.join().unwrap());
     }
 
     #[test]

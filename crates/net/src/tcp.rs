@@ -13,10 +13,10 @@
 //! paper, where they double as the offline-failure detector.
 
 use crate::fault::{SendVerdict, WireFault, WireOp};
-use crate::protocol::{Frame, FrameCodec};
+use crate::protocol::{Frame, FrameCodec, MAX_READ};
 use bytes::BytesMut;
 use cwc_types::{CwcError, CwcResult};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -24,7 +24,6 @@ use std::time::Duration;
 pub struct FramedTcp {
     stream: TcpStream,
     codec: FrameCodec,
-    scratch: Vec<u8>,
     fault: Option<Box<dyn WireFault>>,
 }
 
@@ -56,7 +55,6 @@ impl FramedTcp {
         Ok(FramedTcp {
             stream,
             codec: FrameCodec::new(),
-            scratch: vec![0u8; 64 * 1024],
             fault: None,
         })
     }
@@ -156,15 +154,9 @@ impl FramedTcp {
 
     /// Reads at least one byte into the codec.
     fn fill(&mut self) -> CwcResult<()> {
-        match self.stream.read(&mut self.scratch) {
+        match self.codec.read_from(&mut self.stream, MAX_READ) {
             Ok(0) => Err(CwcError::Transport("connection closed by peer".into())),
-            Ok(n) => {
-                // `read` contracts n <= scratch.len(); .get() keeps a
-                // misbehaving Read impl from panicking us.
-                self.codec
-                    .extend(self.scratch.get(..n).unwrap_or(&self.scratch));
-                Ok(())
-            }
+            Ok(_) => Ok(()),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 Err(CwcError::Transport("timeout".into()))
             }

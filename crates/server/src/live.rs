@@ -531,8 +531,9 @@ fn execute_task(
 pub struct LiveJob {
     /// Scheduling descriptor (sizes must match `input`).
     pub spec: JobSpec,
-    /// The actual input.
-    pub input: Vec<u8>,
+    /// The actual input, held once: clones of the job and the partitions
+    /// shipped from it are windows onto the same allocation.
+    pub input: bytes::Bytes,
 }
 
 impl LiveJob {
@@ -547,7 +548,7 @@ impl LiveJob {
                 exe_kb: KiloBytes(exe_kb),
                 input_kb: KiloBytes(kb),
             },
-            input,
+            input: input.into(),
         }
     }
 }
@@ -745,12 +746,20 @@ pub fn run_live_server_observed(
     )
 }
 
-/// Declare a connection lost once its unflushed write queue exceeds this
-/// many bytes: the peer has stopped reading and every queued byte is
-/// memory held hostage. Loopback workers drain orders of magnitude
-/// faster than the coordinator queues, so only a genuinely wedged worker
-/// ever trips this.
+/// Declare a connection lost once this many unflushed bytes have piled
+/// up *behind* the frame at the head of its write queue: the peer has
+/// stopped reading and every queued byte is memory held hostage. The
+/// frame in flight is exempt — a partition of any legal size gets to
+/// drain at whatever rate the link manages (a 5 MB atomic input on a
+/// 600 KB/s link is a healthy worker, not a wedged one), and the
+/// kernel's stall timer stays the judge of a peer that stopped reading
+/// mid-frame.
 const WRITE_BACKLOG_CAP: usize = 4 * 1024 * 1024;
+
+/// Largest input an atomic job may carry: it ships whole, so it must fit
+/// one frame with room left for `ShipInput`'s fixed fields and a
+/// migration checkpoint.
+const MAX_ATOMIC_INPUT: usize = cwc_net::MAX_FRAME_LEN - 64 * 1024;
 
 /// What a send was for — decides what happens when its retries exhaust.
 enum SendKind {
@@ -856,11 +865,12 @@ fn queue_frame(state: &mut ConnState, frame: &Frame) -> Result<(), QueueError> {
     }
     let mut buf = BytesMut::new();
     frame.encode(&mut buf);
-    let verdict = match state.fault.as_mut() {
-        Some(f) => f.on_send(&buf),
-        None => SendVerdict::clean(&buf),
+    let Some(fault) = state.fault.as_mut() else {
+        // No hook: the encoded buffer itself goes onto the write queue.
+        state.conn.queue_bytes(buf.into());
+        return Ok(());
     };
-    match verdict {
+    match fault.on_send(&buf) {
         SendVerdict::Deliver(ops) => {
             for op in ops {
                 match op {
@@ -1096,10 +1106,10 @@ impl LiveDriver<'_> {
                 span_id: trace.span_id,
                 parent_span: trace.parent_or_zero(),
                 replica,
-                // from/to are both clamped to entry.input.len() above, so
-                // the range is always valid; get() keeps that local
-                // reasoning out of the panic path.
-                data: bytes::Bytes::copy_from_slice(entry.input.get(from..to).unwrap_or(&[])),
+                // A window onto the job's one allocation, not a copy.
+                // from <= to <= entry.input.len() by the clamps above, which
+                // is exactly what `slice` requires.
+                data: entry.input.slice(from..to),
             },
         ]);
         let stage = if self.initial_ship {
@@ -1129,6 +1139,9 @@ impl LiveDriver<'_> {
     fn run_send_job(&mut self, mut job: SendJob) {
         loop {
             let Some(frame) = job.frames.front() else {
+                // One flush per job: `ShipExecutable` leaves with its input,
+                // not a whole encode ahead of it (one worker wake-up, not two).
+                self.flush_conn(job.slot);
                 if let SendKind::Ship { exe_kb, len_kb, .. } = job.kind {
                     if let Some(&wid) = self.ids.get(job.slot) {
                         self.obs
@@ -1144,7 +1157,6 @@ impl LiveDriver<'_> {
             };
             match queued {
                 Ok(()) => {
-                    self.flush_conn(job.slot);
                     job.frames.pop_front();
                     job.attempt = 0;
                     job.frame_started = Instant::now();
@@ -1224,7 +1236,7 @@ impl LiveDriver<'_> {
             let backlog = self
                 .conns
                 .get(slot)
-                .map(|s| s.conn.queued_bytes())
+                .map(|s| s.conn.queued_behind_head())
                 .unwrap_or(0);
             if backlog > WRITE_BACKLOG_CAP {
                 self.declare_lost(
@@ -1369,10 +1381,24 @@ impl LiveDriver<'_> {
         }
     }
 
-    /// Read-readiness handler: pull bytes into the codec (bounded per
-    /// tick), feed every decoded frame, and surface EOF/transport errors
-    /// as `ConnectionLost`.
+    /// Read-readiness handler: drains the connection, then publishes the
+    /// frames its codec rejected meanwhile on `net.crc_rejected`.
     fn handle_readable(&mut self, slot: usize) {
+        let rejected = |d: &Self| d.conns.get(slot).map_or(0, |s| s.conn.crc_rejections());
+        let before = rejected(self);
+        self.drain_readable(slot);
+        // Frames the codec skipped on CRC during this drain: the sender's
+        // message was lost (recovered by the stall watchdog), so the
+        // operator-facing count is the only trace it leaves.
+        let fresh = rejected(self).saturating_sub(before);
+        if fresh > 0 {
+            self.obs.metrics.add("net.crc_rejected", fresh);
+        }
+    }
+
+    /// Pulls bytes into the codec (bounded per tick), feeds every decoded
+    /// frame, and surfaces EOF/transport errors as `ConnectionLost`.
+    fn drain_readable(&mut self, slot: usize) {
         let filled = {
             let Some(state) = self.conns.get_mut(slot) else {
                 return;
@@ -1486,6 +1512,18 @@ pub fn run_live_server_with(
     if expected == 0 {
         return Err(CwcError::Config("need at least one worker".into()));
     }
+    // An atomic job ships whole; one the receiving codec would refuse as
+    // lost framing would kill every worker it is offered to in turn.
+    if let Some(big) = jobs
+        .iter()
+        .find(|j| j.spec.kind.is_atomic() && j.input.len() > MAX_ATOMIC_INPUT)
+    {
+        return Err(CwcError::Config(format!(
+            "{}: atomic input of {} bytes cannot ship in one frame (limit {MAX_ATOMIC_INPUT} bytes)",
+            big.spec.id,
+            big.input.len()
+        )));
+    }
     let start = Instant::now();
     obs.emit(
         obs.wall_event("live", "run.start")
@@ -1503,7 +1541,7 @@ pub fn run_live_server_with(
         &policy,
         obs.clone(),
     )?)?;
-    let catalog: BTreeMap<JobId, LiveJob> = jobs.iter().map(|j| (j.spec.id, j.clone())).collect();
+    let catalog: BTreeMap<JobId, LiveJob> = jobs.into_iter().map(|j| (j.spec.id, j)).collect();
 
     // --- Accept + register the fleet in one phase (non-blocking,
     // burst-drained). Reading each `Register` as soon as its connection
@@ -1841,6 +1879,168 @@ mod tests {
             handles.push(thread::spawn(move || run_worker(addr, cfg, registry, flag)));
         }
         (flags, handles)
+    }
+
+    /// A hand-driven worker on a blocking [`FramedTcp`]: registers, answers
+    /// the probe and keep-alives, and replies to every `ShipInput` with the
+    /// byte length it was shipped (`primecount` aggregates partials by
+    /// summing, so a job's result must equal its input length). It dawdles
+    /// `after_exe` after each `ShipExecutable` — a slow link, as the server
+    /// sees it — and sends through `fault` if given.
+    fn spawn_raw_worker(
+        addr: SocketAddr,
+        after_exe: Duration,
+        fault: Option<Box<dyn WireFault>>,
+    ) -> thread::JoinHandle<CwcResult<()>> {
+        thread::spawn(move || {
+            let mut conn = FramedTcp::connect(addr)?;
+            conn.send(&Frame::Register {
+                phone: PhoneId(0),
+                clock_mhz: 1200,
+                cores: 2,
+                radio: RadioTech::Wifi80211g,
+                ram_kb: 1 << 20,
+            })?;
+            conn.set_fault(fault);
+            loop {
+                match conn.recv()? {
+                    Frame::BandwidthProbe { probe_id, .. } => {
+                        conn.send(&Frame::BandwidthReport {
+                            probe_id,
+                            kb_per_sec: 600.0,
+                        })?
+                    }
+                    Frame::ShipExecutable { .. } => thread::sleep(after_exe),
+                    Frame::ShipInput { job, seq, data, .. } => conn.send(&Frame::TaskComplete {
+                        job,
+                        seq,
+                        exec_ms: 1,
+                        result: (data.len() as u64).to_be_bytes().to_vec().into(),
+                    })?,
+                    Frame::KeepAlive { seq } => conn.send(&Frame::KeepAliveAck { seq })?,
+                    Frame::Shutdown => return Ok(()),
+                    _ => {}
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn slow_link_worker_is_not_condemned_by_its_own_big_chunk() {
+        // One atomic 32 MB partition to a worker that reads nothing for a
+        // while: the first flush fills the socket buffer and leaves far
+        // more than the backlog cap unwritten, but it is all ONE frame in
+        // flight, not a backlog — the worker is healthy and must get to
+        // finish.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = spawn_raw_worker(addr, Duration::from_millis(300), None);
+        let input = vec![b'7'; 32 << 20];
+        let jobs = vec![LiveJob::new(
+            JobId(0),
+            JobKind::Atomic,
+            "primecount",
+            30,
+            input.clone(),
+        )];
+        let out = run_live_server(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(60),
+        )
+        .unwrap();
+        assert!(out.failure.is_none(), "degraded: {:?}", out.failure);
+        assert_eq!(
+            out.results[&JobId(0)],
+            (input.len() as u64).to_be_bytes().to_vec()
+        );
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn crc_rejected_frames_are_counted_on_the_run_obs() {
+        // The worker's first TaskComplete goes out twice: once with a body
+        // bit flipped, then clean. The server must skip the first, count
+        // it on `net.crc_rejected`, and finish on the second.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut corrupted = false;
+        let fault = move |encoded: &[u8]| {
+            let is_report = encoded.get(cwc_net::FRAME_HEADER_LEN) == Some(&7);
+            if !is_report || std::mem::replace(&mut corrupted, true) {
+                return SendVerdict::clean(encoded);
+            }
+            let mut bad = encoded.to_vec();
+            *bad.last_mut().unwrap() ^= 0x40;
+            SendVerdict::Deliver(vec![WireOp::Write(bad), WireOp::Write(encoded.to_vec())])
+        };
+        let worker = spawn_raw_worker(addr, Duration::ZERO, Some(Box::new(fault)));
+        let input = vec![b'7'; 10 * 1024];
+        let jobs = vec![LiveJob::new(
+            JobId(0),
+            JobKind::Breakable,
+            "primecount",
+            30,
+            input.clone(),
+        )];
+        let obs = cwc_obs::Obs::new();
+        let out = run_live_server_observed(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(60),
+            &obs,
+        )
+        .unwrap();
+        assert!(out.failure.is_none(), "degraded: {:?}", out.failure);
+        assert_eq!(
+            out.results[&JobId(0)],
+            (input.len() as u64).to_be_bytes().to_vec()
+        );
+        assert_eq!(obs.metrics.counter_value("net.crc_rejected"), 1);
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn atomic_job_too_big_for_one_frame_is_refused_at_submit() {
+        // 65 MB > MAX_FRAME_LEN: every worker offered this partition would
+        // drop the connection on "bad frame length". Refused before a
+        // single worker is accepted (nobody ever connects here).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let jobs = vec![
+            LiveJob::new(
+                JobId(0),
+                JobKind::Breakable,
+                "primecount",
+                30,
+                vec![0; 2048],
+            ),
+            LiveJob::new(
+                JobId(4),
+                JobKind::Atomic,
+                "photoblur",
+                40,
+                vec![0; 65 << 20],
+            ),
+        ];
+        let err = run_live_server(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(5),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CwcError::Config(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains(&JobId(4).to_string()), "{msg}");
+        assert!(msg.contains(&MAX_ATOMIC_INPUT.to_string()), "{msg}");
     }
 
     #[test]

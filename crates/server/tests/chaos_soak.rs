@@ -90,6 +90,16 @@ fn spawn_fleet(
 /// One full live batch: `n` workers, per-worker fault plans, a server
 /// policy. Returns the outcome.
 fn soak_run(n: u32, plans: Vec<Option<FaultPlan>>, policy: LivePolicy) -> CwcResult<LiveOutcome> {
+    soak_run_observed(n, plans, policy, &cwc_obs::Obs::new())
+}
+
+/// [`soak_run`], with the server recording on the caller's `obs`.
+fn soak_run_observed(
+    n: u32,
+    plans: Vec<Option<FaultPlan>>,
+    policy: LivePolicy,
+    obs: &cwc_obs::Obs,
+) -> CwcResult<LiveOutcome> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     spawn_fleet(addr, fleet(n), plans);
@@ -101,7 +111,7 @@ fn soak_run(n: u32, plans: Vec<Option<FaultPlan>>, policy: LivePolicy) -> CwcRes
         SchedulerKind::Greedy,
         Duration::from_secs(120),
         policy,
-        &cwc_obs::Obs::new(),
+        obs,
     )
 }
 
@@ -190,6 +200,47 @@ fn wire_faults_on_the_worker_side_preserve_results() {
         );
         assert_identical(&out.results, &reference);
     }
+}
+
+/// The `corrupt` profile at full strength on one worker: every data-phase
+/// frame it sends arrives with a flipped bit. The server's codec must skip
+/// each one whole, the batch must still converge on identical bytes
+/// through the other three workers, and every skipped frame must show up
+/// on `net.crc_rejected` — never more of them than the plan injected.
+#[test]
+fn corrupted_worker_frames_are_counted_on_net_crc_rejected() {
+    let seed = soak_seed();
+    let reference = reference();
+    let obs = cwc_obs::Obs::new();
+    let plan = FaultPlan::observed(
+        seed,
+        FaultProfile::single(FaultKind::Corrupt, 1.0),
+        obs.clone(),
+    );
+    // Every report the chaotic worker sends is lost, so each chunk it is
+    // handed costs one stall before the breaker retires it: keep stalls short.
+    let policy = LivePolicy {
+        stall_timeout: Duration::from_millis(400),
+        ..soak_policy()
+    };
+    let out = soak_run_observed(4, vec![Some(plan), None, None, None], policy, &obs)
+        .unwrap_or_else(|e| panic!("corrupt-counter soak errored (seed {seed}): {e}"));
+    assert!(
+        out.failure.is_none(),
+        "corrupt-counter soak degraded (seed {seed}): {:?}",
+        out.failure
+    );
+    assert_identical(&out.results, &reference);
+    let rejected = obs.metrics.counter_value("net.crc_rejected");
+    let injected = obs.metrics.counter_value("chaos.injected.corrupt");
+    assert!(
+        rejected > 0,
+        "no CRC rejection published (seed {seed}, {injected} injected)"
+    );
+    assert!(
+        rejected <= injected,
+        "{rejected} rejections from {injected} corrupted frames (seed {seed})"
+    );
 }
 
 /// Connection resets tear sockets mid-frame. Torn workers are lost
