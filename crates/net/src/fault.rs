@@ -1,9 +1,9 @@
 //! Transport-level fault hooks.
 //!
-//! The live transports ([`crate::tcp::FramedTcp`], and through it every
-//! [`crate::mux::MuxWriter`]) accept an optional [`WireFault`] — a pluggable
-//! interceptor that sees every encoded outbound frame and decides what
-//! *actually* reaches the socket. `cwc-chaos` implements this trait with a
+//! Both ends of a live connection — the worker's [`crate::tcp::FramedTcp`]
+//! and the coordinator's write queue over [`crate::reactor::Conn`] — accept
+//! an optional [`WireFault`]: a pluggable interceptor that sees every
+//! encoded outbound frame and decides what *actually* reaches the socket. `cwc-chaos` implements this trait with a
 //! deterministic, seed-driven fault plan; production code leaves the hook
 //! empty, in which case the send path is exactly the unhooked write.
 //!

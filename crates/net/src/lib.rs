@@ -11,17 +11,16 @@
 //!   input shipping, completion/failure reports, keep-alives, migration
 //!   state), with a streaming length-prefixed, CRC32-checked codec
 //!   ([`protocol::FrameCodec`] — corrupt frames are rejected whole, never
-//!   decoded into garbage), a blocking framed-TCP transport
-//!   ([`tcp::FramedTcp`]), and a many-connections-one-event-stream
-//!   [`mux::Multiplexer`] — the analogue of the prototype's multi-threaded
-//!   Java NIO server. Both transports accept a [`fault::WireFault`] hook,
-//!   the injection surface the `cwc-chaos` harness drives.
-//! * **Event-loop**: [`reactor`] is the single-threaded readiness path
-//!   (DESIGN.md §14): a dependency-light epoll [`reactor::Poller`],
-//!   non-blocking framed connections ([`reactor::Conn`]) with explicit
-//!   write-backpressure accounting, and a deadline-ordered
-//!   [`reactor::TimerWheel`] — the substrate that lets one thread serve
-//!   tens of thousands of workers.
+//!   decoded into garbage). The coordinator's side of every connection
+//!   is [`reactor`], the single-threaded readiness path (DESIGN.md §14): a
+//!   dependency-light epoll [`reactor::Poller`], non-blocking framed
+//!   connections ([`reactor::Conn`]) with explicit write-backpressure
+//!   accounting, and a deadline-ordered [`reactor::TimerWheel`] — the
+//!   analogue of the prototype's Java NIO server, one thread for tens of
+//!   thousands of workers. The worker's side is [`tcp::FramedTcp`], a
+//!   blocking client transport (a phone holds exactly one connection).
+//!   Both ends take a [`fault::WireFault`] hook, the injection surface
+//!   the `cwc-chaos` harness drives.
 //!
 //! The paper's prototype keeps a persistent TCP connection per phone with
 //! `SO_KEEPALIVE` plus application-layer keep-alives every 30 s, declaring a
@@ -36,7 +35,6 @@
 pub mod fault;
 pub mod link;
 pub mod measure;
-pub mod mux;
 pub mod protocol;
 pub mod reactor;
 pub mod tcp;
@@ -44,7 +42,6 @@ pub mod tcp;
 pub use fault::{SendVerdict, WireFault, WireOp};
 pub use link::{LinkConfig, LinkModel};
 pub use measure::{measure_link, measure_link_observed, BandwidthSample, MeasurementReport};
-pub use mux::{ConnId, Multiplexer, MuxEvent, MuxWriter};
 pub use protocol::{
     crc32, is_handshake_tag, Frame, FrameCodec, FRAME_HEADER_LEN, KEEPALIVE_PERIOD,
     KEEPALIVE_TOLERATED_MISSES, MAX_FRAME_LEN,

@@ -1,9 +1,10 @@
 //! Readiness-based event-loop substrate: a dependency-light epoll wrapper,
 //! non-blocking framed connections, and a deadline-ordered timer wheel.
 //!
-//! The blocking transports ([`crate::tcp::FramedTcp`], [`crate::mux`]) cap a
-//! fleet at OS-thread scale — one parked thread per phone. This module is the
-//! single-threaded alternative (DESIGN.md §14): a [`Poller`] multiplexes
+//! A blocking socket per phone ([`crate::tcp::FramedTcp`], the worker's
+//! client transport) would cap the coordinator's fleet at OS-thread scale —
+//! one parked thread per phone. This module is the coordinator's
+//! single-threaded transport (DESIGN.md §14): a [`Poller`] multiplexes
 //! readiness for thousands of sockets from one thread, each connection is a
 //! [`Conn`] holding the streaming [`crate::protocol::FrameCodec`] plus an
 //! ordered outbound write queue with explicit backpressure accounting, and a
@@ -468,26 +469,10 @@ impl Conn {
         self.queued_bytes.saturating_sub(head_rest)
     }
 
-    /// Whether the queue still holds work and is not paused — i.e. whether
-    /// the driver should keep write interest registered.
-    pub fn wants_write(&self) -> bool {
-        !self.closed && !self.paused && !self.queue.is_empty()
-    }
-
-    /// Whether a pause marker currently suspends the queue.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Whether the connection has been torn down (close marker reached or
     /// fatal socket error observed).
     pub fn is_closed(&self) -> bool {
         self.closed
-    }
-
-    /// Marks the connection dead without queueing anything further.
-    pub fn mark_closed(&mut self) {
-        self.closed = true;
     }
 
     /// Lifts the current pause; call [`Conn::flush`] next to keep draining.
@@ -593,8 +578,7 @@ pub struct TimerKey {
 /// A deadline-ordered timer wheel: every wall-clock wait the event loop
 /// owes anyone (kernel timers, retry backoffs, paced writes) lives here,
 /// ordered by `(deadline, arming sequence)` so same-instant timers fire in
-/// the order they were armed — the same deterministic tie-break the
-/// blocking driver used.
+/// the order they were armed — a deterministic tie-break.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     entries: BTreeMap<(Micros, u64), T>,
@@ -939,9 +923,7 @@ mod tests {
             FlushStatus::Paused(d) => assert_eq!(d, Duration::from_millis(5)),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(conn.is_paused());
         assert_eq!(conn.flush().unwrap(), FlushStatus::Held);
-        assert!(!conn.wants_write());
 
         // The "timer fires": resume and drain the rest.
         conn.resume();

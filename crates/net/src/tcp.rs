@@ -1,11 +1,13 @@
-//! Blocking framed-TCP transport for the live deployment mode.
+//! The worker's client transport: blocking framed TCP.
 //!
 //! The paper's prototype keeps a persistent TCP connection per phone
 //! (Java NIO on the server, `SO_KEEPALIVE` plus application-layer
-//! keep-alives). This transport is its Rust analogue for the loopback
-//! cluster example: one [`FramedTcp`] per phone connection, blocking sends,
-//! and receives with an optional timeout so the caller can multiplex
-//! keep-alive bookkeeping with data handling.
+//! keep-alives). A phone holds exactly one such connection, so its end is
+//! a plain blocking socket: one [`FramedTcp`] per worker, blocking sends,
+//! and receives with an optional timeout so a worker pacing a slow task
+//! can still answer keep-alives. The coordinator's end of the same
+//! connection is [`crate::reactor::Conn`]; nothing on the server side
+//! uses this type.
 //!
 //! `std::net` does not expose `SO_KEEPALIVE` portably; CWC's own
 //! application-layer keep-alives ([`crate::protocol::KEEPALIVE_PERIOD`])
@@ -17,7 +19,7 @@ use crate::protocol::{Frame, FrameCodec, MAX_READ};
 use bytes::BytesMut;
 use cwc_types::{CwcError, CwcResult};
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A frame-oriented wrapper over a blocking [`TcpStream`].
@@ -45,8 +47,7 @@ impl FramedTcp {
         Self::from_stream(stream)
     }
 
-    /// Wraps an accepted stream.
-    pub fn from_stream(stream: TcpStream) -> CwcResult<Self> {
+    fn from_stream(stream: TcpStream) -> CwcResult<Self> {
         // Frames are small and latency-sensitive (keep-alives, completion
         // reports); Nagle would add nothing but delay.
         stream
@@ -64,18 +65,6 @@ impl FramedTcp {
     /// [`WireFault::on_send`] and the verdict decides what hits the socket.
     pub fn set_fault(&mut self, fault: Option<Box<dyn WireFault>>) {
         self.fault = fault;
-    }
-
-    /// How many inbound frames this connection's codec has rejected on CRC.
-    pub fn crc_rejections(&self) -> u64 {
-        self.codec.crc_rejections()
-    }
-
-    /// Peer address, for diagnostics.
-    pub fn peer_addr(&self) -> CwcResult<SocketAddr> {
-        self.stream
-            .peer_addr()
-            .map_err(|e| CwcError::Transport(format!("peer_addr: {e}")))
     }
 
     /// Sends one frame, blocking until fully written.
@@ -162,13 +151,6 @@ impl FramedTcp {
             }
             Err(e) => Err(CwcError::Transport(format!("read: {e}"))),
         }
-    }
-
-    /// Shuts down the write half, signalling an orderly goodbye.
-    pub fn shutdown(&self) -> CwcResult<()> {
-        self.stream
-            .shutdown(std::net::Shutdown::Both)
-            .map_err(|e| CwcError::Transport(format!("shutdown: {e}")))
     }
 }
 
@@ -277,7 +259,6 @@ mod tests {
     #[test]
     fn closed_peer_is_an_error() {
         let (client, mut server) = pair();
-        client.shutdown().unwrap();
         drop(client);
         let err = server.recv();
         assert!(err.is_err(), "expected error, got {err:?}");

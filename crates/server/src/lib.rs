@@ -52,11 +52,10 @@ pub use engine::{Engine, EngineConfig, EngineOutcome, FailureInjection, Segment,
 pub use experiment::{Experiment, ExperimentConfig};
 pub use fleet::{testbed_fleet, FleetBuilder};
 pub use live::{
-    live_kernel_config, run_live_server, run_live_server_observed, run_live_server_with,
-    run_worker, run_worker_chaos, run_worker_observed, FailureSummary, LiveJob, LiveOutcome,
-    LivePolicy, WorkerConfig,
+    live_kernel_config, run_live_server, run_live_server_with, run_worker, run_worker_chaos,
+    FailureSummary, LiveJob, LiveOutcome, LivePolicy, WorkerConfig,
 };
 pub use pool::{PoolStats, WorkerPool};
-pub use resilience::{Breaker, BreakerConfig, RetryPolicy, WindowBreaker};
+pub use resilience::{BreakerConfig, RetryPolicy, WindowBreaker};
 pub use shard::{engine_digest, FleetEngine, FleetOutcome, ShardConfig, ShardOutcome};
 pub use workload::{paper_workload, WorkloadBuilder};

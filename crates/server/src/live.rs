@@ -17,9 +17,14 @@
 //! write queues with explicit backpressure accounting; and every
 //! wall-clock wait — kernel keep-alive/stall/speculation timers, send
 //! retries, injected wire pacing — lives in one deadline-ordered
-//! [`cwc_net::TimerWheel`]. Nothing on the server side ever blocks or
-//! sleeps inside the loop, which is what lets one thread serve tens of
-//! thousands of workers (`cwc-bench-live` measures exactly that).
+//! [`cwc_net::TimerWheel`]. The loop is the only way the server does I/O:
+//! accepting the fleet, answering each `Register` with its ack and
+//! bandwidth probe, collecting the reports, running the batch and draining
+//! the final `Shutdown` are all iterations of it, sent through the same
+//! retrying send jobs and flushed by the same write-queue code. Nothing on
+//! the server side ever blocks or sleeps, which is what lets one thread
+//! serve tens of thousands of workers (`cwc-bench-live` measures exactly
+//! that).
 //! All control-loop decisions — scheduling, sequencing, stall/keep-alive
 //! policy, breaker quarantine, round-robin migration, graceful
 //! fleet-loss degradation — live in the kernel, shared verbatim with the
@@ -106,21 +111,7 @@ pub fn run_worker(
     registry: TaskRegistry,
     unplug: Arc<AtomicBool>,
 ) -> CwcResult<()> {
-    run_worker_observed(addr, cfg, registry, unplug, &cwc_obs::Obs::new())
-}
-
-/// Like [`run_worker`], recording through `obs`: per-task
-/// `worker.tasks_completed` / `worker.tasks_interrupted` counters, a
-/// `worker.exec_ms` histogram of measured runtimes, and
-/// `worker.keepalive_acks` for answered liveness probes.
-pub fn run_worker_observed(
-    addr: SocketAddr,
-    cfg: WorkerConfig,
-    registry: TaskRegistry,
-    unplug: Arc<AtomicBool>,
-    obs: &cwc_obs::Obs,
-) -> CwcResult<()> {
-    run_worker_chaos(addr, cfg, registry, unplug, obs, None)
+    run_worker_chaos(addr, cfg, registry, unplug, &cwc_obs::Obs::new(), None)
 }
 
 /// An input partition that arrived before its executable (frame
@@ -141,7 +132,10 @@ enum WorkerStep {
     Crash,
 }
 
-/// Like [`run_worker_observed`], optionally driven by a
+/// Like [`run_worker`], recording through `obs` — per-task
+/// `worker.tasks_completed` / `worker.tasks_interrupted` counters, a
+/// `worker.exec_ms` histogram of measured runtimes, `worker.keepalive_acks`
+/// for answered liveness probes — and optionally driven by a
 /// [`cwc_chaos::FaultPlan`]: the plan's wire script is installed on the
 /// worker's send path, and its worker chaos decides crash-at-chunk and
 /// slow-loris behavior per task.
@@ -723,29 +717,6 @@ pub fn run_live_server(
     )
 }
 
-/// Like [`run_live_server`], recording the run through `obs` (see
-/// [`run_live_server_with`] for the full counter list).
-pub fn run_live_server_observed(
-    listener: TcpListener,
-    expected: usize,
-    jobs: Vec<LiveJob>,
-    registry: TaskRegistry,
-    kind: SchedulerKind,
-    deadline: Duration,
-    obs: &cwc_obs::Obs,
-) -> CwcResult<LiveOutcome> {
-    run_live_server_with(
-        listener,
-        expected,
-        jobs,
-        registry,
-        kind,
-        deadline,
-        LivePolicy::default(),
-        obs,
-    )
-}
-
 /// Declare a connection lost once this many unflushed bytes have piled
 /// up *behind* the frame at the head of its write queue: the peer has
 /// stopped reading and every queued byte is memory held hostage. The
@@ -761,15 +732,23 @@ const WRITE_BACKLOG_CAP: usize = 4 * 1024 * 1024;
 /// migration checkpoint.
 const MAX_ATOMIC_INPUT: usize = cwc_net::MAX_FRAME_LEN - 64 * 1024;
 
+/// How long the end-of-run `Shutdown` may take to drain, whole fleet
+/// together; a worker that will not take nine bytes by then is left to its
+/// socket teardown.
+const FAREWELL_BOUND: Duration = Duration::from_secs(10);
+
+/// The listener's poller token. Connection tokens are dense slot indices;
+/// this sits far above any plausible fleet size.
+const LISTENER_TOKEN: u64 = u64::MAX;
+
 /// What a send was for — decides what happens when its retries exhaust.
 enum SendKind {
-    /// An executable+input (or replica) ship; `stage` keeps the old
-    /// driver's "initial ship" vs "ship" failure wording.
-    Ship {
-        exe_kb: u64,
-        len_kb: u64,
-        stage: &'static str,
-    },
+    /// The reply to `Register`: `RegisterAck`, then `BandwidthProbe`. The
+    /// fleet is closed-world, so a worker that cannot be greeted fails the
+    /// run.
+    Greet,
+    /// An executable+input (or replica) ship.
+    Ship { exe_kb: u64, len_kb: u64 },
     /// A liveness probe: failure to deliver means the worker is lost.
     KeepAlive,
     /// Best-effort: an undeliverable cancel only costs the loser's wasted
@@ -779,8 +758,7 @@ enum SendKind {
 
 /// One logical send (possibly several frames) moving through the
 /// retry/backoff schedule. Attempts and the per-frame deadline reset as
-/// each frame lands, mirroring the old per-frame `RetryPolicy::run`
-/// calls — except the backoff waits are wheel timers now, not sleeps.
+/// each frame lands; the backoff waits are wheel timers.
 struct SendJob {
     label: String,
     slot: usize,
@@ -806,11 +784,16 @@ enum WheelEntry {
 }
 
 /// Per-connection server state: the non-blocking framed connection, its
-/// fault-injection hook, and the bookkeeping the loop needs to manage
-/// poller interest.
+/// fault-injection hook, what the worker behind it registered as, and the
+/// bookkeeping the loop needs to manage poller interest. A connection's
+/// index in the driver's table is its kernel slot.
 struct ConnState {
     conn: Conn,
     fault: Option<Box<dyn WireFault>>,
+    /// Set by `Register`; `bandwidth` is a placeholder until `measured`.
+    info: Option<PhoneInfo>,
+    /// Whether a `BandwidthReport` has filled in `info.bandwidth`.
+    measured: bool,
     /// Transport-dead: socket torn down or declared lost; sends fail fast
     /// and readiness events are ignored.
     dead: bool,
@@ -820,48 +803,14 @@ struct ConnState {
     pace_armed: bool,
 }
 
-impl ConnState {
-    fn new(conn: Conn, fault: Option<Box<dyn WireFault>>) -> Self {
-        ConnState {
-            conn,
-            fault,
-            dead: false,
-            write_interest: false,
-            pace_armed: false,
-        }
-    }
-}
-
-/// How a [`queue_frame`] call failed. A typed signal rather than an error
-/// string so callers (notably [`setup_send`]) can branch on the injected
-/// reset without matching message text.
-enum QueueError {
-    /// Injected connection reset: a truncated prefix and a close marker
-    /// are already queued; the caller should push them onto the wire and
-    /// treat the connection as dead.
-    InjectedReset,
-    /// Any other logical send failure (injected Fail, dead connection).
-    Other(CwcError),
-}
-
-impl From<QueueError> for CwcError {
-    fn from(e: QueueError) -> Self {
-        match e {
-            QueueError::InjectedReset => CwcError::Transport("injected connection reset".into()),
-            QueueError::Other(e) => e,
-        }
-    }
-}
-
 /// Applies the fault hook to one encoded frame and queues the resulting
 /// wire ops. An `Err` is a *logical* send failure (injected Fail/Reset or
 /// a dead connection) — the caller owns retry/lost-worker handling;
-/// socket-level flushing is separate.
-fn queue_frame(state: &mut ConnState, frame: &Frame) -> Result<(), QueueError> {
+/// socket-level flushing is separate. An injected reset leaves a truncated
+/// prefix and a close marker queued for the caller's next flush.
+fn queue_frame(state: &mut ConnState, frame: &Frame) -> CwcResult<()> {
     if state.dead || state.conn.is_closed() {
-        return Err(QueueError::Other(CwcError::Transport(
-            "connection closed".into(),
-        )));
+        return Err(CwcError::Transport("connection closed".into()));
     }
     let mut buf = BytesMut::new();
     frame.encode(&mut buf);
@@ -880,68 +829,29 @@ fn queue_frame(state: &mut ConnState, frame: &Frame) -> Result<(), QueueError> {
             }
             Ok(())
         }
-        SendVerdict::Fail(why) => Err(QueueError::Other(CwcError::Transport(format!(
-            "injected send failure: {why}"
-        )))),
+        SendVerdict::Fail(why) => Err(CwcError::Transport(format!("injected send failure: {why}"))),
         SendVerdict::ResetAfter(prefix) => {
             state.conn.queue_bytes(prefix);
             state.conn.queue_close();
-            Err(QueueError::InjectedReset)
+            Err(CwcError::Transport("injected connection reset".into()))
         }
     }
 }
 
-/// Drives one frame through [`queue_frame`] and then *blocks* until the
-/// queue drains — setup-phase only (registration acks, bandwidth
-/// probes), where the old driver blocked too and the event loop is not
-/// yet running. Injected pauses are slept through; a full socket buffer
-/// is retried briefly.
-fn setup_send(state: &mut ConnState, frame: &Frame) -> CwcResult<()> {
-    let queued = queue_frame(state, frame);
-    if matches!(queued, Err(QueueError::InjectedReset)) {
-        // Push the truncated prefix out before reporting the reset.
-        // cwc-lint: allow(error_swallowing)
-        drain_blocking(state).ok();
-        state.dead = true;
-    }
-    queued?;
-    drain_blocking(state)
-}
-
-/// Flushes a setup-phase connection to empty, sleeping through injected
-/// pauses (the event loop, which would turn them into timers, is not
-/// running yet).
-fn drain_blocking(state: &mut ConnState) -> CwcResult<()> {
-    let gave_up = Instant::now() + Duration::from_secs(10);
-    loop {
-        match state.conn.flush()? {
-            FlushStatus::Clean => return Ok(()),
-            FlushStatus::Blocked => {
-                if Instant::now() > gave_up {
-                    return Err(CwcError::Transport("setup send stalled".into()));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            FlushStatus::Paused(d) => {
-                std::thread::sleep(d);
-                state.conn.resume();
-            }
-            FlushStatus::Held => state.conn.resume(),
-            FlushStatus::Closed => {
-                state.dead = true;
-                return Err(CwcError::Transport("connection closed".into()));
-            }
-        }
-    }
-}
-
-/// The reactor driver around the kernel: owns the poller, every
-/// connection, the timer wheel, and the collected result bytes. One
-/// thread; nothing here blocks.
+/// The reactor driver around the kernel: owns the poller, the listener,
+/// every connection, the timer wheel, and the collected result bytes. One
+/// thread; nothing here blocks; setup, batch and farewell are all
+/// [`LiveDriver::turn`]s of one loop.
 struct LiveDriver<'a> {
     kernel: Kernel,
     catalog: &'a BTreeMap<JobId, LiveJob>,
-    ids: Vec<PhoneId>,
+    listener: &'a TcpListener,
+    /// Closed-world fleet size: the listener leaves the poller once this
+    /// many connections are accepted.
+    expected: usize,
+    /// Slots still to report a bandwidth. While positive the run is in
+    /// setup; the report that takes it to zero starts the kernel.
+    unmeasured: usize,
     conns: Vec<ConnState>,
     poller: Poller,
     wheel: TimerWheel<WheelEntry>,
@@ -954,20 +864,68 @@ struct LiveDriver<'a> {
     /// under their offset iff the kernel accepts the report
     /// (`RecordResult`).
     pending_result: Option<Vec<u8>>,
-    /// Distinguishes initial-schedule ship failures in failure messages.
-    initial_ship: bool,
+    /// What ends the run with an `Err`: a setup failure (every expected
+    /// worker must join) or the kernel's own `Halt`. First one wins.
+    fatal: Option<CwcError>,
 }
 
-impl LiveDriver<'_> {
+impl<'a> LiveDriver<'a> {
+    /// An idle driver: the listener is in the poller, nobody has connected.
+    fn new(
+        kernel: Kernel,
+        catalog: &'a BTreeMap<JobId, LiveJob>,
+        listener: &'a TcpListener,
+        expected: usize,
+        policy: &'a LivePolicy,
+        obs: &'a cwc_obs::Obs,
+        start: Instant,
+    ) -> CwcResult<Self> {
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| CwcError::Transport(format!("listener: {e}")))?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        Ok(LiveDriver {
+            kernel,
+            catalog,
+            listener,
+            expected,
+            unmeasured: expected,
+            conns: Vec::with_capacity(expected),
+            poller,
+            wheel: TimerWheel::new(),
+            policy,
+            obs,
+            start,
+            retries: 0,
+            partials: BTreeMap::new(),
+            pending_result: None,
+            fatal: None,
+        })
+    }
+
     fn now(&self) -> Micros {
         Micros(self.start.elapsed().as_micros() as u64)
+    }
+
+    fn phone(&self, slot: usize) -> Option<PhoneId> {
+        self.conns.get(slot)?.info.map(|info| info.id)
+    }
+
+    fn fail(&mut self, e: CwcError) {
+        self.fatal.get_or_insert(e);
     }
 
     /// Feeds one event to the kernel (recording it for replay) and
     /// executes every command it emits. Send failures feed further
     /// `ConnectionLost` events, so this recurses — bounded by the fleet
-    /// size, since each lost worker is only ever lost once.
+    /// size, since each lost worker is only ever lost once. Once the run
+    /// is over the kernel hears nothing more (the farewell's turns must not
+    /// lengthen the recorded script).
     fn feed(&mut self, ev: CoordEvent) {
+        if self.done() {
+            return;
+        }
         let now = self.now();
         script::record(self.obs, now, &ev);
         let cmds = self.kernel.step(now, ev);
@@ -976,7 +934,24 @@ impl LiveDriver<'_> {
         }
     }
 
+    /// Starts one logical send to the worker in `slot`, labelled
+    /// `{what}/{phone}` for retry jitter and logs.
+    fn send(&mut self, slot: usize, what: &str, frames: Vec<Frame>, kind: SendKind) {
+        let Some(wid) = self.phone(slot) else {
+            return;
+        };
+        self.run_send_job(SendJob {
+            label: format!("{what}/{wid}"),
+            slot,
+            frames: frames.into(),
+            attempt: 0,
+            frame_started: Instant::now(),
+            kind,
+        });
+    }
+
     fn apply(&mut self, now: Micros, cmd: CoordCommand) {
+        let replica = matches!(cmd, CoordCommand::ShipReplica { .. });
         match cmd {
             CoordCommand::ShipInput {
                 slot,
@@ -989,10 +964,8 @@ impl LiveDriver<'_> {
                 resume,
                 rescheduled: _,
                 trace,
-            } => self.ship(
-                slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, false,
-            ),
-            CoordCommand::ShipReplica {
+            }
+            | CoordCommand::ShipReplica {
                 slot,
                 seq,
                 job,
@@ -1004,34 +977,20 @@ impl LiveDriver<'_> {
                 rescheduled: _,
                 trace,
             } => self.ship(
-                slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, true,
+                slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, replica,
             ),
-            CoordCommand::CancelTask { slot, job, seq } => {
-                let Some(&wid) = self.ids.get(slot) else {
-                    return;
-                };
-                self.run_send_job(SendJob {
-                    label: format!("cancel/{wid}"),
-                    slot,
-                    frames: VecDeque::from(vec![Frame::CancelTask { job, seq }]),
-                    attempt: 0,
-                    frame_started: Instant::now(),
-                    kind: SendKind::Cancel,
-                });
-            }
-            CoordCommand::SendKeepAlive { slot, seq } => {
-                let Some(&wid) = self.ids.get(slot) else {
-                    return;
-                };
-                self.run_send_job(SendJob {
-                    label: format!("keepalive/{wid}"),
-                    slot,
-                    frames: VecDeque::from(vec![Frame::KeepAlive { seq }]),
-                    attempt: 0,
-                    frame_started: Instant::now(),
-                    kind: SendKind::KeepAlive,
-                });
-            }
+            CoordCommand::CancelTask { slot, job, seq } => self.send(
+                slot,
+                "cancel",
+                vec![Frame::CancelTask { job, seq }],
+                SendKind::Cancel,
+            ),
+            CoordCommand::SendKeepAlive { slot, seq } => self.send(
+                slot,
+                "keepalive",
+                vec![Frame::KeepAlive { seq }],
+                SendKind::KeepAlive,
+            ),
             CoordCommand::StartTimer {
                 kind,
                 slot,
@@ -1055,9 +1014,14 @@ impl LiveDriver<'_> {
                         .push((offset_kb, bytes));
                 }
             }
-            // Initial probing is driver-side (the registration phase);
-            // completion and fleet loss are read off the kernel state.
-            CoordCommand::SendProbe { .. } | CoordCommand::Finished | CoordCommand::Halt => {}
+            CoordCommand::Halt => {
+                if let Some(e) = self.kernel.take_fatal() {
+                    self.fail(e);
+                }
+            }
+            // Initial probing is driver-side (it rides the registration
+            // reply); completion and fleet loss are read off the kernel.
+            CoordCommand::SendProbe { .. } | CoordCommand::Finished => {}
         }
     }
 
@@ -1080,9 +1044,6 @@ impl LiveDriver<'_> {
         trace: cwc_obs::TraceCtx,
         replica: bool,
     ) {
-        let Some(&wid) = self.ids.get(slot) else {
-            return;
-        };
         let Some(entry) = self.catalog.get(&job) else {
             // Impossible by construction (the kernel's catalog is built
             // from the same batch), but not worth a panic on the live path.
@@ -1090,7 +1051,7 @@ impl LiveDriver<'_> {
         };
         let from = (offset_kb as usize * 1024).min(entry.input.len());
         let to = ((offset_kb + len_kb) as usize * 1024).min(entry.input.len());
-        let frames = VecDeque::from(vec![
+        let frames = vec![
             Frame::ShipExecutable {
                 job,
                 program: program.to_owned(),
@@ -1111,39 +1072,22 @@ impl LiveDriver<'_> {
                 // is exactly what `slice` requires.
                 data: entry.input.slice(from..to),
             },
-        ]);
-        let stage = if self.initial_ship {
-            "initial ship"
-        } else {
-            "ship"
-        };
-        self.run_send_job(SendJob {
-            label: format!("ship/{wid}"),
-            slot,
-            frames,
-            attempt: 0,
-            frame_started: Instant::now(),
-            kind: SendKind::Ship {
-                exe_kb,
-                len_kb,
-                stage,
-            },
-        });
+        ];
+        self.send(slot, "ship", frames, SendKind::Ship { exe_kb, len_kb });
     }
 
     /// Advances a send job: queue frames until the job completes or a
     /// frame fails. A failed frame either re-arms on the wheel after its
-    /// backoff (the non-blocking analogue of `RetryPolicy::run`'s sleep)
-    /// or, once attempts/deadline are exhausted, resolves per the job's
-    /// [`SendKind`].
+    /// backoff or, once attempts/deadline are exhausted, resolves per the
+    /// job's [`SendKind`].
     fn run_send_job(&mut self, mut job: SendJob) {
         loop {
             let Some(frame) = job.frames.front() else {
                 // One flush per job: `ShipExecutable` leaves with its input,
                 // not a whole encode ahead of it (one worker wake-up, not two).
                 self.flush_conn(job.slot);
-                if let SendKind::Ship { exe_kb, len_kb, .. } = job.kind {
-                    if let Some(&wid) = self.ids.get(job.slot) {
+                if let SendKind::Ship { exe_kb, len_kb } = job.kind {
+                    if let Some(wid) = self.phone(job.slot) {
                         self.obs
                             .metrics
                             .add(&format!("net.kb_shipped.{wid}"), exe_kb + len_kb);
@@ -1152,7 +1096,7 @@ impl LiveDriver<'_> {
                 return;
             };
             let queued = match self.conns.get_mut(job.slot) {
-                Some(state) => queue_frame(state, frame).map_err(CwcError::from),
+                Some(state) => queue_frame(state, frame),
                 None => Err(CwcError::Transport("unknown connection".into())),
             };
             match queued {
@@ -1196,13 +1140,16 @@ impl LiveDriver<'_> {
 
     /// Resolves a send whose retries are exhausted.
     fn send_job_failed(&mut self, job: &SendJob, e: &CwcError) {
-        let Some(&wid) = self.ids.get(job.slot) else {
+        let Some(wid) = self.phone(job.slot) else {
             return;
         };
         match job.kind {
-            SendKind::Ship { stage, .. } => self.feed(CoordEvent::ConnectionLost {
+            SendKind::Greet => self.fail(CwcError::Transport(format!(
+                "{wid}: registration reply failed: {e}"
+            ))),
+            SendKind::Ship { .. } => self.feed(CoordEvent::ConnectionLost {
                 slot: job.slot,
-                why: format!("{wid} lost ({stage} failed: {e})"),
+                why: format!("{wid} lost (ship failed: {e})"),
             }),
             SendKind::KeepAlive => self.feed(CoordEvent::ConnectionLost {
                 slot: job.slot,
@@ -1307,8 +1254,9 @@ impl LiveDriver<'_> {
         self.poller.deregister(state.conn.fd()).ok();
     }
 
-    /// Marks a connection transport-dead and tells the kernel. Safe to
-    /// hit twice: the kernel tolerates duplicate `ConnectionLost`.
+    /// Marks a connection transport-dead and tells the kernel — or, during
+    /// setup, fails the run (closed world: `expected` is now unreachable).
+    /// Safe to hit twice: the kernel tolerates duplicate `ConnectionLost`.
     fn declare_lost(&mut self, slot: usize, why: String) {
         let already = {
             let Some(state) = self.conns.get_mut(slot) else {
@@ -1320,7 +1268,12 @@ impl LiveDriver<'_> {
             return;
         }
         self.drop_registration(slot);
-        let Some(&wid) = self.ids.get(slot) else {
+        if self.unmeasured > 0 {
+            return self.fail(CwcError::Transport(format!(
+                "worker {slot} vanished during setup: {why}"
+            )));
+        }
+        let Some(wid) = self.phone(slot) else {
             return;
         };
         self.feed(CoordEvent::ConnectionLost {
@@ -1329,9 +1282,140 @@ impl LiveDriver<'_> {
         });
     }
 
-    /// Translates one inbound frame into its kernel event — the same
-    /// mapping the blocking driver used.
+    /// Takes what the listener has queued, up to the closed-world fleet
+    /// size; a connection's place in the table is its kernel slot. A full
+    /// table takes the listener out of the poller.
+    fn accept(&mut self) -> CwcResult<()> {
+        let room = self.expected.saturating_sub(self.conns.len());
+        let mut accepted = Vec::new();
+        accept_burst(self.listener, room, &mut accepted)?;
+        for stream in accepted {
+            let slot = self.conns.len();
+            let conn = Conn::from_stream(stream)?;
+            self.poller
+                .register(conn.fd(), slot as u64, Interest::READ)?;
+            let label = format!("server/conn-{slot}");
+            let chaos = self.policy.chaos.as_ref();
+            self.conns.push(ConnState {
+                conn,
+                fault: chaos.map(|plan| Box::new(plan.script(&label)) as _),
+                info: None,
+                measured: false,
+                dead: false,
+                write_interest: false,
+                pace_armed: false,
+            });
+        }
+        if self.conns.len() >= self.expected {
+            self.poller.deregister(self.listener.as_raw_fd())?;
+        }
+        Ok(())
+    }
+
+    /// Setup-phase frames. `Register` is answered with `RegisterAck` and
+    /// `BandwidthProbe` as one send job (one worker wake-up);
+    /// `BandwidthReport` completes the slot's [`PhoneInfo`], and the last
+    /// slot's report starts the kernel. Anything else, either of the two
+    /// out of turn, or an unusable descriptor fails the run.
+    fn handle_setup_frame(&mut self, slot: usize, frame: Frame) {
+        let registered = self.conns.get(slot).and_then(|s| s.info);
+        match (frame, registered) {
+            (
+                Frame::Register {
+                    phone,
+                    clock_mhz,
+                    cores,
+                    radio,
+                    ram_kb,
+                },
+                None,
+            ) => {
+                if clock_mhz == 0 || cores == 0 {
+                    return self.fail(CwcError::InvalidPhone {
+                        phone,
+                        reason: "zero clock or core count in registration".into(),
+                    });
+                }
+                if let Some(state) = self.conns.get_mut(slot) {
+                    state.info = Some(PhoneInfo {
+                        id: phone,
+                        cpu: cwc_types::CpuSpec::new(clock_mhz, cores),
+                        radio,
+                        bandwidth: MsPerKb(1.0), // replaced by the report
+                        ram_kb,
+                    });
+                }
+                self.obs.emit(
+                    self.obs
+                        .wall_event("live", "worker.registered")
+                        .severity(cwc_obs::Severity::Debug)
+                        .field("phone", phone.0)
+                        .field("clock_mhz", clock_mhz)
+                        .field("cores", cores),
+                );
+                let greeting = vec![
+                    Frame::RegisterAck {
+                        server_time_us: self.now().0,
+                    },
+                    // The iperf analogue; the report is the worker's `b_i`.
+                    Frame::BandwidthProbe {
+                        probe_id: slot as u32,
+                        payload_kb: 256,
+                    },
+                ];
+                self.send(slot, "greet", greeting, SendKind::Greet);
+            }
+            (Frame::BandwidthReport { kb_per_sec, .. }, Some(info)) => {
+                // Raw f64 bits off the wire; only a finite positive
+                // throughput has an ms/KB a schedule can be priced with.
+                if !(kb_per_sec.is_finite() && kb_per_sec > 0.0) {
+                    return self.fail(CwcError::InvalidPhone {
+                        phone: info.id,
+                        reason: format!("reported bandwidth of {kb_per_sec} KB/s"),
+                    });
+                }
+                let Some(state) = self.conns.get_mut(slot) else {
+                    return;
+                };
+                state.info = Some(PhoneInfo {
+                    bandwidth: MsPerKb::from_kb_per_sec(kb_per_sec),
+                    ..info
+                });
+                // Slots count, not frames: a worker reporting twice must
+                // not stand in for one that has yet to answer.
+                if !std::mem::replace(&mut state.measured, true) {
+                    self.unmeasured -= 1;
+                    if self.unmeasured == 0 {
+                        self.start_kernel();
+                    }
+                }
+            }
+            (other, _) => self.fail(CwcError::Protocol(format!(
+                "worker {slot}: unexpected {other:?} during setup"
+            ))),
+        }
+    }
+
+    /// Every expected slot has reported: hands the measured fleet to the
+    /// kernel (`Probe` per slot, in slot order) and dispatches the initial
+    /// schedule.
+    fn start_kernel(&mut self) {
+        self.obs
+            .metrics
+            .set_gauge("live.setup_ms", self.start.elapsed().as_secs_f64() * 1e3);
+        for slot in 0..self.conns.len() {
+            if let Some(info) = self.conns.get(slot).and_then(|s| s.info) {
+                self.feed(CoordEvent::Probe { slot, info });
+            }
+        }
+        self.feed(CoordEvent::Start);
+    }
+
+    /// Translates one inbound frame into its kernel event.
     fn handle_frame(&mut self, slot: usize, frame: Frame) {
+        if self.unmeasured > 0 {
+            return self.handle_setup_frame(slot, frame);
+        }
         match frame {
             Frame::TaskComplete {
                 job,
@@ -1370,7 +1454,7 @@ impl LiveDriver<'_> {
                 self.feed(CoordEvent::KeepAliveSeen { slot });
             }
             other => {
-                let Some(&wid) = self.ids.get(slot) else {
+                let Some(wid) = self.phone(slot) else {
                     return;
                 };
                 self.feed(CoordEvent::Misbehaved {
@@ -1455,6 +1539,9 @@ impl LiveDriver<'_> {
                 WheelEntry::Kernel { kind, slot, token } => {
                     self.feed(CoordEvent::TimerFired { kind, slot, token });
                 }
+                // A retry that comes due during the farewell has nobody
+                // left to matter to.
+                WheelEntry::Retry(job) if self.done() => drop(job),
                 WheelEntry::Retry(job) => self.run_send_job(job),
                 WheelEntry::Paced { slot } => {
                     if let Some(state) = self.conns.get_mut(slot) {
@@ -1480,8 +1567,61 @@ impl LiveDriver<'_> {
         }
     }
 
+    /// One iteration of the event loop: sleep in the poller until
+    /// something is ready or due, fire elapsed timers, serve every ready fd.
+    fn turn(&mut self, events: &mut Vec<PollEvent>) -> CwcResult<()> {
+        events.clear();
+        self.poller.wait(events, Some(self.poll_timeout()))?;
+        let in_setup = self.unmeasured > 0;
+        let iter_started = Instant::now();
+        let fired = self.fire_due_timers();
+        for ev in events.iter() {
+            if ev.token == LISTENER_TOKEN {
+                self.accept()?;
+                continue;
+            }
+            let slot = ev.token as usize;
+            if ev.readable || ev.hangup {
+                self.handle_readable(slot);
+            }
+            if ev.writable {
+                self.flush_conn(slot);
+            }
+        }
+        // The histogram is of the batch's iterations: setup turns (and the
+        // one that packs the initial schedule) would swamp its quantiles.
+        if !in_setup && (fired > 0 || !events.is_empty()) {
+            self.obs.metrics.observe(
+                "live.loop_iter_us",
+                iter_started.elapsed().as_micros() as f64,
+            );
+        }
+        Ok(())
+    }
+
+    /// Queues `Shutdown` on every live connection and keeps turning the
+    /// loop until the write queues are empty or [`FAREWELL_BOUND`] is up.
+    /// Dead workers' threads may still be parked on recv; a `Shutdown` on
+    /// a torn connection is a no-op, on a live one it lets the thread exit.
+    fn farewell(&mut self, events: &mut Vec<PollEvent>) -> CwcResult<()> {
+        for slot in 0..self.conns.len() {
+            if let Some(state) = self.conns.get_mut(slot) {
+                // Best-effort. cwc-lint: allow(error_swallowing)
+                queue_frame(state, &Frame::Shutdown).ok();
+            }
+            self.flush_conn(slot);
+        }
+        let give_up = Instant::now() + FAREWELL_BOUND;
+        let draining = |d: &Self| d.conns.iter().any(|s| !s.dead && s.conn.queued_bytes() > 0);
+        while draining(self) && Instant::now() < give_up {
+            self.turn(events)?;
+        }
+        Ok(())
+    }
+
+    /// Whether the run is over: batch covered, fleet lost, or failed.
     fn done(&self) -> bool {
-        self.kernel.finished() || self.kernel.fleet_lost()
+        self.fatal.is_some() || self.kernel.finished() || self.kernel.fleet_lost()
     }
 }
 
@@ -1493,7 +1633,8 @@ impl LiveDriver<'_> {
 /// `live.stalled` / `live.dup_reports` / `live.quarantined` /
 /// `live.protocol_violations` counters, a `span.schedule_us` histogram
 /// around the scheduling pass, a `live.loop_iter_us` histogram of
-/// event-loop iteration work time (poll wait excluded), a
+/// event-loop iteration work time once the batch is running (poll wait
+/// excluded), a
 /// `live.setup_ms` gauge over accept+register+probe, end-of-run
 /// `live.makespan_ms` / `live.workers_lost` gauges, and one
 /// `coord.event` record per kernel stimulus (the replayable event
@@ -1543,246 +1684,23 @@ pub fn run_live_server_with(
     )?)?;
     let catalog: BTreeMap<JobId, LiveJob> = jobs.into_iter().map(|j| (j.spec.id, j)).collect();
 
-    // --- Accept + register the fleet in one phase (non-blocking,
-    // burst-drained). Reading each `Register` as soon as its connection
-    // is accepted keeps connections quiet under level-triggered polling
-    // and keeps the accept path hot — an unread frame would otherwise
-    // re-report on every wait and crowd the listener out of the event
-    // batch while the TCP backlog overflows behind it.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CwcError::Transport(format!("listener: {e}")))?;
-    let mut poller = Poller::new()?;
-    // Connection tokens are dense slot indices; the listener sits far
-    // above any plausible fleet size.
-    const LISTENER_TOKEN: u64 = u64::MAX;
-    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    let mut conns: Vec<ConnState> = Vec::with_capacity(expected);
+    // --- The event loop: one thread, the whole fleet, from the first
+    // accept to the last result. ---
+    let mut driver = LiveDriver::new(kernel, &catalog, &listener, expected, &policy, obs, start)?;
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut accepted: Vec<std::net::TcpStream> = Vec::new();
-    let mut registered: Vec<Option<PhoneInfo>> = Vec::with_capacity(expected);
-    let mut missing = expected;
-    while missing > 0 {
-        if start.elapsed() > deadline {
-            return Err(CwcError::Transport("registration deadline exceeded".into()));
-        }
-        events.clear();
-        poller.wait(&mut events, Some(Duration::from_millis(100)))?;
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                if conns.len() >= expected {
-                    continue;
-                }
-                accept_burst(&listener, expected - conns.len(), &mut accepted)?;
-                for stream in accepted.drain(..) {
-                    let idx = conns.len();
-                    let conn = Conn::from_stream(stream)?;
-                    poller.register(conn.fd(), idx as u64, Interest::READ)?;
-                    let fault: Option<Box<dyn WireFault>> = policy
-                        .chaos
-                        .as_ref()
-                        .map(|plan| Box::new(plan.script(&format!("server/conn-{idx}"))) as _);
-                    conns.push(ConnState::new(conn, fault));
-                    registered.push(None);
-                }
-                if conns.len() >= expected {
-                    poller.deregister(listener.as_raw_fd())?;
-                }
-                continue;
-            }
-            let idx = ev.token as usize;
-            let Some(state) = conns.get_mut(idx) else {
-                continue;
-            };
-            let status = state.conn.fill().map_err(|e| {
-                CwcError::Transport(format!("worker {idx} vanished during registration: {e}"))
-            })?;
-            while let Some(frame) = state.conn.next_frame()? {
-                match frame {
-                    Frame::Register {
-                        phone,
-                        clock_mhz,
-                        cores,
-                        radio,
-                        ram_kb,
-                    } => {
-                        if clock_mhz == 0 || cores == 0 {
-                            return Err(CwcError::InvalidPhone {
-                                phone,
-                                reason: "zero clock or core count in registration".into(),
-                            });
-                        }
-                        let Some(slot) = registered.get_mut(idx) else {
-                            return Err(CwcError::Protocol(format!(
-                                "registration from unknown connection {idx}"
-                            )));
-                        };
-                        if slot.is_none() {
-                            missing -= 1;
-                        }
-                        *slot = Some(PhoneInfo {
-                            id: phone,
-                            cpu: cwc_types::CpuSpec::new(clock_mhz, cores),
-                            radio,
-                            bandwidth: MsPerKb(1.0), // replaced by the probe below
-                            ram_kb,
-                        });
-                        obs.emit(
-                            obs.wall_event("live", "worker.registered")
-                                .severity(cwc_obs::Severity::Debug)
-                                .field("phone", phone.0)
-                                .field("clock_mhz", clock_mhz)
-                                .field("cores", cores),
-                        );
-                        setup_send(
-                            state,
-                            &Frame::RegisterAck {
-                                server_time_us: start.elapsed().as_micros() as u64,
-                            },
-                        )?;
-                    }
-                    other => {
-                        return Err(CwcError::Protocol(format!(
-                            "expected Register, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            if matches!(status, ReadStatus::Eof) {
-                return Err(CwcError::Transport(format!(
-                    "worker {idx} vanished during registration: connection closed by peer"
-                )));
-            }
-        }
-    }
-    let mut infos: Vec<PhoneInfo> = registered.into_iter().flatten().collect();
-    if infos.len() != expected {
-        // Unreachable: the loop above exits only when every slot is Some.
-        return Err(CwcError::Transport("registration incomplete".into()));
-    }
-
-    // --- Bandwidth measurement (iperf analogue). ---
-    let mut retries = 0u64;
-    for (i, info) in infos.iter().enumerate() {
-        let Some(state) = conns.get_mut(i) else {
-            continue;
-        };
-        let label = format!("probe/{}", info.id);
-        policy.retry.run(&label, obs, &mut retries, || {
-            setup_send(
-                state,
-                &Frame::BandwidthProbe {
-                    probe_id: i as u32,
-                    payload_kb: 256,
-                },
-            )
-        })?;
-    }
-    let mut reports = 0usize;
-    while reports < expected {
-        if start.elapsed() > deadline {
-            return Err(CwcError::Transport(
-                "bandwidth-probe deadline exceeded".into(),
-            ));
-        }
-        events.clear();
-        poller.wait(&mut events, Some(Duration::from_millis(100)))?;
-        for ev in &events {
-            let idx = ev.token as usize;
-            let Some(state) = conns.get_mut(idx) else {
-                continue;
-            };
-            let status = state.conn.fill().map_err(|e| {
-                CwcError::Transport(format!("worker {idx} vanished during measurement: {e}"))
-            })?;
-            while let Some(frame) = state.conn.next_frame()? {
-                match frame {
-                    Frame::BandwidthReport { kb_per_sec, .. } => {
-                        let Some(info) = infos.get_mut(idx) else {
-                            continue; // unknown connection: nothing to attribute
-                        };
-                        info.bandwidth = MsPerKb::from_kb_per_sec(kb_per_sec);
-                        reports += 1;
-                    }
-                    other => {
-                        return Err(CwcError::Protocol(format!(
-                            "expected BandwidthReport, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            if matches!(status, ReadStatus::Eof) {
-                return Err(CwcError::Transport(format!(
-                    "worker {idx} vanished during measurement: connection closed by peer"
-                )));
-            }
-        }
-    }
-    obs.metrics
-        .set_gauge("live.setup_ms", start.elapsed().as_secs_f64() * 1e3);
-
-    // --- Hand the measured fleet to the kernel and dispatch. ---
-    let mut driver = LiveDriver {
-        kernel,
-        catalog: &catalog,
-        ids: infos.iter().map(|i| i.id).collect(),
-        conns,
-        poller,
-        wheel: TimerWheel::new(),
-        policy: &policy,
-        obs,
-        start,
-        retries,
-        partials: BTreeMap::new(),
-        pending_result: None,
-        initial_ship: false,
-    };
-    for (i, info) in infos.iter().enumerate() {
-        driver.feed(CoordEvent::Probe {
-            slot: i,
-            info: *info,
-        });
-    }
-    driver.initial_ship = true;
-    driver.feed(CoordEvent::Start);
-    driver.initial_ship = false;
-    if let Some(e) = driver.kernel.take_fatal() {
-        return Err(e);
-    }
-
-    // --- The event loop: one thread, the whole fleet. ---
     while !driver.done() {
         if start.elapsed() > deadline {
-            return Err(CwcError::Transport(format!(
-                "live run exceeded deadline ({deadline:?})"
-            )));
+            return Err(CwcError::Transport(match driver.unmeasured {
+                0 => format!("live run exceeded deadline ({deadline:?})"),
+                n => format!(
+                    "setup exceeded deadline ({deadline:?}): {n} of {expected} workers never reported a bandwidth"
+                ),
+            }));
         }
-        let timeout = driver.poll_timeout();
-        events.clear();
-        driver.poller.wait(&mut events, Some(timeout))?;
-        let iter_started = Instant::now();
-        let fired = driver.fire_due_timers();
-        for ev in &events {
-            let slot = ev.token as usize;
-            if slot >= driver.conns.len() {
-                continue;
-            }
-            if ev.readable || ev.hangup {
-                driver.handle_readable(slot);
-            }
-            if ev.writable {
-                driver.flush_conn(slot);
-            }
-            if driver.done() {
-                break;
-            }
-        }
-        if fired > 0 || !events.is_empty() {
-            driver.obs.metrics.observe(
-                "live.loop_iter_us",
-                iter_started.elapsed().as_micros() as f64,
-            );
-        }
+        driver.turn(&mut events)?;
+    }
+    if let Some(e) = driver.fatal.take() {
+        return Err(e);
     }
     let failure = driver.kernel.take_fleet_loss().map(|fl| FailureSummary {
         workers_lost: fl.workers_lost,
@@ -1817,17 +1735,7 @@ pub fn run_live_server_with(
         }
     }
 
-    // Dead workers' threads may still be parked on recv; a Shutdown on a
-    // torn connection is a no-op, on a live one it lets the thread exit.
-    for state in &mut driver.conns {
-        if state.dead {
-            continue;
-        }
-        // Best-effort farewell. cwc-lint: allow(error_swallowing)
-        queue_frame(state, &Frame::Shutdown).ok();
-        // cwc-lint: allow(error_swallowing)
-        drain_blocking(state).ok();
-    }
+    driver.farewell(&mut events)?;
 
     let wall = start.elapsed();
     let lost = driver.kernel.workers_lost();
@@ -1881,48 +1789,303 @@ mod tests {
         (flags, handles)
     }
 
-    /// A hand-driven worker on a blocking [`FramedTcp`]: registers, answers
-    /// the probe and keep-alives, and replies to every `ShipInput` with the
-    /// byte length it was shipped (`primecount` aggregates partials by
-    /// summing, so a job's result must equal its input length). It dawdles
-    /// `after_exe` after each `ShipExecutable` — a slow link, as the server
-    /// sees it — and sends through `fault` if given.
+    fn register(phone: u32) -> Frame {
+        Frame::Register {
+            phone: PhoneId(phone),
+            clock_mhz: 1200,
+            cores: 2,
+            radio: RadioTech::Wifi80211g,
+            ram_kb: 1 << 20,
+        }
+    }
+
+    /// Connects a hand-driven worker on a blocking [`FramedTcp`] and sends
+    /// its `Register`.
+    fn raw_connect(addr: SocketAddr, phone: u32) -> CwcResult<FramedTcp> {
+        let mut conn = FramedTcp::connect(addr)?;
+        conn.send(&register(phone))?;
+        Ok(conn)
+    }
+
+    /// The server's reply to `Register`: `RegisterAck`, then the probe
+    /// (whose id is returned) — in that order on the wire.
+    fn expect_greeting(conn: &mut FramedTcp) -> u32 {
+        assert!(matches!(conn.recv().unwrap(), Frame::RegisterAck { .. }));
+        match conn.recv().unwrap() {
+            Frame::BandwidthProbe { probe_id, .. } => probe_id,
+            other => panic!("expected BandwidthProbe, got {other:?}"),
+        }
+    }
+
+    /// The rest of a hand-driven worker's life: answers the probe with
+    /// `kbps` and keep-alives with acks, and replies to every `ShipInput`
+    /// with the byte length it was shipped (`primecount` aggregates
+    /// partials by summing, so a job's result must equal its input
+    /// length). It dawdles `after_exe` after each `ShipExecutable` — a
+    /// slow link, as the server sees it.
+    fn raw_serve(conn: &mut FramedTcp, kbps: f64, after_exe: Duration) -> CwcResult<()> {
+        loop {
+            match conn.recv()? {
+                Frame::BandwidthProbe { probe_id, .. } => conn.send(&Frame::BandwidthReport {
+                    probe_id,
+                    kb_per_sec: kbps,
+                })?,
+                Frame::ShipExecutable { .. } => thread::sleep(after_exe),
+                Frame::ShipInput { job, seq, data, .. } => conn.send(&Frame::TaskComplete {
+                    job,
+                    seq,
+                    exec_ms: 1,
+                    result: (data.len() as u64).to_be_bytes().to_vec().into(),
+                })?,
+                Frame::KeepAlive { seq } => conn.send(&Frame::KeepAliveAck { seq })?,
+                Frame::Shutdown => return Ok(()),
+                _ => {}
+            }
+        }
+    }
+
+    /// A whole hand-driven worker (phone 0, 600 KB/s) on its own thread,
+    /// sending through `fault` once registered.
     fn spawn_raw_worker(
         addr: SocketAddr,
         after_exe: Duration,
         fault: Option<Box<dyn WireFault>>,
     ) -> thread::JoinHandle<CwcResult<()>> {
         thread::spawn(move || {
-            let mut conn = FramedTcp::connect(addr)?;
-            conn.send(&Frame::Register {
-                phone: PhoneId(0),
-                clock_mhz: 1200,
-                cores: 2,
-                radio: RadioTech::Wifi80211g,
-                ram_kb: 1 << 20,
-            })?;
+            let mut conn = raw_connect(addr, 0)?;
             conn.set_fault(fault);
-            loop {
-                match conn.recv()? {
-                    Frame::BandwidthProbe { probe_id, .. } => {
-                        conn.send(&Frame::BandwidthReport {
-                            probe_id,
-                            kb_per_sec: 600.0,
-                        })?
-                    }
-                    Frame::ShipExecutable { .. } => thread::sleep(after_exe),
-                    Frame::ShipInput { job, seq, data, .. } => conn.send(&Frame::TaskComplete {
-                        job,
-                        seq,
-                        exec_ms: 1,
-                        result: (data.len() as u64).to_be_bytes().to_vec().into(),
-                    })?,
-                    Frame::KeepAlive { seq } => conn.send(&Frame::KeepAliveAck { seq })?,
-                    Frame::Shutdown => return Ok(()),
-                    _ => {}
-                }
-            }
+            raw_serve(&mut conn, 600.0, after_exe)
         })
+    }
+
+    /// One 10 KB breakable `primecount` job.
+    fn small_batch() -> Vec<LiveJob> {
+        vec![LiveJob::new(
+            JobId(0),
+            JobKind::Breakable,
+            "primecount",
+            30,
+            vec![b'7'; 10 * 1024],
+        )]
+    }
+
+    /// Runs the coordinator for `expected` workers under `deadline` while
+    /// `peer` plays the other side; returns the outcome and the events the
+    /// coordinator recorded.
+    fn serve_against(
+        expected: usize,
+        deadline: Duration,
+        peer: impl FnOnce(SocketAddr) + Send + 'static,
+    ) -> (CwcResult<LiveOutcome>, Vec<cwc_obs::Event>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = thread::spawn(move || peer(addr));
+        let obs = cwc_obs::Obs::new();
+        let sink = Arc::new(cwc_obs::MemorySink::new());
+        obs.bus.attach(sink.clone());
+        let out = run_live_server_with(
+            listener,
+            expected,
+            small_batch(),
+            standard_registry(),
+            SchedulerKind::Greedy,
+            deadline,
+            LivePolicy::default(),
+            &obs,
+        );
+        peer.join().unwrap();
+        (out, sink.snapshot())
+    }
+
+    /// The error a setup that `peer` spoils ends in — which must come
+    /// promptly, long before the 30 s `deadline` would have cut it short.
+    fn setup_error(peer: impl FnOnce(SocketAddr) + Send + 'static) -> CwcError {
+        let started = Instant::now();
+        let (out, _) = serve_against(1, Duration::from_secs(30), peer);
+        assert!(started.elapsed() < Duration::from_secs(10));
+        out.unwrap_err()
+    }
+
+    #[test]
+    fn setup_failures_end_the_run_with_an_error_not_a_hang() {
+        // Closes before it ever registers.
+        let err = setup_error(|addr| drop(std::net::TcpStream::connect(addr).unwrap()));
+        assert!(err.to_string().contains("vanished during setup"), "{err}");
+
+        // Registers, is greeted, closes without reporting a bandwidth.
+        let err = setup_error(|addr| {
+            expect_greeting(&mut raw_connect(addr, 0).unwrap());
+        });
+        assert!(err.to_string().contains("vanished during setup"), "{err}");
+
+        // Opens with something other than `Register`, then holds the
+        // socket until the server has made up its mind.
+        let err = setup_error(|addr| {
+            let mut conn = FramedTcp::connect(addr).unwrap();
+            conn.send(&Frame::KeepAliveAck { seq: 1 }).unwrap();
+            assert!(conn.recv().is_err());
+        });
+        assert!(matches!(err, CwcError::Protocol(_)), "{err:?}");
+
+        // Registers twice.
+        let err = setup_error(|addr| {
+            let mut conn = raw_connect(addr, 0).unwrap();
+            expect_greeting(&mut conn);
+            conn.send(&register(0)).unwrap();
+            assert!(conn.recv().is_err());
+        });
+        assert!(matches!(err, CwcError::Protocol(_)), "{err:?}");
+
+        // `expected` is never reached: one of two workers shows up, does
+        // everything right, and waits. The run's own deadline ends it.
+        let (out, _) = serve_against(2, Duration::from_millis(300), |addr| {
+            let mut conn = raw_connect(addr, 0).unwrap();
+            assert!(raw_serve(&mut conn, 600.0, Duration::ZERO).is_err());
+        });
+        let err = out.unwrap_err().to_string();
+        assert!(
+            err.contains("setup exceeded deadline") && err.contains("1 of 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unusable_bandwidth_reports_are_refused_not_panicked_on() {
+        // Raw f64 bits off the wire, straight from an untrusted worker.
+        for bad in [0.0, -600.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = setup_error(move |addr| {
+                let mut conn = raw_connect(addr, 7).unwrap();
+                let probe_id = expect_greeting(&mut conn);
+                let kb_per_sec = bad;
+                conn.send(&Frame::BandwidthReport {
+                    probe_id,
+                    kb_per_sec,
+                })
+                .unwrap();
+                assert!(conn.recv().is_err());
+            });
+            assert!(
+                matches!(err, CwcError::InvalidPhone { phone, .. } if phone == PhoneId(7)),
+                "{bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn setup_waits_for_every_slot_not_for_that_many_reports() {
+        // Worker A answers its probe twice before worker B answers at all.
+        // Two reports are not two measured workers: B's link must still be
+        // the one B advertises when the initial schedule is packed.
+        let (out, events) = serve_against(2, Duration::from_secs(60), |addr| {
+            let (mut a, mut b) = (raw_connect(addr, 0).unwrap(), raw_connect(addr, 1).unwrap());
+            let (probe_a, probe_b) = (expect_greeting(&mut a), expect_greeting(&mut b));
+            let report = |probe_id, kb_per_sec| Frame::BandwidthReport {
+                probe_id,
+                kb_per_sec,
+            };
+            a.send(&report(probe_a, 600.0)).unwrap();
+            a.send(&report(probe_a, 600.0)).unwrap();
+            // Let the server read A's pair before B's report is on the wire.
+            thread::sleep(Duration::from_millis(100));
+            b.send(&report(probe_b, 250.0)).unwrap();
+            let a = thread::spawn(move || raw_serve(&mut a, 600.0, Duration::ZERO));
+            raw_serve(&mut b, 250.0, Duration::ZERO).unwrap();
+            a.join().unwrap().unwrap();
+        });
+        let out = out.unwrap();
+        assert!(out.failure.is_none(), "degraded: {:?}", out.failure);
+        let probed: BTreeMap<PhoneId, MsPerKb> = script::harvest(&events)
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                CoordEvent::Probe { info, .. } => Some((info.id, info.bandwidth)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probed[&PhoneId(0)], MsPerKb::from_kb_per_sec(600.0));
+        assert_eq!(probed[&PhoneId(1)], MsPerKb::from_kb_per_sec(250.0));
+    }
+
+    /// Drives a one-worker run whose connection fails every send after
+    /// the handshake, under `retry`; returns the finished driver's retry
+    /// count, its `live.retries` counter, and the kernel's lost count.
+    fn lose_the_worker_to_send_failures(retry: RetryPolicy) -> (u64, u64, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker = spawn_raw_worker(listener.local_addr().unwrap(), Duration::ZERO, None);
+        let policy = LivePolicy {
+            retry,
+            ..Default::default()
+        };
+        let obs = cwc_obs::Obs::new();
+        let jobs = small_batch();
+        let cfg = live_kernel_config(
+            &jobs,
+            &standard_registry(),
+            SchedulerKind::Greedy,
+            &policy,
+            obs.clone(),
+        )
+        .unwrap();
+        let catalog: BTreeMap<JobId, LiveJob> = jobs.into_iter().map(|j| (j.spec.id, j)).collect();
+        let mut driver = LiveDriver::new(
+            Kernel::new(cfg).unwrap(),
+            &catalog,
+            &listener,
+            1,
+            &policy,
+            &obs,
+            Instant::now(),
+        )
+        .unwrap();
+        let mut events = Vec::new();
+        while driver.conns.is_empty() {
+            driver.turn(&mut events).unwrap();
+        }
+        driver.conns[0].fault = Some(Box::new(|encoded: &[u8]| {
+            match encoded.get(cwc_net::FRAME_HEADER_LEN) {
+                Some(&tag) if cwc_net::is_handshake_tag(tag) => SendVerdict::clean(encoded),
+                _ => SendVerdict::Fail("link down".into()),
+            }
+        }));
+        let started = Instant::now();
+        while !driver.done() {
+            assert!(started.elapsed() < Duration::from_secs(30), "wedged");
+            driver.turn(&mut events).unwrap();
+        }
+        assert!(driver.fatal.is_none(), "{:?}", driver.fatal);
+        assert!(driver.kernel.fleet_lost());
+        let (retries, lost) = (driver.retries, driver.kernel.workers_lost());
+        // The sockets close with the driver; the worker sees that and exits.
+        drop(driver);
+        drop(listener);
+        assert!(worker.join().unwrap().is_err());
+        (retries, obs.metrics.counter_value("live.retries"), lost)
+    }
+
+    #[test]
+    fn a_failing_send_is_retried_max_attempts_minus_one_times_then_the_worker_is_lost() {
+        let (retries, counted, lost) = lose_the_worker_to_send_failures(RetryPolicy {
+            max_attempts: 4,
+            base: Duration::from_millis(1),
+            ..Default::default()
+        });
+        assert_eq!(retries, 3);
+        assert_eq!(counted, 3);
+        assert_eq!(lost, 1);
+    }
+
+    #[test]
+    fn a_failing_send_gives_up_at_its_deadline_with_attempts_to_spare() {
+        // 2.5–7.5 ms between attempts against a 20 ms budget per frame.
+        let (retries, _, lost) = lose_the_worker_to_send_failures(RetryPolicy {
+            max_attempts: 1_000,
+            base: Duration::from_millis(5),
+            cap: Duration::from_millis(5),
+            deadline: Duration::from_millis(20),
+            jitter_seed: 1,
+        });
+        assert!((1..50).contains(&retries), "retries = {retries}");
+        assert_eq!(lost, 1);
     }
 
     #[test]
@@ -1978,29 +2141,22 @@ mod tests {
             SendVerdict::Deliver(vec![WireOp::Write(bad), WireOp::Write(encoded.to_vec())])
         };
         let worker = spawn_raw_worker(addr, Duration::ZERO, Some(Box::new(fault)));
-        let input = vec![b'7'; 10 * 1024];
-        let jobs = vec![LiveJob::new(
-            JobId(0),
-            JobKind::Breakable,
-            "primecount",
-            30,
-            input.clone(),
-        )];
         let obs = cwc_obs::Obs::new();
-        let out = run_live_server_observed(
+        let out = run_live_server_with(
             listener,
             1,
-            jobs,
+            small_batch(),
             standard_registry(),
             SchedulerKind::Greedy,
             Duration::from_secs(60),
+            LivePolicy::default(),
             &obs,
         )
         .unwrap();
         assert!(out.failure.is_none(), "degraded: {:?}", out.failure);
         assert_eq!(
             out.results[&JobId(0)],
-            (input.len() as u64).to_be_bytes().to_vec()
+            (10 * 1024u64).to_be_bytes().to_vec()
         );
         assert_eq!(obs.metrics.counter_value("net.crc_rejected"), 1);
         worker.join().unwrap().unwrap();

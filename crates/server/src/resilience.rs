@@ -6,83 +6,15 @@
 //! is wasteful and keeping it forever is worse. This module supplies the
 //! two standard tools: [`RetryPolicy`], exponential backoff with
 //! deterministic jitter and a per-send deadline, for errors worth a second
-//! attempt; and [`Breaker`], a per-phone failure window, for phones that
-//! keep flapping and need to be quarantined out of the schedule.
+//! attempt; and [`WindowBreaker`], a per-phone failure window, for phones
+//! that keep flapping and need to be quarantined out of the schedule.
+//! Both are pure schedules over caller-supplied time: the live event loop
+//! turns a backoff into a wheel timer and the kernel feeds the breaker its
+//! own `now`, so nothing here sleeps or reads a clock.
 
-use cwc_types::CwcResult;
+use cwc_types::Micros;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Injectable monotonic time source for the resilience primitives.
-///
-/// Production code uses [`SystemClock`]; tests use [`MockClock`] to drive
-/// breaker windows and retry deadlines without real sleeps. Keeping the
-/// wall clock behind this seam also means `Instant::now()` appears in
-/// exactly one production impl, where the `determinism` lint can see it is
-/// quarantined away from scheduling decisions.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// The current monotonic instant.
-    fn now(&self) -> Instant;
-    /// Blocks (or virtually advances) for `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// The real monotonic clock: `Instant::now()` and `thread::sleep`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now(&self) -> Instant {
-        Instant::now()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// A manually-advanced clock for tests. `sleep` advances virtual time
-/// instead of blocking, so retry/backoff schedules that would take wall
-/// seconds run instantly. Clones share the same virtual timeline.
-#[derive(Debug, Clone)]
-pub struct MockClock {
-    epoch: Instant,
-    offset_ns: Arc<AtomicU64>,
-}
-
-impl Default for MockClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MockClock {
-    /// A mock clock starting at the current instant with zero offset.
-    pub fn new() -> Self {
-        MockClock {
-            epoch: Instant::now(),
-            offset_ns: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Moves virtual time forward by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.offset_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
-    }
-}
-
-impl Clock for MockClock {
-    fn now(&self) -> Instant {
-        self.epoch + Duration::from_nanos(self.offset_ns.load(Ordering::SeqCst))
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
-}
+use std::time::Duration;
 
 /// Exponential backoff with deterministic jitter and a per-send deadline.
 ///
@@ -95,7 +27,7 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub base: Duration,
-    /// Upper bound on a single backoff sleep.
+    /// Upper bound on a single backoff wait.
     pub cap: Duration,
     /// Hard bound on one logical send, retries included. When exceeded,
     /// the last error is returned even if attempts remain.
@@ -129,56 +61,6 @@ impl RetryPolicy {
             cwc_chaos::ChaosRng::new(self.jitter_seed).derive(&format!("{label}/{attempt}"));
         capped.mul_f64(0.5 + rng.next_f64())
     }
-
-    /// Runs `op` until it succeeds, attempts are exhausted, or the
-    /// deadline passes. Each retry increments `retries` and the
-    /// `live.retries` counter and emits a Warn event.
-    pub fn run<T>(
-        &self,
-        label: &str,
-        obs: &cwc_obs::Obs,
-        retries: &mut u64,
-        op: impl FnMut() -> CwcResult<T>,
-    ) -> CwcResult<T> {
-        self.run_with_clock(&SystemClock, label, obs, retries, op)
-    }
-
-    /// Like [`RetryPolicy::run`], but reading time (and sleeping) through
-    /// an explicit [`Clock`] — the testable seam for deadline behavior.
-    pub fn run_with_clock<T>(
-        &self,
-        clock: &dyn Clock,
-        label: &str,
-        obs: &cwc_obs::Obs,
-        retries: &mut u64,
-        mut op: impl FnMut() -> CwcResult<T>,
-    ) -> CwcResult<T> {
-        let started = clock.now();
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.max_attempts.max(1)
-                        || clock.now().duration_since(started) >= self.deadline
-                    {
-                        return Err(e);
-                    }
-                    *retries += 1;
-                    obs.metrics.inc("live.retries");
-                    obs.emit(
-                        obs.wall_event("live", "send.retry")
-                            .severity(cwc_obs::Severity::Warn)
-                            .field("target", label.to_owned())
-                            .field("attempt", attempt)
-                            .field("msg", format!("retrying {label} (attempt {attempt}): {e}")),
-                    );
-                    clock.sleep(self.backoff(label, attempt));
-                }
-            }
-        }
-    }
 }
 
 /// Configuration of a per-phone circuit breaker.
@@ -202,74 +84,20 @@ impl Default for BreakerConfig {
 /// A per-phone failure counter with a sliding window. Once open it stays
 /// open: a quarantined phone re-enters service at the next run, not the
 /// next loop iteration (matching the paper's "wait for the next
-/// scheduling instant" treatment of failed phones).
-#[derive(Debug)]
-pub struct Breaker {
-    cfg: BreakerConfig,
-    clock: Arc<dyn Clock>,
-    failures: VecDeque<Instant>,
-    open: bool,
-}
-
-impl Breaker {
-    /// A closed breaker with the given config, on the system clock.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        Self::with_clock(cfg, Arc::new(SystemClock))
-    }
-
-    /// A closed breaker reading time from `clock` — lets tests age the
-    /// failure window without sleeping through it.
-    pub fn with_clock(cfg: BreakerConfig, clock: Arc<dyn Clock>) -> Self {
-        Breaker {
-            cfg,
-            clock,
-            failures: VecDeque::new(),
-            open: false,
-        }
-    }
-
-    /// Records one failure; returns `true` iff this failure tripped the
-    /// breaker open (callers quarantine exactly then).
-    pub fn record_failure(&mut self) -> bool {
-        if self.open {
-            return false;
-        }
-        let now = self.clock.now();
-        self.failures.push_back(now);
-        while let Some(&front) = self.failures.front() {
-            if now.duration_since(front) > self.cfg.window {
-                self.failures.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.failures.len() as u32 >= self.cfg.threshold.max(1) {
-            self.open = true;
-        }
-        self.open
-    }
-
-    /// Whether the breaker has tripped.
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-}
-
-/// A clock-free [`Breaker`]: the same sliding-window/latch semantics, but
-/// time is whatever the caller passes in ([`cwc_types::Micros`] of driver
-/// time). This is the variant the sans-IO coordinator kernel embeds —
-/// the kernel never reads a wall clock, so its breaker can't either.
+/// scheduling instant" treatment of failed phones). Time is whatever the
+/// caller passes in ([`Micros`] of driver time): the sans-IO coordinator
+/// kernel embeds this, and the kernel never reads a wall clock.
 #[derive(Debug, Clone)]
 pub struct WindowBreaker {
     threshold: u32,
-    window: cwc_types::Micros,
-    failures: VecDeque<cwc_types::Micros>,
+    window: Micros,
+    failures: VecDeque<Micros>,
     open: bool,
 }
 
 impl WindowBreaker {
     /// A closed breaker tripping at `threshold` failures per `window`.
-    pub fn new(threshold: u32, window: cwc_types::Micros) -> Self {
+    pub fn new(threshold: u32, window: Micros) -> Self {
         WindowBreaker {
             threshold,
             window,
@@ -280,7 +108,7 @@ impl WindowBreaker {
 
     /// Records one failure at `now`; returns `true` iff this failure
     /// tripped the breaker open (callers quarantine exactly then).
-    pub fn record(&mut self, now: cwc_types::Micros) -> bool {
+    pub fn record(&mut self, now: Micros) -> bool {
         if self.open {
             return false;
         }
@@ -297,95 +125,11 @@ impl WindowBreaker {
         }
         self.open
     }
-
-    /// Whether the breaker has tripped.
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwc_types::CwcError;
-
-    #[test]
-    fn window_breaker_matches_breaker_semantics() {
-        use cwc_types::Micros;
-        let mut b = WindowBreaker::new(3, Micros(10_000_000));
-        assert!(!b.record(Micros(0)));
-        assert!(!b.record(Micros(1)));
-        assert!(!b.is_open());
-        assert!(b.record(Micros(2)), "third failure in window trips");
-        assert!(!b.record(Micros(3)), "already open: no second trip signal");
-        assert!(b.is_open());
-
-        let mut aged = WindowBreaker::new(2, Micros(10_000_000));
-        assert!(!aged.record(Micros(0)));
-        // First failure ages out of the 10 s window before the second lands.
-        assert!(!aged.record(Micros(11_000_000)));
-        assert!(aged.record(Micros(12_000_000)), "two in window trip");
-    }
-
-    #[test]
-    fn retry_succeeds_on_a_later_attempt() {
-        let policy = RetryPolicy {
-            base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let obs = cwc_obs::Obs::new();
-        let mut retries = 0u64;
-        let mut calls = 0;
-        let out = policy.run("w", &obs, &mut retries, || {
-            calls += 1;
-            if calls < 3 {
-                Err(CwcError::Transport("flaky".into()))
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out.unwrap(), 3);
-        assert_eq!(retries, 2);
-    }
-
-    #[test]
-    fn retry_gives_up_after_max_attempts() {
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let obs = cwc_obs::Obs::new();
-        let mut retries = 0u64;
-        let mut calls = 0;
-        let out: CwcResult<()> = policy.run("w", &obs, &mut retries, || {
-            calls += 1;
-            Err(CwcError::Transport("down".into()))
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 2);
-        assert_eq!(retries, 1);
-    }
-
-    #[test]
-    fn retry_respects_the_send_deadline() {
-        let policy = RetryPolicy {
-            max_attempts: 1_000,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(5),
-            deadline: Duration::from_millis(20),
-            jitter_seed: 1,
-        };
-        let obs = cwc_obs::Obs::new();
-        let mut retries = 0u64;
-        let started = Instant::now();
-        let out: CwcResult<()> = policy.run("w", &obs, &mut retries, || {
-            Err(CwcError::Transport("down".into()))
-        });
-        assert!(out.is_err());
-        assert!(started.elapsed() < Duration::from_secs(1));
-        assert!(retries < 50, "deadline must stop the retry loop early");
-    }
 
     #[test]
     fn backoff_grows_and_is_deterministic() {
@@ -404,72 +148,20 @@ mod tests {
 
     #[test]
     fn breaker_trips_at_threshold_and_stays_open() {
-        let mut b = Breaker::new(BreakerConfig {
-            threshold: 3,
-            window: Duration::from_secs(60),
-        });
-        assert!(!b.record_failure());
-        assert!(!b.record_failure());
-        assert!(!b.is_open());
-        assert!(b.record_failure(), "third failure in window trips");
-        assert!(b.is_open());
-        assert!(!b.record_failure(), "already open: no second trip signal");
-        assert!(b.is_open());
+        let mut b = WindowBreaker::new(3, Micros(60_000_000));
+        assert!(!b.record(Micros(0)));
+        assert!(!b.record(Micros(1)));
+        assert!(b.record(Micros(2)), "third failure in window trips");
+        assert!(!b.record(Micros(3)), "already open: no second trip signal");
     }
 
     #[test]
-    fn breaker_window_ages_out_on_a_mock_clock() {
-        let clock = MockClock::new();
-        let mut b = Breaker::with_clock(
-            BreakerConfig {
-                threshold: 2,
-                window: Duration::from_secs(10),
-            },
-            Arc::new(clock.clone()),
-        );
-        assert!(!b.record_failure());
-        clock.advance(Duration::from_secs(11)); // first failure ages out
-        assert!(!b.record_failure());
-        clock.advance(Duration::from_secs(1)); // second is still in window
-        assert!(b.record_failure(), "two failures within the window trip");
-    }
-
-    #[test]
-    fn retry_deadline_is_virtual_on_a_mock_clock() {
-        let clock = MockClock::new();
-        let policy = RetryPolicy {
-            max_attempts: 1_000,
-            base: Duration::from_millis(100),
-            cap: Duration::from_millis(100),
-            deadline: Duration::from_secs(1),
-            jitter_seed: 1,
-        };
-        let obs = cwc_obs::Obs::new();
-        let mut retries = 0u64;
-        let wall = Instant::now();
-        let mut calls = 0u32;
-        let out: CwcResult<()> = policy.run_with_clock(&clock, "w", &obs, &mut retries, || {
-            calls += 1;
-            Err(CwcError::Transport("down".into()))
-        });
-        assert!(out.is_err());
-        // Backoff is 50–150 ms per attempt against a 1 s virtual deadline,
-        // so the loop stops after a handful of virtual sleeps...
-        assert!((2..=30).contains(&calls), "calls = {calls}");
-        // ...and none of that time was real.
-        assert!(wall.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn breaker_forgets_failures_outside_the_window() {
-        let mut b = Breaker::new(BreakerConfig {
-            threshold: 2,
-            window: Duration::from_millis(20),
-        });
-        assert!(!b.record_failure());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!b.record_failure(), "old failure aged out");
-        assert!(!b.is_open());
-        assert!(b.record_failure(), "two fresh failures trip");
+    fn breaker_window_ages_failures_out() {
+        let mut b = WindowBreaker::new(2, Micros(10_000_000));
+        assert!(!b.record(Micros(0)));
+        // The first failure is 11 s old when the second lands: aged out.
+        assert!(!b.record(Micros(11_000_000)));
+        // The second is 1 s old when the third lands: still in the window.
+        assert!(b.record(Micros(12_000_000)), "two in window trip");
     }
 }

@@ -60,3 +60,69 @@ fn gate_would_catch_a_kernel_state_mutation() {
         "state-mutation rule no longer fires (kept: {kept:?})"
     );
 }
+
+/// The entry names of one `[section]` of a manifest (`name = …`,
+/// `name.workspace = true`), in file order.
+fn manifest_section(manifest: &str, section: &str) -> Vec<String> {
+    let header = format!("[{section}]");
+    let body = manifest.lines().map(str::trim).skip_while(|l| *l != header);
+    body.skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let name = |c: &char| c.is_alphanumeric() || matches!(c, '-' | '_');
+            l.chars().take_while(name).collect()
+        })
+        .collect()
+}
+
+/// Whether `text` names `ident` as a whole word.
+fn names(text: &str, ident: &str) -> bool {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident)
+        .any(|(at, _)| !text[..at].ends_with(word) && !text[at + ident.len()..].starts_with(word))
+}
+
+#[test]
+fn manifests_declare_only_dependencies_that_are_used() {
+    // A crate's `[dependencies]` must each be named somewhere in its
+    // `src/`, and `[workspace.dependencies]` may list only what some member
+    // declares: a dependency nobody uses is still built, vendored and read.
+    let root = cwc_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root");
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let members: Vec<_> = std::iter::once(root.clone())
+        .chain(crates.flatten().map(|entry| entry.path()))
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .collect();
+    assert!(members.len() > 10, "member walk broke: {members:?}");
+    let sources = cwc_lint::workspace_sources(&root).expect("source walk");
+    let src_names = |src: &Path, ident: &str| {
+        let mut texts = sources.iter().filter(|path| path.starts_with(src));
+        texts.any(|path| names(&std::fs::read_to_string(path).unwrap_or_default(), ident))
+    };
+
+    let mut unused = Vec::new();
+    let mut declared = std::collections::BTreeSet::new();
+    for dir in &members {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+        for dep in manifest_section(&manifest, "dependencies") {
+            if !src_names(&dir.join("src"), &dep.replace('-', "_")) {
+                unused.push(format!("{}: {dep}", dir.display()));
+            }
+            declared.insert(dep);
+        }
+        declared.extend(manifest_section(&manifest, "dev-dependencies"));
+    }
+    let workspace = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    for dep in manifest_section(&workspace, "workspace.dependencies") {
+        if !declared.contains(&dep) {
+            unused.push(format!("[workspace.dependencies]: {dep}"));
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "declared but never named in the declaring crate's src/:\n  {}",
+        unused.join("\n  ")
+    );
+}
