@@ -16,15 +16,20 @@
 //! Accept throughput is reported but never gates: it is dominated by
 //! the host kernel's per-connect latency, not by the event loop.
 
-use cwc_bench::live_scale::{
-    compare_reports, fleet_main, load_report, run_point, run_soak, PointConfig, SCALE_LADDER,
-};
+use cwc_bench::live_scale::{fleet_main, run_point, run_soak, PointConfig, SCALE_LADDER};
+use cwc_bench::report::{self, JsonValue};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("fleet") => fleet_mode(&args),
-        Some("--compare") => compare_mode(&args),
+        // CI gate: diff a fresh report against the committed baseline.
+        Some("--compare") => std::process::exit(report::compare_cli(
+            "cwc-bench-live",
+            &args[1..],
+            "workers",
+            "ships_per_sec",
+        )),
         _ => generate(args.first().cloned()),
     }
 }
@@ -45,38 +50,9 @@ fn fleet_mode(args: &[String]) {
         .and_then(|a| a.parse().ok())
         .unwrap_or_else(|| die(usage));
     match fleet_main(addr, workers, dead) {
-        Ok(summary) => match serde_json::to_string(&summary) {
-            Ok(line) => println!("{line}"),
-            Err(e) => die(&format!("fleet summary serialization failed: {e}")),
-        },
+        Ok(summary) => println!("{}", JsonValue::from(summary)),
         Err(e) => die(&format!("fleet failed: {e}")),
     }
-}
-
-/// CI gate: diff a fresh report against the committed baseline.
-fn compare_mode(args: &[String]) {
-    let usage = "usage: cwc-bench-live --compare BASELINE.json FRESH.json [TOLERANCE]";
-    let (Some(base_path), Some(fresh_path)) = (args.get(1), args.get(2)) else {
-        die(usage)
-    };
-    let tolerance = args
-        .get(3)
-        .map(|t| t.parse().unwrap_or_else(|_| die(usage)))
-        .unwrap_or(0.2);
-    let baseline = load_report(base_path).unwrap_or_else(|e| die(&format!("{e}")));
-    let fresh = load_report(fresh_path).unwrap_or_else(|e| die(&format!("{e}")));
-    let regressions = compare_reports(&baseline, &fresh, tolerance);
-    if regressions.is_empty() {
-        eprintln!(
-            "cwc-bench-live: no throughput regression beyond {:.0}% at any scale point",
-            tolerance * 100.0
-        );
-        return;
-    }
-    for r in &regressions {
-        eprintln!("cwc-bench-live: REGRESSION: {r}");
-    }
-    std::process::exit(1);
 }
 
 /// Default mode: run the ladder + soak and write the artifact.
@@ -116,15 +92,14 @@ fn generate(out_path: Option<String>) {
     if !soak.completed {
         die("chaos soak failed to complete the batch");
     }
-    let report = serde_json::json!({
+    let report = cwc_bench::obj! {
         "bench": "live_scale",
         "description": "single-threaded event-loop live path vs simulated fleet size; \
                         fleet child connects in parallel batches (4 connector threads)",
         "points": points,
         "soak": soak,
-    });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, text + "\n").expect("report path is writable");
+    };
+    report::write(&out_path, &report).unwrap_or_else(|e| die(&e.to_string()));
     eprintln!("wrote {out_path}");
 }
 

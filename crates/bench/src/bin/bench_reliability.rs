@@ -9,6 +9,7 @@
 //! cargo run --release -p cwc-bench --bin cwc-bench-reliability [-- OUT.json]
 //! ```
 
+use cwc_bench::obj;
 use cwc_bench::reliability::{
     run_acceptance, ATOMIC_JOBS, BREAKABLE_JOBS, DEADLINE_JOBS, DEADLINE_MS, FLEET,
 };
@@ -18,7 +19,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_reliability.json".to_string());
     let seed = 41;
-    let scenarios: Vec<serde_json::Value> = run_acceptance(seed)
+    let scenarios: Vec<cwc_bench::report::JsonValue> = run_acceptance(seed)
         .into_iter()
         .map(|s| {
             let speedup = s.baseline_ms / s.proactive_ms;
@@ -34,7 +35,7 @@ fn main() {
                 s.deadline_met,
                 s.deadline_met + s.deadline_missed,
             );
-            serde_json::json!({
+            obj! {
                 "failure_fraction": s.failure_fraction,
                 "phones_failed": s.phones_failed,
                 "baseline_makespan_ms": s.baseline_ms,
@@ -46,15 +47,15 @@ fn main() {
                 "speculation_launched": s.speculation_launched,
                 "deadline_met": s.deadline_met,
                 "deadline_missed": s.deadline_missed,
-            })
+            }
         })
         .collect();
 
-    let report = serde_json::json!({
-        "schema": 1,
+    let report = obj! {
+        "schema": 1u64,
         "bench": "reliability",
         "fleet_phones": FLEET,
-        "workload": {
+        "workload": obj! {
             "breakable_jobs": BREAKABLE_JOBS,
             "atomic_jobs": ATOMIC_JOBS,
             "deadline_jobs": DEADLINE_JOBS,
@@ -62,8 +63,7 @@ fn main() {
         },
         "seed": seed,
         "scenarios": scenarios,
-    });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, text + "\n").expect("report path is writable");
+    };
+    cwc_bench::report::write(&out_path, &report).expect("report path is writable");
     eprintln!("wrote {out_path}");
 }

@@ -14,42 +14,21 @@
 //! shard count regressed by more than TOLERANCE (default 0.2) — the CI
 //! gate.
 
-use cwc_bench::shard_scale::{
-    compare_reports, load_report, run_ladder, run_mass_unplug, LADDER_JOBS, LADDER_PHONES,
-};
+use cwc_bench::report;
+use cwc_bench::shard_scale::{run_ladder, run_mass_unplug, LADDER_JOBS, LADDER_PHONES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("--compare") => compare_mode(&args),
+        // CI gate: diff a fresh report against the committed baseline.
+        Some("--compare") => std::process::exit(report::compare_cli(
+            "cwc-bench-shard",
+            &args[1..],
+            "shards",
+            "jobs_per_sec",
+        )),
         _ => generate(args.first().cloned()),
     }
-}
-
-/// CI gate: diff a fresh report against the committed baseline.
-fn compare_mode(args: &[String]) {
-    let usage = "usage: cwc-bench-shard --compare BASELINE.json FRESH.json [TOLERANCE]";
-    let (Some(base_path), Some(fresh_path)) = (args.get(1), args.get(2)) else {
-        die(usage)
-    };
-    let tolerance = args
-        .get(3)
-        .map(|t| t.parse().unwrap_or_else(|_| die(usage)))
-        .unwrap_or(0.2);
-    let baseline = load_report(base_path).unwrap_or_else(|e| die(&format!("{e}")));
-    let fresh = load_report(fresh_path).unwrap_or_else(|e| die(&format!("{e}")));
-    let regressions = compare_reports(&baseline, &fresh, tolerance);
-    if regressions.is_empty() {
-        eprintln!(
-            "cwc-bench-shard: no scheduling-throughput regression beyond {:.0}% at any shard count",
-            tolerance * 100.0
-        );
-        return;
-    }
-    for r in &regressions {
-        eprintln!("cwc-bench-shard: REGRESSION: {r}");
-    }
-    std::process::exit(1);
 }
 
 /// Default mode: run the ladder + steal scenario and write the artifact.
@@ -83,14 +62,13 @@ fn generate(out_path: Option<String>) {
         steal.total_jobs,
         steal.makespan_us as f64 / 1e6,
     );
-    let report = serde_json::json!({
+    let report = cwc_bench::obj! {
         "bench": "shard_scale",
         "description": "sharded multi-kernel scheduling throughput vs shard count",
         "points": points,
         "mass_unplug": steal,
-    });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, text + "\n").expect("report path is writable");
+    };
+    report::write(&out_path, &report).unwrap_or_else(|e| die(&e.to_string()));
     eprintln!("wrote {out_path}");
 }
 

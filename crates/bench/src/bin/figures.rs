@@ -9,9 +9,9 @@
 //! additionally dumps machine-readable results per figure.
 
 use cwc_bench::render::{bar, cdf_quantiles, header, hourly_profile};
+use cwc_bench::report::{self, JsonValue};
 use cwc_bench::*;
 use cwc_profiler::stats::{cdf_at, median_of_sorted};
-use serde_json::json;
 use std::collections::BTreeMap;
 
 struct Options {
@@ -88,7 +88,7 @@ fn main() {
     let opts = parse_args();
     let run_all = opts.which.is_empty() || opts.which.iter().any(|w| w == "all");
     let wants = |name: &str| run_all || opts.which.iter().any(|w| w == name);
-    let mut json_out: BTreeMap<String, serde_json::Value> = BTreeMap::new();
+    let mut json_out: BTreeMap<String, JsonValue> = BTreeMap::new();
 
     println!("CWC reproduction — figure harness (seed {})", opts.seed);
 
@@ -107,10 +107,12 @@ fn main() {
         }
         json_out.insert(
             "fig1".into(),
-            json!(scores
-                .iter()
-                .map(|(n, s, r)| json!({"cpu": n, "score": s, "reference": r}))
-                .collect::<Vec<_>>()),
+            JsonValue::from(
+                scores
+                    .iter()
+                    .map(|(n, s, r)| obj! {"cpu": n, "score": s, "reference": r})
+                    .collect::<Vec<_>>(),
+            ),
         );
     }
 
@@ -185,12 +187,12 @@ fn main() {
             }
             json_out.insert(
                 "fig2".into(),
-                json!({
+                obj! {
                     "night_median_h": median_of_sorted(&stats.night_lengths_h),
                     "day_median_h": median_of_sorted(&stats.day_lengths_h),
                     "p_under_2mb": cdf_at(&stats.night_transfers_mb, 2.0),
                     "idle_mean_h": stats.idle.iter().map(|s| s.mean_hours_per_day).collect::<Vec<_>>(),
-                }),
+                },
             );
         }
         if wants("fig3") {
@@ -215,7 +217,7 @@ fn main() {
             }
             json_out.insert(
                 "fig3".into(),
-                json!({"unplug_cdf_8am": stats.unplug_cdf[7], "cdf": stats.unplug_cdf.to_vec()}),
+                obj! {"unplug_cdf_8am": stats.unplug_cdf[7], "cdf": stats.unplug_cdf.to_vec()},
             );
         }
     }
@@ -235,13 +237,13 @@ fn main() {
                 report.coefficient_of_variation(),
                 report.ms_per_kb().0
             );
-            rows.push(json!({
+            rows.push(obj! {
                 "location": name,
                 "mean_kbps": report.mean_kb_per_sec,
                 "cv": report.coefficient_of_variation(),
-            }));
+            });
         }
-        json_out.insert("fig4".into(), json!(rows));
+        json_out.insert("fig4".into(), JsonValue::from(rows));
     }
 
     if wants("fig5") {
@@ -271,7 +273,7 @@ fn main() {
         }
         json_out.insert(
             "fig5".into(),
-            json!({"p90_all6_ms": f.p90.0, "p90_fast4_ms": f.p90.1}),
+            obj! {"p90_all6_ms": f.p90.0, "p90_fast4_ms": f.p90.1},
         );
     }
 
@@ -305,7 +307,11 @@ fn main() {
         }
         json_out.insert(
             "fig6".into(),
-            json!({"points": pts, "within_10pct": within, "faster_outliers": faster}),
+            obj! {
+                "points": pts.iter().map(|&(p, m)| vec![p, m]).collect::<Vec<_>>(),
+                "within_10pct": within,
+                "faster_outliers": faster,
+            },
         );
     }
 
@@ -359,13 +365,13 @@ fn main() {
         }
         json_out.insert(
             "fig10".into(),
-            json!({
+            obj! {
                 "idle_min": mins(&f.idle),
                 "heavy_min": mins(&f.heavy),
                 "throttled_min": mins(&f.throttled),
                 "heavy_stretch": f.heavy_stretch(),
                 "compute_overhead": f.throttle_compute_overhead(),
-            }),
+            },
         );
     }
 
@@ -421,11 +427,11 @@ fn main() {
         }
         json_out.insert(
             "fig12a".into(),
-            json!({
+            obj! {
                 "makespan_s": out.makespan.as_secs_f64(),
                 "predicted_s": out.predicted_makespan_ms / 1e3,
                 "completed": out.completed_jobs,
-            }),
+            },
         );
     }
 
@@ -445,10 +451,7 @@ fn main() {
             "  equal-split splits {}",
             cdf_quantiles(&f.equal_split.iter().map(|&s| s as f64).collect::<Vec<_>>())
         );
-        json_out.insert(
-            "fig12b".into(),
-            json!({"greedy_unsplit_frac": frac_unsplit}),
-        );
+        json_out.insert("fig12b".into(), obj! {"greedy_unsplit_frac": frac_unsplit});
     }
 
     if wants("fig12c") {
@@ -471,12 +474,12 @@ fn main() {
         render_timeline(&out, 6);
         json_out.insert(
             "fig12c".into(),
-            json!({
+            obj! {
                 "makespan_s": total,
                 "original_s": original,
                 "recovery_extra_s": total - original,
                 "migrated_items": out.rescheduled_items,
-            }),
+            },
         );
     }
 
@@ -496,14 +499,14 @@ fn main() {
                  completed {completed:>3}  ({:.2}x greedy)",
                 makespan / greedy
             );
-            json_rows.push(json!({
+            json_rows.push(obj! {
                 "scheduler": label,
                 "makespan_s": makespan,
                 "predicted_s": predicted,
                 "vs_greedy": makespan / greedy,
-            }));
+            });
         }
-        json_out.insert("table_makespan".into(), json!(json_rows));
+        json_out.insert("table_makespan".into(), JsonValue::from(json_rows));
     }
 
     if wants("fig13") {
@@ -552,10 +555,10 @@ fn main() {
         }
         json_out.insert(
             "fig13".into(),
-            json!({
+            obj! {
                 "configs": opts.configs,
                 "median_gap": fig13_median_gap(&pts),
-            }),
+            },
         );
     }
 
@@ -579,11 +582,11 @@ fn main() {
         );
         json_out.insert(
             "energy".into(),
-            json!({
+            obj! {
                 "core2duo": e.core2duo_usd_per_year,
                 "nehalem": e.nehalem_usd_per_year,
                 "phone": e.phone_usd_per_year,
-            }),
+            },
         );
     }
 
@@ -612,7 +615,7 @@ fn main() {
         }
         json_out.insert(
             "ablation_bandwidth".into(),
-            json!({"aware_s": aware, "blind_s": blind}),
+            obj! {"aware_s": aware, "blind_s": blind},
         );
     }
 
@@ -650,16 +653,19 @@ fn main() {
             );
             json_out.insert(
                 format!("extension_reliability_h{start_hour}"),
-                json!(rows
-                    .iter()
-                    .map(|(night, nm, nmig, am, amig)| json!({
-                        "night": night,
-                        "neutral_makespan_s": nm,
-                        "neutral_migrations": nmig,
-                        "aware_makespan_s": am,
-                        "aware_migrations": amig,
-                    }))
-                    .collect::<Vec<_>>()),
+                JsonValue::from(
+                    rows.iter()
+                        .map(|(night, nm, nmig, am, amig)| {
+                            obj! {
+                                "night": night,
+                                "neutral_makespan_s": nm,
+                                "neutral_migrations": nmig,
+                                "aware_makespan_s": am,
+                                "aware_migrations": amig,
+                            }
+                        })
+                        .collect::<Vec<_>>(),
+                ),
             );
         }
     }
@@ -678,18 +684,19 @@ fn main() {
         }
         json_out.insert(
             "extension_scaling".into(),
-            json!(rows
-                .iter()
-                .map(|(n, g, r)| json!({"phones": n, "greedy_s": g, "round_robin_s": r}))
-                .collect::<Vec<_>>()),
+            JsonValue::from(
+                rows.iter()
+                    .map(|(n, g, r)| obj! {"phones": n, "greedy_s": g, "round_robin_s": r})
+                    .collect::<Vec<_>>(),
+            ),
         );
     }
 
     if let Some(dir) = opts.json_dir {
         std::fs::create_dir_all(&dir).expect("create json dir");
         let path = format!("{dir}/figures-seed{}.json", opts.seed);
-        std::fs::write(&path, serde_json::to_string_pretty(&json_out).unwrap())
-            .expect("write json");
+        let all = JsonValue::Obj(json_out.into_iter().collect());
+        report::write(&path, &all).expect("write json");
         println!("\nwrote {path}");
     }
 }

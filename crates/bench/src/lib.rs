@@ -12,6 +12,7 @@ pub mod figures;
 pub mod live_scale;
 pub mod reliability;
 pub mod render;
+pub mod report;
 pub mod sched_perf;
 pub mod shard_scale;
 pub mod trace;

@@ -17,14 +17,15 @@
 //! acceptance asks for. A chaos soak point re-runs the largest fleet
 //! with frame-drop injection and a slice of the fleet dying mid-run.
 
+use crate::obj;
+use crate::report::JsonValue;
 use cwc_chaos::{FaultKind, FaultPlan, FaultProfile};
 use cwc_core::SchedulerKind;
 use cwc_net::{
     raise_nofile_limit, Conn, FlushStatus, Frame, Interest, PollEvent, Poller, ReadStatus,
 };
-use cwc_server::{run_live_server_with, LiveJob, LivePolicy};
+use cwc_server::{run_live_server_with, LiveJob, LiveOutcome, LivePolicy};
 use cwc_types::{CwcError, CwcResult, JobId, JobKind, PhoneId, RadioTech};
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -40,7 +41,7 @@ pub const SOAK_WORKERS: usize = 10_000;
 pub const SOAK_SEED: u64 = 7;
 
 /// What the fleet child observed, reported as one JSON line on stdout.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Connections successfully established and registered.
     pub connected: usize,
@@ -55,8 +56,35 @@ pub struct FleetSummary {
     pub died: usize,
 }
 
+impl From<FleetSummary> for JsonValue {
+    fn from(s: FleetSummary) -> Self {
+        obj!(s {
+            connected,
+            inputs_received,
+            completes_sent,
+            keepalive_acks_sent,
+            died
+        })
+    }
+}
+
+impl FleetSummary {
+    /// Reads a summary back from its JSON form; `None` if a field is
+    /// missing or not a non-negative integer.
+    pub fn from_json(v: &JsonValue) -> Option<Self> {
+        let field = |name: &str| v.get(name)?.as_u64();
+        Some(FleetSummary {
+            connected: field("connected")? as usize,
+            inputs_received: field("inputs_received")?,
+            completes_sent: field("completes_sent")?,
+            keepalive_acks_sent: field("keepalive_acks_sent")?,
+            died: field("died")? as usize,
+        })
+    }
+}
+
 /// One measured scale point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Fleet size.
     pub workers: usize,
@@ -89,8 +117,29 @@ pub struct ScalePoint {
     pub fleet: FleetSummary,
 }
 
+impl From<ScalePoint> for JsonValue {
+    fn from(p: ScalePoint) -> Self {
+        obj!(p {
+            workers,
+            setup_ms,
+            accepts_per_sec,
+            wall_ms,
+            ships_per_sec,
+            keepalives_acked,
+            keepalive_acks_per_sec,
+            loop_p50_us,
+            loop_p99_us,
+            loop_max_us,
+            loop_iters,
+            migrated,
+            retries,
+            fleet
+        })
+    }
+}
+
 /// Outcome of the chaos-soak smoke point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SoakOutcome {
     /// Fleet size.
     pub workers: usize,
@@ -110,6 +159,22 @@ pub struct SoakOutcome {
     pub completed: bool,
     /// Event-loop iteration p99, µs, under chaos.
     pub loop_p99_us: f64,
+}
+
+impl From<SoakOutcome> for JsonValue {
+    fn from(s: SoakOutcome) -> Self {
+        obj!(s {
+            workers,
+            seed,
+            died,
+            wall_ms,
+            migrated,
+            retries,
+            workers_lost,
+            completed,
+            loop_p99_us
+        })
+    }
 }
 
 /// Tuning for one benchmark point.
@@ -190,12 +255,16 @@ fn read_fleet_summary(child: Child) -> CwcResult<FleetSummary> {
         .rev()
         .find(|l| l.trim_start().starts_with('{'))
         .ok_or_else(|| CwcError::Transport("fleet child printed no summary".into()))?;
-    serde_json::from_str(line)
-        .map_err(|e| CwcError::Transport(format!("fleet summary unparsable: {e}")))
+    cwc_obs::json::parse(line)
+        .ok()
+        .and_then(|v| FleetSummary::from_json(&v))
+        .ok_or_else(|| CwcError::Transport(format!("fleet summary unparsable: {line}")))
 }
 
-/// Runs one parent-side benchmark point against a spawned fleet child.
-pub fn run_point(cfg: &PointConfig) -> CwcResult<ScalePoint> {
+/// Serves one spawned fleet child with the real live server under `cfg`;
+/// returns the server's outcome, the child's summary and the run's
+/// metrics.
+fn serve_fleet(cfg: &PointConfig) -> CwcResult<(LiveOutcome, FleetSummary, cwc_obs::Obs)> {
     raise_nofile_limit()?;
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| CwcError::Transport(format!("bind: {e}")))?;
@@ -215,17 +284,14 @@ pub fn run_point(cfg: &PointConfig) -> CwcResult<ScalePoint> {
         30,
         input,
     )];
-    let mut policy = LivePolicy {
+    let policy = LivePolicy {
         keepalive_period: cfg.keepalive,
         stall_timeout: cfg.stall_timeout,
+        chaos: cfg
+            .chaos_seed
+            .map(|seed| FaultPlan::new(seed, FaultProfile::single(FaultKind::Drop, 0.02))),
         ..LivePolicy::default()
     };
-    if let Some(seed) = cfg.chaos_seed {
-        policy.chaos = Some(FaultPlan::new(
-            seed,
-            FaultProfile::single(FaultKind::Drop, 0.02),
-        ));
-    }
     let obs = cwc_obs::Obs::new();
     let out = run_live_server_with(
         listener,
@@ -238,7 +304,12 @@ pub fn run_point(cfg: &PointConfig) -> CwcResult<ScalePoint> {
         &obs,
     )?;
     let fleet = read_fleet_summary(child)?;
+    Ok((out, fleet, obs))
+}
 
+/// Runs one parent-side benchmark point against a spawned fleet child.
+pub fn run_point(cfg: &PointConfig) -> CwcResult<ScalePoint> {
+    let (out, fleet, obs) = serve_fleet(cfg)?;
     let wall_ms = out.wall.as_secs_f64() * 1e3;
     let setup_ms = obs
         .metrics
@@ -269,42 +340,7 @@ pub fn run_point(cfg: &PointConfig) -> CwcResult<ScalePoint> {
 /// fleet dying on first input) and distills the recovery story.
 pub fn run_soak() -> CwcResult<SoakOutcome> {
     let cfg = PointConfig::soak();
-    raise_nofile_limit()?;
-    let listener =
-        TcpListener::bind("127.0.0.1:0").map_err(|e| CwcError::Transport(format!("bind: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CwcError::Transport(format!("local_addr: {e}")))?;
-    let child = spawn_fleet(addr, cfg.workers, cfg.die)?;
-    let input = vec![b'7'; cfg.workers * cfg.input_kb_per_worker * 1024];
-    let jobs = vec![LiveJob::new(
-        JobId(0),
-        JobKind::Breakable,
-        "primecount",
-        30,
-        input,
-    )];
-    let policy = LivePolicy {
-        keepalive_period: cfg.keepalive,
-        stall_timeout: cfg.stall_timeout,
-        chaos: cfg
-            .chaos_seed
-            .map(|seed| FaultPlan::new(seed, FaultProfile::single(FaultKind::Drop, 0.02))),
-        ..LivePolicy::default()
-    };
-    let obs = cwc_obs::Obs::new();
-    let out = run_live_server_with(
-        listener,
-        cfg.workers,
-        jobs,
-        cwc_tasks::standard_registry(),
-        SchedulerKind::Greedy,
-        cfg.deadline,
-        policy,
-        &obs,
-    )?;
-    // The child's summary is read for its side effects (join + sanity).
-    let fleet = read_fleet_summary(child)?;
+    let (out, fleet, obs) = serve_fleet(&cfg)?;
     if fleet.connected != cfg.workers {
         return Err(CwcError::Transport(format!(
             "soak fleet connected {}/{} workers",
@@ -642,76 +678,6 @@ pub fn fleet_main(addr: SocketAddr, workers: usize, die: usize) -> CwcResult<Fle
     Ok(state.summary)
 }
 
-// ---------------------------------------------------------------------------
-// Baseline comparison (the CI regression gate).
-// ---------------------------------------------------------------------------
-
-/// Compares a freshly generated `BENCH_live.json` against the committed
-/// baseline: per matching scale point, `ships_per_sec` may not regress
-/// by more than `tolerance` (fractional, e.g. `0.2`). Returns the list
-/// of human-readable regressions (empty = pass).
-///
-/// Only ship throughput gates: it measures the event loop itself.
-/// `accepts_per_sec` stays in the artifact for the record but is
-/// dominated by per-connect kernel latency (~1.5 ms serialized on the
-/// reference container, unaffected by connector parallelism), so it
-/// tracks the host, not the code.
-pub fn compare_reports(
-    baseline: &serde_json::Value,
-    fresh: &serde_json::Value,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    fn lookup<'v>(v: &'v serde_json::Value, name: &str) -> Option<&'v serde_json::Value> {
-        v.as_object().and_then(|m| m.get(name))
-    }
-    let points_of = |v: &serde_json::Value| -> Vec<serde_json::Value> {
-        lookup(v, "points")
-            .and_then(|p| p.as_array().cloned())
-            .unwrap_or_default()
-    };
-    let base_points = points_of(baseline);
-    let fresh_points = points_of(fresh);
-    let field = |p: &serde_json::Value, name: &str| -> f64 {
-        lookup(p, name).and_then(|v| v.as_f64()).unwrap_or_default()
-    };
-    for bp in &base_points {
-        let workers = lookup(bp, "workers")
-            .and_then(|v| v.as_u64())
-            .unwrap_or_default();
-        let Some(fp) = fresh_points
-            .iter()
-            .find(|p| lookup(p, "workers").and_then(|v| v.as_u64()) == Some(workers))
-        else {
-            regressions.push(format!("scale point {workers}: missing from fresh report"));
-            continue;
-        };
-        let metric = "ships_per_sec";
-        let was = field(bp, metric);
-        let now = field(fp, metric);
-        if was > 0.0 && now < was * (1.0 - tolerance) {
-            regressions.push(format!(
-                "scale point {workers}: {metric} regressed {was:.0} -> {now:.0} \
-                 (>{:.0}% drop)",
-                tolerance * 100.0
-            ));
-        }
-    }
-    if base_points.is_empty() {
-        regressions.push("baseline has no scale points".into());
-    }
-    regressions
-}
-
-/// Loads a report file for [`compare_reports`].
-pub fn load_report(path: &str) -> CwcResult<serde_json::Value> {
-    let mut text = String::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| CwcError::Config(format!("{path}: {e}")))?;
-    serde_json::from_str(&text).map_err(|e| CwcError::Config(format!("{path}: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,28 +723,5 @@ mod tests {
         assert!(out.failure.is_none(), "{:?}", out.failure);
         let hist = obs.metrics.histogram("live.loop_iter_us").summary();
         assert!(hist.count > 0, "loop iteration latency must be recorded");
-    }
-
-    #[test]
-    fn comparison_flags_large_regressions_only() {
-        let base = serde_json::json!({"points": [
-            {"workers": 100, "ships_per_sec": 1000.0, "accepts_per_sec": 500.0},
-        ]});
-        let same = serde_json::json!({"points": [
-            {"workers": 100, "ships_per_sec": 900.0, "accepts_per_sec": 450.0},
-        ]});
-        assert!(compare_reports(&base, &same, 0.2).is_empty());
-        // Accept throughput tracks the host's connect latency, not the
-        // event loop — a collapse there must not gate.
-        let slow_accepts = serde_json::json!({"points": [
-            {"workers": 100, "ships_per_sec": 1000.0, "accepts_per_sec": 50.0},
-        ]});
-        assert!(compare_reports(&base, &slow_accepts, 0.2).is_empty());
-        let worse = serde_json::json!({"points": [
-            {"workers": 100, "ships_per_sec": 700.0, "accepts_per_sec": 450.0},
-        ]});
-        let r = compare_reports(&base, &worse, 0.2);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("ships_per_sec"));
     }
 }

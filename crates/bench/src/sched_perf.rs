@@ -1,18 +1,16 @@
-//! Shared builders for the scheduler performance benches and the
-//! `cwc-bench-sched` tracking binary: deterministic synthetic fleets and
-//! the warm-vs-cold rescheduling scenario (schedule, fail a fraction of
-//! the fleet, reschedule the failed phones' residual work on the
-//! survivors).
+//! Shared builders for the scheduler benches (the Criterion `scheduler`
+//! target and the `cwc-bench-shard` ladder): deterministic synthetic
+//! fleets and batches, and the warm-vs-cold rescheduling scenario
+//! (schedule, fail a fraction of the fleet, reschedule the failed phones'
+//! residual work on the survivors).
 
 use cwc_core::{SchedProblem, Schedule};
 use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech};
 use std::collections::BTreeMap;
 
-/// Deterministic synthetic instance with heterogeneous clocks and
-/// bandwidths, every third job atomic — the same builder the Criterion
-/// scheduler bench uses.
-pub fn synth_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
-    let phones: Vec<PhoneInfo> = (0..num_phones)
+/// Deterministic synthetic fleet with heterogeneous clocks and bandwidths.
+pub(crate) fn synth_phones(n: usize) -> Vec<PhoneInfo> {
+    (0..n)
         .map(|i| {
             PhoneInfo::new(
                 PhoneId::from_index(i),
@@ -21,8 +19,12 @@ pub fn synth_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
                 MsPerKb(1.0 + (i as f64 * 7.3) % 69.0),
             )
         })
-        .collect();
-    let jobs: Vec<JobSpec> = (0..num_jobs)
+        .collect()
+}
+
+/// Deterministic synthetic batch, every third job atomic.
+pub(crate) fn synth_jobs(n: usize) -> Vec<JobSpec> {
+    (0..n)
         .map(|j| {
             let id = JobId::from_index(j);
             let size = KiloBytes(200 + (j as u64 * 131) % 1_800);
@@ -32,14 +34,12 @@ pub fn synth_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
                 JobSpec::breakable(id, "primecount", KiloBytes(30), size)
             }
         })
-        .collect();
-    let c = clock_scaled_costs(&phones, jobs.len());
-    SchedProblem::new(phones, jobs, c).expect("synthetic instance is well-formed")
+        .collect()
 }
 
 /// The bench's cost model: 150 ms/KB on the 806 MHz reference, scaled by
 /// clock.
-fn clock_scaled_costs(phones: &[PhoneInfo], num_jobs: usize) -> Vec<Vec<f64>> {
+pub(crate) fn clock_scaled_costs(phones: &[PhoneInfo], num_jobs: usize) -> Vec<Vec<f64>> {
     phones
         .iter()
         .map(|p| {
@@ -48,6 +48,14 @@ fn clock_scaled_costs(phones: &[PhoneInfo], num_jobs: usize) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// [`synth_phones`] × [`synth_jobs`] under [`clock_scaled_costs`] — the
+/// instance family the Criterion scheduler bench packs.
+pub fn synth_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
+    let phones = synth_phones(num_phones);
+    let c = clock_scaled_costs(&phones, num_jobs);
+    SchedProblem::new(phones, synth_jobs(num_jobs), c).expect("synthetic instance is well-formed")
 }
 
 /// Builds the rescheduling instant that follows a fleet failure: every

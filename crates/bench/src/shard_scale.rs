@@ -17,14 +17,14 @@
 //! mid-run and reports the cross-shard residual stealing that recovers
 //! the shortfall.
 
+use crate::obj;
+use crate::report::JsonValue;
+use crate::sched_perf::{clock_scaled_costs, synth_jobs, synth_phones};
 use cwc_core::{partition_jobs, GreedyScheduler, SchedProblem};
 use cwc_server::coord::{charging_cluster_keys, plan_shards};
 use cwc_server::engine::FailureInjection;
 use cwc_server::{FleetBuilder, FleetEngine, ShardConfig, WorkerPool, WorkloadBuilder};
-use cwc_types::{
-    CpuSpec, CwcError, CwcResult, JobId, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo,
-    RadioTech,
-};
+use cwc_types::{CwcError, CwcResult, JobSpec, Micros, PhoneInfo};
 use std::time::Instant;
 
 /// The shard ladder every report carries.
@@ -37,7 +37,7 @@ pub const LADDER_PHONES: usize = 100_000;
 pub const LADDER_JOBS: usize = 400;
 
 /// One measured ladder point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardPoint {
     /// Kernel shard count.
     pub shards: usize,
@@ -64,8 +64,25 @@ pub struct ShardPoint {
     pub assignments: usize,
 }
 
+impl From<ShardPoint> for JsonValue {
+    fn from(p: ShardPoint) -> Self {
+        obj!(p {
+            shards,
+            phones,
+            jobs,
+            split_jobs,
+            plan_ms,
+            pack_ms,
+            jobs_per_sec,
+            max_shard_cells,
+            pool_steals,
+            assignments
+        })
+    }
+}
+
 /// Outcome of the mass-unplug stealing scenario.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MassUnplugOutcome {
     /// Kernel shard count.
     pub shards: usize,
@@ -89,54 +106,33 @@ pub struct MassUnplugOutcome {
     pub makespan_us: u64,
 }
 
-/// Deterministic synthetic fleet for the ladder: heterogeneous clocks
-/// and bandwidths, four phones per site, profiler-style unplug
-/// probabilities cycling the quartiles — the statistics
-/// [`charging_cluster_keys`] buckets by.
-pub fn synth_phones(n: usize) -> (Vec<PhoneInfo>, Vec<u64>) {
-    let phones: Vec<PhoneInfo> = (0..n)
-        .map(|i| {
-            PhoneInfo::new(
-                PhoneId::from_index(i),
-                CpuSpec::new(806 + (i as u32 * 97) % 700, 2),
-                RadioTech::Wifi80211g,
-                MsPerKb(1.0 + (i as f64 * 7.3) % 69.0),
-            )
+impl From<MassUnplugOutcome> for JsonValue {
+    fn from(o: MassUnplugOutcome) -> Self {
+        obj!(o {
+            shards,
+            phones,
+            jobs,
+            killed,
+            stolen_chunks,
+            steal_rounds,
+            completed_jobs,
+            total_jobs,
+            workers_lost,
+            makespan_us
         })
-        .collect();
+    }
+}
+
+/// The ladder's fleet: [`synth_phones`] four to a site, profiler-style
+/// unplug probabilities cycling the quartiles — the statistics
+/// [`charging_cluster_keys`] buckets by.
+fn synth_fleet(n: usize) -> (Vec<PhoneInfo>, Vec<u64>) {
     let sites: Vec<u64> = (0..n as u64).map(|i| i / 4).collect();
     let unplug: Vec<f64> = (0..n).map(|i| f64::from((i % 20) as u32) / 20.0).collect();
-    let keys = charging_cluster_keys(&sites, Some(&unplug));
-    (phones, keys)
-}
-
-/// Deterministic synthetic batch, every third job atomic (mirrors the
-/// `cwc-bench-sched` instance family).
-pub fn synth_jobs(n: usize) -> Vec<JobSpec> {
-    (0..n)
-        .map(|j| {
-            let id = JobId::from_index(j);
-            let size = KiloBytes(200 + (j as u64 * 131) % 1_800);
-            if j % 3 == 2 {
-                JobSpec::atomic(id, "photoblur", KiloBytes(40), size)
-            } else {
-                JobSpec::breakable(id, "primecount", KiloBytes(30), size)
-            }
-        })
-        .collect()
-}
-
-/// The bench cost model: 150 ms/KB on the 806 MHz reference, scaled by
-/// clock (the `cwc-bench-sched` convention).
-fn clock_scaled_costs(phones: &[PhoneInfo], num_jobs: usize) -> Vec<Vec<f64>> {
-    phones
-        .iter()
-        .map(|p| {
-            (0..num_jobs)
-                .map(|_| 150.0 * 806.0 / f64::from(p.cpu.clock_mhz))
-                .collect()
-        })
-        .collect()
+    (
+        synth_phones(n),
+        charging_cluster_keys(&sites, Some(&unplug)),
+    )
 }
 
 /// Runs one ladder point: partition `phones`/`jobs` into `shards`
@@ -218,7 +214,7 @@ pub fn run_point(
 
 /// Runs the whole ladder over one shared instance.
 pub fn run_ladder(num_phones: usize, num_jobs: usize) -> CwcResult<Vec<ShardPoint>> {
-    let (phones, keys) = synth_phones(num_phones);
+    let (phones, keys) = synth_fleet(num_phones);
     let jobs = synth_jobs(num_jobs);
     SHARD_LADDER
         .iter()
@@ -275,68 +271,13 @@ pub fn run_mass_unplug() -> CwcResult<MassUnplugOutcome> {
     })
 }
 
-/// Compares a fresh report against the committed baseline: per shard
-/// count, aggregate scheduling throughput (`jobs_per_sec`) must not drop
-/// more than `tolerance`. Wall-clock noise on shared CI hosts is why the
-/// gate is throughput-relative rather than absolute.
-pub fn compare_reports(
-    baseline: &serde_json::Value,
-    fresh: &serde_json::Value,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    fn lookup<'v>(v: &'v serde_json::Value, name: &str) -> Option<&'v serde_json::Value> {
-        v.as_object().and_then(|m| m.get(name))
-    }
-    let points_of = |v: &serde_json::Value| -> Vec<serde_json::Value> {
-        lookup(v, "points")
-            .and_then(|p| p.as_array().cloned())
-            .unwrap_or_default()
-    };
-    let base_points = points_of(baseline);
-    let fresh_points = points_of(fresh);
-    for bp in &base_points {
-        let shards = lookup(bp, "shards")
-            .and_then(|v| v.as_u64())
-            .unwrap_or_default();
-        let Some(fp) = fresh_points
-            .iter()
-            .find(|p| lookup(p, "shards").and_then(|v| v.as_u64()) == Some(shards))
-        else {
-            regressions.push(format!("shard point {shards}: missing from fresh report"));
-            continue;
-        };
-        let metric = "jobs_per_sec";
-        let was = lookup(bp, metric).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let now = lookup(fp, metric).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        if was > 0.0 && now < was * (1.0 - tolerance) {
-            regressions.push(format!(
-                "shard point {shards}: {metric} regressed {was:.0} -> {now:.0} \
-                 (>{:.0}% drop)",
-                tolerance * 100.0
-            ));
-        }
-    }
-    if base_points.is_empty() {
-        regressions.push("baseline has no shard points".into());
-    }
-    regressions
-}
-
-/// Loads a report file for [`compare_reports`].
-pub fn load_report(path: &str) -> CwcResult<serde_json::Value> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CwcError::Config(format!("read {path}: {e}")))?;
-    serde_json::from_str(&text).map_err(|e| CwcError::Config(format!("parse {path}: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn small_ladder_point_schedules_everything() {
-        let (phones, keys) = synth_phones(400);
+        let (phones, keys) = synth_fleet(400);
         let jobs = synth_jobs(40);
         let one = run_point(&phones, &keys, &jobs, 1).unwrap();
         let four = run_point(&phones, &keys, &jobs, 4).unwrap();
@@ -353,15 +294,5 @@ mod tests {
         assert!(out.steal_rounds >= 1);
         assert_eq!(out.completed_jobs, out.total_jobs);
         assert_eq!(out.workers_lost, out.killed);
-    }
-
-    #[test]
-    fn compare_gates_throughput_regressions() {
-        let report =
-            |jps: f64| serde_json::json!({ "points": [ { "shards": 4, "jobs_per_sec": jps } ] });
-        assert!(compare_reports(&report(100.0), &report(95.0), 0.2).is_empty());
-        let r = compare_reports(&report(100.0), &report(60.0), 0.2);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("jobs_per_sec"));
     }
 }

@@ -1,7 +1,10 @@
-//! Minimal JSON writer/parser used by the JSONL sink and its round-trip
-//! tests. Hand-rolled so the crate stays dependency-free; supports exactly
-//! the subset the event encoding needs (objects, arrays, strings, numbers,
-//! booleans, null, `\uXXXX` escapes).
+//! The workspace's one JSON implementation: the JSONL event sink, the
+//! metrics report, `cwc-trace`, the bench report writers/readers and the
+//! `benchmark/` harness all go through it. Hand-rolled so the crate stays
+//! dependency-free. [`parse`] reads any JSON document (nesting capped at
+//! [`MAX_DEPTH`]) into a [`JsonValue`]; values are built with the `From`
+//! conversions and written back with `Display` — `{}` compact, `{:#}`
+//! 2-space pretty — so that `parse(&v.to_string()) == v`.
 
 use std::fmt;
 
@@ -72,6 +75,121 @@ impl JsonValue {
     }
 }
 
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::UInt(n as u64)
+            }
+        }
+    )*};
+}
+from_unsigned!(u32, u64, usize);
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Float(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_owned())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
+impl<T: Clone + Into<JsonValue>> From<&T> for JsonValue {
+    fn from(v: &T) -> Self {
+        v.clone().into()
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// An object from `(key, value)` pairs, kept in the order given.
+impl<K: Into<String>, const N: usize> From<[(K, JsonValue); N]> for JsonValue {
+    fn from(pairs: [(K, JsonValue); N]) -> Self {
+        JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+/// `{}` writes the value compactly on one line, `{:#}` pretty-printed with
+/// 2-space indentation. Either form parses back to an equal value, except
+/// that non-finite floats (invalid in JSON) are written as `null`.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, f.alternate().then_some(0));
+        f.write_str(&out)
+    }
+}
+
+impl JsonValue {
+    /// Appends the value to `out`; `indent` is the current nesting level
+    /// when pretty-printing, `None` for the compact form.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let newline = |out: &mut String, level: Option<usize>| {
+            if let Some(level) = level {
+                out.push('\n');
+                out.push_str(&"  ".repeat(level));
+            }
+        };
+        let inner = indent.map(|level| level + 1);
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(n) => out.push_str(&n.to_string()),
+            JsonValue::UInt(n) => out.push_str(&n.to_string()),
+            JsonValue::Float(v) => write_f64(out, *v),
+            JsonValue::Str(s) => write_str(out, s),
+            JsonValue::Arr(items) if items.is_empty() => out.push_str("[]"),
+            JsonValue::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, inner);
+                    item.write(out, inner);
+                }
+                newline(out, indent);
+                out.push(']');
+            }
+            JsonValue::Obj(pairs) => {
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, inner);
+                    write_str(out, key);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    value.write(out, inner);
+                }
+                newline(out, indent);
+                out.push('}');
+            }
+        }
+    }
+}
+
 /// Parse error: byte offset plus message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
@@ -114,19 +232,29 @@ pub fn write_str(out: &mut String, s: &str) {
 pub fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        out.push_str(&format!("{v:.1}"));
-    } else {
-        out.push_str(&format!("{v}"));
+        return;
+    }
+    // `Display` for f64 never uses an exponent, so a missing `.` means
+    // the value is integral.
+    let text = v.to_string();
+    out.push_str(&text);
+    if !text.contains('.') {
+        out.push_str(".0");
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses per
+/// level and reads outside input (trace files, child stdout, report
+/// baselines), so unbounded nesting would overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// garbage is an error.
+/// garbage and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -140,6 +268,8 @@ pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -180,8 +310,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -189,6 +319,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs one container parser a nesting level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -464,5 +608,67 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH).replace(":}", ":0}")).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("MAX_DEPTH"), "{err}");
+        // Hostile input: unbounded recursion would abort the process here.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(1_000_000)).is_err());
+        // The cap is on depth, not on how many containers a document holds.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 10_000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let leaves = JsonValue::from(vec![
+            JsonValue::Null,
+            true.into(),
+            u64::MAX.into(),
+            0u64.into(),
+            JsonValue::Int(-1),
+            JsonValue::Int(i64::MIN),
+            3.0.into(),
+            (-0.125).into(),
+            1e15.into(),
+            1e300.into(),
+            1e-7.into(),
+            "".into(),
+            "quote\" backslash\\ tab\t nl\n ctrl\u{1} nul\u{0} é 札幌 😀 \u{10FFFF}".into(),
+        ]);
+        let doc = JsonValue::from([
+            ("zeta", leaves.clone()),
+            ("alpha", JsonValue::from([("k\"ey", leaves)])),
+            ("empty_arr", JsonValue::Arr(Vec::new())),
+            ("empty_obj", JsonValue::Obj(Vec::new())),
+            ("rows", vec![vec![1u64, 2], vec![]].into()),
+        ]);
+        for v in [doc.clone(), JsonValue::Null, 7u64.into(), "s".into()] {
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "compact");
+            assert_eq!(parse(&format!("{v:#}")).unwrap(), v, "pretty");
+        }
+        // Objects keep source order (`zeta` before `alpha`).
+        let keys: Vec<_> = doc.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["zeta", "alpha", "empty_arr", "empty_obj", "rows"]);
+    }
+
+    #[test]
+    fn compact_and_pretty_layouts() {
+        let v = JsonValue::from([
+            ("a", vec![1u64, 2].into()),
+            ("b", JsonValue::from([("c", 1.5.into())])),
+            ("d", JsonValue::Arr(Vec::new())),
+        ]);
+        assert_eq!(v.to_string(), r#"{"a":[1,2],"b":{"c":1.5},"d":[]}"#);
+        assert_eq!(
+            format!("{v:#}"),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\n    \"c\": 1.5\n  },\n  \"d\": []\n}"
+        );
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
     }
 }

@@ -7,10 +7,9 @@
 //! (the unit every Fig. 2/3 statistic is computed from).
 
 use cwc_types::{Micros, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Plug state as logged by the profiling app (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlugLogState {
     /// The phone was connected to a charger.
     Plugged,
@@ -26,7 +25,7 @@ pub enum PlugLogState {
 /// `bytes_kb` is the cumulative wireless traffic while in the *plugged*
 /// state, reset on each new plug — so it is meaningful on `Unplugged`
 /// and `Shutdown` records, mirroring the app's counter-reset behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogEntry {
     /// Which volunteer.
     pub user: UserId,

@@ -4,14 +4,13 @@
 //! that a type error. All identifiers are small, `Copy`, and ordered so they
 //! can key `BTreeMap`s and sort deterministically.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -92,14 +91,5 @@ mod tests {
         let set: BTreeSet<JobId> = (0..5).rev().map(JobId).collect();
         let sorted: Vec<u32> = set.into_iter().map(|j| j.0).collect();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let id = PhoneId(42);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "42");
-        let back: PhoneId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

@@ -1,11 +1,10 @@
 //! Job descriptors — the scheduler-facing view of a task.
 
 use crate::{JobId, KiloBytes};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a job's input can be split across phones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// A *breakable* task: the input exhibits no cross-partition
     /// dependencies, so any split of the input can be processed in parallel
@@ -54,41 +53,6 @@ pub enum SloClass {
     BestEffort,
 }
 
-// Manual impls: the vendored serde stub derives only fieldless enum
-// variants, and `Deadline` carries its budget. Encoded as
-// `{"deadline_ms": <u64>}` / `"best-effort"`.
-impl Serialize for SloClass {
-    fn to_value(&self) -> serde::value::Value {
-        match self {
-            SloClass::Deadline(ms) => serde::value::Value::Object(
-                [("deadline_ms".to_owned(), serde::value::Value::U64(*ms))]
-                    .into_iter()
-                    .collect(),
-            ),
-            SloClass::BestEffort => serde::value::Value::String("best-effort".to_owned()),
-        }
-    }
-}
-
-impl Deserialize for SloClass {
-    fn from_value(v: &serde::value::Value) -> Result<Self, String> {
-        if let Some(s) = v.as_str() {
-            return match s {
-                "best-effort" => Ok(SloClass::BestEffort),
-                other => Err(format!("unknown SLO class {other:?}")),
-            };
-        }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("expected SLO class string or object, got {}", v.kind()))?;
-        let ms = obj
-            .get("deadline_ms")
-            .and_then(serde::value::Value::as_u64)
-            .ok_or_else(|| "SLO object missing u64 deadline_ms".to_owned())?;
-        Ok(SloClass::Deadline(ms))
-    }
-}
-
 impl SloClass {
     /// Total order used for admission: deadline-class first (earliest
     /// deadline first), best-effort last. `None` (no declared SLO) ranks
@@ -119,7 +83,7 @@ impl fmt::Display for SloClass {
 /// over the wire and loads via Java reflection).
 ///
 /// [`TaskProgram`]: https://docs.rs/cwc-device
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Unique job identifier.
     pub id: JobId,
@@ -240,14 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let s = spec();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: JobSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
     fn slo_rank_orders_deadline_first() {
         assert!(SloClass::rank(Some(SloClass::Deadline(500))) < SloClass::rank(None));
         assert!(
@@ -261,11 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn slo_serde_and_display() {
-        let d = SloClass::Deadline(1500);
-        let json = serde_json::to_string(&d).unwrap();
-        assert_eq!(serde_json::from_str::<SloClass>(&json).unwrap(), d);
-        assert_eq!(d.to_string(), "deadline(1500ms)");
+    fn slo_display() {
+        assert_eq!(SloClass::Deadline(1500).to_string(), "deadline(1500ms)");
         assert_eq!(SloClass::BestEffort.to_string(), "best-effort");
     }
 }

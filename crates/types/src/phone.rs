@@ -1,7 +1,6 @@
 //! Phone descriptors — the scheduler-facing view of a smartphone.
 
 use crate::{MsPerKb, PhoneId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The radio technology a phone uses to reach the central server.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's 18-phone testbed mixes 802.11a/g WiFi with EDGE, 3G and 4G
 /// cellular links; the resulting bandwidth spread (`b_i` from 1 to 70 ms/KB)
 /// is what makes bandwidth-aware scheduling matter (§3.1, Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RadioTech {
     /// 802.11a WiFi (5 GHz, no neighbouring-AP interference in the testbed).
     Wifi80211a,
@@ -58,7 +57,7 @@ impl fmt::Display for RadioTech {
 /// CWC's execution-time predictor only consumes the clock (§4.1): a task
 /// profiled at `T_s` ms/KB on the slowest phone (clock `S`) is predicted to
 /// take `T_s * S / A` ms/KB on a phone clocked at `A`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpuSpec {
     /// Clock speed in MHz. The paper's testbed spans 806 MHz (HTC G2, the
     /// profiling baseline) to 1500 MHz.
@@ -100,7 +99,7 @@ impl fmt::Display for CpuSpec {
 /// see — the same tuple whether it comes from real iperf probes against
 /// physical handsets (the paper's prototype) or from the simulated link
 /// layer (this reproduction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhoneInfo {
     /// Registered identity.
     pub id: PhoneId,

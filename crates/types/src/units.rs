@@ -6,7 +6,6 @@
 //! * [`KiloBytes`] — data sizes (`E_j`, `L_j`, `l_ij` in the paper).
 //! * [`MsPerKb`] — transfer/compute rates (`b_i`, `c_ij` in the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -16,9 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// CWC's cost model works in (fractional) milliseconds; conversions to and
 /// from `f64` milliseconds round to the nearest microsecond, which keeps the
 /// modelling error far below anything observable in the experiments.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Micros(pub u64);
 
 impl Micros {
@@ -167,9 +164,7 @@ impl fmt::Display for Micros {
 }
 
 /// A data size in kilobytes — the unit the paper's cost model is stated in.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct KiloBytes(pub u64);
 
 impl KiloBytes {
@@ -258,7 +253,7 @@ impl fmt::Display for KiloBytes {
 /// takes to receive 1 KB from the server) and `c_ij` (compute: the time
 /// phone *i* takes to run job *j* over 1 KB of input). The paper measured
 /// `b_i` between 1 and 70 ms/KB across its WiFi/EDGE/3G/4G testbed.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MsPerKb(pub f64);
 
 impl MsPerKb {

@@ -86,8 +86,10 @@ fn names(text: &str, ident: &str) -> bool {
 #[test]
 fn manifests_declare_only_dependencies_that_are_used() {
     // A crate's `[dependencies]` must each be named somewhere in its
-    // `src/`, and `[workspace.dependencies]` may list only what some member
-    // declares: a dependency nobody uses is still built, vendored and read.
+    // `src/`, `[workspace.dependencies]` may list only what some member
+    // declares, and every crate under `vendor/` must be named by
+    // `[workspace.dependencies]` or by another vendored crate: a dependency
+    // nobody uses is still built, vendored and read.
     let root = cwc_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
@@ -115,14 +117,33 @@ fn manifests_declare_only_dependencies_that_are_used() {
         declared.extend(manifest_section(&manifest, "dev-dependencies"));
     }
     let workspace = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
-    for dep in manifest_section(&workspace, "workspace.dependencies") {
-        if !declared.contains(&dep) {
+    let mut vendor_named = manifest_section(&workspace, "workspace.dependencies");
+    for dep in &vendor_named {
+        if !declared.contains(dep) {
             unused.push(format!("[workspace.dependencies]: {dep}"));
+        }
+    }
+    let vendored: Vec<_> = std::fs::read_dir(root.join("vendor"))
+        .expect("vendor/")
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .collect();
+    assert!(vendored.len() >= 4, "vendor walk broke: {vendored:?}");
+    for dir in &vendored {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+        vendor_named.extend(manifest_section(&manifest, "dependencies"));
+    }
+    for dir in &vendored {
+        let name = dir.file_name().unwrap_or_default().to_string_lossy();
+        if !vendor_named.iter().any(|dep| *dep == name) {
+            unused.push(format!("vendor/{name}: no manifest depends on it"));
         }
     }
     assert!(
         unused.is_empty(),
-        "declared but never named in the declaring crate's src/:\n  {}",
+        "declared but never named in the declaring crate's src/, or vendored \
+         but never declared:\n  {}",
         unused.join("\n  ")
     );
 }
