@@ -50,9 +50,9 @@ fn probe_info(slot: usize) -> PhoneInfo {
 /// answered with a `ReportOk` (the first `fail` of them with a transient
 /// `ReportFailed`, exercising the migration path). Returns the number of
 /// commands emitted so the optimizer can't discard the run.
-fn drain(jobs: &[JobSpec], fail: usize) -> usize {
+fn drain(jobs: &[JobSpec], slots: usize, fail: usize) -> usize {
     let mut kernel = Kernel::new(config(jobs.to_vec())).expect("kernel");
-    let mut queue: VecDeque<(Micros, CoordEvent)> = (0..SLOTS)
+    let mut queue: VecDeque<(Micros, CoordEvent)> = (0..slots)
         .map(|slot| {
             (
                 Micros::ZERO,
@@ -121,7 +121,7 @@ fn bench_kernel_drain(c: &mut Criterion) {
             BenchmarkId::from_parameter(jobs),
             &workload,
             |b, workload| {
-                b.iter(|| black_box(drain(workload, 0)));
+                b.iter(|| black_box(drain(workload, SLOTS, 0)));
             },
         );
     }
@@ -133,13 +133,26 @@ fn bench_kernel_drain_with_failures(c: &mut Criterion) {
         .breakable(60, "primecount", 30, 300, 1_500)
         .build();
     c.bench_function("kernel-drain-with-failures", |b| {
-        b.iter(|| black_box(drain(&workload, 10)));
+        b.iter(|| black_box(drain(&workload, SLOTS, 10)));
+    });
+}
+
+/// The `live-chunks` shape: thousands of single-chunk jobs over two
+/// slots, one report per job — where a per-report cost that grows with
+/// the catalogue shows as a quadratic drain.
+fn bench_kernel_drain_many_small_jobs(c: &mut Criterion) {
+    let workload = WorkloadBuilder::new(3)
+        .atomic(4_000, "photoblur", 40, 1, 1)
+        .build();
+    c.bench_function("kernel-drain-4000x1kb-2slots", |b| {
+        b.iter(|| black_box(drain(&workload, 2, 0)));
     });
 }
 
 criterion_group!(
     benches,
     bench_kernel_drain,
-    bench_kernel_drain_with_failures
+    bench_kernel_drain_with_failures,
+    bench_kernel_drain_many_small_jobs
 );
 criterion_main!(benches);

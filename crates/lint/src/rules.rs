@@ -696,10 +696,17 @@ impl ProtocolExhaustiveness {
 /// so the rule bans them in the instrumented crates' `src/` trees. CLI
 /// entrypoints under `bin/` are exempt — stdout is their user interface —
 /// and the scrubber already exempts test code.
+///
+/// On the per-chunk path — the coordinator kernel and the live driver,
+/// which run once per report — the rule also bans the eager `.emit(event)`:
+/// it formats and allocates the event before the bus can say nobody
+/// listens. Those files emit through `Obs::emit_with(|| event)`, whose
+/// closure runs only with a sink attached.
 pub struct ObsRouting;
 
 const OBS_ROUTED_CRATES: [&str; 4] = ["core", "server", "net", "device"];
 const BARE_PRINT_MACROS: [&str; 2] = ["println", "eprintln"];
+const LAZY_EMIT_ONLY: [&str; 2] = ["crates/server/src/coord/", "crates/server/src/live.rs"];
 
 impl ObsRouting {
     fn applies(file: &ScrubbedFile) -> bool {
@@ -718,7 +725,16 @@ impl Rule for ObsRouting {
         if !Self::applies(file) {
             return;
         }
+        let lazy_only = LAZY_EMIT_ONLY.iter().any(|p| file.rel.starts_with(p));
         for (line0, line) in file.active_lines() {
+            if lazy_only && line.contains(".emit(") {
+                out.push(Finding::new(
+                    file,
+                    line0,
+                    self.name(),
+                    "`.emit(..)` builds its event even when no sink is attached; on the per-chunk path use `Obs::emit_with(|| ..)` so a silent run neither formats nor allocates".to_string(),
+                ));
+            }
             for mac in BARE_PRINT_MACROS {
                 for pos in word_positions(line, mac) {
                     if line[pos + mac.len()..].starts_with('!') {

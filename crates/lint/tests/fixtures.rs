@@ -482,6 +482,31 @@ fn f(mut w: impl Write, obs: &Obs) {
 }
 
 #[test]
+fn obs_routing_wants_the_lazy_emit_on_the_per_chunk_path() {
+    // Line 2 builds an event nobody may be listening for; line 3 only
+    // builds it behind the bus's sink check; line 4 is a different method.
+    let src = "\
+fn step(obs: &Obs, bus: &Bus) {
+    obs.emit(cwc_obs::Event::wall(0, \"sched\", \"task.assigned\"));
+    obs.emit_with(|| cwc_obs::Event::wall(0, \"sched\", \"task.assigned\"));
+    bus.re_emit(3);
+}
+";
+    for rel in [
+        "crates/server/src/coord/kernel.rs",
+        "crates/server/src/coord/script.rs",
+        "crates/server/src/live.rs",
+    ] {
+        let findings = kept(rel, "server", src);
+        assert_eq!(findings.len(), 1, "{rel}: {findings:?}");
+        assert_eq!((findings[0].rule, findings[0].line), ("obs_routing", 2));
+    }
+    // Off that path the eager form stays legal (once-per-run narration).
+    assert!(kept("crates/server/src/engine.rs", "server", src).is_empty());
+    assert!(kept("crates/core/src/greedy.rs", "core", src).is_empty());
+}
+
+#[test]
 fn obs_routing_exempts_bins_tests_and_uninstrumented_crates() {
     let src = "fn f() { println!(\"hi\"); }\n";
     // CLI entrypoints: stdout is the interface.

@@ -118,6 +118,15 @@ impl Obs {
         self.bus.emit(event);
     }
 
+    /// Emits the event `build` returns, if anything is listening. With no
+    /// sink attached `build` never runs, so a per-chunk call site neither
+    /// formats nor allocates for an event nobody would see.
+    pub fn emit_with(&self, build: impl FnOnce() -> Event) {
+        if self.bus.has_sinks() {
+            self.bus.emit(build());
+        }
+    }
+
     /// Starts a wall-clock span recording into histogram `name` on drop.
     pub fn span(&self, name: impl Into<String>) -> SpanGuard {
         SpanGuard::start(&self.metrics, name)
@@ -148,6 +157,34 @@ mod tests {
         obs.emit(Event::sim(0, "t", "ignored"));
         obs.metrics.inc("still.counts");
         assert_eq!(obs.metrics.counter_value("still.counts"), 1);
+    }
+
+    #[test]
+    fn emit_with_builds_the_event_only_for_a_listener() {
+        let obs = Obs::new();
+        let built = std::cell::Cell::new(0u32);
+        let build = || {
+            built.set(built.get() + 1);
+            Event::wall(7, "sched", "task.assigned").field("job", 3u64)
+        };
+        obs.emit_with(build);
+        assert_eq!(built.get(), 0, "event built with nobody listening");
+
+        let sink = Arc::new(MemorySink::new());
+        let id = obs.bus.attach(sink.clone());
+        obs.emit_with(build);
+        obs.emit(build());
+        assert_eq!(built.get(), 2);
+        let got = sink.snapshot();
+        // Same delivery as the eager path, field for field.
+        let (lazy, eager) = (&got[0], &got[1]);
+        assert_eq!((lazy.seq, eager.seq), (1, 2));
+        assert_eq!(lazy.fields, eager.fields);
+        assert_eq!((&lazy.scope, &lazy.name), (&eager.scope, &eager.name));
+
+        obs.bus.detach(id);
+        obs.emit_with(build);
+        assert_eq!(built.get(), 2, "event built after the last sink left");
     }
 
     #[test]

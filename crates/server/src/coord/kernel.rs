@@ -39,6 +39,16 @@ pub enum DriverStyle {
     Live,
 }
 
+impl DriverStyle {
+    /// An event on this style's clock.
+    fn event(self, now: Micros, scope: &str, name: &str) -> cwc_obs::Event {
+        match self {
+            DriverStyle::Sim => cwc_obs::Event::sim(now.0, scope, name),
+            DriverStyle::Live => cwc_obs::Event::wall(now.0, scope, name),
+        }
+    }
+}
+
 /// What to do with accumulated residuals (§5's failed list `F_A`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReschedulePolicy {
@@ -241,6 +251,11 @@ pub struct Kernel {
     predictor: RuntimePredictor,
     slots: BTreeMap<usize, Slot>,
     progress: BTreeMap<JobId, u64>,
+    /// Jobs whose credited KB is still below their input: the batch
+    /// completion latch. Derived from `progress` (so it stays out of
+    /// [`Kernel::digest`]); [`Kernel::credit`] counts it down where it
+    /// latches `completed_at`, and zero is `Finished`.
+    unfinished: usize,
     partitions: BTreeMap<JobId, usize>,
     completed_at: BTreeMap<JobId, Micros>,
     failed: Vec<WorkItem>,
@@ -293,12 +308,16 @@ impl Kernel {
             catalog.insert(job.id, job.clone());
         }
         let spec_budget_left = cfg.speculation.map(|s| s.budget).unwrap_or(0);
+        // Nothing is credited before `Start`, and `Start` refuses a batch
+        // with a zero-size input, so every job begins below its input.
+        let unfinished = catalog.len();
         Ok(Kernel {
             cfg,
             catalog,
             predictor,
             slots: BTreeMap::new(),
             progress,
+            unfinished,
             partitions: BTreeMap::new(),
             completed_at: BTreeMap::new(),
             failed: Vec::new(),
@@ -444,10 +463,7 @@ impl Kernel {
     }
 
     fn event(&self, now: Micros, scope: &str, name: &str) -> cwc_obs::Event {
-        match self.cfg.style {
-            DriverStyle::Sim => cwc_obs::Event::sim(now.0, scope, name),
-            DriverStyle::Live => cwc_obs::Event::wall(now.0, scope, name),
-        }
+        self.cfg.style.event(now, scope, name)
     }
 
     fn slot_mut(&mut self, slot: usize) -> &mut Slot {
@@ -532,7 +548,7 @@ impl Kernel {
             return self.fail_fatal(e, out);
         }
         self.predicted_makespan_ms = schedule.predicted_makespan_ms;
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             self.event(now, "sched", "schedule.initial")
                 .field("assignments", schedule.num_assignments())
                 .field("phones", avail.len())
@@ -545,8 +561,8 @@ impl Kernel {
                         avail.len(),
                         schedule.predicted_makespan_ms
                     ),
-                ),
-        );
+                )
+        });
         for (slot_idx, queue) in schedule.per_phone.iter().enumerate() {
             let i = avail[slot_idx];
             for a in queue {
@@ -668,7 +684,7 @@ impl Kernel {
             if copies.is_empty() {
                 continue;
             }
-            self.cfg.obs.emit(
+            self.cfg.obs.emit_with(|| {
                 self.event(now, "sched", "replica.planned")
                     .field("slot", i as u64)
                     .field("target", target as u64)
@@ -682,8 +698,8 @@ impl Kernel {
                             copies.len(),
                             prob_of(i)
                         ),
-                    ),
-            );
+                    )
+            });
             if let Some(t) = self.slots.get_mut(&target) {
                 for copy in copies {
                     t.queue.push_back(copy);
@@ -759,20 +775,16 @@ impl Kernel {
             };
             if s.busy.as_ref().is_some_and(|b| b.item.group == Some(g)) {
                 if let Some(fl) = s.busy.take() {
-                    let cancelled = match style {
-                        DriverStyle::Sim => cwc_obs::Event::sim(now.0, "sched", "task.cancelled"),
-                        DriverStyle::Live => cwc_obs::Event::wall(now.0, "sched", "task.cancelled"),
-                    };
-                    self.cfg.obs.emit(
+                    self.cfg.obs.emit_with(|| {
                         fl.item
                             .trace
-                            .stamp(cancelled)
+                            .stamp(style.event(now, "sched", "task.cancelled"))
                             .severity(cwc_obs::Severity::Debug)
                             .field("phone", s.id().0)
                             .field("slot", j as u64)
                             .field("seq", fl.seq)
-                            .field("job", fl.item.original.0),
-                    );
+                            .field("job", fl.item.original.0)
+                    });
                     out.push(CoordCommand::CancelTask {
                         slot: j,
                         job: fl.item.original,
@@ -820,22 +832,15 @@ impl Kernel {
         let id = s.id();
         let info = s.info;
         // Executable shipped once per slot–program pair.
-        let exe_kb = if s.has_exe.insert(item.program.clone()) {
-            item.exe_kb.0
-        } else {
-            0
-        };
+        let first = !s.has_exe.contains(&item.program) && s.has_exe.insert(item.program.clone());
+        let exe_kb = if first { item.exe_kb.0 } else { 0 };
         self.next_seq += 1;
         let seq = self.next_seq;
         // The span's opening event, in both styles: every chunk lifecycle
         // starts with a stamped `task.assigned`.
-        let assigned = match self.cfg.style {
-            DriverStyle::Sim => cwc_obs::Event::sim(now.0, "sched", "task.assigned"),
-            DriverStyle::Live => cwc_obs::Event::wall(now.0, "sched", "task.assigned"),
-        };
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             item.trace
-                .stamp(assigned)
+                .stamp(self.event(now, "sched", "task.assigned"))
                 .severity(cwc_obs::Severity::Debug)
                 .field("phone", id.0)
                 .field("slot", slot as u64)
@@ -844,8 +849,8 @@ impl Kernel {
                 .field("offset_kb", item.base_offset.0)
                 .field("len_kb", item.kb.0)
                 .field("rescheduled", item.rescheduled)
-                .field("replica", item.speculative),
-        );
+                .field("replica", item.speculative)
+        });
         if item.speculative {
             let label = item
                 .group
@@ -936,13 +941,13 @@ impl Kernel {
             if live {
                 self.cfg.obs.metrics.inc("live.dup_reports");
                 let id = s.id();
-                self.cfg.obs.emit(
+                self.cfg.obs.emit_with(|| {
                     self.event(now, "live", "report.stale")
                         .severity(cwc_obs::Severity::Debug)
                         .field("phone", id.0)
                         .field("job", job.0)
-                        .field("seq", seq),
-                );
+                        .field("seq", seq)
+                });
             }
             return;
         }
@@ -962,15 +967,15 @@ impl Kernel {
         }
         self.cfg.obs.metrics.observe("span.execute_ms", exec_ms);
         if live {
-            self.cfg.obs.emit(
+            self.cfg.obs.emit_with(|| {
                 item.trace
                     .stamp(self.event(now, "live", "task.complete"))
                     .severity(cwc_obs::Severity::Debug)
                     .field("phone", id.0)
                     .field("job", job.0)
                     .field("kb", item.kb.0)
-                    .field("exec_ms", exec_ms),
-            );
+                    .field("exec_ms", exec_ms)
+            });
         }
         out.push(CoordCommand::RecordResult {
             slot,
@@ -1013,6 +1018,7 @@ impl Kernel {
         }
         if *done >= target && !self.completed_at.contains_key(&job) {
             self.completed_at.insert(job, now);
+            self.unfinished -= 1;
             // Deadlines are relative to run start; the completion latch is
             // the one place a job's SLO verdict is decided.
             if let Some(SloClass::Deadline(ms)) = self.cfg.slo.get(&job) {
@@ -1022,7 +1028,7 @@ impl Kernel {
                 } else {
                     "slo.deadline.missed"
                 });
-                self.cfg.obs.emit(
+                self.cfg.obs.emit_with(|| {
                     self.event(now, "slo", "slo.deadline")
                         .severity(if met {
                             cwc_obs::Severity::Debug
@@ -1032,24 +1038,26 @@ impl Kernel {
                         .field("job", job.0)
                         .field("deadline_ms", *ms)
                         .field("completed_ms", now.as_ms_f64())
-                        .field("met", met),
-                );
+                        .field("met", met)
+                });
             }
             if !self.live() {
-                self.cfg.obs.emit(
+                self.cfg.obs.emit_with(|| {
                     self.event(now, "engine", "job.complete")
                         .field("job", job.to_string())
                         .field("phone", phone.to_string())
-                        .field("msg", format!("{job} complete on {phone}")),
-                );
+                        .field("msg", format!("{job} complete on {phone}"))
+                });
             }
         }
-        if !self.finished
-            && self
-                .catalog
+        debug_assert_eq!(
+            self.unfinished == 0,
+            self.catalog
                 .iter()
-                .all(|(id, j)| self.progress.get(id).is_some_and(|&d| d >= j.input_kb.0))
-        {
+                .all(|(id, j)| self.progress.get(id).is_some_and(|&d| d >= j.input_kb.0)),
+            "completion latch disagrees with the catalogue scan"
+        );
+        if !self.finished && self.unfinished == 0 {
             self.finished = true;
             out.push(CoordCommand::Finished);
         }
@@ -1082,7 +1090,7 @@ impl Kernel {
             let alive = s.alive;
             if live {
                 self.cfg.obs.metrics.inc("live.dup_reports");
-                self.cfg.obs.emit(
+                self.cfg.obs.emit_with(|| {
                     self.event(now, "live", "report.spurious")
                         .severity(cwc_obs::Severity::Warn)
                         .field("phone", id.0)
@@ -1091,8 +1099,8 @@ impl Kernel {
                         .field(
                             "msg",
                             format!("{id}: spurious TaskFailed for {job} (seq {seq})"),
-                        ),
-                );
+                        )
+                });
             }
             if alive && self.breaker_trips(now, slot) {
                 self.quarantine(now, slot, "spurious failure reports");
@@ -1103,20 +1111,22 @@ impl Kernel {
         let id = s.id();
         let trace = s.busy.as_ref().map(|b| b.item.trace);
         if live {
-            let mut failed = self
-                .event(now, "failure", "task.failed")
-                .severity(cwc_obs::Severity::Warn)
-                .field("phone", id.0)
-                .field("job", job.0)
-                .field("processed_kb", processed_kb)
-                .field(
-                    "msg",
-                    format!("{id} unplugged; {job} checkpointed at {processed_kb} KB"),
-                );
-            if let Some(t) = trace {
-                failed = t.stamp(failed);
-            }
-            self.cfg.obs.emit(failed);
+            self.cfg.obs.emit_with(|| {
+                let failed = self
+                    .event(now, "failure", "task.failed")
+                    .severity(cwc_obs::Severity::Warn)
+                    .field("phone", id.0)
+                    .field("job", job.0)
+                    .field("processed_kb", processed_kb)
+                    .field(
+                        "msg",
+                        format!("{id} unplugged; {job} checkpointed at {processed_kb} KB"),
+                    );
+                match trace {
+                    Some(t) => t.stamp(failed),
+                    None => failed,
+                }
+            });
         }
         let Some(s) = self.slots.get_mut(&slot) else {
             return;
@@ -1217,12 +1227,12 @@ impl Kernel {
         let id = s.id();
         let alive = s.alive;
         self.cfg.obs.metrics.inc("live.protocol_violations");
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             self.event(now, "live", "protocol.violation")
                 .severity(cwc_obs::Severity::Warn)
                 .field("phone", id.0)
-                .field("msg", why),
-        );
+                .field("msg", why)
+        });
         if alive && self.breaker_trips(now, slot) {
             self.quarantine(now, slot, "repeated protocol violations");
             self.after_failure(now, out);
@@ -1327,7 +1337,7 @@ impl Kernel {
         );
         self.spec_budget_left -= 1;
         self.cfg.obs.metrics.inc("sched.speculation.launched");
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             copy.trace
                 .stamp(self.event(now, "sched", "speculation.launched"))
                 .field("slot", slot as u64)
@@ -1342,8 +1352,8 @@ impl Kernel {
                          {} launches left",
                         src.original, self.spec_budget_left
                     ),
-                ),
-        );
+                )
+        });
         self.slot_mut(target).queue.push_back(copy);
         self.ship_next(now, target, out);
     }
@@ -1375,7 +1385,7 @@ impl Kernel {
         // the counter still reflects the individual misses that elapsed.
         let misses = u64::from(self.cfg.tolerated_misses);
         self.cfg.obs.metrics.add("engine.keepalive_miss", misses);
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             self.event(now, "engine", "phone.offline_detected")
                 .severity(cwc_obs::Severity::Warn)
                 .field("phone", id.to_string())
@@ -1384,8 +1394,8 @@ impl Kernel {
                 .field(
                     "msg",
                     format!("{id} declared offline after {misses} missed keep-alives"),
-                ),
-        );
+                )
+        });
         for item in residuals {
             self.fail_item(item);
         }
@@ -1455,7 +1465,7 @@ impl Kernel {
         let Some(fl) = s.busy.take() else { return };
         let id = s.id();
         self.cfg.obs.metrics.inc("live.stalled");
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             fl.item
                 .trace
                 .stamp(self.event(now, "failure", "task.stalled"))
@@ -1469,8 +1479,8 @@ impl Kernel {
                         fl.item.original,
                         self.cfg.stall_timeout.unwrap_or(Micros::ZERO).as_ms_f64()
                     ),
-                ),
-        );
+                )
+        });
         self.fail_item(fl.item);
         if self.breaker_trips(now, slot) {
             self.quarantine(now, slot, "repeated stalls");
@@ -1521,12 +1531,12 @@ impl Kernel {
         s.ka_token += 1;
         let id = s.id();
         if live {
-            self.cfg.obs.emit(
+            self.cfg.obs.emit_with(|| {
                 self.event(now, "failure", event)
                     .severity(cwc_obs::Severity::Warn)
                     .field("phone", id.0)
-                    .field("msg", why),
-            );
+                    .field("msg", why)
+            });
         }
         let s = self.slots.get_mut(&slot).expect("slot exists");
         let mut dead: Vec<WorkItem> = Vec::new();
@@ -1592,12 +1602,12 @@ impl Kernel {
                  returning partial results",
                 residuals.len()
             );
-            self.cfg.obs.emit(
+            self.cfg.obs.emit_with(|| {
                 self.event(now, "failure", "fleet.lost")
                     .severity(cwc_obs::Severity::Error)
                     .field("residuals", residuals.len())
-                    .field("msg", detail.clone()),
-            );
+                    .field("msg", detail.clone())
+            });
             self.fleet_loss = Some(FleetLoss {
                 workers_lost: lost,
                 quarantined: self.quarantined,
@@ -1611,7 +1621,7 @@ impl Kernel {
             .obs
             .metrics
             .add("live.migrated", residuals.len() as u64);
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             self.event(now, "live", "migration")
                 .field("residuals", residuals.len())
                 .field("survivors", alive.len())
@@ -1622,8 +1632,8 @@ impl Kernel {
                         residuals.len(),
                         alive.len()
                     ),
-                ),
-        );
+                )
+        });
         for (k, mut item) in residuals.into_iter().enumerate() {
             item.rescheduled = true;
             self.next_span += 1;
@@ -1811,7 +1821,7 @@ impl Kernel {
             }
         }
         self.cfg.obs.metrics.inc("engine.reschedule_rounds");
-        self.cfg.obs.emit(
+        self.cfg.obs.emit_with(|| {
             self.event(now, "sched", "schedule.round")
                 .field("round", self.reschedule_rounds)
                 .field("residuals", schedule.num_assignments())
@@ -1824,8 +1834,8 @@ impl Kernel {
                         schedule.num_assignments(),
                         avail.len()
                     ),
-                ),
-        );
+                )
+        });
         for (slot_idx, queue) in schedule.per_phone.iter().enumerate() {
             let i = avail[slot_idx];
             for a in queue {
@@ -2216,5 +2226,318 @@ impl Kernel {
         h.flag(item.rescheduled);
         h.opt(item.group.map(u64::from));
         h.flag(item.speculative);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cwc_types::{CpuSpec, MsPerKb, PhoneId, RadioTech};
+
+    fn config(jobs: Vec<JobSpec>) -> KernelConfig {
+        KernelConfig {
+            scheduler: SchedulerKind::Greedy,
+            jobs,
+            baselines: crate::engine::paper_baselines(),
+            keepalive_period: Micros::from_secs(5),
+            tolerated_misses: 3,
+            reschedule: ReschedulePolicy::RoundRobin,
+            stall_timeout: None,
+            breaker: None,
+            reliability: None,
+            slo: BTreeMap::new(),
+            replication: None,
+            speculation: None,
+            bandwidth_blind: false,
+            style: DriverStyle::Live,
+            obs: cwc_obs::Obs::new(),
+        }
+    }
+
+    fn atomic_jobs(sizes_kb: &[u64]) -> Vec<JobSpec> {
+        let job =
+            |(i, &kb)| JobSpec::atomic(JobId(i as u32), "photoblur", KiloBytes(40), KiloBytes(kb));
+        sizes_kb.iter().enumerate().map(job).collect()
+    }
+
+    /// One shipped chunk the harness owes a reply.
+    #[derive(Debug, Clone, Copy)]
+    struct Shipped {
+        slot: usize,
+        seq: u64,
+        job: JobId,
+        len_kb: u64,
+        replica: bool,
+    }
+
+    /// A kernel driven closed-loop beside an independent count of covered
+    /// KB (what the harness itself reported and the kernel accepted). Every
+    /// step checks the completion latch against that count: `Finished` is
+    /// emitted on exactly the step that covers the batch's last KB.
+    struct Harness {
+        kernel: Kernel,
+        outstanding: Vec<Shipped>,
+        speculate_timers: Vec<(usize, u64)>,
+        covered: BTreeMap<JobId, u64>,
+        target: BTreeMap<JobId, u64>,
+        now: u64,
+        finished_cmds: usize,
+        completion_order: Vec<JobId>,
+    }
+
+    impl Harness {
+        /// Probes `slots` phones (slot 0 the fastest) and starts the batch.
+        fn start(cfg: KernelConfig, slots: usize) -> Harness {
+            let target: BTreeMap<JobId, u64> =
+                cfg.jobs.iter().map(|j| (j.id, j.input_kb.0)).collect();
+            let mut h = Harness {
+                kernel: Kernel::new(cfg).expect("kernel"),
+                outstanding: Vec::new(),
+                speculate_timers: Vec::new(),
+                covered: target.keys().map(|&id| (id, 0)).collect(),
+                target,
+                now: 0,
+                finished_cmds: 0,
+                completion_order: Vec::new(),
+            };
+            for slot in 0..slots {
+                let info = PhoneInfo::new(
+                    PhoneId(slot as u32),
+                    CpuSpec::new(1_400 - 200 * slot as u32, 2),
+                    RadioTech::Wifi80211g,
+                    MsPerKb(2.0 + slot as f64),
+                );
+                h.step(CoordEvent::Probe { slot, info }, None);
+            }
+            h.step(CoordEvent::Start, None);
+            h
+        }
+
+        fn all_covered(&self) -> bool {
+            self.target.iter().all(|(id, &kb)| self.covered[id] >= kb)
+        }
+
+        fn uncovered_kb(&self) -> u64 {
+            let left = |(id, &kb): (&JobId, &u64)| kb.saturating_sub(self.covered[id]);
+            self.target.iter().map(left).sum()
+        }
+
+        /// Steps the kernel. `report` is the `(job, kb)` this event covers
+        /// if the kernel takes it (`needs_record`: only with a
+        /// `RecordResult` in reply, i.e. an accepted `ReportOk`).
+        fn step(
+            &mut self,
+            ev: CoordEvent,
+            report: Option<(JobId, u64, bool)>,
+        ) -> Vec<CoordCommand> {
+            self.now += 1_000;
+            let was_covered = self.all_covered();
+            let out = self.kernel.step(Micros(self.now), ev);
+            let recorded = out
+                .iter()
+                .any(|c| matches!(c, CoordCommand::RecordResult { .. }));
+            if let Some((job, kb, needs_record)) = report {
+                if recorded || !needs_record {
+                    let done = self.covered.get_mut(&job).expect("known job");
+                    let before = *done;
+                    *done += kb;
+                    if before < self.target[&job] && *done >= self.target[&job] {
+                        self.completion_order.push(job);
+                    }
+                }
+            }
+            for cmd in &out {
+                let replica = matches!(cmd, CoordCommand::ShipReplica { .. });
+                match *cmd {
+                    CoordCommand::ShipInput {
+                        slot,
+                        seq,
+                        job,
+                        len_kb,
+                        ..
+                    }
+                    | CoordCommand::ShipReplica {
+                        slot,
+                        seq,
+                        job,
+                        len_kb,
+                        ..
+                    } => self.outstanding.push(Shipped {
+                        slot,
+                        seq,
+                        job,
+                        len_kb,
+                        replica,
+                    }),
+                    CoordCommand::CancelTask { slot, seq, .. } => {
+                        self.outstanding.retain(|s| (s.slot, s.seq) != (slot, seq))
+                    }
+                    CoordCommand::StartTimer {
+                        kind: TimerKind::Speculate,
+                        slot,
+                        token,
+                        ..
+                    } => self.speculate_timers.push((slot, token)),
+                    _ => {}
+                }
+            }
+            let finished_now = out.iter().any(|c| matches!(c, CoordCommand::Finished));
+            assert_eq!(
+                finished_now,
+                self.all_covered() && !was_covered,
+                "Finished must ride the step that covers the last KB ({} KB uncovered)",
+                self.uncovered_kb()
+            );
+            self.finished_cmds += usize::from(finished_now);
+            out
+        }
+
+        fn ok(&mut self, i: usize) {
+            let s = self.outstanding.remove(i);
+            let ev = CoordEvent::ReportOk {
+                slot: s.slot,
+                seq: s.seq,
+                job: s.job,
+                exec_ms: s.len_kb as f64,
+            };
+            self.step(ev, Some((s.job, s.len_kb, true)));
+        }
+
+        fn fail(&mut self, i: usize, processed_kb: u64) {
+            let s = self.outstanding.remove(i);
+            let ev = CoordEvent::ReportFailed {
+                slot: s.slot,
+                seq: s.seq,
+                job: s.job,
+                processed_kb,
+                checkpoint: Some(vec![1, 2, 3]),
+            };
+            self.step(ev, Some((s.job, processed_kb.min(s.len_kb), false)));
+        }
+
+        /// Replies `ReportOk` until nothing is owed, copies first (so a
+        /// redundant member wins wherever one is in flight).
+        fn drain(&mut self) {
+            while !self.outstanding.is_empty() {
+                let i = self.outstanding.iter().position(|s| s.replica);
+                self.ok(i.unwrap_or(0));
+            }
+        }
+
+        fn assert_finished_exactly_once(&self) {
+            assert!(self.kernel.finished());
+            assert_eq!(self.finished_cmds, 1);
+            assert_eq!(self.kernel.unfinished, 0);
+            assert_eq!(self.kernel.completed_at().len(), self.target.len());
+        }
+    }
+
+    #[test]
+    fn finished_fires_once_when_jobs_complete_out_of_id_order() {
+        let mut h = Harness::start(config(atomic_jobs(&[10, 20, 30, 40, 50, 60])), 2);
+        while !h.outstanding.is_empty() {
+            let newest = (0..h.outstanding.len()).max_by_key(|&i| h.outstanding[i].job);
+            h.ok(newest.expect("non-empty"));
+        }
+        h.assert_finished_exactly_once();
+        let mut by_id = h.completion_order.clone();
+        by_id.sort();
+        assert_ne!(h.completion_order, by_id, "jobs completed in id order");
+    }
+
+    #[test]
+    fn finished_fires_on_the_report_failed_whose_partial_credit_covers_the_last_kb() {
+        let jobs = vec![
+            JobSpec::breakable(JobId(0), "primecount", KiloBytes(30), KiloBytes(400)),
+            JobSpec::breakable(JobId(1), "primecount", KiloBytes(30), KiloBytes(300)),
+        ];
+        let mut h = Harness::start(config(jobs), 3);
+        // A partial credit that finishes nothing: the slot dies, the
+        // remainder migrates.
+        let half = h.outstanding[0].len_kb / 2;
+        h.fail(0, half);
+        assert!(!h.kernel.finished());
+        let mut last_was_failure = false;
+        while !h.outstanding.is_empty() {
+            last_was_failure = h.outstanding[0].len_kb == h.uncovered_kb();
+            if last_was_failure {
+                // The worker processed its whole slice, then unplugged.
+                h.fail(0, h.outstanding[0].len_kb);
+            } else {
+                h.ok(0);
+            }
+        }
+        assert!(
+            last_was_failure,
+            "the batch's last KB must arrive as a ReportFailed"
+        );
+        h.assert_finished_exactly_once();
+    }
+
+    /// Slot 0 is fast and flaky: its atomic placements are replicated onto
+    /// slot 1, and whichever member reports first retires the other.
+    fn replica_wins() -> Harness {
+        let mut cfg = config(atomic_jobs(&[40, 50, 60, 70]));
+        cfg.reliability = Some((vec![0.9, 0.0], 0.0));
+        cfg.replication = Some(ReplicationPolicy { threshold: 0.5 });
+        let obs = cfg.obs.clone();
+        let mut h = Harness::start(cfg, 2);
+        h.drain();
+        assert!(obs.metrics.counter_value("sched.replica.planned") >= 1);
+        // A loser is only ever retired by its twin's win.
+        assert!(obs.metrics.counter_value("sched.replica.wasted") >= 1);
+        h
+    }
+
+    #[test]
+    fn finished_fires_once_when_a_replica_group_wins() {
+        replica_wins().assert_finished_exactly_once();
+    }
+
+    #[test]
+    fn finished_fires_once_when_a_speculative_copy_wins() {
+        let mut cfg = config(atomic_jobs(&[40, 50, 60, 70]));
+        cfg.speculation = Some(SpeculationPolicy {
+            slack: 1.5,
+            budget: 1,
+        });
+        let obs = cfg.obs.clone();
+        let mut h = Harness::start(cfg, 2);
+        let (slot, token) = h.speculate_timers[0];
+        let straggler = CoordEvent::TimerFired {
+            kind: TimerKind::Speculate,
+            slot,
+            token,
+        };
+        h.step(straggler, None);
+        assert_eq!(obs.metrics.counter_value("sched.speculation.launched"), 1);
+        // Never answer for the straggler itself; its copy has to win.
+        while let Some(i) = h
+            .outstanding
+            .iter()
+            .position(|s| (s.slot, s.seq) != (slot, token))
+        {
+            let i = h.outstanding.iter().position(|s| s.replica).unwrap_or(i);
+            h.ok(i);
+        }
+        assert!(
+            h.outstanding.is_empty(),
+            "the straggler was never cancelled"
+        );
+        assert_eq!(obs.metrics.counter_value("sched.speculation.won"), 1);
+        h.assert_finished_exactly_once();
+    }
+
+    /// With the planted double credit a group win counts the job's KB
+    /// twice; the latch counts jobs, so it neither underflows (a debug
+    /// build would panic, a release build never finish) nor fires early.
+    #[cfg(feature = "check-mutation")]
+    #[test]
+    fn a_win_credited_twice_still_finishes_exactly_once() {
+        let h = replica_wins();
+        h.assert_finished_exactly_once();
+        let view = h.kernel.check_view();
+        let doubled = |(id, &kb): (&JobId, &u64)| kb == 2 * view.job_size[id];
+        assert!(view.progress.iter().any(doubled), "mutation not exercised");
     }
 }

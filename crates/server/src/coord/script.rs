@@ -151,11 +151,11 @@ pub fn decode(line: &str) -> CwcResult<(Micros, CoordEvent)> {
 /// Records one kernel step on the obs bus (the live driver calls this
 /// before each [`Kernel::step`]).
 pub fn record(obs: &cwc_obs::Obs, now: Micros, ev: &CoordEvent) {
-    obs.emit(
+    obs.emit_with(|| {
         cwc_obs::Event::wall(now.0, "coord", SCRIPT_EVENT)
             .severity(cwc_obs::Severity::Debug)
-            .field(SCRIPT_FIELD, encode(now, ev)),
-    );
+            .field(SCRIPT_FIELD, encode(now, ev))
+    });
 }
 
 /// Extracts and decodes the recorded kernel steps from a captured event

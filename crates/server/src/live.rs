@@ -56,7 +56,7 @@ use cwc_core::{ReplicationPolicy, SchedulerKind, SpeculationPolicy};
 use cwc_device::{ExecutionOutcome, Executor, TaskRegistry};
 use cwc_net::{
     accept_burst, Conn, FlushStatus, Frame, FramedTcp, Interest, PollEvent, Poller, ReadStatus,
-    SendVerdict, TimerWheel, WireFault, WireOp,
+    SendVerdict, TimerKey, TimerWheel, WireFault, WireOp,
 };
 use cwc_types::{
     CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo,
@@ -256,7 +256,7 @@ pub fn run_worker_chaos(
                     // frame away. If it never arrives, the server's stall
                     // watchdog requeues the task elsewhere.
                     obs.metrics.inc("worker.inputs_buffered");
-                    obs.emit(
+                    obs.emit_with(|| {
                         obs.wall_event("worker", "input.buffered")
                             .severity(cwc_obs::Severity::Warn)
                             .field("job", job.0)
@@ -267,8 +267,8 @@ pub fn run_worker_chaos(
                                     "{}: input for {job} before its executable; buffering",
                                     cfg.phone
                                 ),
-                            ),
-                    );
+                            )
+                    });
                     pending_input.insert(
                         job,
                         PendingInput {
@@ -292,7 +292,7 @@ pub fn run_worker_chaos(
                 if pending_input.get(&job).is_some_and(|p| p.seq == seq) {
                     pending_input.remove(&job);
                     obs.metrics.inc("worker.tasks_cancelled");
-                    obs.emit(
+                    obs.emit_with(|| {
                         obs.wall_event("worker", "task.cancelled")
                             .severity(cwc_obs::Severity::Debug)
                             .field("job", job.0)
@@ -300,8 +300,8 @@ pub fn run_worker_chaos(
                             .field(
                                 "msg",
                                 format!("{}: cancelled buffered input for {job}", cfg.phone),
-                            ),
-                    );
+                            )
+                    });
                 }
             }
             Frame::Shutdown => {
@@ -314,14 +314,14 @@ pub fn run_worker_chaos(
                 // Skip-and-warn: an unknown-but-well-formed frame is not a
                 // reason to strand a healthy worker.
                 obs.metrics.inc("worker.frames_skipped");
-                obs.emit(
+                obs.emit_with(|| {
                     obs.wall_event("worker", "frame.skipped")
                         .severity(cwc_obs::Severity::Warn)
                         .field(
                             "msg",
                             format!("{}: skipping unexpected frame {other:?}", cfg.phone),
-                        ),
-                );
+                        )
+                });
             }
         }
     }
@@ -384,7 +384,7 @@ fn report_outcome(
             processed,
         } => {
             obs.metrics.inc("worker.tasks_interrupted");
-            obs.emit(
+            obs.emit_with(|| {
                 trace
                     .stamp(obs.wall_event("worker", "task.interrupted"))
                     .severity(cwc_obs::Severity::Warn)
@@ -393,8 +393,8 @@ fn report_outcome(
                     .field(
                         "msg",
                         format!("{} interrupted {job} at {} KB", cfg.phone, processed.0),
-                    ),
-            );
+                    )
+            });
             conn.send(&Frame::TaskFailed {
                 job,
                 seq,
@@ -801,6 +801,10 @@ struct ConnState {
     write_interest: bool,
     /// Whether a `Paced` wheel entry is armed for this connection.
     pace_armed: bool,
+    /// The slot's newest `Stall` deadline. A slot has one chunk in flight,
+    /// so arming the next ship's watchdog retires this one: its token can
+    /// never again equal the kernel's `busy.seq`.
+    stall: Option<TimerKey>,
 }
 
 /// Applies the fault hook to one encoded frame and queues the resulting
@@ -997,10 +1001,16 @@ impl<'a> LiveDriver<'a> {
                 token,
                 after,
             } => {
-                self.wheel.arm(
+                let key = self.wheel.arm(
                     Micros(now.0.saturating_add(after.0)),
                     WheelEntry::Kernel { kind, slot, token },
                 );
+                if kind == TimerKind::Stall {
+                    let state = self.conns.get_mut(slot);
+                    if let Some(superseded) = state.and_then(|s| s.stall.replace(key)) {
+                        self.wheel.cancel(superseded);
+                    }
+                }
             }
             CoordCommand::RecordResult {
                 slot: _,
@@ -1118,7 +1128,7 @@ impl<'a> LiveDriver<'a> {
                     }
                     self.retries += 1;
                     self.obs.metrics.inc("live.retries");
-                    self.obs.emit(
+                    self.obs.emit_with(|| {
                         self.obs
                             .wall_event("live", "send.retry")
                             .severity(cwc_obs::Severity::Warn)
@@ -1127,8 +1137,8 @@ impl<'a> LiveDriver<'a> {
                             .field(
                                 "msg",
                                 format!("retrying {} (attempt {}): {e}", job.label, job.attempt),
-                            ),
-                    );
+                            )
+                    });
                     let backoff = self.policy.retry.backoff(&job.label, job.attempt);
                     let at = Micros(self.now().0.saturating_add(backoff.as_micros() as u64));
                     self.wheel.arm(at, WheelEntry::Retry(job));
@@ -1304,6 +1314,7 @@ impl<'a> LiveDriver<'a> {
                 dead: false,
                 write_interest: false,
                 pace_armed: false,
+                stall: None,
             });
         }
         if self.conns.len() >= self.expected {
@@ -1345,14 +1356,14 @@ impl<'a> LiveDriver<'a> {
                         ram_kb,
                     });
                 }
-                self.obs.emit(
+                self.obs.emit_with(|| {
                     self.obs
                         .wall_event("live", "worker.registered")
                         .severity(cwc_obs::Severity::Debug)
                         .field("phone", phone.0)
                         .field("clock_mhz", clock_mhz)
-                        .field("cores", cores),
-                );
+                        .field("cores", cores)
+                });
                 let greeting = vec![
                     Frame::RegisterAck {
                         server_time_us: self.now().0,
@@ -1666,15 +1677,15 @@ pub fn run_live_server_with(
         )));
     }
     let start = Instant::now();
-    obs.emit(
+    obs.emit_with(|| {
         obs.wall_event("live", "run.start")
             .field("workers", expected)
             .field("jobs", jobs.len())
             .field(
                 "msg",
                 format!("live run: {} jobs over {expected} workers", jobs.len()),
-            ),
-    );
+            )
+    });
     let kernel = Kernel::new(live_kernel_config(
         &jobs,
         &registry,
@@ -1724,12 +1735,12 @@ pub fn run_live_server_with(
                 // Degraded run: a job whose pieces cannot aggregate (e.g.
                 // an atomic job with nothing completed) is simply absent
                 // from the partial results.
-                obs.emit(
+                obs.emit_with(|| {
                     obs.wall_event("live", "aggregate.partial")
                         .severity(cwc_obs::Severity::Warn)
                         .field("job", id.0)
-                        .field("msg", format!("{id}: partial aggregation failed: {e}")),
-                );
+                        .field("msg", format!("{id}: partial aggregation failed: {e}"))
+                });
             }
             Err(e) => return Err(e),
         }
@@ -1743,7 +1754,7 @@ pub fn run_live_server_with(
     obs.metrics
         .set_gauge("live.makespan_ms", wall.as_secs_f64() * 1e3);
     obs.metrics.set_gauge("live.workers_lost", lost as f64);
-    obs.emit(
+    obs.emit_with(|| {
         obs.wall_event("live", "run.complete")
             .field("wall_ms", wall.as_millis() as u64)
             .field("migrated", migrated)
@@ -1754,8 +1765,8 @@ pub fn run_live_server_with(
                     "live run complete in {} ms ({migrated} migrated, {lost} workers lost)",
                     wall.as_millis()
                 ),
-            ),
-    );
+            )
+    });
 
     Ok(LiveOutcome {
         results,
@@ -2086,6 +2097,85 @@ mod tests {
         });
         assert!((1..50).contains(&retries), "retries = {retries}");
         assert_eq!(lost, 1);
+    }
+
+    #[test]
+    fn a_slot_keeps_one_stall_deadline_however_many_chunks_it_is_shipped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let workers: Vec<_> = (0..2)
+            .map(|phone| {
+                thread::spawn(move || {
+                    raw_serve(&mut raw_connect(addr, phone)?, 600.0, Duration::ZERO)
+                })
+            })
+            .collect();
+        let policy = LivePolicy::default();
+        let obs = cwc_obs::Obs::new();
+        let sink = Arc::new(cwc_obs::MemorySink::new());
+        obs.bus.attach(sink.clone());
+        let one_kb = |i| {
+            LiveJob::new(
+                JobId(i),
+                JobKind::Breakable,
+                "primecount",
+                30,
+                vec![b'7'; 1024],
+            )
+        };
+        let jobs: Vec<LiveJob> = (0..300).map(one_kb).collect();
+        let kernel_config = |obs| {
+            live_kernel_config(
+                &jobs,
+                &standard_registry(),
+                SchedulerKind::Greedy,
+                &policy,
+                obs,
+            )
+        };
+        let catalog: BTreeMap<JobId, LiveJob> =
+            jobs.iter().map(|j| (j.spec.id, j.clone())).collect();
+        let mut driver = LiveDriver::new(
+            Kernel::new(kernel_config(obs.clone()).unwrap()).unwrap(),
+            &catalog,
+            &listener,
+            2,
+            &policy,
+            &obs,
+            Instant::now(),
+        )
+        .unwrap();
+        let mut events = Vec::new();
+        let mut most_armed = 0;
+        while !driver.done() {
+            driver.turn(&mut events).unwrap();
+            most_armed = most_armed.max(driver.wheel.len());
+        }
+        assert!(driver.fatal.is_none(), "{:?}", driver.fatal);
+        // Fault-free: the wheel holds each slot's keep-alive and its newest
+        // stall watchdog, never one entry per chunk shipped.
+        assert!(most_armed <= 4, "{most_armed} timers armed at once");
+        driver.farewell(&mut events).unwrap();
+        for worker in workers {
+            worker.join().unwrap().unwrap();
+        }
+
+        // Cancelling superseded watchdogs changes nothing the kernel can
+        // see: the recorded script replays to the same terminal state.
+        let mut replayed = Kernel::new(kernel_config(cwc_obs::Obs::new()).unwrap()).unwrap();
+        for (now, ev) in script::harvest(&sink.snapshot()).unwrap() {
+            replayed.step(now, ev);
+        }
+        assert!(replayed.finished());
+        assert_eq!(replayed.completed_at(), driver.kernel.completed_at());
+        assert_eq!(
+            replayed.partitions_per_job(),
+            driver.kernel.partitions_per_job()
+        );
+        assert_eq!(
+            replayed.keepalives_acked(),
+            driver.kernel.keepalives_acked()
+        );
     }
 
     #[test]

@@ -233,6 +233,7 @@ fn sim_run_links_each_chunk_lifecycle_into_one_span_tree() {
 mod live_tracing {
     use super::*;
     use cwc::core::SchedulerKind;
+    use cwc::obs::{Clock, Severity, Value};
     use cwc::server::coord::{script, Kernel};
     use cwc::server::{
         live_kernel_config, run_live_server_with, run_worker, LiveJob, LivePolicy, WorkerConfig,
@@ -322,6 +323,75 @@ mod live_tracing {
 
         // Fault-free run: every placement is a root span.
         assert!(assigned.iter().all(|(ctx, _)| ctx.parent.is_none()));
+    }
+
+    /// The three events every chunk pays for are built lazily
+    /// (`Obs::emit_with`); what a listener receives must not have moved:
+    /// scope, clock, severity, and the fields by key, order and type.
+    #[test]
+    fn per_chunk_events_reach_a_sink_field_for_field() {
+        let events = capture_live_run();
+        let kind = |v: &Value| match v {
+            Value::Bool(_) => "bool",
+            Value::U64(_) => "u64",
+            Value::I64(_) => "i64",
+            Value::F64(_) => "f64",
+            Value::Str(_) => "str",
+        };
+        type Shape<'a> = (&'a str, &'a str, &'a [(&'a str, &'a str)]);
+        let shapes: [Shape; 3] = [
+            ("coord.event", "coord", &[("script", "str")]),
+            (
+                "task.assigned",
+                "sched",
+                &[
+                    ("trace", "u64"),
+                    ("span", "u64"),
+                    ("phone", "u64"),
+                    ("slot", "u64"),
+                    ("seq", "u64"),
+                    ("job", "u64"),
+                    ("offset_kb", "u64"),
+                    ("len_kb", "u64"),
+                    ("rescheduled", "bool"),
+                    ("replica", "bool"),
+                ],
+            ),
+            (
+                "task.complete",
+                "live",
+                &[
+                    ("trace", "u64"),
+                    ("span", "u64"),
+                    ("phone", "u64"),
+                    ("job", "u64"),
+                    ("kb", "u64"),
+                    ("exec_ms", "f64"),
+                ],
+            ),
+        ];
+        for (name, scope, fields) in shapes {
+            let of_name: Vec<&Event> = events.iter().filter(|e| e.name == name).collect();
+            assert!(!of_name.is_empty(), "no {name} events captured");
+            for e in of_name {
+                assert_eq!(e.scope, scope, "{name}");
+                assert_eq!(e.clock, Clock::Wall, "{name}");
+                assert_eq!(e.severity, Severity::Debug, "{name}");
+                let got: Vec<(&str, &str)> = e
+                    .fields
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), kind(v)))
+                    .collect();
+                assert_eq!(got, fields, "{name}");
+            }
+        }
+        // One recorded step per line, and every line is its own encoding.
+        for (now, ev) in script::harvest(&events).unwrap() {
+            let line = script::encode(now, &ev);
+            assert_eq!(script::decode(&line).unwrap(), (now, ev));
+        }
+        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(count("task.assigned"), count("task.complete"));
     }
 
     #[test]
