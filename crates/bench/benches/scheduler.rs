@@ -3,7 +3,7 @@
 //! instance must schedule the fleet comfortably).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cwc_bench::sched_perf::{residual_after_failures, synth_instance as instance};
+use cwc_bench::sched_perf::{chunk_instance, residual_after_failures, synth_instance as instance};
 use cwc_core::{GreedyScheduler, Scheduler, SchedulerKind};
 use std::hint::black_box;
 
@@ -42,6 +42,27 @@ fn bench_fleet_scale(c: &mut Criterion) {
         },
     );
     group.finish();
+}
+
+fn bench_wide_and_chunk_shapes(c: &mut Criterion) {
+    // The two shapes the ladder above misses (both are `benchmark/`
+    // workloads, so a change to either loop should have a microbench):
+    // as many phones as jobs, where nearly every placement opens a bin
+    // and Step 2's "which unopened bin minimises Eq. 1" scan dominates
+    // (`sched-fleet`); and thousands of one-chunk items on two phones,
+    // where removing a consumed item from the list dominates
+    // (`live-chunks`' initial pack).
+    for (group, label, problem) in [
+        ("schedule-wide", "1000x1000", instance(1_000, 1_000)),
+        ("schedule-chunks", "2x4000", chunk_instance(2, 4_000)),
+    ] {
+        let mut group = c.benchmark_group(group);
+        group.sample_size(10);
+        group.bench_with_input(BenchmarkId::new("greedy", label), &problem, |b, problem| {
+            b.iter(|| Scheduler::run(SchedulerKind::Greedy, black_box(problem)).unwrap());
+        });
+        group.finish();
+    }
 }
 
 fn bench_warm_vs_cold_reschedule(c: &mut Criterion) {
@@ -90,6 +111,7 @@ criterion_group!(
     benches,
     bench_schedulers,
     bench_fleet_scale,
+    bench_wide_and_chunk_shapes,
     bench_warm_vs_cold_reschedule,
     bench_binary_search_tolerance
 );

@@ -58,6 +58,21 @@ pub fn synth_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
     SchedProblem::new(phones, synth_jobs(num_jobs), c).expect("synthetic instance is well-formed")
 }
 
+/// The live batch's shape: `num_jobs` one-KB breakable jobs on
+/// [`synth_phones`] — every item is consumed whole, at the head of the
+/// packer's item list.
+pub fn chunk_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
+    let phones = synth_phones(num_phones);
+    let jobs = (0..num_jobs)
+        .map(|j| {
+            let id = JobId::from_index(j);
+            JobSpec::breakable(id, "primecount", KiloBytes(30), KiloBytes(1))
+        })
+        .collect();
+    let c = clock_scaled_costs(&phones, num_jobs);
+    SchedProblem::new(phones, jobs, c).expect("synthetic instance is well-formed")
+}
+
 /// Builds the rescheduling instant that follows a fleet failure: every
 /// `fail_every`-th phone of `problem` goes offline and its scheduled
 /// assignments become residual jobs (atomic residuals stay atomic) to be

@@ -21,11 +21,12 @@
 //!   that minimizes Eq. 1 for the largest item.
 //!
 //! The packing inner loops live in [`crate::pack`] (a reusable
-//! zero-allocation arena over flat cost tables); this module owns the
+//! zero-allocation arena over [`crate::problem::CostTables`], which also
+//! hands the search its two starting bounds); this module owns the
 //! binary search, including the warm-started variant used by the
-//! coordinator on rescheduling instants. The pre-optimization packer is
-//! preserved verbatim in [`reference`] as the byte-identity oracle for
-//! the equivalence proptest.
+//! coordinator on rescheduling instants. The pre-optimization packer and
+//! the two bound functions are preserved verbatim in [`reference`] as the
+//! byte-identity oracle for the equivalence proptests.
 
 use crate::pack::PackScratch;
 use crate::problem::SchedProblem;
@@ -211,9 +212,9 @@ impl GreedyScheduler {
     ) -> CwcResult<(Schedule, GreedyStats, WarmStart)> {
         let mut stats = GreedyStats::default();
         let tables = problem.tables();
-        let mut scratch = PackScratch::new(problem, &tables);
-        let ub0 = worst_bin_upper_bound(problem);
-        let lb0 = magical_bin_lower_bound(problem);
+        let mut scratch = PackScratch::new(problem);
+        let ub0 = tables.upper_bound_ms();
+        let lb0 = tables.lower_bound_ms();
 
         // Warm start: gallop from the transferred guess. Any failed
         // probe is a certified lower bound (packability is monotone in
@@ -342,35 +343,6 @@ impl GreedyScheduler {
     }
 }
 
-/// Upper bound: every item placed in its individually worst bin.
-pub(crate) fn worst_bin_upper_bound(problem: &SchedProblem) -> f64 {
-    (0..problem.num_jobs())
-        .map(|j| {
-            (0..problem.num_phones())
-                .map(|i| problem.full_cost_ms(i, j))
-                .fold(0.0f64, f64::max)
-        })
-        .sum()
-}
-
-/// Loose lower bound: one magical bin with the aggregate bandwidth and
-/// processing rate of the whole fleet, no executable costs.
-pub(crate) fn magical_bin_lower_bound(problem: &SchedProblem) -> f64 {
-    // Each phone's most optimistic per-KB rate across jobs.
-    let aggregate_rate: f64 = (0..problem.num_phones())
-        .map(|i| {
-            (0..problem.num_jobs())
-                .map(|j| 1.0 / problem.per_kb_ms(i, j))
-                .fold(0.0f64, f64::max)
-        })
-        .sum();
-    let total_kb: f64 = problem.jobs.iter().map(|j| j.input_kb.as_f64()).sum();
-    if aggregate_rate <= 0.0 {
-        return 0.0;
-    }
-    total_kb / aggregate_rate
-}
-
 /// The seed (pre-optimization) packer, preserved as the byte-identity
 /// oracle for the optimized hot path. It allocates fresh bins and
 /// re-sorts the item list on every probe, exactly as the original
@@ -379,7 +351,7 @@ pub(crate) fn magical_bin_lower_bound(problem: &SchedProblem) -> f64 {
 /// its schedules bit for bit. Not part of the public API surface.
 #[doc(hidden)]
 pub mod reference {
-    use super::{magical_bin_lower_bound, worst_bin_upper_bound, GreedyScheduler, GreedyStats};
+    use super::{GreedyScheduler, GreedyStats};
     use crate::problem::SchedProblem;
     use crate::schedule::{assign_offsets, Assignment, Schedule};
     use cwc_types::{CwcError, CwcResult, JobId, KiloBytes, PhoneId};
@@ -398,6 +370,35 @@ pub mod reference {
     struct Item {
         job: usize,
         remaining: KiloBytes,
+    }
+
+    /// Upper bound: every item placed in its individually worst bin.
+    pub(crate) fn worst_bin_upper_bound(problem: &SchedProblem) -> f64 {
+        (0..problem.num_jobs())
+            .map(|j| {
+                (0..problem.num_phones())
+                    .map(|i| problem.full_cost_ms(i, j))
+                    .fold(0.0f64, f64::max)
+            })
+            .sum()
+    }
+
+    /// Loose lower bound: one magical bin with the aggregate bandwidth and
+    /// processing rate of the whole fleet, no executable costs.
+    pub(crate) fn magical_bin_lower_bound(problem: &SchedProblem) -> f64 {
+        // Each phone's most optimistic per-KB rate across jobs.
+        let aggregate_rate: f64 = (0..problem.num_phones())
+            .map(|i| {
+                (0..problem.num_jobs())
+                    .map(|j| 1.0 / problem.per_kb_ms(i, j))
+                    .fold(0.0f64, f64::max)
+            })
+            .sum();
+        let total_kb: f64 = problem.jobs.iter().map(|j| j.input_kb.as_f64()).sum();
+        if aggregate_rate <= 0.0 {
+            return 0.0;
+        }
+        total_kb / aggregate_rate
     }
 
     /// The seed implementation of
@@ -461,6 +462,15 @@ pub mod reference {
             },
             stats,
         ))
+    }
+
+    /// The queues of one seed packing attempt, for single-probe tests.
+    #[cfg(test)]
+    pub(crate) fn pack_queues(
+        problem: &SchedProblem,
+        capacity_ms: f64,
+    ) -> Option<Vec<Vec<Assignment>>> {
+        pack(problem, capacity_ms).map(|bins| bins.into_iter().map(|b| b.queue).collect())
     }
 
     /// Algorithm 1 as the seed implemented it: fresh allocations and a
@@ -704,8 +714,8 @@ mod tests {
     fn beats_worst_bin_bound_and_respects_lower_bound() {
         let problem = instance(6, 24);
         let s = GreedyScheduler::default().schedule(&problem).unwrap();
-        assert!(s.predicted_makespan_ms <= worst_bin_upper_bound(&problem) + 1.0);
-        assert!(s.predicted_makespan_ms >= magical_bin_lower_bound(&problem) - 1.0);
+        assert!(s.predicted_makespan_ms <= reference::worst_bin_upper_bound(&problem) + 1.0);
+        assert!(s.predicted_makespan_ms >= reference::magical_bin_lower_bound(&problem) - 1.0);
     }
 
     #[test]
@@ -869,6 +879,46 @@ mod tests {
             slow.predicted_makespan_ms.to_bits()
         );
         assert_eq!(fast_stats, slow_stats);
+    }
+
+    #[test]
+    fn single_probes_match_reference_inside_the_margin_band() {
+        // Step 2 decides fit with a multiply-compare and pays for the
+        // seed's exact `floor(usable / per_kb)` only when `need` is
+        // within 1e-9 of the capacity — which a binary search never
+        // lands on. Force it: all-atomic jobs on a wide fleet, probed at
+        // capacities that ARE one placement's Eq. 1 cost, and one ulp
+        // either side, where the exact test flips.
+        let p = phones(40);
+        let j: Vec<JobSpec> = (0..12)
+            .map(|k| {
+                let size = KiloBytes(200 + 37 * u64::from(k));
+                JobSpec::atomic(JobId(k), "photoblur", KiloBytes(40), size)
+            })
+            .collect();
+        let c = costs(&p, &j);
+        let problem = SchedProblem::new(p, j, c).unwrap();
+        let tables = problem.tables();
+        let mut packed = 0;
+        for job in 0..problem.num_jobs() {
+            for phone in 0..problem.num_phones() {
+                let exact = problem.full_cost_ms(phone, job);
+                for capacity in [exact.next_down(), exact, exact.next_up()] {
+                    let mut scratch = PackScratch::new(&problem);
+                    let fast = scratch.pack(&tables, capacity).then(|| {
+                        scratch.mark_success();
+                        scratch.take_best().unwrap()
+                    });
+                    let slow = reference::pack_queues(&problem, capacity);
+                    assert_eq!(fast, slow, "job {job} phone {phone} at {capacity}");
+                    packed += usize::from(slow.is_some());
+                }
+            }
+        }
+        assert!(
+            packed > 0,
+            "every probe infeasible: the test lost its point"
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   makespan, partition statistics (Fig. 12b), and validation.
 //! * [`greedy`] — Algorithm 1 + the capacity binary search (cold and
 //!   warm-started).
-//! * `pack` (internal) — the zero-allocation packing arena + flat cost
-//!   tables the binary search probes against.
+//! * `pack` (internal) — the zero-allocation packing arena the binary
+//!   search probes with, over [`problem`]'s row- and column-major cost
+//!   tables.
 //! * [`partition`] — fleet sharding (DESIGN.md §15): deterministically
 //!   splits a job batch across N kernel shards by capacity weight.
 //! * [`baselines`] — the two "simple practical schedulers" of §6

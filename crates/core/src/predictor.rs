@@ -43,8 +43,9 @@ pub struct RuntimePredictor {
     baseline: BTreeMap<String, f64>,
     /// Clock `S` of the profiling phone.
     baseline_clock: u32,
-    /// Learned per-(phone, program) estimates from execution reports.
-    learned: BTreeMap<(u32, String), f64>,
+    /// Learned estimates from execution reports, program → phone id →
+    /// ms/KB (program outermost so a `&str` lookup borrows).
+    learned: BTreeMap<String, BTreeMap<u32, f64>>,
     /// EWMA weight given to a new observation.
     alpha: f64,
 }
@@ -86,14 +87,11 @@ impl RuntimePredictor {
     /// Panics if the program was never profiled — scheduling an
     /// unprofiled program is a server-side logic error.
     pub fn c_ij(&self, phone: &PhoneInfo, program: &str) -> f64 {
-        if let Some(&learned) = self.learned.get(&(phone.id.0, program.to_owned())) {
-            return learned;
+        let learned = self.learned.get(program).and_then(|m| m.get(&phone.id.0));
+        match learned {
+            Some(&learned) => learned,
+            None => self.c_ij_scaled_only(phone, program),
         }
-        let ts = self
-            .baseline
-            .get(program)
-            .unwrap_or_else(|| panic!("program {program:?} has no profiled baseline"));
-        ts * f64::from(self.baseline_clock) / f64::from(phone.cpu.clock_mhz)
     }
 
     /// Folds in a completion report: `measured_ms` to execute `input` KB
@@ -110,9 +108,9 @@ impl RuntimePredictor {
             return;
         }
         let observed = measured_ms / input.as_f64();
-        let key = (phone.id.0, program.to_owned());
         let seed = self.c_ij_scaled_only(phone, program);
-        let entry = self.learned.entry(key).or_insert(seed);
+        let per_phone = self.learned.entry(program.to_owned()).or_default();
+        let entry = per_phone.entry(phone.id.0).or_insert(seed);
         *entry += self.alpha * (observed - *entry);
     }
 
@@ -124,11 +122,28 @@ impl RuntimePredictor {
         ts * f64::from(self.baseline_clock) / f64::from(phone.cpu.clock_mhz)
     }
 
-    /// Builds the cost matrix for a scheduling round.
+    /// Builds the cost matrix for a scheduling round: row `i`, column
+    /// `j` is [`RuntimePredictor::c_ij`] of `phones[i]` and
+    /// `programs[j]`. A batch names few programs many times, so each
+    /// *distinct* program is resolved once per phone and the row is
+    /// filled from those.
     pub fn cost_matrix(&self, phones: &[PhoneInfo], programs: &[&str]) -> Vec<Vec<f64>> {
+        let mut distinct = programs.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let slots: Vec<usize> = programs
+            .iter()
+            .map(|prog| distinct.partition_point(|d| d < prog))
+            .collect();
+        let mut resolved = vec![0.0; distinct.len()];
         phones
             .iter()
-            .map(|p| programs.iter().map(|prog| self.c_ij(p, prog)).collect())
+            .map(|p| {
+                for (value, prog) in resolved.iter_mut().zip(&distinct) {
+                    *value = self.c_ij(p, prog);
+                }
+                slots.iter().map(|&k| resolved[k]).collect()
+            })
             .collect()
     }
 }
@@ -211,6 +226,26 @@ mod tests {
         assert_eq!(m[0].len(), 2);
         assert!((m[0][0] - 10.0).abs() < 1e-12);
         assert!((m[1][1] - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cost_matrix_is_c_ij_cell_for_cell() {
+        // Repeated programs, one phone with learned values: resolving a
+        // program once per phone must not change a single bit.
+        let mut pred = RuntimePredictor::new();
+        pred.set_baseline("a", 10.0);
+        pred.set_baseline("b", 23.0);
+        let phones = vec![phone(0, 806), phone(1, 1337), phone(2, 1500)];
+        pred.observe(&phones[1], "b", KiloBytes(100), 1_234.0);
+        pred.observe(&phones[1], "a", KiloBytes(7), 55.0);
+        let programs = ["a", "b", "b", "a", "a", "b"];
+        let m = pred.cost_matrix(&phones, &programs);
+        for (p, row) in phones.iter().zip(&m) {
+            assert_eq!(row.len(), programs.len());
+            for (prog, cell) in programs.iter().zip(row) {
+                assert_eq!(cell.to_bits(), pred.c_ij(p, prog).to_bits());
+            }
+        }
     }
 
     #[test]

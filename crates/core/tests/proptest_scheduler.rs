@@ -19,38 +19,80 @@ struct RandomInstance {
     jobs: Vec<JobSpec>,
 }
 
-fn instance_strategy() -> impl Strategy<Value = RandomInstance> {
-    let phone = (806u32..=1500, 1.0..70.0f64).prop_map(|(clock, b)| (clock, b));
+/// `(clock MHz, b ms/KB)` per phone, `(input KB, exe KB, atomic)` per job.
+fn instance_of(phones: Vec<(u32, f64)>, jobs: Vec<(u64, u64, bool)>) -> RandomInstance {
+    RandomInstance {
+        phones: phones
+            .into_iter()
+            .enumerate()
+            .map(|(i, (clock, b))| {
+                PhoneInfo::new(
+                    PhoneId::from_index(i),
+                    CpuSpec::new(clock, 2),
+                    RadioTech::Wifi80211g,
+                    MsPerKb(b),
+                )
+            })
+            .collect(),
+        jobs: jobs
+            .into_iter()
+            .enumerate()
+            .map(|(j, (input, exe, atomic))| {
+                let id = JobId::from_index(j);
+                if atomic {
+                    JobSpec::atomic(id, "prog", KiloBytes(exe), KiloBytes(input))
+                } else {
+                    JobSpec::breakable(id, "prog", KiloBytes(exe), KiloBytes(input))
+                }
+            })
+            .collect(),
+    }
+}
+
+/// Heterogeneous phones and mixed atomic/breakable jobs, sized by the
+/// two ranges.
+fn sized_instance_strategy(
+    phones: std::ops::Range<usize>,
+    jobs: std::ops::Range<usize>,
+) -> impl Strategy<Value = RandomInstance> {
+    let phone = (806u32..=1500, 1.0..70.0f64);
     let job = (50u64..2_000, 5u64..60, prop::bool::ANY);
     (
-        proptest::collection::vec(phone, 2..10),
-        proptest::collection::vec(job, 1..25),
+        proptest::collection::vec(phone, phones),
+        proptest::collection::vec(job, jobs),
     )
-        .prop_map(|(phones, jobs)| RandomInstance {
-            phones: phones
-                .into_iter()
-                .enumerate()
-                .map(|(i, (clock, b))| {
-                    PhoneInfo::new(
-                        PhoneId::from_index(i),
-                        CpuSpec::new(clock, 2),
-                        RadioTech::Wifi80211g,
-                        MsPerKb(b),
-                    )
-                })
-                .collect(),
-            jobs: jobs
-                .into_iter()
-                .enumerate()
-                .map(|(j, (input, exe, atomic))| {
-                    let id = JobId::from_index(j);
-                    if atomic {
-                        JobSpec::atomic(id, "prog", KiloBytes(exe), KiloBytes(input))
-                    } else {
-                        JobSpec::breakable(id, "prog", KiloBytes(exe), KiloBytes(input))
-                    }
-                })
-                .collect(),
+        .prop_map(|(phones, jobs)| instance_of(phones, jobs))
+}
+
+fn instance_strategy() -> impl Strategy<Value = RandomInstance> {
+    sized_instance_strategy(2..10, 1..25)
+}
+
+/// More phones than jobs: most placements open a bin (Step 2's scan of
+/// the job's cost column), few land in an already open one.
+fn wide_fleet_strategy() -> impl Strategy<Value = RandomInstance> {
+    sized_instance_strategy(30..121, 5..41)
+}
+
+/// The live batch's shape: hundreds of one- or two-KB chunks on two or
+/// three phones, consumed whole at the head of the item list, plus a few
+/// larger atomic items that stay unfit while chunks behind them are
+/// taken — so gaps close both at the head cursor and behind it.
+fn single_chunk_strategy() -> impl Strategy<Value = RandomInstance> {
+    let phone = (806u32..=1500, 1.0..70.0f64);
+    let chunk = (1u64..=2, 5u64..60, prop::bool::ANY);
+    let lump = (20u64..400, 5u64..60).prop_map(|(input, exe)| (input, exe, true));
+    (
+        proptest::collection::vec(phone, 2..4),
+        proptest::collection::vec(chunk, 200..601),
+        proptest::collection::vec(lump, 0..6),
+        any::<prop::sample::Index>(),
+    )
+        .prop_map(|(phones, mut jobs, lumps, at)| {
+            // Lumps go in mid-list so job order and sorted order differ.
+            let at = at.index(jobs.len());
+            jobs.splice(at..at, lumps);
+            instance_of(phones, jobs)
         })
 }
 
@@ -97,7 +139,8 @@ fn ram_capped_strategy() -> impl Strategy<Value = RandomInstance> {
 
 /// Asserts the optimized packer reproduces the seed (reference) packer
 /// bit for bit: same assignment queues, same predicted makespan bits,
-/// same stats — and never does *more* packing work.
+/// same stats (probe counts, and the search's starting bounds, which
+/// the optimized path takes from its one pass over the cost tables).
 fn assert_matches_reference(problem: &SchedProblem) {
     let sched = GreedyScheduler::default();
     let fast = sched.schedule_with_stats(problem);
@@ -112,11 +155,9 @@ fn assert_matches_reference(problem: &SchedProblem) {
                 fast_s.predicted_makespan_ms,
                 slow_s.predicted_makespan_ms
             );
-            assert!(
-                fast_stats.pack_calls <= slow_stats.pack_calls,
-                "optimized packed more: {fast_stats:?} vs {slow_stats:?}"
-            );
-            assert_eq!(fast_stats.binsearch_iters, slow_stats.binsearch_iters);
+            assert_eq!(fast_stats, slow_stats);
+            assert_eq!(fast_stats.ub_ms.to_bits(), slow_stats.ub_ms.to_bits());
+            assert_eq!(fast_stats.lb_ms.to_bits(), slow_stats.lb_ms.to_bits());
         }
         (Err(_), Err(_)) => {} // both infeasible: agreement
         (fast, slow) => {
@@ -191,25 +232,6 @@ proptest! {
     }
 
     #[test]
-    fn optimized_packer_is_byte_identical_to_the_reference(inst in instance_strategy()) {
-        assert_matches_reference(&problem_of(&inst));
-    }
-
-    #[test]
-    fn optimized_packer_matches_reference_on_atomic_heavy_instances(
-        inst in atomic_heavy_strategy()
-    ) {
-        assert_matches_reference(&problem_of(&inst));
-    }
-
-    #[test]
-    fn optimized_packer_matches_reference_on_ram_capped_instances(
-        inst in ram_capped_strategy()
-    ) {
-        assert_matches_reference(&problem_of(&inst));
-    }
-
-    #[test]
     fn derisk_with_zero_aggressiveness_is_a_scheduling_identity(
         inst in instance_strategy(),
         probs in proptest::collection::vec(0.0..=1.0f64, 10),
@@ -279,5 +301,72 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One mid-sized instance of the `sched-fleet` family (`benchmark/`'s
+/// `synth_instance` patterns): heterogeneous clocks and links, 200–1 999
+/// KB inputs, every third job atomic, 150 ms/KB at 806 MHz.
+#[test]
+fn optimized_packer_matches_reference_on_a_300_by_200_fleet() {
+    let phones = (0..300u64)
+        .map(|i| {
+            (
+                806 + ((i * 97 + 411) % 700) as u32,
+                1.0 + (i as f64 * 7.3 + 12.6) % 69.0,
+            )
+        })
+        .collect();
+    let jobs = (0..200u64)
+        .map(|j| {
+            let exe = if j % 3 == 2 { 40 } else { 30 };
+            (200 + (j * 131 + 977) % 1_800, exe, j % 3 == 2)
+        })
+        .collect();
+    let inst = instance_of(phones, jobs);
+    let c = inst
+        .phones
+        .iter()
+        .map(|p| vec![150.0 * 806.0 / f64::from(p.cpu.clock_mhz); inst.jobs.len()])
+        .collect();
+    let problem = SchedProblem::new(inst.phones, inst.jobs, c).unwrap();
+    assert_matches_reference(&problem);
+}
+
+// The packer-equivalence properties get their own, larger case count:
+// they are cheap (no LP), and CI's release-mode "Packer equivalence
+// proptests" step is what guards the packer's layout on every push.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn optimized_packer_is_byte_identical_to_the_reference(inst in instance_strategy()) {
+        assert_matches_reference(&problem_of(&inst));
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_atomic_heavy_instances(
+        inst in atomic_heavy_strategy()
+    ) {
+        assert_matches_reference(&problem_of(&inst));
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_ram_capped_instances(
+        inst in ram_capped_strategy()
+    ) {
+        assert_matches_reference(&problem_of(&inst));
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_wide_fleets(inst in wide_fleet_strategy()) {
+        assert_matches_reference(&problem_of(&inst));
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_single_chunk_batches(
+        inst in single_chunk_strategy()
+    ) {
+        assert_matches_reference(&problem_of(&inst));
     }
 }

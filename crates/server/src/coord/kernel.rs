@@ -509,14 +509,8 @@ impl Kernel {
                 info.bandwidth = cwc_types::MsPerKb(mean);
             }
         }
-        let c: Vec<Vec<f64>> = infos
-            .iter()
-            .map(|info| {
-                jobs.iter()
-                    .map(|j| self.predictor.c_ij(info, &j.program))
-                    .collect()
-            })
-            .collect();
+        let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
+        let c = self.predictor.cost_matrix(&infos, &programs);
         let mut problem = match SchedProblem::new(infos, jobs, c) {
             Ok(p) => p,
             Err(e) => return self.fail_fatal(e, out),
@@ -1745,15 +1739,8 @@ impl Kernel {
             .iter()
             .map(|i| self.slots[i].info.expect("probed before the round"))
             .collect();
-        let c: Vec<Vec<f64>> = infos
-            .iter()
-            .map(|info| {
-                specs
-                    .iter()
-                    .map(|s| self.predictor.c_ij(info, &s.program))
-                    .collect()
-            })
-            .collect();
+        let programs: Vec<&str> = specs.iter().map(|s| s.program.as_str()).collect();
+        let c = self.predictor.cost_matrix(&infos, &programs);
         let problem = match SchedProblem::new(infos, specs, c) {
             Ok(p) => p,
             Err(_) => {
