@@ -44,16 +44,20 @@ fn bench_fleet_scale(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wide_and_chunk_shapes(c: &mut Criterion) {
-    // The two shapes the ladder above misses (both are `benchmark/`
+fn bench_wide_tall_and_chunk_shapes(c: &mut Criterion) {
+    // The three shapes the ladder above misses (all are `benchmark/`
     // workloads, so a change to either loop should have a microbench):
     // as many phones as jobs, where nearly every placement opens a bin
     // and Step 2's "which unopened bin minimises Eq. 1" scan dominates
-    // (`sched-fleet`); and thousands of one-chunk items on two phones,
-    // where removing a consumed item from the list dominates
-    // (`live-chunks`' initial pack).
+    // (`sched-fleet`); five jobs a phone on a fleet large enough that
+    // hundreds of bins open, where Step 1 — filling each bin from a
+    // thousand live items — carries the most (`sim-fleet`'s cold
+    // instant); and thousands of one-chunk items on two phones, where
+    // removing a consumed item from the list dominates (`live-chunks`'
+    // initial pack).
     for (group, label, problem) in [
         ("schedule-wide", "1000x1000", instance(1_000, 1_000)),
+        ("schedule-tall", "200x1000", instance(200, 1_000)),
         ("schedule-chunks", "2x4000", chunk_instance(2, 4_000)),
     ] {
         let mut group = c.benchmark_group(group);
@@ -111,7 +115,7 @@ criterion_group!(
     benches,
     bench_schedulers,
     bench_fleet_scale,
-    bench_wide_and_chunk_shapes,
+    bench_wide_tall_and_chunk_shapes,
     bench_warm_vs_cold_reschedule,
     bench_binary_search_tolerance
 );

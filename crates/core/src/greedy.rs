@@ -25,8 +25,10 @@
 //! hands the search its two starting bounds); this module owns the
 //! binary search, including the warm-started variant used by the
 //! coordinator on rescheduling instants. The pre-optimization packer and
-//! the two bound functions are preserved verbatim in [`reference`] as the
-//! byte-identity oracle for the equivalence proptests.
+//! the two bound functions are preserved in [`reference`] as the
+//! byte-identity oracle for the equivalence proptests — verbatim, but for
+//! one counter: how often Step 1 chose a bin other than the newest, which
+//! [`crate::pack`] is built on being never.
 
 use crate::pack::PackScratch;
 use crate::problem::SchedProblem;
@@ -407,14 +409,28 @@ pub mod reference {
         sched: &GreedyScheduler,
         problem: &SchedProblem,
     ) -> CwcResult<(Schedule, GreedyStats)> {
+        schedule_with_probe(sched, problem).map(|(s, stats, _)| (s, stats))
+    }
+
+    /// [`schedule_with_stats`] plus, over every probe of the search, how
+    /// many Step-1 placements went to a bin other than the most recently
+    /// opened one. [`crate::pack`] only ever tries the newest bin, on the
+    /// argument that this count is always 0; the equivalence proptests
+    /// assert it next to the byte-identity it implies.
+    pub fn schedule_with_probe(
+        sched: &GreedyScheduler,
+        problem: &SchedProblem,
+    ) -> CwcResult<(Schedule, GreedyStats, u64)> {
         let mut stats = GreedyStats::default();
+        let mut off_newest = 0u64;
+        let mut probe = |capacity_ms: f64| pack(problem, capacity_ms, &mut off_newest);
         let mut ub = worst_bin_upper_bound(problem);
         let lb0 = magical_bin_lower_bound(problem);
 
         let mut best = None;
         for _ in 0..4 {
             stats.pack_calls += 1;
-            if let Some(packing) = pack(problem, ub) {
+            if let Some(packing) = probe(ub) {
                 best = Some(packing);
                 break;
             }
@@ -433,7 +449,7 @@ pub mod reference {
             let mid = 0.5 * (lo + hi);
             stats.binsearch_iters += 1;
             stats.pack_calls += 1;
-            match pack(problem, mid) {
+            match probe(mid) {
                 Some(packing) => {
                     best = packing;
                     hi = mid;
@@ -461,6 +477,7 @@ pub mod reference {
                 ..schedule
             },
             stats,
+            off_newest,
         ))
     }
 
@@ -470,12 +487,16 @@ pub mod reference {
         problem: &SchedProblem,
         capacity_ms: f64,
     ) -> Option<Vec<Vec<Assignment>>> {
-        pack(problem, capacity_ms).map(|bins| bins.into_iter().map(|b| b.queue).collect())
+        let mut off_newest = 0;
+        let bins = pack(problem, capacity_ms, &mut off_newest)?;
+        assert_eq!(off_newest, 0, "a placement skipped the newest bin");
+        Some(bins.into_iter().map(|b| b.queue).collect())
     }
 
     /// Algorithm 1 as the seed implemented it: fresh allocations and a
-    /// full re-sort per probe.
-    fn pack(problem: &SchedProblem, capacity_ms: f64) -> Option<Vec<Bin>> {
+    /// full re-sort per probe. Adds to `off_newest` each Step-1 placement
+    /// into a bin other than the one Step 2 opened last.
+    fn pack(problem: &SchedProblem, capacity_ms: f64, off_newest: &mut u64) -> Option<Vec<Bin>> {
         let s = problem.slowest_phone();
         let rates: Vec<f64> = problem.c.get(s).cloned().unwrap_or_default();
         let mut items: Vec<Item> = problem
@@ -500,6 +521,7 @@ pub mod reference {
                 queue: Vec::new(),
             })
             .collect();
+        let mut newest: Option<usize> = None;
 
         while !items.is_empty() {
             // Step 1: first item (in sorted order) that fits an open bin.
@@ -537,6 +559,7 @@ pub mod reference {
                     }
                 }
                 if let Some((i, fit, _)) = target {
+                    *off_newest += u64::from(newest != Some(i));
                     let take = fit.min(item.remaining);
                     commit(problem, &mut bins, i, item.job, take);
                     consume(&mut items, idx, take, sort_key);
@@ -585,6 +608,7 @@ pub mod reference {
             if let Some(bin) = bins.get_mut(i) {
                 bin.opened = true;
             }
+            newest = Some(i);
             let take = fit.min(item.remaining);
             commit(problem, &mut bins, i, item.job, take);
             consume(&mut items, 0, take, sort_key);
@@ -898,17 +922,12 @@ mod tests {
             .collect();
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        let tables = problem.tables();
         let mut packed = 0;
         for job in 0..problem.num_jobs() {
             for phone in 0..problem.num_phones() {
                 let exact = problem.full_cost_ms(phone, job);
                 for capacity in [exact.next_down(), exact, exact.next_up()] {
-                    let mut scratch = PackScratch::new(&problem);
-                    let fast = scratch.pack(&tables, capacity).then(|| {
-                        scratch.mark_success();
-                        scratch.take_best().unwrap()
-                    });
+                    let fast = PackScratch::pack_queues(&problem, capacity);
                     let slow = reference::pack_queues(&problem, capacity);
                     assert_eq!(fast, slow, "job {job} phone {phone} at {capacity}");
                     packed += usize::from(slow.is_some());

@@ -1,47 +1,53 @@
 //! Zero-allocation packing arena for Algorithm 1.
 //!
 //! [`PackScratch`] holds every piece of per-probe working state the
-//! greedy packer needs — bin open flags, bin heights, the shipped-pair
-//! bitset, per-bin assignment queues, and the sorted item list — so a
-//! `schedule()` call allocates once and every binary-search probe just
+//! greedy packer needs — bin open flags, which bin each job's executable
+//! last went to, per-bin assignment queues, and the sorted item list — so
+//! a `schedule()` call allocates once and every binary-search probe just
 //! resets and reuses the arena. The packer makes the seed's decisions
 //! (the proptests hold it byte-identical to [`crate::greedy::reference`]);
-//! what differs is how the data it reads is laid out and how little of
-//! it each decision touches.
+//! what differs is how little of the seed's searching it repeats.
+//!
+//! # One bin at a time
+//!
+//! The seed's Step 1 tests every live item against every open bin. Only
+//! the **newest** bin can ever accept one. When Step 2 runs, no live item
+//! fits any open bin (that is Step 2's precondition). Opening bin `k` and
+//! placing into it changes only `k`'s height and `k`'s shipped flags, and
+//! only shrinks a breakable item — whose fit test, "at least 1 KB", does
+//! not depend on what remains of it; atomic items never shrink. So every
+//! older bin stays unfit for every live item until the next Step 2, and
+//! the packer is a next-fit loop: **Step 2, then fill that one bin.** No
+//! list of open bins, no bin heights beyond the newest one's, and the
+//! only shipped flags ever read are the newest bin's
+//! (`shipped_to[j] == k`). The reference counts Step-1 placements that
+//! went anywhere else, and the equivalence proptests hold that count at 0.
 //!
 //! # Layout
 //!
 //! * **Costs are read along the axis the loop walks**
-//!   ([`CostTables`]). "Which bin for this item" — Step 2's choice of
-//!   the unopened bin minimising Eq. 1, and Step 1's walk over the open
-//!   bins — fixes a job and varies the phone, so it reads the job's
-//!   contiguous *column* of the job-major `per_kb` table. Opening a bin
+//!   ([`CostTables`]). Step 2 — which unopened bin minimises Eq. 1 for
+//!   the head item — fixes a job and varies the phone, so it reads the
+//!   job's contiguous *column* of the job-major `per_kb` table. The fill
 //!   fixes the phone and varies the job, so it reads the phone's *row* —
 //!   which the problem's own `c[i]` already is: `b_i + c[i][j]` is one
-//!   add on the spot, not a second P × J table to allocate, fill and
-//!   keep in cache at every scheduling instant. The executable cost
-//!   `E_j · b_i` is not a table either: both factors sit in P- and
-//!   J-long vectors that stay in cache, and the multiply is cheaper than
-//!   a miss on another P × J array.
-//! * **Step 2 decides with a multiply-compare.** A candidate whose
-//!   Eq. 1 cost cannot beat the best so far is dropped first. Whether
-//!   the item fits the candidate at all is `floor(usable / per_kb) ≥ n`
-//!   in the seed; here `need = exe + n · per_kb` is compared against the
-//!   capacity with the [`PRUNE_MARGIN`] on either side, and only a
-//!   `need` inside that 1e-9 band pays for the exact division.
-//!   `max_fit_kb` is computed once, for the winner.
+//!   add on the spot, and the row (8 KB at 1 000 jobs) stays in L1 for
+//!   the whole pass. The executable cost `E_j · b_i` is not a table
+//!   either: one multiply of two vector entries.
+//! * **Fit is decided with a multiply-compare.** Whether an item fits is
+//!   `floor(usable / per_kb) ≥ n` in the seed; here `need = exe + n ·
+//!   per_kb` is compared against the room first. Step 2 drops a candidate
+//!   whose Eq. 1 cost cannot beat the best so far, then applies the
+//!   [`PRUNE_MARGIN`] on either side of the capacity, and only a `need`
+//!   inside that 1e-9 band pays for the exact division; `max_fit_kb` is
+//!   computed once, for the winner. The fill rejects with the margin and
+//!   lets the exact test accept. A bin whose room is below its phone's
+//!   cheapest rate ends its pass at once.
 //! * **The item list has a head cursor.** Live items are
 //!   `items[head..]`. A consumed item's gap is closed from whichever
 //!   side is shorter; Algorithm 1 mostly consumes at or near the head,
 //!   where that is O(1) instead of a memmove of the whole list (the
 //!   4 000 one-chunk items of a live batch moved 128 MB per probe).
-//! * **Per-job prune floors.** `min_open_need` / `min_open_per_kb` hold
-//!   each job's cheapest placement over the *open* bins. A bin that
-//!   opens folds its row into both with one branch-free pass. That pass
-//!   needs no shipped-pair test: the only job already shipped to a bin
-//!   at the moment it opens is the one [`PackScratch::commit`] just
-//!   placed there, and `commit` has already lowered that job's floor to
-//!   the exe-free rate, below anything the pass could write.
 //!
 //! # Search order
 //!
@@ -57,27 +63,13 @@
 //!   With equal keys, `partition_point` on `key > new_key` inserts the
 //!   shrunk item *before* later equal-key items, exactly where a stable
 //!   sort puts it.
-//! * **Resumable scan.** Between bin openings, bin rooms only shrink
-//!   and the shipped flag only flips for the job that was just placed
-//!   (whose shrunk remainder reinserts at or after the placement
-//!   index), so an item that failed to fit every open bin stays unfit
-//!   until Step 2 opens a new bin. The Step-1 scan therefore resumes
-//!   from the last placement instead of restarting at the head, and
-//!   rewinds only when a bin opens — turning the seed's quadratic
-//!   rescanning into one amortized pass per bin opening.
-//! * **Height-ordered bins with early exit.** Open bins are kept
-//!   sorted by `(height, index)`; scanning them in that order makes
-//!   the first fitting bin exactly the seed's choice (minimum height,
-//!   ties to the lowest phone index), so the scan stops at the first
-//!   fit instead of visiting every open bin.
-//! * **Max-room prune.** The minimum open height is the head of the
-//!   sorted bin list, so the largest open room is known exactly. An
-//!   item whose cheapest conceivable placement needs more room than
-//!   that cannot fit any open bin, and its bin scan is skipped. A bin
-//!   whose room is below its phone's cheapest rate leaves the list for
-//!   good. Both bounds carry the [`PRUNE_MARGIN`] so that
-//!   floating-point rounding in the seed's `floor(room / per_kb)` test
-//!   can never disagree with the prune.
+//! * **Resumable scan.** The seed restarts Step 1 at the head after
+//!   every placement. While one bin fills, its room only shrinks and its
+//!   shipped flag only flips for the job just placed (whose shrunk
+//!   remainder reinserts at or after the placement index), so an item
+//!   that did not fit stays unfit. The fill is therefore a single pass:
+//!   it resumes where [`PackScratch::consume`] says the item after the
+//!   placement now sits, and never rewinds.
 //!
 //! The binary search keeps the queues of the most recent *successful*
 //! probe by swapping two pre-allocated queue sets (`queues` ↔
@@ -110,15 +102,10 @@ pub(crate) struct PackScratch {
     items: Vec<Item>,
     head: usize,
     opened: Vec<bool>,
-    height_ms: Vec<f64>,
-    /// Open bins as `(height_ms, phone index)`, sorted ascending — the
-    /// seed's min-height tie-to-lowest-index choice is the first fit in
-    /// this order, and the head gives the largest open room exactly.
-    by_height: Vec<(f64, usize)>,
-    /// Shipped phone–job pairs as a bitset, `words_per_phone` words per
-    /// phone, job bit `j` at word `j / 64`, bit `j % 64`.
-    shipped: Vec<u64>,
-    words_per_phone: usize,
+    /// `shipped_to[j]`: the bin job `j` was last placed in, so
+    /// `shipped_to[j] == k` says the newest bin `k` already holds the
+    /// job's executable (`usize::MAX`: placed nowhere yet).
+    shipped_to: Vec<usize>,
     /// Working queues for the probe in flight.
     queues: Vec<Vec<Assignment>>,
     /// Queues of the most recent successful probe (swapped in, not cloned).
@@ -128,16 +115,6 @@ pub(crate) struct PackScratch {
     atomic: Vec<bool>,
     /// `key_rate[j] = c[slowest][j]` — the sort-key rate.
     key_rate: Vec<f64>,
-    /// `min_open_need[j]`: cheapest cost of the smallest breakable
-    /// placement of job `j` on any *open* bin (`per_kb + exe` while the
-    /// pair is unshipped, `per_kb` after). Maintained incrementally:
-    /// lowered for every job when a bin opens, and for the committed
-    /// job when its exe overhead is first paid.
-    min_open_need: Vec<f64>,
-    /// `min_open_per_kb[j]`: cheapest per-KB rate of job `j` on any
-    /// open bin — the atomic prune's floor (exe-free, so it only
-    /// changes when a bin opens).
-    min_open_per_kb: Vec<f64>,
     phone_ids: Vec<PhoneId>,
     job_ids: Vec<JobId>,
 }
@@ -146,8 +123,6 @@ impl PackScratch {
     /// Allocates the arena for `problem` and sorts the item template.
     pub(crate) fn new(problem: &SchedProblem) -> PackScratch {
         let num_phones = problem.num_phones();
-        let num_jobs = problem.num_jobs();
-        let words_per_phone = num_jobs.div_ceil(64);
         let s = problem.slowest_phone();
         let key_rate: Vec<f64> = problem.c.get(s).cloned().unwrap_or_default();
 
@@ -172,17 +147,12 @@ impl PackScratch {
             head: 0,
             template,
             opened: vec![false; num_phones],
-            height_ms: vec![0.0; num_phones],
-            by_height: Vec::with_capacity(num_phones),
-            shipped: vec![0u64; num_phones * words_per_phone],
-            words_per_phone,
+            shipped_to: vec![usize::MAX; problem.num_jobs()],
             queues: (0..num_phones).map(|_| Vec::new()).collect(),
             best_queues: (0..num_phones).map(|_| Vec::new()).collect(),
             has_best: false,
             atomic: problem.jobs.iter().map(|j| j.kind.is_atomic()).collect(),
             key_rate,
-            min_open_need: vec![f64::INFINITY; num_jobs],
-            min_open_per_kb: vec![f64::INFINITY; num_jobs],
             phone_ids: problem.phones.iter().map(|p| p.id).collect(),
             job_ids: problem.jobs.iter().map(|j| j.id).collect(),
         }
@@ -193,138 +163,10 @@ impl PackScratch {
     /// infeasible (Algorithm 1 lines 23–25).
     pub(crate) fn pack(&mut self, tables: &CostTables<'_>, capacity_ms: f64) -> bool {
         self.reset();
-        let bandwidths = tables.bandwidths();
-        let ram_caps = tables.ram_caps();
-        // Items before this index are known not to fit any open bin;
-        // rooms only shrink between bin openings, so the knowledge
-        // stays valid until Step 2 rewinds the scan (module docs).
-        let mut scan_start = self.head;
-        while self.head < self.items.len() {
-            // Step 1: first item (in sorted order) that fits an open bin.
-            let max_room = self
-                .by_height
-                .first()
-                .map(|&(h, _)| capacity_ms - h)
-                .unwrap_or(0.0);
-            let mut placed: Option<usize> = None;
-            for idx in scan_start..self.items.len() {
-                let Some(item) = self.items.get(idx).copied() else {
-                    break;
-                };
-                let atomic = self.atomic.get(item.job).copied().unwrap_or(false);
-                // Cheapest conceivable placement across the *open* bins:
-                // one KB (breakable, exe included while unshipped) or the
-                // whole remainder (atomic) at the best open rate. If even
-                // that exceeds the largest open room, the bin scan cannot
-                // find a fit. The margin keeps the skip sound under
-                // floating-point rounding.
-                let need = if atomic {
-                    let floor = self
-                        .min_open_per_kb
-                        .get(item.job)
-                        .copied()
-                        .unwrap_or(f64::INFINITY);
-                    item.remaining.as_f64() * floor
-                } else {
-                    self.min_open_need
-                        .get(item.job)
-                        .copied()
-                        .unwrap_or(f64::INFINITY)
-                };
-                if need * PRUNE_MARGIN > max_room {
-                    continue;
-                }
-                // Bins in (height, index) order: the first fit is the
-                // open bin with minimum height where the item fits,
-                // ties to the lowest phone index — the seed's choice.
-                // A multiply-compare filter rejects non-fitting bins
-                // without paying the fit's division; the margin
-                // guarantees it never rejects a bin the seed accepts.
-                let rates = tables.col(item.job);
-                let exe_kb = tables.exe_kbs().get(item.job).copied().unwrap_or(0.0);
-                let min_kb = if atomic { item.remaining.as_f64() } else { 1.0 };
-                let mut target: Option<(usize, KiloBytes)> = None;
-                for &(height, i) in &self.by_height {
-                    let room = capacity_ms - height;
-                    let (Some(&per), Some(&b), Some(&ram)) =
-                        (rates.get(i), bandwidths.get(i), ram_caps.get(i))
-                    else {
-                        continue;
-                    };
-                    let exe = if self.shipped_bit(i, item.job) {
-                        0.0
-                    } else {
-                        exe_kb * b
-                    };
-                    if (exe + min_kb * per) * PRUNE_MARGIN > room {
-                        continue;
-                    }
-                    let fit = fit_kb(room, exe, per, ram);
-                    let enough = if atomic {
-                        fit >= item.remaining
-                    } else {
-                        fit.0 >= 1
-                    };
-                    if enough {
-                        target = Some((i, fit));
-                        break;
-                    }
-                }
-                if let Some((i, fit)) = target {
-                    let take = fit.min(item.remaining);
-                    self.commit(tables, i, item.job, take);
-                    self.reposition(tables, i, capacity_ms);
-                    placed = Some(self.consume(idx, take));
-                    break;
-                }
-            }
-            if let Some(next) = placed {
-                // Everything before the placement stayed unfit: only bin
-                // `i` changed (its room shrank) and the placed job's
-                // remainder reinserted at or after it.
-                scan_start = next;
-                continue;
-            }
-
+        while let Some(item) = self.items.get(self.head).copied() {
             // Step 2: nothing fits the open bins — open a new one for the
             // largest item, choosing the bin that minimizes Eq. 1.
-            let Some(item) = self.items.get(self.head).copied() else {
-                break;
-            };
-            let atomic = self.atomic.get(item.job).copied().unwrap_or(false);
-            let remaining = item.remaining.as_f64();
-            let exe_kb = tables.exe_kbs().get(item.job).copied().unwrap_or(0.0);
-            // The placement must hold the whole item if atomic, one KB
-            // otherwise.
-            let min_kb = if atomic { item.remaining.0 } else { 1 };
-            let candidates = self
-                .opened
-                .iter()
-                .zip(tables.col(item.job))
-                .zip(bandwidths)
-                .zip(ram_caps);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, (((&opened, &per), &b), &ram)) in candidates.enumerate() {
-                if opened {
-                    continue;
-                }
-                let exe = exe_kb * b;
-                let cost = exe + remaining * per;
-                if best.is_some_and(|(_, c)| cost >= c) {
-                    continue;
-                }
-                let need = exe + min_kb as f64 * per;
-                if ram < min_kb || need * PRUNE_MARGIN > capacity_ms {
-                    continue;
-                }
-                if need > capacity_ms * PRUNE_MARGIN
-                    && fit_kb(capacity_ms, exe, per, ram).0 < min_kb
-                {
-                    continue;
-                }
-                best = Some((i, cost));
-            }
-            let Some((i, _)) = best else {
+            let Some(i) = self.cheapest_unopened_bin(tables, item, capacity_ms) else {
                 return false;
             };
             if let Some(flag) = self.opened.get_mut(i) {
@@ -332,68 +174,123 @@ impl PackScratch {
             }
             let fit = tables.max_fit_kb(i, item.job, capacity_ms, true);
             let take = fit.min(item.remaining);
-            self.commit(tables, i, item.job, take);
-            self.insert_open_bin(tables, i, capacity_ms);
+            let height_ms = tables.cost_ms(i, item.job, take, true);
+            self.commit(i, item.job, take);
             self.consume(self.head, take);
-            // A fresh bin means previously-unfit items may fit again.
-            scan_start = self.head;
+            // Step 1, until the next bin opens: only this bin can accept
+            // an item (module docs).
+            self.fill(tables, i, height_ms, capacity_ms);
         }
         true
     }
 
-    /// True when bin `i`'s room at `height` is below even its cheapest
-    /// per-KB rate — no job, breakable or atomic, shipped or not, can
-    /// ever fit it again. The rate is static per `schedule()` call, so
-    /// a dead bin stays dead.
-    fn is_dead(tables: &CostTables<'_>, i: usize, height: f64, capacity_ms: f64) -> bool {
-        capacity_ms - height < tables.row_min_ms(i) * PRUNE_MARGIN
+    /// Step 2's choice: the unopened bin that can hold `item` (all of it
+    /// if atomic, one KB otherwise) at the least Eq. 1 cost for the whole
+    /// item, ties to the lowest phone index.
+    fn cheapest_unopened_bin(
+        &self,
+        tables: &CostTables<'_>,
+        item: Item,
+        capacity_ms: f64,
+    ) -> Option<usize> {
+        let atomic = self.atomic.get(item.job).copied().unwrap_or(false);
+        let remaining = item.remaining.as_f64();
+        let exe_kb = tables.exe_kbs().get(item.job).copied().unwrap_or(0.0);
+        let min_kb = if atomic { item.remaining.0 } else { 1 };
+        let candidates = self
+            .opened
+            .iter()
+            .zip(tables.col(item.job))
+            .zip(tables.bandwidths())
+            .zip(tables.ram_caps());
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (((&opened, &per), &b), &ram)) in candidates.enumerate() {
+            if opened {
+                continue;
+            }
+            let exe = exe_kb * b;
+            let cost = exe + remaining * per;
+            if best.is_some_and(|(_, c)| cost >= c) {
+                continue;
+            }
+            let need = exe + min_kb as f64 * per;
+            if ram < min_kb || need * PRUNE_MARGIN > capacity_ms {
+                continue;
+            }
+            if need > capacity_ms * PRUNE_MARGIN && fit_kb(capacity_ms, exe, per, ram).0 < min_kb {
+                continue;
+            }
+            best = Some((i, cost));
+        }
+        best.map(|(i, _)| i)
     }
 
-    /// Inserts freshly-opened bin `i` into the height-ordered list
-    /// (unless already packed beyond use) and folds its rates into the
-    /// open-bin prune floors (no shipped-pair test: module docs).
-    fn insert_open_bin(&mut self, tables: &CostTables<'_>, i: usize, capacity_ms: f64) {
-        let h = self.height_ms.get(i).copied().unwrap_or(0.0);
-        if !Self::is_dead(tables, i, h, capacity_ms) {
-            let at = self
-                .by_height
-                .partition_point(|&(bh, b)| bh < h || (bh == h && b < i));
-            self.by_height.insert(at, (h, i));
-        }
-        let b = tables.bandwidths().get(i).copied().unwrap_or(0.0);
-        let floors = self.min_open_per_kb.iter_mut().zip(&mut self.min_open_need);
-        for ((per, &exe_kb), (per_floor, need_floor)) in
-            tables.row(i).zip(tables.exe_kbs()).zip(floors)
-        {
-            *per_floor = per_floor.min(per);
-            *need_floor = need_floor.min(per + exe_kb * b);
-        }
-    }
-
-    /// Re-sorts bin `i` after its height grew: it can only move later in
-    /// the `(height, index)` order, so a binary search over the tail plus
-    /// a rotate restores the invariant. A bin packed beyond use leaves
-    /// the list instead.
-    fn reposition(&mut self, tables: &CostTables<'_>, i: usize, capacity_ms: f64) {
-        let new_h = self.height_ms.get(i).copied().unwrap_or(0.0);
-        let Some(pos) = self.by_height.iter().position(|&(_, b)| b == i) else {
+    /// Step 1 for the newest bin `i`, `height_ms` full: one pass over the
+    /// live items in sorted order, placing each that fits (the largest
+    /// fitting partition of a breakable one), until the bin's room is
+    /// below its phone's cheapest per-KB rate — no job, breakable or
+    /// atomic, shipped or not, can fit it then — or the list ends.
+    fn fill(&mut self, tables: &CostTables<'_>, i: usize, mut height_ms: f64, capacity_ms: f64) {
+        let (Some(&b), Some(&ram)) = (tables.bandwidths().get(i), tables.ram_caps().get(i)) else {
             return;
         };
-        if Self::is_dead(tables, i, new_h, capacity_ms) {
-            self.by_height.remove(pos);
-            return;
+        let (costs, exe_kbs) = (tables.compute_row(i), tables.exe_kbs());
+        let dead_below = tables.row_min_ms(i) * PRUNE_MARGIN;
+        let mut idx = self.head;
+        loop {
+            let room = capacity_ms - height_ms;
+            if room < dead_below {
+                return;
+            }
+            let Some(item) = self.items.get(idx).copied() else {
+                return;
+            };
+            let at = idx;
+            idx += 1;
+            let (Some(&c), Some(&exe_kb), Some(&atomic), Some(&shipped_to)) = (
+                costs.get(item.job),
+                exe_kbs.get(item.job),
+                self.atomic.get(item.job),
+                self.shipped_to.get(item.job),
+            ) else {
+                continue;
+            };
+            let per = b + c;
+            let exe = if shipped_to == i { 0.0 } else { exe_kb * b };
+            // A multiply-compare rejects without paying the fit's
+            // division; the margin guarantees it never rejects an item
+            // the seed accepts.
+            let least = if atomic { item.remaining } else { KiloBytes(1) };
+            if (exe + least.as_f64() * per) * PRUNE_MARGIN > room {
+                continue;
+            }
+            let fit = fit_kb(room, exe, per, ram);
+            if fit < least {
+                continue;
+            }
+            let take = fit.min(item.remaining);
+            height_ms += exe + take.as_f64() * per;
+            self.commit(i, item.job, take);
+            // Everything before the placement stayed unfit: the bin's
+            // room shrank and the placed job's remainder reinserted at or
+            // after it.
+            idx = self.consume(at, take);
         }
-        let shift = self
-            .by_height
-            .get(pos + 1..)
-            .map(|tail| tail.partition_point(|&(h, b)| h < new_h || (h == new_h && b < i)))
-            .unwrap_or(0);
-        if let Some(entry) = self.by_height.get_mut(pos) {
-            *entry = (new_h, i);
+    }
+
+    /// The queues of one packing attempt on a fresh arena, for
+    /// single-probe tests against `reference::pack_queues`.
+    #[cfg(test)]
+    pub(crate) fn pack_queues(
+        problem: &SchedProblem,
+        capacity_ms: f64,
+    ) -> Option<Vec<Vec<Assignment>>> {
+        let mut scratch = PackScratch::new(problem);
+        if !scratch.pack(&problem.tables(), capacity_ms) {
+            return None;
         }
-        if let Some(window) = self.by_height.get_mut(pos..pos + shift + 1) {
-            window.rotate_left(1);
-        }
+        scratch.mark_success();
+        scratch.take_best()
     }
 
     /// Keeps the working queues as the best packing so far (O(1) swap).
@@ -415,51 +312,18 @@ impl PackScratch {
         self.items.extend_from_slice(&self.template);
         self.head = 0;
         self.opened.fill(false);
-        self.height_ms.fill(0.0);
-        self.by_height.clear();
-        self.min_open_need.fill(f64::INFINITY);
-        self.min_open_per_kb.fill(f64::INFINITY);
-        self.shipped.fill(0);
+        self.shipped_to.fill(usize::MAX);
         for q in &mut self.queues {
             q.clear();
         }
     }
 
-    #[inline]
-    fn shipped_bit(&self, i: usize, j: usize) -> bool {
-        let word = i * self.words_per_phone + (j >> 6);
-        let mask = 1u64 << (j & 63);
-        self.shipped.get(word).copied().unwrap_or(0) & mask != 0
-    }
-
-    #[inline]
-    fn set_shipped(&mut self, i: usize, j: usize) {
-        let word = i * self.words_per_phone + (j >> 6);
-        let mask = 1u64 << (j & 63);
-        if let Some(w) = self.shipped.get_mut(word) {
-            *w |= mask;
-        }
-    }
-
-    /// Records a partition into a bin and updates its height.
-    fn commit(&mut self, tables: &CostTables<'_>, i: usize, job: usize, take: KiloBytes) {
+    /// Records a partition in bin `i`'s queue; the job's executable is
+    /// on that phone from now on.
+    fn commit(&mut self, i: usize, job: usize, take: KiloBytes) {
         debug_assert!(take.0 >= 1);
-        let include_exe = !self.shipped_bit(i, job);
-        let add = tables.cost_ms(i, job, take, include_exe);
-        if let Some(h) = self.height_ms.get_mut(i) {
-            *h += add;
-        }
-        self.set_shipped(i, job);
-        if include_exe {
-            // The pair's exe overhead is now paid: further placements of
-            // this job on bin `i` cost `per_kb` alone, which may lower
-            // the job's open-bin prune floor.
-            let per = tables.per_kb_ms(i, job);
-            if let Some(floor) = self.min_open_need.get_mut(job) {
-                if per < *floor {
-                    *floor = per;
-                }
-            }
+        if let Some(bin) = self.shipped_to.get_mut(job) {
+            *bin = i;
         }
         let phone = self.phone_ids.get(i).copied().unwrap_or(PhoneId(u32::MAX));
         let job_id = self.job_ids.get(job).copied().unwrap_or(JobId(u32::MAX));
@@ -513,5 +377,91 @@ impl PackScratch {
             window.rotate_left(1);
         }
         idx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::greedy::reference;
+    use crate::problem::test_support::{costs, phones};
+    use cwc_types::JobSpec;
+
+    /// One probe of the arena packer and of the seed packer, which must
+    /// agree; returns the per-phone `(job, KB)` queues.
+    fn packed(problem: &SchedProblem, capacity_ms: f64) -> Option<Vec<Vec<(u32, u64)>>> {
+        let fast = PackScratch::pack_queues(problem, capacity_ms);
+        assert_eq!(fast, reference::pack_queues(problem, capacity_ms));
+        let brief = |q: Vec<Assignment>| q.iter().map(|a| (a.job.0, a.input_kb.0)).collect();
+        fast.map(|queues| queues.into_iter().map(brief).collect())
+    }
+
+    fn breakable(id: u32, input_kb: u64) -> JobSpec {
+        JobSpec::breakable(JobId(id), "primecount", KiloBytes(30), KiloBytes(input_kb))
+    }
+
+    fn problem(num_phones: usize, ram_kb: Option<u64>, jobs: Vec<JobSpec>) -> SchedProblem {
+        let mut p = phones(num_phones);
+        for phone in &mut p {
+            phone.ram_kb = ram_kb.unwrap_or(phone.ram_kb);
+        }
+        let c = costs(&p, &jobs);
+        SchedProblem::new(p, jobs, c).unwrap()
+    }
+
+    #[test]
+    fn ram_capped_bin_retakes_the_same_job_and_pays_its_executable_once() {
+        // One phone, 100 KB of RAM, one 250 KB job: Step 2 takes 100 KB,
+        // then the fill meets the remainder at the head twice more.
+        let prob = problem(1, Some(100), vec![breakable(0, 250)]);
+        let whole = prob.full_cost_ms(0, 0);
+        // Room for the executable once, not twice (it costs 30 ms).
+        assert_eq!(
+            packed(&prob, whole + 0.5),
+            Some(vec![vec![(0, 100), (0, 100), (0, 50)]])
+        );
+        // And the last KB really needs all of that room.
+        assert_eq!(packed(&prob, whole - 0.5), None);
+    }
+
+    #[test]
+    fn bin_left_dead_by_step_two_is_not_scanned_and_the_next_item_opens_the_next_bin() {
+        // Job 0 fills phone 0 (the cheaper one) to within half of one
+        // KB's cost, so nothing — not even 1 KB of the breakable job 1 —
+        // may follow it there.
+        let prob = problem(2, None, vec![breakable(0, 400), breakable(1, 300)]);
+        let capacity = prob.full_cost_ms(0, 0) + 0.5 * prob.per_kb_ms(0, 1);
+        assert_eq!(
+            packed(&prob, capacity),
+            Some(vec![vec![(0, 400)], vec![(1, 300)]])
+        );
+    }
+
+    #[test]
+    fn fill_skips_an_unfit_atomic_item_and_resumes_after_the_placement() {
+        // Sorted: job 0 (400 KB), atomic job 1 (300 KB), jobs 2 and 3.
+        // Phone 0 takes job 0 whole and has room left for jobs 2 and 3
+        // but not for the atomic one ahead of them. Placing job 2 closes
+        // its gap from the head side (job 1 moves up a slot), so a scan
+        // that resumed at the placement index instead of after it would
+        // miss job 3, and one that rewound would only waste time.
+        let atomic = JobSpec::atomic(JobId(1), "photoblur", KiloBytes(40), KiloBytes(300));
+        let jobs = vec![
+            breakable(0, 400),
+            atomic,
+            breakable(2, 100),
+            breakable(3, 50),
+        ];
+        let prob = problem(2, None, jobs);
+        let capacity = [0, 2, 3]
+            .map(|j| prob.full_cost_ms(0, j))
+            .iter()
+            .sum::<f64>()
+            + 100.0;
+        assert!(prob.full_cost_ms(0, 1) > capacity - prob.full_cost_ms(0, 0));
+        assert_eq!(
+            packed(&prob, capacity),
+            Some(vec![vec![(0, 400), (2, 100), (3, 50)], vec![(1, 300)]])
+        );
     }
 }

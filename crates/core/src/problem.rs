@@ -146,10 +146,10 @@ const TILE_JOBS: usize = 16;
 ///   ([`CostTables::col`]): "which bin for this item" reads one job
 ///   across all phones, contiguously, where `c` itself would stride a
 ///   whole row per phone.
-/// * The phone-major view ([`CostTables::row`] — a freshly opened bin
-///   folds its whole row into the per-job prune floors) is **not** a
-///   second table: `c[i]` already is phone `i`'s row, and `b_i + c[i][j]`
-///   is one add on the spot.
+/// * The phone-major view ([`CostTables::compute_row`] — filling a
+///   freshly opened bin walks the live items against that one phone) is
+///   **not** a second table: `c[i]` already is phone `i`'s row, and
+///   `b_i + c[i][j]` is one add on the spot.
 /// * The executable cost is not a table either: `E_j · b_i` is one
 ///   multiply of two vector entries, computed where it is needed.
 /// * The same pass yields each phone's cheapest rate
@@ -250,11 +250,11 @@ impl<'a> CostTables<'a> {
         }
     }
 
-    /// Phone `i`'s per-KB rates, one per job, computed from `c[i]`.
+    /// Phone `i`'s compute costs `c[i]`, one per job; its per-KB rate for
+    /// job `j` is `bandwidths()[i] + compute_row(i)[j]`.
     #[inline]
-    pub fn row(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
-        let b = self.bandwidth[i];
-        self.c[i].iter().map(move |&c| b + c)
+    pub fn compute_row(&self, i: usize) -> &'a [f64] {
+        &self.c[i]
     }
 
     /// Job `j`'s per-KB rates, one per phone.
@@ -463,7 +463,8 @@ mod tests {
         let prob = varied(150, 37);
         let tables = prob.tables();
         for i in 0..prob.num_phones() {
-            let row: Vec<f64> = tables.row(i).collect();
+            let b = tables.bandwidths()[i];
+            let row: Vec<f64> = tables.compute_row(i).iter().map(|c| b + c).collect();
             assert_eq!(row.len(), prob.num_jobs());
             let row_min = row.iter().copied().fold(f64::INFINITY, f64::min);
             assert_eq!(tables.row_min_ms(i).to_bits(), row_min.to_bits());

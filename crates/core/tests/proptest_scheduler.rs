@@ -141,12 +141,16 @@ fn ram_capped_strategy() -> impl Strategy<Value = RandomInstance> {
 /// bit for bit: same assignment queues, same predicted makespan bits,
 /// same stats (probe counts, and the search's starting bounds, which
 /// the optimized path takes from its one pass over the cost tables).
+/// And the theorem the optimized packer is built on, not only its
+/// consequence: the reference, which does try every open bin, never
+/// places a Step-1 item anywhere but the newest one.
 fn assert_matches_reference(problem: &SchedProblem) {
     let sched = GreedyScheduler::default();
     let fast = sched.schedule_with_stats(problem);
-    let slow = cwc_core::greedy::reference::schedule_with_stats(&sched, problem);
+    let slow = cwc_core::greedy::reference::schedule_with_probe(&sched, problem);
     match (fast, slow) {
-        (Ok((fast_s, fast_stats)), Ok((slow_s, slow_stats))) => {
+        (Ok((fast_s, fast_stats)), Ok((slow_s, slow_stats, off_newest))) => {
+            assert_eq!(off_newest, 0, "Step 1 placed into an older bin");
             assert_eq!(&fast_s.per_phone, &slow_s.per_phone);
             assert_eq!(
                 fast_s.predicted_makespan_ms.to_bits(),

@@ -697,8 +697,9 @@ impl ProtocolExhaustiveness {
 /// entrypoints under `bin/` are exempt — stdout is their user interface —
 /// and the scrubber already exempts test code.
 ///
-/// On the per-chunk path — the coordinator kernel and the live driver,
-/// which run once per report — the rule also bans the eager `.emit(event)`:
+/// On the per-chunk path — the coordinator kernel and its two drivers
+/// (live and sim), which run once per report — the rule also bans the
+/// eager `.emit(event)`:
 /// it formats and allocates the event before the bus can say nobody
 /// listens. Those files emit through `Obs::emit_with(|| event)`, whose
 /// closure runs only with a sink attached.
@@ -706,7 +707,11 @@ pub struct ObsRouting;
 
 const OBS_ROUTED_CRATES: [&str; 4] = ["core", "server", "net", "device"];
 const BARE_PRINT_MACROS: [&str; 2] = ["println", "eprintln"];
-const LAZY_EMIT_ONLY: [&str; 2] = ["crates/server/src/coord/", "crates/server/src/live.rs"];
+const LAZY_EMIT_ONLY: [&str; 3] = [
+    "crates/server/src/coord/",
+    "crates/server/src/live.rs",
+    "crates/server/src/engine.rs",
+];
 
 impl ObsRouting {
     fn applies(file: &ScrubbedFile) -> bool {

@@ -340,12 +340,12 @@ impl Engine {
         } else {
             None
         };
-        self.config.obs.emit(
+        self.config.obs.emit_with(|| {
             cwc_obs::Event::sim(0, "engine", "run.start")
                 .field("phones", self.fleet.len())
                 .field("jobs", self.jobs.len())
-                .field("scheduler", self.config.scheduler.label()),
-        );
+                .field("scheduler", self.config.scheduler.label())
+        });
 
         let total_jobs = self.jobs.iter().filter(|j| j.id.0 < RESIDUAL_BASE).count();
         let kernel = Kernel::new(KernelConfig {
@@ -422,12 +422,12 @@ impl Engine {
             .max()
             .unwrap_or(Micros::ZERO);
         let obs = &self.config.obs;
-        obs.emit(
+        obs.emit_with(|| {
             cwc_obs::Event::sim(sim.now().0, "engine", "run.complete")
                 .field("completed_jobs", completed_jobs)
                 .field("makespan_ms", makespan.as_ms_f64())
-                .field("reschedule_rounds", driver.kernel.reschedule_rounds()),
-        );
+                .field("reschedule_rounds", driver.kernel.reschedule_rounds())
+        });
         obs.metrics
             .set_gauge("engine.makespan_ms", makespan.as_ms_f64());
         obs.metrics
@@ -626,7 +626,7 @@ impl SimDriver {
             &format!("net.kb_transferred.{}", rt.phone.id()),
             flight.shipped_kb.0,
         );
-        self.obs.emit(
+        self.obs.emit_with(|| {
             flight
                 .trace
                 .stamp(cwc_obs::Event::sim(now.0, "engine", "segment.transfer"))
@@ -635,8 +635,8 @@ impl SimDriver {
                 .field("job", flight.job.to_string())
                 .field("start_us", flight.started.0)
                 .field("kb", flight.shipped_kb.0)
-                .field("rescheduled", flight.rescheduled),
-        );
+                .field("rescheduled", flight.rescheduled)
+        });
         // Ground-truth execution time, including this phone's efficiency
         // residual (what the scheduler cannot see).
         let baseline = self.baselines[&flight.program];
@@ -666,7 +666,7 @@ impl SimDriver {
             end: now,
             rescheduled: flight.rescheduled,
         });
-        self.obs.emit(
+        self.obs.emit_with(|| {
             flight
                 .trace
                 .stamp(cwc_obs::Event::sim(now.0, "engine", "segment.execute"))
@@ -675,8 +675,8 @@ impl SimDriver {
                 .field("job", flight.job.to_string())
                 .field("start_us", flight.started.0)
                 .field("kb", flight.kb.0)
-                .field("rescheduled", flight.rescheduled),
-        );
+                .field("rescheduled", flight.rescheduled)
+        });
         // The phone's report carries its measured runtime and a fresh
         // bandwidth reading; both refine the predictor (§4.1).
         let info = rt.phone.info(now);
@@ -704,7 +704,7 @@ impl SimDriver {
         }
         rt.phone.set_plug_state(cwc_device::PlugState::Unplugged);
         self.obs.metrics.inc("engine.failures_injected");
-        self.obs.emit(
+        self.obs.emit_with(|| {
             cwc_obs::Event::sim(now.0, "failure", "phone.unplugged")
                 .severity(cwc_obs::Severity::Warn)
                 .field("phone", inj.phone.to_string())
@@ -716,8 +716,8 @@ impl SimDriver {
                         inj.phone,
                         if inj.offline { "offline" } else { "online" }
                     ),
-                ),
-        );
+                )
+        });
         let flight = rt.flight.take();
         if inj.offline {
             // Silent unplug: no report reaches the server; the kernel

@@ -1,11 +1,13 @@
-//! A silent run pays nothing for the replay script: with no sink on the
-//! bus, `script::record` — called before every `Kernel::step` on the live
-//! path — must not touch the heap. Checked with a counting global
-//! allocator, which is why this test has a binary to itself.
+//! A silent run pays nothing for narration: with no sink on the bus,
+//! `script::record` — called before every `Kernel::step` on the live
+//! path — must not touch the heap, and the simulator's `Engine::run` must
+//! not build its two events per chunk. Checked with a counting global
+//! allocator, which is why these tests have a binary to themselves.
 
-use cwc_obs::{MemorySink, Obs};
+use cwc_obs::{Event, MemorySink, Obs, Severity, TraceCtx};
 use cwc_server::coord::{script, CoordEvent, TimerKind};
-use cwc_types::{JobId, Micros};
+use cwc_server::{Engine, EngineConfig, FleetBuilder, WorkloadBuilder};
+use cwc_types::{JobId, Micros, PhoneId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -80,4 +82,69 @@ fn recording_a_step_without_a_sink_does_not_allocate() {
         script::harvest(&sink.snapshot()).expect("harvest").len(),
         steps.len()
     );
+}
+
+/// Allocations and timeline segments of one fault-free `Engine::run` of
+/// `jobs` jobs on the paper's testbed, narrating into `obs`.
+fn engine_run(jobs: usize, obs: &Obs) -> (usize, usize) {
+    let workload = WorkloadBuilder::new(7)
+        .breakable(jobs, "wordcount", 25, 800, 1_200)
+        .build();
+    let config = EngineConfig {
+        obs: obs.clone(),
+        ..EngineConfig::default()
+    };
+    let engine =
+        Engine::new(FleetBuilder::new(7).build(), workload, Vec::new(), config).expect("engine");
+    let mut segments = 0;
+    let allocations = allocations_during(|| {
+        let out = engine.run().expect("run");
+        assert_eq!(out.completed_jobs, jobs);
+        segments = out.segments.len();
+    });
+    (allocations, segments)
+}
+
+#[test]
+fn engine_run_without_a_sink_builds_no_event_per_segment() {
+    // What one `segment.transfer` / `segment.execute` event costs to
+    // build: scope, name, eight keys, two formatted ids, the field list.
+    let per_event = allocations_during(|| {
+        let ctx = TraceCtx::root(1, 2);
+        let event = ctx
+            .stamp(Event::sim(0, "engine", "segment.execute"))
+            .severity(Severity::Debug)
+            .field("phone", PhoneId(3).to_string())
+            .field("job", JobId(4).to_string())
+            .field("start_us", 5u64)
+            .field("kb", 6u64)
+            .field("rescheduled", false);
+        std::hint::black_box(event);
+    });
+    assert!(per_event >= 12, "{per_event}");
+
+    // The growth from 50 to 100 jobs, so the once-per-run narration and
+    // the fleet-sized setup cancel: everything a silent run allocates per
+    // extra segment — kernel bookkeeping, commands, metric names — is
+    // less than building a single event for it would be.
+    let silent = Obs::new();
+    let (small_allocs, small_segments) = engine_run(50, &silent);
+    let (large_allocs, large_segments) = engine_run(100, &silent);
+    let extra_segments = large_segments - small_segments;
+    let extra_allocs = large_allocs - small_allocs;
+    assert!(
+        extra_segments >= 100,
+        "{small_segments} -> {large_segments}"
+    );
+    assert!(
+        extra_allocs < per_event * extra_segments,
+        "{extra_allocs} allocations for {extra_segments} more segments, {per_event} per event"
+    );
+
+    // The counter does see the events once somebody listens.
+    let traced = Obs::new();
+    traced.bus.attach(Arc::new(MemorySink::new()));
+    let (small_traced, _) = engine_run(50, &traced);
+    let (large_traced, _) = engine_run(100, &traced);
+    assert!(large_traced - small_traced >= extra_allocs + per_event * extra_segments);
 }
