@@ -5,6 +5,7 @@
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use cwc_net::protocol::crc32_portable;
 use cwc_net::{crc32, Frame, FrameCodec};
 use cwc_types::{JobId, PhoneId, RadioTech};
 use std::hint::black_box;
@@ -104,15 +105,33 @@ fn ship_input(len: usize) -> Frame {
 
 const SHIP_SIZES: [(&str, usize); 2] = [("1KB", 1 << 10), ("1MB", 1 << 20)];
 
+/// The checksum ladder: under the kernel's 128-byte threshold, on it, a
+/// `live-chunks` payload, a socket-buffer's worth, a `live-bulk` payload.
+const CRC_SIZES: [(&str, usize); 5] = [
+    ("64B", 64),
+    ("128B", 128),
+    ("1KB", 1 << 10),
+    ("64KB", 64 << 10),
+    ("1MB", 1 << 20),
+];
+
 /// The byte path, one cost at a time, in payload bytes per second.
 fn bench_byte_path(c: &mut Criterion) {
+    // `dispatched` is what frames pay (carry-less-multiply folding where
+    // the CPU has it); `portable` is slicing-by-8, what every other CPU
+    // pays. Below 128 bytes the two are the same routine.
     let mut group = c.benchmark_group("crc32");
-    for (name, len) in SHIP_SIZES {
+    for (name, len) in CRC_SIZES {
         let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
-            b.iter(|| black_box(crc32(black_box(data))));
-        });
+        for (routine, crc) in [
+            ("dispatched", crc32 as fn(&[u8]) -> u32),
+            ("portable", crc32_portable),
+        ] {
+            group.bench_with_input(BenchmarkId::new(routine, name), &data, |b, data| {
+                b.iter(|| black_box(crc(black_box(data))));
+            });
+        }
     }
     group.finish();
 

@@ -1,4 +1,4 @@
-//! The eight rule families the workspace gates on.
+//! The nine rule families the workspace gates on.
 //!
 //! Every rule pattern-matches against scrubbed source (see [`crate::scrub`]),
 //! so tokens inside comments and string literals never fire, and every rule
@@ -46,6 +46,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ObsRouting),
         Box::new(ErrorSwallowing),
         Box::new(StateMutation),
+        Box::new(UnsafeAudit),
     ]
 }
 
@@ -653,36 +654,44 @@ impl ProtocolExhaustiveness {
 
     /// Body text of `fn <name>` (first occurrence), brace-matched.
     fn fn_body<'a>(code: &'a str, fn_name: &str) -> Option<&'a str> {
-        let decl = format!("fn {fn_name}");
-        let mut from = 0usize;
-        let pos = loop {
-            let p = from + code[from..].find(&decl)?;
-            let after = p + decl.len();
-            let boundary = code[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| !(c.is_alphanumeric() || c == '_'));
-            if boundary {
-                break p;
-            }
-            from = after;
-        };
-        let open = pos + code[pos..].find('{')?;
-        let mut depth = 0usize;
-        for (i, b) in code.bytes().enumerate().skip(open) {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(&code[open..=i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
+        let (_, open, close) = braced_item(code, "fn", fn_name)?;
+        Some(&code[open..=close])
     }
+}
+
+/// Byte offsets `(decl, open, close)` of the first `<keyword> <name> { .. }`
+/// item in scrubbed `code`: the keyword, the opening brace of the body and
+/// its brace-matched close.
+fn braced_item(code: &str, keyword: &str, name: &str) -> Option<(usize, usize, usize)> {
+    let decl = format!("{keyword} {name}");
+    let mut from = 0usize;
+    let pos = loop {
+        let p = from + code[from..].find(&decl)?;
+        let after = p + decl.len();
+        let boundary = code[after..]
+            .chars()
+            .next()
+            .is_some_and(|c| !(c.is_alphanumeric() || c == '_'));
+        if boundary && whole_word(code, p, keyword) {
+            break p;
+        }
+        from = after;
+    };
+    let open = pos + code[pos..].find('{')?;
+    let mut depth = 0usize;
+    for (i, b) in code.bytes().enumerate().skip(open) {
+        match b {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some((pos, open, i));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -962,6 +971,84 @@ impl Rule for StateMutation {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 9: unsafe audit
+// ---------------------------------------------------------------------------
+
+/// `unsafe` is an allow-list, not a habit: the workspace has two regions
+/// where it is needed — the reactor's epoll/rlimit syscall shim and the
+/// CRC32 carry-less-multiply kernel — and each is one private inline module
+/// small enough to read whole. The word `unsafe` (block, fn, impl) and
+/// `#[allow(unsafe_code)]` anywhere else in non-test code is a finding, so
+/// a third region arrives as a reviewed change to this table. Inside the
+/// audited modules every `unsafe { .. }` block must sit directly under a
+/// `// SAFETY:` comment saying why its operation's requirements hold.
+pub struct UnsafeAudit;
+
+/// `(file, inline module)` pairs allowed to contain `unsafe`.
+const AUDITED_UNSAFE_MODULES: [(&str, &str); 2] = [
+    ("crates/net/src/reactor.rs", "sys"),
+    ("crates/net/src/protocol.rs", "clmul"),
+];
+
+impl UnsafeAudit {
+    /// 0-based inclusive line spans of this file's audited modules, each
+    /// widened upwards over the attribute lines (`#[allow(unsafe_code)]`,
+    /// `#[cfg(..)]`) that belong to its `mod` item.
+    fn audited_spans(file: &ScrubbedFile) -> Vec<(usize, usize)> {
+        let line_of = |offset: usize| file.code[..offset].matches('\n').count();
+        let lines: Vec<&str> = file.code.lines().collect();
+        AUDITED_UNSAFE_MODULES
+            .iter()
+            .filter(|(rel, _)| *rel == file.rel)
+            .filter_map(|(_, module)| braced_item(&file.code, "mod", module))
+            .map(|(decl, _, close)| {
+                let mut first = line_of(decl);
+                while first > 0 && lines[first - 1].trim_start().starts_with("#[") {
+                    first -= 1;
+                }
+                (first, line_of(close))
+            })
+            .collect()
+    }
+}
+
+impl Rule for UnsafeAudit {
+    fn name(&self) -> &'static str {
+        "unsafe_audit"
+    }
+
+    fn check(&self, file: &ScrubbedFile, out: &mut Vec<Finding>) {
+        let audited = Self::audited_spans(file);
+        for (line0, line) in file.active_lines() {
+            let mut words = word_positions(line, "unsafe").peekable();
+            if words.peek().is_none() && !line.contains("allow(unsafe_code)") {
+                continue;
+            }
+            let inside = audited
+                .iter()
+                .any(|(first, last)| (*first..=*last).contains(&line0));
+            let opens_block =
+                words.any(|pos| line[pos + "unsafe".len()..].trim_start().starts_with('{'));
+            if !inside {
+                out.push(Finding::new(
+                    file,
+                    line0,
+                    self.name(),
+                    "`unsafe` outside the audited modules; use a safe construct, or move the operation into an audited module (rules.rs, AUDITED_UNSAFE_MODULES)".to_owned(),
+                ));
+            } else if opens_block && !file.has_safety_comment_above(line0) {
+                out.push(Finding::new(
+                    file,
+                    line0,
+                    self.name(),
+                    "`unsafe` block without a `// SAFETY:` comment directly above it; state why the operation's requirements hold".to_owned(),
+                ));
             }
         }
     }

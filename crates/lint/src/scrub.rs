@@ -8,7 +8,7 @@
 //! can never fire — and line numbers in findings map 1:1 onto the original
 //! file.
 //!
-//! Two side channels are extracted during the same pass:
+//! Three side channels are extracted during the same pass:
 //!
 //! * `// cwc-lint: allow(rule_a, rule_b)` suppression pragmas. A pragma on a
 //!   line with code suppresses those rules on that line; a pragma that is the
@@ -18,6 +18,9 @@
 //!   brace-delimited item that follows are marked as test code, which the
 //!   rules skip. Files under `tests/`, `benches/`, or `examples/` are test
 //!   code in their entirety.
+//! * `// SAFETY:` line comments: which lines carry one is kept, because the
+//!   `unsafe_audit` rule asks for one above each `unsafe` block and the
+//!   scrubbed text no longer has it.
 
 use std::collections::BTreeSet;
 
@@ -35,6 +38,8 @@ pub struct ScrubbedFile {
     test_line: Vec<bool>,
     /// Per line (0-based): rules suppressed on this line by pragmas.
     allowed: Vec<BTreeSet<String>>,
+    /// Lines (0-based) holding a line comment that contains `SAFETY:`.
+    safety_comment: BTreeSet<usize>,
     /// Per line (0-based): the self type of the innermost enclosing
     /// `impl` block, if any (brace-matched on scrubbed text).
     impl_scope: Vec<Option<String>>,
@@ -61,6 +66,14 @@ impl ScrubbedFile {
         }
     }
 
+    /// True when the comment block directly above `line0` (0-based) — the
+    /// lines above it that hold no code — has a `// SAFETY:` line.
+    pub fn has_safety_comment_above(&self, line0: usize) -> bool {
+        let above: Vec<&str> = self.code.lines().take(line0).collect();
+        let no_code = above.iter().rev().take_while(|text| text.trim().is_empty());
+        (line0 - no_code.count()..line0).any(|l| self.safety_comment.contains(&l))
+    }
+
     /// Iterates `(line0, text)` over scrubbed lines that are *active*:
     /// not test code. Pragma suppression is applied later, per finding.
     pub fn active_lines(&self) -> impl Iterator<Item = (usize, &str)> {
@@ -79,6 +92,7 @@ pub fn scrub(rel: &str, krate: &str, src: &str) -> ScrubbedFile {
     let mut out = String::with_capacity(src.len());
     // (line, rules, standalone): pragmas found while scanning comments.
     let mut pragmas: Vec<(usize, Vec<String>, bool)> = Vec::new();
+    let mut safety_comment = BTreeSet::new();
     let mut line = 0usize;
     let mut line_has_code = false;
     let mut i = 0usize;
@@ -105,6 +119,9 @@ pub fn scrub(rel: &str, krate: &str, src: &str) -> ScrubbedFile {
                 let text: String = chars[i..j].iter().collect();
                 if let Some(rules) = parse_pragma(&text) {
                     pragmas.push((line, rules, !line_has_code));
+                }
+                if text.contains("SAFETY:") {
+                    safety_comment.insert(line);
                 }
                 for _ in i..j {
                     out.push(' ');
@@ -252,6 +269,7 @@ pub fn scrub(rel: &str, krate: &str, src: &str) -> ScrubbedFile {
         code: out,
         test_line,
         allowed,
+        safety_comment,
         impl_scope,
     }
 }

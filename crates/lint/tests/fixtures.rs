@@ -853,6 +853,158 @@ fn rig(k: &mut Kernel) {
 }
 
 // ---------------------------------------------------------------------------
+// Unsafe audit
+// ---------------------------------------------------------------------------
+
+/// A module shaped like the two audited ones: attributes, `mod`, one
+/// `unsafe` block under a two-line `SAFETY:` comment.
+const AUDITED_SHAPE: &str = "\
+#[allow(unsafe_code)]
+#[cfg(target_os = \"linux\")]
+mod sys {
+    pub fn close_fd(fd: i32) -> i32 {
+        // SAFETY: callers pass an fd they own,
+        // exactly once.
+        unsafe { close(fd) }
+    }
+}
+";
+
+#[test]
+fn unsafe_audit_accepts_the_audited_modules_and_nothing_else() {
+    // The same text is clean as `reactor::sys` and as `protocol::clmul`...
+    assert!(kept("crates/net/src/reactor.rs", "net", AUDITED_SHAPE).is_empty());
+    let clmul = AUDITED_SHAPE.replace("mod sys", "mod clmul");
+    assert!(kept("crates/net/src/protocol.rs", "net", &clmul).is_empty());
+
+    // ...and two findings (the allow attribute, the block) under any other
+    // module name, in any other file of that crate, or in any other crate.
+    for (rel, krate, src) in [
+        ("crates/net/src/reactor.rs", "net", clmul.as_str()),
+        ("crates/net/src/protocol.rs", "net", AUDITED_SHAPE),
+        ("crates/net/src/tcp.rs", "net", AUDITED_SHAPE),
+        ("crates/core/src/pack.rs", "core", AUDITED_SHAPE),
+        ("src/lib.rs", "", AUDITED_SHAPE),
+    ] {
+        let findings = kept(rel, krate, src);
+        assert_eq!(findings.len(), 2, "{rel}: {findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "unsafe_audit"));
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![1, 7],
+            "{rel}"
+        );
+    }
+}
+
+#[test]
+fn unsafe_audit_flags_every_form_outside_an_audited_module() {
+    let src = "\
+mod sys {
+    pub fn nothing() {}
+}
+unsafe fn raw(p: *const u8) -> u8 {
+    *p
+}
+unsafe impl Send for Handle {}
+fn read(p: *const u8) -> u8 {
+    // SAFETY: a comment does not make the place audited.
+    unsafe { raw(p) }
+}
+";
+    // After the audited module closes, the file is ordinary code again.
+    let findings = kept("crates/net/src/reactor.rs", "net", src);
+    assert_eq!(findings.len(), 3, "findings: {findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "unsafe_audit"));
+    assert_eq!(
+        findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+        vec![4, 7, 10]
+    );
+}
+
+#[test]
+fn unsafe_audit_wants_a_safety_comment_directly_above_each_block() {
+    let src = "\
+mod sys {
+    pub fn a(fd: i32) -> i32 {
+        unsafe { close(fd) }
+    }
+    pub fn b(fd: i32) -> i32 {
+        // Closes the descriptor.
+        unsafe { close(fd) }
+    }
+    pub fn c(fd: i32) -> i32 {
+        // SAFETY: the fd is owned.
+        let owned = fd;
+        unsafe { close(owned) }
+    }
+    pub fn d(fd: i32) -> i32 {
+        // SAFETY: the fd is owned.
+        if unsafe { close(fd) } < 0 {
+            return -1;
+        }
+        0
+    }
+    /// # Safety
+    /// `fd` must be open.
+    pub unsafe fn e(fd: i32) -> i32 {
+        close(fd)
+    }
+}
+";
+    // a: no comment; b: a comment, but not a SAFETY one; c: code between
+    // the comment and the block. d is the accepted shape, and an `unsafe
+    // fn` declaration (e) is not a block.
+    let findings = kept("crates/net/src/reactor.rs", "net", src);
+    assert_eq!(findings.len(), 3, "findings: {findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "unsafe_audit"));
+    assert!(findings.iter().all(|f| f.message.contains("SAFETY")));
+    assert_eq!(
+        findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+        vec![3, 7, 12]
+    );
+}
+
+#[test]
+fn unsafe_audit_ignores_lints_comments_strings_and_test_code() {
+    let src = "\
+#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+// unsafe { nothing } is only mentioned here.
+fn f() -> &'static str {
+    \"unsafe { quoted }\"
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let x = 7u8;
+        let y = unsafe { *(&x as *const u8) };
+        assert_eq!(y, 7);
+    }
+}
+";
+    assert!(kept("crates/obs/src/lib.rs", "obs", src).is_empty());
+    // An allocator shim in an integration test is that test's business.
+    let shim = "unsafe impl GlobalAlloc for Counting {}\n";
+    assert!(kept("crates/server/tests/silent_record.rs", "server", shim).is_empty());
+}
+
+#[test]
+fn unsafe_audit_pragma_suppresses_with_justification() {
+    let src = "\
+fn peek(x: &u8) -> u8 {
+    // SAFETY: a reference is readable. cwc-lint: allow(unsafe_audit)
+    unsafe { *(x as *const u8) }
+}
+";
+    let (kept, suppressed) = lint("crates/tasks/src/x.rs", "tasks", src);
+    assert!(kept.is_empty(), "kept: {kept:?}");
+    assert_eq!(suppressed.len(), 1);
+    assert_eq!(suppressed[0].rule, "unsafe_audit");
+}
+
+// ---------------------------------------------------------------------------
 // Report counts
 // ---------------------------------------------------------------------------
 

@@ -27,8 +27,10 @@
 //! phone failed after 3 unanswered probes; [`protocol::KEEPALIVE_PERIOD`] and
 //! [`protocol::KEEPALIVE_TOLERATED_MISSES`] encode those constants.
 
-// `deny` rather than `forbid`: the reactor's syscall shim is the one audited
-// `#[allow(unsafe_code)]` region in the crate (see `reactor::sys`).
+// `deny` rather than `forbid`: the crate has two audited
+// `#[allow(unsafe_code)]` regions, the reactor's syscall shim (`reactor::sys`)
+// and the CRC32 folding kernel (`protocol::clmul`). `cwc-lint`'s
+// `unsafe_audit` rule keeps `unsafe` out of everywhere else.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -34,9 +34,9 @@ use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// The raw syscall shim. All `unsafe` in `cwc-net` lives inside this module:
-/// four libc entry points and two structs with the kernel's ABI. Everything
-/// above it is safe Rust.
+/// The raw syscall shim. All `unsafe` in the reactor lives inside this
+/// module: four libc entry points and two structs with the kernel's ABI.
+/// Everything above it is safe Rust.
 #[allow(unsafe_code)]
 #[cfg(target_os = "linux")]
 mod sys {

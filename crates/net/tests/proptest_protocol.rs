@@ -55,7 +55,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             any::<u64>(),
             proptest::option::of(proptest::collection::vec(any::<u8>(), 0..256)),
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
-            proptest::collection::vec(any::<u8>(), 0..512)
+            proptest::collection::vec(any::<u8>(), 0..4096)
         )
             .prop_map(
                 |(j, seq, off, len, resume, (tid, sid, psid, replica), data)| {
@@ -77,7 +77,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             any::<u32>(),
             any::<u64>(),
             any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..512)
+            proptest::collection::vec(any::<u8>(), 0..4096)
         )
             .prop_map(|(j, seq, ms, res)| Frame::TaskComplete {
                 job: JobId(j),
@@ -173,11 +173,8 @@ proptest! {
         let mut codec = FrameCodec::new();
         codec.extend(&raw);
         let mut decoded = Vec::new();
-        loop {
-            match codec.next_frame() {
-                Ok(Some(f)) => decoded.push(f),
-                Ok(None) | Err(_) => break,
-            }
+        while let Ok(Some(f)) = codec.next_frame() {
+            decoded.push(f);
         }
         // Every frame that survives decoding must be one of the originals:
         // corruption may only *remove* frames (rejection/desync), never
@@ -224,11 +221,8 @@ proptest! {
         let mut codec = FrameCodec::new();
         codec.extend(&raw);
         let mut decoded = Vec::new();
-        loop {
-            match codec.next_frame() {
-                Ok(Some(f)) => decoded.push(f),
-                Ok(None) | Err(_) => break,
-            }
+        while let Ok(Some(f)) = codec.next_frame() {
+            decoded.push(f);
         }
         for f in &decoded {
             prop_assert!(frames.contains(f), "fabricated frame {f:?}");

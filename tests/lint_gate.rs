@@ -1,8 +1,9 @@
 //! The static-analysis gate: `cargo test` fails if any first-party source
 //! violates the workspace invariants enforced by `cwc-lint` (determinism,
 //! panic-safety, unit-safety, protocol exhaustiveness, error swallowing,
-//! kernel state-mutation discipline). Same engine as the `cwc-lint` binary
-//! and the CI job — one rule set, three entry points.
+//! kernel state-mutation discipline, the `unsafe` allow-list). Same engine
+//! as the `cwc-lint` binary and the CI job — one rule set, three entry
+//! points.
 
 use std::path::Path;
 
