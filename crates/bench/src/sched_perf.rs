@@ -87,7 +87,7 @@ pub fn residual_after_failures(
     fail_every: usize,
 ) -> Option<SchedProblem> {
     assert!(fail_every >= 2, "must keep survivors");
-    let failed = |idx: usize| idx % fail_every == 0;
+    let failed = |idx: usize| idx.is_multiple_of(fail_every);
     let by_id: BTreeMap<JobId, &JobSpec> = problem.jobs.iter().map(|j| (j.id, j)).collect();
 
     let survivors: Vec<PhoneInfo> = problem
@@ -95,7 +95,7 @@ pub fn residual_after_failures(
         .iter()
         .enumerate()
         .filter(|(i, _)| !failed(*i))
-        .map(|(_, p)| p.clone())
+        .map(|(_, p)| *p)
         .collect();
     let mut residuals = Vec::new();
     for (i, queue) in schedule.per_phone.iter().enumerate() {

@@ -181,8 +181,7 @@ pub fn run_point(
                 if members.is_empty() || shard_jobs.is_empty() {
                     return Ok(0);
                 }
-                let sub_phones: Vec<PhoneInfo> =
-                    members.iter().map(|&i| phones[i].clone()).collect();
+                let sub_phones: Vec<PhoneInfo> = members.iter().map(|&i| phones[i]).collect();
                 let c = clock_scaled_costs(&sub_phones, shard_jobs.len());
                 let problem = SchedProblem::new(sub_phones, shard_jobs.to_vec(), c)?;
                 let schedule = GreedyScheduler::default().schedule(&problem)?;

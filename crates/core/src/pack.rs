@@ -34,15 +34,26 @@
 //!   add on the spot, and the row (8 KB at 1 000 jobs) stays in L1 for
 //!   the whole pass. The executable cost `E_j · b_i` is not a table
 //!   either: one multiply of two vector entries.
+//! * **Step 2 tests the winner only.** The seed tests every unopened
+//!   bin for fit and keeps the cheapest that passes. Here the cheapest
+//!   unopened bin is found first — `E_j · b_i + remaining · per_kb` over
+//!   the column in groups of [`LANES`] phones, straight-line arithmetic
+//!   with an open bin priced out by adding `+∞` (and an unopened one
+//!   left alone by adding `0.0`), first index of the minimum — and the
+//!   fit test runs on that one bin. A bin that is cheapest of all and
+//!   fits is the cheapest that fits, and the lowest index among all of
+//!   equal cost is the lowest among those that fit, so this is the
+//!   seed's choice; when the winner does not fit (a RAM-capped phone, a
+//!   capacity too tight for the item anywhere cheap) the
+//!   candidate-by-candidate scan decides, as before.
 //! * **Fit is decided with a multiply-compare.** Whether an item fits is
 //!   `floor(usable / per_kb) ≥ n` in the seed; here `need = exe + n ·
-//!   per_kb` is compared against the room first. Step 2 drops a candidate
-//!   whose Eq. 1 cost cannot beat the best so far, then applies the
+//!   per_kb` is compared against the room first, with the
 //!   [`PRUNE_MARGIN`] on either side of the capacity, and only a `need`
 //!   inside that 1e-9 band pays for the exact division; `max_fit_kb` is
-//!   computed once, for the winner. The fill rejects with the margin and
-//!   lets the exact test accept. A bin whose room is below its phone's
-//!   cheapest rate ends its pass at once.
+//!   computed once, for the bin Step 2 opens. The fill rejects with the
+//!   margin and lets the exact test accept. A bin whose room is below
+//!   its phone's cheapest rate ends its pass at once.
 //! * **The item list has a head cursor.** Live items are
 //!   `items[head..]`. A consumed item's gap is closed from whichever
 //!   side is shorter; Algorithm 1 mostly consumes at or near the head,
@@ -86,6 +97,25 @@ use cwc_types::{JobId, KiloBytes, PhoneId};
 /// account for. In between, the exact test decides.
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
+/// Phones Step 2 prices per straight-line group (one cache line of a
+/// cost column).
+const LANES: usize = 8;
+
+/// The least of one group's costs (finite or `+∞`, never NaN), by
+/// halving: lane against lane, so the group costs three dependent
+/// minima rather than one per phone.
+fn least_of(mut costs: [f64; LANES]) -> f64 {
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        let (low, high) = costs.split_at_mut(width);
+        for (a, &b) in low.iter_mut().zip(high.iter()) {
+            *a = if b < *a { b } else { *a };
+        }
+    }
+    costs.first().copied().unwrap_or(f64::INFINITY)
+}
+
 /// A sortable item: job index + remaining input.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Item {
@@ -101,7 +131,9 @@ pub(crate) struct PackScratch {
     /// The probe's item list; `items[head..]` are still to be placed.
     items: Vec<Item>,
     head: usize,
-    opened: Vec<bool>,
+    /// Per bin, what Step 2 adds to its Eq. 1 cost: `0.0` while the bin
+    /// is unopened, `+∞` once it is open (a bin opens once per probe).
+    penalty: Vec<f64>,
     /// `shipped_to[j]`: the bin job `j` was last placed in, so
     /// `shipped_to[j] == k` says the newest bin `k` already holds the
     /// job's executable (`usize::MAX`: placed nowhere yet).
@@ -146,7 +178,7 @@ impl PackScratch {
             items: Vec::with_capacity(template.len()),
             head: 0,
             template,
-            opened: vec![false; num_phones],
+            penalty: vec![0.0; num_phones],
             shipped_to: vec![usize::MAX; problem.num_jobs()],
             queues: (0..num_phones).map(|_| Vec::new()).collect(),
             best_queues: (0..num_phones).map(|_| Vec::new()).collect(),
@@ -169,8 +201,8 @@ impl PackScratch {
             let Some(i) = self.cheapest_unopened_bin(tables, item, capacity_ms) else {
                 return false;
             };
-            if let Some(flag) = self.opened.get_mut(i) {
-                *flag = true;
+            if let Some(penalty) = self.penalty.get_mut(i) {
+                *penalty = f64::INFINITY;
             }
             let fit = tables.max_fit_kb(i, item.job, capacity_ms, true);
             let take = fit.min(item.remaining);
@@ -187,6 +219,13 @@ impl PackScratch {
     /// Step 2's choice: the unopened bin that can hold `item` (all of it
     /// if atomic, one KB otherwise) at the least Eq. 1 cost for the whole
     /// item, ties to the lowest phone index.
+    ///
+    /// The cheapest unopened bin is found first, fit or no fit — a
+    /// branch-free minimum over the job's column, [`LANES`] phones at a
+    /// time, an open bin priced out by its `+∞` penalty — and the fit test
+    /// runs on that winner alone. If the item fits it, no fitting bin is
+    /// cheaper and none of equal cost has a lower index, so it is the bin
+    /// the candidate-by-candidate scan picks; if not, that scan decides.
     fn cheapest_unopened_bin(
         &self,
         tables: &CostTables<'_>,
@@ -197,27 +236,70 @@ impl PackScratch {
         let remaining = item.remaining.as_f64();
         let exe_kb = tables.exe_kbs().get(item.job).copied().unwrap_or(0.0);
         let min_kb = if atomic { item.remaining.0 } else { 1 };
-        let candidates = self
-            .opened
-            .iter()
-            .zip(tables.col(item.job))
-            .zip(tables.bandwidths())
-            .zip(tables.ram_caps());
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (((&opened, &per), &b), &ram)) in candidates.enumerate() {
-            if opened {
-                continue;
-            }
+        let (col, bandwidths, ram_caps) =
+            (tables.col(item.job), tables.bandwidths(), tables.ram_caps());
+        // Eq. 1 for the whole item. `cost + 0.0` is `cost` to the bit, so
+        // an unopened bin compares here exactly as it does below.
+        let priced = |per: f64, b: f64, penalty: f64| exe_kb * b + remaining * per + penalty;
+        let fits = |per: f64, b: f64, ram: u64| {
             let exe = exe_kb * b;
-            let cost = exe + remaining * per;
-            if best.is_some_and(|(_, c)| cost >= c) {
-                continue;
-            }
             let need = exe + min_kb as f64 * per;
             if ram < min_kb || need * PRUNE_MARGIN > capacity_ms {
+                return false;
+            }
+            need <= capacity_ms * PRUNE_MARGIN || fit_kb(capacity_ms, exe, per, ram).0 >= min_kb
+        };
+
+        let (per_groups, per_rest) = col.as_chunks::<LANES>();
+        let (b_groups, b_rest) = bandwidths.as_chunks::<LANES>();
+        let (penalty_groups, penalty_rest) = self.penalty.as_chunks::<LANES>();
+        // The least cost of all, and where the first group holding it
+        // starts (`<`, not `≤`: the lowest index wins a tie).
+        let (mut least, mut start) = (f64::INFINITY, 0);
+        let groups = per_groups.iter().zip(b_groups).zip(penalty_groups);
+        for (k, ((per, b), penalty)) in groups.enumerate() {
+            let mut costs = [0.0; LANES];
+            let lanes = costs.iter_mut().zip(per).zip(b).zip(penalty);
+            for (((cost, &per), &b), &penalty) in lanes {
+                *cost = priced(per, b, penalty);
+            }
+            let low = least_of(costs);
+            if low < least {
+                (least, start) = (low, k * LANES);
+            }
+        }
+        let rest = per_rest.iter().zip(b_rest).zip(penalty_rest);
+        let low = rest.fold(f64::INFINITY, |low, ((&per, &b), &penalty)| {
+            low.min(priced(per, b, penalty))
+        });
+        if low < least {
+            (least, start) = (low, per_groups.len() * LANES);
+        }
+        let winner = col
+            .iter()
+            .zip(bandwidths)
+            .zip(&self.penalty)
+            .zip(ram_caps)
+            .enumerate()
+            .skip(start)
+            .take(LANES)
+            .find(|(_, (((&per, &b), &penalty), _))| priced(per, b, penalty) == least);
+        if let Some((i, (((&per, &b), _), &ram))) = winner {
+            if least < f64::INFINITY && fits(per, b, ram) {
+                return Some(i);
+            }
+        }
+
+        // The winner is open or cannot hold the item: every candidate in
+        // index order, a costlier one dropped before its fit is tested.
+        let candidates = self.penalty.iter().zip(col).zip(bandwidths).zip(ram_caps);
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (((&penalty, &per), &b), &ram)) in candidates.enumerate() {
+            if penalty != 0.0 {
                 continue;
             }
-            if need > capacity_ms * PRUNE_MARGIN && fit_kb(capacity_ms, exe, per, ram).0 < min_kb {
+            let cost = priced(per, b, 0.0);
+            if best.is_some_and(|(_, c)| cost >= c) || !fits(per, b, ram) {
                 continue;
             }
             best = Some((i, cost));
@@ -311,7 +393,7 @@ impl PackScratch {
         self.items.clear();
         self.items.extend_from_slice(&self.template);
         self.head = 0;
-        self.opened.fill(false);
+        self.penalty.fill(0.0);
         self.shipped_to.fill(usize::MAX);
         for q in &mut self.queues {
             q.clear();
@@ -407,6 +489,48 @@ mod tests {
         }
         let c = costs(&p, &jobs);
         SchedProblem::new(p, jobs, c).unwrap()
+    }
+
+    #[test]
+    fn step_two_falls_back_to_the_scan_when_the_cheapest_bin_cannot_hold_the_item() {
+        // Phone 0 is the cheaper bin (11 against 13.8 ms/KB) but has RAM
+        // for a third of the atomic job: the winner-only test fails and
+        // the scan must still find phone 1.
+        let atomic = JobSpec::atomic(JobId(0), "photoblur", KiloBytes(40), KiloBytes(300));
+        let mut p = phones(2);
+        p[0].ram_kb = 100;
+        let jobs = vec![atomic];
+        let c = costs(&p, &jobs);
+        let prob = SchedProblem::new(p, jobs, c).unwrap();
+        assert!(prob.per_kb_ms(0, 0) < prob.per_kb_ms(1, 0));
+        let capacity = prob.full_cost_ms(1, 0) + 1.0;
+        assert_eq!(packed(&prob, capacity), Some(vec![vec![], vec![(0, 300)]]));
+        // Too tight for phone 1 as well: the scan finds nothing either.
+        assert_eq!(packed(&prob, prob.full_cost_ms(1, 0) - 1.0), None);
+    }
+
+    #[test]
+    fn step_two_breaks_cost_ties_to_the_lowest_unopened_phone() {
+        // Twenty identical phones (two full groups of lanes and a
+        // remainder), as many identical atomic jobs, room for one job a
+        // bin: every Step 2 sees the same cost on every unopened phone.
+        let mut p = phones(2 * LANES + 4);
+        for phone in &mut p {
+            phone.cpu = cwc_types::CpuSpec::new(806, 2);
+            phone.bandwidth = cwc_types::MsPerKb(1.0);
+        }
+        let jobs: Vec<JobSpec> = (0..p.len() as u32)
+            .map(|j| JobSpec::atomic(JobId(j), "photoblur", KiloBytes(40), KiloBytes(300)))
+            .collect();
+        let c = costs(&p, &jobs);
+        let prob = SchedProblem::new(p, jobs, c).unwrap();
+        let one_job_each: Vec<Vec<(u32, u64)>> = (0..prob.num_phones() as u32)
+            .map(|k| vec![(k, 300)])
+            .collect();
+        assert_eq!(
+            packed(&prob, prob.full_cost_ms(0, 0) + 1.0),
+            Some(one_job_each)
+        );
     }
 
     #[test]

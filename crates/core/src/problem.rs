@@ -468,9 +468,9 @@ mod tests {
             assert_eq!(row.len(), prob.num_jobs());
             let row_min = row.iter().copied().fold(f64::INFINITY, f64::min);
             assert_eq!(tables.row_min_ms(i).to_bits(), row_min.to_bits());
-            for j in 0..prob.num_jobs() {
+            for (j, cell) in row.iter().enumerate() {
                 let want = prob.per_kb_ms(i, j).to_bits();
-                assert_eq!(row[j].to_bits(), want, "row cell ({i}, {j})");
+                assert_eq!(cell.to_bits(), want, "row cell ({i}, {j})");
                 assert_eq!(tables.col(j)[i].to_bits(), want, "column cell ({i}, {j})");
                 assert_eq!(tables.per_kb_ms(i, j).to_bits(), want);
             }

@@ -259,7 +259,7 @@ mod tests {
         let dt = Micros::from_millis(500);
         let mut now = Micros::ZERO;
         while !cycled.is_full() {
-            let in_run_phase = (now.0 / 30_000_000) % 2 == 0;
+            let in_run_phase = (now.0 / 30_000_000).is_multiple_of(2);
             cycled.step(dt, if in_run_phase { 1.0 } else { 0.0 });
             now += dt;
         }

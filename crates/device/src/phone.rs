@@ -8,7 +8,7 @@
 use crate::battery::{BatteryModel, BatteryParams};
 use crate::cpu::CpuModel;
 use cwc_net::link::LinkModel;
-use cwc_net::measure::measure_link;
+use cwc_net::measure::mean_kb_per_sec;
 use cwc_types::{KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo, RadioTech};
 
 /// Charging-connection state (the three states the profiling app logs,
@@ -125,13 +125,12 @@ impl Phone {
     pub fn measure_bandwidth(&mut self, now: Micros) -> MsPerKb {
         // A brief session is enough on a stationary link (Fig. 4): 10
         // one-second samples.
-        let report = measure_link(
+        MsPerKb::from_kb_per_sec(mean_kb_per_sec(
             &mut self.link,
             now,
             Micros::from_secs(10),
             Micros::from_secs(1),
-        );
-        report.ms_per_kb()
+        ))
     }
 
     /// Ground-truth execution time for `input` KB of a task profiled at

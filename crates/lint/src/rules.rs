@@ -712,6 +712,14 @@ fn braced_item(code: &str, keyword: &str, name: &str) -> Option<(usize, usize, u
 /// it formats and allocates the event before the bus can say nobody
 /// listens. Those files emit through `Obs::emit_with(|| event)`, whose
 /// closure runs only with a sink attached.
+///
+/// The kernel and its drivers also may not *format* a metric name per
+/// write: `.metrics.add(&format!(..), n)` (likewise `inc`, `observe`)
+/// allocates a `String` and takes the registry lock for every ship or
+/// transfer. A name that varies per phone is resolved once into a
+/// `Counter` / `Histogram` handle (`.metrics.counter(&format!(..))` is
+/// how) and the handle is written to; a name that varies over a closed
+/// set is spelled out per member.
 pub struct ObsRouting;
 
 const OBS_ROUTED_CRATES: [&str; 4] = ["core", "server", "net", "device"];
@@ -722,11 +730,56 @@ const LAZY_EMIT_ONLY: [&str; 3] = [
     "crates/server/src/engine.rs",
 ];
 
+const NO_FORMATTED_METRIC_NAMES: [&str; 3] = [
+    "crates/server/src/coord/kernel.rs",
+    "crates/server/src/live.rs",
+    "crates/server/src/engine.rs",
+];
+const METRIC_WRITES: [&str; 3] = [".add(", ".inc(", ".observe("];
+
 impl ObsRouting {
     fn applies(file: &ScrubbedFile) -> bool {
         OBS_ROUTED_CRATES.contains(&file.krate.as_str())
             && file.rel.contains("/src/")
             && !file.rel.contains("/bin/")
+    }
+
+    /// Byte offsets of every `format!(` inside the argument list of a
+    /// `.metrics.add(` / `.inc(` / `.observe(` call in scrubbed `code`
+    /// (rustfmt breaks such a chain before `.metrics` and before the
+    /// method, so the call is matched across lines).
+    fn formatted_metric_names(code: &str) -> Vec<usize> {
+        let mut hits = Vec::new();
+        let mut from = 0usize;
+        while let Some(at) = code[from..].find(".metrics") {
+            from += at + ".metrics".len();
+            let rest = code[from..].trim_start();
+            let Some(write) = METRIC_WRITES.iter().find(|w| rest.starts_with(**w)) else {
+                continue;
+            };
+            let args = code.len() - rest.len() + write.len();
+            let mut depth = 1usize;
+            let mut close = code.len();
+            for (i, b) in code.bytes().enumerate().skip(args) {
+                match b {
+                    b'(' => depth += 1,
+                    b')' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            close = i;
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            hits.extend(
+                code[args..close]
+                    .match_indices("format!(")
+                    .map(|(i, _)| args + i),
+            );
+        }
+        hits
     }
 }
 
@@ -738,6 +791,19 @@ impl Rule for ObsRouting {
     fn check(&self, file: &ScrubbedFile, out: &mut Vec<Finding>) {
         if !Self::applies(file) {
             return;
+        }
+        if NO_FORMATTED_METRIC_NAMES.contains(&file.rel.as_str()) {
+            for offset in Self::formatted_metric_names(&file.code) {
+                let line0 = file.code[..offset].matches('\n').count();
+                if !file.is_test_line(line0) {
+                    out.push(Finding::new(
+                        file,
+                        line0,
+                        self.name(),
+                        "`format!` inside a metric write builds the name and takes the registry lock per call; resolve a `Counter`/`Histogram` handle once (or spell the names out) and write to that".to_string(),
+                    ));
+                }
+            }
         }
         let lazy_only = LAZY_EMIT_ONLY.iter().any(|p| file.rel.starts_with(p));
         for (line0, line) in file.active_lines() {

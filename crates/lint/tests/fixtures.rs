@@ -507,6 +507,39 @@ fn step(obs: &Obs, bus: &Bus) {
 }
 
 #[test]
+fn obs_routing_rejects_a_metric_name_formatted_per_write() {
+    // Lines 2 and 5 format a name inside the write (5 in the chain shape
+    // rustfmt produces); line 7 formats once into a handle, line 8 writes
+    // to it, line 9 writes a literal name, and line 10's `format!` sits
+    // in a second call beside the write, not inside it.
+    let src = "\
+fn ship(obs: &Obs, wid: u32, kb: u64) {
+    obs.metrics.inc(&format!(\"sched.{wid}.shipped\"));
+    obs
+        .metrics
+        .add(&format!(\"net.kb_shipped.{wid}\"), kb);
+    obs.metrics.observe(&[\"a\", \"b\"].concat(), kb as f64);
+    let shipped = obs.metrics.counter(&format!(\"net.kb_shipped.{wid}\"));
+    shipped.add(kb);
+    obs.metrics.add(\"live.migrated\", kb);
+    obs.metrics.inc(\"live.stalled\"); log(format!(\"{wid}\"));
+}
+";
+    for rel in [
+        "crates/server/src/coord/kernel.rs",
+        "crates/server/src/live.rs",
+        "crates/server/src/engine.rs",
+    ] {
+        let findings = kept(rel, "server", src);
+        let lines: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [("obs_routing", 2), ("obs_routing", 5)], "{rel}");
+    }
+    // Elsewhere a formatted name is a once-per-run matter.
+    assert!(kept("crates/server/src/shard.rs", "server", src).is_empty());
+    assert!(kept("crates/server/src/coord/script.rs", "server", src).is_empty());
+}
+
+#[test]
 fn obs_routing_exempts_bins_tests_and_uninstrumented_crates() {
     let src = "fn f() { println!(\"hi\"); }\n";
     // CLI entrypoints: stdout is the interface.

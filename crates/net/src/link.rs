@@ -76,6 +76,11 @@ impl LinkConfig {
     }
 }
 
+/// Elapsed sample periods beyond which the AR(1) process has mixed
+/// (`corr⁶⁴` ≈ 10⁻³ at the typical 0.9): iterating further is pointless,
+/// and [`LinkModel::rate_at`] resamples from the stationary distribution.
+const MIXED_AFTER_STEPS: u64 = 64;
+
 /// The throughput process of one phone's link to the central server.
 ///
 /// The model is an AR(1) process over throughput `x`:
@@ -108,27 +113,36 @@ impl LinkModel {
 
     /// Advances the fading process to `now` and returns the instantaneous
     /// throughput in KB/s.
+    ///
+    /// Up to [`MIXED_AFTER_STEPS`] elapsed periods are iterated one AR(1)
+    /// step each. A longer gap takes a stationary resample, and the
+    /// branch **draws but does not compute**: the generator is advanced
+    /// by exactly the draws the 64 iterated steps would have made, whose
+    /// values the resample would overwrite, so every later sample of this
+    /// link — and every simulated outcome pinned in `tests/determinism.rs`
+    /// and `BENCH_reliability.json` — is the one the iterating code
+    /// produced.
     pub fn rate_at(&mut self, now: Micros) -> f64 {
         let period = self.cfg.sample_period.0.max(1);
         let elapsed = now.saturating_sub(self.last_step_at).0;
         let steps = elapsed / period;
         if steps > 0 {
-            // Innovation σ chosen so the stationary σ is µ·CV:
-            // stationary var = σ² / (1 − φ²).
-            let phi = self.cfg.corr;
-            let stat_sigma = self.cfg.mean_kb_per_sec * self.cfg.jitter_frac;
-            let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
             let mu = self.cfg.mean_kb_per_sec;
-            // For long gaps, iterating millions of AR steps is pointless —
-            // beyond ~64 steps the process has mixed; resample from the
-            // stationary distribution instead.
-            let effective = steps.min(64);
-            for _ in 0..effective {
-                let eps = self.rng.normal(0.0, innov_sigma);
-                self.current_kbps = mu + phi * (self.current_kbps - mu) + eps;
-            }
-            if steps > 64 {
+            let stat_sigma = mu * self.cfg.jitter_frac;
+            if steps > MIXED_AFTER_STEPS {
+                for _ in 0..MIXED_AFTER_STEPS {
+                    self.rng.skip_normal();
+                }
                 self.current_kbps = self.rng.normal(mu, stat_sigma);
+            } else {
+                // Innovation σ chosen so the stationary σ is µ·CV:
+                // stationary var = σ² / (1 − φ²).
+                let phi = self.cfg.corr;
+                let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
+                for _ in 0..steps {
+                    let eps = self.rng.normal(0.0, innov_sigma);
+                    self.current_kbps = mu + phi * (self.current_kbps - mu) + eps;
+                }
             }
             self.current_kbps = self.current_kbps.max(mu * 0.05);
             self.last_step_at = now;
@@ -240,6 +254,67 @@ mod tests {
         let mu = l.config().mean_kb_per_sec;
         assert!((r2 - mu).abs() < mu * 0.5, "r2 {r2} far from mean {mu}");
         assert!(r1 > 0.0);
+    }
+
+    /// `rate_at` as it stood before the long-gap branch stopped computing
+    /// the samples it overwrites: every step iterated, then the resample.
+    fn rate_at_iterating_every_step(l: &mut LinkModel, now: Micros) -> f64 {
+        let period = l.cfg.sample_period.0.max(1);
+        let steps = now.saturating_sub(l.last_step_at).0 / period;
+        if steps > 0 {
+            let phi = l.cfg.corr;
+            let stat_sigma = l.cfg.mean_kb_per_sec * l.cfg.jitter_frac;
+            let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
+            let mu = l.cfg.mean_kb_per_sec;
+            for _ in 0..steps.min(64) {
+                let eps = l.rng.normal(0.0, innov_sigma);
+                l.current_kbps = mu + phi * (l.current_kbps - mu) + eps;
+            }
+            if steps > 64 {
+                l.current_kbps = l.rng.normal(mu, stat_sigma);
+            }
+            l.current_kbps = l.current_kbps.max(mu * 0.05);
+            l.last_step_at = now;
+        }
+        l.current_kbps
+    }
+
+    #[test]
+    fn long_gaps_keep_the_stream_of_the_iterating_loop() {
+        use rand::Rng;
+        const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 1_000_000];
+        let techs = [
+            RadioTech::Wifi80211a,
+            RadioTech::Wifi80211g,
+            RadioTech::FourG,
+            RadioTech::ThreeG,
+            RadioTech::Edge,
+        ];
+        for (t, tech) in techs.into_iter().enumerate() {
+            for seed in 0..20 {
+                let mut gaps = RngStreams::new(seed).indexed_stream("gaps", t);
+                let mut fast = link(tech, seed);
+                let mut slow = fast.clone();
+                let mut now = Micros::ZERO;
+                for k in 0..200 {
+                    // The edge cases in turn, random gaps (in µs, so
+                    // sub-period remainders occur too) between them.
+                    let gap_us = if k % 3 == 0 {
+                        GAPS[(k / 3) % GAPS.len()] * 1_000_000
+                    } else {
+                        gaps.gen_range(0..200_000_000u64)
+                    };
+                    now += Micros(gap_us);
+                    let want = rate_at_iterating_every_step(&mut slow, now);
+                    assert_eq!(
+                        fast.rate_at(now).to_bits(),
+                        want.to_bits(),
+                        "{tech:?} seed {seed} step {k} gap {gap_us} us"
+                    );
+                }
+                assert_eq!(fast.rng.gen::<u64>(), slow.rng.gen::<u64>());
+            }
+        }
     }
 
     #[test]

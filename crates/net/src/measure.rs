@@ -71,17 +71,12 @@ pub fn measure_link(
     duration: Micros,
     interval: Micros,
 ) -> MeasurementReport {
-    assert!(interval.0 > 0, "interval must be nonzero");
-    assert!(duration.0 >= interval.0, "duration shorter than interval");
-    let n = duration.0 / interval.0;
-    let mut samples = Vec::with_capacity(n as usize);
-    for k in 1..=n {
-        let at = start + Micros(interval.0 * k);
-        samples.push(BandwidthSample {
+    let samples: Vec<BandwidthSample> = sample_times(start, duration, interval)
+        .map(|at| BandwidthSample {
             at,
             kb_per_sec: link.rate_at(at),
-        });
-    }
+        })
+        .collect();
     let mean = samples.iter().map(|s| s.kb_per_sec).sum::<f64>() / samples.len() as f64;
     let var = samples
         .iter()
@@ -93,6 +88,38 @@ pub fn measure_link(
         mean_kb_per_sec: mean,
         std_dev: var.sqrt(),
     }
+}
+
+/// The session's sample instants: one per whole `interval` in
+/// `duration`, the first an interval after `start`.
+fn sample_times(
+    start: Micros,
+    duration: Micros,
+    interval: Micros,
+) -> impl ExactSizeIterator<Item = Micros> {
+    assert!(interval.0 > 0, "interval must be nonzero");
+    assert!(duration.0 >= interval.0, "duration shorter than interval");
+    let n = (duration.0 / interval.0) as usize;
+    (1..n + 1).map(move |k| start + Micros(interval.0 * k as u64))
+}
+
+/// [`measure_link`]'s `mean_kb_per_sec` and nothing else: the same
+/// samples at the same instants summed in the same order, so the value
+/// and the link's state afterwards match it to the bit, with no sample
+/// vector and no deviation. What the per-chunk `b_i` refresh of a
+/// simulated phone reads; the full report stays for Fig. 4.
+///
+/// # Panics
+/// Panics if `interval` is zero or `duration < interval`.
+pub fn mean_kb_per_sec(
+    link: &mut LinkModel,
+    start: Micros,
+    duration: Micros,
+    interval: Micros,
+) -> f64 {
+    let times = sample_times(start, duration, interval);
+    let n = times.len();
+    times.map(|at| link.rate_at(at)).sum::<f64>() / n as f64
 }
 
 /// Like [`measure_link`], recording the probe through `obs`: a
@@ -192,6 +219,23 @@ mod tests {
         let h = obs.metrics.histogram("net.probe_kb_per_sec");
         assert_eq!(h.count(), 1);
         assert!((h.sum() - report.mean_kb_per_sec).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mean_alone_matches_the_full_report_and_leaves_the_link_alike() {
+        for seed in 0..50 {
+            let mut full = wifi_link(seed);
+            let mut lean = full.clone();
+            // Back-to-back sessions, then one past the 64-period gap.
+            for start in [0, 10, 20, 500].map(Micros::from_secs) {
+                let (duration, interval) = (Micros::from_secs(10), Micros::from_secs(1));
+                let report = measure_link(&mut full, start, duration, interval);
+                let mean = mean_kb_per_sec(&mut lean, start, duration, interval);
+                assert_eq!(mean.to_bits(), report.mean_kb_per_sec.to_bits());
+            }
+            let later = Micros::from_secs(600);
+            assert_eq!(lean.rate_at(later).to_bits(), full.rate_at(later).to_bits());
+        }
     }
 
     #[test]

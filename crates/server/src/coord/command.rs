@@ -51,8 +51,9 @@ pub enum CoordCommand {
         seq: u64,
         /// Original (catalog) job id.
         job: cwc_types::JobId,
-        /// Program name (the worker maps job → program).
-        program: String,
+        /// Program name (the worker maps job → program): the kernel's
+        /// shared handle, so emitting a ship allocates nothing for it.
+        program: std::sync::Arc<str>,
         /// Executable KB riding along (0 once the slot has the program).
         exe_kb: u64,
         /// Partition offset into the job's input.
@@ -82,8 +83,9 @@ pub enum CoordCommand {
         seq: u64,
         /// Original (catalog) job id.
         job: cwc_types::JobId,
-        /// Program name (the worker maps job → program).
-        program: String,
+        /// Program name (the worker maps job → program): the kernel's
+        /// shared handle, so emitting a ship allocates nothing for it.
+        program: std::sync::Arc<str>,
         /// Executable KB riding along (0 once the slot has the program).
         exe_kb: u64,
         /// Partition offset into the job's input.

@@ -20,6 +20,7 @@ use cwc_types::{
     CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, PhoneInfo, SloClass,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Scheduling-id namespace for residual rounds (original job ids stay
 /// far below this).
@@ -71,7 +72,8 @@ pub enum ReschedulePolicy {
 pub struct KernelConfig {
     /// Scheduling algorithm for the initial round (and solver rounds).
     pub scheduler: SchedulerKind,
-    /// The batch: every original job spec.
+    /// The batch: every original job spec. [`Kernel::new`] moves these
+    /// into its catalogue.
     pub jobs: Vec<JobSpec>,
     /// Profiled baseline `T_s` (ms/KB on the 806 MHz reference) per
     /// program; every job's program must be present.
@@ -113,7 +115,9 @@ pub struct KernelConfig {
 #[derive(Debug, Clone)]
 struct WorkItem {
     original: JobId,
-    program: String,
+    /// The catalogue's handle on the program name, shared by every item
+    /// and ship command of every job running that program.
+    program: Arc<str>,
     exe_kb: KiloBytes,
     kb: KiloBytes,
     base_offset: KiloBytes,
@@ -131,6 +135,15 @@ struct WorkItem {
     trace: TraceCtx,
 }
 
+/// One catalogue entry: the submitted spec, and its program name as the
+/// shared handle work items and ship commands carry (one allocation per
+/// distinct program, not one per item, ship and flight).
+#[derive(Clone)]
+struct CatalogJob {
+    spec: JobSpec,
+    program: Arc<str>,
+}
+
 /// Why a redundancy group exists (metric labels only — resolution
 /// semantics are identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,11 +154,27 @@ enum GroupKind {
     Speculation,
 }
 
+/// A [`GroupKind`]'s counter names, spelled out so that no ship or
+/// report formats one.
+struct GroupMetrics {
+    shipped: &'static str,
+    won: &'static str,
+    wasted: &'static str,
+}
+
 impl GroupKind {
-    fn label(self) -> &'static str {
+    fn metrics(self) -> GroupMetrics {
         match self {
-            GroupKind::Replica => "replica",
-            GroupKind::Speculation => "speculation",
+            GroupKind::Replica => GroupMetrics {
+                shipped: "sched.replica.shipped",
+                won: "sched.replica.won",
+                wasted: "sched.replica.wasted",
+            },
+            GroupKind::Speculation => GroupMetrics {
+                shipped: "sched.speculation.shipped",
+                won: "sched.speculation.won",
+                wasted: "sched.speculation.wasted",
+            },
         }
     }
 }
@@ -177,7 +206,7 @@ struct Slot {
     info: Option<PhoneInfo>,
     queue: VecDeque<WorkItem>,
     busy: Option<InFlight>,
-    has_exe: BTreeSet<String>,
+    has_exe: BTreeSet<Arc<str>>,
     alive: bool,
     unanswered: u32,
     ka_seq: u64,
@@ -247,7 +276,7 @@ pub struct FleetLoss {
 #[cfg_attr(feature = "check", derive(Clone))]
 pub struct Kernel {
     cfg: KernelConfig,
-    catalog: BTreeMap<JobId, JobSpec>,
+    catalog: BTreeMap<JobId, CatalogJob>,
     predictor: RuntimePredictor,
     slots: BTreeMap<usize, Slot>,
     progress: BTreeMap<JobId, u64>,
@@ -292,20 +321,27 @@ pub struct Kernel {
 impl Kernel {
     /// Builds a kernel over a job batch. Fails if any job's program has
     /// no profiled baseline.
-    pub fn new(cfg: KernelConfig) -> CwcResult<Kernel> {
+    pub fn new(mut cfg: KernelConfig) -> CwcResult<Kernel> {
         let mut predictor = RuntimePredictor::new();
         let mut catalog = BTreeMap::new();
         let mut progress = BTreeMap::new();
-        for job in &cfg.jobs {
-            let Some(&baseline) = cfg.baselines.get(&job.program) else {
+        let mut programs: BTreeSet<Arc<str>> = BTreeSet::new();
+        for spec in std::mem::take(&mut cfg.jobs) {
+            let Some(&baseline) = cfg.baselines.get(&spec.program) else {
                 return Err(CwcError::Config(format!(
                     "no profiled baseline for {:?}",
-                    job.program
+                    spec.program
                 )));
             };
-            predictor.set_baseline(&job.program, baseline);
-            progress.insert(job.id, 0u64);
-            catalog.insert(job.id, job.clone());
+            predictor.set_baseline(&spec.program, baseline);
+            progress.insert(spec.id, 0u64);
+            let known = programs.get(spec.program.as_str()).cloned();
+            let program = known.unwrap_or_else(|| {
+                let fresh: Arc<str> = Arc::from(spec.program.as_str());
+                programs.insert(fresh.clone());
+                fresh
+            });
+            catalog.insert(spec.id, CatalogJob { spec, program });
         }
         let spec_budget_left = cfg.speculation.map(|s| s.budget).unwrap_or(0);
         // Nothing is credited before `Start`, and `Start` refuses a batch
@@ -498,7 +534,9 @@ impl Kernel {
                 out,
             );
         }
-        let jobs: Vec<JobSpec> = self.catalog.values().cloned().collect();
+        // `SchedProblem` owns its jobs, so this instant's copy of the
+        // catalogue is the one clone the batch pays.
+        let jobs: Vec<JobSpec> = self.catalog.values().map(|j| j.spec.clone()).collect();
         let mut infos: Vec<PhoneInfo> = avail
             .iter()
             .map(|i| self.slots[i].info.expect("available slots are probed"))
@@ -557,25 +595,27 @@ impl Kernel {
                     ),
                 )
         });
+        let breaker = self.cfg.breaker;
         for (slot_idx, queue) in schedule.per_phone.iter().enumerate() {
-            let i = avail[slot_idx];
+            let slot = self
+                .slots
+                .entry(avail[slot_idx])
+                .or_insert_with(|| Slot::new(breaker));
             for a in queue {
                 self.next_span += 1;
-                let trace = TraceCtx::root(u64::from(a.job.0), self.next_span);
-                let spec = &self.catalog[&a.job];
-                let item = WorkItem {
+                let job = &self.catalog[&a.job];
+                slot.queue.push_back(WorkItem {
                     original: a.job,
-                    program: spec.program.clone(),
-                    exe_kb: spec.exe_kb,
+                    program: job.program.clone(),
+                    exe_kb: job.spec.exe_kb,
                     kb: a.input_kb,
                     base_offset: a.offset_kb,
                     resume: None,
                     rescheduled: false,
                     group: None,
                     speculative: false,
-                    trace,
-                };
-                self.slot_mut(i).queue.push_back(item);
+                    trace: TraceCtx::root(u64::from(a.job.0), self.next_span),
+                });
             }
         }
         self.apply_slo_order(&avail);
@@ -649,7 +689,7 @@ impl Kernel {
                     if !self
                         .catalog
                         .get(&item.original)
-                        .is_some_and(|j| j.kind.is_atomic())
+                        .is_some_and(|j| j.spec.kind.is_atomic())
                     {
                         continue;
                     }
@@ -755,9 +795,9 @@ impl Kernel {
             return;
         };
         grp.won = true;
-        let label = grp.kind.label();
+        let names = grp.kind.metrics();
         if winner_speculative {
-            self.cfg.obs.metrics.inc(&format!("sched.{label}.won"));
+            self.cfg.obs.metrics.inc(names.won);
         }
         let style = self.cfg.style;
         let mut wasted = 0u64;
@@ -801,10 +841,7 @@ impl Kernel {
             }
         }
         if wasted > 0 {
-            self.cfg
-                .obs
-                .metrics
-                .add(&format!("sched.{label}.wasted"), wasted);
+            self.cfg.obs.metrics.add(names.wasted, wasted);
         }
         for j in freed {
             self.ship_next(now, j, out);
@@ -846,12 +883,11 @@ impl Kernel {
                 .field("replica", item.speculative)
         });
         if item.speculative {
-            let label = item
+            let kind = item
                 .group
                 .and_then(|g| self.replica_groups.get(&g))
-                .map(|grp| grp.kind.label())
-                .unwrap_or("replica");
-            self.cfg.obs.metrics.inc(&format!("sched.{label}.shipped"));
+                .map_or(GroupKind::Replica, |grp| grp.kind);
+            self.cfg.obs.metrics.inc(kind.metrics().shipped);
             out.push(CoordCommand::ShipReplica {
                 slot,
                 seq,
@@ -1006,7 +1042,7 @@ impl Kernel {
             return;
         };
         *done += kb;
-        let target = self.catalog[&job].input_kb.0;
+        let target = self.catalog[&job].spec.input_kb.0;
         if self.cfg.style == DriverStyle::Sim {
             debug_assert!(*done <= target, "over-completion of {job}");
         }
@@ -1046,9 +1082,10 @@ impl Kernel {
         }
         debug_assert_eq!(
             self.unfinished == 0,
-            self.catalog
-                .iter()
-                .all(|(id, j)| self.progress.get(id).is_some_and(|&d| d >= j.input_kb.0)),
+            self.catalog.iter().all(|(id, j)| self
+                .progress
+                .get(id)
+                .is_some_and(|&d| d >= j.spec.input_kb.0)),
             "completion latch disagrees with the catalogue scan"
         );
         if !self.finished && self.unfinished == 0 {
@@ -1587,7 +1624,8 @@ impl Kernel {
                 .iter()
                 .filter_map(|(&id, j)| {
                     let done = self.progress.get(&id).copied().unwrap_or(0);
-                    (done < j.input_kb.0).then_some((id, j.input_kb.0 - done))
+                    let input = j.spec.input_kb.0;
+                    (done < input).then_some((id, input - done))
                 })
                 .collect();
             let lost = self.workers_lost();
@@ -1724,13 +1762,13 @@ impl Kernel {
                     || self
                         .catalog
                         .get(&r.original)
-                        .is_some_and(|j| j.kind.is_atomic())
+                        .is_some_and(|j| j.spec.kind.is_atomic())
                 {
                     JobKind::Atomic
                 } else {
                     JobKind::Breakable
                 },
-                program: r.program.clone(),
+                program: r.program.to_string(),
                 exe_kb: r.exe_kb,
                 input_kb: r.kb,
             })
@@ -2047,7 +2085,7 @@ impl Kernel {
             job_size: self
                 .catalog
                 .iter()
-                .map(|(&id, j)| (id, j.input_kb.0))
+                .map(|(&id, j)| (id, j.spec.input_kb.0))
                 .collect(),
             completed: self.completed_at.keys().copied().collect(),
             failed: self.failed.iter().map(Self::view_chunk).collect(),

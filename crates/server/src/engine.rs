@@ -240,7 +240,6 @@ enum Phase {
 struct Flight {
     seq: u64,
     job: JobId,
-    program: String,
     kb: KiloBytes,
     /// Input + executable actually on the wire (for the transfer metric).
     shipped_kb: KiloBytes,
@@ -255,6 +254,9 @@ struct Flight {
 struct Rt {
     phone: Phone,
     flight: Option<Flight>,
+    /// `net.kb_transferred.{id}`, resolved at this phone's first
+    /// transfer: a phone that never receives anything publishes no name.
+    kb_transferred: Option<cwc_obs::Counter>,
 }
 
 #[derive(Debug)]
@@ -348,10 +350,16 @@ impl Engine {
         });
 
         let total_jobs = self.jobs.iter().filter(|j| j.id.0 < RESIDUAL_BASE).count();
+        // `Engine::new` checked that every program is profiled.
+        let baseline_of: BTreeMap<JobId, f64> = self
+            .jobs
+            .iter()
+            .map(|j| (j.id, self.config.baselines[&j.program]))
+            .collect();
         let kernel = Kernel::new(KernelConfig {
             scheduler: self.config.scheduler,
             jobs: self.jobs,
-            baselines: self.config.baselines.clone(),
+            baselines: self.config.baselines,
             keepalive_period: self.config.keepalive_period,
             tolerated_misses: self.config.keepalive_misses,
             reschedule: ReschedulePolicy::Solver {
@@ -374,12 +382,14 @@ impl Engine {
                 .map(|phone| Rt {
                     phone,
                     flight: None,
+                    kb_transferred: None,
                 })
                 .collect(),
             kernel,
-            baselines: self.config.baselines,
+            baseline_of,
             injections: self.injections,
             segments: Vec::new(),
+            transfer_ms: None,
             obs: self.config.obs.clone(),
         };
 
@@ -487,9 +497,12 @@ impl Engine {
 struct SimDriver {
     rts: Vec<Rt>,
     kernel: Kernel,
-    baselines: BTreeMap<String, f64>,
+    /// Profiled `T_s` per job, resolved from its program once per run.
+    baseline_of: BTreeMap<JobId, f64>,
     injections: Vec<FailureInjection>,
     segments: Vec<Segment>,
+    /// `span.transfer_ms`, resolved at the run's first transfer.
+    transfer_ms: Option<std::sync::Arc<cwc_obs::Histogram>>,
     obs: cwc_obs::Obs,
 }
 
@@ -520,7 +533,7 @@ impl SimDriver {
                     slot,
                     seq,
                     job,
-                    program,
+                    program: _,
                     exe_kb,
                     offset_kb: _,
                     len_kb,
@@ -532,7 +545,7 @@ impl SimDriver {
                     slot,
                     seq,
                     job,
-                    program,
+                    program: _,
                     exe_kb,
                     offset_kb: _,
                     len_kb,
@@ -546,7 +559,6 @@ impl SimDriver {
                     rt.flight = Some(Flight {
                         seq,
                         job,
-                        program,
                         kb: KiloBytes(len_kb),
                         shipped_kb,
                         rescheduled,
@@ -618,14 +630,14 @@ impl SimDriver {
             end: now,
             rescheduled: flight.rescheduled,
         });
-        self.obs.metrics.observe(
-            "span.transfer_ms",
-            now.saturating_sub(flight.started).as_ms_f64(),
-        );
-        self.obs.metrics.add(
-            &format!("net.kb_transferred.{}", rt.phone.id()),
-            flight.shipped_kb.0,
-        );
+        let metrics = &self.obs.metrics;
+        self.transfer_ms
+            .get_or_insert_with(|| metrics.histogram("span.transfer_ms"))
+            .record(now.saturating_sub(flight.started).as_ms_f64());
+        let id = rt.phone.id();
+        rt.kb_transferred
+            .get_or_insert_with(|| metrics.counter(&format!("net.kb_transferred.{id}")))
+            .add(flight.shipped_kb.0);
         self.obs.emit_with(|| {
             flight
                 .trace
@@ -639,8 +651,7 @@ impl SimDriver {
         });
         // Ground-truth execution time, including this phone's efficiency
         // residual (what the scheduler cannot see).
-        let baseline = self.baselines[&flight.program];
-        let total = rt.phone.exec_time(baseline, flight.kb);
+        let total = rt.phone.exec_time(self.baseline_of[&flight.job], flight.kb);
         flight.phase = Phase::Executing { total };
         flight.started = now;
         sim.schedule_after(total, Ev::ExecDone { slot, seq });

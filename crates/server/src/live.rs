@@ -805,6 +805,9 @@ struct ConnState {
     /// so arming the next ship's watchdog retires this one: its token can
     /// never again equal the kernel's `busy.seq`.
     stall: Option<TimerKey>,
+    /// `net.kb_shipped.{phone}`, resolved at the first ship to this
+    /// worker: one it never ships to publishes no name.
+    kb_shipped: Option<cwc_obs::Counter>,
 }
 
 /// Applies the fault hook to one encoded frame and queues the resulting
@@ -1097,10 +1100,16 @@ impl<'a> LiveDriver<'a> {
                 // not a whole encode ahead of it (one worker wake-up, not two).
                 self.flush_conn(job.slot);
                 if let SendKind::Ship { exe_kb, len_kb } = job.kind {
-                    if let Some(wid) = self.phone(job.slot) {
-                        self.obs
-                            .metrics
-                            .add(&format!("net.kb_shipped.{wid}"), exe_kb + len_kb);
+                    let metrics = &self.obs.metrics;
+                    if let Some(state) = self.conns.get_mut(job.slot) {
+                        if let Some(wid) = state.info.map(|info| info.id) {
+                            state
+                                .kb_shipped
+                                .get_or_insert_with(|| {
+                                    metrics.counter(&format!("net.kb_shipped.{wid}"))
+                                })
+                                .add(exe_kb + len_kb);
+                        }
                     }
                 }
                 return;
@@ -1315,6 +1324,7 @@ impl<'a> LiveDriver<'a> {
                 write_interest: false,
                 pace_armed: false,
                 stall: None,
+                kb_shipped: None,
             });
         }
         if self.conns.len() >= self.expected {

@@ -3,6 +3,10 @@
 //! SLO-class scheduling — all decided inside the sans-IO kernel, so these
 //! tests double as the duplicate-completion dedup gate for the sim path.
 
+// Test harness code: unwrap on setup is the right failure mode here, and
+// clippy's allow-unwrap-in-tests only reaches #[test] fns.
+#![allow(clippy::unwrap_used)]
+
 use cwc_core::{ReplicationPolicy, SpeculationPolicy};
 use cwc_obs::{MemorySink, Obs};
 use cwc_server::workload::WorkloadBuilder;

@@ -10,6 +10,7 @@ use cwc::server::coord::{
 };
 use cwc::server::engine::{paper_baselines, Engine, EngineConfig, EngineOutcome, FailureInjection};
 use cwc::server::workload::{paper_workload, WorkloadBuilder};
+use cwc::server::{engine_digest, testbed_fleet, FleetBuilder};
 use cwc::types::{CpuSpec, Micros, MsPerKb, PhoneId, PhoneInfo, RadioTech};
 use cwc_core::SchedulerKind;
 use std::collections::VecDeque;
@@ -194,4 +195,82 @@ fn same_event_script_yields_byte_identical_command_streams() {
     assert_eq!(steps, decoded, "script codec is lossy");
     let recoded = script::replay(&decoded, kernel_config()).expect("replay decoded");
     assert_eq!(live, recoded, "decoded replay diverged");
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outcomes: the simulator's RNG streams are part of its contract. A
+// change that draws one sample more, fewer or in another order moves these
+// words; `benchmark/`'s `makespan_ratio` only samples what they hold whole.
+// ---------------------------------------------------------------------------
+
+/// `benchmark/`'s seed splitter, so the instances below are the ones its
+/// `sim-fleet --quick` and `paper-testbed` workloads build for seed 7.
+fn sub_seed(seed: u64, stream: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a over [`engine_digest`]: makespan, `completed_at`, every
+/// `Segment`, `partitions_per_job`, `rescheduled_items` and the rest of
+/// the outcome, in one word.
+fn outcome_hash(out: &EngineOutcome) -> u64 {
+    engine_digest(out)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn failure_mix_fleet_outcome_is_pinned() {
+    // `Instance::fleet_with_failures(7, 4, 100)`: 4 houses × 10 phones,
+    // 80 breakable + 20 atomic jobs, every tenth phone unplugging from
+    // t = 30 s, alternately offline and online.
+    let fleet = FleetBuilder::new(sub_seed(7, 1))
+        .houses(4)
+        .phones_per_house(10)
+        .build();
+    let jobs = WorkloadBuilder::new(sub_seed(7, 2))
+        .breakable(80, "primecount", 30, 200, 2_000)
+        .atomic(20, "photoblur", 40, 100, 800)
+        .build();
+    let injections: Vec<FailureInjection> = fleet
+        .iter()
+        .step_by(10)
+        .enumerate()
+        .map(|(k, phone)| FailureInjection {
+            at: Micros::from_secs(30 + k as u64),
+            phone: phone.id(),
+            offline: k % 2 == 0,
+            replug_at: None,
+        })
+        .collect();
+    let out = Engine::new(fleet, jobs, injections, EngineConfig::default())
+        .and_then(Engine::run)
+        .expect("engine run");
+    assert_eq!(out.completed_jobs, out.total_jobs);
+    assert_eq!(
+        (out.makespan.0, out.segments.len(), out.rescheduled_items),
+        (536_725_198, 358, 47)
+    );
+    assert_eq!(outcome_hash(&out), 0x96d9_0bf5_90a2_5943);
+}
+
+#[test]
+fn paper_testbed_outcome_is_pinned() {
+    let out = Engine::new(
+        testbed_fleet(sub_seed(7, 1)),
+        paper_workload(sub_seed(7, 2)),
+        Vec::new(),
+        EngineConfig::default(),
+    )
+    .and_then(Engine::run)
+    .expect("engine run");
+    assert_eq!(out.completed_jobs, 150);
+    assert_eq!((out.makespan.0, out.segments.len()), (881_725_867, 334));
+    assert_eq!(outcome_hash(&out), 0xb042_6dce_f1e4_7154);
 }
