@@ -115,7 +115,7 @@ pub struct WarmStart {
 }
 
 /// Convergence statistics from one greedy run, reported through the
-/// `cwc-obs` metrics registry by [`GreedyScheduler::schedule_observed`].
+/// `cwc-obs` metrics registry by [`GreedyScheduler::schedule_observed_warm`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GreedyStats {
     /// Binary-search iterations until `UB − LB` dropped below tolerance.
@@ -145,18 +145,8 @@ impl GreedyScheduler {
 
     /// Like [`GreedyScheduler::schedule`], recording convergence metrics
     /// (`sched.greedy.binsearch_iters`, `sched.greedy.pack_calls`) and a
-    /// summary event into `obs`.
-    pub fn schedule_observed(
-        &self,
-        problem: &SchedProblem,
-        obs: &cwc_obs::Obs,
-    ) -> CwcResult<Schedule> {
-        self.schedule_observed_warm(problem, obs, None)
-            .map(|(s, _)| s)
-    }
-
-    /// Like [`GreedyScheduler::schedule_observed`], but optionally
-    /// warm-started from a previous instant's [`WarmStart`], emitting the
+    /// summary event into `obs`, and optionally warm-started from a
+    /// previous instant's [`WarmStart`], emitting the
     /// `sched.greedy.warm_hits` / `sched.greedy.probes_saved` counters
     /// and a `greedy.warm_start` event when a hint was supplied. Returns
     /// the hint for the next instant alongside the schedule.
@@ -874,7 +864,7 @@ mod tests {
         let problem = instance(4, 12);
         let obs = cwc_obs::Obs::new();
         GreedyScheduler::default()
-            .schedule_observed(&problem, &obs)
+            .schedule_observed_warm(&problem, &obs, None)
             .unwrap();
         assert!(obs.metrics.counter_value("sched.greedy.binsearch_iters") > 0);
         assert!(obs.metrics.counter_value("sched.greedy.pack_calls") > 0);

@@ -30,8 +30,6 @@
 //!   (equal-split and round-robin) that CWC beats by ≈1.6×.
 //! * [`relaxation`] — the LP relaxation lower bound of §6 (Fig. 13),
 //!   solved with [`cwc_lp`].
-//! * [`requeue`] — failure residuals: what is left of an interrupted
-//!   assignment, folded into the *next* scheduling instant (§5).
 //! * [`reliability`] — the failure-prediction extension §3.1 sketches:
 //!   expected-rework cost inflation that steers work off flaky phones.
 //! * [`slo`] — proactive-reliability policies (replication of risky
@@ -51,7 +49,6 @@ pub mod predictor;
 pub mod problem;
 pub mod relaxation;
 pub mod reliability;
-pub mod requeue;
 pub mod schedule;
 pub mod slo;
 
@@ -61,7 +58,6 @@ pub use predictor::RuntimePredictor;
 pub use problem::SchedProblem;
 pub use relaxation::relaxed_lower_bound;
 pub use reliability::derisk;
-pub use requeue::ResidualJob;
 pub use schedule::{Assignment, Schedule};
 pub use slo::{ReplicationPolicy, SpeculationPolicy};
 
@@ -111,21 +107,12 @@ impl Scheduler {
         }
     }
 
-    /// Like [`Scheduler::run`], recording per-algorithm metrics into `obs`:
-    /// a `sched.<label>.runs` counter, a `sched.<label>.makespan_ms`
-    /// histogram, and (for greedy) binary-search convergence counters.
-    pub fn run_observed(
-        kind: SchedulerKind,
-        problem: &SchedProblem,
-        obs: &cwc_obs::Obs,
-    ) -> CwcResult<Schedule> {
-        Self::run_observed_warm(kind, problem, obs, None).map(|(s, _)| s)
-    }
-
-    /// Like [`Scheduler::run_observed`], threading a [`WarmStart`] hint
-    /// through the greedy binary search. Returns the hint for the next
-    /// scheduling instant (always `None` for the baselines, which have
-    /// no search to warm).
+    /// Like [`Scheduler::run`], recording per-algorithm metrics into `obs`
+    /// — a `sched.<label>.runs` counter, a `sched.<label>.makespan_ms`
+    /// histogram, and (for greedy) binary-search convergence counters —
+    /// and threading a [`WarmStart`] hint through the greedy binary
+    /// search. Returns the hint for the next scheduling instant (always
+    /// `None` for the baselines, which have no search to warm).
     pub fn run_observed_warm(
         kind: SchedulerKind,
         problem: &SchedProblem,

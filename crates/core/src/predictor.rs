@@ -61,13 +61,6 @@ impl RuntimePredictor {
         }
     }
 
-    /// Overrides the baseline clock (if the slowest phone differs).
-    pub fn with_baseline_clock(mut self, clock_mhz: u32) -> Self {
-        assert!(clock_mhz > 0);
-        self.baseline_clock = clock_mhz;
-        self
-    }
-
     /// Registers a program's profiled baseline cost `T_s` (ms per KB on
     /// the baseline phone).
     pub fn set_baseline(&mut self, program: &str, ms_per_kb: f64) {

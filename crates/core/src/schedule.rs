@@ -154,15 +154,6 @@ impl Schedule {
     }
 }
 
-/// Free-function form of [`Schedule::validate`], for call sites (and the
-/// lint gate's documentation) that treat validation as an operation on a
-/// `(schedule, problem)` pair rather than a method: checks full coverage
-/// with contiguous offsets, atomic jobs unsplit, RAM capacity respected,
-/// and no empty partitions.
-pub fn validate(schedule: &Schedule, problem: &SchedProblem) -> CwcResult<()> {
-    schedule.validate(problem)
-}
-
 /// Audits a requeue round: every failed chunk must be requeued **exactly
 /// once**. Callers pass `(original job, offset_kb, len_kb)` for each
 /// residual about to be rescheduled. Two residuals covering overlapping
@@ -170,7 +161,7 @@ pub fn validate(schedule: &Schedule, problem: &SchedProblem) -> CwcResult<()> {
 /// zero-length residual means a vanished chunk. (That every failed chunk is
 /// requeued *at least* once is guaranteed by construction — residuals are
 /// drained from the failed list — and the schedule built over them is then
-/// checked for full coverage by [`validate`].)
+/// checked for full coverage by [`Schedule::validate`].)
 pub fn validate_requeue<I>(residuals: I) -> CwcResult<()>
 where
     I: IntoIterator<Item = (JobId, u64, u64)>,

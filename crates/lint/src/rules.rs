@@ -404,10 +404,9 @@ impl Rule for SansIo {
 /// scheduler hot path (`crates/core`'s `greedy.rs` + `pack.rs`) is held to
 /// the same bar: it runs on the failure-recovery critical path at every
 /// reschedule instant, where a panic would take the whole fleet down. The
-/// same goes for `reliability.rs` and `requeue.rs`, which run inside that
-/// reschedule instant too (derisking every candidate problem, repacking
-/// every residual) and consume profiler-derived probabilities that may be
-/// malformed.
+/// same goes for `reliability.rs`, which runs inside that instant too
+/// (derisking every candidate problem) and consumes profiler-derived
+/// probabilities that may be malformed.
 pub struct PanicSafety;
 
 const PANIC_TOKENS: [&str; 6] = [
@@ -433,7 +432,6 @@ impl PanicSafety {
             || file.rel == "crates/core/src/greedy.rs"
             || file.rel == "crates/core/src/pack.rs"
             || file.rel == "crates/core/src/reliability.rs"
-            || file.rel == "crates/core/src/requeue.rs"
     }
 }
 

@@ -258,10 +258,9 @@ fn panic_safety_scope_is_net_live_resilience_and_scheduler_hot_path() {
     // The scheduler hot path runs on the failure-recovery critical path.
     assert_eq!(kept("crates/core/src/greedy.rs", "core", src).len(), 1);
     assert_eq!(kept("crates/core/src/pack.rs", "core", src).len(), 1);
-    // So do derisking and residual requeueing, which also digest
-    // profiler-derived inputs that may be malformed.
+    // So does derisking, which also digests profiler-derived inputs that
+    // may be malformed.
     assert_eq!(kept("crates/core/src/reliability.rs", "core", src).len(), 1);
-    assert_eq!(kept("crates/core/src/requeue.rs", "core", src).len(), 1);
     // Out of scope: the engine panics loudly by design.
     assert!(kept("crates/server/src/engine.rs", "server", src).is_empty());
     // The rest of cwc-core stays out of scope (problem.rs validates its

@@ -13,7 +13,8 @@ use crate::coord::command::{CoordCommand, TimerKind};
 use crate::coord::event::CoordEvent;
 use crate::resilience::WindowBreaker;
 use cwc_core::{
-    ReplicationPolicy, RuntimePredictor, SchedProblem, Scheduler, SchedulerKind, SpeculationPolicy,
+    ReplicationPolicy, RuntimePredictor, SchedProblem, Schedule, Scheduler, SchedulerKind,
+    SpeculationPolicy,
 };
 use cwc_obs::TraceCtx;
 use cwc_types::{
@@ -29,9 +30,13 @@ pub const RESIDUAL_BASE: u32 = 1_000_000;
 /// Refuse to loop forever on an unschedulable residue.
 const MAX_ROUNDS: usize = 64;
 
-/// Which driver the kernel narrates for. This changes *presentation
-/// only* — event clock (sim vs wall), metric prefixes, and which story
-/// events are emitted — never a scheduling decision.
+/// Which driver the kernel narrates for. This changes *presentation* —
+/// event clock (sim vs wall), metric prefixes, and which story events are
+/// emitted — and one piece of driver plumbing: `Start` arms the per-slot
+/// keep-alive timers only for [`DriverStyle::Live`] (the simulator models
+/// liveness with `WentDark` instead). It never changes a scheduling
+/// decision: placement, ship order, cancellations and every other timer
+/// are the same under both styles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverStyle {
     /// Discrete-event simulator: `Event::sim`, `engine.*` metrics.
@@ -517,15 +522,21 @@ impl Kernel {
         }
     }
 
-    /// Initial scheduling instant: every initially-available slot has
-    /// been probed; compute and distribute the first schedule.
-    fn on_start(&mut self, now: Micros, out: &mut Vec<CoordCommand>) {
-        let avail: Vec<usize> = self
-            .slots
+    /// Slots that have not failed, ascending.
+    fn alive_slots(&self) -> Vec<usize> {
+        self.slots
             .iter()
-            .filter(|(_, s)| s.alive && s.info.is_some())
+            .filter(|(_, s)| s.alive)
             .map(|(&i, _)| i)
-            .collect();
+            .collect()
+    }
+
+    /// Initial scheduling instant: every initially-available slot has
+    /// been probed; compute and distribute the first schedule. Nothing
+    /// runs without it, so any failure is fatal.
+    fn on_start(&mut self, now: Micros, out: &mut Vec<CoordCommand>) {
+        let mut avail = self.alive_slots();
+        avail.retain(|i| self.slots[i].info.is_some());
         if avail.is_empty() {
             return self.fail_fatal(
                 CwcError::Infeasible(
@@ -534,51 +545,10 @@ impl Kernel {
                 out,
             );
         }
-        // `SchedProblem` owns its jobs, so this instant's copy of the
-        // catalogue is the one clone the batch pays.
-        let jobs: Vec<JobSpec> = self.catalog.values().map(|j| j.spec.clone()).collect();
-        let mut infos: Vec<PhoneInfo> = avail
-            .iter()
-            .map(|i| self.slots[i].info.expect("available slots are probed"))
-            .collect();
-        if self.cfg.bandwidth_blind {
-            let mean = infos.iter().map(|i| i.bandwidth.0).sum::<f64>() / infos.len() as f64;
-            for info in &mut infos {
-                info.bandwidth = cwc_types::MsPerKb(mean);
-            }
-        }
-        let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
-        let c = self.predictor.cost_matrix(&infos, &programs);
-        let mut problem = match SchedProblem::new(infos, jobs, c) {
-            Ok(p) => p,
+        let schedule = match self.schedule_instant(&avail, None) {
+            Ok(s) => s,
             Err(e) => return self.fail_fatal(e, out),
         };
-        if let Some((probs, aggressiveness)) = &self.cfg.reliability {
-            let per_avail: Vec<f64> = avail
-                .iter()
-                .map(|&i| probs.get(i).copied().unwrap_or(0.0))
-                .collect();
-            problem = match cwc_core::derisk(&problem, &per_avail, *aggressiveness) {
-                Ok(p) => p,
-                Err(e) => return self.fail_fatal(e, out),
-            };
-        }
-        let warm = self.warm;
-        let scheduled = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
-            Scheduler::run_observed_warm(self.cfg.scheduler, &problem, &self.cfg.obs, warm)
-        });
-        let schedule = match scheduled {
-            Ok((s, next)) => {
-                if let Some(w) = next {
-                    self.warm = Some(w);
-                }
-                s
-            }
-            Err(e) => return self.fail_fatal(e, out),
-        };
-        if let Err(e) = schedule.validate(&problem) {
-            return self.fail_fatal(e, out);
-        }
         self.predicted_makespan_ms = schedule.predicted_makespan_ms;
         self.cfg.obs.emit_with(|| {
             self.event(now, "sched", "schedule.initial")
@@ -595,30 +565,6 @@ impl Kernel {
                     ),
                 )
         });
-        let breaker = self.cfg.breaker;
-        for (slot_idx, queue) in schedule.per_phone.iter().enumerate() {
-            let slot = self
-                .slots
-                .entry(avail[slot_idx])
-                .or_insert_with(|| Slot::new(breaker));
-            for a in queue {
-                self.next_span += 1;
-                let job = &self.catalog[&a.job];
-                slot.queue.push_back(WorkItem {
-                    original: a.job,
-                    program: job.program.clone(),
-                    exe_kb: job.spec.exe_kb,
-                    kb: a.input_kb,
-                    base_offset: a.offset_kb,
-                    resume: None,
-                    rescheduled: false,
-                    group: None,
-                    speculative: false,
-                    trace: TraceCtx::root(u64::from(a.job.0), self.next_span),
-                });
-            }
-        }
-        self.apply_slo_order(&avail);
         self.plan_replicas(now, &avail);
         for &i in &avail {
             self.ship_next(now, i, out);
@@ -633,6 +579,111 @@ impl Kernel {
                 });
             }
         }
+    }
+
+    /// One scheduling instant (§5), the same code at `Start` and at every
+    /// re-solve: Algorithm 1 over the `avail` slots, each slot's share
+    /// queued in SLO admission order. `Start` packs the whole batch
+    /// (`residuals` is `None`; every placement opens a root span), a
+    /// re-solve packs the failed list (every placement continues its
+    /// residual's span). The caller narrates and ships. On `Err` nothing
+    /// was queued; what that means — fatal at `Start`, try again later in
+    /// a round — is the caller's to say.
+    fn schedule_instant(
+        &mut self,
+        avail: &[usize],
+        residuals: Option<&[WorkItem]>,
+    ) -> CwcResult<Schedule> {
+        let jobs: Vec<JobSpec> = match residuals {
+            // `SchedProblem` owns its jobs, so this instant's copy of the
+            // catalogue is the one clone the batch pays.
+            None => self.catalog.values().map(|j| j.spec.clone()).collect(),
+            // Fresh scheduling ids map back to the residual records. A
+            // checkpointed residual is one continuation → atomic.
+            Some(residuals) => residuals
+                .iter()
+                .enumerate()
+                .map(|(k, r)| JobSpec {
+                    id: JobId(RESIDUAL_BASE + k as u32),
+                    kind: if r.resume.is_some()
+                        || self
+                            .catalog
+                            .get(&r.original)
+                            .is_some_and(|j| j.spec.kind.is_atomic())
+                    {
+                        JobKind::Atomic
+                    } else {
+                        JobKind::Breakable
+                    },
+                    program: r.program.to_string(),
+                    exe_kb: r.exe_kb,
+                    input_kb: r.kb,
+                })
+                .collect(),
+        };
+        let mut infos: Vec<PhoneInfo> = avail
+            .iter()
+            .map(|i| self.slots[i].info.expect("available slots are probed"))
+            .collect();
+        if self.cfg.bandwidth_blind {
+            let mean = infos.iter().map(|i| i.bandwidth.0).sum::<f64>() / infos.len() as f64;
+            for info in &mut infos {
+                info.bandwidth = cwc_types::MsPerKb(mean);
+            }
+        }
+        let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
+        let c = self.predictor.cost_matrix(&infos, &programs);
+        let mut problem = SchedProblem::new(infos, jobs, c)?;
+        if let Some((probs, aggressiveness)) = &self.cfg.reliability {
+            let per_avail: Vec<f64> = avail
+                .iter()
+                .map(|&i| probs.get(i).copied().unwrap_or(0.0))
+                .collect();
+            problem = cwc_core::derisk(&problem, &per_avail, *aggressiveness)?;
+        }
+        let (schedule, warm) = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
+            Scheduler::run_observed_warm(self.cfg.scheduler, &problem, &self.cfg.obs, self.warm)
+        })?;
+        self.warm = warm.or(self.warm);
+        schedule.validate(&problem)?;
+        for (queue, i) in schedule.per_phone.iter().zip(avail) {
+            let slot = self.slots.get_mut(i).expect("available slots exist");
+            for a in queue {
+                self.next_span += 1;
+                let item = match residuals {
+                    None => {
+                        let job = &self.catalog[&a.job];
+                        WorkItem {
+                            original: a.job,
+                            program: job.program.clone(),
+                            exe_kb: job.spec.exe_kb,
+                            kb: a.input_kb,
+                            base_offset: a.offset_kb,
+                            resume: None,
+                            rescheduled: false,
+                            group: None,
+                            speculative: false,
+                            trace: TraceCtx::root(u64::from(a.job.0), self.next_span),
+                        }
+                    }
+                    Some(residuals) => {
+                        // A residual is ungrouped by the time it is on the
+                        // failed list (`fail_item`).
+                        let r = &residuals[(a.job.0 - RESIDUAL_BASE) as usize];
+                        WorkItem {
+                            kb: a.input_kb,
+                            base_offset: r.base_offset + a.offset_kb,
+                            rescheduled: true,
+                            trace: r.trace.child(self.next_span),
+                            ..r.clone()
+                        }
+                    }
+                };
+                slot.queue.push_back(item);
+            }
+        }
+        self.apply_slo_order(avail);
+        Ok(schedule)
     }
 
     /// Stable-sorts every listed slot's queue into SLO admission order:
@@ -767,15 +818,12 @@ impl Kernel {
         if !grp.won {
             self.failed.push(WorkItem {
                 original: grp.original,
-                program: item.program,
-                exe_kb: item.exe_kb,
                 kb: grp.kb,
                 base_offset: grp.base_offset,
                 resume: None,
-                rescheduled: item.rescheduled,
                 group: None,
                 speculative: false,
-                trace: item.trace,
+                ..item
             });
         }
     }
@@ -882,37 +930,33 @@ impl Kernel {
                 .field("rescheduled", item.rescheduled)
                 .field("replica", item.speculative)
         });
+        // The two ship commands are field-for-field identical; the variant
+        // alone says whether this is a redundant copy.
+        macro_rules! ship {
+            ($variant:ident) => {
+                CoordCommand::$variant {
+                    slot,
+                    seq,
+                    job: item.original,
+                    program: item.program.clone(),
+                    exe_kb,
+                    offset_kb: item.base_offset.0,
+                    len_kb: item.kb.0,
+                    resume: item.resume.clone(),
+                    rescheduled: item.rescheduled,
+                    trace: item.trace,
+                }
+            };
+        }
         if item.speculative {
             let kind = item
                 .group
                 .and_then(|g| self.replica_groups.get(&g))
                 .map_or(GroupKind::Replica, |grp| grp.kind);
             self.cfg.obs.metrics.inc(kind.metrics().shipped);
-            out.push(CoordCommand::ShipReplica {
-                slot,
-                seq,
-                job: item.original,
-                program: item.program.clone(),
-                exe_kb,
-                offset_kb: item.base_offset.0,
-                len_kb: item.kb.0,
-                resume: item.resume.clone(),
-                rescheduled: item.rescheduled,
-                trace: item.trace,
-            });
+            out.push(ship!(ShipReplica));
         } else {
-            out.push(CoordCommand::ShipInput {
-                slot,
-                seq,
-                job: item.original,
-                program: item.program.clone(),
-                exe_kb,
-                offset_kb: item.base_offset.0,
-                len_kb: item.kb.0,
-                resume: item.resume.clone(),
-                rescheduled: item.rescheduled,
-                trace: item.trace,
-            });
+            out.push(ship!(ShipInput));
         }
         if let Some(timeout) = stall {
             out.push(CoordCommand::StartTimer {
@@ -1178,16 +1222,10 @@ impl Kernel {
                 // carries the failed span's context; its re-placement mints
                 // the child span.
                 self.failed.push(WorkItem {
-                    original: job,
-                    program: item.program,
-                    exe_kb: item.exe_kb,
                     kb: KiloBytes(remaining),
                     base_offset: item.base_offset + KiloBytes(processed),
                     resume: checkpoint,
-                    rescheduled: item.rescheduled,
-                    group: None,
-                    speculative: false,
-                    trace: item.trace,
+                    ..item
                 });
             }
             if processed > 0 {
@@ -1586,19 +1624,56 @@ impl Kernel {
             return;
         }
         match self.cfg.reschedule {
-            ReschedulePolicy::Solver { delay } => {
-                if !self.round_pending {
-                    self.round_pending = true;
-                    out.push(CoordCommand::StartTimer {
-                        kind: TimerKind::Reschedule,
-                        slot: 0,
-                        token: 0,
-                        after: delay,
-                    });
-                }
-            }
+            ReschedulePolicy::Solver { .. } => self.arm_reschedule(out),
             ReschedulePolicy::RoundRobin => self.migrate_now(now, out),
         }
+    }
+
+    /// Arms the next §5 scheduling instant after the grace delay. One
+    /// pending instant absorbs every failure until it fires.
+    fn arm_reschedule(&mut self, out: &mut Vec<CoordCommand>) {
+        let ReschedulePolicy::Solver { delay } = self.cfg.reschedule else {
+            return;
+        };
+        if !self.round_pending {
+            self.round_pending = true;
+            out.push(CoordCommand::StartTimer {
+                kind: TimerKind::Reschedule,
+                slot: 0,
+                token: 0,
+                after: delay,
+            });
+        }
+    }
+
+    /// Graceful degradation: `residuals` failed items will not be placed
+    /// (`why`). Surface the partial coverage — one `Error` event, and the
+    /// summary drivers report the shortfall from — instead of erroring
+    /// the batch away.
+    fn lose_fleet(&mut self, now: Micros, residuals: usize, why: String) {
+        let detail =
+            format!("{why} with {residuals} residual task(s) unplaced; returning partial results");
+        let unprocessed_kb: BTreeMap<JobId, u64> = self
+            .catalog
+            .iter()
+            .filter_map(|(&id, j)| {
+                let done = self.progress.get(&id).copied().unwrap_or(0);
+                let input = j.spec.input_kb.0;
+                (done < input).then_some((id, input - done))
+            })
+            .collect();
+        self.cfg.obs.emit_with(|| {
+            self.event(now, "failure", "fleet.lost")
+                .severity(cwc_obs::Severity::Error)
+                .field("residuals", residuals)
+                .field("msg", detail.clone())
+        });
+        self.fleet_loss = Some(FleetLoss {
+            workers_lost: self.workers_lost(),
+            quarantined: self.quarantined,
+            unprocessed_kb,
+            detail,
+        });
     }
 
     /// Round-robin migration of residuals over the survivors (live).
@@ -1610,43 +1685,10 @@ impl Kernel {
             let slo = &self.cfg.slo;
             residuals.sort_by_key(|r| SloClass::rank(slo.get(&r.original).copied()));
         }
-        let alive: Vec<usize> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.alive)
-            .map(|(&i, _)| i)
-            .collect();
+        let alive = self.alive_slots();
         if alive.is_empty() {
-            // Graceful degradation: every slot is gone. Surface the
-            // partial coverage instead of erroring the batch away.
-            let unprocessed_kb: BTreeMap<JobId, u64> = self
-                .catalog
-                .iter()
-                .filter_map(|(&id, j)| {
-                    let done = self.progress.get(&id).copied().unwrap_or(0);
-                    let input = j.spec.input_kb.0;
-                    (done < input).then_some((id, input - done))
-                })
-                .collect();
-            let lost = self.workers_lost();
-            let detail = format!(
-                "all {lost} workers lost with {} residual task(s) unplaced; \
-                 returning partial results",
-                residuals.len()
-            );
-            self.cfg.obs.emit_with(|| {
-                self.event(now, "failure", "fleet.lost")
-                    .severity(cwc_obs::Severity::Error)
-                    .field("residuals", residuals.len())
-                    .field("msg", detail.clone())
-            });
-            self.fleet_loss = Some(FleetLoss {
-                workers_lost: lost,
-                quarantined: self.quarantined,
-                unprocessed_kb,
-                detail,
-            });
-            return;
+            let why = format!("all {} workers lost", self.workers_lost());
+            return self.lose_fleet(now, residuals.len(), why);
         }
         self.migrated += residuals.len();
         self.cfg
@@ -1687,164 +1729,61 @@ impl Kernel {
         }
         self.reschedule_rounds += 1;
         if self.reschedule_rounds > MAX_ROUNDS {
+            // Nothing is armed past this point, so say so — once.
+            if self.fleet_loss.is_none() {
+                let why = format!("gave up after {MAX_ROUNDS} scheduling instants");
+                self.lose_fleet(now, self.failed.len(), why);
+            }
             return;
         }
-        let delay = match self.cfg.reschedule {
-            ReschedulePolicy::Solver { delay } => delay,
-            ReschedulePolicy::RoundRobin => return self.migrate_now(now, out),
-        };
-        let avail: Vec<usize> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.alive)
-            .map(|(&i, _)| i)
-            .collect();
+        let avail = self.alive_slots();
         if avail.is_empty() {
             // Try again later; maybe someone replugs.
-            self.round_pending = true;
-            out.push(CoordCommand::StartTimer {
-                kind: TimerKind::Reschedule,
-                slot: 0,
-                token: 0,
-                after: delay,
-            });
-            return;
+            return self.arm_reschedule(out);
         }
         // Fresh b_i for the round: probe every available slot; the round
         // runs when the last reply arrives.
-        self.probing = Some(ProbeRound {
-            awaiting: avail.iter().copied().collect(),
-            avail: avail.clone(),
-        });
-        for i in avail {
+        for &i in &avail {
             out.push(CoordCommand::SendProbe { slot: i });
         }
+        self.probing = Some(ProbeRound {
+            awaiting: avail.iter().copied().collect(),
+            avail,
+        });
     }
 
     /// All probes for a solver round arrived: build and distribute the
-    /// residual schedule.
+    /// residual schedule. A round that cannot (every probed slot gone
+    /// since, or the residue unschedulable right now) keeps the residuals
+    /// and tries again at the next instant.
     fn run_round(&mut self, now: Micros, out: &mut Vec<CoordCommand>) {
         let Some(round) = self.probing.take() else {
             return;
         };
-        let delay = match self.cfg.reschedule {
-            ReschedulePolicy::Solver { delay } => delay,
-            ReschedulePolicy::RoundRobin => return,
-        };
         // A slot can unplug between its probe reply and the last reply
         // that completes the round; distributing over the stale list
         // would strand chunks in a dead slot's queue, which nothing
-        // drains. Residuals stay put and the round retries.
+        // drains.
         let avail: Vec<usize> = round
             .avail
             .into_iter()
             .filter(|i| self.slots.get(i).is_some_and(|s| s.alive))
             .collect();
-        if avail.is_empty() {
-            self.round_pending = true;
-            out.push(CoordCommand::StartTimer {
-                kind: TimerKind::Reschedule,
-                slot: 0,
-                token: 0,
-                after: delay,
-            });
-            return;
-        }
         let residuals = std::mem::take(&mut self.failed);
-        // Fresh scheduling ids map back to the residual records. A
-        // checkpointed residual is one continuation → atomic.
-        let specs: Vec<JobSpec> = residuals
-            .iter()
-            .enumerate()
-            .map(|(k, r)| JobSpec {
-                id: JobId(RESIDUAL_BASE + k as u32),
-                kind: if r.resume.is_some()
-                    || self
-                        .catalog
-                        .get(&r.original)
-                        .is_some_and(|j| j.spec.kind.is_atomic())
-                {
-                    JobKind::Atomic
-                } else {
-                    JobKind::Breakable
-                },
-                program: r.program.to_string(),
-                exe_kb: r.exe_kb,
-                input_kb: r.kb,
-            })
-            .collect();
-        let infos: Vec<PhoneInfo> = avail
-            .iter()
-            .map(|i| self.slots[i].info.expect("probed before the round"))
-            .collect();
-        let programs: Vec<&str> = specs.iter().map(|s| s.program.as_str()).collect();
-        let c = self.predictor.cost_matrix(&infos, &programs);
-        let problem = match SchedProblem::new(infos, specs, c) {
-            Ok(p) => p,
-            Err(_) => {
-                self.failed = residuals;
-                return;
-            }
-        };
-        let problem = match &self.cfg.reliability {
-            Some((probs, aggressiveness)) => {
-                let per_avail: Vec<f64> = avail
-                    .iter()
-                    .map(|&i| probs.get(i).copied().unwrap_or(0.0))
-                    .collect();
-                match cwc_core::derisk(&problem, &per_avail, *aggressiveness) {
-                    Ok(p) => p,
-                    Err(_) => problem,
-                }
-            }
-            None => problem,
-        };
-        let warm = self.warm;
-        let scheduled = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
-            Scheduler::run_observed_warm(self.cfg.scheduler, &problem, &self.cfg.obs, warm)
-        });
-        let schedule = match scheduled {
-            Ok((s, next)) => {
-                if let Some(w) = next {
-                    self.warm = Some(w);
-                }
-                s
-            }
-            Err(_) => {
-                // Unschedulable right now; retry later.
-                self.failed = residuals;
-                self.round_pending = true;
-                out.push(CoordCommand::StartTimer {
-                    kind: TimerKind::Reschedule,
-                    slot: 0,
-                    token: 0,
-                    after: delay,
-                });
-                return;
-            }
-        };
-        // Runtime invariant check (debug builds and tests): the residual
-        // round must requeue every failed chunk exactly once, and the
-        // schedule built over the residuals must satisfy every SCH
-        // constraint (atomic unsplit, RAM capacity, full coverage).
+        // Runtime invariant check (debug builds and tests): the round
+        // must requeue every failed chunk exactly once.
         if cfg!(debug_assertions) {
-            if let Err(violation) = cwc_core::schedule::validate_requeue(
-                residuals
-                    .iter()
-                    .map(|r| (r.original, r.base_offset.0, r.kb.0)),
-            ) {
-                panic!(
-                    "reschedule round {}: requeue invariant violated: {violation}",
-                    self.reschedule_rounds
-                );
-            }
-            if let Err(violation) = cwc_core::schedule::validate(&schedule, &problem) {
-                panic!(
-                    "reschedule round {}: invalid residual schedule: {violation}",
-                    self.reschedule_rounds
-                );
+            let span = |r: &WorkItem| (r.original, r.base_offset.0, r.kb.0);
+            if let Err(violation) = cwc_core::schedule::validate_requeue(residuals.iter().map(span))
+            {
+                let round = self.reschedule_rounds;
+                panic!("reschedule round {round}: requeue invariant violated: {violation}");
             }
         }
+        let Ok(schedule) = self.schedule_instant(&avail, Some(&residuals)) else {
+            self.failed = residuals;
+            return self.arm_reschedule(out);
+        };
         self.cfg.obs.metrics.inc("engine.reschedule_rounds");
         self.cfg.obs.emit_with(|| {
             self.event(now, "sched", "schedule.round")
@@ -1861,27 +1800,6 @@ impl Kernel {
                     ),
                 )
         });
-        for (slot_idx, queue) in schedule.per_phone.iter().enumerate() {
-            let i = avail[slot_idx];
-            for a in queue {
-                self.next_span += 1;
-                let r = &residuals[(a.job.0 - RESIDUAL_BASE) as usize];
-                let item = WorkItem {
-                    original: r.original,
-                    program: r.program.clone(),
-                    exe_kb: r.exe_kb,
-                    kb: a.input_kb,
-                    base_offset: r.base_offset + a.offset_kb,
-                    resume: r.resume.clone(),
-                    rescheduled: true,
-                    group: None,
-                    speculative: false,
-                    trace: r.trace.child(self.next_span),
-                };
-                self.slot_mut(i).queue.push_back(item);
-            }
-        }
-        self.apply_slo_order(&avail);
         for &i in &avail {
             self.ship_next(now, i, out);
         }
@@ -2310,6 +2228,13 @@ mod tests {
         completion_order: Vec<JobId>,
     }
 
+    /// The harness's phone for `slot`, its link at `ms_per_kb`.
+    fn phone(slot: usize, ms_per_kb: f64) -> PhoneInfo {
+        let cpu = CpuSpec::new(1_400 - 200 * slot as u32, 2);
+        let id = PhoneId(slot as u32);
+        PhoneInfo::new(id, cpu, RadioTech::Wifi80211g, MsPerKb(ms_per_kb))
+    }
+
     impl Harness {
         /// Probes `slots` phones (slot 0 the fastest) and starts the batch.
         fn start(cfg: KernelConfig, slots: usize) -> Harness {
@@ -2326,12 +2251,7 @@ mod tests {
                 completion_order: Vec::new(),
             };
             for slot in 0..slots {
-                let info = PhoneInfo::new(
-                    PhoneId(slot as u32),
-                    CpuSpec::new(1_400 - 200 * slot as u32, 2),
-                    RadioTech::Wifi80211g,
-                    MsPerKb(2.0 + slot as f64),
-                );
+                let info = phone(slot, 2.0 + slot as f64);
                 h.step(CoordEvent::Probe { slot, info }, None);
             }
             h.step(CoordEvent::Start, None);
@@ -2449,6 +2369,19 @@ mod tests {
             }
         }
 
+        /// The slot's connection drops; what it was shipped is never
+        /// answered.
+        fn lose(&mut self, slot: usize) -> Vec<CoordCommand> {
+            self.outstanding.retain(|s| s.slot != slot);
+            let why = "connection reset".to_owned();
+            self.step(CoordEvent::ConnectionLost { slot, why }, None)
+        }
+
+        fn fire_reschedule(&mut self) -> Vec<CoordCommand> {
+            let (kind, slot, token) = (TimerKind::Reschedule, 0, 0);
+            self.step(CoordEvent::TimerFired { kind, slot, token }, None)
+        }
+
         fn assert_finished_exactly_once(&self) {
             assert!(self.kernel.finished());
             assert_eq!(self.finished_cmds, 1);
@@ -2551,6 +2484,70 @@ mod tests {
         );
         assert_eq!(obs.metrics.counter_value("sched.speculation.won"), 1);
         h.assert_finished_exactly_once();
+    }
+
+    const SOLVER: ReschedulePolicy = ReschedulePolicy::Solver {
+        delay: Micros(1_000_000),
+    };
+
+    #[test]
+    fn a_residue_no_instant_can_place_is_reported_not_silently_dropped() {
+        let mut cfg = config(atomic_jobs(&[40, 50]));
+        cfg.reschedule = SOLVER;
+        let sink = Arc::new(cwc_obs::MemorySink::new());
+        cfg.obs.bus.attach(sink.clone());
+        let mut h = Harness::start(cfg, 1);
+        // The only slot dies: no instant has a survivor to pack onto, so
+        // each one re-arms the next — until the kernel refuses to go on.
+        let mut out = h.lose(0);
+        let mut instants = 0;
+        let kind = TimerKind::Reschedule;
+        while matches!(out[..], [CoordCommand::StartTimer { kind: k, .. }] if k == kind) {
+            assert!(!h.kernel.fleet_lost());
+            out = h.fire_reschedule();
+            instants += 1;
+        }
+        assert_eq!((instants, out.len()), (MAX_ROUNDS + 1, 0));
+        // Nothing is armed any more, so the shortfall has to be said —
+        // once, however often a stray timer fires.
+        assert!(h.fire_reschedule().is_empty());
+        let events = sink.snapshot().into_iter();
+        let errors = events.filter(|e| e.severity == cwc_obs::Severity::Error);
+        assert_eq!(errors.map(|e| e.name).collect::<Vec<_>>(), ["fleet.lost"]);
+        let loss = h.kernel.take_fleet_loss().expect("shortfall reported");
+        assert_eq!(loss.unprocessed_kb.values().sum::<u64>(), 90);
+    }
+
+    /// One instant function means `bandwidth_blind` blinds every solve,
+    /// not only the first: a re-solve sees the fresh `b_i` through their
+    /// mean alone, so permuting them over the slots moves no residual.
+    #[test]
+    fn a_bandwidth_blind_kernel_re_solves_blind_too() {
+        // What the round ships once slot 0 of 4 is lost, the survivors have
+        // finished their own shares and answer its probes with `links`
+        // (ms/KB; the sum is exact in either order).
+        let round_ships = |blind: bool, links: [f64; 3]| {
+            let job =
+                |i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(4_000));
+            let mut cfg = config((0..4).map(job).collect());
+            (cfg.reschedule, cfg.bandwidth_blind) = (SOLVER, blind);
+            let mut h = Harness::start(cfg, 4);
+            h.lose(0);
+            h.drain();
+            assert_eq!(h.fire_reschedule().len(), 3, "one probe per survivor");
+            let probe = |(k, &b): (usize, &f64)| CoordEvent::Probe {
+                slot: k + 1,
+                info: phone(k + 1, b),
+            };
+            let replies: Vec<_> = links.iter().enumerate().map(probe).collect();
+            let steps = replies.into_iter().map(|ev| h.step(ev, None));
+            steps.last().expect("three replies")
+        };
+        let (ab, ba) = ([1.0, 8.0, 64.0], [64.0, 8.0, 1.0]);
+        assert_eq!(round_ships(true, ab).len(), 3, "one ship per idle survivor");
+        assert_eq!(round_ships(true, ab), round_ships(true, ba));
+        // The control: a sighted kernel does follow the links.
+        assert_ne!(round_ships(false, ab), round_ships(false, ba));
     }
 
     /// With the planted double credit a group win counts the job's KB

@@ -68,17 +68,13 @@ pub struct EngineConfig {
     pub replication: Option<cwc_core::ReplicationPolicy>,
     /// Speculative re-execution of stragglers (DESIGN.md §12).
     pub speculation: Option<cwc_core::SpeculationPolicy>,
-    /// Record a human-readable event trace of the run (scheduling
-    /// rounds, failures, migrations, completions). Off by default: the
-    /// Fig. 13 sweep runs thousands of engines.
-    pub trace_enabled: bool,
     /// Hard stop (safety net against unfinishable runs).
     pub horizon: Micros,
     /// Observability: the run emits structured events and metrics through
-    /// this handle regardless of `trace_enabled` (which only controls the
-    /// [`EngineOutcome::trace`] transcript). The default bundle has no
-    /// sinks attached, so emission is a near-free no-op; attach a sink
-    /// (e.g. [`cwc_obs::JsonlSink`]) to capture the run.
+    /// this handle. The default bundle has no sinks attached, so emission
+    /// is a near-free no-op; attach a sink (e.g. [`cwc_obs::MemorySink`],
+    /// [`cwc_obs::JsonlSink`]) to capture the run's story — scheduling
+    /// rounds, failures, migrations, completions.
     pub obs: cwc_obs::Obs,
 }
 
@@ -94,7 +90,6 @@ impl Default for EngineConfig {
             slo: BTreeMap::new(),
             replication: None,
             speculation: None,
-            trace_enabled: false,
             horizon: Micros::from_hours(12),
             obs: cwc_obs::Obs::new(),
         }
@@ -197,9 +192,6 @@ pub struct EngineOutcome {
     pub workers_lost: usize,
     /// Of the phones ever lost, how many the circuit breaker quarantined.
     pub quarantined_workers: usize,
-    /// The recorded event trace (empty unless
-    /// [`EngineConfig::trace_enabled`]).
-    pub trace: Vec<cwc_sim::TraceEntry>,
 }
 
 impl EngineOutcome {
@@ -333,15 +325,6 @@ impl Engine {
     fn run_inner(self, bandwidth_blind: bool) -> CwcResult<EngineOutcome> {
         let mut sim: Simulation<Ev> = Simulation::new();
 
-        // When tracing, collect this run's events off the (possibly
-        // shared) bus; the collector is detached again before returning.
-        let collector = if self.config.trace_enabled {
-            let sink = std::sync::Arc::new(cwc_obs::MemorySink::new());
-            let id = self.config.obs.bus.attach(sink.clone());
-            Some((sink, id))
-        } else {
-            None
-        };
         self.config.obs.emit_with(|| {
             cwc_obs::Event::sim(0, "engine", "run.start")
                 .field("phones", self.fleet.len())
@@ -442,24 +425,6 @@ impl Engine {
             .set_gauge("engine.makespan_ms", makespan.as_ms_f64());
         obs.metrics
             .set_gauge("engine.completed_jobs", completed_jobs as f64);
-        let trace = match collector {
-            Some((sink, id)) => {
-                obs.bus.detach(id);
-                sink.take()
-                    .into_iter()
-                    // The transcript is a sim-time story; wall-clock
-                    // events (scheduler convergence spans) stay on the
-                    // bus-level sinks only.
-                    .filter(|e| e.clock == cwc_obs::Clock::Sim)
-                    .map(|e| cwc_sim::TraceEntry {
-                        at: Micros(e.time_us),
-                        message: e.message(),
-                        scope: e.scope,
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
         Ok(EngineOutcome {
             makespan,
             predicted_makespan_ms: driver.kernel.predicted_makespan_ms(),
@@ -475,7 +440,6 @@ impl Engine {
             workers_lost: driver.kernel.workers_lost(),
             quarantined_workers: driver.kernel.quarantined(),
             fleet_loss: driver.kernel.take_fleet_loss(),
-            trace,
         })
     }
 

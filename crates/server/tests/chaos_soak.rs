@@ -342,11 +342,14 @@ fn malicious_worker_is_quarantined_not_fatal() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
-    // Three honest workers...
-    spawn_fleet(addr, fleet(3), vec![None; 3]);
-    // ...and one liar speaking raw frames.
+    // A connection's slot is its place in the accept order, and with a
+    // liar in it this fleet is not symmetric: how many items the schedule
+    // queues on the liar's slot — hence how many breaker marks it can
+    // collect — depends on which slot it got. So the liar, speaking raw
+    // frames, connects from this thread before an honest worker exists
+    // (slot 0 on every run)...
+    let mut conn = cwc_net::FramedTcp::connect(addr).unwrap();
     thread::spawn(move || -> CwcResult<()> {
-        let mut conn = cwc_net::FramedTcp::connect(addr)?;
         conn.send(&cwc_net::Frame::Register {
             phone: PhoneId(9),
             clock_mhz: 1200,
@@ -385,6 +388,8 @@ fn malicious_worker_is_quarantined_not_fatal() {
             }
         }
     });
+    // ...and three honest workers race for the rest, which are alike.
+    spawn_fleet(addr, fleet(3), vec![None; 3]);
 
     let out = run_live_server_with(
         listener,

@@ -187,53 +187,43 @@ fn double_unplug_of_same_phone_is_idempotent() {
 }
 
 #[test]
-fn trace_records_the_run_story_when_enabled() {
+fn a_memory_sink_on_the_obs_bus_records_the_run_story() {
     let injections = vec![FailureInjection {
         at: Micros::from_secs(15),
         phone: PhoneId(1),
         offline: false,
         replug_at: None,
     }];
-    let out = Engine::new(
+    let obs = cwc_obs::Obs::new();
+    let sink = std::sync::Arc::new(cwc_obs::MemorySink::new());
+    obs.bus.attach(sink.clone());
+    Engine::new(
         testbed_fleet(27),
         jobs(12, 300, 800),
         injections,
         EngineConfig {
-            trace_enabled: true,
+            obs,
             ..Default::default()
         },
     )
     .unwrap()
     .run()
     .unwrap();
-    assert!(!out.trace.is_empty());
-    let text: String = out
-        .trace
+    // The story is the sim-time events; wall-clock ones (scheduler
+    // convergence spans) ride the same bus.
+    let mut story = sink.take();
+    story.retain(|e| e.clock == cwc_obs::Clock::Sim);
+    let text: String = story
         .iter()
-        .map(|e| format!("{} {}\n", e.scope, e.message))
+        .map(|e| format!("{} {}\n", e.scope, e.message()))
         .collect();
     assert!(text.contains("initial schedule"), "{text}");
     assert!(text.contains("unplugged"), "{text}");
     assert!(text.contains("reschedule round"), "{text}");
     assert!(text.contains("complete"), "{text}");
-    // Trace timestamps are monotone.
-    for w in out.trace.windows(2) {
-        assert!(w[0].at <= w[1].at);
+    for w in story.windows(2) {
+        assert!(w[0].time_us <= w[1].time_us);
     }
-}
-
-#[test]
-fn trace_is_empty_by_default() {
-    let out = Engine::new(
-        testbed_fleet(28),
-        jobs(4, 100, 200),
-        vec![],
-        EngineConfig::default(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
-    assert!(out.trace.is_empty());
 }
 
 #[test]

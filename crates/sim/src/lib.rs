@@ -16,8 +16,8 @@
 //!    processes, no coroutines — the CWC engine is naturally event-shaped
 //!    (transfers complete, executions finish, keep-alives time out).
 //! 3. **Observability.** Instrumented code emits structured events on the
-//!    `cwc-obs` bus; when tracing is enabled the engine collects them into
-//!    [`TraceEntry`] records, which experiments turn into the paper's
+//!    `cwc-obs` bus; a sink attached there (a `MemorySink`, a JSONL file)
+//!    is the run's story, which experiments turn into the paper's
 //!    timeline figures (Fig. 12a/12c).
 //!
 //! ```
@@ -47,8 +47,6 @@
 
 mod queue;
 mod rng;
-mod trace;
 
 pub use queue::{EventId, Simulation};
 pub use rng::{Distributions, RngStreams};
-pub use trace::{render as render_trace, TraceEntry};

@@ -2,8 +2,8 @@
 //! byte-identical. This is the property the `determinism` lint rule exists
 //! to protect — no wall clocks, no OS-seeded RNG, no hash-order iteration
 //! anywhere on the scheduling path. Runs include failure injections so the
-//! reschedule rounds (which revalidate every residual schedule under
-//! `debug_assertions`) are exercised too.
+//! reschedule rounds (which validate every residual schedule, and under
+//! `debug_assertions` the residual list itself) are exercised too.
 
 use cwc::server::coord::{
     script, CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy,
@@ -195,6 +195,32 @@ fn same_event_script_yields_byte_identical_command_streams() {
     assert_eq!(steps, decoded, "script codec is lossy");
     let recoded = script::replay(&decoded, kernel_config()).expect("replay decoded");
     assert_eq!(live, recoded, "decoded replay diverged");
+}
+
+#[test]
+fn driver_style_moves_nothing_but_the_keepalive_timers() {
+    // The scripted failure run again, stepped through a kernel of each
+    // style with otherwise equal configs: every command — what is shipped
+    // where, what is cancelled, every timer — must agree but the
+    // keep-alives `Start` arms for a live driver. A stall watchdog per
+    // ship (none fires in the script) puts a timer in the stream too.
+    let (steps, _) = scripted_run();
+    let decisions = |style: DriverStyle| -> Vec<String> {
+        let cfg = KernelConfig {
+            style,
+            stall_timeout: Some(Micros::from_secs(30)),
+            ..kernel_config()
+        };
+        let mut lines = script::replay(&steps, cfg).expect("replay");
+        lines.retain(|l| !l.starts_with("StartTimer { kind: KeepAlive"));
+        lines
+    };
+    let live = decisions(DriverStyle::Live);
+    assert!(live.iter().any(|l| l.contains("rescheduled: true")));
+    assert!(live
+        .iter()
+        .any(|l| l.starts_with("StartTimer { kind: Stall")));
+    assert_eq!(live, decisions(DriverStyle::Sim));
 }
 
 // ---------------------------------------------------------------------------
