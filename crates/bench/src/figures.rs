@@ -15,11 +15,10 @@ use cwc_server::{
     paper_workload, testbed_fleet, Engine, EngineConfig, EngineOutcome, FailureInjection,
     FleetBuilder,
 };
-use cwc_sim::RngStreams;
+use cwc_sim::{Distributions, RngStreams};
 use cwc_types::{
     CpuSpec, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo, RadioTech, UserId,
 };
-use rand::Rng;
 
 /// Default master seed for every recorded experiment.
 pub const DEFAULT_SEED: u64 = 2012;

@@ -20,8 +20,8 @@
 //! resets. The worker-level classes — crash at a chunk boundary,
 //! slow-loris execution — are consulted by the worker loop directly.
 //!
-//! Dependency-light by design: `cwc-types`, `cwc-net`, `cwc-obs`, nothing
-//! else.
+//! Dependency-light by design: `cwc-net`, `cwc-obs`, and `cwc-sim` for
+//! the workspace's one seeded generator, nothing else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +30,7 @@ pub mod plan;
 pub mod rng;
 pub mod script;
 
+pub use cwc_sim::shard_seed;
 pub use plan::{FaultKind, FaultPlan, FaultProfile};
-pub use rng::{shard_seed, ChaosRng};
+pub use rng::ChaosRng;
 pub use script::{FaultScript, WorkerChaos};

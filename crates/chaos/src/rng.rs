@@ -1,58 +1,43 @@
-//! Self-contained deterministic randomness for fault plans.
+//! Deterministic randomness for fault plans.
 //!
-//! The chaos harness must replay identical fault sequences from a seed —
-//! across runs, platforms, and Rust versions — so it cannot depend on
-//! wall-clock entropy or on `rand`'s unversioned algorithm choices. This
-//! is a SplitMix64 generator with FNV-1a label mixing, the same derivation
-//! discipline `cwc_sim::rng::RngStreams` uses for simulation streams.
+//! The chaos harness must replay identical fault sequences from a seed, so
+//! it draws from the workspace's one seeded generator,
+//! [`cwc_sim::SplitMix64`], started from a raw state
+//! ([`SplitMix64::from_state`]) rather than through `seed_from_u64`: the
+//! fault scripts that soak and replay runs reproduce are functions of
+//! exactly these streams.
 
-/// A tiny deterministic RNG (SplitMix64).
+use cwc_sim::{splitmix64, Distributions, SplitMix64};
+
+/// The fault-plan generator: a [`SplitMix64`] seeded per plan, plus the two
+/// draws whose edge cases fault scripts depend on.
 ///
 /// Streams derived via [`ChaosRng::derive`] are statistically independent
 /// of each other and of the parent, so each connection's fault script rolls
 /// its own dice without coupling to scheduling order.
 #[derive(Debug, Clone)]
-pub struct ChaosRng {
-    state: u64,
-}
+pub struct ChaosRng(SplitMix64);
 
 impl ChaosRng {
     /// Creates a generator from a master seed.
     pub fn new(seed: u64) -> Self {
-        ChaosRng {
-            state: splitmix64(seed ^ 0x6368616f73), // "chaos"
-        }
+        ChaosRng(SplitMix64::from_state(splitmix64(seed ^ 0x6368616f73))) // "chaos"
     }
 
     /// Derives an independent child stream for `label` without advancing
     /// this generator.
     pub fn derive(&self, label: &str) -> ChaosRng {
-        ChaosRng {
-            state: splitmix64(self.state ^ fnv1a64(label.as_bytes())),
-        }
+        ChaosRng(self.0.derive(label))
     }
 
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform sample in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 mantissa bits of uniform randomness.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli trial with probability `p`. Unlike
+    /// [`Distributions::chance`], which it shadows, it draws nothing when
+    /// `p <= 0`, so a disabled fault class leaves the stream untouched.
     pub fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
 
-    /// Uniform integer in `[0, n)`; returns 0 when `n == 0`.
+    /// Uniform integer in `[0, n)`; returns 0 without drawing when `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
@@ -63,48 +48,16 @@ impl ChaosRng {
     }
 }
 
-/// Derives the master seed for shard `shard` of a sharded run from the
-/// run's master seed.
-///
-/// This is the **one** splittable-seed scheme for the whole workspace:
-/// every component that fans a run out across kernel shards (the sharded
-/// sim driver, the shard bench, per-shard fault plans) derives its
-/// per-shard seed here instead of doing ad-hoc arithmetic at the call
-/// site. The derivation is `splitmix64(master ^ H("shard", shard))` with
-/// the same FNV-1a/SplitMix64 discipline [`ChaosRng::derive`] and
-/// `cwc_sim::rng::RngStreams` use, so shard streams are statistically
-/// independent of the parent and of each other — `tests` prove the first
-/// 1 000 draws of sibling shards never collide.
-pub fn shard_seed(master: u64, shard: u64) -> u64 {
-    // Mirror `RngStreams::indexed_stream("shard", shard)`: hash the prefix,
-    // fold in the index, then decorrelate.
-    let mut h = fnv1a64(b"shard");
-    h ^= shard;
-    h = h.wrapping_mul(0x100000001b3);
-    splitmix64(master ^ h)
-}
-
-/// FNV-1a 64-bit hash — stable across platforms and Rust versions.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
+impl Distributions for ChaosRng {
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
     }
-    hash
-}
-
-/// SplitMix64 finalizer — decorrelates structured seed inputs.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwc_sim::shard_seed;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -132,15 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn next_f64_is_in_unit_interval() {
-        let mut rng = ChaosRng::new(3);
-        for _ in 0..1000 {
-            let v = rng.next_f64();
-            assert!((0.0..1.0).contains(&v), "{v}");
-        }
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = ChaosRng::new(9);
         for _ in 0..100 {
@@ -154,17 +98,6 @@ mod tests {
         let mut rng = ChaosRng::new(11);
         let hits = (0..10_000).filter(|_| rng.chance(0.2)).count();
         assert!((1_500..2_500).contains(&hits), "{hits}");
-    }
-
-    #[test]
-    fn shard_seeds_are_deterministic_and_distinct() {
-        for master in [0u64, 1, 42, u64::MAX] {
-            let mut seen = std::collections::BTreeSet::new();
-            for shard in 0..64u64 {
-                assert_eq!(shard_seed(master, shard), shard_seed(master, shard));
-                assert!(seen.insert(shard_seed(master, shard)), "seed collision");
-            }
-        }
     }
 
     #[test]

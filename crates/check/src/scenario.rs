@@ -56,9 +56,9 @@ impl ScenarioRun {
     }
 }
 
-/// Tiny deterministic generator (xorshift64*) for seed-derived variation.
-/// Dependency-free on purpose: the vendored `rand` stub is not needed for
-/// a handful of bounded draws.
+/// Tiny deterministic generator (xorshift64*) for seed-derived variation
+/// of the scenario templates. Its stream fixes which scenarios `explore`
+/// visits at a seed, so it stays apart from `cwc_sim`'s generator.
 pub struct SplitRng(u64);
 
 impl SplitRng {

@@ -13,9 +13,8 @@
 //! parameters give WiFi a small stationary coefficient of variation and
 //! cellular a larger one, matching the measured behavior.
 
-use cwc_sim::Distributions;
+use cwc_sim::{Distributions, SplitMix64};
 use cwc_types::{KiloBytes, Micros, MsPerKb, RadioTech};
-use rand::rngs::StdRng;
 
 /// Parameters of a link's throughput process.
 #[derive(Debug, Clone, Copy)]
@@ -90,14 +89,14 @@ const MIXED_AFTER_STEPS: u64 = 64;
 #[derive(Debug, Clone)]
 pub struct LinkModel {
     cfg: LinkConfig,
-    rng: StdRng,
+    rng: SplitMix64,
     current_kbps: f64,
     last_step_at: Micros,
 }
 
 impl LinkModel {
     /// Creates a link at its stationary mean.
-    pub fn new(cfg: LinkConfig, rng: StdRng) -> Self {
+    pub fn new(cfg: LinkConfig, rng: SplitMix64) -> Self {
         LinkModel {
             current_kbps: cfg.mean_kb_per_sec,
             cfg,
@@ -281,7 +280,6 @@ mod tests {
 
     #[test]
     fn long_gaps_keep_the_stream_of_the_iterating_loop() {
-        use rand::Rng;
         const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 1_000_000];
         let techs = [
             RadioTech::Wifi80211a,
@@ -312,7 +310,7 @@ mod tests {
                         "{tech:?} seed {seed} step {k} gap {gap_us} us"
                     );
                 }
-                assert_eq!(fast.rng.gen::<u64>(), slow.rng.gen::<u64>());
+                assert_eq!(fast.rng.next_u64(), slow.rng.next_u64());
             }
         }
     }

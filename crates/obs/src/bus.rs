@@ -6,7 +6,6 @@
 //! listens. Sequence numbers are assigned under the sink lock so every sink
 //! observes events in one global order, even with concurrent emitters.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -157,48 +156,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Bounded ring buffer keeping only the newest `capacity` events — a cheap
-/// "flight recorder" for long-running processes.
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (`capacity >= 1`).
-    pub fn with_capacity(capacity: usize) -> Self {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
-        }
-    }
-
-    /// Copies out the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// The maximum number of events retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl EventSink for RingSink {
-    fn accept(&self, event: &Event) {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(event.clone());
-    }
-}
-
 /// Human-readable line-per-event sink over any writer (typically stdout).
 /// Events below `min_severity` are dropped.
 pub struct TextSink {
@@ -316,28 +273,14 @@ mod tests {
     fn fan_out_reaches_every_sink() {
         let bus = EventBus::new();
         let a = Arc::new(MemorySink::new());
-        let b = Arc::new(RingSink::with_capacity(8));
+        let b = Arc::new(MemorySink::new());
         bus.attach(a.clone());
         bus.attach(b.clone());
         for i in 0..3u64 {
             bus.emit(Event::sim(i, "t", "tick"));
         }
         assert_eq!(a.len(), 3);
-        assert_eq!(b.snapshot().len(), 3);
-    }
-
-    #[test]
-    fn ring_keeps_only_newest() {
-        let bus = EventBus::new();
-        let ring = Arc::new(RingSink::with_capacity(2));
-        bus.attach(ring.clone());
-        for i in 0..5u64 {
-            bus.emit(Event::sim(i, "t", format!("tick-{i}")));
-        }
-        let kept = ring.snapshot();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].name, "tick-3");
-        assert_eq!(kept[1].name, "tick-4");
+        assert_eq!(b.len(), 3);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! 1. **Event bus** ([`EventBus`]): structured [`Event`] records — sim-time
 //!    or wall-time stamped, severity-tagged, with key/value fields — fanned
-//!    out to pluggable sinks ([`MemorySink`], [`RingSink`], [`TextSink`],
-//!    [`JsonlSink`]). With no sinks attached, emission is a near-free no-op,
-//!    so instrumentation stays always-on in library code.
+//!    out to pluggable sinks ([`MemorySink`], [`TextSink`], [`JsonlSink`]).
+//!    With no sinks attached, emission is a near-free no-op, so
+//!    instrumentation stays always-on in library code.
 //! 2. **Metrics registry** ([`MetricsRegistry`]): named counters, gauges and
 //!    fixed-bucket histograms with p50/p95/p99 summaries. Counters and
 //!    histogram recording are lock-free atomics.
@@ -49,7 +49,7 @@ mod metrics;
 mod span;
 mod trace;
 
-pub use bus::{EventBus, EventSink, JsonlSink, MemorySink, RingSink, SinkId, TextSink};
+pub use bus::{EventBus, EventSink, JsonlSink, MemorySink, SinkId, TextSink};
 pub use event::{Clock, Event, Severity, Value};
 pub use flight::{
     read_dump_events, FlightRecorder, FlightRecorderConfig, MetricsSnapshot, ANOMALY_EVENTS,

@@ -11,10 +11,13 @@ use crate::logs::{LogEntry, PlugLogState};
 use crate::users::UserProfile;
 use cwc_sim::Distributions;
 use cwc_types::Micros;
-use rand::Rng;
 
 /// Generates `days` of logs for one volunteer.
-pub fn generate_user_log(profile: &UserProfile, days: u32, rng: &mut impl Rng) -> Vec<LogEntry> {
+pub fn generate_user_log(
+    profile: &UserProfile,
+    days: u32,
+    rng: &mut impl Distributions,
+) -> Vec<LogEntry> {
     let mut entries = Vec::new();
     // Time the phone comes off the previous charge — a long night can
     // reach past 7 a.m., so the next day's intervals must not start
@@ -84,7 +87,7 @@ fn push_interval(
     profile: &UserProfile,
     start_h: f64,
     end_h: f64,
-    rng: &mut impl Rng,
+    rng: &mut impl Distributions,
 ) {
     if end_h <= start_h {
         return;
@@ -113,13 +116,13 @@ fn push_interval(
 }
 
 /// Poisson-ish small-count sampler (inverse-CDF on a short support).
-fn sample_count(mean: f64, rng: &mut impl Rng) -> u32 {
+fn sample_count(mean: f64, rng: &mut impl Distributions) -> u32 {
     // Knuth's method is fine for small means.
     let l = (-mean).exp();
     let mut k = 0u32;
     let mut p = 1.0;
     loop {
-        p *= rng.gen::<f64>();
+        p *= rng.next_f64();
         if p <= l || k > 12 {
             return k;
         }

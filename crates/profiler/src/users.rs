@@ -1,7 +1,7 @@
 //! Volunteer profiles — the generative model of one phone owner.
 
+use cwc_sim::Distributions;
 use cwc_types::UserId;
-use rand::Rng;
 
 /// Behavioral parameters of one study volunteer.
 ///
@@ -47,23 +47,23 @@ pub const REGULAR_USERS: [u32; 3] = [3, 4, 8];
 /// Users 3, 4 and 8 are the regulars; the rest draw their night medians
 /// around 6–7 h with larger variability, so the aggregate night median
 /// lands near the paper's ≈7 h.
-pub fn study_population(rng: &mut impl Rng) -> Vec<UserProfile> {
+pub fn study_population(rng: &mut impl Distributions) -> Vec<UserProfile> {
     (0..15u32)
         .map(|i| {
             let regular = REGULAR_USERS.contains(&i);
             let (median, sigma) = if regular {
-                (8.3 + 0.4 * rng.gen::<f64>(), 0.10)
+                (8.3 + 0.4 * rng.next_f64(), 0.10)
             } else {
-                (5.8 + 2.4 * rng.gen::<f64>(), 0.28 + 0.22 * rng.gen::<f64>())
+                (5.8 + 2.4 * rng.next_f64(), 0.28 + 0.22 * rng.next_f64())
             };
             UserProfile {
                 id: UserId(i),
                 night_charge_prob: if regular { 0.97 } else { 0.85 },
-                night_plug_hour_mean: 22.4 + 1.6 * rng.gen::<f64>(),
+                night_plug_hour_mean: 22.4 + 1.6 * rng.next_f64(),
                 night_plug_hour_sd: if regular { 0.4 } else { 0.9 },
                 night_duration_median_h: median,
                 night_duration_sigma: sigma,
-                day_intervals_per_day: 1.8 + 1.6 * rng.gen::<f64>(),
+                day_intervals_per_day: 1.8 + 1.6 * rng.next_f64(),
                 day_duration_median_h: 0.5,
                 day_duration_sigma: 0.55,
                 // Calibrated so P(transfer < 2 MB) ≈ 0.8 in aggregate:
@@ -73,12 +73,12 @@ pub fn study_population(rng: &mut impl Rng) -> Vec<UserProfile> {
                 transfer_median_mb: if regular {
                     0.15
                 } else {
-                    0.4 + 0.35 * rng.gen::<f64>()
+                    0.4 + 0.35 * rng.next_f64()
                 },
                 transfer_sigma: if regular {
                     1.0
                 } else {
-                    1.55 + 0.2 * rng.gen::<f64>()
+                    1.55 + 0.2 * rng.next_f64()
                 },
                 shutdown_prob: 0.03,
             }

@@ -13,7 +13,7 @@
 //!   the behavioral study), so a house-wide outage or a morning unplug
 //!   wave lands on few shards instead of all of them;
 //! * [`FleetAllocator`] — the bookkeeping state machine over per-shard
-//!   results: it splits the job batch via [`cwc_core::partition_jobs`],
+//!   results of a batch split by [`cwc_core::partition_jobs`]: it
 //!   merges per-shard completions and [`FleetLoss`] summaries in job-id
 //!   order (BTreeMap discipline), and turns the shortfall of a dead
 //!   shard into a **residual batch** for the survivors — the work-
@@ -25,8 +25,7 @@
 //! proofs applicable to the allocator exactly as they are to the kernel.
 
 use super::kernel::FleetLoss;
-use cwc_core::{partition_jobs, JobPartition};
-use cwc_types::{CwcResult, JobId, JobSpec, KiloBytes, Micros};
+use cwc_types::{JobId, JobSpec, KiloBytes, Micros};
 use std::collections::BTreeMap;
 
 /// Buckets a phone for shard planning: phones that share a site and a
@@ -157,12 +156,6 @@ impl FleetAllocator {
             chunks_stolen: 0,
             rounds_stolen: 0,
         }
-    }
-
-    /// Splits `jobs` across shards by capacity weight — a thin veneer
-    /// over [`cwc_core::partition_jobs`] so drivers have one entry point.
-    pub fn split(jobs: &[JobSpec], weights: &[f64]) -> CwcResult<JobPartition> {
-        partition_jobs(jobs, weights)
     }
 
     /// Folds one shard's outcome into the fleet account. `assigned` is
@@ -301,6 +294,7 @@ impl FleetAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwc_core::partition_jobs;
 
     fn jobs() -> Vec<JobSpec> {
         vec![
@@ -357,7 +351,7 @@ mod tests {
     fn allocator_merges_clean_completion() {
         let jobs = jobs();
         let mut alloc = FleetAllocator::new(&jobs);
-        let split = FleetAllocator::split(&jobs, &[1.0, 1.0]).unwrap();
+        let split = partition_jobs(&jobs, &[1.0, 1.0]).unwrap();
         for shard in 0..2 {
             let done: BTreeMap<JobId, Micros> = split.per_shard[shard]
                 .iter()
@@ -374,7 +368,7 @@ mod tests {
     fn dead_shard_shortfall_becomes_a_residual_batch() {
         let jobs = jobs();
         let mut alloc = FleetAllocator::new(&jobs);
-        let split = FleetAllocator::split(&jobs, &[1.0, 1.0]).unwrap();
+        let split = partition_jobs(&jobs, &[1.0, 1.0]).unwrap();
         // Shard 0 completes; shard 1 dies having processed nothing.
         let done: BTreeMap<JobId, Micros> = split.per_shard[0]
             .iter()

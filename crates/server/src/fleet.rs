@@ -9,7 +9,6 @@ use cwc_device::{BatteryParams, CpuModel, Phone, PhoneSpec, PHONE_MODELS};
 use cwc_net::link::{LinkConfig, LinkModel};
 use cwc_sim::{Distributions, RngStreams};
 use cwc_types::{CpuSpec, PhoneId, RadioTech};
-use rand::Rng;
 
 /// Configurable fleet builder.
 #[derive(Debug, Clone)]

@@ -12,6 +12,7 @@
 //! turns a backoff into a wheel timer and the kernel feeds the breaker its
 //! own `now`, so nothing here sleeps or reads a clock.
 
+use cwc_sim::Distributions;
 use cwc_types::Micros;
 use std::collections::VecDeque;
 use std::time::Duration;

@@ -36,6 +36,7 @@ use crate::coord::FleetLoss;
 use crate::engine::{Engine, EngineConfig, EngineOutcome, FailureInjection};
 use crate::pool::WorkerPool;
 use cwc_chaos::shard_seed;
+use cwc_core::partition_jobs;
 use cwc_device::Phone;
 use cwc_types::{CwcError, CwcResult, JobSpec, Micros, PhoneId};
 use std::collections::BTreeMap;
@@ -260,7 +261,7 @@ impl FleetEngine {
             })
             .collect();
         let mut allocator = FleetAllocator::new(&self.jobs);
-        let split = FleetAllocator::split(&self.jobs, &weights)?;
+        let split = partition_jobs(&self.jobs, &weights)?;
 
         // Sub-fleets are kept (cloned) for steal rounds.
         let shard_fleets: Vec<Vec<Phone>> = plan
@@ -362,7 +363,7 @@ impl FleetEngine {
                     }
                 })
                 .collect();
-            let round_split = FleetAllocator::split(&residuals, &round_weights)?;
+            let round_split = partition_jobs(&residuals, &round_weights)?;
             let inputs: Vec<ShardInput> = (0..shards)
                 .map(|s| {
                     if round_split.per_shard[s].is_empty() {

@@ -4,14 +4,13 @@
 //! varying input sizes, 50 word counts with varying input sizes, and 50
 //! variable-size photos to blur (atomic).
 
+use cwc_sim::{Distributions, SplitMix64};
 use cwc_types::{JobId, JobSpec, KiloBytes};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Deterministic workload builder.
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
-    rng: StdRng,
+    rng: SplitMix64,
     next_id: u32,
     jobs: Vec<JobSpec>,
 }
@@ -20,7 +19,7 @@ impl WorkloadBuilder {
     /// Creates an empty builder.
     pub fn new(seed: u64) -> Self {
         WorkloadBuilder {
-            rng: StdRng::seed_from_u64(seed ^ 0x776f726b6c6f6164),
+            rng: SplitMix64::seed_from_u64(seed ^ 0x776f726b6c6f6164),
             next_id: 0,
             jobs: Vec::new(),
         }

@@ -49,4 +49,4 @@ mod queue;
 mod rng;
 
 pub use queue::{EventId, Simulation};
-pub use rng::{Distributions, RngStreams};
+pub use rng::{shard_seed, splitmix64, Distributions, RngStreams, SampleRange, SplitMix64};

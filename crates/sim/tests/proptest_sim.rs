@@ -1,10 +1,9 @@
 //! Property tests for the discrete-event kernel: dispatch order, clock
 //! monotonicity, cancellation, and RNG stream independence.
 
-use cwc_sim::{RngStreams, Simulation};
+use cwc_sim::{Distributions, RngStreams, Simulation};
 use cwc_types::Micros;
 use proptest::prelude::*;
-use rand::Rng;
 
 proptest! {
     #[test]
@@ -78,11 +77,11 @@ proptest! {
     #[test]
     fn rng_streams_reproduce_and_differ(seed in any::<u64>(), a in "[a-z]{1,12}", b in "[a-z]{1,12}") {
         let streams = RngStreams::new(seed);
-        let xs: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&a), |r, _| Some(r.gen())).collect();
-        let ys: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&a), |r, _| Some(r.gen())).collect();
+        let xs: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&a), |r, _| Some(r.next_u64())).collect();
+        let ys: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&a), |r, _| Some(r.next_u64())).collect();
         prop_assert_eq!(&xs, &ys, "same label must reproduce");
         if a != b {
-            let zs: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&b), |r, _| Some(r.gen())).collect();
+            let zs: Vec<u64> = (0..4).map(|_| 0).scan(streams.stream(&b), |r, _| Some(r.next_u64())).collect();
             prop_assert_ne!(xs, zs, "different labels must differ");
         }
     }

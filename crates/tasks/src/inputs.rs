@@ -5,13 +5,12 @@
 //! experiment can regenerate byte-identical inputs.
 
 use crate::programs::render::{encode_scene, Disc};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use cwc_sim::{Distributions, SplitMix64};
 
 /// A file of newline-separated integers (for `primecount`/`largestint`),
 /// roughly `kb` KB long.
 pub fn number_file(kb: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6e756d66696c65);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x6e756d66696c65);
     let mut out = Vec::with_capacity(kb * 1024);
     while out.len() < kb * 1024 {
         let n: u32 = rng.gen_range(1..1_000_000);
@@ -33,7 +32,7 @@ pub fn text_file(kb: usize, seed: u64, word: &str) -> Vec<u8> {
         "sales", "report", "store", "total", "item", "qty", "region", "daily", "order", "stock",
         "price", "audit",
     ];
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x74657874);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x74657874);
     let mut out = Vec::with_capacity(kb * 1024);
     while out.len() < kb * 1024 {
         let w = if rng.gen_ratio(1, 100) {
@@ -50,7 +49,7 @@ pub fn text_file(kb: usize, seed: u64, word: &str) -> Vec<u8> {
 
 /// A grayscale photo with smooth gradients plus noise (for `photoblur`).
 pub fn image_file(width: u32, height: u32, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x696d616765);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x696d616765);
     let mut px = Vec::with_capacity(width as usize * height as usize);
     for y in 0..height {
         for x in 0..width {
@@ -64,11 +63,11 @@ pub fn image_file(width: u32, height: u32, seed: u64) -> Vec<u8> {
 
 /// A machine log with ~2% ERROR and ~0.5% FATAL lines (for `logscan`).
 pub fn log_file(kb: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6c6f67);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x6c6f67);
     let mut out = Vec::with_capacity(kb * 1024);
     let mut ts = 1_700_000_000u64;
     while out.len() < kb * 1024 {
-        ts += rng.gen_range(1..30);
+        ts += rng.gen_range(1..30u64);
         let sev = match rng.gen_range(0..200u32) {
             0..=3 => "ERROR",
             4 => "FATAL",
@@ -91,7 +90,7 @@ pub fn log_file(kb: usize, seed: u64) -> Vec<u8> {
 
 /// A render scene with `discs` random luminous discs (for `render`).
 pub fn scene_file(width: u32, height: u32, discs: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7363656e65);
+    let mut rng = SplitMix64::seed_from_u64(seed ^ 0x7363656e65);
     let list: Vec<Disc> = (0..discs)
         .map(|_| Disc {
             cx: rng.gen_range(0..width),
