@@ -19,12 +19,40 @@ fn opts(depth: usize, por: bool) -> Options {
     }
 }
 
+/// `(transitions, dedup_hits, por_skips, quiescent)`.
+type Counts = (u64, u64, u64, u64);
+
+/// The exploration [`Counts`] for seed 1 of each
+/// template at depth 6 with POR. A refactor that claims "no decision
+/// moved" must leave these exact; the dedup count also pins the state
+/// digest, since two states merge only when their digests agree.
+const PINNED_SEED_1: [(&str, Counts); 3] = [
+    ("replicated-atomic", (258, 90, 8, 21)),
+    ("speculative-straggler", (5878, 3178, 484, 193)),
+    ("slo-deadline-mix", (96, 25, 0, 24)),
+];
+
 #[test]
 fn all_scenarios_clean_at_depth_6() {
     for name in SCENARIOS {
         for seed in [1, 2] {
             let run = scenario_run(name, seed).expect("known scenario");
             let report = explore(&run, &opts(6, true));
+            if seed == 1 {
+                let s = &report.stats;
+                let got = (s.transitions, s.dedup_hits, s.por_skips, s.quiescent);
+                let want = PINNED_SEED_1
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, counts)| *counts);
+                assert_eq!(
+                    Some(got),
+                    want,
+                    "{name} seed=1: (transitions, dedup_hits, por_skips, \
+                     quiescent) moved — the kernel, the state digest or \
+                     the explorer changed what is reachable"
+                );
+            }
             assert!(
                 report.clean(),
                 "{name} seed={seed}: {:?}",
