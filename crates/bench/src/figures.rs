@@ -357,7 +357,7 @@ pub fn fig13(seed: u64, configs: usize) -> Vec<Fig13Point> {
             })
             .collect();
         let problem = SchedProblem::new(phones, jobs.clone(), c).expect("valid fig13 instance");
-        let greedy = GreedyScheduler::default()
+        let greedy = GreedyScheduler
             .schedule(&problem)
             .expect("greedy schedules");
         let relaxed = relaxed_lower_bound(&problem).expect("LP solves");

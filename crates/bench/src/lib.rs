@@ -1,9 +1,10 @@
 //! # cwc-bench — figure and table regeneration for the CWC reproduction
 //!
 //! One function per figure/table in the paper's evaluation. Each returns
-//! plain data; the `figures` binary renders it as text, and the Criterion
-//! benches reuse the same builders. Seeds default to the values used in
-//! EXPERIMENTS.md so the recorded numbers are reproducible bit-for-bit.
+//! plain data; the `figures` binary renders it as text. Seeds default to
+//! the values used in EXPERIMENTS.md so the recorded numbers are
+//! reproducible bit-for-bit. Per-layer timings live in the repo
+//! benchmark (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,7 +14,6 @@ pub mod live_scale;
 pub mod reliability;
 pub mod render;
 pub mod report;
-pub mod sched_perf;
 pub mod shard_scale;
 pub mod trace;
 

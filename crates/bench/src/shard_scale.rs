@@ -19,12 +19,14 @@
 
 use crate::obj;
 use crate::report::JsonValue;
-use crate::sched_perf::{clock_scaled_costs, synth_jobs, synth_phones};
 use cwc_core::{partition_jobs, GreedyScheduler, SchedProblem};
 use cwc_server::coord::{charging_cluster_keys, plan_shards};
 use cwc_server::engine::FailureInjection;
 use cwc_server::{FleetBuilder, FleetEngine, ShardConfig, WorkerPool, WorkloadBuilder};
-use cwc_types::{CwcError, CwcResult, JobSpec, Micros, PhoneInfo};
+use cwc_types::{
+    CpuSpec, CwcError, CwcResult, JobId, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo,
+    RadioTech,
+};
 use std::time::Instant;
 
 /// The shard ladder every report carries.
@@ -123,6 +125,48 @@ impl From<MassUnplugOutcome> for JsonValue {
     }
 }
 
+/// Deterministic synthetic fleet with heterogeneous clocks and bandwidths.
+fn synth_phones(n: usize) -> Vec<PhoneInfo> {
+    (0..n)
+        .map(|i| {
+            PhoneInfo::new(
+                PhoneId::from_index(i),
+                CpuSpec::new(806 + (i as u32 * 97) % 700, 2),
+                RadioTech::Wifi80211g,
+                MsPerKb(1.0 + (i as f64 * 7.3) % 69.0),
+            )
+        })
+        .collect()
+}
+
+/// Deterministic synthetic batch, every third job atomic.
+fn synth_jobs(n: usize) -> Vec<JobSpec> {
+    (0..n)
+        .map(|j| {
+            let id = JobId::from_index(j);
+            let size = KiloBytes(200 + (j as u64 * 131) % 1_800);
+            if j % 3 == 2 {
+                JobSpec::atomic(id, "photoblur", KiloBytes(40), size)
+            } else {
+                JobSpec::breakable(id, "primecount", KiloBytes(30), size)
+            }
+        })
+        .collect()
+}
+
+/// The ladder's cost model: 150 ms/KB on the 806 MHz reference, scaled
+/// by clock.
+fn clock_scaled_costs(phones: &[PhoneInfo], num_jobs: usize) -> Vec<Vec<f64>> {
+    phones
+        .iter()
+        .map(|p| {
+            (0..num_jobs)
+                .map(|_| 150.0 * 806.0 / f64::from(p.cpu.clock_mhz))
+                .collect()
+        })
+        .collect()
+}
+
 /// The ladder's fleet: [`synth_phones`] four to a site, profiler-style
 /// unplug probabilities cycling the quartiles — the statistics
 /// [`charging_cluster_keys`] buckets by.
@@ -184,7 +228,7 @@ pub fn run_point(
                 let sub_phones: Vec<PhoneInfo> = members.iter().map(|&i| phones[i]).collect();
                 let c = clock_scaled_costs(&sub_phones, shard_jobs.len());
                 let problem = SchedProblem::new(sub_phones, shard_jobs.to_vec(), c)?;
-                let schedule = GreedyScheduler::default().schedule(&problem)?;
+                let schedule = GreedyScheduler.schedule(&problem)?;
                 Ok(schedule.num_assignments())
             }
         })

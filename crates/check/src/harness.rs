@@ -16,6 +16,7 @@
 
 use crate::scenario::{Faults, ScenarioRun};
 use cwc_server::coord::{CheckView, CoordCommand, CoordEvent, TimerKind};
+use cwc_sim::Fnv1a;
 use cwc_types::{JobId, Micros};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -448,40 +449,34 @@ impl Harness {
     ///
     /// [`Kernel::digest`]: cwc_server::coord::Kernel::digest
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::default();
         for (&(slot, seq), ship) in &self.ships {
-            eat(slot as u64);
-            eat(seq);
-            eat(u64::from(ship.job.0));
-            eat(ship.len_kb);
-            eat(ship.offset_kb);
-            eat(u64::from(u8::from(ship.replica)));
-            eat(u64::from(u8::from(ship.cancelled)));
+            h.write_u64(slot as u64);
+            h.write_u64(seq);
+            h.write_u64(u64::from(ship.job.0));
+            h.write_u64(ship.len_kb);
+            h.write_u64(ship.offset_kb);
+            h.write_u64(u64::from(u8::from(ship.replica)));
+            h.write_u64(u64::from(u8::from(ship.cancelled)));
         }
-        eat(0xF0);
+        h.write_u64(0xF0);
         for &slot in &self.probes {
-            eat(slot as u64);
+            h.write_u64(slot as u64);
         }
-        eat(0xF1);
+        h.write_u64(0xF1);
         for &(kind, slot, token) in &self.timers {
-            eat(u64::from(kind));
-            eat(slot as u64);
-            eat(token);
+            h.write_u64(u64::from(kind));
+            h.write_u64(slot as u64);
+            h.write_u64(token);
         }
-        eat(0xF2);
+        h.write_u64(0xF2);
         for &slot in &self.dark {
-            eat(slot as u64);
+            h.write_u64(slot as u64);
         }
-        eat(u64::from(self.dark_budget));
-        eat(u64::from(self.fail_budget));
-        eat(u64::from(self.finished_cmds));
-        eat(u64::from(u8::from(self.halted)));
-        h
+        h.write_u64(u64::from(self.dark_budget));
+        h.write_u64(u64::from(self.fail_budget));
+        h.write_u64(u64::from(self.finished_cmds));
+        h.write_u64(u64::from(u8::from(self.halted)));
+        h.finish()
     }
 }

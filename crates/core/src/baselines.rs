@@ -119,7 +119,7 @@ mod tests {
         // The fixture mixes 806/1400 MHz CPUs and 1–15 ms/KB links — the
         // regime the paper's §6 comparison runs in.
         let problem = instance(6, 24);
-        let greedy = GreedyScheduler::default().schedule(&problem).unwrap();
+        let greedy = GreedyScheduler.schedule(&problem).unwrap();
         let eq = equal_split(&problem).unwrap();
         let rr = round_robin(&problem).unwrap();
         assert!(

@@ -51,7 +51,17 @@ const GALLOP_STEP: f64 = 1.25;
 /// misjudgment of the transferred ratio).
 const MAX_GALLOP_PROBES: u32 = 6;
 
-/// The CWC scheduler.
+/// Binary-search termination: stop when `UB − LB` drops below this many
+/// ms, or below the relative floor `1e-4 · UB` when that is larger.
+const TOLERANCE_MS: f64 = 1.0;
+
+/// The converged-window width for a search whose upper bound is `ub`.
+fn search_tolerance(ub: f64) -> f64 {
+    TOLERANCE_MS.max(1e-4 * ub)
+}
+
+/// The CWC scheduler. It has no options: the capacity search stops once
+/// its window is below 1 ms or `1e-4 · UB`, whichever is larger.
 ///
 /// ```
 /// use cwc_core::{GreedyScheduler, SchedProblem};
@@ -73,23 +83,13 @@ const MAX_GALLOP_PROBES: u32 = 6;
 ///     .collect();
 /// let problem = SchedProblem::new(phones, jobs, c)?;
 ///
-/// let schedule = GreedyScheduler::default().schedule(&problem)?;
+/// let schedule = GreedyScheduler.schedule(&problem)?;
 /// schedule.validate(&problem)?;            // all SCH constraints hold
 /// assert!(schedule.predicted_makespan_ms > 0.0);
 /// # Ok::<(), cwc_types::CwcError>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyScheduler {
-    /// Binary-search termination: stop when `UB − LB` drops below this
-    /// many ms (relative floor of `1e-4 · UB` also applies).
-    pub tolerance_ms: f64,
-}
-
-impl Default for GreedyScheduler {
-    fn default() -> Self {
-        GreedyScheduler { tolerance_ms: 1.0 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyScheduler;
 
 /// Warm-start hint carried between scheduling instants: the previous
 /// instant's converged capacity and its magical-bin lower bound.
@@ -242,7 +242,7 @@ impl GreedyScheduler {
                 // Tolerance from the *cold* upper bound: the relative
                 // floor must not shrink with the warm window, or the
                 // warm search would bisect further than a cold one.
-                tol = self.tolerance_ms.max(1e-4 * ub0);
+                tol = search_tolerance(ub0);
                 hi = h;
                 lo = gallop_lo.unwrap_or(lb0).max(lb0);
             }
@@ -267,7 +267,7 @@ impl GreedyScheduler {
                     ));
                 }
                 stats.ub_ms = ub;
-                tol = self.tolerance_ms.max(1e-4 * ub);
+                tol = search_tolerance(ub);
                 hi = ub;
                 lo = lb0.min(ub);
                 if let Some(g) = gallop_lo {
@@ -343,7 +343,7 @@ impl GreedyScheduler {
 /// its schedules bit for bit. Not part of the public API surface.
 #[doc(hidden)]
 pub mod reference {
-    use super::{GreedyScheduler, GreedyStats};
+    use super::GreedyStats;
     use crate::problem::SchedProblem;
     use crate::schedule::{assign_offsets, Assignment, Schedule};
     use cwc_types::{CwcError, CwcResult, JobId, KiloBytes, PhoneId};
@@ -394,12 +394,9 @@ pub mod reference {
     }
 
     /// The seed implementation of
-    /// [`GreedyScheduler::schedule_with_stats`].
-    pub fn schedule_with_stats(
-        sched: &GreedyScheduler,
-        problem: &SchedProblem,
-    ) -> CwcResult<(Schedule, GreedyStats)> {
-        schedule_with_probe(sched, problem).map(|(s, stats, _)| (s, stats))
+    /// [`super::GreedyScheduler::schedule_with_stats`].
+    pub fn schedule_with_stats(problem: &SchedProblem) -> CwcResult<(Schedule, GreedyStats)> {
+        schedule_with_probe(problem).map(|(s, stats, _)| (s, stats))
     }
 
     /// [`schedule_with_stats`] plus, over every probe of the search, how
@@ -407,10 +404,7 @@ pub mod reference {
     /// opened one. [`crate::pack`] only ever tries the newest bin, on the
     /// argument that this count is always 0; the equivalence proptests
     /// assert it next to the byte-identity it implies.
-    pub fn schedule_with_probe(
-        sched: &GreedyScheduler,
-        problem: &SchedProblem,
-    ) -> CwcResult<(Schedule, GreedyStats, u64)> {
+    pub fn schedule_with_probe(problem: &SchedProblem) -> CwcResult<(Schedule, GreedyStats, u64)> {
         let mut stats = GreedyStats::default();
         let mut off_newest = 0u64;
         let mut probe = |capacity_ms: f64| pack(problem, capacity_ms, &mut off_newest);
@@ -434,7 +428,7 @@ pub mod reference {
 
         let mut lo = lb0.min(ub);
         let mut hi = ub;
-        let tol = sched.tolerance_ms.max(1e-4 * ub);
+        let tol = super::search_tolerance(ub);
         while hi - lo > tol {
             let mid = 0.5 * (lo + hi);
             stats.binsearch_iters += 1;
@@ -662,7 +656,7 @@ mod tests {
     #[test]
     fn produces_valid_schedule() {
         let problem = instance(6, 20);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         assert!(s.predicted_makespan_ms > 0.0);
     }
@@ -670,7 +664,7 @@ mod tests {
     #[test]
     fn makespan_equals_max_height() {
         let problem = instance(4, 10);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         let heights = s.predicted_heights_ms(&problem);
         let max = heights.into_iter().fold(0.0f64, f64::max);
         assert!((s.predicted_makespan_ms - max).abs() < 1e-9);
@@ -687,7 +681,7 @@ mod tests {
         )];
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let expect = problem.full_cost_ms(0, 0);
         assert!(
@@ -700,7 +694,7 @@ mod tests {
     #[test]
     fn atomic_jobs_are_never_split() {
         let problem = instance(5, 30);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         let parts = s.partitions_per_job();
         for job in &problem.jobs {
             if job.kind.is_atomic() {
@@ -714,7 +708,7 @@ mod tests {
         // Plenty of capacity slack: splits should be rare (Fig. 12b: ~90%
         // of tasks unpartitioned).
         let problem = instance(6, 30);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         let splits = s.split_counts_sorted();
         let unsplit = splits.iter().filter(|&&n| n == 0).count();
         assert!(
@@ -727,7 +721,7 @@ mod tests {
     #[test]
     fn beats_worst_bin_bound_and_respects_lower_bound() {
         let problem = instance(6, 24);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         assert!(s.predicted_makespan_ms <= reference::worst_bin_upper_bound(&problem) + 1.0);
         assert!(s.predicted_makespan_ms >= reference::magical_bin_lower_bound(&problem) - 1.0);
     }
@@ -758,7 +752,7 @@ mod tests {
         )];
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let kb_on: Vec<u64> = s
             .per_phone
@@ -792,7 +786,7 @@ mod tests {
             .collect();
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let heights = s.predicted_heights_ms(&problem);
         let max = heights.iter().cloned().fold(0.0f64, f64::max);
@@ -816,7 +810,7 @@ mod tests {
         ];
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         for a in s.per_phone.iter().flatten() {
             assert!(a.input_kb.0 <= 120);
@@ -838,19 +832,19 @@ mod tests {
         )];
         let c = costs(&p, &j);
         let problem = SchedProblem::new(p, j, c).unwrap();
-        assert!(GreedyScheduler::default().schedule(&problem).is_err());
+        assert!(GreedyScheduler.schedule(&problem).is_err());
     }
 
     #[test]
     fn stats_report_convergence_work() {
         let problem = instance(6, 20);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (s, stats) = sched.schedule_with_stats(&problem).unwrap();
         assert!(stats.binsearch_iters > 0, "{stats:?}");
         // Every binary-search iteration packs once; the UB probe adds more.
         assert!(stats.pack_calls > stats.binsearch_iters, "{stats:?}");
         assert!(stats.ub_ms >= stats.lb_ms, "{stats:?}");
-        assert!(stats.window_ms <= sched.tolerance_ms.max(1e-4 * stats.ub_ms));
+        assert!(stats.window_ms <= search_tolerance(stats.ub_ms));
         // Cold runs never report warm-start work.
         assert_eq!(stats.warm_hits, 0, "{stats:?}");
         assert_eq!(stats.probes_saved, 0, "{stats:?}");
@@ -863,7 +857,7 @@ mod tests {
     fn observed_schedule_records_metrics() {
         let problem = instance(4, 12);
         let obs = cwc_obs::Obs::new();
-        GreedyScheduler::default()
+        GreedyScheduler
             .schedule_observed_warm(&problem, &obs, None)
             .unwrap();
         assert!(obs.metrics.counter_value("sched.greedy.binsearch_iters") > 0);
@@ -873,8 +867,8 @@ mod tests {
     #[test]
     fn deterministic_output() {
         let problem = instance(6, 18);
-        let a = GreedyScheduler::default().schedule(&problem).unwrap();
-        let b = GreedyScheduler::default().schedule(&problem).unwrap();
+        let a = GreedyScheduler.schedule(&problem).unwrap();
+        let b = GreedyScheduler.schedule(&problem).unwrap();
         assert_eq!(a.per_phone.len(), b.per_phone.len());
         for (qa, qb) in a.per_phone.iter().zip(&b.per_phone) {
             assert_eq!(qa, qb);
@@ -884,9 +878,9 @@ mod tests {
     #[test]
     fn matches_reference_implementation_on_a_fixed_instance() {
         let problem = instance(8, 40);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (fast, fast_stats) = sched.schedule_with_stats(&problem).unwrap();
-        let (slow, slow_stats) = reference::schedule_with_stats(&sched, &problem).unwrap();
+        let (slow, slow_stats) = reference::schedule_with_stats(&problem).unwrap();
         assert_eq!(fast.per_phone, slow.per_phone);
         assert_eq!(
             fast.predicted_makespan_ms.to_bits(),
@@ -933,7 +927,7 @@ mod tests {
     #[test]
     fn warm_start_on_same_instance_cuts_pack_calls() {
         let problem = instance(9, 40);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (cold_s, cold_stats, warm) = sched.schedule_warm_with_stats(&problem, None).unwrap();
         // The optimum is unchanged, so the transferred ratio lands the
         // first galloping probe and the bisection window is ~5% of lb
@@ -963,7 +957,7 @@ mod tests {
         // hint transfers a ratio, so it stays useful, and even a wild
         // miss falls back to the cold bound without losing correctness.
         let full = instance(9, 40);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (_, _, warm) = sched.schedule_warm_with_stats(&full, None).unwrap();
 
         let p = phones(6);
@@ -983,7 +977,7 @@ mod tests {
     #[test]
     fn degenerate_warm_hints_are_ignored() {
         let problem = instance(4, 10);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (cold, cold_stats) = sched.schedule_with_stats(&problem).unwrap();
         for bad in [
             WarmStart {
@@ -1014,7 +1008,7 @@ mod tests {
     fn observed_warm_schedule_records_warm_metrics() {
         let problem = instance(5, 16);
         let obs = cwc_obs::Obs::new();
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         let (_, warm) = sched.schedule_observed_warm(&problem, &obs, None).unwrap();
         sched
             .schedule_observed_warm(&problem, &obs, Some(warm))

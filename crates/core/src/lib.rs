@@ -101,7 +101,7 @@ impl Scheduler {
     /// Computes a schedule for `problem` with the chosen algorithm.
     pub fn run(kind: SchedulerKind, problem: &SchedProblem) -> CwcResult<Schedule> {
         match kind {
-            SchedulerKind::Greedy => GreedyScheduler::default().schedule(problem),
+            SchedulerKind::Greedy => GreedyScheduler.schedule(problem),
             SchedulerKind::EqualSplit => baselines::equal_split(problem),
             SchedulerKind::RoundRobin => baselines::round_robin(problem),
         }
@@ -121,8 +121,7 @@ impl Scheduler {
     ) -> CwcResult<(Schedule, Option<WarmStart>)> {
         let (schedule, next) = match kind {
             SchedulerKind::Greedy => {
-                let (s, w) =
-                    GreedyScheduler::default().schedule_observed_warm(problem, obs, warm)?;
+                let (s, w) = GreedyScheduler.schedule_observed_warm(problem, obs, warm)?;
                 (s, Some(w))
             }
             SchedulerKind::EqualSplit => (baselines::equal_split(problem)?, None),

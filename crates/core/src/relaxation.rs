@@ -5,7 +5,7 @@
 //! `u_ij · l_ij` with the constraint `l_ij ≤ L_j · u_ij`, and solve the
 //! resulting LP. Then `T_relaxed ≤ T_optimal ≤ T_cwc`.
 //!
-//! Two builders are provided:
+//! Two builders exist:
 //!
 //! * [`relaxed_lower_bound`] — the *reduced* LP. In the relaxed program
 //!   the optimal indicator is always `u_ij = l_ij / L_j` (it appears with
@@ -13,9 +13,9 @@
 //!   substitutes away half the variables and all linking rows: per-phone
 //!   load becomes `Σ_j l_ij · (E_j·b_i/L_j + b_i + c_ij) ≤ T`. This is
 //!   what the 1000-configuration Fig. 13 sweep runs.
-//! * [`relaxed_lower_bound_full`] — the paper's formulation verbatim
-//!   (variables `T`, `l_ij`, `u_ij`, linking constraints). Exponentially
-//!   bigger tableau; used in tests to confirm the reduction is exact.
+//! * the paper's formulation verbatim (variables `T`, `l_ij`, `u_ij`,
+//!   linking constraints) lives in this module's tests, where a much
+//!   bigger tableau confirms the reduction is exact.
 
 use crate::problem::SchedProblem;
 use cwc_lp::{LinearProgram, LpOutcome, Relation};
@@ -53,58 +53,6 @@ pub fn relaxed_lower_bound(problem: &SchedProblem) -> CwcResult<f64> {
     solve_for_t(&lp)
 }
 
-/// Solves the paper's full relaxed formulation (for verification on small
-/// instances).
-pub fn relaxed_lower_bound_full(problem: &SchedProblem) -> CwcResult<f64> {
-    let p = problem.num_phones();
-    let jn = problem.num_jobs();
-    // Variables: [0]=T, l_ij at 1+i·jn+j, u_ij at 1+p·jn+i·jn+j.
-    let nvars = 1 + 2 * p * jn;
-    let mut objective = vec![0.0; nvars];
-    objective[0] = 1.0;
-    let mut lp = LinearProgram::minimize(objective);
-    let lvar = |i: usize, j: usize| 1 + i * jn + j;
-    let uvar = |i: usize, j: usize| 1 + p * jn + i * jn + j;
-
-    for i in 0..p {
-        let b = problem.phones[i].bandwidth.0;
-        let mut terms = Vec::with_capacity(2 * jn + 1);
-        for j in 0..jn {
-            terms.push((uvar(i, j), problem.jobs[j].exe_kb.as_f64() * b));
-            terms.push((lvar(i, j), problem.per_kb_ms(i, j)));
-        }
-        terms.push((0, -1.0));
-        lp.constrain(terms, Relation::Le, 0.0);
-    }
-    for j in 0..jn {
-        let terms: Vec<(usize, f64)> = (0..p).map(|i| (lvar(i, j), 1.0)).collect();
-        lp.constrain(terms, Relation::Eq, problem.jobs[j].input_kb.as_f64());
-    }
-    // Linking l_ij ≤ L_j · u_ij, and u_ij ≤ 1.
-    for i in 0..p {
-        for j in 0..jn {
-            lp.constrain(
-                vec![
-                    (lvar(i, j), 1.0),
-                    (uvar(i, j), -problem.jobs[j].input_kb.as_f64()),
-                ],
-                Relation::Le,
-                0.0,
-            );
-            lp.constrain(vec![(uvar(i, j), 1.0)], Relation::Le, 1.0);
-        }
-    }
-    // Atomic jobs: Σ_i u_ij = 1 (satisfiable at u = l/L, see module docs).
-    for (j, job) in problem.jobs.iter().enumerate() {
-        if job.kind.is_atomic() {
-            let terms: Vec<(usize, f64)> = (0..p).map(|i| (uvar(i, j), 1.0)).collect();
-            lp.constrain(terms, Relation::Eq, 1.0);
-        }
-    }
-
-    solve_for_t(&lp)
-}
-
 fn solve_for_t(lp: &LinearProgram) -> CwcResult<f64> {
     match lp.solve().map_err(CwcError::Solver)? {
         LpOutcome::Optimal(sol) => Ok(sol.objective),
@@ -123,11 +71,63 @@ mod tests {
     use crate::greedy::GreedyScheduler;
     use crate::problem::test_support::instance;
 
+    /// Solves the paper's full relaxed formulation — the oracle that
+    /// confirms the reduction in [`relaxed_lower_bound`] is exact.
+    fn relaxed_lower_bound_full(problem: &SchedProblem) -> CwcResult<f64> {
+        let p = problem.num_phones();
+        let jn = problem.num_jobs();
+        // Variables: [0]=T, l_ij at 1+i·jn+j, u_ij at 1+p·jn+i·jn+j.
+        let nvars = 1 + 2 * p * jn;
+        let mut objective = vec![0.0; nvars];
+        objective[0] = 1.0;
+        let mut lp = LinearProgram::minimize(objective);
+        let lvar = |i: usize, j: usize| 1 + i * jn + j;
+        let uvar = |i: usize, j: usize| 1 + p * jn + i * jn + j;
+
+        for i in 0..p {
+            let b = problem.phones[i].bandwidth.0;
+            let mut terms = Vec::with_capacity(2 * jn + 1);
+            for j in 0..jn {
+                terms.push((uvar(i, j), problem.jobs[j].exe_kb.as_f64() * b));
+                terms.push((lvar(i, j), problem.per_kb_ms(i, j)));
+            }
+            terms.push((0, -1.0));
+            lp.constrain(terms, Relation::Le, 0.0);
+        }
+        for j in 0..jn {
+            let terms: Vec<(usize, f64)> = (0..p).map(|i| (lvar(i, j), 1.0)).collect();
+            lp.constrain(terms, Relation::Eq, problem.jobs[j].input_kb.as_f64());
+        }
+        // Linking l_ij ≤ L_j · u_ij, and u_ij ≤ 1.
+        for i in 0..p {
+            for j in 0..jn {
+                lp.constrain(
+                    vec![
+                        (lvar(i, j), 1.0),
+                        (uvar(i, j), -problem.jobs[j].input_kb.as_f64()),
+                    ],
+                    Relation::Le,
+                    0.0,
+                );
+                lp.constrain(vec![(uvar(i, j), 1.0)], Relation::Le, 1.0);
+            }
+        }
+        // Atomic jobs: Σ_i u_ij = 1 (satisfiable at u = l/L, see module docs).
+        for (j, job) in problem.jobs.iter().enumerate() {
+            if job.kind.is_atomic() {
+                let terms: Vec<(usize, f64)> = (0..p).map(|i| (uvar(i, j), 1.0)).collect();
+                lp.constrain(terms, Relation::Eq, 1.0);
+            }
+        }
+
+        solve_for_t(&lp)
+    }
+
     #[test]
     fn bound_is_positive_and_below_greedy() {
         let problem = instance(4, 10);
         let lb = relaxed_lower_bound(&problem).unwrap();
-        let greedy = GreedyScheduler::default().schedule(&problem).unwrap();
+        let greedy = GreedyScheduler.schedule(&problem).unwrap();
         assert!(lb > 0.0);
         assert!(
             lb <= greedy.predicted_makespan_ms + 1e-6,

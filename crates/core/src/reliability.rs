@@ -116,10 +116,10 @@ mod tests {
     #[test]
     fn scheduler_shifts_work_away_from_risky_phones() {
         let problem = instance(4, 12);
-        let neutral = GreedyScheduler::default().schedule(&problem).unwrap();
+        let neutral = GreedyScheduler.schedule(&problem).unwrap();
         // Phone 0 is 80% likely to vanish.
         let derisked = derisk(&problem, &[0.8, 0.0, 0.0, 0.0], 1.0).unwrap();
-        let aware = GreedyScheduler::default().schedule(&derisked).unwrap();
+        let aware = GreedyScheduler.schedule(&derisked).unwrap();
         aware.validate(&derisked).unwrap();
         let load = |s: &crate::Schedule, i: usize| -> u64 {
             s.per_phone[i].iter().map(|a| a.input_kb.0).sum()

@@ -145,9 +145,9 @@ fn ram_capped_strategy() -> impl Strategy<Value = RandomInstance> {
 /// consequence: the reference, which does try every open bin, never
 /// places a Step-1 item anywhere but the newest one.
 fn assert_matches_reference(problem: &SchedProblem) {
-    let sched = GreedyScheduler::default();
+    let sched = GreedyScheduler;
     let fast = sched.schedule_with_stats(problem);
-    let slow = cwc_core::greedy::reference::schedule_with_probe(&sched, problem);
+    let slow = cwc_core::greedy::reference::schedule_with_probe(problem);
     match (fast, slow) {
         (Ok((fast_s, fast_stats)), Ok((slow_s, slow_stats, off_newest))) => {
             assert_eq!(off_newest, 0, "Step 1 placed into an older bin");
@@ -186,7 +186,7 @@ proptest! {
     #[test]
     fn greedy_respects_relaxation_sandwich(inst in instance_strategy()) {
         let problem = problem_of(&inst);
-        let greedy = GreedyScheduler::default().schedule(&problem).unwrap();
+        let greedy = GreedyScheduler.schedule(&problem).unwrap();
         let lb = relaxed_lower_bound(&problem).unwrap();
         prop_assert!(
             greedy.predicted_makespan_ms >= lb - 1e-6 * (1.0 + lb),
@@ -197,7 +197,7 @@ proptest! {
     #[test]
     fn greedy_never_splits_atomics_and_covers_everything(inst in instance_strategy()) {
         let problem = problem_of(&inst);
-        let s = GreedyScheduler::default().schedule(&problem).unwrap();
+        let s = GreedyScheduler.schedule(&problem).unwrap();
         let parts = s.partitions_per_job();
         let mut covered = std::collections::HashMap::new();
         for a in s.per_phone.iter().flatten() {
@@ -219,7 +219,7 @@ proptest! {
         // form: it never exceeds the WORSE baseline (the paper's 1.6x
         // margin is demonstrated in the figure harness, not a theorem).
         let problem = problem_of(&inst);
-        let greedy = GreedyScheduler::default().schedule(&problem).unwrap();
+        let greedy = GreedyScheduler.schedule(&problem).unwrap();
         let worse = SchedulerKind::ALL
             .iter()
             .filter(|k| **k != SchedulerKind::Greedy)
@@ -245,8 +245,8 @@ proptest! {
         let problem = problem_of(&inst);
         let fail_prob = &probs[..problem.num_phones()];
         let derisked = derisk(&problem, fail_prob, 0.0).unwrap();
-        let neutral = GreedyScheduler::default().schedule(&problem).unwrap();
-        let risk_aware = GreedyScheduler::default().schedule(&derisked).unwrap();
+        let neutral = GreedyScheduler.schedule(&problem).unwrap();
+        let risk_aware = GreedyScheduler.schedule(&derisked).unwrap();
         prop_assert_eq!(&neutral.per_phone, &risk_aware.per_phone);
         prop_assert_eq!(
             neutral.predicted_makespan_ms.to_bits(),
@@ -271,7 +271,7 @@ proptest! {
             let mut probs = vec![0.0; problem.num_phones()];
             probs[i] = p;
             let derisked = derisk(&problem, &probs, 1.0).unwrap();
-            let s = GreedyScheduler::default().schedule(&derisked).unwrap();
+            let s = GreedyScheduler.schedule(&derisked).unwrap();
             s.per_phone[i].iter().map(|a| a.input_kb.0).sum()
         };
         prop_assert!(
@@ -286,7 +286,7 @@ proptest! {
         // the tolerance window; what must hold is validity, comparable
         // quality, and no extra packing work on a hit.
         let problem = problem_of(&inst);
-        let sched = GreedyScheduler::default();
+        let sched = GreedyScheduler;
         if let Ok((cold_s, cold_stats, warm)) = sched.schedule_warm_with_stats(&problem, None) {
             let (warm_s, warm_stats, _) = sched
                 .schedule_warm_with_stats(&problem, Some(warm))

@@ -60,14 +60,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_extend(0, bytes)
 }
 
-/// [`crc32`] by the table routine alone, whatever the CPU: the oracle the
-/// folding kernel is tested against and the baseline it is benchmarked
-/// against. Not a second checksum — same function, same value.
-#[doc(hidden)]
-pub fn crc32_portable(bytes: &[u8]) -> u32 {
-    !crc32_table(!0, bytes)
-}
-
 /// Continues a CRC32: `crc` is the checksum of the bytes so far (0 for
 /// none); returns the checksum of those bytes followed by `bytes`.
 fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
@@ -1233,6 +1225,13 @@ mod tests {
 
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         !bytes.iter().fold(!0u32, |c, &b| crc32_bytewise_step(c, b))
+    }
+
+    /// [`crc32`] by the table routine alone, whatever the CPU: the oracle
+    /// the folding kernel is tested against. Not a second checksum — same
+    /// function, same value.
+    fn crc32_portable(bytes: &[u8]) -> u32 {
+        !crc32_table(!0, bytes)
     }
 
     #[test]

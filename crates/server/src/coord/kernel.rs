@@ -17,6 +17,8 @@ use cwc_core::{
     SpeculationPolicy,
 };
 use cwc_obs::TraceCtx;
+#[cfg(feature = "check")]
+use cwc_sim::Fnv1a;
 use cwc_types::{
     CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, PhoneInfo, SloClass,
 };
@@ -1936,40 +1938,31 @@ impl CheckView {
     }
 }
 
-/// Dependency-free FNV-1a over the kernel's behavior-relevant state.
+/// The kernel digest's encodings of strings, flags and options over the
+/// workspace's FNV-1a.
 #[cfg(feature = "check")]
-struct Fnv(u64);
+trait DigestWrite {
+    fn write_str(&mut self, s: &str);
+    fn write_flag(&mut self, b: bool);
+    fn write_opt(&mut self, v: Option<u64>);
+}
 
 #[cfg(feature = "check")]
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl DigestWrite for Fnv1a {
+    fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write(s.as_bytes());
     }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    fn write_flag(&mut self, b: bool) {
+        self.write_u8(u8::from(b));
     }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-    fn flag(&mut self, b: bool) {
-        self.byte(u8::from(b));
-    }
-    fn opt(&mut self, v: Option<u64>) {
+    fn write_opt(&mut self, v: Option<u64>) {
         match v {
             Some(v) => {
-                self.byte(1);
-                self.u64(v);
+                self.write_u8(1);
+                self.write_u64(v);
             }
-            None => self.byte(0),
+            None => self.write_u8(0),
         }
     }
 }
@@ -2057,118 +2050,116 @@ impl Kernel {
     /// warm-start hint) and deliberately excludes presentation-only state
     /// (completion timestamps, metrics counters, trace ids).
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.flag(self.finished);
-        h.flag(self.fleet_loss.is_some());
-        h.flag(self.fatal.is_some());
-        h.flag(self.round_pending);
-        h.u64(self.reschedule_rounds as u64);
-        h.u64(self.next_seq);
-        h.u64(u64::from(self.next_group));
-        h.u64(u64::from(self.spec_budget_left));
+        let mut h = Fnv1a::default();
+        h.write_flag(self.finished);
+        h.write_flag(self.fleet_loss.is_some());
+        h.write_flag(self.fatal.is_some());
+        h.write_flag(self.round_pending);
+        h.write_u64(self.reschedule_rounds as u64);
+        h.write_u64(self.next_seq);
+        h.write_u64(u64::from(self.next_group));
+        h.write_u64(u64::from(self.spec_budget_left));
         match &self.probing {
             Some(round) => {
-                h.byte(1);
+                h.write_u8(1);
                 for &i in &round.awaiting {
-                    h.u64(i as u64);
+                    h.write_u64(i as u64);
                 }
-                h.u64(round.avail.len() as u64);
+                h.write_u64(round.avail.len() as u64);
                 for &i in &round.avail {
-                    h.u64(i as u64);
+                    h.write_u64(i as u64);
                 }
             }
-            None => h.byte(0),
+            None => h.write_u8(0),
         }
         for (&job, &done) in &self.progress {
-            h.u64(u64::from(job.0));
-            h.u64(done);
+            h.write_u64(u64::from(job.0));
+            h.write_u64(done);
         }
         for &job in self.completed_at.keys() {
-            h.u64(u64::from(job.0));
+            h.write_u64(u64::from(job.0));
         }
-        h.u64(self.failed.len() as u64);
+        h.write_u64(self.failed.len() as u64);
         for item in &self.failed {
             Self::hash_item(&mut h, item);
         }
         for (&g, grp) in &self.replica_groups {
-            h.u64(u64::from(g));
-            h.u64(u64::from(grp.original.0));
-            h.u64(grp.kb.0);
-            h.u64(grp.base_offset.0);
-            h.u64(u64::from(grp.outstanding));
-            h.flag(grp.won);
+            h.write_u64(u64::from(g));
+            h.write_u64(u64::from(grp.original.0));
+            h.write_u64(grp.kb.0);
+            h.write_u64(grp.base_offset.0);
+            h.write_u64(u64::from(grp.outstanding));
+            h.write_flag(grp.won);
         }
         // The predictor and warm-start hint steer future solver rounds;
         // their `Debug` forms are deterministic (BTreeMap-backed).
-        h.str(&format!("{:?}", self.predictor));
-        h.str(&format!("{:?}", self.warm));
+        h.write_str(&format!("{:?}", self.predictor));
+        h.write_str(&format!("{:?}", self.warm));
         for (&i, s) in &self.slots {
-            h.u64(i as u64);
-            h.flag(s.alive);
-            h.u64(u64::from(s.unanswered));
-            h.u64(s.ka_seq);
-            h.u64(s.ka_token);
-            h.u64(s.park_token);
-            h.opt(s.parked_inflight_seq);
+            h.write_u64(i as u64);
+            h.write_flag(s.alive);
+            h.write_u64(u64::from(s.unanswered));
+            h.write_u64(s.ka_seq);
+            h.write_u64(s.ka_token);
+            h.write_u64(s.park_token);
+            h.write_opt(s.parked_inflight_seq);
             match &s.info {
                 Some(info) => {
-                    h.byte(1);
-                    h.u64(u64::from(info.id.0));
-                    h.u64(info.bandwidth.0.to_bits());
-                    h.u64(info.ram_kb);
+                    h.write_u8(1);
+                    h.write_u64(u64::from(info.id.0));
+                    h.write_u64(info.bandwidth.0.to_bits());
+                    h.write_u64(info.ram_kb);
                 }
-                None => h.byte(0),
+                None => h.write_u8(0),
             }
             for program in &s.has_exe {
-                h.str(program);
+                h.write_str(program);
             }
             match &s.busy {
                 Some(fl) => {
-                    h.byte(1);
-                    h.u64(fl.seq);
+                    h.write_u8(1);
+                    h.write_u64(fl.seq);
                     Self::hash_item(&mut h, &fl.item);
                 }
-                None => h.byte(0),
+                None => h.write_u8(0),
             }
-            h.u64(s.queue.len() as u64);
+            h.write_u64(s.queue.len() as u64);
             for item in &s.queue {
                 Self::hash_item(&mut h, item);
             }
             match &s.parked {
                 Some((token, items)) => {
-                    h.byte(1);
-                    h.u64(*token);
-                    h.u64(items.len() as u64);
+                    h.write_u8(1);
+                    h.write_u64(*token);
+                    h.write_u64(items.len() as u64);
                     for item in items {
                         Self::hash_item(&mut h, item);
                     }
                 }
-                None => h.byte(0),
+                None => h.write_u8(0),
             }
-            h.str(&format!("{:?}", s.breaker));
+            h.write_str(&format!("{:?}", s.breaker));
         }
-        h.0
+        h.finish()
     }
 
-    fn hash_item(h: &mut Fnv, item: &WorkItem) {
-        h.u64(u64::from(item.original.0));
-        h.str(&item.program);
-        h.u64(item.exe_kb.0);
-        h.u64(item.kb.0);
-        h.u64(item.base_offset.0);
+    fn hash_item(h: &mut Fnv1a, item: &WorkItem) {
+        h.write_u64(u64::from(item.original.0));
+        h.write_str(&item.program);
+        h.write_u64(item.exe_kb.0);
+        h.write_u64(item.kb.0);
+        h.write_u64(item.base_offset.0);
         match &item.resume {
             Some(bytes) => {
-                h.byte(1);
-                h.u64(bytes.len() as u64);
-                for b in bytes {
-                    h.byte(*b);
-                }
+                h.write_u8(1);
+                h.write_u64(bytes.len() as u64);
+                h.write(bytes);
             }
-            None => h.byte(0),
+            None => h.write_u8(0),
         }
-        h.flag(item.rescheduled);
-        h.opt(item.group.map(u64::from));
-        h.flag(item.speculative);
+        h.write_flag(item.rescheduled);
+        h.write_opt(item.group.map(u64::from));
+        h.write_flag(item.speculative);
     }
 }
 

@@ -51,8 +51,8 @@ pub struct ShardConfig {
     /// reads the host, so the shard *outputs* stay host-independent).
     pub threads: usize,
     /// Run seed. Per-shard seeds derive as `cwc_chaos::shard_seed(seed,
-    /// shard)` and are recorded on each [`ShardOutcome`] for chaos plans
-    /// and benches to extend.
+    /// shard)` and are recorded on each [`ShardOutcome`], so a chaos plan
+    /// can derive its per-shard faults from them.
     pub seed: u64,
     /// Maximum residual steal rounds after shard losses (2 covers a
     /// survivor shard dying during round 1).

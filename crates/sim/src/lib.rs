@@ -49,4 +49,4 @@ mod queue;
 mod rng;
 
 pub use queue::{EventId, Simulation};
-pub use rng::{shard_seed, splitmix64, Distributions, RngStreams, SampleRange, SplitMix64};
+pub use rng::{shard_seed, splitmix64, Distributions, Fnv1a, RngStreams, SampleRange, SplitMix64};

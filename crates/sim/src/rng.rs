@@ -85,11 +85,52 @@ fn indexed_label(prefix: &str, index: u64) -> u64 {
     (fnv1a64(prefix.as_bytes()) ^ index).wrapping_mul(FNV_PRIME)
 }
 
-/// FNV-1a 64-bit hash — tiny, stable, good enough for seed derivation.
+/// FNV-1a of `bytes` in one call.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// The workspace's one FNV-1a (64-bit) hasher, streaming — tiny, and
+/// stable across Rust versions and platforms, unlike `DefaultHasher`.
+/// Stream labels hash through it, and so do the model checker's state
+/// digests (the kernel's and the harness's), which feed its visited set.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// Folds `bytes` in, one at a time.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds one byte in.
+    #[inline]
+    pub fn write_u8(&mut self, b: u8) {
+        self.write(&[b]);
+    }
+
+    /// Folds `v`'s eight little-endian bytes in.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    /// The hasher at the FNV-1a offset basis: nothing written yet.
+    fn default() -> Self {
+        Fnv1a(FNV_OFFSET)
+    }
 }
 
 /// SplitMix64 finalizer — decorrelates structured seed inputs. It is the

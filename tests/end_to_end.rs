@@ -42,9 +42,7 @@ fn greedy_sits_between_lp_bound_and_baselines() {
     let c = predictor.cost_matrix(&infos, &programs);
     let problem = SchedProblem::new(infos, jobs, c).unwrap();
 
-    let schedule = cwc_core::GreedyScheduler::default()
-        .schedule(&problem)
-        .unwrap();
+    let schedule = cwc_core::GreedyScheduler.schedule(&problem).unwrap();
     schedule.validate(&problem).unwrap();
     let bound = relaxed_lower_bound(&problem).unwrap();
     assert!(
