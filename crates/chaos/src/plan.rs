@@ -74,15 +74,13 @@ impl FaultKind {
 }
 
 /// Per-class injection rates plus knobs shared by all scripts of a plan.
+/// Registration, bandwidth-probing and shutdown frames are always spared
+/// (see [`cwc_net::is_handshake_tag`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     rates: [f64; FaultKind::ALL.len()],
     /// Upper bound for injected delivery delays and slow-loris stalls.
     pub max_delay: Duration,
-    /// Leave registration / bandwidth probing / shutdown frames untouched.
-    /// Chaos during the handshake only prevents a run from starting; chaos
-    /// on the data phase is what exercises recovery. Defaults to `true`.
-    pub spare_handshake: bool,
 }
 
 impl Default for FaultProfile {
@@ -90,7 +88,6 @@ impl Default for FaultProfile {
         FaultProfile {
             rates: [0.0; FaultKind::ALL.len()],
             max_delay: Duration::from_millis(30),
-            spare_handshake: true,
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::plan::{FaultKind, FaultProfile};
 use crate::rng::ChaosRng;
-use cwc_net::{is_handshake_tag, SendVerdict, WireFault, WireOp, FRAME_HEADER_LEN};
+use cwc_net::{is_handshake_tag, WireFault, WireOp, FRAME_HEADER_LEN};
 use std::time::Duration;
 
 /// The fault classes a wire script can express; crash and slow-loris are
@@ -114,41 +114,39 @@ impl std::fmt::Debug for FaultScript {
 }
 
 impl WireFault for FaultScript {
-    fn on_send(&mut self, encoded: &[u8]) -> SendVerdict {
+    fn on_send(&mut self, encoded: &[u8]) -> Vec<WireOp> {
         let tag = encoded.get(FRAME_HEADER_LEN).copied();
-        if self.profile.spare_handshake && tag.is_some_and(is_handshake_tag) {
-            // Handshake frames pass untouched; flush any held frame *first*
-            // so nothing data-bearing trails an orderly shutdown.
+        if tag.is_some_and(is_handshake_tag) {
+            // Handshake frames pass untouched: chaos there only prevents a
+            // run from starting, while chaos on the data phase is what
+            // exercises recovery. Flush any held frame *first* so nothing
+            // data-bearing trails an orderly shutdown.
             let mut ops = Vec::new();
             if let Some(prev) = self.held.take() {
                 ops.push(WireOp::Write(prev));
             }
             ops.push(WireOp::Write(encoded.to_vec()));
-            return SendVerdict::Deliver(ops);
+            return ops;
         }
 
         let Some(kind) = self.roll() else {
-            return SendVerdict::Deliver(
-                self.flush_held_after(vec![WireOp::Write(encoded.to_vec())]),
-            );
+            return self.flush_held_after(vec![WireOp::Write(encoded.to_vec())]);
         };
         self.note(kind);
         match kind {
-            FaultKind::Drop => SendVerdict::Deliver(self.flush_held_after(vec![])),
-            FaultKind::Duplicate => SendVerdict::Deliver(self.flush_held_after(vec![
+            FaultKind::Drop => self.flush_held_after(vec![]),
+            FaultKind::Duplicate => self.flush_held_after(vec![
                 WireOp::Write(encoded.to_vec()),
                 WireOp::Write(encoded.to_vec()),
-            ])),
+            ]),
             FaultKind::Reorder => {
                 if self.held.is_some() {
                     // Already holding one; deliver normally to complete it.
-                    SendVerdict::Deliver(
-                        self.flush_held_after(vec![WireOp::Write(encoded.to_vec())]),
-                    )
+                    self.flush_held_after(vec![WireOp::Write(encoded.to_vec())])
                 } else {
                     // Hold this frame; it goes out after the next one.
                     self.held = Some(encoded.to_vec());
-                    SendVerdict::Deliver(vec![])
+                    vec![]
                 }
             }
             FaultKind::Corrupt => {
@@ -159,32 +157,27 @@ impl WireFault for FaultScript {
                     let bit = self.rng.below(8) as u8;
                     bytes[at] ^= 1 << bit;
                 }
-                SendVerdict::Deliver(self.flush_held_after(vec![WireOp::Write(bytes)]))
+                self.flush_held_after(vec![WireOp::Write(bytes)])
             }
             FaultKind::PartialWrite => {
                 let cut = 1 + self.rng.below(encoded.len().saturating_sub(1) as u64) as usize;
                 let pause = self.pause();
-                SendVerdict::Deliver(self.flush_held_after(vec![
+                self.flush_held_after(vec![
                     WireOp::Write(encoded[..cut].to_vec()),
                     WireOp::Sleep(pause),
                     WireOp::Write(encoded[cut..].to_vec()),
-                ]))
+                ])
             }
             FaultKind::Reset => {
                 // A held frame dies with the connection — exactly what a
                 // real reset does to queued bytes.
                 self.held = None;
                 let cut = self.rng.below(encoded.len() as u64 + 1) as usize;
-                SendVerdict::ResetAfter(encoded[..cut].to_vec())
+                vec![WireOp::Write(encoded[..cut].to_vec()), WireOp::Reset]
             }
             FaultKind::Delay => {
                 let pause = self.pause();
-                SendVerdict::Deliver(
-                    self.flush_held_after(vec![
-                        WireOp::Sleep(pause),
-                        WireOp::Write(encoded.to_vec()),
-                    ]),
-                )
+                self.flush_held_after(vec![WireOp::Sleep(pause), WireOp::Write(encoded.to_vec())])
             }
             FaultKind::Crash | FaultKind::SlowLoris => unreachable!("worker-level kinds"),
         }
@@ -282,7 +275,7 @@ mod tests {
         let plan = FaultPlan::new(1, FaultProfile::none());
         let mut script = plan.script("c");
         let raw = keepalive(1);
-        assert_eq!(script.on_send(&raw), SendVerdict::clean(&raw));
+        assert_eq!(script.on_send(&raw), vec![WireOp::Write(raw.clone())]);
         assert_eq!(script.injected(), 0);
     }
 
@@ -292,7 +285,7 @@ mod tests {
         let mut script = plan.script("c");
         let reg = encoded(&Frame::RegisterAck { server_time_us: 1 });
         for _ in 0..20 {
-            assert_eq!(script.on_send(&reg), SendVerdict::clean(&reg));
+            assert_eq!(script.on_send(&reg), vec![WireOp::Write(reg.clone())]);
         }
         assert_eq!(script.injected(), 0);
     }
@@ -301,7 +294,7 @@ mod tests {
     fn drop_profile_always_drops_data_frames() {
         let plan = FaultPlan::new(3, FaultProfile::single(FaultKind::Drop, 1.0));
         let mut script = plan.script("c");
-        assert_eq!(script.on_send(&keepalive(1)), SendVerdict::Deliver(vec![]));
+        assert_eq!(script.on_send(&keepalive(1)), vec![]);
         assert_eq!(script.injected(), 1);
     }
 
@@ -312,7 +305,7 @@ mod tests {
         let raw = keepalive(1);
         assert_eq!(
             script.on_send(&raw),
-            SendVerdict::Deliver(vec![WireOp::Write(raw.clone()), WireOp::Write(raw.clone()),])
+            vec![WireOp::Write(raw.clone()), WireOp::Write(raw.clone())]
         );
     }
 
@@ -322,11 +315,11 @@ mod tests {
         let mut script = plan.script("c");
         let a = keepalive(1);
         let b = keepalive(2);
-        assert_eq!(script.on_send(&a), SendVerdict::Deliver(vec![]));
+        assert_eq!(script.on_send(&a), vec![]);
         // Second send: b goes out first, then the held a — a pairwise swap.
         assert_eq!(
             script.on_send(&b),
-            SendVerdict::Deliver(vec![WireOp::Write(b.clone()), WireOp::Write(a.clone())])
+            vec![WireOp::Write(b.clone()), WireOp::Write(a.clone())]
         );
     }
 
@@ -337,10 +330,10 @@ mod tests {
         let mut script = plan.script("c");
         let a = keepalive(1);
         let bye = encoded(&Frame::Shutdown);
-        assert_eq!(script.on_send(&a), SendVerdict::Deliver(vec![]));
+        assert_eq!(script.on_send(&a), vec![]);
         assert_eq!(
             script.on_send(&bye),
-            SendVerdict::Deliver(vec![WireOp::Write(a.clone()), WireOp::Write(bye.clone())])
+            vec![WireOp::Write(a.clone()), WireOp::Write(bye.clone())]
         );
     }
 
@@ -349,9 +342,8 @@ mod tests {
         let plan = FaultPlan::new(7, FaultProfile::single(FaultKind::Corrupt, 1.0));
         let mut script = plan.script("c");
         let raw = keepalive(42);
-        let SendVerdict::Deliver(ops) = script.on_send(&raw) else {
-            panic!("expected deliver");
-        };
+        let ops = script.on_send(&raw);
+        assert!(!ops.contains(&WireOp::Reset));
         let WireOp::Write(mutated) = &ops[0] else {
             panic!("expected write");
         };
@@ -367,9 +359,8 @@ mod tests {
         let plan = FaultPlan::new(8, FaultProfile::single(FaultKind::PartialWrite, 1.0));
         let mut script = plan.script("c");
         let raw = keepalive(9);
-        let SendVerdict::Deliver(ops) = script.on_send(&raw) else {
-            panic!("expected deliver");
-        };
+        let ops = script.on_send(&raw);
+        assert!(!ops.contains(&WireOp::Reset));
         let mut codec = cwc_net::FrameCodec::new();
         for op in &ops {
             if let WireOp::Write(bytes) = op {
@@ -387,8 +378,8 @@ mod tests {
         let plan = FaultPlan::new(9, FaultProfile::single(FaultKind::Reset, 1.0));
         let mut script = plan.script("c");
         let raw = keepalive(1);
-        match script.on_send(&raw) {
-            SendVerdict::ResetAfter(prefix) => assert!(prefix.len() <= raw.len()),
+        match script.on_send(&raw).as_slice() {
+            [WireOp::Write(prefix), WireOp::Reset] => assert!(prefix.len() <= raw.len()),
             other => panic!("expected reset, got {other:?}"),
         }
     }
@@ -398,9 +389,8 @@ mod tests {
         let plan = FaultPlan::new(10, FaultProfile::single(FaultKind::Delay, 1.0));
         let mut script = plan.script("c");
         let raw = keepalive(1);
-        let SendVerdict::Deliver(ops) = script.on_send(&raw) else {
-            panic!("expected deliver");
-        };
+        let ops = script.on_send(&raw);
+        assert!(!ops.contains(&WireOp::Reset));
         assert!(matches!(ops[0], WireOp::Sleep(_)));
         assert_eq!(ops[1], WireOp::Write(raw.clone()));
     }

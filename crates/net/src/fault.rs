@@ -7,11 +7,11 @@
 //! deterministic, seed-driven fault plan; production code leaves the hook
 //! empty, in which case the send path is exactly the unhooked write.
 //!
-//! The verdict vocabulary covers the wire-level half of the failure
-//! taxonomy the CWC testbed would see (§6 of the paper): lost frames,
-//! duplicated frames, delayed delivery, bit corruption, partial writes and
-//! connection resets, and transient send failures (the input to the
-//! server's retry-with-backoff policy).
+//! The op vocabulary covers the wire-level half of the failure taxonomy
+//! the CWC testbed would see (§6 of the paper): lost frames, duplicated
+//! frames, delayed delivery, bit corruption, partial writes and
+//! connection resets. A reset is a lost connection, which the server
+//! handles as a phone failure; nothing on the send path is retried.
 
 use std::time::Duration;
 
@@ -22,27 +22,9 @@ pub enum WireOp {
     Write(Vec<u8>),
     /// Sleep before the next op — delayed delivery / slow-loris pacing.
     Sleep(Duration),
-}
-
-/// What a [`WireFault`] decided about one outbound frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SendVerdict {
-    /// Apply the ops in order. An empty list drops the frame silently —
-    /// the caller believes the send succeeded.
-    Deliver(Vec<WireOp>),
-    /// Fail this send with a *transient* transport error; the connection
-    /// stays up and a retry may succeed.
-    Fail(String),
-    /// Write these bytes (typically a truncated prefix of the frame), then
-    /// hard-reset the connection.
-    ResetAfter(Vec<u8>),
-}
-
-impl SendVerdict {
-    /// The no-fault verdict: deliver the frame unchanged.
-    pub fn clean(encoded: &[u8]) -> Self {
-        SendVerdict::Deliver(vec![WireOp::Write(encoded.to_vec())])
-    }
+    /// Hard-reset the connection after the ops before it. Terminal: the
+    /// send fails, and nothing after it reaches the wire.
+    Reset,
 }
 
 /// Byte-level interception of outbound frame writes.
@@ -50,16 +32,18 @@ impl SendVerdict {
 /// Implementations must be deterministic given their own seeded state —
 /// the chaos soak tests replay identical fault sequences from a seed.
 pub trait WireFault: Send {
-    /// Decides the fate of one encoded frame (`length + crc + body` bytes).
-    fn on_send(&mut self, encoded: &[u8]) -> SendVerdict;
+    /// Decides the fate of one encoded frame (`length + crc + body`
+    /// bytes): the ops to apply in order. An empty list drops the frame
+    /// silently — the caller believes the send succeeded.
+    fn on_send(&mut self, encoded: &[u8]) -> Vec<WireOp>;
 }
 
 /// A [`WireFault`] from a plain closure — convenient in tests.
 impl<F> WireFault for F
 where
-    F: FnMut(&[u8]) -> SendVerdict + Send,
+    F: FnMut(&[u8]) -> Vec<WireOp> + Send,
 {
-    fn on_send(&mut self, encoded: &[u8]) -> SendVerdict {
+    fn on_send(&mut self, encoded: &[u8]) -> Vec<WireOp> {
         self(encoded)
     }
 }
@@ -69,20 +53,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_verdict_is_identity() {
-        let v = SendVerdict::clean(b"abc");
-        assert_eq!(
-            v,
-            SendVerdict::Deliver(vec![WireOp::Write(b"abc".to_vec())])
-        );
-    }
-
-    #[test]
     fn closures_are_wire_faults() {
-        let mut drop_all = |_: &[u8]| SendVerdict::Deliver(vec![]);
-        assert_eq!(
-            WireFault::on_send(&mut drop_all, b"x"),
-            SendVerdict::Deliver(vec![])
-        );
+        let mut drop_all = |_: &[u8]| Vec::new();
+        assert_eq!(WireFault::on_send(&mut drop_all, b"x"), vec![]);
     }
 }

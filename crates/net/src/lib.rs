@@ -20,7 +20,9 @@
 //!   thousands of workers. The worker's side is [`tcp::FramedTcp`], a
 //!   blocking client transport (a phone holds exactly one connection).
 //!   Both ends take a [`fault::WireFault`] hook, the injection surface
-//!   the `cwc-chaos` harness drives.
+//!   the `cwc-chaos` harness drives: each outbound frame becomes a list
+//!   of [`fault::WireOp`]s, and an injected reset fails the send and
+//!   closes the connection.
 //!
 //! The paper's prototype keeps a persistent TCP connection per phone with
 //! `SO_KEEPALIVE` plus application-layer keep-alives every 30 s, declaring a
@@ -41,7 +43,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod tcp;
 
-pub use fault::{SendVerdict, WireFault, WireOp};
+pub use fault::{WireFault, WireOp};
 pub use link::{LinkConfig, LinkModel};
 pub use measure::{measure_link, measure_link_observed, BandwidthSample, MeasurementReport};
 pub use protocol::{

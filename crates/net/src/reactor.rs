@@ -8,7 +8,7 @@
 //! readiness for thousands of sockets from one thread, each connection is a
 //! [`Conn`] holding the streaming [`crate::protocol::FrameCodec`] plus an
 //! ordered outbound write queue with explicit backpressure accounting, and a
-//! [`TimerWheel`] keeps every deadline (keep-alives, retries, paced writes) in
+//! [`TimerWheel`] keeps every deadline (keep-alives, stalls, paced writes) in
 //! one deterministic earliest-first order.
 //!
 //! Division of labour: this module owns *readiness and buffering only*. It
@@ -469,10 +469,11 @@ impl Conn {
         self.queued_bytes.saturating_sub(head_rest)
     }
 
-    /// Whether the connection has been torn down (close marker reached or
-    /// fatal socket error observed).
+    /// Whether the connection takes no more bytes: it has been torn down
+    /// (close marker reached or fatal socket error observed), or a close
+    /// marker is queued — nothing queued behind one would ever be written.
     pub fn is_closed(&self) -> bool {
-        self.closed
+        self.closed || matches!(self.queue.back(), Some(WriteStep::Close))
     }
 
     /// Lifts the current pause; call [`Conn::flush`] next to keep draining.
@@ -576,7 +577,7 @@ pub struct TimerKey {
 }
 
 /// A deadline-ordered timer wheel: every wall-clock wait the event loop
-/// owes anyone (kernel timers, retry backoffs, paced writes) lives here,
+/// owes anyone (kernel timers, paced writes) lives here,
 /// ordered by `(deadline, arming sequence)` so same-instant timers fire in
 /// the order they were armed — a deterministic tie-break.
 #[derive(Debug)]
@@ -943,6 +944,7 @@ mod tests {
         let mut conn = Conn::from_stream(server).unwrap();
         conn.queue_bytes(b"tail".to_vec());
         conn.queue_close();
+        assert!(conn.is_closed(), "no bytes go behind a queued close");
         assert_eq!(conn.flush().unwrap(), FlushStatus::Closed);
         assert!(conn.is_closed());
         // Peer reads the prefix then EOF.

@@ -14,7 +14,7 @@
 //! are the load-bearing liveness mechanism anyway — exactly as in the
 //! paper, where they double as the offline-failure detector.
 
-use crate::fault::{SendVerdict, WireFault, WireOp};
+use crate::fault::{WireFault, WireOp};
 use crate::protocol::{Frame, FrameCodec, MAX_READ};
 use bytes::BytesMut;
 use cwc_types::{CwcError, CwcResult};
@@ -62,7 +62,8 @@ impl FramedTcp {
 
     /// Installs (or clears) a fault-injection hook on the send path. With a
     /// hook installed, every outbound frame is routed through
-    /// [`WireFault::on_send`] and the verdict decides what hits the socket.
+    /// [`WireFault::on_send`] and the ops it returns decide what hits the
+    /// socket.
     pub fn set_fault(&mut self, fault: Option<Box<dyn WireFault>>) {
         self.fault = fault;
     }
@@ -70,8 +71,8 @@ impl FramedTcp {
     /// Sends one frame, blocking until fully written.
     ///
     /// With a [`WireFault`] installed the frame may instead be dropped,
-    /// duplicated, mutated, delayed, partially written, or turned into a
-    /// transport error — that's the fault-injection surface the chaos
+    /// duplicated, mutated, delayed, partially written, or cut short by a
+    /// connection reset — that's the fault-injection surface the chaos
     /// harness drives.
     pub fn send(&mut self, frame: &Frame) -> CwcResult<()> {
         let mut buf = BytesMut::with_capacity(64);
@@ -82,31 +83,23 @@ impl FramedTcp {
                 .write_all(&buf)
                 .map_err(|e| CwcError::Transport(format!("send: {e}")));
         };
-        match fault.on_send(&buf) {
-            SendVerdict::Deliver(ops) => {
-                for op in ops {
-                    match op {
-                        WireOp::Write(bytes) => self
-                            .stream
-                            .write_all(&bytes)
-                            .map_err(|e| CwcError::Transport(format!("send: {e}")))?,
-                        WireOp::Sleep(d) => std::thread::sleep(d),
-                    }
+        for op in fault.on_send(&buf) {
+            match op {
+                WireOp::Write(bytes) => self
+                    .stream
+                    .write_all(&bytes)
+                    .map_err(|e| CwcError::Transport(format!("send: {e}")))?,
+                WireOp::Sleep(d) => std::thread::sleep(d),
+                WireOp::Reset => {
+                    // Tearing down the socket IS the scenario under test;
+                    // the injected error below is the only one reported.
+                    // cwc-lint: allow(error_swallowing)
+                    self.stream.shutdown(std::net::Shutdown::Both).ok();
+                    return Err(CwcError::Transport("injected connection reset".into()));
                 }
-                Ok(())
-            }
-            SendVerdict::Fail(why) => {
-                Err(CwcError::Transport(format!("injected send failure: {why}")))
-            }
-            SendVerdict::ResetAfter(prefix) => {
-                // Fault injection: simulate a connection dying mid-frame.
-                // The write and shutdown failing IS the scenario under
-                // test; the injected error below is the only one reported.
-                let _ = self.stream.write_all(&prefix); // cwc-lint: allow(error_swallowing)
-                let _ = self.stream.shutdown(std::net::Shutdown::Both); // cwc-lint: allow(error_swallowing)
-                Err(CwcError::Transport("injected connection reset".into()))
             }
         }
+        Ok(())
     }
 
     /// Receives the next frame, blocking indefinitely.
@@ -204,9 +197,8 @@ mod tests {
 
     #[test]
     fn injected_drop_swallows_the_frame() {
-        use crate::fault::SendVerdict;
         let (mut client, mut server) = pair();
-        client.set_fault(Some(Box::new(|_: &[u8]| SendVerdict::Deliver(vec![]))));
+        client.set_fault(Some(Box::new(|_: &[u8]| Vec::new())));
         client.send(&Frame::Plugged).unwrap(); // "succeeds", delivers nothing
         client.set_fault(None);
         client.send(&Frame::Unplugged).unwrap();
@@ -214,22 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn injected_failure_is_a_transport_error() {
-        use crate::fault::SendVerdict;
-        let (mut client, _server) = pair();
-        client.set_fault(Some(Box::new(|_: &[u8]| SendVerdict::Fail("flaky".into()))));
-        let err = client.send(&Frame::Plugged).unwrap_err();
-        assert!(err.to_string().contains("injected send failure"));
-    }
-
-    #[test]
     fn injected_reset_tears_the_connection_down() {
-        use crate::fault::SendVerdict;
         let (mut client, mut server) = pair();
         client.set_fault(Some(Box::new(|encoded: &[u8]| {
-            SendVerdict::ResetAfter(encoded[..3].to_vec())
+            vec![WireOp::Write(encoded[..3].to_vec()), WireOp::Reset]
         })));
-        assert!(client.send(&Frame::Plugged).is_err());
+        let err = client.send(&Frame::Plugged).unwrap_err();
+        assert!(err.to_string().contains("injected connection reset"));
         // The server sees a truncated stream then EOF: an error, no frame.
         assert!(server.recv().is_err());
     }

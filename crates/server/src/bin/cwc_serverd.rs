@@ -377,8 +377,8 @@ fn main() {
                 &obs,
                 format!(
                     "batch complete in {:?}; {} migration(s); {} keep-alive ack(s); \
-                     {} retry(ies); {} quarantined",
-                    out.wall, out.migrated, out.keepalives_acked, out.retries, out.quarantined
+                     {} quarantined",
+                    out.wall, out.migrated, out.keepalives_acked, out.quarantined
                 ),
             );
             if let Some(f) = &out.failure {

@@ -56,6 +56,6 @@ pub use live::{
     FailureSummary, LiveJob, LiveOutcome, LivePolicy, WorkerConfig,
 };
 pub use pool::{PoolStats, WorkerPool};
-pub use resilience::{BreakerConfig, RetryPolicy, WindowBreaker};
+pub use resilience::{BreakerConfig, WindowBreaker};
 pub use shard::{engine_digest, FleetEngine, FleetOutcome, ShardConfig, ShardOutcome};
 pub use workload::{paper_workload, WorkloadBuilder};

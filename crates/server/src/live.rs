@@ -15,26 +15,25 @@
 //! readiness for the whole fleet; [`Kernel::step`] turns each decoded
 //! frame into commands; command fan-out goes through per-connection
 //! write queues with explicit backpressure accounting; and every
-//! wall-clock wait — kernel keep-alive/stall/speculation timers, send
-//! retries, injected wire pacing — lives in one deadline-ordered
-//! [`cwc_net::TimerWheel`]. The loop is the only way the server does I/O:
-//! accepting the fleet, answering each `Register` with its ack and
-//! bandwidth probe, collecting the reports, running the batch and draining
-//! the final `Shutdown` are all iterations of it, sent through the same
-//! retrying send jobs and flushed by the same write-queue code. Nothing on
-//! the server side ever blocks or sleeps, which is what lets one thread
-//! serve tens of thousands of workers (`cwc-bench-live` measures exactly
-//! that).
+//! wall-clock wait — kernel keep-alive/stall/speculation timers, injected
+//! wire pacing — lives in one deadline-ordered [`cwc_net::TimerWheel`].
+//! The loop is the only way the server does I/O: accepting the fleet,
+//! answering each `Register` with its ack and bandwidth probe, collecting
+//! the reports, running the batch and draining the final `Shutdown` are
+//! all iterations of it, queued by the same one-pass send and flushed by
+//! the same write-queue code. Nothing on the server side ever blocks or
+//! sleeps, which is what lets one thread serve tens of thousands of
+//! workers (`cwc-bench-live` measures exactly that).
 //! All control-loop decisions — scheduling, sequencing, stall/keep-alive
 //! policy, breaker quarantine, round-robin migration, graceful
 //! fleet-loss degradation — live in the kernel, shared verbatim with the
 //! simulator's engine, including the scheduler warm start
 //! ([`cwc_core::WarmStart`], DESIGN.md §10).
 //!
-//! The transport layer stays **chaos-hardened** (see `DESIGN.md` §7):
-//! ship and keep-alive sends retry with exponential backoff and
-//! deterministic jitter ([`crate::resilience::RetryPolicy`] supplies the
-//! schedule; the waits themselves are wheel timers, not sleeps); fault
+//! The transport layer stays **chaos-hardened** (see `DESIGN.md` §7): a
+//! send is one pass — queue the frames, flush once — and a connection
+//! that is dead or reset by then is lost at once, which the kernel
+//! handles as the paper's phone failure (§5–§6). Fault
 //! injection rides [`cwc_chaos::FaultPlan`] through [`LivePolicy::chaos`]
 //! and [`run_worker_chaos`], applied at enqueue time on the reactor's
 //! write queues. Every event fed to the kernel is also recorded on the
@@ -50,13 +49,13 @@ use crate::coord::{
     script, CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy,
     TimerKind,
 };
-use crate::resilience::{BreakerConfig, RetryPolicy};
+use crate::resilience::BreakerConfig;
 use bytes::BytesMut;
 use cwc_core::{ReplicationPolicy, SchedulerKind, SpeculationPolicy};
 use cwc_device::{ExecutionOutcome, Executor, TaskRegistry};
 use cwc_net::{
     accept_burst, Conn, FlushStatus, Frame, FramedTcp, Interest, PollEvent, Poller, ReadStatus,
-    SendVerdict, TimerKey, TimerWheel, WireFault, WireOp,
+    TimerKey, TimerWheel, WireFault, WireOp,
 };
 use cwc_types::{
     CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo,
@@ -354,19 +353,60 @@ fn serve_until(
     }
 }
 
-/// Reports a finished execution back to the server (the tail of the old
-/// monolithic execute path, shared by the fast and paced variants).
+/// Runs one shipped input through the executor and reports the outcome.
+///
+/// One guarded executor call covers every plan. Before each chunk the
+/// guard runs, in order: the slow-loris stall (spent *serving the
+/// connection* — keep-alives answered inline, other frames deferred — so
+/// pacing never blinds the worker to the server), then the crash check,
+/// then the unplug flag.
 #[allow(clippy::too_many_arguments)]
-fn report_outcome(
+fn execute_task(
     conn: &mut FramedTcp,
     cfg: &WorkerConfig,
+    registry: &TaskRegistry,
+    unplug: &Arc<AtomicBool>,
     obs: &cwc_obs::Obs,
-    trace: &cwc_obs::TraceCtx,
+    chaos: Option<&mut cwc_chaos::WorkerChaos>,
+    program_name: &str,
     job: JobId,
     seq: u64,
-    started: Instant,
-    outcome: ExecutionOutcome,
+    resume_from: Option<bytes::Bytes>,
+    trace: cwc_obs::TraceCtx,
+    data: bytes::Bytes,
+    deferred: &mut VecDeque<Frame>,
 ) -> CwcResult<WorkerStep> {
+    let program = registry.load(program_name)?;
+    let total_chunks = (data.len() as u64).div_ceil(1024);
+    let (crash_at, stall) = match chaos {
+        Some(c) => (c.crash_point(total_chunks), c.slow_task()),
+        None => (None, None),
+    };
+    let started = Instant::now();
+    let mut crashed = false;
+    let mut served = Ok(());
+    let outcome =
+        Executor.run_guarded(program.as_ref(), &data, resume_from.as_deref(), |done| {
+            if let Some(stall) = stall {
+                served = serve_until(conn, obs, deferred, Instant::now() + stall);
+                if served.is_err() {
+                    return true;
+                }
+            }
+            if crash_at.is_some_and(|c| done.0 >= c) {
+                crashed = true;
+                return true;
+            }
+            unplug.load(Ordering::Relaxed)
+        })?;
+    served?;
+    if crashed {
+        // Offline failure: die at the chunk boundary with no report.
+        // The server finds out from the closed connection (or a missed
+        // keep-alive) and restarts the partition elsewhere.
+        obs.metrics.inc("worker.chaos_crashes");
+        return Ok(WorkerStep::Crash);
+    }
     match outcome {
         ExecutionOutcome::Completed { result, .. } => {
             let exec_ms = started.elapsed().as_millis() as u64;
@@ -405,119 +445,6 @@ fn report_outcome(
         }
     }
     Ok(WorkerStep::Continue)
-}
-
-/// Runs one shipped input through the executor and reports the outcome.
-#[allow(clippy::too_many_arguments)]
-fn execute_task(
-    conn: &mut FramedTcp,
-    cfg: &WorkerConfig,
-    registry: &TaskRegistry,
-    unplug: &Arc<AtomicBool>,
-    obs: &cwc_obs::Obs,
-    chaos: Option<&mut cwc_chaos::WorkerChaos>,
-    program_name: &str,
-    job: JobId,
-    seq: u64,
-    resume_from: Option<bytes::Bytes>,
-    trace: cwc_obs::TraceCtx,
-    data: bytes::Bytes,
-    deferred: &mut VecDeque<Frame>,
-) -> CwcResult<WorkerStep> {
-    let program = registry.load(program_name)?;
-    let total_chunks = (data.len() as u64).div_ceil(1024);
-    let (crash_at, stall) = match chaos {
-        Some(c) => (c.crash_point(total_chunks), c.slow_task()),
-        None => (None, None),
-    };
-    let started = Instant::now();
-
-    let Some(stall) = stall else {
-        // Fast path: run the whole partition in one guarded call.
-        let mut crashed = false;
-        let outcome =
-            Executor.run_guarded(program.as_ref(), &data, resume_from.as_deref(), |done| {
-                if crash_at.is_some_and(|c| done.0 >= c) {
-                    crashed = true;
-                    return true;
-                }
-                unplug.load(Ordering::Relaxed)
-            })?;
-        if crashed {
-            // Offline failure: die at the chunk boundary with no report.
-            // The server finds out from the closed connection (or a missed
-            // keep-alive) and restarts the partition elsewhere.
-            obs.metrics.inc("worker.chaos_crashes");
-            return Ok(WorkerStep::Crash);
-        }
-        return report_outcome(conn, cfg, obs, &trace, job, seq, started, outcome);
-    };
-
-    // Paced (slow-loris) path: one chunk per stall window. The stall is
-    // spent *serving the connection* rather than asleep — keep-alives are
-    // answered inline and other frames deferred — so pacing no longer
-    // blinds the worker to the server. Check order per chunk matches the
-    // fast path's predicate: stall, then crash, then unplug.
-    let mut checkpoint: Option<Vec<u8>> = resume_from.map(|b| b.to_vec());
-    let mut processed = KiloBytes::ZERO;
-    loop {
-        if processed.0 >= total_chunks {
-            // Nothing (left) to process: finish for the partial result.
-            // Only the empty-input edge reaches here; non-empty inputs
-            // complete inside the per-chunk executor call below.
-            let outcome = match checkpoint.take() {
-                Some(ck) => Executor.resume(program.as_ref(), &data, &ck, processed, None)?,
-                None => Executor.run(program.as_ref(), &data, None)?,
-            };
-            return report_outcome(conn, cfg, obs, &trace, job, seq, started, outcome);
-        }
-        serve_until(conn, obs, deferred, Instant::now() + stall)?;
-        if crash_at.is_some_and(|c| processed.0 >= c) {
-            obs.metrics.inc("worker.chaos_crashes");
-            return Ok(WorkerStep::Crash);
-        }
-        if unplug.load(Ordering::Relaxed) {
-            let ck = match checkpoint.take() {
-                Some(ck) => ck,
-                None => program.new_state().checkpoint(),
-            };
-            return report_outcome(
-                conn,
-                cfg,
-                obs,
-                &trace,
-                job,
-                seq,
-                started,
-                ExecutionOutcome::Interrupted {
-                    checkpoint: ck,
-                    processed,
-                },
-            );
-        }
-        let outcome = match checkpoint.take() {
-            Some(ck) => Executor.resume(
-                program.as_ref(),
-                &data,
-                &ck,
-                processed,
-                Some(KiloBytes(processed.0 + 1)),
-            )?,
-            None => Executor.run(program.as_ref(), &data, Some(KiloBytes(1)))?,
-        };
-        match outcome {
-            ExecutionOutcome::Interrupted {
-                checkpoint: ck,
-                processed: p,
-            } => {
-                checkpoint = Some(ck);
-                processed = p;
-            }
-            done @ ExecutionOutcome::Completed { .. } => {
-                return report_outcome(conn, cfg, obs, &trace, job, seq, started, done);
-            }
-        }
-    }
 }
 
 /// One job with its real input bytes.
@@ -574,7 +501,8 @@ pub struct LiveOutcome {
     pub migrated: usize,
     /// Keep-alive acknowledgements received (liveness probes answered).
     pub keepalives_acked: usize,
-    /// Send retries performed by the backoff policy.
+    /// Always 0: a send is one pass, and a connection that cannot take it
+    /// is lost, never retried. Kept for the benchmark sheet that reads it.
     pub retries: u64,
     /// Workers quarantined by the per-phone circuit breaker.
     pub quarantined: usize,
@@ -591,8 +519,6 @@ pub const LIVE_KEEPALIVE_PERIOD: Duration = Duration::from_secs(1);
 /// Robustness knobs of the live coordinator.
 #[derive(Debug, Clone)]
 pub struct LivePolicy {
-    /// Backoff for ship/probe/keep-alive sends.
-    pub retry: RetryPolicy,
     /// Per-phone circuit breaker: this many transient failures inside the
     /// window quarantine the phone for the rest of the run.
     pub breaker: BreakerConfig,
@@ -623,7 +549,6 @@ pub struct LivePolicy {
 impl Default for LivePolicy {
     fn default() -> Self {
         LivePolicy {
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             stall_timeout: Duration::from_secs(5),
             keepalive_period: LIVE_KEEPALIVE_PERIOD,
@@ -741,33 +666,6 @@ const FAREWELL_BOUND: Duration = Duration::from_secs(10);
 /// this sits far above any plausible fleet size.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// What a send was for — decides what happens when its retries exhaust.
-enum SendKind {
-    /// The reply to `Register`: `RegisterAck`, then `BandwidthProbe`. The
-    /// fleet is closed-world, so a worker that cannot be greeted fails the
-    /// run.
-    Greet,
-    /// An executable+input (or replica) ship.
-    Ship { exe_kb: u64, len_kb: u64 },
-    /// A liveness probe: failure to deliver means the worker is lost.
-    KeepAlive,
-    /// Best-effort: an undeliverable cancel only costs the loser's wasted
-    /// execution — its late report is dropped by the kernel's stale dedup.
-    Cancel,
-}
-
-/// One logical send (possibly several frames) moving through the
-/// retry/backoff schedule. Attempts and the per-frame deadline reset as
-/// each frame lands; the backoff waits are wheel timers.
-struct SendJob {
-    label: String,
-    slot: usize,
-    frames: VecDeque<Frame>,
-    attempt: u32,
-    frame_started: Instant,
-    kind: SendKind,
-}
-
 /// A deadline owned by the event loop's timer wheel.
 enum WheelEntry {
     /// A kernel-requested timer: fires back as `CoordEvent::TimerFired`.
@@ -776,8 +674,6 @@ enum WheelEntry {
         slot: usize,
         token: u64,
     },
-    /// A send waiting out its retry backoff.
-    Retry(SendJob),
     /// A write queue paused by injected wire delay; resume and keep
     /// flushing.
     Paced { slot: usize },
@@ -811,10 +707,11 @@ struct ConnState {
 }
 
 /// Applies the fault hook to one encoded frame and queues the resulting
-/// wire ops. An `Err` is a *logical* send failure (injected Fail/Reset or
-/// a dead connection) — the caller owns retry/lost-worker handling;
-/// socket-level flushing is separate. An injected reset leaves a truncated
-/// prefix and a close marker queued for the caller's next flush.
+/// wire ops. An `Err` means the connection cannot take the frame — it is
+/// dead, or closing — and the caller declares it lost; socket-level
+/// flushing is separate. An injected reset leaves a truncated prefix and
+/// a close marker queued for the caller's flush, and nothing is ever
+/// queued behind that marker.
 fn queue_frame(state: &mut ConnState, frame: &Frame) -> CwcResult<()> {
     if state.dead || state.conn.is_closed() {
         return Err(CwcError::Transport("connection closed".into()));
@@ -826,23 +723,17 @@ fn queue_frame(state: &mut ConnState, frame: &Frame) -> CwcResult<()> {
         state.conn.queue_bytes(buf.into());
         return Ok(());
     };
-    match fault.on_send(&buf) {
-        SendVerdict::Deliver(ops) => {
-            for op in ops {
-                match op {
-                    WireOp::Write(bytes) => state.conn.queue_bytes(bytes),
-                    WireOp::Sleep(d) => state.conn.queue_pause(d),
-                }
+    for op in fault.on_send(&buf) {
+        match op {
+            WireOp::Write(bytes) => state.conn.queue_bytes(bytes),
+            WireOp::Sleep(d) => state.conn.queue_pause(d),
+            WireOp::Reset => {
+                state.conn.queue_close();
+                return Err(CwcError::Transport("injected connection reset".into()));
             }
-            Ok(())
-        }
-        SendVerdict::Fail(why) => Err(CwcError::Transport(format!("injected send failure: {why}"))),
-        SendVerdict::ResetAfter(prefix) => {
-            state.conn.queue_bytes(prefix);
-            state.conn.queue_close();
-            Err(CwcError::Transport("injected connection reset".into()))
         }
     }
+    Ok(())
 }
 
 /// The reactor driver around the kernel: owns the poller, the listener,
@@ -865,7 +756,6 @@ struct LiveDriver<'a> {
     policy: &'a LivePolicy,
     obs: &'a cwc_obs::Obs,
     start: Instant,
-    retries: u64,
     partials: BTreeMap<JobId, Vec<(u64, Vec<u8>)>>,
     /// Result bytes of the `TaskComplete` currently being fed; filed
     /// under their offset iff the kernel accepts the report
@@ -904,7 +794,6 @@ impl<'a> LiveDriver<'a> {
             policy,
             obs,
             start,
-            retries: 0,
             partials: BTreeMap::new(),
             pending_result: None,
             fatal: None,
@@ -924,7 +813,7 @@ impl<'a> LiveDriver<'a> {
     }
 
     /// Feeds one event to the kernel (recording it for replay) and
-    /// executes every command it emits. Send failures feed further
+    /// executes every command it emits. Lost connections feed further
     /// `ConnectionLost` events, so this recurses — bounded by the fleet
     /// size, since each lost worker is only ever lost once. Once the run
     /// is over the kernel hears nothing more (the farewell's turns must not
@@ -941,20 +830,20 @@ impl<'a> LiveDriver<'a> {
         }
     }
 
-    /// Starts one logical send to the worker in `slot`, labelled
-    /// `{what}/{phone}` for retry jitter and logs.
-    fn send(&mut self, slot: usize, what: &str, frames: Vec<Frame>, kind: SendKind) {
-        let Some(wid) = self.phone(slot) else {
-            return;
+    /// Sends `frames` to the worker in `slot` in one pass: queue them all,
+    /// then flush once (one worker wake-up, not one per frame). A
+    /// connection that cannot take them — dead, or reset by the fault hook
+    /// — is declared lost at once. Returns whether every frame was queued.
+    fn send(&mut self, slot: usize, frames: &[Frame]) -> bool {
+        let queued = match self.conns.get_mut(slot) {
+            Some(state) => frames.iter().try_for_each(|f| queue_frame(state, f)),
+            None => return false,
         };
-        self.run_send_job(SendJob {
-            label: format!("{what}/{wid}"),
-            slot,
-            frames: frames.into(),
-            attempt: 0,
-            frame_started: Instant::now(),
-            kind,
-        });
+        self.flush_conn(slot);
+        if let Err(e) = &queued {
+            self.declare_lost(slot, format!("send failed: {e}"));
+        }
+        queued.is_ok()
     }
 
     fn apply(&mut self, now: Micros, cmd: CoordCommand) {
@@ -986,18 +875,12 @@ impl<'a> LiveDriver<'a> {
             } => self.ship(
                 slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, replica,
             ),
-            CoordCommand::CancelTask { slot, job, seq } => self.send(
-                slot,
-                "cancel",
-                vec![Frame::CancelTask { job, seq }],
-                SendKind::Cancel,
-            ),
-            CoordCommand::SendKeepAlive { slot, seq } => self.send(
-                slot,
-                "keepalive",
-                vec![Frame::KeepAlive { seq }],
-                SendKind::KeepAlive,
-            ),
+            CoordCommand::CancelTask { slot, job, seq } => {
+                self.send(slot, &[Frame::CancelTask { job, seq }]);
+            }
+            CoordCommand::SendKeepAlive { slot, seq } => {
+                self.send(slot, &[Frame::KeepAlive { seq }]);
+            }
             CoordCommand::StartTimer {
                 kind,
                 slot,
@@ -1040,9 +923,8 @@ impl<'a> LiveDriver<'a> {
 
     /// Ships one partition: executable notice first (payload-bearing only
     /// the first time per worker–program pair, as the kernel's `exe_kb`
-    /// says), then the input slice — both through the retry schedule.
-    /// Shipped volume lands on the per-phone `net.kb_shipped.{phone}`
-    /// counter.
+    /// says), then the input slice — one send. Shipped volume lands on the
+    /// per-phone `net.kb_shipped.{phone}` counter.
     #[allow(clippy::too_many_arguments)]
     fn ship(
         &mut self,
@@ -1064,7 +946,7 @@ impl<'a> LiveDriver<'a> {
         };
         let from = (offset_kb as usize * 1024).min(entry.input.len());
         let to = ((offset_kb + len_kb) as usize * 1024).min(entry.input.len());
-        let frames = vec![
+        let frames = [
             Frame::ShipExecutable {
                 job,
                 program: program.to_owned(),
@@ -1086,95 +968,17 @@ impl<'a> LiveDriver<'a> {
                 data: entry.input.slice(from..to),
             },
         ];
-        self.send(slot, "ship", frames, SendKind::Ship { exe_kb, len_kb });
-    }
-
-    /// Advances a send job: queue frames until the job completes or a
-    /// frame fails. A failed frame either re-arms on the wheel after its
-    /// backoff or, once attempts/deadline are exhausted, resolves per the
-    /// job's [`SendKind`].
-    fn run_send_job(&mut self, mut job: SendJob) {
-        loop {
-            let Some(frame) = job.frames.front() else {
-                // One flush per job: `ShipExecutable` leaves with its input,
-                // not a whole encode ahead of it (one worker wake-up, not two).
-                self.flush_conn(job.slot);
-                if let SendKind::Ship { exe_kb, len_kb } = job.kind {
-                    let metrics = &self.obs.metrics;
-                    if let Some(state) = self.conns.get_mut(job.slot) {
-                        if let Some(wid) = state.info.map(|info| info.id) {
-                            state
-                                .kb_shipped
-                                .get_or_insert_with(|| {
-                                    metrics.counter(&format!("net.kb_shipped.{wid}"))
-                                })
-                                .add(exe_kb + len_kb);
-                        }
-                    }
-                }
-                return;
-            };
-            let queued = match self.conns.get_mut(job.slot) {
-                Some(state) => queue_frame(state, frame),
-                None => Err(CwcError::Transport("unknown connection".into())),
-            };
-            match queued {
-                Ok(()) => {
-                    job.frames.pop_front();
-                    job.attempt = 0;
-                    job.frame_started = Instant::now();
-                }
-                Err(e) => {
-                    // A reset injection queued a truncated prefix + close
-                    // marker; push them onto the wire before resolving.
-                    self.flush_conn(job.slot);
-                    job.attempt += 1;
-                    if job.attempt >= self.policy.retry.max_attempts.max(1)
-                        || job.frame_started.elapsed() >= self.policy.retry.deadline
-                    {
-                        self.send_job_failed(&job, &e);
-                        return;
-                    }
-                    self.retries += 1;
-                    self.obs.metrics.inc("live.retries");
-                    self.obs.emit_with(|| {
-                        self.obs
-                            .wall_event("live", "send.retry")
-                            .severity(cwc_obs::Severity::Warn)
-                            .field("target", job.label.clone())
-                            .field("attempt", job.attempt)
-                            .field(
-                                "msg",
-                                format!("retrying {} (attempt {}): {e}", job.label, job.attempt),
-                            )
-                    });
-                    let backoff = self.policy.retry.backoff(&job.label, job.attempt);
-                    let at = Micros(self.now().0.saturating_add(backoff.as_micros() as u64));
-                    self.wheel.arm(at, WheelEntry::Retry(job));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Resolves a send whose retries are exhausted.
-    fn send_job_failed(&mut self, job: &SendJob, e: &CwcError) {
-        let Some(wid) = self.phone(job.slot) else {
+        if !self.send(slot, &frames) {
             return;
-        };
-        match job.kind {
-            SendKind::Greet => self.fail(CwcError::Transport(format!(
-                "{wid}: registration reply failed: {e}"
-            ))),
-            SendKind::Ship { .. } => self.feed(CoordEvent::ConnectionLost {
-                slot: job.slot,
-                why: format!("{wid} lost (ship failed: {e})"),
-            }),
-            SendKind::KeepAlive => self.feed(CoordEvent::ConnectionLost {
-                slot: job.slot,
-                why: format!("{wid} lost (keep-alive send failed: {e})"),
-            }),
-            SendKind::Cancel => {}
+        }
+        let metrics = &self.obs.metrics;
+        if let Some(state) = self.conns.get_mut(slot) {
+            if let Some(wid) = state.info.map(|info| info.id) {
+                state
+                    .kb_shipped
+                    .get_or_insert_with(|| metrics.counter(&format!("net.kb_shipped.{wid}")))
+                    .add(exe_kb + len_kb);
+            }
         }
     }
 
@@ -1227,14 +1031,10 @@ impl<'a> LiveDriver<'a> {
                 }
             }
             Ok(FlushStatus::Held) => {} // pacing timer already armed
-            Ok(FlushStatus::Closed) => {
-                // A queued close marker (injected reset) completed; the
-                // send that queued it already reported the failure.
-                if let Some(state) = self.conns.get_mut(slot) {
-                    state.dead = true;
-                }
-                self.drop_registration(slot);
-            }
+            // A queued close marker (injected reset) was reached. The send
+            // that queued it declares the loss too; the second call is a
+            // no-op.
+            Ok(FlushStatus::Closed) => self.declare_lost(slot, "connection reset".to_owned()),
             Err(e) => self.declare_lost(slot, format!("write failed: {e}")),
         }
     }
@@ -1374,7 +1174,7 @@ impl<'a> LiveDriver<'a> {
                         .field("clock_mhz", clock_mhz)
                         .field("cores", cores)
                 });
-                let greeting = vec![
+                let greeting = [
                     Frame::RegisterAck {
                         server_time_us: self.now().0,
                     },
@@ -1384,7 +1184,7 @@ impl<'a> LiveDriver<'a> {
                         payload_kb: 256,
                     },
                 ];
-                self.send(slot, "greet", greeting, SendKind::Greet);
+                self.send(slot, &greeting);
             }
             (Frame::BandwidthReport { kb_per_sec, .. }, Some(info)) => {
                 // Raw f64 bits off the wire; only a finite positive
@@ -1560,10 +1360,6 @@ impl<'a> LiveDriver<'a> {
                 WheelEntry::Kernel { kind, slot, token } => {
                     self.feed(CoordEvent::TimerFired { kind, slot, token });
                 }
-                // A retry that comes due during the farewell has nobody
-                // left to matter to.
-                WheelEntry::Retry(job) if self.done() => drop(job),
-                WheelEntry::Retry(job) => self.run_send_job(job),
                 WheelEntry::Paced { slot } => {
                     if let Some(state) = self.conns.get_mut(slot) {
                         state.pace_armed = false;
@@ -1650,7 +1446,7 @@ impl<'a> LiveDriver<'a> {
 ///
 /// Observability: registration and failure events, per-phone
 /// `net.kb_shipped.*` counters, `live.keepalive_sent` /
-/// `live.keepalive_ack` / `live.migrated` / `live.retries` /
+/// `live.keepalive_ack` / `live.migrated` /
 /// `live.stalled` / `live.dup_reports` / `live.quarantined` /
 /// `live.protocol_violations` counters, a `span.schedule_us` histogram
 /// around the scheduling pass, a `live.loop_iter_us` histogram of
@@ -1783,7 +1579,7 @@ pub fn run_live_server_with(
         wall,
         migrated,
         keepalives_acked: driver.kernel.keepalives_acked(),
-        retries: driver.retries,
+        retries: 0,
         quarantined: driver.kernel.quarantined(),
         failure,
     })
@@ -2027,17 +1823,35 @@ mod tests {
         assert_eq!(probed[&PhoneId(1)], MsPerKb::from_kb_per_sec(250.0));
     }
 
-    /// Drives a one-worker run whose connection fails every send after
-    /// the handshake, under `retry`; returns the finished driver's retry
-    /// count, its `live.retries` counter, and the kernel's lost count.
-    fn lose_the_worker_to_send_failures(retry: RetryPolicy) -> (u64, u64, usize) {
+    /// An encoded frame's protocol tag.
+    fn tag(encoded: &[u8]) -> Option<u8> {
+        encoded.get(cwc_net::FRAME_HEADER_LEN).copied()
+    }
+
+    /// A fault hook that passes handshake frames and resets the connection
+    /// halfway through the first other frame; later frames pass clean.
+    fn reset_first_data_frame() -> impl FnMut(&[u8]) -> Vec<WireOp> + Send {
+        let mut reset = false;
+        move |encoded: &[u8]| {
+            let handshake = tag(encoded).is_some_and(cwc_net::is_handshake_tag);
+            if handshake || std::mem::replace(&mut reset, true) {
+                return vec![WireOp::Write(encoded.to_vec())];
+            }
+            vec![
+                WireOp::Write(encoded[..encoded.len() / 2].to_vec()),
+                WireOp::Reset,
+            ]
+        }
+    }
+
+    #[test]
+    fn a_reset_send_loses_the_worker_at_once() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let worker = spawn_raw_worker(listener.local_addr().unwrap(), Duration::ZERO, None);
-        let policy = LivePolicy {
-            retry,
-            ..Default::default()
-        };
+        let policy = LivePolicy::default();
         let obs = cwc_obs::Obs::new();
+        let sink = Arc::new(cwc_obs::MemorySink::new());
+        obs.bus.attach(sink.clone());
         let jobs = small_batch();
         let cfg = live_kernel_config(
             &jobs,
@@ -2062,12 +1876,7 @@ mod tests {
         while driver.conns.is_empty() {
             driver.turn(&mut events).unwrap();
         }
-        driver.conns[0].fault = Some(Box::new(|encoded: &[u8]| {
-            match encoded.get(cwc_net::FRAME_HEADER_LEN) {
-                Some(&tag) if cwc_net::is_handshake_tag(tag) => SendVerdict::clean(encoded),
-                _ => SendVerdict::Fail("link down".into()),
-            }
-        }));
+        driver.conns[0].fault = Some(Box::new(reset_first_data_frame()));
         let started = Instant::now();
         while !driver.done() {
             assert!(started.elapsed() < Duration::from_secs(30), "wedged");
@@ -2075,38 +1884,50 @@ mod tests {
         }
         assert!(driver.fatal.is_none(), "{:?}", driver.fatal);
         assert!(driver.kernel.fleet_lost());
-        let (retries, lost) = (driver.retries, driver.kernel.workers_lost());
-        // The sockets close with the driver; the worker sees that and exits.
+        assert_eq!(driver.kernel.workers_lost(), 1);
+        // The queued close marker and the failed send both report the loss;
+        // the kernel hears it once.
+        let lost = script::harvest(&sink.snapshot())
+            .unwrap()
+            .into_iter()
+            .filter(|(_, ev)| matches!(ev, CoordEvent::ConnectionLost { slot: 0, .. }))
+            .count();
+        assert_eq!(lost, 1);
+        // The worker reads half a frame, then EOF.
         drop(driver);
         drop(listener);
         assert!(worker.join().unwrap().is_err());
-        (retries, obs.metrics.counter_value("live.retries"), lost)
     }
 
     #[test]
-    fn a_failing_send_is_retried_max_attempts_minus_one_times_then_the_worker_is_lost() {
-        let (retries, counted, lost) = lose_the_worker_to_send_failures(RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(1),
-            ..Default::default()
-        });
-        assert_eq!(retries, 3);
-        assert_eq!(counted, 3);
-        assert_eq!(lost, 1);
-    }
-
-    #[test]
-    fn a_failing_send_gives_up_at_its_deadline_with_attempts_to_spare() {
-        // 2.5–7.5 ms between attempts against a 20 ms budget per frame.
-        let (retries, _, lost) = lose_the_worker_to_send_failures(RetryPolicy {
-            max_attempts: 1_000,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(5),
-            deadline: Duration::from_millis(20),
-            jitter_seed: 1,
-        });
-        assert!((1..50).contains(&retries), "retries = {retries}");
-        assert_eq!(lost, 1);
+    fn nothing_is_queued_behind_an_injected_reset() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut state = ConnState {
+            conn: Conn::from_stream(stream).unwrap(),
+            fault: Some(Box::new(reset_first_data_frame())),
+            info: None,
+            measured: false,
+            dead: false,
+            write_interest: false,
+            pace_armed: false,
+            stall: None,
+            kb_shipped: None,
+        };
+        let err = queue_frame(&mut state, &Frame::KeepAlive { seq: 1 }).unwrap_err();
+        assert!(
+            err.to_string().contains("injected connection reset"),
+            "{err}"
+        );
+        let queued = state.conn.queued_bytes();
+        // Unflushed: the close marker is still queued, and it refuses every
+        // later frame — the ones the hook would pass clean included.
+        for frame in [Frame::KeepAlive { seq: 2 }, Frame::Shutdown] {
+            assert!(queue_frame(&mut state, &frame).is_err());
+            assert_eq!(state.conn.queued_bytes(), queued);
+        }
+        drop(peer);
     }
 
     #[test]
@@ -2232,13 +2053,13 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut corrupted = false;
         let fault = move |encoded: &[u8]| {
-            let is_report = encoded.get(cwc_net::FRAME_HEADER_LEN) == Some(&7);
+            let is_report = tag(encoded) == Some(7);
             if !is_report || std::mem::replace(&mut corrupted, true) {
-                return SendVerdict::clean(encoded);
+                return vec![WireOp::Write(encoded.to_vec())];
             }
             let mut bad = encoded.to_vec();
             *bad.last_mut().unwrap() ^= 0x40;
-            SendVerdict::Deliver(vec![WireOp::Write(bad), WireOp::Write(encoded.to_vec())])
+            vec![WireOp::Write(bad), WireOp::Write(encoded.to_vec())]
         };
         let worker = spawn_raw_worker(addr, Duration::ZERO, Some(Box::new(fault)));
         let obs = cwc_obs::Obs::new();

@@ -1,68 +1,17 @@
-//! Retry, backoff, and per-phone circuit breaking for the live path.
+//! Per-phone circuit breaking for the coordinator.
 //!
-//! The paper's prototype treats every hiccup as a phone failure; real
-//! deployments see a messier middle ground — transient send errors, slow
-//! phones, corrupted frames — where killing the phone on first contact
-//! is wasteful and keeping it forever is worse. This module supplies the
-//! two standard tools: [`RetryPolicy`], exponential backoff with
-//! deterministic jitter and a per-send deadline, for errors worth a second
-//! attempt; and [`WindowBreaker`], a per-phone failure window, for phones
-//! that keep flapping and need to be quarantined out of the schedule.
-//! Both are pure schedules over caller-supplied time: the live event loop
-//! turns a backoff into a wheel timer and the kernel feeds the breaker its
-//! own `now`, so nothing here sleeps or reads a clock.
+//! The paper's prototype treats a lost connection as a phone failure, and
+//! so does this coordinator: no send is retried, and the kernel
+//! reschedules the failed work (§5–§6). What that leaves is a phone that
+//! keeps flapping — spurious failure reports, protocol violations, stalled
+//! chunks — and [`WindowBreaker`], a per-phone failure window, quarantines
+//! it out of the schedule. It is a pure schedule over caller-supplied
+//! time: the kernel feeds it its own `now`, so nothing here sleeps or
+//! reads a clock.
 
-use cwc_sim::Distributions;
 use cwc_types::Micros;
 use std::collections::VecDeque;
 use std::time::Duration;
-
-/// Exponential backoff with deterministic jitter and a per-send deadline.
-///
-/// Jitter is derived from `jitter_seed`, the send label, and the attempt
-/// number — no wall-clock entropy — so a chaos run replays its exact retry
-/// timing from the seed.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (so 3 means "retry twice").
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub base: Duration,
-    /// Upper bound on a single backoff wait.
-    pub cap: Duration,
-    /// Hard bound on one logical send, retries included. When exceeded,
-    /// the last error is returned even if attempts remain.
-    pub deadline: Duration,
-    /// Seed for the deterministic jitter.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(40),
-            deadline: Duration::from_secs(2),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (1-based) of the send
-    /// labelled `label`: `base * 2^(attempt-1)`, capped, scaled by a
-    /// deterministic jitter factor in `[0.5, 1.5)`.
-    pub fn backoff(&self, label: &str, attempt: u32) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(2u32.saturating_pow(attempt.saturating_sub(1)));
-        let capped = exp.min(self.cap);
-        let mut rng =
-            cwc_chaos::ChaosRng::new(self.jitter_seed).derive(&format!("{label}/{attempt}"));
-        capped.mul_f64(0.5 + rng.next_f64())
-    }
-}
 
 /// Configuration of a per-phone circuit breaker.
 #[derive(Debug, Clone)]
@@ -131,21 +80,6 @@ impl WindowBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_grows_and_is_deterministic() {
-        let policy = RetryPolicy {
-            jitter_seed: 7,
-            ..Default::default()
-        };
-        assert_eq!(policy.backoff("a", 1), policy.backoff("a", 1));
-        assert_ne!(policy.backoff("a", 1), policy.backoff("b", 1));
-        // Jitter is ±50%, growth is 2×: attempt 3's floor (2x base) exceeds
-        // attempt 1's ceiling (1.5x base).
-        assert!(policy.backoff("a", 3) > policy.backoff("a", 1));
-        // Capped: late attempts never exceed 1.5 * cap.
-        assert!(policy.backoff("a", 30) <= policy.cap.mul_f64(1.5));
-    }
 
     #[test]
     fn breaker_trips_at_threshold_and_stays_open() {
