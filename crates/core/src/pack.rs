@@ -28,7 +28,9 @@
 //! * **Costs are read along the axis the loop walks**
 //!   ([`CostTables`]). Step 2 — which unopened bin minimises Eq. 1 for
 //!   the head item — fixes a job and varies the phone, so it reads the
-//!   job's contiguous *column* of the job-major `per_kb` table. The fill
+//!   job's contiguous `per_kb` *column*, which every job of the same
+//!   program shares: Step 2 keeps re-reading a few hot columns (8 KB
+//!   each at 1 000 phones), not a fresh one per job. The fill
 //!   fixes the phone and varies the job, so it reads the phone's *row* —
 //!   which the problem's own `c[i]` already is: `b_i + c[i][j]` is one
 //!   add on the spot, and the row (8 KB at 1 000 jobs) stays in L1 for
@@ -98,8 +100,8 @@ use cwc_types::{JobId, KiloBytes, PhoneId};
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Phones Step 2 prices per straight-line group (one cache line of a
-/// cost column).
-const LANES: usize = 8;
+/// cost column); the cost tables' worst-bin maxima use the same groups.
+pub(crate) const LANES: usize = 8;
 
 /// The least of one group's costs (finite or `+∞`, never NaN), by
 /// halving: lane against lane, so the group costs three dependent

@@ -111,6 +111,74 @@ fn problem_of(inst: &RandomInstance) -> SchedProblem {
     SchedProblem::new(inst.phones.clone(), inst.jobs.clone(), c).unwrap()
 }
 
+/// Costs as `RuntimePredictor::cost_matrix` resolves them for one to
+/// three programs, each with its own baseline at 806 MHz scaled by
+/// clock, so the jobs of one program share a cost column. Then one
+/// phone's cell is perturbed for a random subset of jobs, by one ulp or
+/// by a quarter — half the time on the last phone, which the cost
+/// tables' column check reaches on its final row — and exactly those
+/// jobs must leave their program's column.
+fn mixed_columns_strategy() -> impl Strategy<Value = SchedProblem> {
+    let job = (any::<prop::sample::Index>(), 0u8..4);
+    let phone = (prop::bool::ANY, any::<prop::sample::Index>());
+    (
+        instance_strategy(),
+        proptest::collection::vec(4.0..40.0f64, 1..=3),
+        proptest::collection::vec(job, 24),
+        phone,
+        prop::bool::ANY,
+    )
+        .prop_map(|(inst, baselines, per_job, (on_last, phone), by_one_ulp)| {
+            let program = |j: usize| per_job[j].0.index(baselines.len());
+            let mut c: Vec<Vec<f64>> = (inst.phones.iter())
+                .map(|p| {
+                    let clock = f64::from(p.cpu.clock_mhz);
+                    (0..inst.jobs.len())
+                        .map(|j| baselines[program(j)] * 806.0 / clock)
+                        .collect()
+                })
+                .collect();
+            let num_phones = inst.phones.len();
+            let row = &mut c[if on_last {
+                num_phones - 1
+            } else {
+                phone.index(num_phones)
+            }];
+            for (cell, &(_, draw)) in row.iter_mut().zip(&per_job) {
+                if draw == 0 {
+                    *cell = if by_one_ulp {
+                        cell.next_up()
+                    } else {
+                        *cell * 1.25
+                    };
+                }
+            }
+            let mut jobs = inst.jobs;
+            for (j, spec) in jobs.iter_mut().enumerate() {
+                spec.program = format!("prog{}", program(j));
+            }
+            SchedProblem::new(inst.phones, jobs, c).unwrap()
+        })
+}
+
+/// One program, but every job's costs scaled by a factor of its own:
+/// one cost column per job (up to 40, so up to three tiles of the
+/// tables' transposition), and the column check's per-job pass runs on
+/// every row.
+fn all_distinct_columns_strategy() -> impl Strategy<Value = SchedProblem> {
+    sized_instance_strategy(2..12, 1..41).prop_map(|inst| {
+        let c = (inst.phones.iter())
+            .map(|p| {
+                let clock = f64::from(p.cpu.clock_mhz);
+                (0..inst.jobs.len())
+                    .map(|j| 12.0 * (1.0 + 0.01 * j as f64) * 806.0 / clock)
+                    .collect()
+            })
+            .collect();
+        SchedProblem::new(inst.phones, inst.jobs, c).unwrap()
+    })
+}
+
 /// Every job atomic: maximally stresses whole-item placement and the
 /// infeasibility path of the binary search.
 fn atomic_heavy_strategy() -> impl Strategy<Value = RandomInstance> {
@@ -372,5 +440,31 @@ proptest! {
         inst in single_chunk_strategy()
     ) {
         assert_matches_reference(&problem_of(&inst));
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_mixed_cost_columns(
+        problem in mixed_columns_strategy()
+    ) {
+        assert_matches_reference(&problem);
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_when_every_cost_column_is_distinct(
+        problem in all_distinct_columns_strategy()
+    ) {
+        assert_matches_reference(&problem);
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_derisked_mixed_cost_columns(
+        problem in mixed_columns_strategy(),
+        probs in proptest::collection::vec(0.0..=1.0f64, 10),
+        aggressiveness in 0.0..=1.0f64,
+    ) {
+        // Per-phone factors keep a program's column shared, and may
+        // round a perturbed cell back onto it.
+        let fail_prob = &probs[..problem.num_phones()];
+        assert_matches_reference(&derisk(&problem, fail_prob, aggressiveness).unwrap());
     }
 }
