@@ -10,7 +10,7 @@
 //! Chunks are 1 KB, matching the granularity of the paper's cost model
 //! (`c_ij` is defined per KB of input).
 
-use crate::task::{TaskProgram, TaskState};
+use crate::task::TaskProgram;
 use cwc_types::{CwcResult, KiloBytes};
 
 /// Input chunk size: the cost model's unit.
@@ -51,24 +51,7 @@ impl Executor {
         input: &[u8],
         interrupt_after: Option<KiloBytes>,
     ) -> CwcResult<ExecutionOutcome> {
-        let state = program.new_state();
-        self.drive(state, input, KiloBytes::ZERO, |done| {
-            interrupt_after.is_some_and(|limit| done >= limit)
-        })
-    }
-
-    /// Resumes an interrupted run on (conceptually) another phone: restore
-    /// the checkpoint, skip the already-processed prefix, continue.
-    pub fn resume(
-        &self,
-        program: &dyn TaskProgram,
-        input: &[u8],
-        checkpoint: &[u8],
-        already_processed: KiloBytes,
-        interrupt_after: Option<KiloBytes>,
-    ) -> CwcResult<ExecutionOutcome> {
-        let state = program.restore_state(checkpoint)?;
-        self.drive(state, input, already_processed, |done| {
+        self.run_guarded(program, input, None, |done| {
             interrupt_after.is_some_and(|limit| done >= limit)
         })
     }
@@ -82,35 +65,21 @@ impl Executor {
         program: &dyn TaskProgram,
         input: &[u8],
         resume_from: Option<&[u8]>,
-        should_stop: impl FnMut(KiloBytes) -> bool,
+        mut should_stop: impl FnMut(KiloBytes) -> bool,
     ) -> CwcResult<ExecutionOutcome> {
-        let state = match resume_from {
+        let mut state = match resume_from {
             Some(ck) => program.restore_state(ck)?,
             None => program.new_state(),
         };
-        self.drive(state, input, KiloBytes::ZERO, should_stop)
-    }
-
-    fn drive(
-        &self,
-        mut state: Box<dyn TaskState>,
-        input: &[u8],
-        skip: KiloBytes,
-        mut should_stop: impl FnMut(KiloBytes) -> bool,
-    ) -> CwcResult<ExecutionOutcome> {
-        let start = (skip.0 as usize) * CHUNK_BYTES;
-        let mut processed = skip;
-        let mut offset = start.min(input.len());
-        while offset < input.len() {
+        let mut processed = KiloBytes::ZERO;
+        for chunk in input.chunks(CHUNK_BYTES) {
             if should_stop(processed) {
                 return Ok(ExecutionOutcome::Interrupted {
                     checkpoint: state.checkpoint(),
                     processed,
                 });
             }
-            let end = (offset + CHUNK_BYTES).min(input.len());
-            state.process_chunk(&input[offset..end])?;
-            offset = end;
+            state.process_chunk(chunk)?;
             processed += KiloBytes(1);
         }
         Ok(ExecutionOutcome::Completed {
@@ -179,8 +148,9 @@ mod tests {
                 } => (checkpoint, processed),
                 other => panic!("unexpected {other:?}"),
             };
+            let rest = &data[processed.0 as usize * CHUNK_BYTES..];
             match Executor
-                .resume(&ByteSum, &data, &ck, processed, None)
+                .run_guarded(&ByteSum, rest, Some(&ck), |_| false)
                 .unwrap()
             {
                 ExecutionOutcome::Completed { result, .. } => {
@@ -206,18 +176,23 @@ mod tests {
             } => (checkpoint, processed),
             other => panic!("unexpected {other:?}"),
         };
+        let rest = &data[p1.0 as usize * CHUNK_BYTES..];
         let (ck2, p2) = match Executor
-            .resume(&ByteSum, &data, &ck1, p1, Some(KiloBytes(9)))
+            .run_guarded(&ByteSum, rest, Some(&ck1), |done| p1 + done >= KiloBytes(9))
             .unwrap()
         {
             ExecutionOutcome::Interrupted {
                 checkpoint,
                 processed,
-            } => (checkpoint, processed),
+            } => (checkpoint, p1 + processed),
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(p2, KiloBytes(9));
-        match Executor.resume(&ByteSum, &data, &ck2, p2, None).unwrap() {
+        let rest = &data[p2.0 as usize * CHUNK_BYTES..];
+        match Executor
+            .run_guarded(&ByteSum, rest, Some(&ck2), |_| false)
+            .unwrap()
+        {
             ExecutionOutcome::Completed { result, .. } => assert_eq!(result, straight),
             other => panic!("unexpected {other:?}"),
         }

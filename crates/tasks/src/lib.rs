@@ -6,14 +6,21 @@
 //! [`cwc_device::TaskProgram`], so executor, migration, and aggregation
 //! tests run against genuine state:
 //!
-//! | program      | paper role                              | kind      |
-//! |--------------|------------------------------------------|-----------|
-//! | `primecount` | eval task 1: count primes in a file      | breakable |
-//! | `wordcount`  | eval task 2: count a word's occurrences  | breakable |
-//! | `photoblur`  | eval task 3: blur a photo                | atomic    |
-//! | `largestint` | §3.1 feasibility experiment (Fig. 5)     | breakable |
-//! | `logscan`    | intro scenario: IT failure-log analysis  | breakable |
-//! | `render`     | intro scenario: movie scene rendering    | atomic    |
+//! | program      | paper role                              | kind      | state shape                          |
+//! |--------------|-----------------------------------------|-----------|--------------------------------------|
+//! | `primecount` | eval task 1: count primes in a file     | breakable | streaming: lines, sum, 64 B tail cap |
+//! | `wordcount`  | eval task 2: count a word's occurrences | breakable | streaming: windows, sum              |
+//! | `photoblur`  | eval task 3: blur a photo               | atomic    | buffered: box blur                   |
+//! | `largestint` | §3.1 feasibility experiment (Fig. 5)    | breakable | streaming: lines, max                |
+//! | `logscan`    | intro scenario: IT failure-log analysis | breakable | streaming: lines, sum                |
+//! | `render`     | intro scenario: movie scene rendering   | atomic    | buffered: rasterize                  |
+//!
+//! Each shape is written once in `programs`. A *streaming* state is a
+//! `u64` accumulator plus the straddled tail of a record cut by a chunk
+//! boundary; it checkpoints as `u64 BE acc | u32 BE tail length | tail`
+//! and reports an 8-byte BE partial that `aggregate` sums or maxes. A
+//! *buffered* state is the whole input so far; it checkpoints as the raw
+//! buffer, transforms it at the end, and aggregates exactly one partial.
 //!
 //! [`inputs`] synthesizes deterministic input files for all of them, and
 //! [`standard_registry`] installs everything into a device-side

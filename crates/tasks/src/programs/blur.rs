@@ -7,17 +7,12 @@
 //! with a minimal raw format: an 8-byte header (`width`, `height` as
 //! `u32` BE) followed by row-major 8-bit grayscale pixels.
 
-use cwc_device::{TaskProgram, TaskState};
+use super::buffered::Buffered;
+use super::codec::read_u32;
 use cwc_types::{CwcError, CwcResult};
 
 /// The photo-blur program (3×3 box blur).
 pub struct PhotoBlur;
-
-/// Atomic-state: buffers the full image (the dependency structure demands
-/// it), blurs on finalization.
-pub struct PhotoBlurState {
-    buffer: Vec<u8>,
-}
 
 /// Encodes an image into the wire format.
 pub fn encode_image(width: u32, height: u32, pixels: &[u8]) -> Vec<u8> {
@@ -35,13 +30,11 @@ pub fn encode_image(width: u32, height: u32, pixels: &[u8]) -> Vec<u8> {
 
 /// Decodes the wire format into `(width, height, pixels)`.
 pub fn decode_image(data: &[u8]) -> CwcResult<(u32, u32, &[u8])> {
-    if data.len() < 8 {
+    let mut pixels = data;
+    let (Some(width), Some(height)) = (read_u32(&mut pixels), read_u32(&mut pixels)) else {
         return Err(CwcError::Migration("image too short for header".into()));
-    }
-    let width = u32::from_be_bytes(data[..4].try_into().unwrap());
-    let height = u32::from_be_bytes(data[4..8].try_into().unwrap());
+    };
     let expected = width as usize * height as usize;
-    let pixels = &data[8..];
     if pixels.len() != expected {
         return Err(CwcError::Migration(format!(
             "image payload {} bytes, header implies {expected}",
@@ -76,61 +69,23 @@ pub fn box_blur(width: u32, height: u32, pixels: &[u8]) -> Vec<u8> {
     out
 }
 
-impl TaskProgram for PhotoBlur {
-    fn name(&self) -> &str {
-        "photoblur"
-    }
+// Pixel-neighbourhood arithmetic: moderately CPU-bound.
+task_program!(PhotoBlur, buffered, "photoblur", 9.0);
 
-    fn baseline_ms_per_kb(&self) -> f64 {
-        // Pixel-neighbourhood arithmetic: moderately CPU-bound.
-        9.0
-    }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(PhotoBlurState { buffer: Vec::new() })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        Ok(Box::new(PhotoBlurState {
-            buffer: checkpoint.to_vec(),
-        }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        match partials {
-            [single] => Ok(single.clone()),
-            _ => Err(CwcError::Migration(format!(
-                "photoblur is atomic: expected exactly 1 partial, got {}",
-                partials.len()
-            ))),
-        }
-    }
-}
-
-impl TaskState for PhotoBlurState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        self.buffer.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        self.buffer.clone()
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        match decode_image(&self.buffer) {
-            Ok((w, h, px)) => encode_image(w, h, &box_blur(w, h, px)),
-            // An incomplete image yields an empty result; the server
-            // treats it as a task-level failure.
-            Err(_) => Vec::new(),
-        }
+/// Buffers the full image (the dependency structure demands it) and blurs
+/// it at the end.
+impl Buffered for PhotoBlur {
+    fn transform(image: &[u8]) -> CwcResult<Vec<u8>> {
+        let (w, h, px) = decode_image(image)?;
+        Ok(encode_image(w, h, &box_blur(w, h, px)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwc_device::{ExecutionOutcome, Executor};
+    use cwc_device::executor::CHUNK_BYTES;
+    use cwc_device::{ExecutionOutcome, Executor, TaskProgram};
 
     #[test]
     fn image_codec_round_trip() {
@@ -198,7 +153,11 @@ mod tests {
             } => (checkpoint, processed),
             other => panic!("unexpected {other:?}"),
         };
-        match Executor.resume(&PhotoBlur, &img, &ck, done, None).unwrap() {
+        let rest = &img[done.0 as usize * CHUNK_BYTES..];
+        match Executor
+            .run_guarded(&PhotoBlur, rest, Some(&ck), |_| false)
+            .unwrap()
+        {
             ExecutionOutcome::Completed { result, .. } => assert_eq!(result, expected),
             other => panic!("unexpected {other:?}"),
         }

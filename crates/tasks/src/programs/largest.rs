@@ -2,91 +2,32 @@
 //! in a file. This is the task behind Fig. 5's bandwidth-variability
 //! experiment (600 files across 6 phones of equal CPU but unequal links).
 
-use super::codec;
-use cwc_device::{TaskProgram, TaskState};
-use cwc_types::CwcResult;
+use super::streaming::{parse_u64, Records, Streaming};
 
 /// The largest-integer program.
+#[derive(Clone)]
 pub struct LargestInt;
 
-/// Streaming state: the maximum so far plus a straddled-line tail.
-pub struct LargestIntState {
-    max: u64,
-    tail: Vec<u8>,
-}
+// Pure scan: the lightest workload in the suite.
+task_program!(LargestInt, streaming, "largestint", 2.0);
 
-fn digest_line(line: &[u8], max: &mut u64) {
-    if let Ok(text) = std::str::from_utf8(line) {
-        if let Ok(n) = text.trim().parse::<u64>() {
-            *max = (*max).max(n);
-        }
-    }
-}
+impl Streaming for LargestInt {
+    const MERGE: fn(u64, u64) -> u64 = u64::max;
 
-impl TaskProgram for LargestInt {
-    fn name(&self) -> &str {
-        "largestint"
+    fn records(&self) -> Records {
+        Records::Lines { max_tail: None }
     }
 
-    fn baseline_ms_per_kb(&self) -> f64 {
-        // Pure scan: the lightest workload in the suite.
-        2.0
+    fn value(&self, line: &[u8]) -> u64 {
+        parse_u64(line).unwrap_or(0)
     }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(LargestIntState {
-            max: 0,
-            tail: Vec::new(),
-        })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        let (max, tail) = codec::decode_u64_tail(checkpoint)?;
-        Ok(Box::new(LargestIntState { max, tail }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        codec::max_u64_partials(partials)
-    }
-}
-
-impl TaskState for LargestIntState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        let mut data = std::mem::take(&mut self.tail);
-        data.extend_from_slice(chunk);
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                digest_line(&data[start..i], &mut self.max);
-                start = i + 1;
-            }
-        }
-        self.tail = data[start..].to_vec();
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        codec::encode_u64_tail(self.max, &self.tail)
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        let mut max = self.max;
-        if !self.tail.is_empty() {
-            digest_line(&self.tail, &mut max);
-        }
-        max.to_be_bytes().to_vec()
-    }
-}
-
-/// Decodes the program's result blob.
-pub fn decode_max(result: &[u8]) -> u64 {
-    u64::from_be_bytes(result.try_into().expect("max result is 8 bytes"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwc_device::{ExecutionOutcome, Executor};
+    use crate::programs::codec::decode_partial;
+    use cwc_device::{ExecutionOutcome, Executor, TaskProgram};
 
     #[test]
     fn finds_max_across_chunks() {
@@ -95,14 +36,14 @@ mod tests {
         for piece in input.chunks(4) {
             s.process_chunk(piece).unwrap();
         }
-        assert_eq!(decode_max(&s.partial_result()), 99_123);
+        assert_eq!(decode_partial(&s.partial_result()).unwrap(), 99_123);
     }
 
     #[test]
     fn trailing_number_counts() {
         let mut s = LargestInt.new_state();
         s.process_chunk(b"5\n1000000").unwrap();
-        assert_eq!(decode_max(&s.partial_result()), 1_000_000);
+        assert_eq!(decode_partial(&s.partial_result()).unwrap(), 1_000_000);
     }
 
     #[test]
@@ -113,13 +54,16 @@ mod tests {
         let ck = s1.checkpoint();
         let mut s2 = LargestInt.restore_state(&ck).unwrap();
         s2.process_chunk(&input[7..]).unwrap();
-        assert_eq!(decode_max(&s2.partial_result()), 987_654);
+        assert_eq!(decode_partial(&s2.partial_result()).unwrap(), 987_654);
     }
 
     #[test]
     fn aggregate_takes_max() {
         let parts = vec![10u64.to_be_bytes().to_vec(), 7u64.to_be_bytes().to_vec()];
-        assert_eq!(decode_max(&LargestInt.aggregate(&parts).unwrap()), 10);
+        assert_eq!(
+            decode_partial(&LargestInt.aggregate(&parts).unwrap()).unwrap(),
+            10
+        );
     }
 
     #[test]
@@ -132,7 +76,7 @@ mod tests {
             .unwrap();
         match Executor.run(&LargestInt, &input, None).unwrap() {
             ExecutionOutcome::Completed { result, .. } => {
-                assert_eq!(decode_max(&result), reference);
+                assert_eq!(decode_partial(&result).unwrap(), reference);
             }
             other => panic!("unexpected {other:?}"),
         }

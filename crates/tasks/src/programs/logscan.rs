@@ -3,18 +3,11 @@
 //! night" (§3.2). Counts lines whose severity field is `ERROR` or
 //! `FATAL`.
 
-use super::codec;
-use cwc_device::{TaskProgram, TaskState};
-use cwc_types::CwcResult;
+use super::streaming::{Records, Streaming};
 
 /// The failure-log scanner.
+#[derive(Clone)]
 pub struct LogScan;
-
-/// Streaming state: failure-line count plus a straddled-line tail.
-pub struct LogScanState {
-    count: u64,
-    tail: Vec<u8>,
-}
 
 fn is_failure_line(line: &[u8]) -> bool {
     // Log format: "<timestamp> <SEVERITY> <message>"; severity is the
@@ -24,77 +17,32 @@ fn is_failure_line(line: &[u8]) -> bool {
     matches!(fields.next(), Some(b"ERROR") | Some(b"FATAL"))
 }
 
-impl TaskProgram for LogScan {
-    fn name(&self) -> &str {
-        "logscan"
+task_program!(LogScan, streaming, "logscan", 4.0);
+
+impl Streaming for LogScan {
+    const MERGE: fn(u64, u64) -> u64 = u64::wrapping_add;
+
+    fn records(&self) -> Records {
+        Records::Lines { max_tail: None }
     }
 
-    fn baseline_ms_per_kb(&self) -> f64 {
-        4.0
+    fn value(&self, line: &[u8]) -> u64 {
+        u64::from(is_failure_line(line))
     }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(LogScanState {
-            count: 0,
-            tail: Vec::new(),
-        })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        let (count, tail) = codec::decode_u64_tail(checkpoint)?;
-        Ok(Box::new(LogScanState { count, tail }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        codec::sum_u64_partials(partials)
-    }
-}
-
-impl TaskState for LogScanState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        let mut data = std::mem::take(&mut self.tail);
-        data.extend_from_slice(chunk);
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                if is_failure_line(&data[start..i]) {
-                    self.count += 1;
-                }
-                start = i + 1;
-            }
-        }
-        self.tail = data[start..].to_vec();
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        codec::encode_u64_tail(self.count, &self.tail)
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        let mut count = self.count;
-        if !self.tail.is_empty() && is_failure_line(&self.tail) {
-            count += 1;
-        }
-        count.to_be_bytes().to_vec()
-    }
-}
-
-/// Decodes the program's result blob.
-pub fn decode_count(result: &[u8]) -> u64 {
-    u64::from_be_bytes(result.try_into().expect("count result is 8 bytes"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::codec::decode_partial;
+    use cwc_device::TaskProgram;
 
     #[test]
     fn counts_error_and_fatal_lines() {
         let log = b"100 INFO boot ok\n101 ERROR disk full\n102 WARN slow\n103 FATAL panic\n";
         let mut s = LogScan.new_state();
         s.process_chunk(log).unwrap();
-        assert_eq!(decode_count(&s.partial_result()), 2);
+        assert_eq!(decode_partial(&s.partial_result()).unwrap(), 2);
     }
 
     #[test]
@@ -103,7 +51,7 @@ mod tests {
         let log = b"100 INFO user typed ERROR\n";
         let mut s = LogScan.new_state();
         s.process_chunk(log).unwrap();
-        assert_eq!(decode_count(&s.partial_result()), 0);
+        assert_eq!(decode_partial(&s.partial_result()).unwrap(), 0);
     }
 
     #[test]
@@ -112,7 +60,7 @@ mod tests {
         let reference = {
             let mut s = LogScan.new_state();
             s.process_chunk(&log).unwrap();
-            decode_count(&s.partial_result())
+            decode_partial(&s.partial_result()).unwrap()
         };
         for chunk in [1usize, 7, 100, 1024] {
             let mut s = LogScan.new_state();
@@ -120,7 +68,7 @@ mod tests {
                 s.process_chunk(piece).unwrap();
             }
             assert_eq!(
-                decode_count(&s.partial_result()),
+                decode_partial(&s.partial_result()).unwrap(),
                 reference,
                 "chunk {chunk}"
             );
@@ -135,6 +83,6 @@ mod tests {
         let ck = s.checkpoint();
         let mut restored = LogScan.restore_state(&ck).unwrap();
         restored.process_chunk(b"TAL z\n").unwrap();
-        assert_eq!(decode_count(&restored.partial_result()), 2);
+        assert_eq!(decode_partial(&restored.partial_result()).unwrap(), 2);
     }
 }

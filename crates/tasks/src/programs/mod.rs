@@ -1,17 +1,61 @@
-//! The task program implementations.
+//! The task program implementations. Each program supplies only what is
+//! its own; the task state is one of two shapes, each written once:
+//! `streaming` for the record programs, `buffered` for the atomic ones.
+
+/// Implements [`cwc_device::TaskProgram`] for a program by delegating to
+/// its shape's core. `TaskProgram` is foreign to this crate, so a core
+/// cannot implement it for every program of its shape generically.
+macro_rules! task_program {
+    ($program:ty, $shape:ident, $name:literal, $ms_per_kb:literal) => {
+        impl cwc_device::TaskProgram for $program {
+            fn name(&self) -> &str {
+                $name
+            }
+
+            fn baseline_ms_per_kb(&self) -> f64 {
+                $ms_per_kb
+            }
+
+            fn new_state(&self) -> Box<dyn cwc_device::TaskState> {
+                $crate::programs::$shape::new_state(self)
+            }
+
+            fn restore_state(
+                &self,
+                checkpoint: &[u8],
+            ) -> cwc_types::CwcResult<Box<dyn cwc_device::TaskState>> {
+                $crate::programs::$shape::restore_state(self, checkpoint)
+            }
+
+            fn aggregate(&self, partials: &[Vec<u8>]) -> cwc_types::CwcResult<Vec<u8>> {
+                $crate::programs::$shape::aggregate(self, partials)
+            }
+        }
+    };
+}
 
 pub mod blur;
+mod buffered;
 pub mod largest;
 pub mod logscan;
 pub mod primes;
 pub mod render;
+mod streaming;
 pub mod wordcount;
 
 pub(crate) mod codec {
-    //! Tiny helpers for manual checkpoint encodings: every line-oriented
-    //! program checkpoints as `u64 accumulator | u32 tail-length | tail`.
+    //! The big-endian byte formats: the streaming checkpoint
+    //! `u64 accumulator | u32 tail-length | tail`, the 8-byte `u64`
+    //! partial, and the `u32` fields of the image and scene headers.
 
     use cwc_types::{CwcError, CwcResult};
+
+    /// Reads a big-endian `u32` off the front of `bytes`, advancing it.
+    pub fn read_u32(bytes: &mut &[u8]) -> Option<u32> {
+        let (head, rest) = bytes.split_first_chunk()?;
+        *bytes = rest;
+        Some(u32::from_be_bytes(*head))
+    }
 
     pub fn encode_u64_tail(value: u64, tail: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(12 + tail.len());
@@ -22,42 +66,33 @@ pub(crate) mod codec {
     }
 
     pub fn decode_u64_tail(bytes: &[u8]) -> CwcResult<(u64, Vec<u8>)> {
-        if bytes.len() < 12 {
-            return Err(CwcError::Migration("checkpoint too short".into()));
-        }
-        let value = u64::from_be_bytes(bytes[..8].try_into().unwrap());
-        let tail_len = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        if bytes.len() != 12 + tail_len {
+        let too_short = || CwcError::Migration("checkpoint too short".into());
+        let (value, mut tail) = bytes.split_first_chunk::<8>().ok_or_else(too_short)?;
+        let tail_len = read_u32(&mut tail).ok_or_else(too_short)? as usize;
+        if tail.len() != tail_len {
             return Err(CwcError::Migration(format!(
                 "checkpoint length mismatch: declared tail {tail_len}, have {}",
-                bytes.len() - 12
+                tail.len()
             )));
         }
-        Ok((value, bytes[12..].to_vec()))
+        Ok((u64::from_be_bytes(*value), tail.to_vec()))
     }
 
-    pub fn sum_u64_partials(partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        let mut total = 0u64;
-        for p in partials {
-            let arr: [u8; 8] = p
-                .as_slice()
-                .try_into()
-                .map_err(|_| CwcError::Migration("bad u64 partial".into()))?;
-            total = total.wrapping_add(u64::from_be_bytes(arr));
-        }
-        Ok(total.to_be_bytes().to_vec())
+    /// Decodes a streaming program's 8-byte partial result.
+    pub fn decode_partial(partial: &[u8]) -> CwcResult<u64> {
+        let bytes = partial
+            .try_into()
+            .map_err(|_| CwcError::Migration("bad u64 partial".into()))?;
+        Ok(u64::from_be_bytes(bytes))
     }
 
-    pub fn max_u64_partials(partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        let mut best = 0u64;
+    /// Merges 8-byte partials into one, starting from 0.
+    pub fn fold_partials(partials: &[Vec<u8>], merge: fn(u64, u64) -> u64) -> CwcResult<Vec<u8>> {
+        let mut acc = 0u64;
         for p in partials {
-            let arr: [u8; 8] = p
-                .as_slice()
-                .try_into()
-                .map_err(|_| CwcError::Migration("bad u64 partial".into()))?;
-            best = best.max(u64::from_be_bytes(arr));
+            acc = merge(acc, decode_partial(p)?);
         }
-        Ok(best.to_be_bytes().to_vec())
+        Ok(acc.to_be_bytes().to_vec())
     }
 
     #[cfg(test)]
@@ -85,10 +120,13 @@ pub(crate) mod codec {
             let a = 10u64.to_be_bytes().to_vec();
             let b = 7u64.to_be_bytes().to_vec();
             assert_eq!(
-                sum_u64_partials(&[a.clone(), b.clone()]).unwrap(),
+                fold_partials(&[a.clone(), b.clone()], u64::wrapping_add).unwrap(),
                 17u64.to_be_bytes()
             );
-            assert_eq!(max_u64_partials(&[a, b]).unwrap(), 10u64.to_be_bytes());
+            assert_eq!(
+                fold_partials(&[a, b], u64::max).unwrap(),
+                10u64.to_be_bytes()
+            );
         }
     }
 }

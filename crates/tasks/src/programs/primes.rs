@@ -3,19 +3,11 @@
 //! CPU-intensive workload (it is also the task used for the charging
 //! experiments of Fig. 10).
 
-use super::codec;
-use cwc_device::{TaskProgram, TaskState};
-use cwc_types::{CwcError, CwcResult};
+use super::streaming::{parse_u64, Records, Streaming};
 
 /// The prime-counting program.
+#[derive(Clone)]
 pub struct PrimeCount;
-
-/// Streaming state: primes seen so far plus the bytes of a number whose
-/// line straddles the last chunk boundary.
-pub struct PrimeCountState {
-    count: u64,
-    tail: Vec<u8>,
-}
 
 /// Trial-division primality — deliberately the straightforward algorithm;
 /// burning real cycles per number is the point of this workload.
@@ -36,86 +28,26 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
-fn digest_line(line: &[u8], count: &mut u64) {
-    if let Ok(text) = std::str::from_utf8(line) {
-        if let Ok(n) = text.trim().parse::<u64>() {
-            if is_prime(n) {
-                *count += 1;
-            }
-        }
-    }
-}
+// Profiled cost class on the 806 MHz HTC G2: CPU-bound.
+task_program!(PrimeCount, streaming, "primecount", 14.0);
 
-impl TaskProgram for PrimeCount {
-    fn name(&self) -> &str {
-        "primecount"
+impl Streaming for PrimeCount {
+    const MERGE: fn(u64, u64) -> u64 = u64::wrapping_add;
+
+    fn records(&self) -> Records {
+        Records::Lines { max_tail: Some(64) }
     }
 
-    fn baseline_ms_per_kb(&self) -> f64 {
-        // Profiled cost class on the 806 MHz HTC G2: CPU-bound.
-        14.0
+    fn value(&self, line: &[u8]) -> u64 {
+        u64::from(parse_u64(line).is_some_and(is_prime))
     }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(PrimeCountState {
-            count: 0,
-            tail: Vec::new(),
-        })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        let (count, tail) = codec::decode_u64_tail(checkpoint)?;
-        Ok(Box::new(PrimeCountState { count, tail }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        codec::sum_u64_partials(partials)
-    }
-}
-
-impl TaskState for PrimeCountState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        let mut data = std::mem::take(&mut self.tail);
-        data.extend_from_slice(chunk);
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                digest_line(&data[start..i], &mut self.count);
-                start = i + 1;
-            }
-        }
-        self.tail = data[start..].to_vec();
-        if self.tail.len() > 64 {
-            return Err(CwcError::Migration(
-                "primecount: unterminated line exceeds 64 bytes".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        codec::encode_u64_tail(self.count, &self.tail)
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        // Flush the trailing line (files need not end in a newline).
-        let mut count = self.count;
-        if !self.tail.is_empty() {
-            digest_line(&self.tail, &mut count);
-        }
-        count.to_be_bytes().to_vec()
-    }
-}
-
-/// Decodes the program's result blob.
-pub fn decode_count(result: &[u8]) -> u64 {
-    u64::from_be_bytes(result.try_into().expect("count result is 8 bytes"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwc_device::{ExecutionOutcome, Executor};
+    use crate::programs::codec::{decode_partial, encode_u64_tail};
+    use cwc_device::{ExecutionOutcome, Executor, TaskProgram};
 
     #[test]
     fn primality() {
@@ -138,14 +70,14 @@ mod tests {
         for piece in input.chunks(3) {
             state.process_chunk(piece).unwrap();
         }
-        assert_eq!(decode_count(&state.partial_result()), 5);
+        assert_eq!(decode_partial(&state.partial_result()).unwrap(), 5);
     }
 
     #[test]
     fn trailing_line_without_newline_counts() {
         let mut state = PrimeCount.new_state();
         state.process_chunk(b"4\n13").unwrap();
-        assert_eq!(decode_count(&state.partial_result()), 1);
+        assert_eq!(decode_partial(&state.partial_result()).unwrap(), 1);
     }
 
     #[test]
@@ -157,7 +89,21 @@ mod tests {
         let mut s2 = PrimeCount.restore_state(&ck).unwrap();
         s2.process_chunk(&input[4..]).unwrap();
         // 97 and 101 are prime.
-        assert_eq!(decode_count(&s2.partial_result()), 2);
+        assert_eq!(decode_partial(&s2.partial_result()).unwrap(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_oversized_tail() {
+        // A peer's checkpoint obeys the same 64-byte cap as a chunk.
+        let line = [b'7'; 65];
+        assert!(PrimeCount
+            .restore_state(&encode_u64_tail(0, &line))
+            .is_err());
+        assert!(PrimeCount
+            .restore_state(&encode_u64_tail(0, &line[..64]))
+            .is_ok());
+        let mut state = PrimeCount.new_state();
+        assert!(state.process_chunk(&line).is_err());
     }
 
     #[test]
@@ -175,7 +121,7 @@ mod tests {
             .count() as u64;
         match Executor.run(&PrimeCount, &input, None).unwrap() {
             ExecutionOutcome::Completed { result, .. } => {
-                assert_eq!(decode_count(&result), reference);
+                assert_eq!(decode_partial(&result).unwrap(), reference);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -184,13 +130,16 @@ mod tests {
     #[test]
     fn aggregate_sums() {
         let parts = vec![3u64.to_be_bytes().to_vec(), 4u64.to_be_bytes().to_vec()];
-        assert_eq!(decode_count(&PrimeCount.aggregate(&parts).unwrap()), 7);
+        assert_eq!(
+            decode_partial(&PrimeCount.aggregate(&parts).unwrap()).unwrap(),
+            7
+        );
     }
 
     #[test]
     fn garbage_lines_are_ignored() {
         let mut state = PrimeCount.new_state();
         state.process_chunk(b"hello\n7\n\n  13  \n").unwrap();
-        assert_eq!(decode_count(&state.partial_result()), 2);
+        assert_eq!(decode_partial(&state.partial_result()).unwrap(), 2);
     }
 }

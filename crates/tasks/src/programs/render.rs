@@ -9,7 +9,8 @@
 //! [`photoblur`](crate::PhotoBlur)).
 
 use super::blur::encode_image;
-use cwc_device::{TaskProgram, TaskState};
+use super::buffered::Buffered;
+use super::codec::read_u32;
 use cwc_types::{CwcError, CwcResult};
 
 /// One luminous disc in a scene.
@@ -43,30 +44,30 @@ pub fn encode_scene(width: u32, height: u32, discs: &[Disc]) -> Vec<u8> {
 
 /// Decodes a scene blob.
 pub fn decode_scene(data: &[u8]) -> CwcResult<(u32, u32, Vec<Disc>)> {
-    if data.len() < 12 {
+    let mut rest = data;
+    let (Some(width), Some(height), Some(n)) = (
+        read_u32(&mut rest),
+        read_u32(&mut rest),
+        read_u32(&mut rest),
+    ) else {
         return Err(CwcError::Migration("scene too short for header".into()));
+    };
+    let expected = 12 + n as usize * 13;
+    let disc = |mut d: &[u8]| {
+        Some(Disc {
+            cx: read_u32(&mut d)?,
+            cy: read_u32(&mut d)?,
+            r: read_u32(&mut d)?,
+            lum: *d.first()?,
+        })
+    };
+    match rest.chunks_exact(13).map(disc).collect() {
+        Some(discs) if data.len() == expected => Ok((width, height, discs)),
+        _ => Err(CwcError::Migration(format!(
+            "scene payload {} bytes, header implies {expected}",
+            data.len()
+        ))),
     }
-    let width = u32::from_be_bytes(data[..4].try_into().unwrap());
-    let height = u32::from_be_bytes(data[4..8].try_into().unwrap());
-    let n = u32::from_be_bytes(data[8..12].try_into().unwrap()) as usize;
-    if data.len() != 12 + n * 13 {
-        return Err(CwcError::Migration(format!(
-            "scene payload {} bytes, header implies {}",
-            data.len(),
-            12 + n * 13
-        )));
-    }
-    let mut discs = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 12 + i * 13;
-        discs.push(Disc {
-            cx: u32::from_be_bytes(data[off..off + 4].try_into().unwrap()),
-            cy: u32::from_be_bytes(data[off + 4..off + 8].try_into().unwrap()),
-            r: u32::from_be_bytes(data[off + 8..off + 12].try_into().unwrap()),
-            lum: data[off + 12],
-        });
-    }
-    Ok((width, height, discs))
 }
 
 /// Rasterizes the scene into a grayscale frame with quadratic falloff.
@@ -102,64 +103,22 @@ pub fn rasterize(width: u32, height: u32, discs: &[Disc]) -> Vec<u8> {
 /// The scene-render program (atomic).
 pub struct SceneRender;
 
-/// Buffers the scene description; renders on finalization.
-pub struct SceneRenderState {
-    buffer: Vec<u8>,
-}
+// Rendering is the heaviest per-KB workload: a small scene description
+// explodes into per-pixel work.
+task_program!(SceneRender, buffered, "render", 40.0);
 
-impl TaskProgram for SceneRender {
-    fn name(&self) -> &str {
-        "render"
-    }
-
-    fn baseline_ms_per_kb(&self) -> f64 {
-        // Rendering is the heaviest per-KB workload: a small scene
-        // description explodes into per-pixel work.
-        40.0
-    }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(SceneRenderState { buffer: Vec::new() })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        Ok(Box::new(SceneRenderState {
-            buffer: checkpoint.to_vec(),
-        }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        match partials {
-            [single] => Ok(single.clone()),
-            _ => Err(CwcError::Migration(format!(
-                "render is atomic: expected exactly 1 partial, got {}",
-                partials.len()
-            ))),
-        }
-    }
-}
-
-impl TaskState for SceneRenderState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        self.buffer.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        self.buffer.clone()
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        match decode_scene(&self.buffer) {
-            Ok((w, h, discs)) => encode_image(w, h, &rasterize(w, h, &discs)),
-            Err(_) => Vec::new(),
-        }
+/// Buffers the scene description and renders it at the end.
+impl Buffered for SceneRender {
+    fn transform(scene: &[u8]) -> CwcResult<Vec<u8>> {
+        let (w, h, discs) = decode_scene(scene)?;
+        Ok(encode_image(w, h, &rasterize(w, h, &discs)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwc_device::executor::CHUNK_BYTES;
     use cwc_device::{ExecutionOutcome, Executor};
 
     #[test]
@@ -254,8 +213,9 @@ mod tests {
             } => (checkpoint, processed),
             other => panic!("unexpected {other:?}"),
         };
+        let rest = &scene[done.0 as usize * CHUNK_BYTES..];
         match Executor
-            .resume(&SceneRender, &scene, &ck, done, None)
+            .run_guarded(&SceneRender, rest, Some(&ck), |_| false)
             .unwrap()
         {
             ExecutionOutcome::Completed { result, .. } => assert_eq!(result, straight),

@@ -3,11 +3,10 @@
 //! sums the per-partition counts, exactly the logical aggregation the
 //! paper describes.
 
-use super::codec;
-use cwc_device::{TaskProgram, TaskState};
-use cwc_types::{CwcError, CwcResult};
+use super::streaming::{Records, Streaming};
 
 /// The word-counting program, parameterized by its target word.
+#[derive(Clone)]
 pub struct WordCount {
     word: Vec<u8>,
 }
@@ -26,104 +25,29 @@ impl WordCount {
     }
 }
 
-/// Streaming state: the running count plus the last `len(word) − 1` bytes
-/// so occurrences straddling a chunk boundary are found.
-pub struct WordCountState {
-    word: Vec<u8>,
-    count: u64,
-    tail: Vec<u8>,
-}
+// Scan-bound, lighter than prime counting.
+task_program!(WordCount, streaming, "wordcount", 6.0);
 
-fn count_occurrences(haystack: &[u8], needle: &[u8]) -> u64 {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return 0;
-    }
-    let mut count = 0u64;
-    // Non-overlapping-agnostic scan (overlapping matches counted, like
-    // repeated indexOf(from = hit + 1)).
-    for window in haystack.windows(needle.len()) {
-        if window == needle {
-            count += 1;
-        }
-    }
-    count
-}
+/// Every window as long as the word is a record, so overlapping matches
+/// count (like repeated `indexOf(from = hit + 1)`), and the last
+/// `len(word) − 1` bytes wait in the tail for a match straddling the cut.
+impl Streaming for WordCount {
+    const MERGE: fn(u64, u64) -> u64 = u64::wrapping_add;
 
-impl TaskProgram for WordCount {
-    fn name(&self) -> &str {
-        "wordcount"
+    fn records(&self) -> Records {
+        Records::Windows(self.word.len())
     }
 
-    fn baseline_ms_per_kb(&self) -> f64 {
-        // Scan-bound, lighter than prime counting.
-        6.0
+    fn value(&self, window: &[u8]) -> u64 {
+        u64::from(window == self.word)
     }
-
-    fn new_state(&self) -> Box<dyn TaskState> {
-        Box::new(WordCountState {
-            word: self.word.clone(),
-            count: 0,
-            tail: Vec::new(),
-        })
-    }
-
-    fn restore_state(&self, checkpoint: &[u8]) -> CwcResult<Box<dyn TaskState>> {
-        let (count, tail) = codec::decode_u64_tail(checkpoint)?;
-        if tail.len() > self.word.len().saturating_sub(1) {
-            return Err(CwcError::Migration("wordcount: oversized tail".into()));
-        }
-        Ok(Box::new(WordCountState {
-            word: self.word.clone(),
-            count,
-            tail,
-        }))
-    }
-
-    fn aggregate(&self, partials: &[Vec<u8>]) -> CwcResult<Vec<u8>> {
-        codec::sum_u64_partials(partials)
-    }
-}
-
-impl TaskState for WordCountState {
-    fn process_chunk(&mut self, chunk: &[u8]) -> CwcResult<()> {
-        let mut data = std::mem::take(&mut self.tail);
-        data.extend_from_slice(chunk);
-        self.count += count_occurrences(&data, &self.word);
-        // A match fully inside the previous tail would double-count when
-        // the next chunk arrives; avoid it by counting matches that *end*
-        // within the old tail region only once. Since the tail is shorter
-        // than the word, no match fits entirely in it, so the only risk is
-        // a match spanning tail+chunk — counted exactly once here. Keep
-        // the new tail for the next boundary.
-        let keep = self.word.len().saturating_sub(1).min(data.len());
-        self.tail = data[data.len() - keep..].to_vec();
-        // ...but matches entirely within the *new* tail would be re-found
-        // next round; subtract them now.
-        self.count -= count_occurrences(&self.tail, &self.word);
-        Ok(())
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        codec::encode_u64_tail(self.count, &self.tail)
-    }
-
-    fn partial_result(&self) -> Vec<u8> {
-        // Tail shorter than the word can hold no match; the count is final.
-        let mut count = self.count;
-        count += count_occurrences(&self.tail, &self.word);
-        count.to_be_bytes().to_vec()
-    }
-}
-
-/// Decodes the program's result blob.
-pub fn decode_count(result: &[u8]) -> u64 {
-    u64::from_be_bytes(result.try_into().expect("count result is 8 bytes"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwc_device::{ExecutionOutcome, Executor};
+    use crate::programs::codec::decode_partial;
+    use cwc_device::{ExecutionOutcome, Executor, TaskProgram};
 
     fn run_all(text: &[u8], word: &str, chunk: usize) -> u64 {
         let prog = WordCount::new(word);
@@ -131,7 +55,7 @@ mod tests {
         for piece in text.chunks(chunk) {
             s.process_chunk(piece).unwrap();
         }
-        decode_count(&s.partial_result())
+        decode_partial(&s.partial_result()).unwrap()
     }
 
     #[test]
@@ -162,7 +86,7 @@ mod tests {
         let straight = {
             let mut s = prog.new_state();
             s.process_chunk(&text).unwrap();
-            decode_count(&s.partial_result())
+            decode_partial(&s.partial_result()).unwrap()
         };
         // Interrupt mid-text.
         let mut s1 = prog.new_state();
@@ -170,7 +94,7 @@ mod tests {
         let ck = s1.checkpoint();
         let mut s2 = prog.restore_state(&ck).unwrap();
         s2.process_chunk(&text[1_500..]).unwrap();
-        assert_eq!(decode_count(&s2.partial_result()), straight);
+        assert_eq!(decode_partial(&s2.partial_result()).unwrap(), straight);
     }
 
     #[test]
@@ -184,10 +108,10 @@ mod tests {
     fn executor_end_to_end() {
         let prog = WordCount::new("lowes");
         let text = crate::inputs::text_file(16, 9, "lowes");
-        let expected = count_occurrences(&text, b"lowes");
+        let expected = text.windows(5).filter(|w| w == b"lowes").count() as u64;
         match Executor.run(&prog, &text, None).unwrap() {
             ExecutionOutcome::Completed { result, .. } => {
-                assert_eq!(decode_count(&result), expected);
+                assert_eq!(decode_partial(&result).unwrap(), expected);
             }
             other => panic!("unexpected {other:?}"),
         }

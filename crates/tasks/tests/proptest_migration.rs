@@ -2,8 +2,15 @@
 //! interruption points, the migration invariant holds — resume equals an
 //! uninterrupted run — and chunk boundaries never change results.
 
+// Test harness code: clippy's allow-unwrap-in-tests only reaches #[test]
+// fns, not the helpers they share.
+#![allow(clippy::unwrap_used)]
+
+use cwc_device::executor::CHUNK_BYTES;
 use cwc_device::{ExecutionOutcome, Executor, TaskProgram};
-use cwc_tasks::{LargestInt, LogScan, PhotoBlur, PrimeCount, WordCount};
+use cwc_tasks::{
+    standard_registry, LargestInt, LogScan, PhotoBlur, PrimeCount, SceneRender, WordCount,
+};
 use cwc_types::KiloBytes;
 use proptest::prelude::*;
 
@@ -21,7 +28,12 @@ fn run_with_cut(p: &dyn TaskProgram, input: &[u8], cut_kb: u64) -> Vec<u8> {
             checkpoint,
             processed,
         } => match Executor
-            .resume(p, input, &checkpoint, processed, None)
+            .run_guarded(
+                p,
+                &input[processed.0 as usize * CHUNK_BYTES..],
+                Some(&checkpoint),
+                |_| false,
+            )
             .unwrap()
         {
             ExecutionOutcome::Completed { result, .. } => result,
@@ -88,6 +100,13 @@ proptest! {
     }
 
     #[test]
+    fn render_migration(w in 1u32..64, h in 1u32..64, discs in 0usize..200, seed in 0u64..1000, cut in 0u64..4) {
+        let scene = cwc_tasks::inputs::scene_file(w, h, discs, seed);
+        let p = SceneRender;
+        prop_assert_eq!(run_with_cut(&p, &scene, cut), run_to_end(&p, &scene));
+    }
+
+    #[test]
     fn wordcount_chunking_invariance(input in textish(), word in "[a-e]{1,4}") {
         // Processing in any chunk size gives the same count.
         let p = WordCount::new(&word);
@@ -107,15 +126,19 @@ proptest! {
 
     #[test]
     fn checkpoints_decode_what_they_encode(input in numberish(), cut in 1u64..6) {
-        // A checkpoint taken at any point restores to an equivalent state.
-        let p = PrimeCount;
-        if let ExecutionOutcome::Interrupted { checkpoint, processed } =
-            Executor.run(&p, &input, Some(KiloBytes(cut))).unwrap()
-        {
-            let restored = p.restore_state(&checkpoint).unwrap();
-            // Restored state checkpoints identically (idempotence).
-            prop_assert_eq!(restored.checkpoint(), checkpoint);
-            prop_assert!(processed <= KiloBytes(cut));
+        // A checkpoint taken at any point restores to an equivalent state,
+        // for every program.
+        let registry = standard_registry();
+        for name in registry.names() {
+            let p = registry.load(&name).unwrap();
+            if let ExecutionOutcome::Interrupted { checkpoint, processed } =
+                Executor.run(p.as_ref(), &input, Some(KiloBytes(cut))).unwrap()
+            {
+                let restored = p.restore_state(&checkpoint).unwrap();
+                // Restored state checkpoints identically (idempotence).
+                prop_assert_eq!(restored.checkpoint(), checkpoint, "{}", name);
+                prop_assert!(processed <= KiloBytes(cut));
+            }
         }
     }
 }

@@ -2,6 +2,7 @@
 //! workload: interrupt anywhere (simulating an unplug), resume on
 //! "another phone", and the final result must equal an uninterrupted run.
 
+use cwc::device::executor::CHUNK_BYTES;
 use cwc::device::{ExecutionOutcome, Executor};
 use cwc::tasks::{inputs, standard_registry};
 use cwc::types::KiloBytes;
@@ -28,7 +29,11 @@ fn interrupted_then_resumed(program: &str, input: &[u8], cut_kb: u64) -> Vec<u8>
         } => (checkpoint, processed),
         ExecutionOutcome::Completed { result, .. } => return result, // input shorter than cut
     };
-    match Executor.resume(p.as_ref(), input, &ck, done, None).unwrap() {
+    let rest = &input[done.0 as usize * CHUNK_BYTES..];
+    match Executor
+        .run_guarded(p.as_ref(), rest, Some(&ck), |_| false)
+        .unwrap()
+    {
         ExecutionOutcome::Completed { result, .. } => result,
         other => panic!("unexpected {other:?}"),
     }
@@ -113,17 +118,24 @@ fn chained_migrations_across_three_phones() {
         } => (checkpoint, processed),
         other => panic!("unexpected {other:?}"),
     };
+    let rest = &input[d1.0 as usize * CHUNK_BYTES..];
     let (ck2, d2) = match Executor
-        .resume(p.as_ref(), &input, &ck1, d1, Some(KiloBytes(20)))
+        .run_guarded(p.as_ref(), rest, Some(&ck1), |done| {
+            d1 + done >= KiloBytes(20)
+        })
         .unwrap()
     {
         ExecutionOutcome::Interrupted {
             checkpoint,
             processed,
-        } => (checkpoint, processed),
+        } => (checkpoint, d1 + processed),
         other => panic!("unexpected {other:?}"),
     };
-    match Executor.resume(p.as_ref(), &input, &ck2, d2, None).unwrap() {
+    let rest = &input[d2.0 as usize * CHUNK_BYTES..];
+    match Executor
+        .run_guarded(p.as_ref(), rest, Some(&ck2), |_| false)
+        .unwrap()
+    {
         ExecutionOutcome::Completed { result, .. } => assert_eq!(result, reference),
         other => panic!("unexpected {other:?}"),
     }
@@ -131,13 +143,12 @@ fn chained_migrations_across_three_phones() {
 
 #[test]
 fn partition_plus_aggregate_equals_whole_for_sums() {
-    // Server-side logical aggregation (§4): split, process each part,
-    // aggregate — equals processing the whole (for sum/max programs whose
-    // partition boundaries fall on line breaks this is exact up to
-    // boundary-straddling lines; use KB-aligned newline-free-safe check
-    // via primecount on generated files, which tolerate straddles through
-    // the tail buffer *within* a part but not across parts — so compare
-    // against the paper's semantics: partition-local processing).
+    // Server-side logical aggregation (§4): split, process each part
+    // alone, aggregate. A record straddling the cut is the known gap: the
+    // straddled tail carries a record across chunks *within* a part, not
+    // across parts, so each part parses its half of that record alone.
+    // ROADMAP item 1 closes the gap; until then the answer may fall short
+    // by that one record.
     let reg = standard_registry();
     let p = reg.load("largestint").unwrap();
     let input = inputs::number_file(24, 8);
