@@ -16,6 +16,8 @@
 //! Accept throughput is reported but never gates: it is dominated by
 //! the host kernel's per-connect latency, not by the event loop.
 
+#![forbid(unsafe_code)]
+
 use cwc_bench::live_scale::{fleet_main, run_point, run_soak, PointConfig, SCALE_LADDER};
 use cwc_bench::report::{self, JsonValue};
 

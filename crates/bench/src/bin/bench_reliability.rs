@@ -9,6 +9,8 @@
 //! cargo run --release -p cwc-bench --bin cwc-bench-reliability [-- OUT.json]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cwc_bench::obj;
 use cwc_bench::reliability::{
     run_acceptance, ATOMIC_JOBS, BREAKABLE_JOBS, DEADLINE_JOBS, DEADLINE_MS, FLEET,

@@ -14,6 +14,8 @@
 //! shard count regressed by more than TOLERANCE (default 0.2) — the CI
 //! gate.
 
+#![forbid(unsafe_code)]
+
 use cwc_bench::report;
 use cwc_bench::shard_scale::{run_ladder, run_mass_unplug, LADDER_JOBS, LADDER_PHONES};
 

@@ -12,6 +12,8 @@
 //!   the *replayed* events. Byte-identical to `analyze` of the original
 //!   capture (the replay gate relies on this).
 
+#![forbid(unsafe_code)]
+
 use cwc_bench::trace::{analyze, record_demo_run, replay_capture};
 use cwc_obs::{Event, EventSink, FlightRecorder, FlightRecorderConfig, JsonlSink};
 use std::path::PathBuf;

@@ -8,6 +8,8 @@
 //! the paper's expected values alongside the measured ones; `--json DIR`
 //! additionally dumps machine-readable results per figure.
 
+#![forbid(unsafe_code)]
+
 use cwc_bench::render::{bar, cdf_quantiles, header, hourly_profile};
 use cwc_bench::report::{self, JsonValue};
 use cwc_bench::*;

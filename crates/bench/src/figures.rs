@@ -167,7 +167,10 @@ pub fn fig6(seed: u64) -> Vec<(f64, f64)> {
         let t_s = baselines[task];
         for phone in &fleet {
             let cpu = phone.spec().cpu;
-            points.push((cpu.predicted_speedup(), cpu.measured_speedup(t_s)));
+            points.push((
+                cpu.predicted_speedup(),
+                cpu.measured_speedup(cwc_types::MsPerKb(t_s)),
+            ));
         }
     }
     points

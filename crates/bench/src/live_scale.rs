@@ -394,7 +394,6 @@ impl FleetState {
         if let Some(fc) = self.conns.get_mut(idx).and_then(Option::take) {
             // The fd closes with the dropped stream; a failed deregister
             // means the kernel already forgot it.
-            // cwc-lint: allow(error_swallowing)
             poller.deregister(fc.conn.fd()).ok();
             self.open -= 1;
         }
@@ -413,7 +412,7 @@ impl FleetState {
                 }
                 if fc.write_interest {
                     fc.write_interest = false;
-                    // cwc-lint: allow(error_swallowing)
+                    // As in `close`: a failed reregister means the fd is gone.
                     poller
                         .reregister(fc.conn.fd(), idx as u64, Interest::READ)
                         .ok();
@@ -422,7 +421,7 @@ impl FleetState {
             Ok(FlushStatus::Blocked) => {
                 if !fc.write_interest {
                     fc.write_interest = true;
-                    // cwc-lint: allow(error_swallowing)
+                    // As in `close`: a failed reregister means the fd is gone.
                     poller
                         .reregister(fc.conn.fd(), idx as u64, Interest::READ_WRITE)
                         .ok();
@@ -579,7 +578,6 @@ fn connect_stripe(
         conn.queue_bytes(buf.to_vec());
         // Registration overlaps the connect phase: push it out now so the
         // server can register early workers while late ones still connect.
-        // cwc-lint: allow(error_swallowing)
         conn.flush().ok();
         out.push((i, conn));
     }
@@ -683,6 +681,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn a_small_fleet_round_trips_in_process() {
         // The child normally runs as a separate process (fd budget); for a
         // small fleet a thread exercises the identical protocol automaton.

@@ -349,6 +349,7 @@ pub fn demo_policy() -> LivePolicy {
 /// drops; `extra_sinks` builds additional sinks to attach alongside the
 /// capture sink (e.g. a JSONL file, or a flight recorder sharing the
 /// run's metrics registry).
+#[allow(clippy::disallowed_methods)] // the workers are loopback threads
 pub fn record_demo_run(
     seed: u64,
     workers: u32,

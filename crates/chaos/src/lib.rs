@@ -24,6 +24,9 @@
 //! the workspace's one seeded generator, nothing else.
 
 #![forbid(unsafe_code)]
+// Deterministic (DESIGN.md §8): output is a function of inputs and
+// seed, so no wall-clock or socket type appears here.
+#![deny(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod plan;

@@ -68,8 +68,25 @@ impl FaultKind {
         }
     }
 
+    /// The `chaos.injected.*` counter this kind's injections land in.
+    pub(crate) fn counter(self) -> &'static str {
+        match self {
+            FaultKind::Drop => "chaos.injected.drop",
+            FaultKind::Duplicate => "chaos.injected.duplicate",
+            FaultKind::Reorder => "chaos.injected.reorder",
+            FaultKind::Corrupt => "chaos.injected.corrupt",
+            FaultKind::PartialWrite => "chaos.injected.partial-write",
+            FaultKind::Reset => "chaos.injected.reset",
+            FaultKind::Delay => "chaos.injected.delay",
+            FaultKind::Crash => "chaos.injected.crash",
+            FaultKind::SlowLoris => "chaos.injected.slow-loris",
+        }
+    }
+
+    /// Position in [`FaultKind::ALL`], which lists the kinds in declaration
+    /// order (`all_lists_every_kind_at_its_discriminant` pins that).
     fn index(self) -> usize {
-        Self::ALL.iter().position(|k| *k == self).unwrap()
+        self as usize
     }
 }
 
@@ -259,5 +276,29 @@ mod tests {
             use cwc_net::WireFault;
             assert_eq!(a.on_send(&frame), b.on_send(&frame));
         }
+    }
+
+    #[test]
+    fn all_lists_every_kind_at_its_discriminant() {
+        // `index` is `self as usize`, so `ALL` must hold every kind at its
+        // declaration position. The match has no wildcard arm: a new kind
+        // does not compile until it gets its position here.
+        let position = |k: FaultKind| match k {
+            FaultKind::Drop => 0,
+            FaultKind::Duplicate => 1,
+            FaultKind::Reorder => 2,
+            FaultKind::Corrupt => 3,
+            FaultKind::PartialWrite => 4,
+            FaultKind::Reset => 5,
+            FaultKind::Delay => 6,
+            FaultKind::Crash => 7,
+            FaultKind::SlowLoris => 8,
+        };
+        for (i, k) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(position(k), i, "{}", k.name());
+            assert_eq!(FaultKind::ALL[k as usize], k);
+            assert_eq!(k.counter(), format!("chaos.injected.{}", k.name()));
+        }
+        assert_eq!(FaultKind::ALL.len(), position(FaultKind::SlowLoris) + 1);
     }
 }

@@ -63,14 +63,14 @@ impl FaultScript {
     fn note(&mut self, kind: FaultKind) {
         self.injected += 1;
         if let Some(obs) = &self.obs {
-            obs.metrics.inc(&format!("chaos.injected.{}", kind.name()));
-            obs.emit(
+            obs.metrics.inc(kind.counter());
+            obs.emit_with(|| {
                 obs.wall_event("chaos", "inject")
                     .severity(cwc_obs::Severity::Info)
                     .field("kind", kind.name())
                     .field("conn", self.label.clone())
-                    .field("msg", format!("{}: injected {}", self.label, kind.name())),
-            );
+                    .field("msg", format!("{}: injected {}", self.label, kind.name()))
+            });
         }
     }
 
@@ -210,14 +210,14 @@ impl WorkerChaos {
 
     fn note(&self, kind: FaultKind, detail: String) {
         if let Some(obs) = &self.obs {
-            obs.metrics.inc(&format!("chaos.injected.{}", kind.name()));
-            obs.emit(
+            obs.metrics.inc(kind.counter());
+            obs.emit_with(|| {
                 obs.wall_event("chaos", "inject")
                     .severity(cwc_obs::Severity::Info)
                     .field("kind", kind.name())
                     .field("worker", self.label.clone())
-                    .field("msg", detail),
-            );
+                    .field("msg", detail)
+            });
         }
     }
 

@@ -29,6 +29,9 @@
 //! [`Kernel`]: cwc_server::coord::Kernel
 //! [`coord::script`]: cwc_server::coord::script
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod cex;
 pub mod explore;
 pub mod harness;

@@ -11,6 +11,9 @@
 //! shrunk counterexample scripts to `--out`, default `check-out/`).
 //! `replay` exits 0 when the file reproduces what its header claims.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 use cwc_check::{cex, explore, scenario_run, shrink, Options, SCENARIOS};
 use std::process::ExitCode;
 

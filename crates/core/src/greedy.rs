@@ -30,6 +30,18 @@
 //! one counter: how often Step 1 chose a bin other than the newest, which
 //! [`crate::pack`] is built on being never.
 
+// Panic-safety (DESIGN.md §8): this runs at every scheduling instant,
+// on the failure-recovery path where a panic takes the fleet down.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::pack::PackScratch;
 use crate::problem::SchedProblem;
 use crate::schedule::{assign_offsets, Schedule};
@@ -165,22 +177,22 @@ impl GreedyScheduler {
         obs.metrics
             .add("sched.greedy.probes_saved", stats.probes_saved);
         if warm_attempted {
-            obs.emit(
+            obs.emit_with(|| {
                 obs.wall_event("sched", "greedy.warm_start")
                     .field("hit", stats.warm_hits)
                     .field("pack_calls", stats.pack_calls)
-                    .field("probes_saved", stats.probes_saved),
-            );
+                    .field("probes_saved", stats.probes_saved)
+            });
         }
-        obs.emit(
+        obs.emit_with(|| {
             obs.wall_event("sched", "greedy.converged")
                 .field("binsearch_iters", stats.binsearch_iters)
                 .field("pack_calls", stats.pack_calls)
                 .field("ub_ms", stats.ub_ms)
                 .field("lb_ms", stats.lb_ms)
                 .field("window_ms", stats.window_ms)
-                .field("makespan_ms", schedule.predicted_makespan_ms),
-        );
+                .field("makespan_ms", schedule.predicted_makespan_ms)
+        });
         Ok((schedule, next))
     }
 

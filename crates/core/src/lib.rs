@@ -38,6 +38,12 @@
 //! * [`economics`] — the §3.2 energy-cost arithmetic.
 
 #![forbid(unsafe_code)]
+// DESIGN.md §8: no wall-clock or socket type (the scheduler is a
+// function of its inputs), no silently dropped `Result`, and no bare
+// prints (narration goes through the `cwc-obs` bus).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -127,12 +133,18 @@ impl Scheduler {
             SchedulerKind::EqualSplit => (baselines::equal_split(problem)?, None),
             SchedulerKind::RoundRobin => (baselines::round_robin(problem)?, None),
         };
-        let label = kind.label();
-        obs.metrics.inc(&format!("sched.{label}.runs"));
-        obs.metrics.observe(
-            &format!("sched.{label}.makespan_ms"),
-            schedule.predicted_makespan_ms,
-        );
+        let (runs, makespan_ms) = match kind {
+            SchedulerKind::Greedy => ("sched.greedy.runs", "sched.greedy.makespan_ms"),
+            SchedulerKind::EqualSplit => {
+                ("sched.equal-split.runs", "sched.equal-split.makespan_ms")
+            }
+            SchedulerKind::RoundRobin => {
+                ("sched.round-robin.runs", "sched.round-robin.makespan_ms")
+            }
+        };
+        obs.metrics.inc(runs);
+        obs.metrics
+            .observe(makespan_ms, schedule.predicted_makespan_ms);
         Ok((schedule, next))
     }
 }

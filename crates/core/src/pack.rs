@@ -88,6 +88,18 @@
 //! probe by swapping two pre-allocated queue sets (`queues` ↔
 //! `best_queues`) — an `O(1)` pointer swap instead of a clone.
 
+// Panic-safety (DESIGN.md §8): this runs at every scheduling instant,
+// on the failure-recovery path where a panic takes the fleet down.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::problem::{fit_kb, CostTables, SchedProblem};
 use crate::schedule::Assignment;
 use cwc_types::{JobId, KiloBytes, PhoneId};

@@ -12,6 +12,18 @@
 //! risk-aware: flaky phones look slower, so they receive less — and less
 //! critical — work, without any change to Algorithm 1 itself.
 
+// Panic-safety (DESIGN.md §8): derisking runs inside every scheduling
+// instant and digests profiler-derived probabilities that may be malformed.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::problem::SchedProblem;
 use cwc_types::{CwcError, CwcResult, MsPerKb};
 

@@ -8,7 +8,7 @@
 //! that residual: actual time = predicted time × efficiency, with
 //! efficiency < 1 for the pleasant surprises.
 
-use cwc_types::{CpuSpec, KiloBytes, Micros};
+use cwc_types::{CpuSpec, KiloBytes, Micros, MsPerKb};
 
 /// Clock of the profiling baseline phone (HTC G2) in MHz.
 pub const BASELINE_CLOCK_MHZ: u32 = 806;
@@ -50,25 +50,25 @@ impl CpuModel {
     /// Predicted per-KB execution time in ms, given the task's profiled
     /// baseline cost (`T_s`, ms/KB on the 806 MHz phone). This is what the
     /// *scheduler* believes.
-    pub fn predicted_ms_per_kb(&self, baseline_ms_per_kb: f64) -> f64 {
-        baseline_ms_per_kb * f64::from(BASELINE_CLOCK_MHZ) / f64::from(self.spec.clock_mhz)
+    pub fn predicted_ms_per_kb(&self, baseline: MsPerKb) -> MsPerKb {
+        baseline * f64::from(BASELINE_CLOCK_MHZ) / f64::from(self.spec.clock_mhz)
     }
 
     /// Ground-truth per-KB execution time in ms — what the phone actually
     /// takes, including the efficiency residual.
-    pub fn actual_ms_per_kb(&self, baseline_ms_per_kb: f64) -> f64 {
-        self.predicted_ms_per_kb(baseline_ms_per_kb) * self.efficiency
+    pub fn actual_ms_per_kb(&self, baseline: MsPerKb) -> MsPerKb {
+        self.predicted_ms_per_kb(baseline) * self.efficiency
     }
 
     /// Ground-truth time to execute a task over `input` KB of data.
-    pub fn exec_time(&self, baseline_ms_per_kb: f64, input: KiloBytes) -> Micros {
-        Micros::from_ms_f64(self.actual_ms_per_kb(baseline_ms_per_kb) * input.as_f64())
+    pub fn exec_time(&self, baseline: MsPerKb, input: KiloBytes) -> Micros {
+        self.actual_ms_per_kb(baseline).time_for(input)
     }
 
     /// Measured speedup of this CPU over the baseline for a task — the
     /// quantity on Fig. 6's y-axis.
-    pub fn measured_speedup(&self, baseline_ms_per_kb: f64) -> f64 {
-        baseline_ms_per_kb / self.actual_ms_per_kb(baseline_ms_per_kb)
+    pub fn measured_speedup(&self, baseline: MsPerKb) -> f64 {
+        baseline.0 / self.actual_ms_per_kb(baseline).0
     }
 
     /// Predicted speedup from clock ratio alone — Fig. 6's x-axis.
@@ -88,14 +88,14 @@ mod tests {
     #[test]
     fn baseline_predicts_itself() {
         let c = cpu(BASELINE_CLOCK_MHZ);
-        assert!((c.predicted_ms_per_kb(10.0) - 10.0).abs() < 1e-12);
+        assert!((c.predicted_ms_per_kb(MsPerKb(10.0)).0 - 10.0).abs() < 1e-12);
         assert!((c.predicted_speedup() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn faster_clock_scales_linearly() {
         let c = cpu(1612); // exactly 2x the baseline
-        assert!((c.predicted_ms_per_kb(10.0) - 5.0).abs() < 1e-12);
+        assert!((c.predicted_ms_per_kb(MsPerKb(10.0)).0 - 5.0).abs() < 1e-12);
         assert!((c.predicted_speedup() - 2.0).abs() < 1e-12);
     }
 
@@ -103,17 +103,20 @@ mod tests {
     fn efficiency_below_one_beats_prediction() {
         let fast = CpuModel::with_efficiency(CpuSpec::new(1200, 2), 0.8);
         let ideal = CpuModel::ideal(CpuSpec::new(1200, 2));
-        assert!(fast.actual_ms_per_kb(10.0) < ideal.actual_ms_per_kb(10.0));
-        assert!(fast.measured_speedup(10.0) > fast.predicted_speedup());
+        assert!(fast.actual_ms_per_kb(MsPerKb(10.0)) < ideal.actual_ms_per_kb(MsPerKb(10.0)));
+        assert!(fast.measured_speedup(MsPerKb(10.0)) > fast.predicted_speedup());
         // Ideal phone: measured == predicted speedup.
-        assert!((ideal.measured_speedup(10.0) - ideal.predicted_speedup()).abs() < 1e-12);
+        assert!((ideal.measured_speedup(MsPerKb(10.0)) - ideal.predicted_speedup()).abs() < 1e-12);
     }
 
     #[test]
     fn exec_time_is_cost_times_size() {
         let c = cpu(806);
         // 10 ms/KB × 100 KB = 1 s.
-        assert_eq!(c.exec_time(10.0, KiloBytes(100)), Micros::from_secs(1));
+        assert_eq!(
+            c.exec_time(MsPerKb(10.0), KiloBytes(100)),
+            Micros::from_secs(1)
+        );
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!   state, the unit the fleet simulator manages.
 
 #![forbid(unsafe_code)]
+// Narration goes through the `cwc-obs` bus, not stdout (DESIGN.md §8).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod battery;

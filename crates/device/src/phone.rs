@@ -134,11 +134,11 @@ impl Phone {
     }
 
     /// Ground-truth execution time for `input` KB of a task profiled at
-    /// `baseline_ms_per_kb` on the 806 MHz phone. Includes this phone's
+    /// `baseline` on the 806 MHz phone. Includes this phone's
     /// efficiency residual — the quantity the phone *reports* back to the
     /// server after completing a task.
-    pub fn exec_time(&self, baseline_ms_per_kb: f64, input: KiloBytes) -> Micros {
-        self.spec.cpu.exec_time(baseline_ms_per_kb, input)
+    pub fn exec_time(&self, baseline: MsPerKb, input: KiloBytes) -> Micros {
+        self.spec.cpu.exec_time(baseline, input)
     }
 
     /// The registration + measurement snapshot the scheduler consumes.
@@ -227,8 +227,8 @@ mod tests {
         let slow = phone(806, RadioTech::Wifi80211g);
         let fast = phone(1612, RadioTech::Wifi80211g);
         let kb = KiloBytes(100);
-        let t_slow = slow.exec_time(10.0, kb);
-        let t_fast = fast.exec_time(10.0, kb);
+        let t_slow = slow.exec_time(MsPerKb(10.0), kb);
+        let t_fast = fast.exec_time(MsPerKb(10.0), kb);
         assert_eq!(t_slow.0, 2 * t_fast.0);
     }
 

@@ -22,7 +22,7 @@
 //! work.
 
 use cwc_types::{CwcError, CwcResult};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,13 +77,12 @@ pub trait TaskState: Send {
 /// ```
 #[derive(Clone, Default)]
 pub struct TaskRegistry {
-    programs: HashMap<String, Arc<dyn TaskProgram>>,
+    programs: BTreeMap<String, Arc<dyn TaskProgram>>,
 }
 
 impl fmt::Debug for TaskRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = self.programs.keys().map(String::as_str).collect();
-        names.sort_unstable();
+        let names: Vec<&str> = self.programs.keys().map(String::as_str).collect();
         f.debug_struct("TaskRegistry")
             .field("programs", &names)
             .finish()
@@ -117,9 +116,7 @@ impl TaskRegistry {
 
     /// Registered program names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.programs.keys().cloned().collect();
-        v.sort_unstable();
-        v
+        self.programs.keys().cloned().collect()
     }
 }
 

@@ -176,15 +176,15 @@ impl MimdThrottle {
                 );
                 obs.metrics
                     .set_gauge("throttle.duty_cycle", self.duty_cycle());
-                obs.emit(
+                obs.emit_with(|| {
                     cwc_obs::Event::sim(now.0, "throttle", "beta.measured")
                         .severity(cwc_obs::Severity::Debug)
                         .field("beta_us", beta.0)
                         .field("delta_us", self.delta.0)
                         .field("increased_sleep", increased)
                         .field("sleep_window_us", self.sleep_window.0)
-                        .field("charge_pct", charge_pct),
-                );
+                        .field("charge_pct", charge_pct)
+                });
             }
         }
 
@@ -348,11 +348,11 @@ fn simulate_charge_inner(
             "throttle.utilization",
             cpu_time.0 as f64 / now.0.max(1) as f64,
         );
-        obs.emit(
+        obs.emit_with(|| {
             cwc_obs::Event::sim(now.0, "throttle", "charge.full")
                 .field("minutes", now.as_hours_f64() * 60.0)
-                .field("cpu_time_s", cpu_time.as_secs_f64()),
-        );
+                .field("cpu_time_s", cpu_time.as_secs_f64())
+        });
     }
     ChargeOutcome {
         timeline,

@@ -79,13 +79,13 @@ proptest! {
         kb in 1u64..5_000,
     ) {
         let cpu = CpuModel::with_efficiency(CpuSpec::new(clock, 2), eff);
-        let one = cpu.exec_time(base, KiloBytes(kb));
-        let two = cpu.exec_time(base, KiloBytes(kb * 2));
+        let one = cpu.exec_time(cwc_types::MsPerKb(base), KiloBytes(kb));
+        let two = cpu.exec_time(cwc_types::MsPerKb(base), KiloBytes(kb * 2));
         let ratio = two.0 as f64 / one.0.max(1) as f64;
         prop_assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
         // Faster clock → strictly less time (same efficiency).
         let faster = CpuModel::with_efficiency(CpuSpec::new(clock * 2, 2), eff);
-        prop_assert!(faster.exec_time(base, KiloBytes(kb)) < one);
+        prop_assert!(faster.exec_time(cwc_types::MsPerKb(base), KiloBytes(kb)) < one);
     }
 
     #[test]
@@ -96,6 +96,6 @@ proptest! {
     ) {
         let cpu = CpuModel::with_efficiency(CpuSpec::new(clock, 2), eff);
         let expected = cpu.predicted_speedup() / eff;
-        prop_assert!((cpu.measured_speedup(base) - expected).abs() < 1e-9);
+        prop_assert!((cpu.measured_speedup(cwc_types::MsPerKb(base)) - expected).abs() < 1e-9);
     }
 }

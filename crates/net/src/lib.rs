@@ -31,9 +31,23 @@
 
 // `deny` rather than `forbid`: the crate has two audited
 // `#[allow(unsafe_code)]` regions, the reactor's syscall shim (`reactor::sys`)
-// and the CRC32 folding kernel (`protocol::clmul`). `cwc-lint`'s
-// `unsafe_audit` rule keeps `unsafe` out of everywhere else.
-#![deny(unsafe_code)]
+// and the CRC32 folding kernel (`protocol::clmul`), and every `unsafe` block
+// in them says why it is sound in a `// SAFETY:` comment.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+// Malformed peer input must surface as an error, never as a panic; test
+// code is exempt through clippy.toml (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+// No silently dropped `Result`, no bare prints.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -136,13 +136,13 @@ pub fn measure_link_observed(
     obs.metrics.inc("net.probes");
     obs.metrics
         .observe("net.probe_kb_per_sec", report.mean_kb_per_sec);
-    obs.emit(
+    obs.emit_with(|| {
         cwc_obs::Event::sim(start.0, "net", "probe")
             .field("samples", report.samples.len())
             .field("mean_kb_per_sec", report.mean_kb_per_sec)
             .field("cv", report.coefficient_of_variation())
-            .field("ms_per_kb", report.ms_per_kb().0),
-    );
+            .field("ms_per_kb", report.ms_per_kb().0)
+    });
     report
 }
 

@@ -96,15 +96,18 @@ fn crc32_table(state: u32, bytes: &[u8]) -> u32 {
 }
 
 /// `CRC_TABLES[k][byte]`: the CRC of `byte` followed by `k` zero bytes.
+// Infallible: every caller passes a literal k < 8, and a u8 indexes a
+// 256-entry table.
+#[allow(clippy::indexing_slicing)]
 #[inline(always)]
 fn crc_lut(k: usize, byte: u8) -> u32 {
-    // Infallible: every caller passes a literal k < 8, and a u8 indexes a
-    // 256-entry table. cwc-lint: allow(panic_safety)
     CRC_TABLES[k][usize::from(byte)]
 }
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
+// Infallible: const-evaluated with k < 8, i < 256 and a masked index.
+#[allow(clippy::indexing_slicing)]
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
@@ -119,7 +122,6 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
             };
             bit += 1;
         }
-        // Infallible: const-evaluated with i < 256. cwc-lint: allow(panic_safety)
         t[0][i] = c;
         i += 1;
     }
@@ -127,10 +129,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     while k < 8 {
         let mut i = 0usize;
         while i < 256 {
-            // Infallible: const-evaluated with k < 8, i < 256 and a masked
-            // index. cwc-lint: allow(panic_safety)
             let prev = t[k - 1][i];
-            // cwc-lint: allow(panic_safety)
             t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
@@ -1467,6 +1466,48 @@ mod tests {
         // Every tag the protocol defines appears above.
         assert_eq!(variants.len(), 14);
         assert_eq!(variants.last(), Some(&tag::CANCEL_TASK));
+    }
+
+    /// `frame`'s wire tag, by a match with no wildcard arm: a new variant
+    /// does not compile until it is named here.
+    fn tag_of(frame: &Frame) -> u8 {
+        match frame {
+            Frame::Register { .. } => tag::REGISTER,
+            Frame::RegisterAck { .. } => tag::REGISTER_ACK,
+            Frame::BandwidthProbe { .. } => tag::BW_PROBE,
+            Frame::BandwidthReport { .. } => tag::BW_REPORT,
+            Frame::ShipExecutable { .. } => tag::SHIP_EXE,
+            Frame::ShipInput { .. } => tag::SHIP_INPUT,
+            Frame::TaskComplete { .. } => tag::TASK_COMPLETE,
+            Frame::TaskFailed { .. } => tag::TASK_FAILED,
+            Frame::KeepAlive { .. } => tag::KEEPALIVE,
+            Frame::KeepAliveAck { .. } => tag::KEEPALIVE_ACK,
+            Frame::Plugged => tag::PLUGGED,
+            Frame::Unplugged => tag::UNPLUGGED,
+            Frame::CancelTask { .. } => tag::CANCEL_TASK,
+            Frame::Shutdown => tag::SHUTDOWN,
+        }
+    }
+
+    #[test]
+    fn every_variant_has_a_sample_that_round_trips() {
+        // Each sample encodes under its variant's tag and decodes back to
+        // itself, and every tag the decoder accepts has a sample.
+        let mut sampled = std::collections::BTreeSet::new();
+        for (frame, _) in golden() {
+            let mut wire = BytesMut::new();
+            frame.encode(&mut wire);
+            assert_eq!(wire[FRAME_HEADER_LEN], tag_of(&frame), "{frame:?}");
+            assert_eq!(round_trip(&frame), frame);
+            sampled.insert(tag_of(&frame));
+        }
+        let decoded: std::collections::BTreeSet<u8> = (0..=u8::MAX)
+            .filter(|t| {
+                !matches!(Frame::decode_body(&[*t]),
+                    Err(CwcError::Protocol(msg)) if msg.starts_with("unknown frame tag"))
+            })
+            .collect();
+        assert_eq!(sampled, decoded);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! explicit [`Micros`]/[`Duration`] arguments, and pacing is expressed as
 //! [`Conn::queue_pause`] markers that the caller converts into wheel timers.
 //! That keeps the reactor testable at the same sans-IO standard as the
-//! coordinator kernel (`cwc-lint`'s `sans_io` rule holds this file to the
-//! reduced token set: no threads, no wall clocks).
+//! coordinator kernel: clippy denies wall-clock types here (the socket
+//! items re-allow `disallowed_types` one by one) and thread spawns and
+//! sleeps everywhere (DESIGN.md §8).
 //!
 //! The syscall surface is deliberately tiny — `epoll_create1` / `epoll_ctl` /
 //! `epoll_wait` / `close`, declared directly against the C library the Rust
@@ -27,10 +28,14 @@
 //! latency) never loses an edge. The shim is Linux-only; other platforms
 //! would add a kqueue/poll variant behind the same [`Poller`] API.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::protocol::{Frame, FrameCodec, MAX_READ};
 use cwc_types::{CwcError, CwcResult, Micros};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Write};
+// The reactor owns its sockets; only the clocks are denied here.
+#[allow(clippy::disallowed_types)]
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -124,7 +129,7 @@ mod sys {
 
     pub fn close_fd(fd: c_int) {
         // SAFETY: callers pass an fd they own exactly once (Poller::drop).
-        let _ = unsafe { close(fd) }; // cwc-lint: allow(error_swallowing)
+        let _ = unsafe { close(fd) }; // a failed close leaves nothing to undo
     }
 
     pub fn nofile_limits() -> std::io::Result<(u64, u64)> {
@@ -316,6 +321,7 @@ pub fn raise_nofile_limit() -> CwcResult<u64> {
 /// block or `max` are taken. Accepted streams are appended to `out`;
 /// returns how many arrived. `EINTR` is retried; a full backlog drains in
 /// one call — this is the accept-burst path of the event loop.
+#[allow(clippy::disallowed_types)]
 pub fn accept_burst(
     listener: &TcpListener,
     max: usize,
@@ -382,6 +388,7 @@ pub enum ReadStatus {
 /// side, an ordered byte/pause/close queue on the write side, and explicit
 /// backpressure accounting ([`Conn::queued_bytes`]) so the driver can decide
 /// when a slow peer has fallen too far behind.
+#[allow(clippy::disallowed_types)]
 pub struct Conn {
     stream: TcpStream,
     codec: FrameCodec,
@@ -407,6 +414,7 @@ impl std::fmt::Debug for Conn {
 impl Conn {
     /// Wraps an accepted or connected stream, switching it to non-blocking
     /// mode with Nagle disabled (frames are small and latency-sensitive).
+    #[allow(clippy::disallowed_types)]
     pub fn from_stream(stream: TcpStream) -> CwcResult<Self> {
         stream
             .set_nonblocking(true)
@@ -530,7 +538,8 @@ impl Conn {
                     self.queue.pop_front();
                     self.closed = true;
                     // Tearing down a possibly-already-dead socket: failure IS
-                    // the expected case. cwc-lint: allow(error_swallowing)
+                    // the expected case.
+                    #[allow(clippy::unused_result_ok)]
                     self.stream.shutdown(std::net::Shutdown::Both).ok();
                     return Ok(FlushStatus::Closed);
                 }
@@ -641,6 +650,9 @@ impl<T> TimerWheel<T> {
 }
 
 #[cfg(test)]
+// The tests drive real sockets from helper threads and bound their waits
+// on the wall clock.
+#[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use bytes::BytesMut;

@@ -74,6 +74,8 @@ impl FramedTcp {
     /// duplicated, mutated, delayed, partially written, or cut short by a
     /// connection reset — that's the fault-injection surface the chaos
     /// harness drives.
+    // An injected delay blocks this worker-side send, as a slow link would.
+    #[allow(clippy::disallowed_methods)]
     pub fn send(&mut self, frame: &Frame) -> CwcResult<()> {
         let mut buf = BytesMut::with_capacity(64);
         frame.encode(&mut buf);
@@ -93,7 +95,7 @@ impl FramedTcp {
                 WireOp::Reset => {
                     // Tearing down the socket IS the scenario under test;
                     // the injected error below is the only one reported.
-                    // cwc-lint: allow(error_swallowing)
+                    #[allow(clippy::unused_result_ok)]
                     self.stream.shutdown(std::net::Shutdown::Both).ok();
                     return Err(CwcError::Transport("injected connection reset".into()));
                 }
@@ -155,6 +157,7 @@ mod tests {
     use std::net::TcpListener;
     use std::thread;
 
+    #[allow(clippy::disallowed_methods)]
     fn pair() -> (FramedTcp, FramedTcp) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

@@ -284,6 +284,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_emitters_get_a_total_order() {
         // Satellite test: event ordering under concurrent emitters. Each
         // sink must see strictly increasing sequence numbers with no gaps

@@ -30,7 +30,7 @@
 //! let sink = Arc::new(MemorySink::new());
 //! obs.bus.attach(sink.clone());
 //!
-//! obs.emit(Event::sim(1_000_000, "engine", "job.complete").field("job", 3u64));
+//! obs.emit_with(|| Event::sim(1_000_000, "engine", "job.complete").field("job", 3u64));
 //! obs.metrics.inc("engine.jobs_completed");
 //! obs.metrics.observe("span.execute_ms", 1250.0);
 //!
@@ -108,14 +108,9 @@ impl Obs {
     }
 
     /// A wall-clock [`Event`] stamped "now", ready for fields and
-    /// [`Obs::emit`].
+    /// [`Obs::emit_with`].
     pub fn wall_event(&self, scope: impl Into<String>, name: impl Into<String>) -> Event {
         Event::wall(self.wall_us(), scope, name)
-    }
-
-    /// Emits an event onto the bus.
-    pub fn emit(&self, event: Event) {
-        self.bus.emit(event);
     }
 
     /// Emits the event `build` returns, if anything is listening. With no
@@ -154,7 +149,7 @@ mod tests {
     fn default_obs_is_silent_and_cheap() {
         let obs = Obs::new();
         assert!(!obs.bus.has_sinks());
-        obs.emit(Event::sim(0, "t", "ignored"));
+        obs.emit_with(|| Event::sim(0, "t", "ignored"));
         obs.metrics.inc("still.counts");
         assert_eq!(obs.metrics.counter_value("still.counts"), 1);
     }
@@ -173,7 +168,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let id = obs.bus.attach(sink.clone());
         obs.emit_with(build);
-        obs.emit(build());
+        obs.bus.emit(build());
         assert_eq!(built.get(), 2);
         let got = sink.snapshot();
         // Same delivery as the eager path, field for field.
@@ -193,7 +188,7 @@ mod tests {
         let clone = obs.clone();
         let sink = Arc::new(MemorySink::new());
         obs.bus.attach(sink.clone());
-        clone.emit(Event::sim(0, "t", "via-clone"));
+        clone.emit_with(|| Event::sim(0, "t", "via-clone"));
         clone.metrics.inc("shared");
         assert_eq!(sink.len(), 1);
         assert_eq!(obs.metrics.counter_value("shared"), 1);

@@ -39,7 +39,7 @@ impl SpanGuard {
     /// Stops the span now, records it, and returns the elapsed microseconds.
     pub fn finish(mut self) -> u64 {
         let us = self.elapsed_us();
-        self.registry.observe(&self.name, us as f64);
+        self.registry.histogram(&self.name).record(us as f64);
         self.armed = false;
         us
     }
@@ -54,7 +54,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.armed {
             let us = self.elapsed_us();
-            self.registry.observe(&self.name, us as f64);
+            self.registry.histogram(&self.name).record(us as f64);
         }
     }
 }

@@ -57,6 +57,9 @@
 //! cwc-worker --connect 127.0.0.1:7272 --phone 2 --clock 806  --kbps 15 &
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 use cwc_chaos::{FaultPlan, FaultProfile};
 use cwc_core::{ReplicationPolicy, SchedulerKind, SpeculationPolicy};
 use cwc_obs::{Obs, Severity, TextSink};
@@ -188,16 +191,16 @@ fn parse() -> Args {
 
 /// Logs one Info line on the daemon's own scope.
 fn info(obs: &Obs, msg: String) {
-    obs.emit(obs.wall_event("serverd", "log").field("msg", msg));
+    obs.emit_with(|| obs.wall_event("serverd", "log").field("msg", msg));
 }
 
 /// Logs an Error line, flushes every sink, and exits nonzero.
 fn fatal(obs: &Obs, msg: String) -> ! {
-    obs.emit(
+    obs.emit_with(|| {
         obs.wall_event("serverd", "error")
             .severity(Severity::Error)
-            .field("msg", msg),
-    );
+            .field("msg", msg)
+    });
     obs.flush();
     exit(1);
 }
@@ -382,11 +385,11 @@ fn main() {
                 ),
             );
             if let Some(f) = &out.failure {
-                obs.emit(
+                obs.emit_with(|| {
                     obs.wall_event("serverd", "degraded")
                         .severity(Severity::Warn)
-                        .field("msg", format!("partial results: {}", f.detail)),
-                );
+                        .field("msg", format!("partial results: {}", f.detail))
+                });
             }
             let mut ids: Vec<&JobId> = out.results.keys().collect();
             ids.sort();

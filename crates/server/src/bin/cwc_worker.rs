@@ -29,6 +29,9 @@
 //! server no longer wants — the first-result-wins race is decided
 //! entirely server-side.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 use cwc_chaos::{FaultPlan, FaultProfile};
 use cwc_obs::{Obs, Severity};
 use cwc_server::live::{run_worker_chaos, WorkerConfig};
@@ -106,16 +109,16 @@ fn parse() -> Args {
 
 /// Logs one Info line on the worker's own scope.
 fn info(obs: &Obs, msg: String) {
-    obs.emit(obs.wall_event("worker", "log").field("msg", msg));
+    obs.emit_with(|| obs.wall_event("worker", "log").field("msg", msg));
 }
 
 /// Logs an Error line, flushes every sink, and exits nonzero.
 fn fatal(obs: &Obs, msg: String) -> ! {
-    obs.emit(
+    obs.emit_with(|| {
         obs.wall_event("worker", "error")
             .severity(Severity::Error)
-            .field("msg", msg),
-    );
+            .field("msg", msg)
+    });
     obs.flush();
     exit(1);
 }
@@ -140,14 +143,16 @@ fn main() {
     if let Some(after) = args.unplug_after {
         let flag = unplug.clone();
         let obs2 = obs.clone();
+        // The simulated unplug is a timer thread beside the worker loop.
+        #[allow(clippy::disallowed_methods)]
         thread::spawn(move || {
             thread::sleep(after);
-            obs2.emit(
+            obs2.emit_with(|| {
                 obs2.wall_event("worker", "unplug.simulated")
                     .severity(Severity::Warn)
                     .field("after_s", after.as_secs())
-                    .field("msg", "simulating unplug".to_string()),
-            );
+                    .field("msg", "simulating unplug".to_string())
+            });
             flag.store(true, Ordering::Relaxed);
         });
     }

@@ -113,8 +113,8 @@ pub fn plan_shards(keys: &[u64], shards: usize) -> ShardPlan {
 /// driver in [`crate::shard`] owns every thread and clock.
 ///
 /// Mutation discipline: like the kernel's bookkeeping, the allocator's
-/// accounting fields may only be assigned from `impl FleetAllocator`
-/// (enforced by cwc-lint's `state_mutation` family), so the conservation
+/// accounting fields are private, so only this file can assign them (a
+/// write from any other module does not compile), and the conservation
 /// invariant — every KB of every job is exactly one of *done*, *pending
 /// residual*, or *lost* — survives refactors of the drivers around it.
 #[derive(Debug, Clone)]

@@ -27,6 +27,10 @@
 //! the same event sequence, both obtain byte-identical command streams —
 //! which is what `tests/determinism.rs` asserts.
 
+// Sans-IO (DESIGN.md §8): drivers own every clock and socket; thread
+// spawns and sleeps are banned workspace-wide.
+#![deny(clippy::disallowed_types)]
+
 pub mod command;
 pub mod event;
 pub mod fleet;

@@ -28,6 +28,9 @@
 //! Everything observable is emitted as structured events and metrics on
 //! [`EngineConfig::obs`].
 
+// Deterministic (DESIGN.md §8): simulated time only, no wall clock.
+#![deny(clippy::disallowed_types)]
+
 use crate::coord::{
     CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy, TimerKind,
     RESIDUAL_BASE,
@@ -36,7 +39,7 @@ use crate::fleet::FleetBuilder;
 use cwc_core::SchedulerKind;
 use cwc_device::Phone;
 use cwc_sim::Simulation;
-use cwc_types::{CwcError, CwcResult, JobId, JobSpec, KiloBytes, Micros, PhoneId};
+use cwc_types::{CwcError, CwcResult, JobId, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId};
 use std::collections::BTreeMap;
 
 /// Engine knobs. Defaults follow the prototype (§6).
@@ -615,7 +618,9 @@ impl SimDriver {
         });
         // Ground-truth execution time, including this phone's efficiency
         // residual (what the scheduler cannot see).
-        let total = rt.phone.exec_time(self.baseline_of[&flight.job], flight.kb);
+        let total = rt
+            .phone
+            .exec_time(MsPerKb(self.baseline_of[&flight.job]), flight.kb);
         flight.phase = Phase::Executing { total };
         flight.started = now;
         sim.schedule_after(total, Ev::ExecDone { slot, seq });

@@ -13,7 +13,7 @@
 //! Condor-style CPU-only scheduling.
 
 use cwc_device::Phone;
-use cwc_types::{KiloBytes, Micros};
+use cwc_types::{KiloBytes, Micros, MsPerKb};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -48,7 +48,7 @@ pub fn fcfs_dispatch(
     for &size in files {
         let Reverse((free_at, i)) = idle.pop().expect("heap never empties");
         let xfer = phones[i].transfer_time(free_at, size);
-        let exec = phones[i].exec_time(baseline_ms_per_kb, size);
+        let exec = phones[i].exec_time(MsPerKb(baseline_ms_per_kb), size);
         let done = free_at + xfer + exec;
         records.push(FileRecord {
             phone: i,

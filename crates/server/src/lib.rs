@@ -33,6 +33,12 @@
 //! high-level facade the examples and the figure harness drive.
 
 #![forbid(unsafe_code)]
+// DESIGN.md §8: no `unwrap`, no silently dropped `Result`, and no bare
+// prints (narration goes through the `cwc-obs` bus; each bin is a crate
+// root of its own and owns its stdout).
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod coord;

@@ -45,6 +45,18 @@
 //! exercise the same heterogeneity as the testbed while the data path
 //! stays real.
 
+// Panic-safety (DESIGN.md §8): the coordinator must survive whatever a
+// peer sends.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::coord::{
     script, CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy,
     TimerKind,
@@ -305,7 +317,8 @@ pub fn run_worker_chaos(
             }
             Frame::Shutdown => {
                 // Echoing the farewell is a courtesy; the peer may already
-                // have torn the socket down. cwc-lint: allow(error_swallowing)
+                // have torn the socket down.
+                #[allow(clippy::unused_result_ok)]
                 conn.send(&Frame::Shutdown).ok();
                 return Ok(());
             }
@@ -1069,7 +1082,8 @@ impl<'a> LiveDriver<'a> {
             return;
         };
         // Deregistering a closed fd is a no-op; failures are not
-        // actionable here. cwc-lint: allow(error_swallowing)
+        // actionable here.
+        #[allow(clippy::unused_result_ok)]
         self.poller.deregister(state.conn.fd()).ok();
     }
 
@@ -1423,7 +1437,8 @@ impl<'a> LiveDriver<'a> {
     fn farewell(&mut self, events: &mut Vec<PollEvent>) -> CwcResult<()> {
         for slot in 0..self.conns.len() {
             if let Some(state) = self.conns.get_mut(slot) {
-                // Best-effort. cwc-lint: allow(error_swallowing)
+                // Best-effort.
+                #[allow(clippy::unused_result_ok)]
                 queue_frame(state, &Frame::Shutdown).ok();
             }
             self.flush_conn(slot);
@@ -1586,6 +1601,8 @@ pub fn run_live_server_with(
 }
 
 #[cfg(test)]
+// Workers are threads, and several tests pace them with sleeps.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use cwc_tasks::{inputs, standard_registry};

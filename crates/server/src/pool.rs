@@ -173,6 +173,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn uneven_tasks_get_stolen() {
         // Worker 0 is dealt tasks {0, 2, 4, ...}; make its first task slow
         // so the sibling must steal the rest of its deque.

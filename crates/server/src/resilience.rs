@@ -9,6 +9,17 @@
 //! time: the kernel feeds it its own `now`, so nothing here sleeps or
 //! reads a clock.
 
+// Panic-safety (DESIGN.md §8): the breaker judges misbehaving peers.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use cwc_types::Micros;
 use std::collections::VecDeque;
 use std::time::Duration;

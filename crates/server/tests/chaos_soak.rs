@@ -70,6 +70,7 @@ fn fleet(n: u32) -> Vec<WorkerConfig> {
 }
 
 /// Spawns `configs` as worker threads, each optionally chaos-driven.
+#[allow(clippy::disallowed_methods)]
 fn spawn_fleet(
     addr: std::net::SocketAddr,
     configs: Vec<WorkerConfig>,
@@ -336,6 +337,7 @@ fn losing_the_whole_fleet_returns_a_partial_outcome() {
 /// batch-killers: spurious `TaskFailed` panicked the server, and any
 /// unexpected frame returned a batch-level `Err`.
 #[test]
+#[allow(clippy::disallowed_methods)]
 fn malicious_worker_is_quarantined_not_fatal() {
     let seed = soak_seed();
     let reference = reference();

@@ -94,6 +94,7 @@ fn proactive_policy() -> LivePolicy {
 /// One recorded live batch: `n` identical workers, an optional server-side
 /// fault plan, and a `MemorySink` capturing the kernel's event script.
 /// Returns the server-side `Obs` too so tests can inspect its counters.
+#[allow(clippy::disallowed_methods)]
 fn recorded_run_with(
     n: u32,
     chaos: Option<FaultPlan>,

@@ -43,6 +43,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Deterministic (DESIGN.md §8): output is a function of inputs and
+// seed, so no wall-clock or socket type appears here.
+#![deny(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 mod queue;

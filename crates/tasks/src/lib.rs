@@ -28,6 +28,7 @@
 //! executables".
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod inputs;

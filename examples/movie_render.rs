@@ -19,6 +19,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+// The phones are worker threads on loopback.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

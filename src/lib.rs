@@ -45,6 +45,8 @@
 //! assert!(outcome.makespan > cwc::types::Micros::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cwc_core as core;
 pub use cwc_device as device;
 pub use cwc_lp as lp;

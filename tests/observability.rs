@@ -265,6 +265,7 @@ mod live_tracing {
 
     /// Runs the two-job batch over loopback TCP workers and returns the
     /// captured server-side event stream.
+    #[allow(clippy::disallowed_methods)]
     fn capture_live_run() -> Vec<Event> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
