@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 
 use cwc_bench::trace::{analyze, record_demo_run, replay_capture};
-use cwc_obs::{Event, EventSink, FlightRecorder, FlightRecorderConfig, JsonlSink};
+use cwc_obs::{Event, EventSink, FlightRecorder, JsonlSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -59,13 +59,9 @@ fn record(args: &[String]) -> Result<(), String> {
 
     let jsonl = JsonlSink::create(out.join("trace.jsonl"))
         .map_err(|e| format!("create trace.jsonl: {e}"))?;
-    let cfg = FlightRecorderConfig {
-        dump_dir: Some(out.clone()),
-        ..FlightRecorderConfig::default()
-    };
     let mut recorder: Option<Arc<FlightRecorder>> = None;
     let (outcome, events) = record_demo_run(seed, workers, drop_rate, |obs| {
-        let rec = Arc::new(FlightRecorder::new(cfg, obs.metrics.clone()));
+        let rec = Arc::new(FlightRecorder::new(out.clone(), obs.metrics.clone()));
         recorder = Some(rec.clone());
         vec![Arc::new(jsonl) as Arc<dyn EventSink>, rec]
     })

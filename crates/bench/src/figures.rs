@@ -506,7 +506,6 @@ pub fn ablation_throttle_factors() -> Vec<(f64, f64, f64, f64)> {
                 ChargePolicy::Throttled(ThrottleConfig {
                     sleep_increase: inc,
                     sleep_decrease: dec,
-                    ..Default::default()
                 }),
                 0.0,
                 sample,

@@ -22,7 +22,7 @@
 
 use cwc_chaos::{FaultKind, FaultPlan, FaultProfile};
 use cwc_core::SchedulerKind;
-use cwc_obs::{Event, EventSink, MemorySink, Obs, Value, PARENT_FIELD, SPAN_FIELD, TRACE_FIELD};
+use cwc_obs::{Event, EventSink, MemorySink, Obs, TraceCtx, Value};
 use cwc_server::coord::{script, Kernel};
 use cwc_server::live::{
     live_kernel_config, run_live_server_with, run_worker_chaos, LiveJob, LiveOutcome, LivePolicy,
@@ -95,16 +95,17 @@ struct Span {
 fn spans_of(events: &[&Event]) -> BTreeMap<u64, Span> {
     let mut spans: BTreeMap<u64, Span> = BTreeMap::new();
     for e in events {
-        let Some(span_id) = u64_field(e, SPAN_FIELD) else {
+        let Some(ctx) = TraceCtx::from_event(e) else {
             continue;
         };
+        let span_id = ctx.span_id;
         match e.name.as_str() {
             "task.assigned" => {
                 spans.insert(
                     span_id,
                     Span {
-                        trace: u64_field(e, TRACE_FIELD).unwrap_or(0),
-                        parent: u64_field(e, PARENT_FIELD),
+                        trace: ctx.trace_id,
+                        parent: ctx.parent,
                         job: display_field(e, "job").unwrap_or_default(),
                         phone: display_field(e, "phone").unwrap_or_default(),
                         len_kb: u64_field(e, "len_kb").unwrap_or(0),

@@ -1,8 +1,8 @@
 //! The bounded state-space explorer.
 //!
 //! Depth-first search over `(Kernel, Harness)` pairs. The kernel is
-//! `Clone` under the `check` feature, so branching checkpoints the state
-//! directly instead of replaying the prefix. Two reductions keep the
+//! `Clone`, so branching checkpoints the state directly instead of
+//! replaying the prefix. Two reductions keep the
 //! frontier tractable:
 //!
 //! - **visited-state deduplication** over a 64-bit digest of the

@@ -50,14 +50,6 @@ pub struct JobPartition {
 }
 
 impl JobPartition {
-    /// Total KB the partition assigned to `shard`.
-    pub fn shard_kb(&self, shard: usize) -> u64 {
-        self.per_shard
-            .get(shard)
-            .map(|jobs| jobs.iter().map(|j| j.input_kb.0).sum())
-            .unwrap_or(0)
-    }
-
     /// Number of jobs that were divided across more than one shard.
     pub fn split_jobs(&self) -> usize {
         self.slices.values().filter(|s| s.len() > 1).count()
@@ -183,6 +175,11 @@ pub fn partition_jobs(jobs: &[JobSpec], weights: &[f64]) -> CwcResult<JobPartiti
 mod tests {
     use super::*;
 
+    /// Total KB the partition assigned to `shard`.
+    fn shard_kb(p: &JobPartition, shard: usize) -> u64 {
+        p.per_shard[shard].iter().map(|j| j.input_kb.0).sum()
+    }
+
     fn batch() -> Vec<JobSpec> {
         (0..12)
             .map(|j| {
@@ -215,7 +212,7 @@ mod tests {
         for shards in [1usize, 2, 3, 4, 8] {
             let weights: Vec<f64> = (0..shards).map(|s| 1.0 + s as f64).collect();
             let p = partition_jobs(&jobs, &weights).unwrap();
-            let total: u64 = (0..shards).map(|s| p.shard_kb(s)).sum();
+            let total: u64 = (0..shards).map(|s| shard_kb(&p, s)).sum();
             assert_eq!(total, jobs.iter().map(|j| j.input_kb.0).sum::<u64>());
             for job in &jobs {
                 let sliced: u64 = p.slices[&job.id].iter().map(|s| s.kb).sum();
@@ -260,7 +257,7 @@ mod tests {
         let jobs = batch();
         let p = partition_jobs(&jobs, &[1.0, 0.0, 1.0]).unwrap();
         assert!(p.per_shard[1].is_empty());
-        assert_eq!(p.shard_kb(1), 0);
+        assert_eq!(shard_kb(&p, 1), 0);
     }
 
     #[test]
@@ -290,8 +287,8 @@ mod tests {
             })
             .collect();
         let p = partition_jobs(&jobs, &[1.0, 3.0]).unwrap();
-        let light = p.shard_kb(0) as f64;
-        let heavy = p.shard_kb(1) as f64;
+        let light = shard_kb(&p, 0) as f64;
+        let heavy = shard_kb(&p, 1) as f64;
         let ratio = heavy / light;
         assert!((2.0..4.5).contains(&ratio), "imbalance ratio {ratio}");
     }

@@ -145,11 +145,6 @@ impl BatteryModel {
         &self.params
     }
 
-    /// Smoothed utilization the charging penalty currently sees.
-    pub fn smoothed_utilization(&self) -> f64 {
-        self.util_smoothed
-    }
-
     /// Advances charging by `dt` at the given instantaneous CPU
     /// utilization. The charging penalty responds to the *smoothed*
     /// utilization (thermal/controller time constant), so short bursts
@@ -162,15 +157,6 @@ impl BatteryModel {
         let gained = self.params.rate_at_utilization(self.util_smoothed) * dt.0 as f64;
         self.charge_pct = (self.charge_pct + gained).min(100.0);
     }
-
-    /// Time to reach 100% at a constant utilization, from the current
-    /// charge.
-    pub fn time_to_full(&self, util: f64) -> Micros {
-        if self.is_full() {
-            return Micros::ZERO;
-        }
-        self.params.time_to_gain(100.0 - self.charge_pct, util)
-    }
 }
 
 #[cfg(test)]
@@ -179,15 +165,13 @@ mod tests {
 
     #[test]
     fn sensation_idle_charges_in_100_minutes() {
-        let b = BatteryModel::new(BatteryParams::htc_sensation(), 0.0);
-        let t = b.time_to_full(0.0);
+        let t = BatteryParams::htc_sensation().time_to_gain(100.0, 0.0);
         assert_eq!(t, Micros::from_mins(100));
     }
 
     #[test]
     fn sensation_busy_charges_in_135_minutes() {
-        let b = BatteryModel::new(BatteryParams::htc_sensation(), 0.0);
-        let t = b.time_to_full(1.0);
+        let t = BatteryParams::htc_sensation().time_to_gain(100.0, 1.0);
         let mins = t.as_hours_f64() * 60.0;
         assert!((mins - 135.0).abs() < 0.5, "busy charge {mins} min");
     }
@@ -284,7 +268,6 @@ mod tests {
             mins > 130.0,
             "sustained load must slow charging, took {mins} min"
         );
-        assert!(b.smoothed_utilization() > 0.99);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   state, the unit the fleet simulator manages.
 
 #![forbid(unsafe_code)]
-// Narration goes through the `cwc-obs` bus, not stdout (DESIGN.md §8).
+// No bare prints in the library (DESIGN.md §8).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 

@@ -108,13 +108,6 @@ impl Phone {
         &self.battery
     }
 
-    /// Advances the battery while plugged.
-    pub fn charge_step(&mut self, dt: Micros, cpu_util: f64) {
-        if self.plug == PlugState::Plugged {
-            self.battery.step(dt, cpu_util);
-        }
-    }
-
     /// Ground-truth time to receive `size` from the server starting now.
     pub fn transfer_time(&mut self, now: Micros, size: KiloBytes) -> Micros {
         self.link.transfer_time(now, size)
@@ -194,18 +187,6 @@ mod tests {
         let mut p = phone(1200, RadioTech::Wifi80211g);
         p.set_plug_state(PlugState::Unplugged);
         assert!(!p.plug_state().can_compute());
-    }
-
-    #[test]
-    fn charging_only_happens_while_plugged() {
-        let mut p = phone(1200, RadioTech::Wifi80211g);
-        let before = p.battery().charge_pct();
-        p.set_plug_state(PlugState::Unplugged);
-        p.charge_step(Micros::from_mins(10), 0.0);
-        assert_eq!(p.battery().charge_pct(), before);
-        p.set_plug_state(PlugState::Plugged);
-        p.charge_step(Micros::from_mins(10), 0.0);
-        assert!(p.battery().charge_pct() > before);
     }
 
     #[test]

@@ -28,19 +28,19 @@ pub struct ThrottleConfig {
     pub sleep_increase: f64,
     /// Multiplier applied when β ≈ δ (paper: 0.75).
     pub sleep_decrease: f64,
-    /// Relative tolerance for "β equals δ".
-    pub equality_tolerance: f64,
-    /// Recalibrate δ after the charge moves this many percent (paper: 5).
-    pub recalibrate_every_pct: f64,
 }
+
+/// Relative tolerance for "β equals δ".
+const EQUALITY_TOLERANCE: f64 = 0.02;
+
+/// Recalibrate δ after the charge moves this many percent (paper: 5).
+const RECALIBRATE_EVERY_PCT: f64 = 5.0;
 
 impl Default for ThrottleConfig {
     fn default() -> Self {
         ThrottleConfig {
             sleep_increase: 2.0,
             sleep_decrease: 0.75,
-            equality_tolerance: 0.02,
-            recalibrate_every_pct: 5.0,
         }
     }
 }
@@ -72,9 +72,6 @@ pub struct MimdThrottle {
     beta_anchor_at: Micros,
     /// Charge percent at the last δ recalibration.
     recal_anchor_pct: f64,
-    /// Optional observability: duty-cycle adjustments and charge-delta
-    /// observations are reported here when set.
-    obs: Option<cwc_obs::Obs>,
 }
 
 impl MimdThrottle {
@@ -92,16 +89,7 @@ impl MimdThrottle {
             beta_anchor_pct: charge_pct,
             beta_anchor_at: now,
             recal_anchor_pct: charge_pct,
-            obs: None,
         }
-    }
-
-    /// Reports duty-cycle adjustments (`throttle.sleep_increase` /
-    /// `throttle.sleep_decrease` counters), β/δ ratios and duty-cycle
-    /// gauges through `obs` (builder style).
-    pub fn with_obs(mut self, obs: cwc_obs::Obs) -> Self {
-        self.obs = Some(obs);
-        self
     }
 
     /// Current δ.
@@ -122,7 +110,7 @@ impl MimdThrottle {
 
     /// Whether a δ recalibration is due (charge moved ≥ 5% since last).
     pub fn recalibration_due(&self, charge_pct: f64) -> bool {
-        (charge_pct - self.recal_anchor_pct).abs() >= self.cfg.recalibrate_every_pct
+        (charge_pct - self.recal_anchor_pct).abs() >= RECALIBRATE_EVERY_PCT
     }
 
     /// Installs a freshly measured δ (the driver obtains it from the
@@ -135,11 +123,6 @@ impl MimdThrottle {
         self.sleep_window = Micros((self.sleep_window.0 as f64 * ratio).round() as u64);
         self.delta = new_delta;
         self.recal_anchor_pct = charge_pct;
-        if let Some(obs) = &self.obs {
-            obs.metrics.inc("throttle.recalibrations");
-            obs.metrics
-                .observe("throttle.delta_s", new_delta.as_secs_f64());
-        }
     }
 
     /// Advances the controller by `dt`, observing the current charge, and
@@ -151,9 +134,8 @@ impl MimdThrottle {
         // 1% crossing → β measurement complete.
         if charge_pct - self.beta_anchor_pct >= 1.0 {
             let beta = now.saturating_sub(self.beta_anchor_at);
-            let threshold = self.delta.scale(1.0 + self.cfg.equality_tolerance);
-            let increased = beta > threshold;
-            if increased {
+            let threshold = self.delta.scale(1.0 + EQUALITY_TOLERANCE);
+            if beta > threshold {
                 self.sleep_window = self.sleep_window.scale(self.cfg.sleep_increase);
             } else {
                 self.sleep_window = self.sleep_window.scale(self.cfg.sleep_decrease);
@@ -164,28 +146,6 @@ impl MimdThrottle {
             self.sleep_window = Micros(self.sleep_window.0.clamp(min_sleep.0, max_sleep.0));
             self.beta_anchor_pct = charge_pct;
             self.beta_anchor_at = now;
-            if let Some(obs) = &self.obs {
-                obs.metrics.inc(if increased {
-                    "throttle.sleep_increase"
-                } else {
-                    "throttle.sleep_decrease"
-                });
-                obs.metrics.observe(
-                    "throttle.beta_over_delta",
-                    beta.0 as f64 / self.delta.0.max(1) as f64,
-                );
-                obs.metrics
-                    .set_gauge("throttle.duty_cycle", self.duty_cycle());
-                obs.emit_with(|| {
-                    cwc_obs::Event::sim(now.0, "throttle", "beta.measured")
-                        .severity(cwc_obs::Severity::Debug)
-                        .field("beta_us", beta.0)
-                        .field("delta_us", self.delta.0)
-                        .field("increased_sleep", increased)
-                        .field("sleep_window_us", self.sleep_window.0)
-                        .field("charge_pct", charge_pct)
-                });
-            }
         }
 
         // Phase machine.
@@ -270,28 +230,6 @@ pub fn simulate_charge(
     start_pct: f64,
     sample_every: Micros,
 ) -> ChargeOutcome {
-    simulate_charge_inner(params, policy, start_pct, sample_every, None)
-}
-
-/// Like [`simulate_charge`], reporting throttle adjustments and the final
-/// utilization through `obs` (see [`MimdThrottle::with_obs`]).
-pub fn simulate_charge_observed(
-    params: BatteryParams,
-    policy: ChargePolicy,
-    start_pct: f64,
-    sample_every: Micros,
-    obs: &cwc_obs::Obs,
-) -> ChargeOutcome {
-    simulate_charge_inner(params, policy, start_pct, sample_every, Some(obs.clone()))
-}
-
-fn simulate_charge_inner(
-    params: BatteryParams,
-    policy: ChargePolicy,
-    start_pct: f64,
-    sample_every: Micros,
-    obs: Option<cwc_obs::Obs>,
-) -> ChargeOutcome {
     let mut battery = BatteryModel::new(params, start_pct);
     let dt = Micros::from_millis(250);
     let mut now = Micros::ZERO;
@@ -303,11 +241,7 @@ fn simulate_charge_inner(
     let mut throttle = match policy {
         ChargePolicy::Throttled(cfg) => {
             let delta = params.time_to_gain(1.0, 0.0);
-            let t = MimdThrottle::new(cfg, delta, now, battery.charge_pct());
-            Some(match &obs {
-                Some(obs) => t.with_obs(obs.clone()),
-                None => t,
-            })
+            Some(MimdThrottle::new(cfg, delta, now, battery.charge_pct()))
         }
         _ => None,
     };
@@ -341,19 +275,6 @@ fn simulate_charge_inner(
         }
     }
     timeline.push((now, battery.charge_pct()));
-    if let Some(obs) = &obs {
-        obs.metrics
-            .set_gauge("throttle.full_charge_min", now.as_hours_f64() * 60.0);
-        obs.metrics.set_gauge(
-            "throttle.utilization",
-            cpu_time.0 as f64 / now.0.max(1) as f64,
-        );
-        obs.emit_with(|| {
-            cwc_obs::Event::sim(now.0, "throttle", "charge.full")
-                .field("minutes", now.as_hours_f64() * 60.0)
-                .field("cpu_time_s", cpu_time.as_secs_f64())
-        });
-    }
     ChargeOutcome {
         timeline,
         full_at: now,
@@ -489,38 +410,6 @@ mod tests {
         // 1% gained in exactly δ: charging unharmed → trim sleep by 0.75.
         t.tick(Micros::from_secs(60), Micros::from_millis(250), 51.0);
         assert_eq!(t.sleep_window().0, (w0.0 as f64 * 0.75).round() as u64);
-    }
-
-    #[test]
-    fn observed_throttle_counts_adjustments() {
-        let obs = cwc_obs::Obs::new();
-        let delta = Micros::from_secs(60);
-        let mut t = MimdThrottle::new(ThrottleConfig::default(), delta, Micros::ZERO, 50.0)
-            .with_obs(obs.clone());
-        // One degraded measurement (β = 2δ), one healthy one (β = δ).
-        t.tick(Micros::from_secs(120), Micros::from_millis(250), 51.0);
-        t.tick(Micros::from_secs(180), Micros::from_millis(250), 52.0);
-        assert_eq!(obs.metrics.counter_value("throttle.sleep_increase"), 1);
-        assert_eq!(obs.metrics.counter_value("throttle.sleep_decrease"), 1);
-        assert_eq!(obs.metrics.histogram("throttle.beta_over_delta").count(), 2);
-        assert!(obs.metrics.gauge_value("throttle.duty_cycle").is_some());
-    }
-
-    #[test]
-    fn observed_simulation_reports_utilization() {
-        let obs = cwc_obs::Obs::new();
-        let out = simulate_charge_observed(
-            BatteryParams::htc_sensation(),
-            ChargePolicy::Throttled(ThrottleConfig::default()),
-            0.0,
-            mins(5.0),
-            &obs,
-        );
-        let total = obs.metrics.counter_value("throttle.sleep_increase")
-            + obs.metrics.counter_value("throttle.sleep_decrease");
-        assert!(total > 0, "a full charge must adjust the duty cycle");
-        let util = obs.metrics.gauge_value("throttle.utilization").unwrap();
-        assert!((util - out.cpu_time.0 as f64 / out.full_at.0 as f64).abs() < 1e-12);
     }
 
     #[test]

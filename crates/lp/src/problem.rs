@@ -63,25 +63,9 @@ impl LinearProgram {
         }
     }
 
-    /// Starts a maximization of `objective · x` (internally negated; the
-    /// returned [`Solution::objective`] is reported in the *maximization*
-    /// sense by [`LinearProgram::solve`] only for programs built with
-    /// [`LinearProgram::minimize`] — see `solve_max`).
-    pub fn maximize(objective: Vec<f64>) -> Self {
-        LinearProgram {
-            objective: objective.into_iter().map(|c| -c).collect(),
-            constraints: Vec::new(),
-        }
-    }
-
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
         self.objective.len()
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
     }
 
     /// Adds the constraint `Σ terms · x  (relation)  bound`.
@@ -149,7 +133,7 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0, 2.0, 3.0]);
         assert_eq!(lp.num_vars(), 3);
         lp.constrain(vec![(0, 1.0)], Relation::Le, 5.0);
-        assert_eq!(lp.num_constraints(), 1);
+        assert_eq!(lp.constraints.len(), 1);
     }
 
     #[test]
@@ -180,11 +164,5 @@ mod tests {
     fn objective_eval() {
         let lp = LinearProgram::minimize(vec![2.0, -1.0]);
         assert!((lp.objective_at(&[3.0, 4.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn maximize_negates() {
-        let lp = LinearProgram::maximize(vec![5.0]);
-        assert!((lp.objective[0] + 5.0).abs() < 1e-12);
     }
 }

@@ -59,7 +59,7 @@ pub mod tcp;
 
 pub use fault::{WireFault, WireOp};
 pub use link::{LinkConfig, LinkModel};
-pub use measure::{measure_link, measure_link_observed, BandwidthSample, MeasurementReport};
+pub use measure::{measure_link, BandwidthSample, MeasurementReport};
 pub use protocol::{
     crc32, is_handshake_tag, Frame, FrameCodec, FRAME_HEADER_LEN, KEEPALIVE_PERIOD,
     KEEPALIVE_TOLERATED_MISSES, MAX_FRAME_LEN,

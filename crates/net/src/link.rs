@@ -59,20 +59,6 @@ impl LinkConfig {
             sample_period: Micros::from_secs(1),
         }
     }
-
-    /// Overrides the mean throughput (builder-style).
-    pub fn with_mean(mut self, kb_per_sec: f64) -> Self {
-        assert!(kb_per_sec > 0.0);
-        self.mean_kb_per_sec = kb_per_sec;
-        self
-    }
-
-    /// Overrides the stationary CV (builder-style).
-    pub fn with_jitter(mut self, frac: f64) -> Self {
-        assert!((0.0..1.0).contains(&frac));
-        self.jitter_frac = frac;
-        self
-    }
 }
 
 /// Elapsed sample periods beyond which the AR(1) process has mixed
@@ -338,14 +324,5 @@ mod tests {
             (t2.0 as i64 - 2 * t1.0 as i64).abs() <= 2,
             "{t2:?} vs 2x{t1:?}"
         );
-    }
-
-    #[test]
-    fn builders_apply() {
-        let cfg = LinkConfig::typical(RadioTech::ThreeG)
-            .with_mean(200.0)
-            .with_jitter(0.01);
-        assert_eq!(cfg.mean_kb_per_sec, 200.0);
-        assert_eq!(cfg.jitter_frac, 0.01);
     }
 }

@@ -122,30 +122,6 @@ pub fn mean_kb_per_sec(
     times.map(|at| link.rate_at(at)).sum::<f64>() / n as f64
 }
 
-/// Like [`measure_link`], recording the probe through `obs`: a
-/// `net.probes` counter, a `net.probe_kb_per_sec` histogram of the mean
-/// rate, and a `net.probe` event carrying the Fig. 4 stability statistics.
-pub fn measure_link_observed(
-    link: &mut LinkModel,
-    start: Micros,
-    duration: Micros,
-    interval: Micros,
-    obs: &cwc_obs::Obs,
-) -> MeasurementReport {
-    let report = measure_link(link, start, duration, interval);
-    obs.metrics.inc("net.probes");
-    obs.metrics
-        .observe("net.probe_kb_per_sec", report.mean_kb_per_sec);
-    obs.emit_with(|| {
-        cwc_obs::Event::sim(start.0, "net", "probe")
-            .field("samples", report.samples.len())
-            .field("mean_kb_per_sec", report.mean_kb_per_sec)
-            .field("cv", report.coefficient_of_variation())
-            .field("ms_per_kb", report.ms_per_kb().0)
-    });
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,23 +178,6 @@ mod tests {
     fn zero_interval_panics() {
         let mut link = wifi_link(1);
         measure_link(&mut link, Micros::ZERO, Micros::from_secs(1), Micros::ZERO);
-    }
-
-    #[test]
-    fn observed_probe_records_metrics() {
-        let mut link = wifi_link(3);
-        let obs = cwc_obs::Obs::new();
-        let report = measure_link_observed(
-            &mut link,
-            Micros::ZERO,
-            Micros::from_secs(30),
-            Micros::from_secs(1),
-            &obs,
-        );
-        assert_eq!(obs.metrics.counter_value("net.probes"), 1);
-        let h = obs.metrics.histogram("net.probe_kb_per_sec");
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - report.mean_kb_per_sec).abs() < 1e-9);
     }
 
     #[test]

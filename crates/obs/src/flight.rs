@@ -2,18 +2,17 @@
 //! snapshots, and anomaly-triggered JSONL dumps.
 //!
 //! A [`FlightRecorder`] is an [`EventSink`](crate::EventSink): attach it to
-//! a bus and it retains the last `per_key_capacity` events for every phone
-//! it hears about (events without a `phone` field share a `fleet` ring),
-//! plus a bounded ring of [`MetricsReport`] snapshots taken every
-//! `snapshot_every` accepted events. Memory is bounded by construction —
-//! rings never grow past their configured capacity, and the set of ring
-//! keys is bounded by the fleet size.
+//! a bus and it retains the last 256 events for every phone it hears
+//! about (events without a `phone` field share a `fleet` ring), plus the
+//! last 16 [`MetricsReport`] snapshots, one taken every 512 accepted
+//! events. Memory is bounded by construction — rings never grow past
+//! their capacity, and the set of ring keys is bounded by the fleet size.
 //!
 //! When an anomaly event arrives (stall-watchdog fire, circuit-breaker
 //! quarantine, fleet loss, chaos unplug/crash), the recorder dumps its
 //! retained state to a JSONL file in `dump_dir` — the last seconds of
 //! context *before* the failure, which is exactly what a post-mortem
-//! needs. Dump count is bounded by `max_dumps`.
+//! needs. At most 8 dumps are written over the recorder's lifetime.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
@@ -37,34 +36,17 @@ pub const ANOMALY_EVENTS: [&str; 5] = [
 /// Ring key for events that carry no `phone` field.
 const FLEET_KEY: &str = "fleet";
 
-/// Sizing and dump policy for a [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// Events retained per ring key (per phone, plus the shared `fleet`
-    /// ring). Clamped to at least 1.
-    pub per_key_capacity: usize,
-    /// Take a metrics snapshot every this many accepted events
-    /// (0 disables snapshots).
-    pub snapshot_every: u64,
-    /// Snapshots retained (oldest evicted first). Clamped to at least 1.
-    pub snapshot_capacity: usize,
-    /// Directory anomaly dumps are written into (`None` disables dumps).
-    pub dump_dir: Option<PathBuf>,
-    /// Maximum number of dump files written over the recorder's lifetime.
-    pub max_dumps: usize,
-}
+/// Events retained per ring key (per phone, plus the shared `fleet` ring).
+const PER_KEY_CAPACITY: usize = 256;
 
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            per_key_capacity: 256,
-            snapshot_every: 512,
-            snapshot_capacity: 16,
-            dump_dir: None,
-            max_dumps: 8,
-        }
-    }
-}
+/// A metrics snapshot is taken every this many accepted events.
+const SNAPSHOT_EVERY: u64 = 512;
+
+/// Snapshots retained (oldest evicted first).
+const SNAPSHOT_CAPACITY: usize = 16;
+
+/// Maximum number of dump files written over the recorder's lifetime.
+const MAX_DUMPS: usize = 8;
 
 /// One retained metrics snapshot.
 #[derive(Debug, Clone)]
@@ -88,33 +70,31 @@ struct RecorderInner {
 /// Bounded always-on recorder of recent per-phone history. See the module
 /// docs for the retention and dump model.
 pub struct FlightRecorder {
-    cfg: FlightRecorderConfig,
+    dump_dir: PathBuf,
     metrics: MetricsRegistry,
     inner: Mutex<RecorderInner>,
 }
 
 impl FlightRecorder {
-    /// A recorder snapshotting `metrics` under the given policy.
-    pub fn new(cfg: FlightRecorderConfig, metrics: MetricsRegistry) -> Self {
+    /// A recorder snapshotting `metrics` and writing its dumps into
+    /// `dump_dir` (created on the first dump).
+    pub fn new(dump_dir: PathBuf, metrics: MetricsRegistry) -> Self {
         FlightRecorder {
-            cfg,
+            dump_dir,
             metrics,
             inner: Mutex::new(RecorderInner::default()),
         }
     }
 
-    /// The configured per-ring capacity (after clamping).
-    pub fn per_key_capacity(&self) -> usize {
-        self.cfg.per_key_capacity.max(1)
-    }
-
     /// Total events accepted so far (including evicted ones).
-    pub fn accepted(&self) -> u64 {
+    #[cfg(test)]
+    fn accepted(&self) -> u64 {
         self.lock().accepted
     }
 
     /// Current (ring key, retained length) pairs, sorted by key.
-    pub fn ring_lens(&self) -> Vec<(String, usize)> {
+    #[cfg(test)]
+    fn ring_lens(&self) -> Vec<(String, usize)> {
         self.lock()
             .rings
             .iter()
@@ -123,16 +103,18 @@ impl FlightRecorder {
     }
 
     /// Everything currently retained across all rings, in bus order.
-    pub fn retained(&self) -> Vec<Event> {
+    #[cfg(test)]
+    fn retained(&self) -> Vec<Event> {
         let inner = self.lock();
         let mut all: Vec<Event> = inner.rings.values().flatten().cloned().collect();
         all.sort_by_key(|e| e.seq);
         all
     }
 
-    /// Number of metrics snapshots currently retained.
-    pub fn snapshots_retained(&self) -> usize {
-        self.lock().snapshots.len()
+    /// Bus sequence numbers of the metrics snapshots currently retained.
+    #[cfg(test)]
+    fn snapshot_seqs(&self) -> Vec<u64> {
+        self.lock().snapshots.iter().map(|s| s.at_seq).collect()
     }
 
     /// Paths of every anomaly dump written so far.
@@ -141,7 +123,7 @@ impl FlightRecorder {
     }
 
     /// Forces a dump of the current state (same format as an anomaly
-    /// dump), tagged with `reason`. Respects the `max_dumps` bound.
+    /// dump), tagged with `reason`. Counts against the dump bound.
     pub fn dump_now(&self, reason: &str) -> io::Result<Option<PathBuf>> {
         let mut inner = self.lock();
         self.write_dump(&mut inner, reason, 0)
@@ -153,19 +135,17 @@ impl FlightRecorder {
 
     /// Writes one JSONL dump: a header line, every retained event in bus
     /// order, then the retained metrics snapshots. Returns `Ok(None)` when
-    /// dumps are disabled or the `max_dumps` budget is spent.
+    /// the dump budget is spent.
     fn write_dump(
         &self,
         inner: &mut RecorderInner,
         reason: &str,
         at_seq: u64,
     ) -> io::Result<Option<PathBuf>> {
-        let Some(dir) = self.cfg.dump_dir.as_deref() else {
-            return Ok(None);
-        };
-        if inner.dumps_written.len() >= self.cfg.max_dumps {
+        if inner.dumps_written.len() >= MAX_DUMPS {
             return Ok(None);
         }
+        let dir = &self.dump_dir;
         std::fs::create_dir_all(dir)?;
         let slug: String = reason
             .chars()
@@ -216,26 +196,24 @@ impl FlightRecorder {
 
 impl EventSink for FlightRecorder {
     fn accept(&self, event: &Event) {
-        let cap = self.per_key_capacity();
         let mut inner = self.lock();
         inner.accepted += 1;
         let ring = inner
             .rings
             .entry(Self::ring_key(event))
-            .or_insert_with(|| VecDeque::with_capacity(cap));
-        if ring.len() == cap {
+            .or_insert_with(|| VecDeque::with_capacity(PER_KEY_CAPACITY));
+        if ring.len() == PER_KEY_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(event.clone());
 
-        if self.cfg.snapshot_every > 0 && inner.accepted.is_multiple_of(self.cfg.snapshot_every) {
+        if inner.accepted.is_multiple_of(SNAPSHOT_EVERY) {
             let snap = MetricsSnapshot {
                 at_seq: event.seq,
                 at_time_us: event.time_us,
                 report: self.metrics.report(),
             };
-            let snap_cap = self.cfg.snapshot_capacity.max(1);
-            if inner.snapshots.len() == snap_cap {
+            if inner.snapshots.len() == SNAPSHOT_CAPACITY {
                 inner.snapshots.pop_front();
             }
             inner.snapshots.push_back(snap);
@@ -266,24 +244,22 @@ mod tests {
     use crate::EventBus;
     use std::sync::Arc;
 
-    fn recorder(cfg: FlightRecorderConfig) -> (EventBus, Arc<FlightRecorder>, MetricsRegistry) {
+    fn recorder(dump_dir: PathBuf) -> (EventBus, Arc<FlightRecorder>, MetricsRegistry) {
         let bus = EventBus::new();
         let metrics = MetricsRegistry::new();
-        let rec = Arc::new(FlightRecorder::new(cfg, metrics.clone()));
+        let rec = Arc::new(FlightRecorder::new(dump_dir, metrics.clone()));
         bus.attach(rec.clone());
         (bus, rec, metrics)
     }
 
+    /// A dump directory no test without an anomaly ever creates.
+    fn unused_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("cwc-flight-{tag}-{}", std::process::id()))
+    }
+
     #[test]
     fn memory_stays_bounded_under_a_10k_event_soak() {
-        let cfg = FlightRecorderConfig {
-            per_key_capacity: 32,
-            snapshot_every: 100,
-            snapshot_capacity: 5,
-            dump_dir: None,
-            max_dumps: 0,
-        };
-        let (bus, rec, metrics) = recorder(cfg);
+        let (bus, rec, metrics) = recorder(unused_dir("soak"));
         for i in 0..10_000u64 {
             metrics.inc("soak.events");
             bus.emit(
@@ -296,31 +272,27 @@ mod tests {
         let lens = rec.ring_lens();
         assert_eq!(lens.len(), 7, "one ring per phone: {lens:?}");
         for (key, len) in &lens {
-            assert!(
-                *len <= rec.per_key_capacity(),
-                "ring {key} holds {len} > capacity {}",
-                rec.per_key_capacity()
-            );
+            assert_eq!(*len, 256, "ring {key} holds {len}, not its 256 capacity");
         }
-        assert!(rec.snapshots_retained() <= 5);
-        assert_eq!(rec.snapshots_retained(), 5);
+        // 19 snapshots were taken (one per 512 events); the newest 16 stay.
+        let seqs = rec.snapshot_seqs();
+        assert_eq!(seqs.len(), 16);
+        assert!(seqs.iter().all(|s| s % 512 == 0), "{seqs:?}");
+        assert_eq!(seqs.last(), Some(&(19 * 512)));
         // Retention is newest-first eviction: the last event per ring is
         // the last one emitted to it.
         let retained = rec.retained();
-        assert_eq!(retained.len(), 7 * 32);
+        assert_eq!(retained.len(), 7 * 256);
         assert_eq!(
             retained.last().and_then(|e| e.get("i")).cloned(),
             Some(crate::Value::U64(9_999))
         );
+        assert!(rec.dumps().is_empty(), "no anomaly, no dump");
     }
 
     #[test]
     fn events_without_a_phone_share_the_fleet_ring() {
-        let (bus, rec, _) = recorder(FlightRecorderConfig {
-            per_key_capacity: 4,
-            snapshot_every: 0,
-            ..FlightRecorderConfig::default()
-        });
+        let (bus, rec, _) = recorder(unused_dir("fleet"));
         bus.emit(Event::sim(0, "engine", "run.start"));
         bus.emit(Event::sim(1, "engine", "run.start"));
         bus.emit(Event::sim(2, "engine", "segment.execute").field("phone", "phone-0"));
@@ -329,34 +301,28 @@ mod tests {
             lens,
             vec![("fleet".to_string(), 2), ("phone-0".to_string(), 1)]
         );
-        assert_eq!(rec.snapshots_retained(), 0, "snapshots disabled");
+        assert!(rec.snapshot_seqs().is_empty(), "no snapshot before 512");
     }
 
     #[test]
     fn anomalies_trigger_bounded_dumps() {
-        let dir = std::env::temp_dir().join(format!("cwc-flight-{}", std::process::id()));
+        let dir = unused_dir("anomaly");
         let _ = std::fs::remove_dir_all(&dir);
-        let (bus, rec, metrics) = recorder(FlightRecorderConfig {
-            per_key_capacity: 8,
-            snapshot_every: 2,
-            snapshot_capacity: 2,
-            dump_dir: Some(dir.clone()),
-            max_dumps: 2,
-        });
+        let (bus, rec, metrics) = recorder(dir.clone());
         metrics.inc("chaos.crashes");
-        for i in 0..4u64 {
+        for i in 0..512u64 {
             bus.emit(Event::sim(i, "engine", "segment.transfer").field("phone", "phone-1"));
         }
-        // Three anomalies, but only two dumps allowed.
-        for i in 0..3u64 {
+        // Nine anomalies, but only eight dumps allowed.
+        for i in 0..9u64 {
             bus.emit(
-                Event::sim(100 + i, "failure", "task.stalled")
+                Event::sim(1_000 + i, "failure", "task.stalled")
                     .field("phone", "phone-1")
                     .field("job", i),
             );
         }
         let dumps = rec.dumps();
-        assert_eq!(dumps.len(), 2, "max_dumps caps the output");
+        assert_eq!(dumps.len(), 8, "the dump bound caps the output");
         for path in &dumps {
             let events = read_dump_events(path).unwrap();
             assert!(!events.is_empty(), "dump {path:?} has retained events");
@@ -373,12 +339,9 @@ mod tests {
 
     #[test]
     fn dump_now_writes_a_manual_dump() {
-        let dir = std::env::temp_dir().join(format!("cwc-flight-manual-{}", std::process::id()));
+        let dir = unused_dir("manual");
         let _ = std::fs::remove_dir_all(&dir);
-        let (bus, rec, _) = recorder(FlightRecorderConfig {
-            dump_dir: Some(dir.clone()),
-            ..FlightRecorderConfig::default()
-        });
+        let (bus, rec, _) = recorder(dir.clone());
         bus.emit(Event::sim(0, "engine", "run.start"));
         let path = rec.dump_now("end of run").unwrap().expect("dump written");
         assert!(path.exists());

@@ -11,8 +11,8 @@
 //! 2. **Metrics registry** ([`MetricsRegistry`]): named counters, gauges and
 //!    fixed-bucket histograms with p50/p95/p99 summaries. Counters and
 //!    histogram recording are lock-free atomics.
-//! 3. **Span timing** ([`SpanGuard`], [`timed`]): RAII wall-clock phase
-//!    timers; simulated phases record their known durations directly.
+//! 3. **Span timing** ([`timed`]): wall-clock phase timers; simulated
+//!    phases record their known durations directly.
 //! 4. **Causal tracing & forensics** ([`TraceCtx`], [`FlightRecorder`]):
 //!    per-chunk trace contexts stamped onto events so a chunk lifecycle is
 //!    one span tree, and a bounded per-phone flight recorder with
@@ -51,11 +51,9 @@ mod trace;
 
 pub use bus::{EventBus, EventSink, JsonlSink, MemorySink, SinkId, TextSink};
 pub use event::{Clock, Event, Severity, Value};
-pub use flight::{
-    read_dump_events, FlightRecorder, FlightRecorderConfig, MetricsSnapshot, ANOMALY_EVENTS,
-};
+pub use flight::{read_dump_events, FlightRecorder, MetricsSnapshot, ANOMALY_EVENTS};
 pub use metrics::{Counter, Histogram, HistogramSummary, MetricsRegistry, MetricsReport};
-pub use span::{timed, SpanGuard};
+pub use span::timed;
 pub use trace::{TraceCtx, PARENT_FIELD, SPAN_FIELD, TRACE_FIELD};
 
 use std::io;
@@ -103,7 +101,7 @@ impl Obs {
     }
 
     /// Microseconds of wall time since this `Obs` was created.
-    pub fn wall_us(&self) -> u64 {
+    fn wall_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
@@ -120,11 +118,6 @@ impl Obs {
         if self.bus.has_sinks() {
             self.bus.emit(build());
         }
-    }
-
-    /// Starts a wall-clock span recording into histogram `name` on drop.
-    pub fn span(&self, name: impl Into<String>) -> SpanGuard {
-        SpanGuard::start(&self.metrics, name)
     }
 
     /// Attaches a JSONL file sink at `path`; every subsequent event is

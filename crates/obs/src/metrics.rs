@@ -367,15 +367,6 @@ impl MetricsRegistry {
         self.histogram(name).record(v);
     }
 
-    /// All counters whose name starts with `prefix`, sorted by name.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        read(&self.inner.counters)
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect()
-    }
-
     /// Point-in-time snapshot of everything, sorted by name.
     pub fn report(&self) -> MetricsReport {
         MetricsReport {
@@ -659,16 +650,5 @@ mod tests {
             Some(1)
         );
         assert!(parsed.get("histograms").unwrap().get("h").is_some());
-    }
-
-    #[test]
-    fn counters_with_prefix_filters() {
-        let m = MetricsRegistry::new();
-        m.add("net.kb.phone-0", 10);
-        m.add("net.kb.phone-1", 20);
-        m.inc("engine.other");
-        let kb = m.counters_with_prefix("net.kb.");
-        assert_eq!(kb.len(), 2);
-        assert_eq!(kb[0], ("net.kb.phone-0".to_string(), 10));
     }
 }

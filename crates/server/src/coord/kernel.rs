@@ -17,7 +17,6 @@ use cwc_core::{
     SpeculationPolicy,
 };
 use cwc_obs::TraceCtx;
-#[cfg(feature = "check")]
 use cwc_sim::Fnv1a;
 use cwc_types::{
     CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, PhoneInfo, SloClass,
@@ -277,10 +276,10 @@ pub struct FleetLoss {
 /// The CWC control loop as an event-in/command-out state machine. See
 /// the [module docs](crate::coord) for the driver contract.
 ///
-/// Under the `check` feature the kernel is additionally `Clone`, so the
-/// `cwc-check` explorer can checkpoint a state and branch on every
-/// admissible next event without replaying the prefix.
-#[cfg_attr(feature = "check", derive(Clone))]
+/// The kernel is `Clone`, so the `cwc-check` explorer can checkpoint a
+/// state and branch on every admissible next event without replaying the
+/// prefix.
+#[derive(Clone)]
 pub struct Kernel {
     cfg: KernelConfig,
     catalog: BTreeMap<JobId, CatalogJob>,
@@ -1814,12 +1813,11 @@ impl Kernel {
 }
 
 // ---------------------------------------------------------------------------
-// Model-checking hooks (`check` feature): state digests + oracle views.
+// Model-checking hooks: state digests + oracle views.
 // ---------------------------------------------------------------------------
 
 /// One work chunk as the model checker sees it: enough to account for
 /// every input byte, nothing that would leak kernel internals.
-#[cfg(feature = "check")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkView {
     /// Original (catalog) job this chunk covers.
@@ -1835,7 +1833,6 @@ pub struct ChunkView {
 }
 
 /// One live first-result-wins redundancy pair.
-#[cfg(feature = "check")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     /// Job the group covers.
@@ -1849,7 +1846,6 @@ pub struct GroupView {
 }
 
 /// One slot as the model checker sees it.
-#[cfg(feature = "check")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotCheckView {
     /// Schedulable (not failed/quarantined).
@@ -1870,7 +1866,6 @@ pub struct SlotCheckView {
 /// need: per-job byte accounting, per-slot work placement, and the live
 /// redundancy groups. Intentionally omits presentation-only state
 /// (metrics, trace ids, completion timestamps).
-#[cfg(feature = "check")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckView {
     /// Every job's input fully covered.
@@ -1899,7 +1894,6 @@ pub struct CheckView {
     pub slots: std::collections::BTreeMap<usize, SlotCheckView>,
 }
 
-#[cfg(feature = "check")]
 impl CheckView {
     /// KB of outstanding (not yet credited) work per job, counting each
     /// redundancy group exactly once: queued + in-flight + parked +
@@ -1940,14 +1934,12 @@ impl CheckView {
 
 /// The kernel digest's encodings of strings, flags and options over the
 /// workspace's FNV-1a.
-#[cfg(feature = "check")]
 trait DigestWrite {
     fn write_str(&mut self, s: &str);
     fn write_flag(&mut self, b: bool);
     fn write_opt(&mut self, v: Option<u64>);
 }
 
-#[cfg(feature = "check")]
 impl DigestWrite for Fnv1a {
     fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
@@ -1967,7 +1959,6 @@ impl DigestWrite for Fnv1a {
     }
 }
 
-#[cfg(feature = "check")]
 impl Kernel {
     fn view_chunk(item: &WorkItem) -> ChunkView {
         ChunkView {

@@ -40,7 +40,7 @@ pub mod script;
 pub use command::{CoordCommand, TimerKind};
 pub use event::CoordEvent;
 pub use fleet::{charging_cluster_keys, cluster_key, plan_shards, FleetAllocator, ShardPlan};
-pub use kernel::{DriverStyle, FleetLoss, Kernel, KernelConfig, ReschedulePolicy, RESIDUAL_BASE};
-
-#[cfg(feature = "check")]
-pub use kernel::{CheckView, ChunkView, GroupView, SlotCheckView};
+pub use kernel::{
+    CheckView, ChunkView, DriverStyle, FleetLoss, GroupView, Kernel, KernelConfig,
+    ReschedulePolicy, SlotCheckView, RESIDUAL_BASE,
+};

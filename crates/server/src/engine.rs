@@ -35,25 +35,24 @@ use crate::coord::{
     CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy, TimerKind,
     RESIDUAL_BASE,
 };
-use crate::fleet::FleetBuilder;
+use crate::testbed::FleetBuilder;
 use cwc_core::SchedulerKind;
 use cwc_device::Phone;
 use cwc_sim::Simulation;
 use cwc_types::{CwcError, CwcResult, JobId, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId};
 use std::collections::BTreeMap;
 
+/// Delay from failure detection to the next scheduling instant — the §5
+/// grace period that lets briefly-unplugged phones return. Keep-alive
+/// timing is the prototype's ([`cwc_net::KEEPALIVE_PERIOD`] ×
+/// [`cwc_net::KEEPALIVE_TOLERATED_MISSES`]).
+const RESCHEDULE_GRACE: Micros = Micros::from_secs(60);
+
 /// Engine knobs. Defaults follow the prototype (§6).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Scheduling algorithm under test.
     pub scheduler: SchedulerKind,
-    /// Application keep-alive period (30 s).
-    pub keepalive_period: Micros,
-    /// Missed keep-alives before an offline failure is declared (3).
-    pub keepalive_misses: u32,
-    /// Delay from failure detection to the next scheduling instant —
-    /// the §5 grace period that lets briefly-unplugged phones return.
-    pub reschedule_delay: Micros,
     /// Profiled baseline costs: program → `T_s` ms/KB on the 806 MHz
     /// phone.
     pub baselines: BTreeMap<String, f64>,
@@ -85,9 +84,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             scheduler: SchedulerKind::Greedy,
-            keepalive_period: cwc_net::KEEPALIVE_PERIOD,
-            keepalive_misses: cwc_net::KEEPALIVE_TOLERATED_MISSES,
-            reschedule_delay: Micros::from_secs(60),
             baselines: paper_baselines(),
             reliability: None,
             slo: BTreeMap::new(),
@@ -346,10 +342,10 @@ impl Engine {
             scheduler: self.config.scheduler,
             jobs: self.jobs,
             baselines: self.config.baselines,
-            keepalive_period: self.config.keepalive_period,
-            tolerated_misses: self.config.keepalive_misses,
+            keepalive_period: cwc_net::KEEPALIVE_PERIOD,
+            tolerated_misses: cwc_net::KEEPALIVE_TOLERATED_MISSES,
             reschedule: ReschedulePolicy::Solver {
-                delay: self.config.reschedule_delay,
+                delay: RESCHEDULE_GRACE,
             },
             stall_timeout: None,
             breaker: None,
@@ -853,9 +849,9 @@ mod tests {
             offline: true,
             replug_at: None,
         }];
-        let cfg = EngineConfig::default();
-        let detect_after = Micros(cfg.keepalive_period.0 * u64::from(cfg.keepalive_misses));
-        let out = Engine::run_on_testbed(5, jobs, injections, cfg).unwrap();
+        let detect_after =
+            Micros(cwc_net::KEEPALIVE_PERIOD.0 * u64::from(cwc_net::KEEPALIVE_TOLERATED_MISSES));
+        let out = Engine::run_on_testbed(5, jobs, injections, EngineConfig::default()).unwrap();
         assert_eq!(out.completed_jobs, 12);
         // No rescheduled work can *start* before the offline detection +
         // grace delay (30 s + 90 s + 60 s = 180 s).
@@ -867,8 +863,8 @@ mod tests {
             .min();
         if let Some(earliest) = earliest {
             assert!(
-                earliest >= Micros::from_secs(30) + detect_after,
-                "rescheduled work started at {earliest} before detection"
+                earliest >= Micros::from_secs(30) + detect_after + RESCHEDULE_GRACE,
+                "rescheduled work started at {earliest} before detection + grace"
             );
         }
     }

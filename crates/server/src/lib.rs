@@ -25,7 +25,7 @@
 //! between shards when one shard's phones unplug en masse (DESIGN.md
 //! §15).
 //!
-//! Supporting modules: [`fleet`] builds the 18-phone testbed; [`workload`]
+//! Supporting modules: [`testbed`] builds the 18-phone testbed; [`workload`]
 //! builds the 150-task evaluation workload; [`feasibility`] reproduces the
 //! §3.1 FCFS dispatch experiment (Fig. 5); [`overnight`] drives the fleet
 //! with the behavioral study's plug/unplug patterns (and feeds the
@@ -45,23 +45,23 @@ pub mod coord;
 pub mod engine;
 pub mod experiment;
 pub mod feasibility;
-pub mod fleet;
 pub mod live;
 pub mod overnight;
 pub mod pool;
 pub mod resilience;
 pub mod shard;
+pub mod testbed;
 pub mod workload;
 
 pub use coord::{CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy};
 pub use engine::{Engine, EngineConfig, EngineOutcome, FailureInjection, Segment, SegmentKind};
 pub use experiment::{Experiment, ExperimentConfig};
-pub use fleet::{testbed_fleet, FleetBuilder};
 pub use live::{
     live_kernel_config, run_live_server, run_live_server_with, run_worker, run_worker_chaos,
-    FailureSummary, LiveJob, LiveOutcome, LivePolicy, WorkerConfig,
+    LiveJob, LiveOutcome, LivePolicy, WorkerConfig,
 };
 pub use pool::{PoolStats, WorkerPool};
 pub use resilience::{BreakerConfig, WindowBreaker};
 pub use shard::{engine_digest, FleetEngine, FleetOutcome, ShardConfig, ShardOutcome};
+pub use testbed::{testbed_fleet, FleetBuilder};
 pub use workload::{paper_workload, WorkloadBuilder};

@@ -58,8 +58,8 @@
 )]
 
 use crate::coord::{
-    script, CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy,
-    TimerKind,
+    script, CoordCommand, CoordEvent, DriverStyle, FleetLoss, Kernel, KernelConfig,
+    ReschedulePolicy, TimerKind,
 };
 use crate::resilience::BreakerConfig;
 use bytes::BytesMut;
@@ -487,20 +487,6 @@ impl LiveJob {
     }
 }
 
-/// Why a live run finished without full coverage.
-#[derive(Debug, Clone)]
-pub struct FailureSummary {
-    /// Workers lost over the run (unplugged, vanished, or quarantined).
-    pub workers_lost: usize,
-    /// Of those, how many the circuit breaker quarantined.
-    pub quarantined: usize,
-    /// Input KB that was never processed, per job (only jobs with a
-    /// shortfall appear).
-    pub unprocessed_kb: BTreeMap<JobId, u64>,
-    /// Human-readable account of what went wrong.
-    pub detail: String,
-}
-
 /// Result of a live run.
 #[derive(Debug)]
 pub struct LiveOutcome {
@@ -521,7 +507,7 @@ pub struct LiveOutcome {
     pub quarantined: usize,
     /// `Some` iff the batch could not be fully processed (every worker
     /// lost mid-run): the explicit graceful-degradation summary.
-    pub failure: Option<FailureSummary>,
+    pub failure: Option<FleetLoss>,
 }
 
 /// Keep-alive period used in live mode. The prototype's 30 s is right
@@ -540,9 +526,6 @@ pub struct LivePolicy {
     pub stall_timeout: Duration,
     /// Application-layer keep-alive period.
     pub keepalive_period: Duration,
-    /// Unanswered keep-alives tolerated while a worker is idle before it
-    /// is declared an offline failure (3 in the prototype).
-    pub tolerated_misses: u32,
     /// Server-side fault injection: installed on every connection's send
     /// path. `None` in production.
     pub chaos: Option<cwc_chaos::FaultPlan>,
@@ -565,7 +548,6 @@ impl Default for LivePolicy {
             breaker: BreakerConfig::default(),
             stall_timeout: Duration::from_secs(5),
             keepalive_period: LIVE_KEEPALIVE_PERIOD,
-            tolerated_misses: cwc_net::KEEPALIVE_TOLERATED_MISSES,
             chaos: None,
             reliability: None,
             slo: BTreeMap::new(),
@@ -610,7 +592,7 @@ pub fn live_kernel_config(
         jobs: specs,
         baselines,
         keepalive_period: micros_of(policy.keepalive_period),
-        tolerated_misses: policy.tolerated_misses,
+        tolerated_misses: cwc_net::KEEPALIVE_TOLERATED_MISSES,
         reschedule: ReschedulePolicy::RoundRobin,
         stall_timeout: Some(micros_of(policy.stall_timeout)),
         breaker: Some((policy.breaker.threshold, micros_of(policy.breaker.window))),
@@ -1534,12 +1516,7 @@ pub fn run_live_server_with(
     if let Some(e) = driver.fatal.take() {
         return Err(e);
     }
-    let failure = driver.kernel.take_fleet_loss().map(|fl| FailureSummary {
-        workers_lost: fl.workers_lost,
-        quarantined: fl.quarantined,
-        unprocessed_kb: fl.unprocessed_kb,
-        detail: fl.detail,
-    });
+    let failure = driver.kernel.take_fleet_loss();
 
     // --- Aggregate. ---
     let mut results = BTreeMap::new();

@@ -11,7 +11,7 @@
 
 use crate::engine::{Engine, EngineConfig, EngineOutcome, FailureInjection};
 use cwc_device::{Phone, PlugState};
-use cwc_profiler::{generate_study, parse_intervals, study_population, ChargingInterval};
+use cwc_profiler::{parse_intervals, study_population, ChargingInterval};
 use cwc_sim::RngStreams;
 use cwc_types::{CwcResult, JobSpec, Micros};
 
@@ -48,34 +48,17 @@ impl OvernightPlan {
     }
 }
 
-/// Builds the plan for `fleet_size` phones over the night of `night_idx`
-/// (0-based day in a `history_days`-day behavior history).
+/// Builds the plan for `fleet_size` phones over a `window` starting at
+/// `start_hour` of day `night_idx` (0-based day in a `history_days`-day
+/// behavior history). `start_hour` counts hours past midnight of that
+/// day; values ≥ 24 reach into the next morning. [`NIGHT_START_HOUR`] is
+/// the overnight window; a 6 a.m. start (`start_hour = 30`) lands in the
+/// morning unplug wave of Fig. 3 — the adversarial regime where the
+/// failure-prediction extension earns its keep.
 ///
 /// Each phone is assigned volunteer `i % 15`'s behavior, with per-phone
 /// randomness from the seed, so two phones sharing a profile still act
 /// independently.
-pub fn plan_overnight(
-    fleet_size: usize,
-    seed: u64,
-    night_idx: u32,
-    window: Micros,
-    history_days: u32,
-) -> OvernightPlan {
-    plan_window(
-        fleet_size,
-        seed,
-        night_idx,
-        window,
-        history_days,
-        NIGHT_START_HOUR,
-    )
-}
-
-/// Like [`plan_overnight`] but with an arbitrary window start hour
-/// (hours past midnight of the chosen day; values ≥ 24 reach into the
-/// next morning). A 6 a.m. start (`start_hour = 30`) lands in the
-/// morning unplug wave of Fig. 3 — the adversarial regime where the
-/// failure-prediction extension earns its keep.
 pub fn plan_window(
     fleet_size: usize,
     seed: u64,
@@ -207,19 +190,10 @@ pub fn run_overnight(
     Engine::new(fleet, jobs, plan.injections.clone(), config)?.run()
 }
 
-/// Convenience: regenerate the behavior history used by a plan (for
-/// inspection or plotting).
-pub fn behavior_history(seed: u64, days: u32) -> Vec<ChargingInterval> {
-    let streams = RngStreams::new(seed);
-    let mut rng = streams.stream("users");
-    let profiles = study_population(&mut rng);
-    parse_intervals(&generate_study(&profiles, days, &streams))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::testbed_fleet;
+    use crate::testbed::testbed_fleet;
     use crate::workload::WorkloadBuilder;
 
     fn jobs(n: usize) -> Vec<JobSpec> {
@@ -229,7 +203,7 @@ mod tests {
     }
 
     fn plan() -> OvernightPlan {
-        plan_overnight(18, 11, 3, Micros::from_hours(8), 28)
+        plan_window(18, 11, 3, Micros::from_hours(8), 28, NIGHT_START_HOUR)
     }
 
     #[test]

@@ -41,6 +41,10 @@ use cwc_device::Phone;
 use cwc_types::{CwcError, CwcResult, JobSpec, Micros, PhoneId};
 use std::collections::BTreeMap;
 
+/// Maximum residual steal rounds after shard losses (2 covers a survivor
+/// shard dying during round 1).
+const MAX_STEAL_ROUNDS: u32 = 2;
+
 /// Knobs for a sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -54,9 +58,6 @@ pub struct ShardConfig {
     /// shard)` and are recorded on each [`ShardOutcome`], so a chaos plan
     /// can derive its per-shard faults from them.
     pub seed: u64,
-    /// Maximum residual steal rounds after shard losses (2 covers a
-    /// survivor shard dying during round 1).
-    pub steal_rounds: u32,
     /// Per-shard engine configuration. `reliability` is split by shard
     /// membership; `obs` is **not** shared — every shard records to a
     /// fresh handle so command streams stay independent.
@@ -69,7 +70,6 @@ impl Default for ShardConfig {
             shards: 1,
             threads: 0,
             seed: 0,
-            steal_rounds: 2,
             base: EngineConfig::default(),
         }
     }
@@ -348,7 +348,7 @@ impl FleetEngine {
 
         // Steal rounds: survivors re-run the dead shards' shortfall.
         let mut steal_rounds = 0u32;
-        for _ in 0..self.cfg.steal_rounds {
+        for _ in 0..MAX_STEAL_ROUNDS {
             if !allocator.has_pending() || survivors.is_empty() {
                 break;
             }
@@ -486,7 +486,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetBuilder;
+    use crate::testbed::FleetBuilder;
     use crate::workload::WorkloadBuilder;
 
     fn jobs(n: usize) -> Vec<JobSpec> {

@@ -200,20 +200,6 @@ impl<E> Simulation<E> {
             self.clock = deadline;
         }
     }
-
-    /// Runs while `predicate` holds (checked before each dispatch).
-    pub fn run_while<F, P>(&mut self, mut predicate: P, mut handler: F)
-    where
-        F: FnMut(&mut Simulation<E>, E),
-        P: FnMut(&Simulation<E>) -> bool,
-    {
-        while predicate(self) {
-            match self.pop() {
-                Some((_, ev)) => handler(self, ev),
-                None => break,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -329,17 +315,5 @@ mod tests {
         sim.run(|_, _| {});
         assert_eq!(sim.events_dispatched(), 2);
         assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn run_while_respects_predicate() {
-        let mut sim = Simulation::new();
-        for i in 0..10 {
-            sim.schedule_at(Micros::from_secs(i), i);
-        }
-        let seen = std::cell::Cell::new(0u64);
-        sim.run_while(|_| seen.get() < 4, |_, _| seen.set(seen.get() + 1));
-        assert_eq!(seen.get(), 4);
-        assert_eq!(sim.pending(), 6);
     }
 }

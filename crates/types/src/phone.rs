@@ -77,13 +77,6 @@ impl CpuSpec {
         assert!(cores > 0, "core count must be nonzero");
         CpuSpec { clock_mhz, cores }
     }
-
-    /// Expected single-core speedup of this CPU relative to `baseline`
-    /// (the clock-ratio model of §4.1, validated in Fig. 6).
-    #[inline]
-    pub fn speedup_over(self, baseline: CpuSpec) -> f64 {
-        f64::from(self.clock_mhz) / f64::from(baseline.clock_mhz)
-    }
 }
 
 impl fmt::Display for CpuSpec {
@@ -166,14 +159,6 @@ mod tests {
         assert!(!RadioTech::Edge.is_wifi());
         assert!(!RadioTech::ThreeG.is_wifi());
         assert!(!RadioTech::FourG.is_wifi());
-    }
-
-    #[test]
-    fn cpu_speedup_matches_clock_ratio() {
-        let slow = CpuSpec::new(806, 2);
-        let fast = CpuSpec::new(1_500, 2);
-        let s = fast.speedup_over(slow);
-        assert!((s - 1_500.0 / 806.0).abs() < 1e-12);
     }
 
     #[test]

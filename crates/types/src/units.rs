@@ -267,12 +267,6 @@ impl MsPerKb {
         MsPerKb(1_000.0 / kbps)
     }
 
-    /// The equivalent throughput in KB per second.
-    #[inline]
-    pub fn as_kb_per_sec(self) -> f64 {
-        1_000.0 / self.0
-    }
-
     /// Time to move/process `size` at this rate.
     #[inline]
     pub fn time_for(self, size: KiloBytes) -> Micros {
@@ -375,7 +369,6 @@ mod tests {
     #[test]
     fn rate_throughput_round_trip() {
         let r = MsPerKb::from_kb_per_sec(500.0);
-        assert!((r.as_kb_per_sec() - 500.0).abs() < 1e-9);
         assert!((r.0 - 2.0).abs() < 1e-9);
     }
 

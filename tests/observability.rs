@@ -75,7 +75,8 @@ fn engine_run_produces_jsonl_events_and_a_metrics_report() {
     assert!(obs.metrics.histogram("span.execute_ms").count() > 0);
 
     // --- Per-phone bytes transferred. ---
-    let per_phone = obs.metrics.counters_with_prefix("net.kb_transferred.");
+    let mut per_phone = obs.metrics.report().counters;
+    per_phone.retain(|(name, _)| name.starts_with("net.kb_transferred."));
     assert!(
         per_phone.len() >= 2,
         "expected several phones to receive data, got {per_phone:?}"
