@@ -44,7 +44,7 @@
 
 use crate::pack::PackScratch;
 use crate::problem::SchedProblem;
-use crate::schedule::{assign_offsets, Schedule};
+use crate::schedule::Schedule;
 use cwc_types::{CwcError, CwcResult};
 
 /// Multiplier applied to the warm-start guess so a residual problem
@@ -216,7 +216,7 @@ impl GreedyScheduler {
     ) -> CwcResult<(Schedule, GreedyStats, WarmStart)> {
         let mut stats = GreedyStats::default();
         let tables = problem.tables();
-        let mut scratch = PackScratch::new(problem);
+        let mut scratch = PackScratch::new(problem, &tables);
         let ub0 = tables.upper_bound_ms();
         let lb0 = tables.lower_bound_ms();
 
@@ -318,32 +318,23 @@ impl GreedyScheduler {
             stats.probes_saved = cold_calls.saturating_sub(stats.pack_calls);
         }
 
-        let Some(mut per_phone) = scratch.take_best() else {
+        let Some(schedule) = scratch.best_schedule() else {
             return Err(CwcError::Infeasible(
                 "greedy packing failed even at the worst-bin capacity".into(),
             ));
         };
-        assign_offsets(&mut per_phone, problem);
-        let schedule = Schedule {
-            per_phone,
-            predicted_makespan_ms: 0.0,
-        };
-        let predicted = schedule
-            .predicted_heights_ms(problem)
-            .into_iter()
-            .fold(0.0f64, f64::max);
+        debug_assert_eq!(
+            schedule.predicted_makespan_ms.to_bits(),
+            (schedule.predicted_heights_ms(problem).into_iter())
+                .fold(0.0f64, f64::max)
+                .to_bits(),
+            "the packer's bin heights disagree with the cost model's"
+        );
         let next = WarmStart {
             hi_ms: hi,
             lb_ms: if lb0 > 0.0 { lb0 } else { hi },
         };
-        Ok((
-            Schedule {
-                predicted_makespan_ms: predicted,
-                ..schedule
-            },
-            stats,
-            next,
-        ))
+        Ok((schedule, stats, next))
     }
 }
 
@@ -486,7 +477,9 @@ pub mod reference {
         let mut off_newest = 0;
         let bins = pack(problem, capacity_ms, &mut off_newest)?;
         assert_eq!(off_newest, 0, "a placement skipped the newest bin");
-        Some(bins.into_iter().map(|b| b.queue).collect())
+        let mut per_phone: Vec<Vec<Assignment>> = bins.into_iter().map(|b| b.queue).collect();
+        assign_offsets(&mut per_phone, problem);
+        Some(per_phone)
     }
 
     /// Algorithm 1 as the seed implemented it: fresh allocations and a

@@ -2,8 +2,9 @@
 //!
 //! [`PackScratch`] holds every piece of per-probe working state the
 //! greedy packer needs — bin open flags, which bin each job's executable
-//! last went to, per-bin assignment queues, and the sorted item list — so
-//! a `schedule()` call allocates once and every binary-search probe just
+//! last went to, a placement log with per-bin heights, each cost
+//! column's rate order, and the sorted item list — so a `schedule()`
+//! call allocates once and every binary-search probe just
 //! resets and reuses the arena. The packer makes the seed's decisions
 //! (the proptests hold it byte-identical to [`crate::greedy::reference`]);
 //! what differs is how little of the seed's searching it repeats.
@@ -28,26 +29,25 @@
 //! * **Costs are read along the axis the loop walks**
 //!   ([`CostTables`]). Step 2 — which unopened bin minimises Eq. 1 for
 //!   the head item — fixes a job and varies the phone, so it reads the
-//!   job's contiguous `per_kb` *column*, which every job of the same
-//!   program shares: Step 2 keeps re-reading a few hot columns (8 KB
-//!   each at 1 000 phones), not a fresh one per job. The fill
-//!   fixes the phone and varies the job, so it reads the phone's *row* —
-//!   which the problem's own `c[i]` already is: `b_i + c[i][j]` is one
-//!   add on the spot, and the row (8 KB at 1 000 jobs) stays in L1 for
-//!   the whole pass. The executable cost `E_j · b_i` is not a table
-//!   either: one multiply of two vector entries.
+//!   job's `per_kb` *column* (in rate order, under "Search order"),
+//!   which every job of the same program shares: Step 2 keeps
+//!   re-reading a few hot columns (8 KB each at 1 000 phones), not a
+//!   fresh one per job. The fill fixes the phone and varies the job,
+//!   and visits only a few items per bin (≈ 3 on a 1 000 × 1 000
+//!   search), so whatever it reads is cold for each new bin; it reads
+//!   the same columns, a cache line per column, where the phone's row
+//!   of `c` would be a line per eight jobs. The executable cost
+//!   `E_j · b_i` is not a table either: one multiply of two vector
+//!   entries.
 //! * **Step 2 tests the winner only.** The seed tests every unopened
 //!   bin for fit and keeps the cheapest that passes. Here the cheapest
-//!   unopened bin is found first — `E_j · b_i + remaining · per_kb` over
-//!   the column in groups of [`LANES`] phones, straight-line arithmetic
-//!   with an open bin priced out by adding `+∞` (and an unopened one
-//!   left alone by adding `0.0`), first index of the minimum — and the
-//!   fit test runs on that one bin. A bin that is cheapest of all and
-//!   fits is the cheapest that fits, and the lowest index among all of
-//!   equal cost is the lowest among those that fit, so this is the
-//!   seed's choice; when the winner does not fit (a RAM-capped phone, a
-//!   capacity too tight for the item anywhere cheap) the
-//!   candidate-by-candidate scan decides, as before.
+//!   unopened bin is found first, fit or no fit (how, under "Search
+//!   order"), and the fit test runs on that one bin. A bin that is
+//!   cheapest of all and fits is the cheapest that fits, and the lowest
+//!   index among all of equal cost is the lowest among those that fit,
+//!   so this is the seed's choice; when the winner does not fit (a
+//!   RAM-capped phone, a capacity too tight for the item anywhere
+//!   cheap) the candidate-by-candidate scan decides, as before.
 //! * **Fit is decided with a multiply-compare.** Whether an item fits is
 //!   `floor(usable / per_kb) ≥ n` in the seed; here `need = exe + n ·
 //!   per_kb` is compared against the room first, with the
@@ -76,6 +76,18 @@
 //!   With equal keys, `partition_point` on `key > new_key` inserts the
 //!   shrunk item *before* later equal-key items, exactly where a stable
 //!   sort puts it.
+//! * **Rate order.** Each distinct cost column's phones are sorted by
+//!   rate once per `schedule()` call, and Step 2 walks them in that
+//!   order from a per-probe cursor past the prefix already open. Every
+//!   phone not yet walked costs at least `E_j · b_min + remaining ·
+//!   rate`: `b_min` is the fleet's cheapest link, the rate only rises,
+//!   and IEEE products and sums round monotonically. The walk stops when
+//!   that floor is strictly above the least cost seen, so a later phone
+//!   of exactly equal cost is still reached and the lower index wins the
+//!   tie, as in the seed's scan. Step 2 then reads a few phones of a hot
+//!   column instead of all P. The sort is P log P per column, paid
+//!   whether or not the column is read often; a batch whose every job
+//!   has a cost column of its own pays it J times (DESIGN.md §10).
 //! * **Resumable scan.** The seed restarts Step 1 at the head after
 //!   every placement. While one bin fills, its room only shrinks and its
 //!   shipped flag only flips for the job just placed (whose shrunk
@@ -84,9 +96,18 @@
 //!   it resumes where [`PackScratch::consume`] says the item after the
 //!   placement now sits, and never rewinds.
 //!
-//! The binary search keeps the queues of the most recent *successful*
-//! probe by swapping two pre-allocated queue sets (`queues` ↔
-//! `best_queues`) — an `O(1)` pointer swap instead of a clone.
+//! # One placement log
+//!
+//! A probe records its placements in one flat log, `(bin, job, KB)` in
+//! the order they are made — a bin's placements are one contiguous run,
+//! since bins fill one at a time — and each bin's height as its fill
+//! ends. The binary search keeps the most recent *successful* probe by
+//! swapping the log and heights with a second pair (`O(1)`, no clone);
+//! after the search the per-phone queues are built from the winning log
+//! once, each job's pieces cut at consecutive offsets in phone order,
+//! and the predicted makespan is the tallest of the winning heights —
+//! the same sums, in the same order, as
+//! [`Schedule::predicted_heights_ms`] makes from the queues.
 
 // Panic-safety (DESIGN.md §8): this runs at every scheduling instant,
 // on the failure-recovery path where a panic takes the fleet down.
@@ -101,7 +122,7 @@
 )]
 
 use crate::problem::{fit_kb, CostTables, SchedProblem};
-use crate::schedule::Assignment;
+use crate::schedule::{Assignment, Schedule};
 use cwc_types::{JobId, KiloBytes, PhoneId};
 
 /// Safety margin for every multiply-compare that stands in for the
@@ -111,30 +132,92 @@ use cwc_types::{JobId, KiloBytes, PhoneId};
 /// account for. In between, the exact test decides.
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
-/// Phones Step 2 prices per straight-line group (one cache line of a
-/// cost column); the cost tables' worst-bin maxima use the same groups.
-pub(crate) const LANES: usize = 8;
-
-/// The least of one group's costs (finite or `+∞`, never NaN), by
-/// halving: lane against lane, so the group costs three dependent
-/// minima rather than one per phone.
-fn least_of(mut costs: [f64; LANES]) -> f64 {
-    let mut width = LANES;
-    while width > 1 {
-        width /= 2;
-        let (low, high) = costs.split_at_mut(width);
-        for (a, &b) in low.iter_mut().zip(high.iter()) {
-            *a = if b < *a { b } else { *a };
-        }
-    }
-    costs.first().copied().unwrap_or(f64::INFINITY)
-}
-
 /// A sortable item: job index + remaining input.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Item {
     pub(crate) job: usize,
     pub(crate) remaining: KiloBytes,
+}
+
+/// One entry of a probe's placement log: `kb` of job `job` in bin `bin`.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    bin: usize,
+    job: usize,
+    kb: KiloBytes,
+}
+
+/// Step 2's view of one cost column (module docs, "Rate order").
+#[derive(Debug)]
+struct RateOrder {
+    /// `(per_kb, phone)` for every phone, by increasing rate, ties by
+    /// index.
+    by_rate: Vec<(f64, usize)>,
+    /// Every phone in `by_rate[..open_prefix]` is open; reset per probe.
+    open_prefix: usize,
+}
+
+impl RateOrder {
+    fn new(col: &[f64]) -> RateOrder {
+        let mut by_rate: Vec<(f64, usize)> = col.iter().copied().zip(0..).collect();
+        by_rate.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        RateOrder {
+            by_rate,
+            open_prefix: 0,
+        }
+    }
+
+    /// The unopened phone of least Eq. 1 cost, ties to the lowest
+    /// index, visiting phones by rate from past the open prefix. Every
+    /// phone not yet visited costs at least `E_j · b_min + remaining ·
+    /// rate` — both products and the sum round monotonically — so the
+    /// walk stops once that floor is strictly above the least cost seen:
+    /// a later phone that ties it is still reached.
+    fn cheapest(&mut self, eq1: &Eq1<'_>, opened: &[bool], least_bandwidth: f64) -> Option<usize> {
+        let open = |i: usize| opened.get(i).copied().unwrap_or(true);
+        while self
+            .by_rate
+            .get(self.open_prefix)
+            .is_some_and(|&(_, i)| open(i))
+        {
+            self.open_prefix += 1;
+        }
+        let exe_floor = eq1.exe_kb * least_bandwidth;
+        let mut best: Option<(usize, f64)> = None;
+        for &(per, i) in self.by_rate.get(self.open_prefix..).unwrap_or_default() {
+            if best.is_some_and(|(_, least)| exe_floor + eq1.remaining * per > least) {
+                break;
+            }
+            let Some(&b) = eq1.bandwidths.get(i) else {
+                continue;
+            };
+            if open(i) {
+                continue;
+            }
+            let cost = eq1.cost(per, b);
+            if best.is_none_or(|(w, least)| cost < least || (cost == least && i < w)) {
+                best = Some((i, cost));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+}
+
+/// Eq. 1 for the whole of Step 2's item, over its job's cost column.
+struct Eq1<'t> {
+    exe_kb: f64,
+    remaining: f64,
+    col: &'t [f64],
+    bandwidths: &'t [f64],
+}
+
+impl Eq1<'_> {
+    /// `E_j · b_i + remaining · per_kb`: the seed's operations in the
+    /// seed's order, so the bits are the seed's.
+    #[inline]
+    fn cost(&self, per: f64, b: f64) -> f64 {
+        self.exe_kb * b + self.remaining * per
+    }
 }
 
 /// Reusable per-`schedule()` packing arena (see module docs).
@@ -145,18 +228,26 @@ pub(crate) struct PackScratch {
     /// The probe's item list; `items[head..]` are still to be placed.
     items: Vec<Item>,
     head: usize,
-    /// Per bin, what Step 2 adds to its Eq. 1 cost: `0.0` while the bin
-    /// is unopened, `+∞` once it is open (a bin opens once per probe).
-    penalty: Vec<f64>,
+    /// Per bin, whether it is open (a bin opens once per probe).
+    opened: Vec<bool>,
     /// `shipped_to[j]`: the bin job `j` was last placed in, so
     /// `shipped_to[j] == k` says the newest bin `k` already holds the
     /// job's executable (`usize::MAX`: placed nowhere yet).
     shipped_to: Vec<usize>,
-    /// Working queues for the probe in flight.
-    queues: Vec<Vec<Assignment>>,
-    /// Queues of the most recent successful probe (swapped in, not cloned).
-    best_queues: Vec<Vec<Assignment>>,
+    /// The probe's placements in the order they were made; a bin's
+    /// placements are one contiguous run (bins fill one at a time).
+    log: Vec<Placement>,
+    /// Per bin, its height once filled (`0.0` while unopened).
+    heights: Vec<f64>,
+    /// Log and heights of the most recent successful probe (swapped
+    /// in, not cloned).
+    best_log: Vec<Placement>,
+    best_heights: Vec<f64>,
     has_best: bool,
+    /// Step 2's rate order, one per distinct cost column.
+    orders: Vec<RateOrder>,
+    /// `min_i b_i`: the executable term's floor in the rate-order walk.
+    least_bandwidth: f64,
     /// Per-job atomicity flags.
     atomic: Vec<bool>,
     /// `key_rate[j] = c[slowest][j]` — the sort-key rate.
@@ -167,7 +258,7 @@ pub(crate) struct PackScratch {
 
 impl PackScratch {
     /// Allocates the arena for `problem` and sorts the item template.
-    pub(crate) fn new(problem: &SchedProblem) -> PackScratch {
+    pub(crate) fn new(problem: &SchedProblem, tables: &CostTables) -> PackScratch {
         let num_phones = problem.num_phones();
         let s = problem.slowest_phone();
         let key_rate: Vec<f64> = problem.c.get(s).cloned().unwrap_or_default();
@@ -192,11 +283,19 @@ impl PackScratch {
             items: Vec::with_capacity(template.len()),
             head: 0,
             template,
-            penalty: vec![0.0; num_phones],
+            opened: vec![false; num_phones],
             shipped_to: vec![usize::MAX; problem.num_jobs()],
-            queues: (0..num_phones).map(|_| Vec::new()).collect(),
-            best_queues: (0..num_phones).map(|_| Vec::new()).collect(),
+            log: Vec::new(),
+            heights: vec![0.0; num_phones],
+            best_log: Vec::new(),
+            best_heights: vec![0.0; num_phones],
             has_best: false,
+            orders: tables.columns().map(RateOrder::new).collect(),
+            least_bandwidth: tables
+                .bandwidths()
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min),
             atomic: problem.jobs.iter().map(|j| j.kind.is_atomic()).collect(),
             key_rate,
             phone_ids: problem.phones.iter().map(|p| p.id).collect(),
@@ -205,9 +304,9 @@ impl PackScratch {
     }
 
     /// Algorithm 1: packs all items with bin capacity `capacity_ms` into
-    /// the arena's working queues. Returns `false` when the capacity is
+    /// the arena's placement log. Returns `false` when the capacity is
     /// infeasible (Algorithm 1 lines 23–25).
-    pub(crate) fn pack(&mut self, tables: &CostTables<'_>, capacity_ms: f64) -> bool {
+    pub(crate) fn pack(&mut self, tables: &CostTables, capacity_ms: f64) -> bool {
         self.reset();
         while let Some(item) = self.items.get(self.head).copied() {
             // Step 2: nothing fits the open bins — open a new one for the
@@ -215,8 +314,8 @@ impl PackScratch {
             let Some(i) = self.cheapest_unopened_bin(tables, item, capacity_ms) else {
                 return false;
             };
-            if let Some(penalty) = self.penalty.get_mut(i) {
-                *penalty = f64::INFINITY;
+            if let Some(opened) = self.opened.get_mut(i) {
+                *opened = true;
             }
             let fit = tables.max_fit_kb(i, item.job, capacity_ms, true);
             let take = fit.min(item.remaining);
@@ -225,7 +324,10 @@ impl PackScratch {
             self.consume(self.head, take);
             // Step 1, until the next bin opens: only this bin can accept
             // an item (module docs).
-            self.fill(tables, i, height_ms, capacity_ms);
+            let height_ms = self.fill(tables, i, height_ms, capacity_ms);
+            if let Some(height) = self.heights.get_mut(i) {
+                *height = height_ms;
+            }
         }
         true
     }
@@ -234,27 +336,27 @@ impl PackScratch {
     /// if atomic, one KB otherwise) at the least Eq. 1 cost for the whole
     /// item, ties to the lowest phone index.
     ///
-    /// The cheapest unopened bin is found first, fit or no fit — a
-    /// branch-free minimum over the job's column, [`LANES`] phones at a
-    /// time, an open bin priced out by its `+∞` penalty — and the fit test
-    /// runs on that winner alone. If the item fits it, no fitting bin is
-    /// cheaper and none of equal cost has a lower index, so it is the bin
-    /// the candidate-by-candidate scan picks; if not, that scan decides.
+    /// The cheapest unopened bin is found first, fit or no fit, by a walk
+    /// in rate order, and the fit test runs on that winner alone. If the
+    /// item fits it, no fitting bin is cheaper and none of equal cost has
+    /// a lower index, so it is the bin the candidate-by-candidate scan
+    /// picks; if not, that scan decides.
     fn cheapest_unopened_bin(
-        &self,
-        tables: &CostTables<'_>,
+        &mut self,
+        tables: &CostTables,
         item: Item,
         capacity_ms: f64,
     ) -> Option<usize> {
         let atomic = self.atomic.get(item.job).copied().unwrap_or(false);
-        let remaining = item.remaining.as_f64();
         let exe_kb = tables.exe_kbs().get(item.job).copied().unwrap_or(0.0);
         let min_kb = if atomic { item.remaining.0 } else { 1 };
-        let (col, bandwidths, ram_caps) =
-            (tables.col(item.job), tables.bandwidths(), tables.ram_caps());
-        // Eq. 1 for the whole item. `cost + 0.0` is `cost` to the bit, so
-        // an unopened bin compares here exactly as it does below.
-        let priced = |per: f64, b: f64, penalty: f64| exe_kb * b + remaining * per + penalty;
+        let ram_caps = tables.ram_caps();
+        let eq1 = Eq1 {
+            exe_kb,
+            remaining: item.remaining.as_f64(),
+            col: tables.col(item.job),
+            bandwidths: tables.bandwidths(),
+        };
         let fits = |per: f64, b: f64, ram: u64| {
             let exe = exe_kb * b;
             let need = exe + min_kb as f64 * per;
@@ -264,55 +366,29 @@ impl PackScratch {
             need <= capacity_ms * PRUNE_MARGIN || fit_kb(capacity_ms, exe, per, ram).0 >= min_kb
         };
 
-        let (per_groups, per_rest) = col.as_chunks::<LANES>();
-        let (b_groups, b_rest) = bandwidths.as_chunks::<LANES>();
-        let (penalty_groups, penalty_rest) = self.penalty.as_chunks::<LANES>();
-        // The least cost of all, and where the first group holding it
-        // starts (`<`, not `≤`: the lowest index wins a tie).
-        let (mut least, mut start) = (f64::INFINITY, 0);
-        let groups = per_groups.iter().zip(b_groups).zip(penalty_groups);
-        for (k, ((per, b), penalty)) in groups.enumerate() {
-            let mut costs = [0.0; LANES];
-            let lanes = costs.iter_mut().zip(per).zip(b).zip(penalty);
-            for (((cost, &per), &b), &penalty) in lanes {
-                *cost = priced(per, b, penalty);
-            }
-            let low = least_of(costs);
-            if low < least {
-                (least, start) = (low, k * LANES);
-            }
-        }
-        let rest = per_rest.iter().zip(b_rest).zip(penalty_rest);
-        let low = rest.fold(f64::INFINITY, |low, ((&per, &b), &penalty)| {
-            low.min(priced(per, b, penalty))
-        });
-        if low < least {
-            (least, start) = (low, per_groups.len() * LANES);
-        }
-        let winner = col
-            .iter()
-            .zip(bandwidths)
-            .zip(&self.penalty)
-            .zip(ram_caps)
-            .enumerate()
-            .skip(start)
-            .take(LANES)
-            .find(|(_, (((&per, &b), &penalty), _))| priced(per, b, penalty) == least);
-        if let Some((i, (((&per, &b), _), &ram))) = winner {
-            if least < f64::INFINITY && fits(per, b, ram) {
+        let winner = (self.orders.get_mut(tables.column_index(item.job)))
+            .and_then(|order| order.cheapest(&eq1, &self.opened, self.least_bandwidth))
+            .and_then(|i| {
+                let (per, b, ram) = (eq1.col.get(i)?, eq1.bandwidths.get(i)?, ram_caps.get(i)?);
+                Some((i, *per, *b, *ram))
+            });
+        if let Some((i, per, b, ram)) = winner {
+            if fits(per, b, ram) {
                 return Some(i);
             }
         }
 
         // The winner is open or cannot hold the item: every candidate in
         // index order, a costlier one dropped before its fit is tested.
-        let candidates = self.penalty.iter().zip(col).zip(bandwidths).zip(ram_caps);
+        let candidates = (self.opened.iter().zip(eq1.col))
+            .zip(eq1.bandwidths)
+            .zip(ram_caps);
         let mut best: Option<(usize, f64)> = None;
-        for (i, (((&penalty, &per), &b), &ram)) in candidates.enumerate() {
-            if penalty != 0.0 {
+        for (i, (((&open, &per), &b), &ram)) in candidates.enumerate() {
+            if open {
                 continue;
             }
-            let cost = priced(per, b, 0.0);
+            let cost = eq1.cost(per, b);
             if best.is_some_and(|(_, c)| cost >= c) || !fits(per, b, ram) {
                 continue;
             }
@@ -326,32 +402,32 @@ impl PackScratch {
     /// fitting partition of a breakable one), until the bin's room is
     /// below its phone's cheapest per-KB rate — no job, breakable or
     /// atomic, shipped or not, can fit it then — or the list ends.
-    fn fill(&mut self, tables: &CostTables<'_>, i: usize, mut height_ms: f64, capacity_ms: f64) {
+    /// Returns the bin's final height.
+    fn fill(&mut self, tables: &CostTables, i: usize, mut height_ms: f64, capacity_ms: f64) -> f64 {
         let (Some(&b), Some(&ram)) = (tables.bandwidths().get(i), tables.ram_caps().get(i)) else {
-            return;
+            return height_ms;
         };
-        let (costs, exe_kbs) = (tables.compute_row(i), tables.exe_kbs());
+        let exe_kbs = tables.exe_kbs();
         let dead_below = tables.row_min_ms(i) * PRUNE_MARGIN;
         let mut idx = self.head;
         loop {
             let room = capacity_ms - height_ms;
             if room < dead_below {
-                return;
+                return height_ms;
             }
             let Some(item) = self.items.get(idx).copied() else {
-                return;
+                return height_ms;
             };
             let at = idx;
             idx += 1;
-            let (Some(&c), Some(&exe_kb), Some(&atomic), Some(&shipped_to)) = (
-                costs.get(item.job),
+            let (Some(&exe_kb), Some(&atomic), Some(&shipped_to)) = (
                 exe_kbs.get(item.job),
                 self.atomic.get(item.job),
                 self.shipped_to.get(item.job),
             ) else {
                 continue;
             };
-            let per = b + c;
+            let per = tables.per_kb_ms(i, item.job);
             let exe = if shipped_to == i { 0.0 } else { exe_kb * b };
             // A multiply-compare rejects without paying the fit's
             // division; the margin guarantees it never rejects an item
@@ -381,56 +457,91 @@ impl PackScratch {
         problem: &SchedProblem,
         capacity_ms: f64,
     ) -> Option<Vec<Vec<Assignment>>> {
-        let mut scratch = PackScratch::new(problem);
-        if !scratch.pack(&problem.tables(), capacity_ms) {
+        let tables = problem.tables();
+        let mut scratch = PackScratch::new(problem, &tables);
+        if !scratch.pack(&tables, capacity_ms) {
             return None;
         }
         scratch.mark_success();
-        scratch.take_best()
+        scratch.best_schedule().map(|s| s.per_phone)
     }
 
-    /// Keeps the working queues as the best packing so far (O(1) swap).
+    /// Keeps the probe just packed as the best so far (O(1) swaps).
     pub(crate) fn mark_success(&mut self) {
-        std::mem::swap(&mut self.queues, &mut self.best_queues);
+        std::mem::swap(&mut self.log, &mut self.best_log);
+        std::mem::swap(&mut self.heights, &mut self.best_heights);
         self.has_best = true;
     }
 
-    /// Hands out the queues of the last successful probe, if any.
-    pub(crate) fn take_best(&mut self) -> Option<Vec<Vec<Assignment>>> {
+    /// The last successful probe as a schedule, if there was one: each
+    /// phone's queue in placement order, each job's pieces cut at
+    /// consecutive offsets in phone order, and the tallest bin as the
+    /// predicted makespan.
+    pub(crate) fn best_schedule(&self) -> Option<Schedule> {
         if !self.has_best {
             return None;
         }
-        Some(std::mem::take(&mut self.best_queues))
+        // Where each bin's run of the log lies.
+        let mut runs = vec![0..0; self.phone_ids.len()];
+        let mut start = 0;
+        for run in self.best_log.chunk_by(|a, b| a.bin == b.bin) {
+            if let Some(slot) = run.first().and_then(|p| runs.get_mut(p.bin)) {
+                *slot = start..start + run.len();
+            }
+            start += run.len();
+        }
+        let mut cursor = vec![0u64; self.job_ids.len()];
+        let per_phone = (runs.into_iter().zip(&self.phone_ids))
+            .map(|(run, &phone)| {
+                let placements = self.best_log.get(run).unwrap_or_default();
+                (placements.iter())
+                    .map(|p| {
+                        let offset = cursor.get_mut(p.job).map_or(0, |at| {
+                            *at += p.kb.0;
+                            *at - p.kb.0
+                        });
+                        Assignment {
+                            phone,
+                            job: self.job_ids.get(p.job).copied().unwrap_or(JobId(u32::MAX)),
+                            input_kb: p.kb,
+                            offset_kb: KiloBytes(offset),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let tallest = self.best_heights.iter().copied().fold(0.0f64, f64::max);
+        Some(Schedule {
+            per_phone,
+            predicted_makespan_ms: tallest,
+        })
     }
 
     fn reset(&mut self) {
         self.items.clear();
         self.items.extend_from_slice(&self.template);
         self.head = 0;
-        self.penalty.fill(0.0);
+        self.opened.fill(false);
         self.shipped_to.fill(usize::MAX);
-        for q in &mut self.queues {
-            q.clear();
+        self.log.clear();
+        self.heights.fill(0.0);
+        for order in &mut self.orders {
+            order.open_prefix = 0;
         }
     }
 
-    /// Records a partition in bin `i`'s queue; the job's executable is
-    /// on that phone from now on.
+    /// Logs a partition into bin `i`; the job's executable is on that
+    /// phone from now on.
     fn commit(&mut self, i: usize, job: usize, take: KiloBytes) {
         debug_assert!(take.0 >= 1);
         if let Some(bin) = self.shipped_to.get_mut(job) {
             *bin = i;
         }
-        let phone = self.phone_ids.get(i).copied().unwrap_or(PhoneId(u32::MAX));
-        let job_id = self.job_ids.get(job).copied().unwrap_or(JobId(u32::MAX));
-        if let Some(q) = self.queues.get_mut(i) {
-            q.push(Assignment {
-                phone,
-                job: job_id,
-                input_kb: take,
-                offset_kb: KiloBytes::ZERO, // assigned later
-            });
-        }
+        self.log.push(Placement {
+            bin: i,
+            job,
+            kb: take,
+        });
     }
 
     /// Removes `take` KB from item `idx`; a remainder is reinserted at
@@ -480,16 +591,35 @@ impl PackScratch {
 mod tests {
     use super::*;
     use crate::greedy::reference;
-    use crate::problem::test_support::{costs, phones};
+    use crate::problem::test_support::{costs, instance, phones};
     use cwc_types::JobSpec;
 
-    /// One probe of the arena packer and of the seed packer, which must
-    /// agree; returns the per-phone `(job, KB)` queues.
+    /// One probe of the seed packer and the same probe twice on one
+    /// arena, which must agree each time (the second starts from the
+    /// first's state); returns the per-phone `(job, KB)` queues.
     fn packed(problem: &SchedProblem, capacity_ms: f64) -> Option<Vec<Vec<(u32, u64)>>> {
-        let fast = PackScratch::pack_queues(problem, capacity_ms);
-        assert_eq!(fast, reference::pack_queues(problem, capacity_ms));
+        let want = reference::pack_queues(problem, capacity_ms);
+        let tables = problem.tables();
+        let mut scratch = PackScratch::new(problem, &tables);
+        for probe in 0..2 {
+            let got = scratch.pack(&tables, capacity_ms).then(|| {
+                scratch.mark_success();
+                scratch.best_schedule().map(|s| s.per_phone).unwrap()
+            });
+            assert_eq!(got, want, "probe {probe}");
+        }
         let brief = |q: Vec<Assignment>| q.iter().map(|a| (a.job.0, a.input_kb.0)).collect();
-        fast.map(|queues| queues.into_iter().map(brief).collect())
+        want.map(|queues| queues.into_iter().map(brief).collect())
+    }
+
+    /// Phones whose link costs `b[i]` ms/KB and whose per-KB compute
+    /// cost for job `j` is `c[i][j]`, with one job per entry of `jobs`.
+    fn hand_built(b: &[f64], c: Vec<Vec<f64>>, jobs: Vec<JobSpec>) -> SchedProblem {
+        let mut p = phones(b.len());
+        for (phone, &b) in p.iter_mut().zip(b) {
+            phone.bandwidth = cwc_types::MsPerKb(b);
+        }
+        SchedProblem::new(p, jobs, c).unwrap()
     }
 
     fn breakable(id: u32, input_kb: u64) -> JobSpec {
@@ -525,10 +655,10 @@ mod tests {
 
     #[test]
     fn step_two_breaks_cost_ties_to_the_lowest_unopened_phone() {
-        // Twenty identical phones (two full groups of lanes and a
-        // remainder), as many identical atomic jobs, room for one job a
-        // bin: every Step 2 sees the same cost on every unopened phone.
-        let mut p = phones(2 * LANES + 4);
+        // Twenty identical phones, as many identical atomic jobs, room
+        // for one job a bin: every Step 2 sees the same cost on every
+        // unopened phone.
+        let mut p = phones(20);
         for phone in &mut p {
             phone.cpu = cwc_types::CpuSpec::new(806, 2);
             phone.bandwidth = cwc_types::MsPerKb(1.0);
@@ -601,5 +731,102 @@ mod tests {
             packed(&prob, capacity),
             Some(vec![vec![(0, 400), (2, 100), (3, 50)], vec![(1, 300)]])
         );
+    }
+
+    #[test]
+    fn rate_order_reaches_a_lower_index_phone_whose_cost_ties_the_cheapest() {
+        // Phone 1 has the lower rate (10 against 11 ms/KB) and is walked
+        // first, but its link makes the executable cost 120 ms against
+        // phone 0's 20: both cost exactly 20·6 + 100·10 = 20·1 + 100·11
+        // = 1 120 ms. The floor at phone 0 (20·b_min + 100·11) equals the
+        // least cost, not above it, so the walk goes on and the lower
+        // index wins the tie, as in the seed.
+        let job = JobSpec::atomic(JobId(0), "photoblur", KiloBytes(20), KiloBytes(100));
+        let prob = hand_built(&[1.0, 6.0], vec![vec![10.0], vec![4.0]], vec![job]);
+        assert!(prob.per_kb_ms(1, 0) < prob.per_kb_ms(0, 0));
+        assert_eq!(
+            prob.full_cost_ms(0, 0).to_bits(),
+            prob.full_cost_ms(1, 0).to_bits()
+        );
+        assert_eq!(packed(&prob, 2_000.0), Some(vec![vec![(0, 100)], vec![]]));
+    }
+
+    #[test]
+    fn rate_order_does_not_stop_at_a_low_rate_phone_its_executable_makes_dear() {
+        // Rates 51 < 52 < 53 < 201 ms/KB for a 40 KB executable and
+        // 100 KB of input. Phone 0, the lowest rate, costs 20·40 + 5 100
+        // = 5 900 ms; phone 1's 50 ms/KB link puts it at 7 200. A floor
+        // that priced phone 1's executable at its own link would end the
+        // walk there, but phone 2, one rate up with a 1 ms/KB link, costs
+        // 5 340 and wins: the floor prices every executable at the
+        // fleet's cheapest link (5 240 at phone 1). At phone 3 the floor
+        // (20 140 ms) is above 5 340 and the walk ends.
+        let job = JobSpec::atomic(JobId(0), "photoblur", KiloBytes(40), KiloBytes(100));
+        let c = vec![vec![31.0], vec![2.0], vec![52.0], vec![200.0]];
+        let prob = hand_built(&[20.0, 50.0, 1.0, 1.0], c, vec![job]);
+        let cost = |i| prob.full_cost_ms(i, 0);
+        assert!(cost(2) < cost(0) && cost(0) < cost(1) && cost(2) < cost(3));
+        assert_eq!(
+            packed(&prob, 10_000.0),
+            Some(vec![vec![], vec![], vec![(0, 100)], vec![]])
+        );
+    }
+
+    #[test]
+    fn rate_order_skips_a_prefix_another_program_opened() {
+        // Two programs, two columns, the same phone order by rate in
+        // each (equal links, compute cost rising with the index). The
+        // three large jobs of program 0 open phones 0–2, one to a bin;
+        // the job of program 1 then finds its column's three cheapest
+        // phones open and must take phone 3. Every probe of `packed`
+        // starts the prefix over: a prefix carried from the last probe
+        // would skip phones 0–2 while they are unopened.
+        let big = |id| JobSpec::atomic(JobId(id), "primecount", KiloBytes(40), KiloBytes(300));
+        let small = JobSpec::atomic(JobId(3), "photoblur", KiloBytes(40), KiloBytes(200));
+        let jobs = vec![big(0), big(1), big(2), small];
+        let c = (0..6)
+            .map(|i| {
+                let scale = 1.0 + 0.1 * f64::from(i);
+                vec![10.0 * scale, 10.0 * scale, 10.0 * scale, 13.0 * scale]
+            })
+            .collect();
+        let prob = hand_built(&[1.0; 6], c, jobs);
+        assert_eq!(prob.tables().columns().count(), 2);
+        // Room for any one job on any phone, never for two.
+        let capacity = prob.full_cost_ms(5, 0) + 1.0;
+        assert!(prob.full_cost_ms(0, 0) + prob.full_cost_ms(0, 3) > capacity);
+        assert_eq!(
+            packed(&prob, capacity),
+            Some(vec![
+                vec![(0, 300)],
+                vec![(1, 300)],
+                vec![(2, 300)],
+                vec![(3, 200)],
+                vec![],
+                vec![],
+            ])
+        );
+    }
+
+    #[test]
+    fn rate_order_agrees_with_the_seed_across_a_search_window() {
+        // Mixed atomic and breakable jobs on a fleet of alternating
+        // phones, probed from the magical-bin bound up to the worst-bin
+        // bound: tight probes that fail, loose ones that fill few bins,
+        // and the splits and fallbacks between.
+        for (num_phones, num_jobs) in [(9, 40), (24, 30)] {
+            let prob = instance(num_phones, num_jobs);
+            let tables = prob.tables();
+            let (lb, ub) = (tables.lower_bound_ms(), tables.upper_bound_ms());
+            let mut feasible = 0;
+            for k in 0..=16 {
+                let capacity = lb + (ub - lb) * f64::from(k) / 16.0;
+                feasible += usize::from(packed(&prob, capacity).is_some());
+            }
+            assert!(
+                feasible > 0 && feasible < 17,
+                "{feasible} of 17 probes packed"
+            );
+        }
     }
 }

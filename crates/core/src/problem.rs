@@ -1,6 +1,5 @@
 //! The scheduling problem instance and the Eq. 1 cost model.
 
-use crate::pack::LANES;
 use cwc_types::{CwcError, CwcResult, JobSpec, KiloBytes, PhoneInfo};
 use std::collections::BTreeMap;
 
@@ -118,7 +117,7 @@ impl SchedProblem {
     /// `phones` or `jobs` after `new`, and a cached table — or the
     /// grouping of jobs into shared columns it is built on — would
     /// silently go stale.
-    pub fn tables(&self) -> CostTables<'_> {
+    pub fn tables(&self) -> CostTables {
         CostTables::new(self)
     }
 }
@@ -146,6 +145,10 @@ pub(crate) fn fit_kb(room_ms: f64, exe_ms: f64, per_kb_ms: f64, ram_kb: u64) -> 
 /// slower (32: +5 %, 64: +15 %), narrower the same.
 const TILE_COLUMNS: usize = 16;
 
+/// Phones the worst-bin maxima take per straight-line group: one cache
+/// line of a cost column.
+const LANES: usize = 8;
+
 /// The Eq. 1 terms the packing inner loops touch, laid out the way each
 /// loop walks them and built from `c` once per `schedule()` call.
 ///
@@ -157,10 +160,10 @@ const TILE_COLUMNS: usize = 16;
 ///   clock-scaled per phone (§4.1), so the jobs of one program share
 ///   their column, and a batch of any size holds a few columns of P
 ///   rates each.
-/// * The phone-major view ([`CostTables::compute_row`] — filling a
-///   freshly opened bin walks the live items against that one phone) is
-///   **not** a second table: `c[i]` already is phone `i`'s row, and
-///   `b_i + c[i][j]` is one add on the spot.
+/// * Filling a freshly opened bin walks the live items against that one
+///   phone, and reads the same columns ([`CostTables::per_kb_ms`]): one
+///   phone's rates are a cache line per column, where its row of `c`
+///   would be J / 8 lines.
 /// * The executable cost is not a table either: `E_j · b_i` is one
 ///   multiply of two vector entries, computed where it is needed.
 /// * The same build yields each phone's cheapest rate
@@ -174,10 +177,8 @@ const TILE_COLUMNS: usize = 16;
 /// search driven by these tables is bit-for-bit identical to one driven
 /// by the methods.
 #[derive(Debug, Clone)]
-pub struct CostTables<'a> {
+pub struct CostTables {
     num_phones: usize,
-    /// The problem's `c`, one row per phone (ms per KB, compute only).
-    c: &'a [Vec<f64>],
     /// `column_of[j]`: which distinct cost column job `j` reads.
     column_of: Vec<usize>,
     /// `by_column[k · num_phones + i] = b_i + c[i][j]` for every job `j`
@@ -196,8 +197,8 @@ pub struct CostTables<'a> {
     lower_bound_ms: f64,
 }
 
-impl<'a> CostTables<'a> {
-    fn new(problem: &'a SchedProblem) -> CostTables<'a> {
+impl CostTables {
+    fn new(problem: &SchedProblem) -> CostTables {
         let num_phones = problem.num_phones();
         let bandwidth: Vec<f64> = problem.phones.iter().map(|p| p.bandwidth.0).collect();
         let exe_kb: Vec<f64> = problem.jobs.iter().map(|j| j.exe_kb.as_f64()).collect();
@@ -251,7 +252,6 @@ impl<'a> CostTables<'a> {
         };
         CostTables {
             num_phones,
-            c: &problem.c,
             column_of,
             by_column,
             bandwidth,
@@ -263,18 +263,23 @@ impl<'a> CostTables<'a> {
         }
     }
 
-    /// Phone `i`'s compute costs `c[i]`, one per job; its per-KB rate for
-    /// job `j` is `bandwidths()[i] + compute_row(i)[j]`.
-    #[inline]
-    pub fn compute_row(&self, i: usize) -> &'a [f64] {
-        &self.c[i]
-    }
-
     /// Job `j`'s per-KB rates, one per phone.
     #[inline]
     pub fn col(&self, j: usize) -> &[f64] {
         let k = self.column_of[j];
         &self.by_column[k * self.num_phones..(k + 1) * self.num_phones]
+    }
+
+    /// Which distinct cost column job `j` reads: an index into
+    /// [`CostTables::columns`].
+    #[inline]
+    pub(crate) fn column_index(&self, j: usize) -> usize {
+        self.column_of[j]
+    }
+
+    /// Every distinct cost column, P rates each.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = &[f64]> {
+        self.by_column.chunks_exact(self.num_phones.max(1))
     }
 
     /// How many rates the tables hold: P per distinct cost column.
@@ -570,9 +575,10 @@ mod tests {
 
     /// Every table cell, through both accessors, against
     /// [`SchedProblem::per_kb_ms`].
-    fn assert_columns_match_the_problem(prob: &SchedProblem, tables: &CostTables<'_>) {
+    fn assert_columns_match_the_problem(prob: &SchedProblem, tables: &CostTables) {
         for j in 0..prob.num_jobs() {
             assert_eq!(tables.col(j).len(), prob.num_phones());
+            assert!(tables.column_index(j) < tables.columns().count());
             for i in 0..prob.num_phones() {
                 let want = prob.per_kb_ms(i, j).to_bits();
                 assert_eq!(tables.col(j)[i].to_bits(), want, "column cell ({i}, {j})");
@@ -619,16 +625,19 @@ mod tests {
         let tables = prob.tables();
         assert_eq!(tables.num_rates(), 34 * prob.num_phones());
         assert_columns_match_the_problem(&prob, &tables);
+        // Step 2's view: each distinct column, indexed by its jobs.
+        let columns: Vec<&[f64]> = tables.columns().collect();
+        assert_eq!(columns.len(), 34);
+        for j in 0..prob.num_jobs() {
+            assert_eq!(columns[tables.column_index(j)], tables.col(j));
+        }
+        // The fill's view: one phone, every job.
         for i in 0..prob.num_phones() {
-            let b = tables.bandwidths()[i];
-            let row: Vec<f64> = tables.compute_row(i).iter().map(|c| b + c).collect();
-            assert_eq!(row.len(), prob.num_jobs());
+            let row: Vec<f64> = (0..prob.num_jobs())
+                .map(|j| tables.per_kb_ms(i, j))
+                .collect();
             let row_min = row.iter().copied().fold(f64::INFINITY, f64::min);
             assert_eq!(tables.row_min_ms(i).to_bits(), row_min.to_bits());
-            for (j, cell) in row.iter().enumerate() {
-                let want = prob.per_kb_ms(i, j).to_bits();
-                assert_eq!(cell.to_bits(), want, "row cell ({i}, {j})");
-            }
         }
     }
 

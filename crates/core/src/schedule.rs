@@ -63,16 +63,19 @@ impl Schedule {
     /// model (the bin heights).
     pub fn predicted_heights_ms(&self, problem: &SchedProblem) -> Vec<f64> {
         let index = job_index(problem);
+        // `shipped_to[j] == i`: job `j`'s executable is on phone `i`
+        // already. Each phone's queue is walked once, in phone order, so
+        // one stamp per job serves every phone.
+        let mut shipped_to = vec![usize::MAX; problem.num_jobs()];
         self.per_phone
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let mut shipped: Vec<bool> = vec![false; problem.num_jobs()];
                 let mut h = 0.0;
                 for a in q {
                     let j = index[&a.job];
-                    h += problem.cost_ms(i, j, a.input_kb, !shipped[j]);
-                    shipped[j] = true;
+                    h += problem.cost_ms(i, j, a.input_kb, shipped_to[j] != i);
+                    shipped_to[j] = i;
                 }
                 h
             })
