@@ -359,7 +359,8 @@ pub fn fig13(seed: u64, configs: usize) -> Vec<Fig13Point> {
                     .collect()
             })
             .collect();
-        let problem = SchedProblem::new(phones, jobs.clone(), c).expect("valid fig13 instance");
+        let problem =
+            SchedProblem::new(phones, jobs.clone(), c.into()).expect("valid fig13 instance");
         let greedy = GreedyScheduler
             .schedule(&problem)
             .expect("greedy schedules");

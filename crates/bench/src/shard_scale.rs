@@ -227,7 +227,7 @@ pub fn run_point(
                 }
                 let sub_phones: Vec<PhoneInfo> = members.iter().map(|&i| phones[i]).collect();
                 let c = clock_scaled_costs(&sub_phones, shard_jobs.len());
-                let problem = SchedProblem::new(sub_phones, shard_jobs.to_vec(), c)?;
+                let problem = SchedProblem::new(sub_phones, shard_jobs.to_vec(), c.into())?;
                 let schedule = GreedyScheduler.schedule(&problem)?;
                 Ok(schedule.num_assignments())
             }

@@ -214,6 +214,7 @@ impl GreedyScheduler {
         problem: &SchedProblem,
         warm: Option<WarmStart>,
     ) -> CwcResult<(Schedule, GreedyStats, WarmStart)> {
+        problem.check_dimensions()?;
         let mut stats = GreedyStats::default();
         let tables = problem.tables();
         let mut scratch = PackScratch::new(problem, &tables);
@@ -487,7 +488,9 @@ pub mod reference {
     /// into a bin other than the one Step 2 opened last.
     fn pack(problem: &SchedProblem, capacity_ms: f64, off_newest: &mut u64) -> Option<Vec<Bin>> {
         let s = problem.slowest_phone();
-        let rates: Vec<f64> = problem.c.get(s).cloned().unwrap_or_default();
+        let rates: Vec<f64> = (0..problem.num_jobs())
+            .map(|j| problem.c.get(s, j))
+            .collect();
         let mut items: Vec<Item> = problem
             .jobs
             .iter()
@@ -655,8 +658,89 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::test_support::{costs, instance, phones};
+    use crate::problem::test_support::{costs, instance, jobs, phones};
+    use crate::{CostMatrix, RuntimePredictor};
     use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech};
+
+    /// Costs as the kernel gets them: two programs with 150 ms/KB
+    /// baselines, resolved by the predictor.
+    fn predicted_instance(num_phones: usize, num_jobs: usize) -> SchedProblem {
+        let (p, j) = (phones(num_phones), jobs(num_jobs));
+        let mut predictor = RuntimePredictor::new();
+        predictor.set_baseline("primecount", 150.0);
+        predictor.set_baseline("photoblur", 150.0);
+        let programs: Vec<&str> = j.iter().map(|spec| spec.program.as_str()).collect();
+        let c = predictor.cost_matrix(&p, &programs);
+        SchedProblem::new(p, j, c).unwrap()
+    }
+
+    /// `problem`'s costs as raw rows.
+    fn rows_of(problem: &SchedProblem) -> Vec<Vec<f64>> {
+        (0..problem.num_phones())
+            .map(|i| problem.c[i].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn scheduling_a_predicted_problem_never_builds_the_cost_rows() {
+        let problem = predicted_instance(20, 30);
+        let rows_built = CostMatrix::rows_built_on_this_thread();
+        let (cold, _, warm) = GreedyScheduler
+            .schedule_warm_with_stats(&problem, None)
+            .unwrap();
+        cold.validate(&problem).unwrap();
+        let (again, _, _) = GreedyScheduler
+            .schedule_warm_with_stats(&problem, Some(warm))
+            .unwrap();
+        again.validate(&problem).unwrap();
+        assert_eq!(CostMatrix::rows_built_on_this_thread(), rows_built);
+    }
+
+    #[test]
+    fn a_job_pushed_after_new_is_refused_not_scheduled() {
+        let mut problem = predicted_instance(20, 30);
+        let before = GreedyScheduler.schedule(&problem).unwrap();
+        let extra = JobSpec::breakable(JobId(30), "primecount", KiloBytes(30), KiloBytes(500));
+        problem.jobs.push(extra);
+        let refused = GreedyScheduler.schedule(&problem);
+        assert!(matches!(refused, Err(CwcError::Config(_))), "{refused:?}");
+        let stale = before.validate(&problem);
+        assert!(matches!(stale, Err(CwcError::Config(_))), "{stale:?}");
+    }
+
+    #[test]
+    fn a_cost_row_dropped_after_new_is_refused_not_scheduled() {
+        let mut problem = predicted_instance(20, 30);
+        let before = GreedyScheduler.schedule(&problem).unwrap();
+        let mut rows = rows_of(&problem);
+        rows.pop();
+        problem.c = rows.into();
+        let refused = GreedyScheduler.schedule(&problem);
+        assert!(matches!(refused, Err(CwcError::Config(_))), "{refused:?}");
+        let stale = before.validate(&problem);
+        assert!(matches!(stale, Err(CwcError::Config(_))), "{stale:?}");
+    }
+
+    #[test]
+    fn a_matrix_swapped_in_after_new_brings_its_own_grouping() {
+        // Job 4 leaves its program's column by one ulp on phone 3. The
+        // swapped-in rows are grouped on first use, as `new` would.
+        let mut problem = predicted_instance(6, 12);
+        let mut rows = rows_of(&problem);
+        rows[3][4] = rows[3][4].next_up();
+        problem.c = rows.clone().into();
+        let fresh =
+            SchedProblem::new(problem.phones.clone(), problem.jobs.clone(), rows.into()).unwrap();
+        let (swapped, _) = GreedyScheduler.schedule_with_stats(&problem).unwrap();
+        let (built, _) = GreedyScheduler.schedule_with_stats(&fresh).unwrap();
+        assert_eq!(swapped.per_phone, built.per_phone);
+        assert_eq!(
+            swapped.predicted_makespan_ms.to_bits(),
+            built.predicted_makespan_ms.to_bits()
+        );
+        assert_eq!(problem.c.column_of(), fresh.c.column_of());
+        assert_eq!(problem.c.columns().unwrap().count(), 3);
+    }
 
     #[test]
     fn produces_valid_schedule() {
@@ -685,7 +769,7 @@ mod tests {
             KiloBytes(500),
         )];
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let expect = problem.full_cost_ms(0, 0);
@@ -756,7 +840,7 @@ mod tests {
             KiloBytes(2_000),
         )];
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let kb_on: Vec<u64> = s
@@ -790,7 +874,7 @@ mod tests {
             .map(|k| JobSpec::breakable(JobId(k), "primecount", KiloBytes(30), KiloBytes(400)))
             .collect();
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         let heights = s.predicted_heights_ms(&problem);
@@ -814,7 +898,7 @@ mod tests {
             JobSpec::breakable(JobId(1), "primecount", KiloBytes(30), KiloBytes(300)),
         ];
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         let s = GreedyScheduler.schedule(&problem).unwrap();
         s.validate(&problem).unwrap();
         for a in s.per_phone.iter().flatten() {
@@ -836,7 +920,7 @@ mod tests {
             KiloBytes(500),
         )];
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         assert!(GreedyScheduler.schedule(&problem).is_err());
     }
 
@@ -910,7 +994,7 @@ mod tests {
             })
             .collect();
         let c = costs(&p, &j);
-        let problem = SchedProblem::new(p, j, c).unwrap();
+        let problem = SchedProblem::new(p, j, c.into()).unwrap();
         let mut packed = 0;
         for job in 0..problem.num_jobs() {
             for phone in 0..problem.num_phones() {
@@ -970,7 +1054,7 @@ mod tests {
             .map(|k| JobSpec::breakable(JobId(k), "primecount", KiloBytes(30), KiloBytes(350)))
             .collect();
         let c = costs(&p, &j);
-        let residual = SchedProblem::new(p, j, c).unwrap();
+        let residual = SchedProblem::new(p, j, c.into()).unwrap();
         let (s, stats, next) = sched
             .schedule_warm_with_stats(&residual, Some(warm))
             .unwrap();

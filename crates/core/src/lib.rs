@@ -14,6 +14,8 @@
 //!
 //! * [`problem`] — the scheduler's input: phones, jobs, and the `c_ij`
 //!   cost matrix; Eq. 1 lives here.
+//! * [`matrix`] — the cost matrix itself, stored once per distinct
+//!   cost column (one per profiled program).
 //! * [`predictor`] — execution-time prediction: CPU-clock scaling seeded
 //!   from the slowest phone's profile (§4.1) plus the online update from
 //!   reported runtimes.
@@ -22,8 +24,7 @@
 //! * [`greedy`] — Algorithm 1 + the capacity binary search (cold and
 //!   warm-started).
 //! * `pack` (internal) — the zero-allocation packing arena the binary
-//!   search probes with, over [`problem`]'s row- and column-major cost
-//!   tables.
+//!   search probes with, over [`problem`]'s column-major cost tables.
 //! * [`partition`] — fleet sharding (DESIGN.md §15): deterministically
 //!   splits a job batch across N kernel shards by capacity weight.
 //! * [`baselines`] — the two "simple practical schedulers" of §6
@@ -49,6 +50,7 @@
 pub mod baselines;
 pub mod economics;
 pub mod greedy;
+pub mod matrix;
 pub(crate) mod pack;
 pub mod partition;
 pub mod predictor;
@@ -59,6 +61,7 @@ pub mod schedule;
 pub mod slo;
 
 pub use greedy::{GreedyScheduler, GreedyStats, WarmStart};
+pub use matrix::CostMatrix;
 pub use partition::{partition_jobs, JobPartition, ShardSlice};
 pub use predictor::RuntimePredictor;
 pub use problem::SchedProblem;

@@ -35,8 +35,7 @@
 //!   fresh one per job. The fill fixes the phone and varies the job,
 //!   and visits only a few items per bin (≈ 3 on a 1 000 × 1 000
 //!   search), so whatever it reads is cold for each new bin; it reads
-//!   the same columns, a cache line per column, where the phone's row
-//!   of `c` would be a line per eight jobs. The executable cost
+//!   the same columns, a cache line per column. The executable cost
 //!   `E_j · b_i` is not a table either: one multiply of two vector
 //!   entries.
 //! * **Step 2 tests the winner only.** The seed tests every unopened
@@ -261,7 +260,9 @@ impl PackScratch {
     pub(crate) fn new(problem: &SchedProblem, tables: &CostTables) -> PackScratch {
         let num_phones = problem.num_phones();
         let s = problem.slowest_phone();
-        let key_rate: Vec<f64> = problem.c.get(s).cloned().unwrap_or_default();
+        let key_rate: Vec<f64> = (0..problem.num_jobs())
+            .map(|j| problem.c.get(s, j))
+            .collect();
 
         let mut template: Vec<Item> = problem
             .jobs
@@ -619,7 +620,7 @@ mod tests {
         for (phone, &b) in p.iter_mut().zip(b) {
             phone.bandwidth = cwc_types::MsPerKb(b);
         }
-        SchedProblem::new(p, jobs, c).unwrap()
+        SchedProblem::new(p, jobs, c.into()).unwrap()
     }
 
     fn breakable(id: u32, input_kb: u64) -> JobSpec {
@@ -632,7 +633,7 @@ mod tests {
             phone.ram_kb = ram_kb.unwrap_or(phone.ram_kb);
         }
         let c = costs(&p, &jobs);
-        SchedProblem::new(p, jobs, c).unwrap()
+        SchedProblem::new(p, jobs, c.into()).unwrap()
     }
 
     #[test]
@@ -645,7 +646,7 @@ mod tests {
         p[0].ram_kb = 100;
         let jobs = vec![atomic];
         let c = costs(&p, &jobs);
-        let prob = SchedProblem::new(p, jobs, c).unwrap();
+        let prob = SchedProblem::new(p, jobs, c.into()).unwrap();
         assert!(prob.per_kb_ms(0, 0) < prob.per_kb_ms(1, 0));
         let capacity = prob.full_cost_ms(1, 0) + 1.0;
         assert_eq!(packed(&prob, capacity), Some(vec![vec![], vec![(0, 300)]]));
@@ -667,7 +668,7 @@ mod tests {
             .map(|j| JobSpec::atomic(JobId(j), "photoblur", KiloBytes(40), KiloBytes(300)))
             .collect();
         let c = costs(&p, &jobs);
-        let prob = SchedProblem::new(p, jobs, c).unwrap();
+        let prob = SchedProblem::new(p, jobs, c.into()).unwrap();
         let one_job_each: Vec<Vec<(u32, u64)>> = (0..prob.num_phones() as u32)
             .map(|k| vec![(k, 300)])
             .collect();

@@ -12,6 +12,7 @@
 //! slower) than its clock suggests converges to its true `c_ij` — this is
 //! what lets the Fig. 12a schedule land within ~2% of the real makespan.
 
+use crate::matrix::CostMatrix;
 use cwc_types::{KiloBytes, PhoneInfo};
 use std::collections::BTreeMap;
 
@@ -102,42 +103,71 @@ impl RuntimePredictor {
         }
         let observed = measured_ms / input.as_f64();
         let seed = self.c_ij_scaled_only(phone, program);
-        let per_phone = self.learned.entry(program.to_owned()).or_default();
-        let entry = per_phone.entry(phone.id.0).or_insert(seed);
-        *entry += self.alpha * (observed - *entry);
+        let alpha = self.alpha;
+        let fold_in = |per_phone: &mut BTreeMap<u32, f64>| {
+            let entry = per_phone.entry(phone.id.0).or_insert(seed);
+            *entry += alpha * (observed - *entry);
+        };
+        // The program's name is copied only on its first report.
+        match self.learned.get_mut(program) {
+            Some(per_phone) => fold_in(per_phone),
+            None => fold_in(self.learned.entry(program.to_owned()).or_default()),
+        }
     }
 
     fn c_ij_scaled_only(&self, phone: &PhoneInfo, program: &str) -> f64 {
-        let ts = self
+        self.scaled(self.profiled(program), phone)
+    }
+
+    /// `T_s` of `program`.
+    ///
+    /// # Panics
+    /// Panics if the program was never profiled.
+    fn profiled(&self, program: &str) -> f64 {
+        *self
             .baseline
             .get(program)
-            .unwrap_or_else(|| panic!("program {program:?} has no profiled baseline"));
+            .unwrap_or_else(|| panic!("program {program:?} has no profiled baseline"))
+    }
+
+    /// `T_s · S / A`: a baseline scaled to `phone`'s clock.
+    fn scaled(&self, ts: f64, phone: &PhoneInfo) -> f64 {
         ts * f64::from(self.baseline_clock) / f64::from(phone.cpu.clock_mhz)
     }
 
     /// Builds the cost matrix for a scheduling round: row `i`, column
     /// `j` is [`RuntimePredictor::c_ij`] of `phones[i]` and
-    /// `programs[j]`. A batch names few programs many times, so each
-    /// *distinct* program is resolved once per phone and the row is
-    /// filled from those.
-    pub fn cost_matrix(&self, phones: &[PhoneInfo], programs: &[&str]) -> Vec<Vec<f64>> {
-        let mut distinct = programs.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let slots: Vec<usize> = programs
-            .iter()
-            .map(|prog| distinct.partition_point(|d| d < prog))
-            .collect();
-        let mut resolved = vec![0.0; distinct.len()];
-        phones
-            .iter()
-            .map(|p| {
-                for (value, prog) in resolved.iter_mut().zip(&distinct) {
-                    *value = self.c_ij(p, prog);
-                }
-                slots.iter().map(|&k| resolved[k]).collect()
+    /// `programs[j]`. The matrix comes grouped ([`CostMatrix`]): one
+    /// column per distinct program, in order of first appearance, each
+    /// program resolved once per phone — P × K work for K programs,
+    /// however many jobs share them.
+    pub fn cost_matrix(&self, phones: &[PhoneInfo], programs: &[&str]) -> CostMatrix {
+        let mut column_by_program = BTreeMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let column_of = (programs.iter())
+            .map(|&program| {
+                *column_by_program.entry(program).or_insert_with(|| {
+                    distinct.push(program);
+                    distinct.len() - 1
+                })
             })
-            .collect()
+            .collect();
+        let mut values = Vec::with_capacity(phones.len() * distinct.len());
+        for program in distinct {
+            // `c_ij`, with the program's two lookups hoisted off the
+            // phones.
+            let learned = self.learned.get(program);
+            let ts = self.baseline.get(program).copied();
+            values.extend(
+                phones
+                    .iter()
+                    .map(|p| match learned.and_then(|m| m.get(&p.id.0)) {
+                        Some(&learned) => learned,
+                        None => self.scaled(ts.unwrap_or_else(|| self.profiled(program)), p),
+                    }),
+            );
+        }
+        CostMatrix::from_columns(phones.len(), column_of, values)
     }
 }
 
@@ -208,13 +238,46 @@ mod tests {
         assert_eq!(pred.c_ij(&p, "x"), before);
     }
 
+    /// Every cell of `m`, read one at a time off its columns.
+    fn rows(m: &CostMatrix) -> Vec<Vec<f64>> {
+        let (num_phones, num_jobs) = m.dims().unwrap();
+        (0..num_phones)
+            .map(|i| (0..num_jobs).map(|j| m.get(i, j)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn cost_matrix_holds_one_column_per_program_in_order_of_first_appearance() {
+        let mut pred = RuntimePredictor::new();
+        pred.set_baseline("a", 10.0);
+        pred.set_baseline("b", 10.0);
+        let phones = vec![phone(0, 806), phone(1, 1612), phone(2, 1000)];
+        pred.observe(&phones[2], "a", KiloBytes(10), 80.0);
+        let rows_built = CostMatrix::rows_built_on_this_thread();
+        let m = pred.cost_matrix(&phones, &["b", "a", "b", "b", "a"]);
+        assert_eq!(m.dims(), Some((3, 5)));
+        // Equal baselines still make two columns: one per program.
+        assert_eq!(m.column_of(), Some(&[0, 1, 0, 0, 1][..]));
+        let columns: Vec<&[f64]> = m.columns().unwrap().collect();
+        assert_eq!(columns.len(), 2);
+        for (k, program) in ["b", "a"].into_iter().enumerate() {
+            for (i, p) in phones.iter().enumerate() {
+                assert_eq!(columns[k][i].to_bits(), pred.c_ij(p, program).to_bits());
+            }
+        }
+        assert_eq!(CostMatrix::rows_built_on_this_thread(), rows_built);
+        // The row view is the same cells, built on first index.
+        assert_eq!(m[2][1].to_bits(), pred.c_ij(&phones[2], "a").to_bits());
+        assert_eq!(CostMatrix::rows_built_on_this_thread(), rows_built + 1);
+    }
+
     #[test]
     fn cost_matrix_shape() {
         let mut pred = RuntimePredictor::new();
         pred.set_baseline("a", 10.0);
         pred.set_baseline("b", 20.0);
         let phones = vec![phone(0, 806), phone(1, 1612)];
-        let m = pred.cost_matrix(&phones, &["a", "b"]);
+        let m = rows(&pred.cost_matrix(&phones, &["a", "b"]));
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].len(), 2);
         assert!((m[0][0] - 10.0).abs() < 1e-12);
@@ -232,7 +295,7 @@ mod tests {
         pred.observe(&phones[1], "b", KiloBytes(100), 1_234.0);
         pred.observe(&phones[1], "a", KiloBytes(7), 55.0);
         let programs = ["a", "b", "b", "a", "a", "b"];
-        let m = pred.cost_matrix(&phones, &programs);
+        let m = rows(&pred.cost_matrix(&phones, &programs));
         for (p, row) in phones.iter().zip(&m) {
             assert_eq!(row.len(), programs.len());
             for (prog, cell) in programs.iter().zip(row) {

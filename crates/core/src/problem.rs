@@ -1,7 +1,7 @@
 //! The scheduling problem instance and the Eq. 1 cost model.
 
+use crate::matrix::CostMatrix;
 use cwc_types::{CwcError, CwcResult, JobSpec, KiloBytes, PhoneInfo};
-use std::collections::BTreeMap;
 
 /// A scheduling problem: the phones available this round, the jobs to
 /// place, and the predicted per-KB execution costs.
@@ -15,12 +15,14 @@ pub struct SchedProblem {
     /// Jobs awaiting placement.
     pub jobs: Vec<JobSpec>,
     /// `c[i][j]`: predicted ms per KB for phone `i` executing job `j`.
-    pub c: Vec<Vec<f64>>,
+    pub c: CostMatrix,
 }
 
 impl SchedProblem {
-    /// Builds and validates a problem instance.
-    pub fn new(phones: Vec<PhoneInfo>, jobs: Vec<JobSpec>, c: Vec<Vec<f64>>) -> CwcResult<Self> {
+    /// Builds and validates a problem instance: the matrix must be
+    /// `phones × jobs` with finite, positive costs, checked once per
+    /// distinct column.
+    pub fn new(phones: Vec<PhoneInfo>, jobs: Vec<JobSpec>, c: CostMatrix) -> CwcResult<Self> {
         if phones.is_empty() {
             return Err(CwcError::Config("no phones available".into()));
         }
@@ -33,21 +35,29 @@ impl SchedProblem {
         for j in &jobs {
             j.validate()?;
         }
-        if c.len() != phones.len() || c.iter().any(|row| row.len() != jobs.len()) {
+        let problem = SchedProblem { phones, jobs, c };
+        problem.check_dimensions()?;
+        let columns = problem.c.grouped(&problem.jobs);
+        if columns.values.iter().any(|v| !v.is_finite() || *v <= 0.0) {
+            return Err(CwcError::Config(
+                "cost matrix entries must be positive".into(),
+            ));
+        }
+        Ok(problem)
+    }
+
+    /// Whether `c` is still `phones × jobs`: the fields are public, so a
+    /// job pushed or a matrix swapped after [`SchedProblem::new`] is
+    /// caught here, before anything reads a cost that is not there.
+    pub(crate) fn check_dimensions(&self) -> CwcResult<()> {
+        if self.c.dims() != Some((self.phones.len(), self.jobs.len())) {
             return Err(CwcError::Config(format!(
                 "cost matrix must be {}x{}",
-                phones.len(),
-                jobs.len()
+                self.phones.len(),
+                self.jobs.len()
             )));
         }
-        for row in &c {
-            if row.iter().any(|v| !v.is_finite() || *v <= 0.0) {
-                return Err(CwcError::Config(
-                    "cost matrix entries must be positive".into(),
-                ));
-            }
-        }
-        Ok(SchedProblem { phones, jobs, c })
+        Ok(())
     }
 
     /// Number of phones.
@@ -81,12 +91,12 @@ impl SchedProblem {
         } else {
             0.0
         };
-        exe + x.as_f64() * (b + self.c[i][j])
+        exe + x.as_f64() * (b + self.c.get(i, j))
     }
 
     /// Per-KB marginal cost (transfer + compute) of job `j` on phone `i`.
     pub fn per_kb_ms(&self, i: usize, j: usize) -> f64 {
-        self.phones[i].bandwidth.0 + self.c[i][j]
+        self.phones[i].bandwidth.0 + self.c.get(i, j)
     }
 
     /// Cost of running job `j` *entirely* on phone `i` (used when opening
@@ -108,15 +118,14 @@ impl SchedProblem {
     }
 
     /// Builds the cost tables used by the packing hot path: one column
-    /// of per-KB rates per distinct cost column, shared by every job
-    /// that reads it.
+    /// of per-KB rates per distinct cost column of `c`, shared by every
+    /// job that reads it.
     ///
-    /// The tables are rebuilt per [`crate::GreedyScheduler::schedule`]
-    /// call rather than cached at construction because the problem's
-    /// fields are public: whoever holds a problem may rewrite `c`,
-    /// `phones` or `jobs` after `new`, and a cached table — or the
-    /// grouping of jobs into shared columns it is built on — would
-    /// silently go stale.
+    /// The grouping is `c`'s own ([`CostMatrix`]), so this is P × K
+    /// work. The tables themselves are built per
+    /// [`crate::GreedyScheduler::schedule`] call: they fold in the
+    /// phones' links and the jobs' sizes, which are public fields a
+    /// holder may rewrite after `new`.
     pub fn tables(&self) -> CostTables {
         CostTables::new(self)
     }
@@ -136,15 +145,6 @@ pub(crate) fn fit_kb(room_ms: f64, exe_ms: f64, per_kb_ms: f64, ram_kb: u64) -> 
     KiloBytes(kb.min(ram_kb))
 }
 
-/// Distinct cost columns per tile of [`CostTables::new`]'s transposing
-/// pass. A tile is up to 16 whole columns of the column-major table
-/// (128 KB at 1 000 phones, resident in L2 while every phone's 16 costs
-/// are scattered into it), appended to the table in one copy. A batch of
-/// a few programs is one narrow tile; only more than 16 distinct columns
-/// (jobs with costs of their own) fill several. Wider tiles measured
-/// slower (32: +5 %, 64: +15 %), narrower the same.
-const TILE_COLUMNS: usize = 16;
-
 /// Phones the worst-bin maxima take per straight-line group: one cache
 /// line of a cost column.
 const LANES: usize = 8;
@@ -154,16 +154,14 @@ const LANES: usize = 8;
 ///
 /// * `per_kb = b_i + c[i][j]` is stored **column-major**
 ///   ([`CostTables::col`]): "which bin for this item" reads one job
-///   across all phones, contiguously, where `c` itself would stride a
-///   whole row per phone. It is stored once per **distinct cost
-///   column**, not once per job: `c_ij` is profiled per program and
-///   clock-scaled per phone (§4.1), so the jobs of one program share
-///   their column, and a batch of any size holds a few columns of P
-///   rates each.
+///   across all phones, contiguously. It is stored once per **distinct
+///   cost column** of `c` ([`CostMatrix`]), not once per job: `c_ij` is
+///   profiled per program and clock-scaled per phone (§4.1), so the jobs
+///   of one program share their column, and a batch of any size holds a
+///   few columns of P rates each.
 /// * Filling a freshly opened bin walks the live items against that one
 ///   phone, and reads the same columns ([`CostTables::per_kb_ms`]): one
-///   phone's rates are a cache line per column, where its row of `c`
-///   would be J / 8 lines.
+///   phone's rates are a cache line per column.
 /// * The executable cost is not a table either: `E_j · b_i` is one
 ///   multiply of two vector entries, computed where it is needed.
 /// * The same build yields each phone's cheapest rate
@@ -203,33 +201,19 @@ impl CostTables {
         let bandwidth: Vec<f64> = problem.phones.iter().map(|p| p.bandwidth.0).collect();
         let exe_kb: Vec<f64> = problem.jobs.iter().map(|j| j.exe_kb.as_f64()).collect();
         let input_kb: Vec<f64> = problem.jobs.iter().map(|j| j.input_kb.as_f64()).collect();
-        let (column_of, firsts) = distinct_columns(problem);
-        let mut by_column = Vec::with_capacity(num_phones * firsts.len());
+        let columns = problem.c.grouped(&problem.jobs);
+        let column_of = columns.column_of.clone();
+        // `c` is column-major already: each rate is written once, in the
+        // order it is read, and each phone's cheapest is folded in as it
+        // goes.
+        let mut by_column = Vec::with_capacity(columns.values.len());
         let mut row_min = vec![f64::INFINITY; num_phones];
-        // One tile of the column-major table: `tile[s · P + i]` is the
-        // tile's `s`th column on phone `i`. The table is appended to
-        // tile by tile, so its 8 B × P × K are written exactly once —
-        // never zeroed first — and the only buffer written at a stride
-        // is this one, which is reused for every tile and stays in cache.
-        let mut tile = vec![0.0f64; TILE_COLUMNS.min(firsts.len()) * num_phones];
-        let mut rates = [0.0f64; TILE_COLUMNS];
-        for tile_firsts in firsts.chunks(TILE_COLUMNS) {
-            for (i, (row, &b)) in problem.c.iter().zip(&bandwidth).enumerate() {
-                // Each tile column's rate on phone `i` ...
-                let mut lowest = row_min[i];
-                for (cell, &j) in rates.iter_mut().zip(tile_firsts) {
-                    let rate = b + row[j];
-                    *cell = rate;
-                    lowest = if rate < lowest { rate } else { lowest };
-                }
-                row_min[i] = lowest;
-                // ... scattered into the tile's columns.
-                let rates = &rates[..tile_firsts.len()];
-                for (column, &rate) in tile.chunks_exact_mut(num_phones).zip(rates) {
-                    column[i] = rate;
-                }
+        for column in columns.values.chunks_exact(num_phones.max(1)) {
+            for ((&cost, &b), lowest) in column.iter().zip(&bandwidth).zip(&mut row_min) {
+                let rate = b + cost;
+                by_column.push(rate);
+                *lowest = if rate < *lowest { rate } else { *lowest };
             }
-            by_column.extend_from_slice(&tile[..tile_firsts.len() * num_phones]);
         }
         // Worst-bin upper bound: every job in its individually worst bin
         // (`max_i full_cost_ms(i, j)`, over its column), summed in job
@@ -355,46 +339,6 @@ impl CostTables {
     }
 }
 
-/// Which distinct cost column each job reads (`column_of`), and the
-/// first job reading each column (`firsts`, in job order).
-///
-/// A job's candidate is the first job running the same program. One
-/// row-major pass checks every cell against its candidate's, bit for
-/// bit; a job that differs in any row gets a column of its own, so
-/// hand-built and random costs stay exact.
-fn distinct_columns(problem: &SchedProblem) -> (Vec<usize>, Vec<usize>) {
-    let mut first_of_program = BTreeMap::new();
-    let candidate: Vec<usize> = (problem.jobs.iter().enumerate())
-        .map(|(j, job)| *first_of_program.entry(job.program.as_str()).or_insert(j))
-        .collect();
-    let mut own_column = vec![false; problem.num_jobs()];
-    for row in &problem.c {
-        // An OR of XORs has no branch per cell; only a row where some
-        // job differs from its candidate pays for the per-job pass.
-        let differs = (row.iter().zip(&candidate))
-            .fold(0u64, |acc, (&v, &r)| acc | (v.to_bits() ^ row[r].to_bits()));
-        if differs != 0 {
-            for ((own, &v), &r) in own_column.iter_mut().zip(row).zip(&candidate) {
-                *own |= v.to_bits() != row[r].to_bits();
-            }
-        }
-    }
-    let mut firsts = Vec::new();
-    let mut column_of = Vec::with_capacity(problem.num_jobs());
-    for (j, (&r, &own)) in candidate.iter().zip(&own_column).enumerate() {
-        // A candidate never differs from itself, so it precedes `j` with
-        // its column already assigned.
-        let k = if own || r == j {
-            firsts.push(j);
-            firsts.len() - 1
-        } else {
-            column_of[r]
-        };
-        column_of.push(k);
-    }
-    (column_of, firsts)
-}
-
 /// `max_i E·b_i + L·per_kb_i` over one cost column: a job of `exe_kb`
 /// executable and `input_kb` input in its worst bin. A maximum of finite
 /// values is exact in any order, so the phones are taken [`LANES`] at a
@@ -475,7 +419,7 @@ pub(crate) mod test_support {
         let p = phones(num_phones);
         let j = jobs(num_jobs);
         let c = costs(&p, &j);
-        SchedProblem::new(p, j, c).unwrap()
+        SchedProblem::new(p, j, c.into()).unwrap()
     }
 }
 
@@ -520,7 +464,7 @@ mod tests {
         p[0].ram_kb = 50;
         let j = jobs(1);
         let c = costs(&p, &j);
-        let prob = SchedProblem::new(p, j, c).unwrap();
+        let prob = SchedProblem::new(p, j, c.into()).unwrap();
         let fit = prob.max_fit_kb(0, 0, 1e9, true);
         assert_eq!(fit, KiloBytes(50));
     }
@@ -573,6 +517,13 @@ mod tests {
         SchedProblem::new(p, j, c).unwrap()
     }
 
+    /// `prob` rebuilt from its rows with cell `(i, j)` one ulp up.
+    fn with_cell_nudged(prob: SchedProblem, i: usize, j: usize) -> SchedProblem {
+        let mut c: Vec<Vec<f64>> = (0..prob.num_phones()).map(|i| prob.c[i].to_vec()).collect();
+        c[i][j] = c[i][j].next_up();
+        SchedProblem::new(prob.phones, prob.jobs, c.into()).unwrap()
+    }
+
     /// Every table cell, through both accessors, against
     /// [`SchedProblem::per_kb_ms`].
     fn assert_columns_match_the_problem(prob: &SchedProblem, tables: &CostTables) {
@@ -589,10 +540,10 @@ mod tests {
 
     #[test]
     fn a_job_differing_in_one_cell_of_the_last_row_gets_its_own_column() {
-        let mut prob = two_programs(4, 7);
+        let prob = two_programs(4, 7);
         // Job 4 runs job 0's program; one ulp apart on the last phone.
         let last = prob.num_phones() - 1;
-        prob.c[last][4] = prob.c[last][4].next_up();
+        let prob = with_cell_nudged(prob, last, 4);
         let tables = prob.tables();
         assert_eq!(tables.num_rates(), 3 * prob.num_phones());
         assert_columns_match_the_problem(&prob, &tables);
@@ -611,7 +562,7 @@ mod tests {
             .map(|k| JobSpec::breakable(JobId(k), "primecount", KiloBytes(30), KiloBytes(200)))
             .collect();
         let c = costs(&p, &j);
-        let prob = SchedProblem::new(p, j, c).unwrap();
+        let prob = SchedProblem::new(p, j, c.into()).unwrap();
         let tables = prob.tables();
         assert_eq!(tables.num_rates(), prob.num_phones());
         assert_columns_match_the_problem(&prob, &tables);
@@ -619,8 +570,8 @@ mod tests {
 
     #[test]
     fn row_and_column_views_agree_cell_for_cell() {
-        // 34 distinct columns fill two whole 16-column tiles and part of
-        // a third; 150 phones leave a remainder past the 8-phone lanes.
+        // 34 distinct columns; 150 phones leave a remainder past the
+        // 8-phone lanes.
         let prob = varied(150, 37);
         let tables = prob.tables();
         assert_eq!(tables.num_rates(), 34 * prob.num_phones());
@@ -676,8 +627,7 @@ mod tests {
         // own baselines on 13 phones (off the 8-phone lanes), the same
         // with job 7 split off by one cell of the last row, and two
         // programs with equal costs.
-        let mut split_off = two_programs(13, 24);
-        split_off.c[12][7] = split_off.c[12][7].next_up();
+        let split_off = with_cell_nudged(two_programs(13, 24), 12, 7);
         let shared = [two_programs(13, 24), split_off, instance(9, 40)];
         for prob in [varied(150, 37), ram_capped, varied(1, 30)]
             .into_iter()
@@ -697,12 +647,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_instances() {
-        assert!(SchedProblem::new(vec![], jobs(1), vec![]).is_err());
-        assert!(SchedProblem::new(phones(1), vec![], vec![vec![]]).is_err());
+        assert!(SchedProblem::new(vec![], jobs(1), vec![].into()).is_err());
+        assert!(SchedProblem::new(phones(1), vec![], vec![vec![]].into()).is_err());
         // Wrong matrix shape.
-        assert!(SchedProblem::new(phones(2), jobs(2), vec![vec![1.0, 1.0]]).is_err());
+        assert!(SchedProblem::new(phones(2), jobs(2), vec![vec![1.0, 1.0]].into()).is_err());
         // Non-positive cost.
-        assert!(SchedProblem::new(phones(1), jobs(1), vec![vec![0.0]]).is_err());
+        assert!(SchedProblem::new(phones(1), jobs(1), vec![vec![0.0]].into()).is_err());
         // Invalid phone bandwidth.
         let bad_phone = PhoneInfo::new(
             PhoneId(0),
@@ -710,9 +660,9 @@ mod tests {
             RadioTech::Edge,
             MsPerKb(f64::INFINITY),
         );
-        assert!(SchedProblem::new(vec![bad_phone], jobs(1), vec![vec![1.0]]).is_err());
+        assert!(SchedProblem::new(vec![bad_phone], jobs(1), vec![vec![1.0]].into()).is_err());
         // Invalid job.
         let bad_job = JobSpec::breakable(JobId(0), "x", KiloBytes(1), KiloBytes::ZERO);
-        assert!(SchedProblem::new(phones(1), vec![bad_job], vec![vec![1.0]]).is_err());
+        assert!(SchedProblem::new(phones(1), vec![bad_job], vec![vec![1.0]].into()).is_err());
     }
 }

@@ -24,6 +24,7 @@
     clippy::indexing_slicing
 )]
 
+use crate::matrix::CostMatrix;
 use crate::problem::SchedProblem;
 use cwc_types::{CwcError, CwcResult, MsPerKb};
 
@@ -57,9 +58,10 @@ pub fn derisk(
             "aggressiveness {aggressiveness} outside [0, 1]"
         )));
     }
+    problem.check_dimensions()?;
     let mut phones = problem.phones.clone();
-    let mut c = problem.c.clone();
-    for ((phone, &p), row) in phones.iter_mut().zip(fail_prob).zip(&mut c) {
+    let mut factors = Vec::with_capacity(phones.len());
+    for (phone, &p) in phones.iter_mut().zip(fail_prob) {
         if !(0.0..=1.0).contains(&p) {
             return Err(CwcError::Config(format!(
                 "failure probability {p} for {} outside [0, 1]",
@@ -70,10 +72,18 @@ pub fn derisk(
         // Expected-rework factor, blended by aggressiveness.
         let factor = 1.0 + aggressiveness * (1.0 / (1.0 - p) - 1.0);
         phone.bandwidth = MsPerKb(phone.bandwidth.0 * factor);
-        for cost in row {
+        factors.push(factor);
+    }
+    // Every cell of a shared column is the same bits, so scaling the
+    // column scales each of its cells exactly as scaling the cell would.
+    let columns = problem.c.grouped(&problem.jobs);
+    let mut values = columns.values.clone();
+    for column in values.chunks_exact_mut(factors.len().max(1)) {
+        for (cost, &factor) in column.iter_mut().zip(&factors) {
             *cost *= factor;
         }
     }
+    let c = CostMatrix::from_columns(factors.len(), columns.column_of.clone(), values);
     SchedProblem::new(phones, problem.jobs.clone(), c)
 }
 

@@ -82,7 +82,8 @@ impl Schedule {
             .collect()
     }
 
-    /// Checks every SCH constraint against the source problem:
+    /// Checks every SCH constraint against the source problem, once its
+    /// cost matrix is checked to still be `phones × jobs`:
     ///
     /// 1. every job's input is fully covered (`Σ_i l_ij = L_j`) with
     ///    consistent, non-overlapping offsets;
@@ -90,6 +91,7 @@ impl Schedule {
     /// 3. no partition exceeds its phone's RAM;
     /// 4. all partitions are non-empty.
     pub fn validate(&self, problem: &SchedProblem) -> CwcResult<()> {
+        problem.check_dimensions()?;
         if self.per_phone.len() != problem.num_phones() {
             return Err(CwcError::Config(format!(
                 "schedule has {} phone queues, problem has {} phones",

@@ -8,7 +8,8 @@
 //! for a greedy heuristic — we assert the relaxation sandwich instead).
 
 use cwc_core::{
-    derisk, relaxed_lower_bound, GreedyScheduler, SchedProblem, Scheduler, SchedulerKind,
+    derisk, relaxed_lower_bound, CostMatrix, GreedyScheduler, RuntimePredictor, SchedProblem,
+    Scheduler, SchedulerKind,
 };
 use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech};
 use proptest::prelude::*;
@@ -157,7 +158,7 @@ fn mixed_columns_strategy() -> impl Strategy<Value = SchedProblem> {
             for (j, spec) in jobs.iter_mut().enumerate() {
                 spec.program = format!("prog{}", program(j));
             }
-            SchedProblem::new(inst.phones, jobs, c).unwrap()
+            SchedProblem::new(inst.phones, jobs, c.into()).unwrap()
         })
 }
 
@@ -236,6 +237,131 @@ fn assert_matches_reference(problem: &SchedProblem) {
             panic!("feasibility disagreement: optimized {fast:?} vs reference {slow:?}");
         }
     }
+}
+
+/// An instance of any family above, its jobs spread over one to three
+/// programs, with costs for the predictor to resolve: each program's
+/// baseline (drawn from a set with a repeat, so two programs may cost
+/// the same to the bit) and a few learned reports.
+#[derive(Debug, Clone)]
+struct PredictedInstance {
+    inst: RandomInstance,
+    baselines: Vec<f64>,
+    program_of: Vec<prop::sample::Index>,
+    reports: Vec<(prop::sample::Index, prop::sample::Index, u64, f64)>,
+}
+
+fn predicted_strategy() -> impl Strategy<Value = PredictedInstance> {
+    let family = prop_oneof![
+        instance_strategy(),
+        atomic_heavy_strategy(),
+        ram_capped_strategy(),
+        wide_fleet_strategy(),
+        single_chunk_strategy(),
+    ];
+    let baseline = (0usize..4).prop_map(|k| [6.0, 12.0, 12.0, 20.5][k]);
+    let report = (
+        any::<prop::sample::Index>(),
+        any::<prop::sample::Index>(),
+        1u64..500,
+        1.0..5_000.0f64,
+    );
+    (
+        family,
+        proptest::collection::vec(baseline, 1..=3),
+        proptest::collection::vec(any::<prop::sample::Index>(), 1..24),
+        proptest::collection::vec(report, 0..4),
+    )
+        .prop_map(|(inst, baselines, program_of, reports)| PredictedInstance {
+            inst,
+            baselines,
+            program_of,
+            reports,
+        })
+}
+
+/// The predictor's grouped matrix and the same cells passed as rows
+/// group alike — the same `column_of`, the same columns in the same
+/// order — and schedule alike, cold and warm, to the bit. Neither asks
+/// for the row view.
+fn assert_predicted_matches_rows(case: PredictedInstance) {
+    let PredictedInstance {
+        inst,
+        baselines,
+        program_of,
+        reports,
+    } = case;
+    let names: Vec<String> = (0..baselines.len()).map(|k| format!("prog{k}")).collect();
+    let mut predictor = RuntimePredictor::new();
+    for (name, &baseline) in names.iter().zip(&baselines) {
+        predictor.set_baseline(name, baseline);
+    }
+    for (phone, program, kb, ms) in &reports {
+        let phone = &inst.phones[phone.index(inst.phones.len())];
+        predictor.observe(
+            phone,
+            &names[program.index(names.len())],
+            KiloBytes(*kb),
+            *ms,
+        );
+    }
+    let mut jobs = inst.jobs;
+    for (j, spec) in jobs.iter_mut().enumerate() {
+        let k = program_of[j % program_of.len()].index(names.len());
+        spec.program = names[k].clone();
+    }
+    let programs: Vec<&str> = jobs.iter().map(|spec| spec.program.as_str()).collect();
+    let rows: Vec<Vec<f64>> = (inst.phones.iter())
+        .map(|p| {
+            programs
+                .iter()
+                .map(|prog| predictor.c_ij(p, prog))
+                .collect()
+        })
+        .collect();
+    let rows_built = CostMatrix::rows_built_on_this_thread();
+    let c = predictor.cost_matrix(&inst.phones, &programs);
+    let predicted = SchedProblem::new(inst.phones.clone(), jobs.clone(), c).unwrap();
+    let raw = SchedProblem::new(inst.phones, jobs, rows.into()).unwrap();
+
+    assert_eq!(predicted.c.column_of(), raw.c.column_of());
+    let bits = |c: &CostMatrix| -> Vec<Vec<u64>> {
+        let columns = c.columns().expect("grouped by new");
+        columns
+            .map(|col| col.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&predicted.c), bits(&raw.c));
+
+    let sched = GreedyScheduler;
+    let cold = |problem: &SchedProblem| sched.schedule_warm_with_stats(problem, None);
+    match (cold(&predicted), cold(&raw)) {
+        (Ok((p_s, p_stats, p_warm)), Ok((r_s, r_stats, r_warm))) => {
+            assert_eq!(&p_s.per_phone, &r_s.per_phone);
+            assert_eq!(
+                p_s.predicted_makespan_ms.to_bits(),
+                r_s.predicted_makespan_ms.to_bits()
+            );
+            assert_eq!(p_stats, r_stats);
+            assert_eq!(p_warm, r_warm);
+            // Warm from the cold instant's own hint, as a re-solve is.
+            let warm = |problem: &SchedProblem| {
+                sched
+                    .schedule_warm_with_stats(problem, Some(p_warm))
+                    .unwrap()
+            };
+            let ((p_s, p_stats, _), (r_s, r_stats, _)) = (warm(&predicted), warm(&raw));
+            assert_eq!(&p_s.per_phone, &r_s.per_phone);
+            assert_eq!(
+                p_s.predicted_makespan_ms.to_bits(),
+                r_s.predicted_makespan_ms.to_bits()
+            );
+            assert_eq!(p_stats, r_stats);
+        }
+        (Err(_), Err(_)) => {}
+        (p, r) => panic!("feasibility disagreement: predicted {p:?} vs rows {r:?}"),
+    }
+    assert_eq!(CostMatrix::rows_built_on_this_thread(), rows_built);
 }
 
 proptest! {
@@ -466,5 +592,12 @@ proptest! {
         // round a perturbed cell back onto it.
         let fail_prob = &probs[..problem.num_phones()];
         assert_matches_reference(&derisk(&problem, fail_prob, aggressiveness).unwrap());
+    }
+
+    #[test]
+    fn predicted_cost_columns_schedule_like_the_same_cells_as_rows(
+        case in predicted_strategy()
+    ) {
+        assert_predicted_matches_rows(case);
     }
 }

@@ -2532,6 +2532,39 @@ mod tests {
         assert_ne!(round_ships(false, ab), round_ships(false, ba));
     }
 
+    /// No scheduling instant builds the cost matrix's P × J rows: the
+    /// predictor hands the scheduler its columns, derisking scales them,
+    /// and the packer and the schedule's validation read them. Covers the
+    /// cold `Start` instant and a Solver re-solve, both derisked.
+    #[test]
+    fn no_scheduling_instant_builds_the_cost_rows() {
+        let rows_built = cwc_core::CostMatrix::rows_built_on_this_thread();
+        let job = |i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(4_000));
+        let mut jobs: Vec<JobSpec> = (0..4).map(job).collect();
+        jobs.extend(atomic_jobs(&[300, 200]).into_iter().map(|mut j| {
+            j.id = JobId(j.id.0 + 4);
+            j
+        }));
+        let mut cfg = config(jobs);
+        cfg.reschedule = SOLVER;
+        cfg.reliability = Some((vec![0.1, 0.0, 0.3, 0.2], 0.5));
+        let mut h = Harness::start(cfg, 4);
+        assert!(!h.outstanding.is_empty(), "the cold instant shipped");
+        h.lose(0);
+        h.drain();
+        assert_eq!(h.fire_reschedule().len(), 3, "one probe per survivor");
+        let mut shipped = 0;
+        for slot in 1..4 {
+            let info = phone(slot, 2.0 + slot as f64);
+            shipped = h.step(CoordEvent::Probe { slot, info }, None).len();
+        }
+        assert!(shipped > 0, "the re-solve shipped");
+        assert_eq!(
+            cwc_core::CostMatrix::rows_built_on_this_thread(),
+            rows_built
+        );
+    }
+
     /// With the planted double credit a group win counts the job's KB
     /// twice; the latch counts jobs, so it neither underflows (a debug
     /// build would panic, a release build never finish) nor fires early.

@@ -12,7 +12,7 @@
 //!    from named, independently-seeded streams ([`RngStreams`]). The same
 //!    master seed reproduces the same timeline bit-for-bit.
 //! 2. **Simplicity.** One generic event type per simulation, one dispatcher
-//!    function, a binary-heap queue with lazy cancellation. No reactor, no
+//!    function, a binary-heap queue. No reactor, no
 //!    processes, no coroutines — the CWC engine is naturally event-shaped
 //!    (transfers complete, executions finish, keep-alives time out).
 //! 3. **Observability.** Instrumented code emits structured events on the
@@ -51,5 +51,5 @@
 mod queue;
 mod rng;
 
-pub use queue::{EventId, Simulation};
+pub use queue::Simulation;
 pub use rng::{shard_seed, splitmix64, Distributions, Fnv1a, RngStreams, SampleRange, SplitMix64};

@@ -2,11 +2,7 @@
 
 use cwc_types::Micros;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+use std::collections::BinaryHeap;
 
 struct Scheduled<E> {
     fire_at: Micros,
@@ -47,7 +43,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct Simulation<E> {
     clock: Micros,
     heap: BinaryHeap<Scheduled<E>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     events_dispatched: u64,
 }
@@ -64,7 +59,6 @@ impl<E> Simulation<E> {
         Simulation {
             clock: Micros::ZERO,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             events_dispatched: 0,
         }
@@ -82,10 +76,10 @@ impl<E> Simulation<E> {
         self.events_dispatched
     }
 
-    /// Number of events still pending (including lazily-cancelled ones).
+    /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -93,7 +87,7 @@ impl<E> Simulation<E> {
     /// # Panics
     /// Panics if `at` is in the past — scheduling backwards in time is
     /// always a logic error in the caller.
-    pub fn schedule_at(&mut self, at: Micros, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: Micros, payload: E) {
         assert!(
             at >= self.clock,
             "cannot schedule event in the past ({} < {})",
@@ -107,11 +101,10 @@ impl<E> Simulation<E> {
             seq,
             payload,
         });
-        EventId(seq)
     }
 
     /// Schedules `payload` to fire after a delay from now.
-    pub fn schedule_after(&mut self, delay: Micros, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: Micros, payload: E) {
         let at = self
             .clock
             .checked_add(delay)
@@ -119,53 +112,19 @@ impl<E> Simulation<E> {
         self.schedule_at(at, payload)
     }
 
-    /// Cancels a pending event. Returns `true` if the event existed and had
-    /// not fired or been cancelled yet. Cancellation is lazy: the slot stays
-    /// in the heap and is skipped on pop.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        // Events that already fired were removed from the heap; inserting a
-        // stale id into `cancelled` would leak, so probe the heap lazily:
-        // we accept the small inaccuracy of returning true for an id that
-        // already fired only if the caller never observed it fire — which
-        // cannot happen in a single-threaded simulation. To keep the
-        // contract exact we track fired ids implicitly: a fired id is one
-        // not in the heap; scanning the heap is O(n) but cancel is rare.
-        let live = self.heap.iter().any(|s| s.seq == id.0);
-        if live && self.cancelled.insert(id.0) {
-            return true;
-        }
-        false
-    }
-
     /// Pops the next event, advancing the clock to its fire time.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(Micros, E)> {
-        while let Some(ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.seq) {
-                continue;
-            }
-            debug_assert!(ev.fire_at >= self.clock, "time went backwards");
-            self.clock = ev.fire_at;
-            self.events_dispatched += 1;
-            return Some((ev.fire_at, ev.payload));
-        }
-        None
+        let ev = self.heap.pop()?;
+        debug_assert!(ev.fire_at >= self.clock, "time went backwards");
+        self.clock = ev.fire_at;
+        self.events_dispatched += 1;
+        Some((ev.fire_at, ev.payload))
     }
 
-    /// Peeks at the fire time of the next (non-cancelled) event.
+    /// Peeks at the fire time of the next event.
     pub fn peek_time(&self) -> Option<Micros> {
-        // The heap may have cancelled entries at the top; since we cannot
-        // mutate in `peek`, scan from the top lazily via iteration over a
-        // clone-free path: BinaryHeap does not expose sorted iteration, so
-        // find the minimum among live events.
-        self.heap
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.seq))
-            .map(|s| s.fire_at)
-            .min()
+        self.heap.peek().map(|s| s.fire_at)
     }
 
     /// Runs to quiescence, dispatching every event through `handler`.
@@ -245,25 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_dispatch() {
-        let mut sim = Simulation::new();
-        let keep = sim.schedule_at(Micros::from_secs(1), "keep");
-        let drop_it = sim.schedule_at(Micros::from_secs(2), "drop");
-        assert!(sim.cancel(drop_it));
-        assert!(!sim.cancel(drop_it), "double-cancel reports false");
-        let mut seen = Vec::new();
-        sim.run(|_, e| seen.push(e));
-        assert_eq!(seen, vec!["keep"]);
-        assert!(!sim.cancel(keep), "cancelling a fired event reports false");
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut sim: Simulation<()> = Simulation::new();
-        assert!(!sim.cancel(EventId(999)));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut sim = Simulation::new();
@@ -297,13 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn peek_time_is_the_earliest_pending_event() {
         let mut sim = Simulation::new();
-        let first = sim.schedule_at(Micros::from_secs(1), ());
         sim.schedule_at(Micros::from_secs(2), ());
+        sim.schedule_at(Micros::from_secs(1), ());
         assert_eq!(sim.peek_time(), Some(Micros::from_secs(1)));
-        sim.cancel(first);
+        sim.pop();
         assert_eq!(sim.peek_time(), Some(Micros::from_secs(2)));
+        sim.pop();
+        assert_eq!(sim.peek_time(), None);
     }
 
     #[test]

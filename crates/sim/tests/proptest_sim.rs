@@ -1,5 +1,5 @@
 //! Property tests for the discrete-event kernel: dispatch order, clock
-//! monotonicity, cancellation, and RNG stream independence.
+//! monotonicity, and RNG stream independence.
 
 use cwc_sim::{Distributions, RngStreams, Simulation};
 use cwc_types::Micros;
@@ -26,30 +26,6 @@ proptest! {
         for (at, id) in fired {
             prop_assert_eq!(at, Micros(times[id]));
         }
-    }
-
-    #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut sim = Simulation::new();
-        let ids: Vec<_> = times.iter().enumerate()
-            .map(|(i, &t)| sim.schedule_at(Micros(t), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(sim.cancel(*id));
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut fired = Vec::new();
-        sim.run(|_, id| fired.push(id));
-        fired.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(fired, expected);
     }
 
     #[test]
