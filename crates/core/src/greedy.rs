@@ -42,7 +42,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::pack::PackScratch;
+use crate::pack::{PackScratch, PackWork};
 use crate::problem::SchedProblem;
 use crate::schedule::Schedule;
 use cwc_types::{CwcError, CwcResult};
@@ -156,12 +156,15 @@ impl GreedyScheduler {
     }
 
     /// Like [`GreedyScheduler::schedule`], recording convergence metrics
-    /// (`sched.greedy.binsearch_iters`, `sched.greedy.pack_calls`) and a
-    /// summary event into `obs`, and optionally warm-started from a
-    /// previous instant's [`WarmStart`], emitting the
-    /// `sched.greedy.warm_hits` / `sched.greedy.probes_saved` counters
-    /// and a `greedy.warm_start` event when a hint was supplied. Returns
-    /// the hint for the next instant alongside the schedule.
+    /// (`sched.greedy.binsearch_iters`, `sched.greedy.pack_calls`), the
+    /// packer's counted work ([`PackWork`] as `sched.greedy.fill_visits`,
+    /// `sched.greedy.bound_cells` and `sched.greedy.step2_candidates`,
+    /// each added once per call) and a summary event into `obs`, and
+    /// optionally warm-started from a previous instant's [`WarmStart`],
+    /// emitting the `sched.greedy.warm_hits` /
+    /// `sched.greedy.probes_saved` counters and a `greedy.warm_start`
+    /// event when a hint was supplied. Returns the hint for the next
+    /// instant alongside the schedule.
     pub fn schedule_observed_warm(
         &self,
         problem: &SchedProblem,
@@ -169,13 +172,19 @@ impl GreedyScheduler {
         warm: Option<WarmStart>,
     ) -> CwcResult<(Schedule, WarmStart)> {
         let warm_attempted = warm.is_some();
-        let (schedule, stats, next) = self.schedule_warm_with_stats(problem, warm)?;
+        let (schedule, stats, next, work) = self.schedule_warm_with_work(problem, warm)?;
         obs.metrics
             .add("sched.greedy.binsearch_iters", stats.binsearch_iters);
         obs.metrics.add("sched.greedy.pack_calls", stats.pack_calls);
         obs.metrics.add("sched.greedy.warm_hits", stats.warm_hits);
         obs.metrics
             .add("sched.greedy.probes_saved", stats.probes_saved);
+        obs.metrics
+            .add("sched.greedy.fill_visits", work.fill_visits);
+        obs.metrics
+            .add("sched.greedy.bound_cells", work.bound_cells);
+        obs.metrics
+            .add("sched.greedy.step2_candidates", work.step2_candidates);
         if warm_attempted {
             obs.emit_with(|| {
                 obs.wall_event("sched", "greedy.warm_start")
@@ -214,6 +223,18 @@ impl GreedyScheduler {
         problem: &SchedProblem,
         warm: Option<WarmStart>,
     ) -> CwcResult<(Schedule, GreedyStats, WarmStart)> {
+        self.schedule_warm_with_work(problem, warm)
+            .map(|(s, stats, next, _)| (s, stats, next))
+    }
+
+    /// [`GreedyScheduler::schedule_warm_with_stats`], also returning the
+    /// packer's counted work. It is not part of [`GreedyStats`], which
+    /// the reference packer reproduces field for field.
+    pub fn schedule_warm_with_work(
+        &self,
+        problem: &SchedProblem,
+        warm: Option<WarmStart>,
+    ) -> CwcResult<(Schedule, GreedyStats, WarmStart, PackWork)> {
         problem.check_dimensions()?;
         let mut stats = GreedyStats::default();
         let tables = problem.tables();
@@ -335,7 +356,11 @@ impl GreedyScheduler {
             hi_ms: hi,
             lb_ms: if lb0 > 0.0 { lb0 } else { hi },
         };
-        Ok((schedule, stats, next))
+        let work = PackWork {
+            bound_cells: tables.bound_cells(),
+            ..scratch.work()
+        };
+        Ok((schedule, stats, next, work))
     }
 }
 
@@ -951,6 +976,38 @@ mod tests {
             .unwrap();
         assert!(obs.metrics.counter_value("sched.greedy.binsearch_iters") > 0);
         assert!(obs.metrics.counter_value("sched.greedy.pack_calls") > 0);
+    }
+
+    #[test]
+    fn observed_schedule_publishes_the_counted_work_once_per_call() {
+        let problem = instance(9, 40);
+        let (_, _, warm, cold) = GreedyScheduler
+            .schedule_warm_with_work(&problem, None)
+            .unwrap();
+        let (_, _, _, rerun) = GreedyScheduler
+            .schedule_warm_with_work(&problem, Some(warm))
+            .unwrap();
+        assert!(cold.fill_visits > 0 && cold.bound_cells > 0 && cold.step2_candidates > 0);
+        let obs = cwc_obs::Obs::new();
+        let (_, next) = GreedyScheduler
+            .schedule_observed_warm(&problem, &obs, None)
+            .unwrap();
+        GreedyScheduler
+            .schedule_observed_warm(&problem, &obs, Some(next))
+            .unwrap();
+        let counted = |name| obs.metrics.counter_value(name);
+        assert_eq!(
+            counted("sched.greedy.fill_visits"),
+            cold.fill_visits + rerun.fill_visits
+        );
+        assert_eq!(
+            counted("sched.greedy.bound_cells"),
+            cold.bound_cells + rerun.bound_cells
+        );
+        assert_eq!(
+            counted("sched.greedy.step2_candidates"),
+            cold.step2_candidates + rerun.step2_candidates
+        );
     }
 
     #[test]

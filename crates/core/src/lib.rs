@@ -62,6 +62,7 @@ pub mod slo;
 
 pub use greedy::{GreedyScheduler, GreedyStats, WarmStart};
 pub use matrix::CostMatrix;
+pub use pack::PackWork;
 pub use partition::{partition_jobs, JobPartition, ShardSlice};
 pub use predictor::RuntimePredictor;
 pub use problem::SchedProblem;

@@ -145,10 +145,6 @@ pub(crate) fn fit_kb(room_ms: f64, exe_ms: f64, per_kb_ms: f64, ram_kb: u64) -> 
     KiloBytes(kb.min(ram_kb))
 }
 
-/// Phones the worst-bin maxima take per straight-line group: one cache
-/// line of a cost column.
-const LANES: usize = 8;
-
 /// The Eq. 1 terms the packing inner loops touch, laid out the way each
 /// loop walks them and built from `c` once per `schedule()` call.
 ///
@@ -159,14 +155,24 @@ const LANES: usize = 8;
 ///   profiled per program and clock-scaled per phone (§4.1), so the jobs
 ///   of one program share their column, and a batch of any size holds a
 ///   few columns of P rates each.
+/// * Each column's phones are also kept sorted by rate, ties by index
+///   ([`CostTables::rate_order`]): Step 2 walks that order, and the
+///   worst-bin bound reads it backwards.
 /// * Filling a freshly opened bin walks the live items against that one
 ///   phone, and reads the same columns ([`CostTables::per_kb_ms`]): one
 ///   phone's rates are a cache line per column.
 /// * The executable cost is not a table either: `E_j · b_i` is one
 ///   multiply of two vector entries, computed where it is needed.
 /// * The same build yields each phone's cheapest rate
-///   ([`CostTables::row_min_ms`]) and the capacity search's two starting
-///   bounds, each job's worst bin read off its contiguous column.
+///   ([`CostTables::row_min_ms`]), and separately its cheapest over the
+///   columns breakable jobs read and over those atomic jobs read, which
+///   with each kind's least executable and least atomic input give the
+///   fill its exit ([`CostTables::fill_floor_ms`]).
+/// * The capacity search's two starting bounds come from the same
+///   build. Each job's worst bin is found among its column's
+///   **skyline**: the phones that no other phone matches or beats on
+///   both link and rate. Every other phone is dominated, so its Eq. 1
+///   cost cannot exceed its dominator's.
 ///
 /// Every value is produced by *exactly* the same floating-point
 /// operations as the corresponding [`SchedProblem`] method
@@ -182,17 +188,40 @@ pub struct CostTables {
     /// `by_column[k · num_phones + i] = b_i + c[i][j]` for every job `j`
     /// with `column_of[j] == k` (ms per KB).
     by_column: Vec<f64>,
+    /// `by_rate[k · num_phones ..][..num_phones]`: column `k`'s
+    /// `(per_kb, phone)` pairs by increasing rate, ties by index.
+    by_rate: Vec<(f64, usize)>,
     /// `b_i`, ms per KB.
     bandwidth: Vec<f64>,
+    /// `min_i b_i`.
+    least_bandwidth: f64,
     /// `E_j`, KB.
     exe_kb: Vec<f64>,
     /// Per-phone RAM cap, KB.
     ram_kb: Vec<u64>,
-    /// `row_min[i] = min_j per_kb(i, j)`: below this much room (ms) not
-    /// one more KB of any job fits phone `i`.
+    /// `row_min[i] = min_j per_kb(i, j)`: phone `i`'s best rate, the
+    /// magical-bin lower bound's.
     row_min: Vec<f64>,
+    /// The fill's floors for breakable and for atomic jobs; `None` when
+    /// the batch has no job of that kind.
+    breakable: Option<KindFloor>,
+    atomic: Option<KindFloor>,
     upper_bound_ms: f64,
+    /// Cost cells read to find every job's worst bin.
+    bound_cells: u64,
     lower_bound_ms: f64,
+}
+
+/// One kind of job (breakable or atomic) as the fill's exit sees it.
+#[derive(Debug, Clone)]
+struct KindFloor {
+    /// Per phone, its cheapest rate over the columns jobs of this kind
+    /// read.
+    row_min: Vec<f64>,
+    /// The kind's least executable, KB.
+    exe_kb: f64,
+    /// The kind's least input, KB.
+    input_kb: f64,
 }
 
 impl CostTables {
@@ -204,26 +233,102 @@ impl CostTables {
         let columns = problem.c.grouped(&problem.jobs);
         let column_of = columns.column_of.clone();
         // `c` is column-major already: each rate is written once, in the
-        // order it is read, and each phone's cheapest is folded in as it
-        // goes.
+        // order it is read.
         let mut by_column = Vec::with_capacity(columns.values.len());
-        let mut row_min = vec![f64::INFINITY; num_phones];
         for column in columns.values.chunks_exact(num_phones.max(1)) {
-            for ((&cost, &b), lowest) in column.iter().zip(&bandwidth).zip(&mut row_min) {
-                let rate = b + cost;
-                by_column.push(rate);
-                *lowest = if rate < *lowest { rate } else { *lowest };
+            by_column.extend(column.iter().zip(&bandwidth).map(|(&cost, &b)| b + cost));
+        }
+        let rate_columns = || by_column.chunks_exact(num_phones.max(1));
+
+        // Per kind, which columns its jobs read and its least
+        // executable and input; then each phone's cheapest rate over
+        // those columns.
+        let mut reads = vec![[false; 2]; columns.values.len() / num_phones.max(1)];
+        let mut least: [Option<(f64, f64)>; 2] = [None; 2];
+        for ((&k, spec), (&exe, &input)) in
+            (column_of.iter().zip(&problem.jobs)).zip(exe_kb.iter().zip(&input_kb))
+        {
+            let kind = usize::from(spec.kind.is_atomic());
+            reads[k][kind] = true;
+            least[kind] =
+                Some(least[kind].map_or((exe, input), |(e, l)| (e.min(exe), l.min(input))));
+        }
+        let floor = |kind: usize| {
+            let (exe_kb, input_kb) = least[kind]?;
+            let mut row_min = vec![f64::INFINITY; num_phones];
+            for (column, _) in rate_columns().zip(&reads).filter(|(_, r)| r[kind]) {
+                for (lowest, &rate) in row_min.iter_mut().zip(column) {
+                    *lowest = if rate < *lowest { rate } else { *lowest };
+                }
             }
+            Some(KindFloor {
+                row_min,
+                exe_kb,
+                input_kb,
+            })
+        };
+        let (breakable, atomic) = (floor(0), floor(1));
+        // Every column is some job's, so a phone's cheapest rate is the
+        // lesser of its two kinds' cheapest.
+        let kind_min =
+            |f: &Option<KindFloor>, i: usize| f.as_ref().map_or(f64::INFINITY, |f| f.row_min[i]);
+        let row_min: Vec<f64> = (0..num_phones)
+            .map(|i| {
+                let (b, a) = (kind_min(&breakable, i), kind_min(&atomic, i));
+                if a < b {
+                    a
+                } else {
+                    b
+                }
+            })
+            .collect();
+
+        let mut by_rate: Vec<(f64, usize)> = Vec::with_capacity(by_column.len());
+        for column in rate_columns() {
+            let start = by_rate.len();
+            by_rate.extend(column.iter().copied().zip(0..));
+            by_rate[start..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+
+        // Each column's skyline, as `(b_i, per_kb_i)`: walked by
+        // decreasing rate, a phone is kept when its link is slower than
+        // every phone walked before it. A phone not kept has one walked
+        // before it with a rate and a link at least as high; `E_j` and
+        // `L_j` are ≥ 0 and IEEE products and sums round monotonically,
+        // so its `E_j · b_i + L_j · per_kb_i` is no higher to the bit,
+        // and the maximum over the skyline is the maximum over all P.
+        let mut skyline: Vec<(f64, f64)> = Vec::new();
+        let mut skyline_of = Vec::new();
+        for order in by_rate.chunks_exact(num_phones.max(1)) {
+            let start = skyline.len();
+            let mut slowest = f64::NEG_INFINITY;
+            for &(rate, i) in order.iter().rev() {
+                let b = bandwidth[i];
+                if b > slowest {
+                    slowest = b;
+                    skyline.push((b, rate));
+                }
+            }
+            skyline_of.push(start..skyline.len());
         }
         // Worst-bin upper bound: every job in its individually worst bin
-        // (`max_i full_cost_ms(i, j)`, over its column), summed in job
-        // order.
-        let upper_bound_ms = (column_of.iter().zip(&exe_kb).zip(&input_kb))
-            .map(|((&k, &exe), &input)| {
-                let column = &by_column[k * num_phones..(k + 1) * num_phones];
-                worst_bin_ms(exe, input, &bandwidth, column)
-            })
-            .sum();
+        // (`max_i full_cost_ms(i, j)`, over its column's skyline), summed
+        // in job order.
+        let worst_bins =
+            (column_of.iter().zip(&exe_kb).zip(&input_kb)).map(|((&k, &exe), &input)| {
+                skyline[skyline_of[k].clone()]
+                    .iter()
+                    .fold(0.0, |worst, &(b, rate)| {
+                        let cost = exe * b + input * rate;
+                        if cost > worst {
+                            cost
+                        } else {
+                            worst
+                        }
+                    })
+            });
+        let upper_bound_ms = worst_bins.sum();
+        let bound_cells = column_of.iter().map(|&k| skyline_of[k].len() as u64).sum();
         // Magical-bin lower bound: one bin with the fleet's aggregate
         // best-case rate, no executable costs. Division is monotone, so
         // a phone's best `1 / per_kb` is `1 / row_min` to the bit.
@@ -238,11 +343,16 @@ impl CostTables {
             num_phones,
             column_of,
             by_column,
+            by_rate,
+            least_bandwidth: bandwidth.iter().copied().fold(f64::INFINITY, f64::min),
             bandwidth,
             exe_kb,
             ram_kb: problem.phones.iter().map(|p| p.ram_kb).collect(),
             row_min,
+            breakable,
+            atomic,
             upper_bound_ms,
+            bound_cells,
             lower_bound_ms,
         }
     }
@@ -264,6 +374,49 @@ impl CostTables {
     /// Every distinct cost column, P rates each.
     pub(crate) fn columns(&self) -> impl Iterator<Item = &[f64]> {
         self.by_column.chunks_exact(self.num_phones.max(1))
+    }
+
+    /// Column `k`'s phones as `(per_kb, phone)`, by increasing rate,
+    /// ties by index.
+    #[inline]
+    pub(crate) fn rate_order(&self, k: usize) -> &[(f64, usize)] {
+        let p = self.num_phones;
+        self.by_rate.get(k * p..(k + 1) * p).unwrap_or_default()
+    }
+
+    /// The fleet's cheapest link, `min_i b_i`, ms per KB.
+    #[inline]
+    pub(crate) fn least_bandwidth(&self) -> f64 {
+        self.least_bandwidth
+    }
+
+    /// A floor under the Eq. 1 cost `exe + n · per_kb` of the least
+    /// placement any live item can make in bin `i`: `n` is 1 KB of a
+    /// breakable item and all of an atomic one (atomic items are never
+    /// split, so no live one has its executable on the bin yet). Each
+    /// kind's floor prices its least executable on phone `i` and its
+    /// cheapest column there, and the atomic one its least input too.
+    /// `split` says a breakable job was split in this bin already: its
+    /// live remainder then has its executable there, so the breakable
+    /// floor drops its executable term. `+∞` for a batch with no job of
+    /// either kind. Products and sums of non-negative values round
+    /// monotonically, so no live item's cost is below this floor.
+    pub(crate) fn fill_floor_ms(&self, i: usize, split: bool) -> f64 {
+        let b = self.bandwidth[i];
+        let breakable = self.breakable.as_ref().map_or(f64::INFINITY, |f| {
+            if split {
+                f.row_min[i]
+            } else {
+                f.exe_kb * b + f.row_min[i]
+            }
+        });
+        let atomic = (self.atomic.as_ref())
+            .map_or(f64::INFINITY, |f| f.exe_kb * b + f.input_kb * f.row_min[i]);
+        if atomic < breakable {
+            atomic
+        } else {
+            breakable
+        }
     }
 
     /// How many rates the tables hold: P per distinct cost column.
@@ -331,37 +484,18 @@ impl CostTables {
         self.upper_bound_ms
     }
 
+    /// Cost cells the worst-bin upper bound read.
+    #[inline]
+    pub(crate) fn bound_cells(&self) -> u64 {
+        self.bound_cells
+    }
+
     /// Loose lower bound: one magical bin with the aggregate bandwidth
     /// and processing rate of the whole fleet, no executable costs.
     #[inline]
     pub fn lower_bound_ms(&self) -> f64 {
         self.lower_bound_ms
     }
-}
-
-/// `max_i E·b_i + L·per_kb_i` over one cost column: a job of `exe_kb`
-/// executable and `input_kb` input in its worst bin. A maximum of finite
-/// values is exact in any order, so the phones are taken [`LANES`] at a
-/// time, lane against lane.
-fn worst_bin_ms(exe_kb: f64, input_kb: f64, bandwidth: &[f64], column: &[f64]) -> f64 {
-    let full = |b: f64, rate: f64| exe_kb * b + input_kb * rate;
-    let (b_groups, b_rest) = bandwidth.as_chunks::<LANES>();
-    let (rate_groups, rate_rest) = column.as_chunks::<LANES>();
-    let mut lanes = [0.0f64; LANES];
-    for (b, rate) in b_groups.iter().zip(rate_groups) {
-        for ((worst, &b), &rate) in lanes.iter_mut().zip(b).zip(rate) {
-            let cost = full(b, rate);
-            *worst = if cost > *worst { cost } else { *worst };
-        }
-    }
-    let rest = b_rest
-        .iter()
-        .zip(rate_rest)
-        .map(|(&b, &rate)| full(b, rate));
-    lanes
-        .into_iter()
-        .chain(rest)
-        .fold(0.0, |worst, cost| if cost > worst { cost } else { worst })
 }
 
 #[cfg(test)]

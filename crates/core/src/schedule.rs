@@ -99,7 +99,15 @@ impl Schedule {
                 problem.num_phones()
             )));
         }
-        let mut covered: BTreeMap<JobId, Vec<(u64, u64)>> = BTreeMap::new();
+        // Each job id with its index, by id; an id two jobs carry names
+        // the first of them, as the per-job walk below finds it.
+        let mut ids: Vec<(JobId, usize)> = problem.jobs.iter().map(|j| j.id).zip(0..).collect();
+        ids.sort_unstable();
+        ids.dedup_by_key(|&mut (id, _)| id);
+        // Every piece as `(job index, offset, len)`, an unknown job's
+        // index past the last job.
+        let unknown = problem.num_jobs();
+        let mut pieces: Vec<(usize, u64, u64)> = Vec::with_capacity(self.num_assignments());
         for (i, q) in self.per_phone.iter().enumerate() {
             for a in q {
                 if a.phone != problem.phones[i].id {
@@ -117,20 +125,25 @@ impl Schedule {
                         a.job, a.phone
                     )));
                 }
-                covered
-                    .entry(a.job)
-                    .or_default()
-                    .push((a.offset_kb.0, a.input_kb.0));
+                let j = match ids.binary_search_by_key(&a.job, |&(id, _)| id) {
+                    Ok(at) => ids[at].1,
+                    Err(_) => unknown,
+                };
+                pieces.push((j, a.offset_kb.0, a.input_kb.0));
             }
         }
-        for job in &problem.jobs {
-            let mut pieces = covered
-                .remove(&job.id)
-                .ok_or_else(|| CwcError::Infeasible(format!("{} not scheduled", job.id)))?;
-            pieces.sort_unstable();
+        pieces.sort_unstable();
+        let mut rest = pieces.as_slice();
+        for (j, job) in problem.jobs.iter().enumerate() {
+            let run = rest.partition_point(|&(of, _, _)| of == j);
+            let (own, after) = rest.split_at(run);
+            rest = after;
+            if own.is_empty() {
+                return Err(CwcError::Infeasible(format!("{} not scheduled", job.id)));
+            }
             let mut cursor = 0u64;
-            for (off, len) in &pieces {
-                if *off != cursor {
+            for &(_, off, len) in own {
+                if off != cursor {
                     return Err(CwcError::Config(format!(
                         "{}: gap/overlap at offset {off} (expected {cursor})",
                         job.id
@@ -144,15 +157,15 @@ impl Schedule {
                     job.id, job.input_kb.0
                 )));
             }
-            if job.kind.is_atomic() && pieces.len() != 1 {
+            if job.kind.is_atomic() && own.len() != 1 {
                 return Err(CwcError::Config(format!(
                     "atomic {} split into {} pieces",
                     job.id,
-                    pieces.len()
+                    own.len()
                 )));
             }
         }
-        if !covered.is_empty() {
+        if !rest.is_empty() {
             return Err(CwcError::Config("schedule references unknown jobs".into()));
         }
         Ok(())
@@ -228,6 +241,7 @@ pub(crate) fn assign_offsets(per_phone: &mut [Vec<Assignment>], problem: &SchedP
 mod tests {
     use super::*;
     use crate::problem::test_support::instance;
+    use cwc_types::JobId;
 
     fn toy_schedule(problem: &SchedProblem) -> Schedule {
         // Jobs assigned whole to phone 0 — trivially valid when RAM allows.
@@ -297,6 +311,168 @@ mod tests {
         problem.phones[0].ram_kb = 10;
         let s = toy_schedule(&problem);
         assert!(s.validate(&problem).is_err());
+    }
+
+    /// `s`'s first validation error, as displayed.
+    fn first_error(s: &Schedule, problem: &SchedProblem) -> String {
+        s.validate(problem).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn an_assignment_on_another_phones_queue_is_named() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0][1].phone = problem.phones[2].id;
+        let (p0, p2) = (problem.phones[0].id, problem.phones[2].id);
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: assignment for {p2} queued on {p0}")
+        );
+    }
+
+    #[test]
+    fn an_empty_partition_is_named() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0][3].input_kb = KiloBytes::ZERO;
+        let job = problem.jobs[3].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: empty partition of {job}")
+        );
+    }
+
+    #[test]
+    fn a_partition_over_its_phones_ram_is_named() {
+        let mut problem = instance(3, 4);
+        // Jobs 0 and 1 hold 200 and 350 KB: the second is the first over.
+        problem.phones[0].ram_kb = 300;
+        let s = toy_schedule(&problem);
+        let (job, phone) = (problem.jobs[1].id, problem.phones[0].id);
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: partition of {job} exceeds RAM of {phone}")
+        );
+    }
+
+    #[test]
+    fn a_gap_or_overlap_names_the_offset_it_expected() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0][1].offset_kb = KiloBytes(5);
+        let job = problem.jobs[1].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: {job}: gap/overlap at offset 5 (expected 0)")
+        );
+    }
+
+    #[test]
+    fn a_short_cover_names_what_was_covered() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0][0].input_kb = KiloBytes(199);
+        let job = problem.jobs[0].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: {job}: covered 199 of 200 KB")
+        );
+    }
+
+    #[test]
+    fn a_split_atomic_job_names_its_pieces() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        // Job 2 is atomic (500 KB); cut it in two on phone 0.
+        let mut tail = s.per_phone[0][2].clone();
+        s.per_phone[0][2].input_kb = KiloBytes(100);
+        tail.input_kb = KiloBytes(400);
+        tail.offset_kb = KiloBytes(100);
+        s.per_phone[0].push(tail);
+        let job = problem.jobs[2].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: atomic {job} split into 2 pieces")
+        );
+    }
+
+    #[test]
+    fn an_unscheduled_job_is_named() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0].remove(1);
+        let job = problem.jobs[1].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("no feasible schedule: {job} not scheduled")
+        );
+    }
+
+    #[test]
+    fn an_assignment_of_an_unknown_job_is_refused() {
+        let problem = instance(3, 4);
+        let mut s = toy_schedule(&problem);
+        let mut stray = s.per_phone[0][0].clone();
+        stray.job = JobId(99);
+        s.per_phone[1].push(Assignment {
+            phone: problem.phones[1].id,
+            ..stray
+        });
+        assert_eq!(
+            first_error(&s, &problem),
+            "configuration error: schedule references unknown jobs"
+        );
+    }
+
+    #[test]
+    fn the_first_error_is_per_assignment_then_per_job_in_problem_order() {
+        let problem = instance(3, 4);
+        // An unknown job on phone 0 and an empty partition on phone 1:
+        // every assignment is checked before any job's cover.
+        let mut s = toy_schedule(&problem);
+        let mut stray = s.per_phone[0][0].clone();
+        stray.job = JobId(99);
+        s.per_phone[0].insert(0, stray);
+        let mut empty = s.per_phone[0][4].clone();
+        empty.phone = problem.phones[1].id;
+        empty.input_kb = KiloBytes::ZERO;
+        s.per_phone[1].push(empty);
+        let job = problem.jobs[3].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: empty partition of {job}")
+        );
+        // Job 3's gap, job 1 unscheduled and an unknown job: jobs are
+        // walked in problem order, unknown jobs last.
+        let mut s = toy_schedule(&problem);
+        s.per_phone[0][3].offset_kb = KiloBytes(1);
+        s.per_phone[0].remove(1);
+        let mut stray = s.per_phone[0][0].clone();
+        stray.job = JobId(99);
+        s.per_phone[2].push(Assignment {
+            phone: problem.phones[2].id,
+            ..stray
+        });
+        let job = problem.jobs[1].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("no feasible schedule: {job} not scheduled")
+        );
+    }
+
+    #[test]
+    fn a_job_id_carried_twice_is_covered_by_its_first_job_only() {
+        let mut problem = instance(3, 4);
+        problem.jobs[3].id = problem.jobs[1].id;
+        problem.jobs[3].input_kb = problem.jobs[1].input_kb;
+        // Both jobs' pieces are one job's to the schedule, cut at
+        // consecutive offsets: the first job's cover runs past its input.
+        let s = toy_schedule(&problem);
+        let job = problem.jobs[1].id;
+        assert_eq!(
+            first_error(&s, &problem),
+            format!("configuration error: {job}: covered 700 of 350 KB")
+        );
     }
 
     #[test]

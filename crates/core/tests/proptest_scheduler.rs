@@ -206,6 +206,114 @@ fn ram_capped_strategy() -> impl Strategy<Value = RandomInstance> {
     })
 }
 
+/// Atomic photoblur on the cheaper cost column and breakable primecount
+/// on a dearer one, with executables as large as the inputs, so the
+/// fill's exit is mostly decided by the atomic floor and by the
+/// executable a job not yet on the bin pays. With a RAM cap, half the
+/// time, a breakable job is split by the cap rather than by the room,
+/// and its remainder stays live on the bin with its executable paid:
+/// the one case in which the breakable floor drops that term.
+fn cheap_atomic_column_strategy() -> impl Strategy<Value = SchedProblem> {
+    let phone = (806u32..=1500, 1.0..70.0f64);
+    let job = (prop::bool::ANY, 20u64..2_000, 100u64..4_000);
+    (
+        proptest::collection::vec(phone, 2..12),
+        proptest::collection::vec(job, 1..30),
+        2.0..10.0f64,
+        1.2..3.0f64,
+        proptest::option::of(80u64..600),
+    )
+        .prop_map(|(phones, jobs, atomic_cost, dearer, ram)| {
+            // Atomic inputs stay under 400 KB, so most fit some phone's RAM.
+            let jobs = (jobs.into_iter())
+                .map(|(atomic, input, exe)| {
+                    let input = if atomic { 20 + input % 380 } else { input };
+                    (input, exe, atomic)
+                })
+                .collect();
+            let mut inst = instance_of(phones, jobs);
+            if let Some(ram) = ram {
+                inst.phones = (inst.phones.into_iter())
+                    .map(|p| p.with_ram_kb(ram))
+                    .collect();
+            }
+            for spec in &mut inst.jobs {
+                let program = if spec.kind.is_atomic() {
+                    "photoblur"
+                } else {
+                    "primecount"
+                };
+                spec.program = program.into();
+            }
+            let c = (inst.phones.iter())
+                .map(|p| {
+                    let scale = 806.0 / f64::from(p.cpu.clock_mhz);
+                    (inst.jobs.iter())
+                        .map(|spec| {
+                            let base = atomic_cost * scale;
+                            if spec.kind.is_atomic() {
+                                base
+                            } else {
+                                base * dearer
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            SchedProblem::new(inst.phones, inst.jobs, c).unwrap()
+        })
+}
+
+/// Phones drawn from a palette of six `(b_i, c_i)` kinds, so a fleet
+/// holds duplicated phones, phones with equal links and different
+/// rates, and phones with equal rates and different links (1 + 9 =
+/// 5 + 5 = 9 + 1, exactly). A second program doubles every `c_i`, with
+/// its own ties. Every tie the worst-bin skyline's walk can meet — in
+/// rate, in link, in both — is there, and so is Step 2's tie-break by
+/// phone index.
+fn tied_fleet_strategy() -> impl Strategy<Value = SchedProblem> {
+    const PALETTE: [(f64, f64); 6] = [
+        (1.0, 9.0),
+        (5.0, 5.0),
+        (5.0, 9.0),
+        (1.0, 5.0),
+        (9.0, 1.0),
+        (5.0, 5.0),
+    ];
+    let job = (50u64..2_000, 5u64..400, prop::bool::ANY, prop::bool::ANY);
+    (
+        proptest::collection::vec(0..PALETTE.len(), 2..16),
+        proptest::collection::vec(job, 1..30),
+        proptest::option::of(80u64..600),
+    )
+        .prop_map(|(kinds, jobs, ram)| {
+            let phones = kinds.iter().map(|&k| (1_000, PALETTE[k].0)).collect();
+            let second: Vec<bool> = jobs.iter().map(|j| j.3).collect();
+            let jobs = (jobs.into_iter())
+                .map(|(input, exe, atomic, _)| (input, exe, atomic))
+                .collect();
+            let mut inst = instance_of(phones, jobs);
+            if let Some(ram) = ram {
+                inst.phones = (inst.phones.into_iter())
+                    .map(|p| p.with_ram_kb(ram))
+                    .collect();
+            }
+            for (spec, &second) in inst.jobs.iter_mut().zip(&second) {
+                spec.program = if second { "prog1" } else { "prog0" }.into();
+            }
+            let c = (kinds.iter())
+                .map(|&k| {
+                    let c = PALETTE[k].1;
+                    second
+                        .iter()
+                        .map(|&second| if second { 2.0 * c } else { c })
+                        .collect()
+                })
+                .collect();
+            SchedProblem::new(inst.phones, inst.jobs, c).unwrap()
+        })
+}
+
 /// Asserts the optimized packer reproduces the seed (reference) packer
 /// bit for bit: same assignment queues, same predicted makespan bits,
 /// same stats (probe counts, and the search's starting bounds, which
@@ -592,6 +700,20 @@ proptest! {
         // round a perturbed cell back onto it.
         let fail_prob = &probs[..problem.num_phones()];
         assert_matches_reference(&derisk(&problem, fail_prob, aggressiveness).unwrap());
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_with_atomic_jobs_on_the_cheaper_column(
+        problem in cheap_atomic_column_strategy()
+    ) {
+        assert_matches_reference(&problem);
+    }
+
+    #[test]
+    fn optimized_packer_matches_reference_on_fleets_with_tied_phones(
+        problem in tied_fleet_strategy()
+    ) {
+        assert_matches_reference(&problem);
     }
 
     #[test]
