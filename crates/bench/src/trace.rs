@@ -410,8 +410,10 @@ pub fn replay_capture(events: &[Event], seed: u64) -> CwcResult<Vec<Event>> {
         obs,
     )?;
     let mut kernel = Kernel::new(cfg)?;
+    let mut cmds = Vec::new();
     for (now, ev) in steps {
-        kernel.step(now, ev);
+        kernel.step_into(now, ev, &mut cmds);
+        cmds.clear();
     }
     Ok(sink.snapshot())
 }

@@ -115,14 +115,17 @@ impl Drop for QuietPanics {
     }
 }
 
-/// The outcome of stepping one event: either the kernel's response, or
-/// the panic payload it blew up with.
+/// The outcome of stepping one event: either the kernel's response (its
+/// own buffer, which the search holds while it explores below this
+/// step), or the panic payload it blew up with.
 pub(crate) fn step_caught(
     kernel: &mut Kernel,
     now: Micros,
     ev: CoordEvent,
 ) -> Result<Vec<cwc_server::coord::CoordCommand>, String> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel.step(now, ev)));
+    let mut cmds = Vec::new();
+    let step = || kernel.step_into(now, ev, &mut cmds);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)).map(|()| cmds);
     result.map_err(|payload| {
         payload
             .downcast_ref::<&str>()

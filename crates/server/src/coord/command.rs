@@ -30,7 +30,7 @@ pub enum TimerKind {
     Speculate,
 }
 
-/// One output of [`crate::coord::Kernel::step`].
+/// One output of [`crate::coord::Kernel::step_into`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordCommand {
     /// Measure this slot's bandwidth and reply with

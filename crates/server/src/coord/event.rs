@@ -4,13 +4,13 @@
 //! callbacks in the simulator, TCP frames and elapsed timeouts in the
 //! live path — into this one vocabulary. The kernel never sees a socket,
 //! a clock, or a thread: time only enters as the `now` argument of
-//! [`crate::coord::Kernel::step`] and as [`CoordEvent::TimerFired`]
+//! [`crate::coord::Kernel::step_into`] and as [`CoordEvent::TimerFired`]
 //! notifications for timers the kernel itself requested.
 
 use crate::coord::command::TimerKind;
 use cwc_types::{JobId, PhoneInfo};
 
-/// One input to [`crate::coord::Kernel::step`].
+/// One input to [`crate::coord::Kernel::step_into`].
 ///
 /// Slots are dense driver-chosen indices (fleet index in the simulator,
 /// connection index in the live path); the kernel learns about a slot the

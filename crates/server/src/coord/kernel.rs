@@ -1,8 +1,8 @@
 //! The coordinator kernel: CWC's control loop as a pure state machine.
 //!
-//! [`Kernel::step`] consumes one [`CoordEvent`] and returns the
-//! [`CoordCommand`]s the driver must perform. All per-slot and per-task
-//! state lives here — work queues, in-flight sequence numbers, keep-alive
+//! [`Kernel::step_into`] consumes one [`CoordEvent`] and appends the
+//! [`CoordCommand`]s the driver must perform to a buffer the driver owns.
+//! All per-slot and per-task state lives here — work queues, in-flight sequence numbers, keep-alive
 //! bookkeeping, the §4.1 online predictor, the §5 residual list and
 //! scheduling instants, and the per-slot circuit breakers. Time enters
 //! only as the `now` argument; the kernel owns **no** clock, socket, or
@@ -121,6 +121,8 @@ pub struct KernelConfig {
 #[derive(Debug, Clone)]
 struct WorkItem {
     original: JobId,
+    /// Index of `original`'s row in the kernel's job table.
+    job: usize,
     /// The catalogue's handle on the program name, shared by every item
     /// and ship command of every job running that program.
     program: Arc<str>,
@@ -141,13 +143,20 @@ struct WorkItem {
     trace: TraceCtx,
 }
 
-/// One catalogue entry: the submitted spec, and its program name as the
-/// shared handle work items and ship commands carry (one allocation per
-/// distinct program, not one per item, ship and flight).
+/// One row of the kernel's job table: the submitted spec, its program
+/// name as the shared handle work items and ship commands carry (one
+/// allocation per distinct program, not one per item, ship and flight),
+/// and what the run has made of the job so far.
 #[derive(Clone)]
-struct CatalogJob {
+struct Job {
     spec: JobSpec,
     program: Arc<str>,
+    /// Credited input, KB.
+    progress: u64,
+    /// Partitions that reported success.
+    partitions: usize,
+    /// When the credited input first covered the job's input.
+    completed_at: Option<Micros>,
 }
 
 /// Why a redundancy group exists (metric labels only — resolution
@@ -253,6 +262,40 @@ impl Slot {
     }
 }
 
+/// The per-slot state table, indexed by slot. Drivers number their slots
+/// densely from 0, so a slot's state is one index away; iteration visits
+/// exactly the slots that exist, in ascending order.
+#[derive(Clone, Default)]
+struct SlotTable(Vec<Option<Slot>>);
+
+impl SlotTable {
+    fn get(&self, slot: usize) -> Option<&Slot> {
+        self.0.get(slot)?.as_ref()
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut Slot> {
+        self.0.get_mut(slot)?.as_mut()
+    }
+
+    /// `slot`'s state, created (and the table grown) on first touch.
+    fn entry(&mut self, slot: usize, breaker: Option<(u32, Micros)>) -> &mut Slot {
+        if slot >= self.0.len() {
+            self.0.resize_with(slot + 1, || None);
+        }
+        self.0[slot].get_or_insert_with(|| Slot::new(breaker))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        let slots = self.0.iter().enumerate();
+        slots.filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Slot)> {
+        let slots = self.0.iter_mut().enumerate();
+        slots.filter_map(|(i, s)| s.as_mut().map(|s| (i, s)))
+    }
+}
+
 /// An in-progress solver round waiting for its probe replies.
 #[derive(Clone)]
 struct ProbeRound {
@@ -282,17 +325,16 @@ pub struct FleetLoss {
 #[derive(Clone)]
 pub struct Kernel {
     cfg: KernelConfig,
-    catalog: BTreeMap<JobId, CatalogJob>,
+    /// The catalogue and each job's progress, one row per job in
+    /// ascending id order; work items carry their job's row index.
+    jobs: Vec<Job>,
     predictor: RuntimePredictor,
-    slots: BTreeMap<usize, Slot>,
-    progress: BTreeMap<JobId, u64>,
+    slots: SlotTable,
     /// Jobs whose credited KB is still below their input: the batch
-    /// completion latch. Derived from `progress` (so it stays out of
-    /// [`Kernel::digest`]); [`Kernel::credit`] counts it down where it
-    /// latches `completed_at`, and zero is `Finished`.
+    /// completion latch. Derived from the rows' `progress` (so it stays
+    /// out of [`Kernel::digest`]); [`Kernel::credit`] counts it down where
+    /// it latches `completed_at`, and zero is `Finished`.
     unfinished: usize,
-    partitions: BTreeMap<JobId, usize>,
-    completed_at: BTreeMap<JobId, Micros>,
     failed: Vec<WorkItem>,
     round_pending: bool,
     probing: Option<ProbeRound>,
@@ -322,6 +364,8 @@ pub struct Kernel {
     /// instant; seeds the greedy solver's warm-started search on solver
     /// reschedule rounds. Deterministic: a pure function of run history.
     warm: Option<cwc_core::WarmStart>,
+    /// `span.execute_ms`, resolved at the run's first report.
+    execute_ms: Option<Arc<cwc_obs::Histogram>>,
 }
 
 impl Kernel {
@@ -330,7 +374,6 @@ impl Kernel {
     pub fn new(mut cfg: KernelConfig) -> CwcResult<Kernel> {
         let mut predictor = RuntimePredictor::new();
         let mut catalog = BTreeMap::new();
-        let mut progress = BTreeMap::new();
         let mut programs: BTreeSet<Arc<str>> = BTreeSet::new();
         for spec in std::mem::take(&mut cfg.jobs) {
             let Some(&baseline) = cfg.baselines.get(&spec.program) else {
@@ -340,28 +383,32 @@ impl Kernel {
                 )));
             };
             predictor.set_baseline(&spec.program, baseline);
-            progress.insert(spec.id, 0u64);
             let known = programs.get(spec.program.as_str()).cloned();
             let program = known.unwrap_or_else(|| {
                 let fresh: Arc<str> = Arc::from(spec.program.as_str());
                 programs.insert(fresh.clone());
                 fresh
             });
-            catalog.insert(spec.id, CatalogJob { spec, program });
+            let job = Job {
+                spec,
+                program,
+                progress: 0,
+                partitions: 0,
+                completed_at: None,
+            };
+            catalog.insert(job.spec.id, job);
         }
+        let jobs: Vec<Job> = catalog.into_values().collect();
         let spec_budget_left = cfg.speculation.map(|s| s.budget).unwrap_or(0);
         // Nothing is credited before `Start`, and `Start` refuses a batch
         // with a zero-size input, so every job begins below its input.
-        let unfinished = catalog.len();
+        let unfinished = jobs.len();
         Ok(Kernel {
             cfg,
-            catalog,
+            jobs,
             predictor,
-            slots: BTreeMap::new(),
-            progress,
+            slots: SlotTable::default(),
             unfinished,
-            partitions: BTreeMap::new(),
-            completed_at: BTreeMap::new(),
             failed: Vec::new(),
             round_pending: false,
             probing: None,
@@ -380,44 +427,55 @@ impl Kernel {
             fleet_loss: None,
             fatal: None,
             warm: None,
+            execute_ms: None,
         })
     }
 
-    /// Advances the state machine by one event. `now` is driver time
-    /// (sim time or wall micros); the kernel only ever compares and adds
-    /// these values, it never generates them.
-    pub fn step(&mut self, now: Micros, ev: CoordEvent) -> Vec<CoordCommand> {
-        let mut out = Vec::new();
+    /// Advances the state machine by one event, appending the commands it
+    /// emits to `out` (in order, behind whatever `out` already holds).
+    /// `now` is driver time (sim time or wall micros); the kernel only
+    /// ever compares and adds these values, it never generates them.
+    pub fn step_into(&mut self, now: Micros, ev: CoordEvent, out: &mut Vec<CoordCommand>) {
         match ev {
-            CoordEvent::Probe { slot, info } => self.on_probe(now, slot, info, &mut out),
-            CoordEvent::Start => self.on_start(now, &mut out),
+            CoordEvent::Probe { slot, info } => self.on_probe(now, slot, info, out),
+            CoordEvent::Start => self.on_start(now, out),
             CoordEvent::ReportOk {
                 slot,
                 seq,
                 job,
                 exec_ms,
-            } => self.on_report_ok(now, slot, seq, job, exec_ms, &mut out),
+            } => self.on_report_ok(now, slot, seq, job, exec_ms, out),
             CoordEvent::ReportFailed {
                 slot,
                 seq,
                 job,
                 processed_kb,
                 checkpoint,
-            } => self.on_report_failed(now, slot, seq, job, processed_kb, checkpoint, &mut out),
+            } => self.on_report_failed(now, slot, seq, job, processed_kb, checkpoint, out),
             CoordEvent::KeepAliveSeen { slot } => self.on_keepalive_seen(slot),
-            CoordEvent::WentDark { slot } => self.on_went_dark(slot, &mut out),
+            CoordEvent::WentDark { slot } => self.on_went_dark(slot, out),
             CoordEvent::ConnectionLost { slot, why } => {
                 self.mark_failed(now, slot, "worker.lost", why);
-                self.after_failure(now, &mut out);
+                self.after_failure(now, out);
             }
-            CoordEvent::Misbehaved { slot, why } => self.on_misbehaved(now, slot, why, &mut out),
+            CoordEvent::Misbehaved { slot, why } => self.on_misbehaved(now, slot, why, out),
             CoordEvent::Replugged { slot } => {
                 self.slot_mut(slot).alive = true;
             }
             CoordEvent::TimerFired { kind, slot, token } => {
-                self.on_timer(now, kind, slot, token, &mut out)
+                self.on_timer(now, kind, slot, token, out)
             }
         }
+    }
+
+    /// [`Kernel::step_into`] into a fresh buffer: one allocation per step
+    /// that emits anything. The drivers, [`crate::coord::script::replay`]
+    /// and the checker reuse a buffer instead; this form serves callers
+    /// that keep each step's commands as a list of its own (the repo
+    /// benchmark's kernel probes, the replay pins).
+    pub fn step(&mut self, now: Micros, ev: CoordEvent) -> Vec<CoordCommand> {
+        let mut out = Vec::new();
+        self.step_into(now, ev, &mut out);
         out
     }
 
@@ -433,14 +491,17 @@ impl Kernel {
         self.predicted_makespan_ms
     }
 
-    /// Completion time per job (jobs that finished).
-    pub fn completed_at(&self) -> &BTreeMap<JobId, Micros> {
-        &self.completed_at
+    /// Completion time per job (jobs that finished), built on demand.
+    pub fn completed_at(&self) -> BTreeMap<JobId, Micros> {
+        let done = |j: &Job| Some((j.spec.id, j.completed_at?));
+        self.jobs.iter().filter_map(done).collect()
     }
 
-    /// Executed partitions per job.
-    pub fn partitions_per_job(&self) -> &BTreeMap<JobId, usize> {
-        &self.partitions
+    /// Executed partitions per job (jobs with at least one), built on
+    /// demand.
+    pub fn partitions_per_job(&self) -> BTreeMap<JobId, usize> {
+        let ran = |j: &Job| (j.partitions > 0).then_some((j.spec.id, j.partitions));
+        self.jobs.iter().filter_map(ran).collect()
     }
 
     /// Completed rescheduled partitions.
@@ -470,14 +531,14 @@ impl Kernel {
 
     /// Slots currently marked failed.
     pub fn workers_lost(&self) -> usize {
-        self.slots.values().filter(|s| !s.alive).count()
+        self.slots.iter().filter(|(_, s)| !s.alive).count()
     }
 
     /// Time the slot last completed a partition ([`Micros::ZERO`] if
     /// never).
     pub fn last_completion(&self, slot: usize) -> Micros {
         self.slots
-            .get(&slot)
+            .get(slot)
             .map(|s| s.last_done)
             .unwrap_or(Micros::ZERO)
     }
@@ -509,8 +570,7 @@ impl Kernel {
     }
 
     fn slot_mut(&mut self, slot: usize) -> &mut Slot {
-        let breaker = self.cfg.breaker;
-        self.slots.entry(slot).or_insert_with(|| Slot::new(breaker))
+        self.slots.entry(slot, self.cfg.breaker)
     }
 
     fn on_probe(&mut self, now: Micros, slot: usize, info: PhoneInfo, out: &mut Vec<CoordCommand>) {
@@ -528,7 +588,7 @@ impl Kernel {
         self.slots
             .iter()
             .filter(|(_, s)| s.alive)
-            .map(|(&i, _)| i)
+            .map(|(i, _)| i)
             .collect()
     }
 
@@ -537,7 +597,7 @@ impl Kernel {
     /// runs without it, so any failure is fatal.
     fn on_start(&mut self, now: Micros, out: &mut Vec<CoordCommand>) {
         let mut avail = self.alive_slots();
-        avail.retain(|i| self.slots[i].info.is_some());
+        avail.retain(|&i| self.slots.get(i).is_some_and(|s| s.info.is_some()));
         if avail.is_empty() {
             return self.fail_fatal(
                 CwcError::Infeasible(
@@ -571,7 +631,7 @@ impl Kernel {
             self.ship_next(now, i, out);
         }
         if self.live() {
-            for (&i, s) in self.slots.iter() {
+            for (i, s) in self.slots.iter() {
                 out.push(CoordCommand::StartTimer {
                     kind: TimerKind::KeepAlive,
                     slot: i,
@@ -598,7 +658,7 @@ impl Kernel {
         let jobs: Vec<JobSpec> = match residuals {
             // `SchedProblem` owns its jobs, so this instant's copy of the
             // catalogue is the one clone the batch pays.
-            None => self.catalog.values().map(|j| j.spec.clone()).collect(),
+            None => self.jobs.iter().map(|j| j.spec.clone()).collect(),
             // Fresh scheduling ids map back to the residual records. A
             // checkpointed residual is one continuation → atomic.
             Some(residuals) => residuals
@@ -606,12 +666,7 @@ impl Kernel {
                 .enumerate()
                 .map(|(k, r)| JobSpec {
                     id: JobId(RESIDUAL_BASE + k as u32),
-                    kind: if r.resume.is_some()
-                        || self
-                            .catalog
-                            .get(&r.original)
-                            .is_some_and(|j| j.spec.kind.is_atomic())
-                    {
+                    kind: if r.resume.is_some() || self.jobs[r.job].spec.kind.is_atomic() {
                         JobKind::Atomic
                     } else {
                         JobKind::Breakable
@@ -624,7 +679,8 @@ impl Kernel {
         };
         let mut infos: Vec<PhoneInfo> = avail
             .iter()
-            .map(|i| self.slots[i].info.expect("available slots are probed"))
+            .map(|&i| self.slots.get(i).and_then(|s| s.info))
+            .map(|info| info.expect("available slots are probed"))
             .collect();
         if self.cfg.bandwidth_blind {
             let mean = infos.iter().map(|i| i.bandwidth.0).sum::<f64>() / infos.len() as f64;
@@ -648,14 +704,19 @@ impl Kernel {
         self.warm = warm.or(self.warm);
         schedule.validate(&problem)?;
         for (queue, i) in schedule.per_phone.iter().zip(avail) {
-            let slot = self.slots.get_mut(i).expect("available slots exist");
+            let slot = self.slots.get_mut(*i).expect("available slots exist");
             for a in queue {
                 self.next_span += 1;
                 let item = match residuals {
                     None => {
-                        let job = &self.catalog[&a.job];
+                        // The cold instant's assignments name jobs by id:
+                        // the one place an id is searched for.
+                        let ix = self.jobs.binary_search_by_key(&a.job, |j| j.spec.id);
+                        let ix = ix.expect("scheduled jobs are catalogued");
+                        let job = &self.jobs[ix];
                         WorkItem {
                             original: a.job,
+                            job: ix,
                             program: job.program.clone(),
                             exe_kb: job.spec.exe_kb,
                             kb: a.input_kb,
@@ -698,7 +759,7 @@ impl Kernel {
             return;
         }
         for &i in slots {
-            if let Some(s) = self.slots.get_mut(&i) {
+            if let Some(s) = self.slots.get_mut(i) {
                 s.queue
                     .make_contiguous()
                     .sort_by_key(|it| SloClass::rank(slo.get(&it.original).copied()));
@@ -733,16 +794,12 @@ impl Kernel {
                 continue;
             };
             let mut copies: Vec<WorkItem> = Vec::new();
-            if let Some(s) = self.slots.get_mut(&i) {
+            if let Some(s) = self.slots.get_mut(i) {
                 for item in s.queue.iter_mut() {
                     if item.resume.is_some() || item.group.is_some() || item.speculative {
                         continue;
                     }
-                    if !self
-                        .catalog
-                        .get(&item.original)
-                        .is_some_and(|j| j.spec.kind.is_atomic())
-                    {
+                    if !self.jobs[item.job].spec.kind.is_atomic() {
                         continue;
                     }
                     self.next_group += 1;
@@ -786,7 +843,7 @@ impl Kernel {
                         ),
                     )
             });
-            if let Some(t) = self.slots.get_mut(&target) {
+            if let Some(t) = self.slots.get_mut(target) {
                 for copy in copies {
                     t.queue.push_back(copy);
                 }
@@ -851,11 +908,7 @@ impl Kernel {
         let style = self.cfg.style;
         let mut wasted = 0u64;
         let mut freed: Vec<usize> = Vec::new();
-        let slot_ids: Vec<usize> = self.slots.keys().copied().collect();
-        for j in slot_ids {
-            let Some(s) = self.slots.get_mut(&j) else {
-                continue;
-            };
+        for (j, s) in self.slots.iter_mut() {
             if s.busy.as_ref().is_some_and(|b| b.item.group == Some(g)) {
                 if let Some(fl) = s.busy.take() {
                     self.cfg.obs.emit_with(|| {
@@ -877,9 +930,6 @@ impl Kernel {
                     freed.push(j);
                 }
             }
-            let Some(s) = self.slots.get_mut(&j) else {
-                continue;
-            };
             let before = s.queue.len();
             s.queue.retain(|it| it.group != Some(g));
             wasted += (before - s.queue.len()) as u64;
@@ -900,7 +950,7 @@ impl Kernel {
     /// Pops and ships the next queued item on `slot`, if idle and alive.
     fn ship_next(&mut self, now: Micros, slot: usize, out: &mut Vec<CoordCommand>) {
         let stall = self.cfg.stall_timeout;
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if !s.alive || s.busy.is_some() {
@@ -985,7 +1035,7 @@ impl Kernel {
                 }
             }
         }
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         s.busy = Some(InFlight { seq, item });
@@ -1002,7 +1052,7 @@ impl Kernel {
         out: &mut Vec<CoordCommand>,
     ) {
         let live = self.live();
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         s.unanswered = 0;
@@ -1034,13 +1084,16 @@ impl Kernel {
         if item.rescheduled {
             self.rescheduled_items += 1;
         }
-        *self.partitions.entry(item.original).or_insert(0) += 1;
+        self.jobs[item.job].partitions += 1;
         // The measured runtime refines c_ij (§4.1's online update).
         if let Some(info) = info {
             self.predictor
                 .observe(&info, &item.program, item.kb, exec_ms);
         }
-        self.cfg.obs.metrics.observe("span.execute_ms", exec_ms);
+        let metrics = &self.cfg.obs.metrics;
+        self.execute_ms
+            .get_or_insert_with(|| metrics.histogram("span.execute_ms"))
+            .record(exec_ms);
         if live {
             self.cfg.obs.emit_with(|| {
                 item.trace
@@ -1063,36 +1116,37 @@ impl Kernel {
         if let Some(g) = item.group {
             self.resolve_group_win(now, g, item.speculative, out);
         }
-        self.credit(now, job, item.kb.0, id, out);
+        self.credit(now, job, item.job, item.kb.0, id, out);
         // Planted bug (`check-mutation`, cwc-check's self-test only): a
         // redundancy-group win credits the job a second time — the exact
         // replica double-credit the exactly-once oracle exists to catch.
         #[cfg(feature = "check-mutation")]
         if item.group.is_some() {
-            self.credit(now, job, item.kb.0, id, out);
+            self.credit(now, job, item.job, item.kb.0, id, out);
         }
         self.ship_next(now, slot, out);
     }
 
-    /// Credits covered input and latches job / batch completion.
+    /// Credits `kb` of `job` (row `row` of the job table, as its work
+    /// item carried it) and latches job / batch completion.
     fn credit(
         &mut self,
         now: Micros,
         job: JobId,
+        row: usize,
         kb: u64,
         phone: cwc_types::PhoneId,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(done) = self.progress.get_mut(&job) else {
-            return;
-        };
-        *done += kb;
-        let target = self.catalog[&job].spec.input_kb.0;
+        let row = &mut self.jobs[row];
+        debug_assert_eq!(row.spec.id, job, "a work item indexes another job's row");
+        row.progress += kb;
+        let target = row.spec.input_kb.0;
         if self.cfg.style == DriverStyle::Sim {
-            debug_assert!(*done <= target, "over-completion of {job}");
+            debug_assert!(row.progress <= target, "over-completion of {job}");
         }
-        if *done >= target && !self.completed_at.contains_key(&job) {
-            self.completed_at.insert(job, now);
+        if row.progress >= target && row.completed_at.is_none() {
+            row.completed_at = Some(now);
             self.unfinished -= 1;
             // Deadlines are relative to run start; the completion latch is
             // the one place a job's SLO verdict is decided.
@@ -1127,11 +1181,8 @@ impl Kernel {
         }
         debug_assert_eq!(
             self.unfinished == 0,
-            self.catalog.iter().all(|(id, j)| self
-                .progress
-                .get(id)
-                .is_some_and(|&d| d >= j.spec.input_kb.0)),
-            "completion latch disagrees with the catalogue scan"
+            self.jobs.iter().all(|j| j.progress >= j.spec.input_kb.0),
+            "completion latch disagrees with the job table scan"
         );
         if !self.finished && self.unfinished == 0 {
             self.finished = true;
@@ -1151,7 +1202,7 @@ impl Kernel {
         out: &mut Vec<CoordCommand>,
     ) {
         let live = self.live();
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         s.unanswered = 0;
@@ -1204,11 +1255,12 @@ impl Kernel {
                 }
             });
         }
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         let Some(fl) = s.busy.take() else { return };
         let item = fl.item;
+        let row = item.job;
         if item.group.is_some() {
             // A grouped member never credits partial progress or carries a
             // checkpoint out — its twin may still complete the whole slice.
@@ -1230,7 +1282,7 @@ impl Kernel {
                 });
             }
             if processed > 0 {
-                self.credit(now, job, processed, id, out);
+                self.credit(now, job, row, processed, id, out);
             }
         }
         // An unplugged phone is out for the rest of the run.
@@ -1239,7 +1291,7 @@ impl Kernel {
     }
 
     fn on_keepalive_seen(&mut self, slot: usize) {
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         s.unanswered = 0;
@@ -1252,7 +1304,7 @@ impl Kernel {
     /// Silent unplug (sim): park the slot's work; the server only learns
     /// at the keep-alive timeout.
     fn on_went_dark(&mut self, slot: usize, out: &mut Vec<CoordCommand>) {
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if !s.alive {
@@ -1290,7 +1342,7 @@ impl Kernel {
         why: String,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         s.unanswered = 0;
@@ -1346,7 +1398,7 @@ impl Kernel {
             return;
         }
         let source: Option<WorkItem> = {
-            let Some(s) = self.slots.get(&slot) else {
+            let Some(s) = self.slots.get(slot) else {
                 return;
             };
             if s.alive {
@@ -1372,13 +1424,13 @@ impl Kernel {
         let target = self
             .slots
             .iter()
-            .filter(|(&j, s)| j != slot && s.alive && s.info.is_some())
-            .min_by_key(|(&j, s)| (s.queue.len() + usize::from(s.busy.is_some()), j))
-            .map(|(&j, _)| j);
+            .filter(|&(j, s)| j != slot && s.alive && s.info.is_some())
+            .min_by_key(|&(j, s)| (s.queue.len() + usize::from(s.busy.is_some()), j))
+            .map(|(j, _)| j);
         let Some(target) = target else { return };
         self.next_group += 1;
         let g = self.next_group;
-        if let Some(s) = self.slots.get_mut(&slot) {
+        if let Some(s) = self.slots.get_mut(slot) {
             if s.alive {
                 if let Some(b) = s.busy.as_mut() {
                     b.item.group = Some(g);
@@ -1437,7 +1489,7 @@ impl Kernel {
         token: u64,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if s.parked.as_ref().is_none_or(|(t, _)| *t != token) {
@@ -1483,7 +1535,7 @@ impl Kernel {
     ) {
         let period = self.cfg.keepalive_period;
         let tolerated = self.cfg.tolerated_misses;
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if !s.alive || s.ka_token != token {
@@ -1526,7 +1578,7 @@ impl Kernel {
         token: u64,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if !s.alive || s.busy.as_ref().is_none_or(|b| b.seq != token) {
@@ -1560,7 +1612,7 @@ impl Kernel {
 
     fn breaker_trips(&mut self, now: Micros, slot: usize) -> bool {
         self.slots
-            .get_mut(&slot)
+            .get_mut(slot)
             .and_then(|s| s.breaker.as_mut())
             .is_some_and(|b| b.record(now))
     }
@@ -1568,7 +1620,7 @@ impl Kernel {
     /// Quarantines a flapping slot (circuit breaker tripped): like a
     /// failure, plus the `live.quarantined` counter.
     fn quarantine(&mut self, now: Micros, slot: usize, why: &str) {
-        let alive = self.slots.get(&slot).is_some_and(|s| s.alive);
+        let alive = self.slots.get(slot).is_some_and(|s| s.alive);
         if !alive {
             return;
         }
@@ -1576,7 +1628,7 @@ impl Kernel {
         self.cfg.obs.metrics.inc("live.quarantined");
         let id = self
             .slots
-            .get(&slot)
+            .get(slot)
             .map(|s| s.id())
             .unwrap_or(cwc_types::PhoneId(u32::MAX));
         self.mark_failed(
@@ -1591,7 +1643,7 @@ impl Kernel {
     /// in-flight task and queue into the failed list (§5's `F_A`).
     fn mark_failed(&mut self, now: Micros, slot: usize, event: &str, why: String) {
         let live = self.live();
-        let Some(s) = self.slots.get_mut(&slot) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         if !s.alive {
@@ -1608,7 +1660,7 @@ impl Kernel {
                     .field("msg", why)
             });
         }
-        let s = self.slots.get_mut(&slot).expect("slot exists");
+        let s = self.slots.get_mut(slot).expect("slot exists");
         let mut dead: Vec<WorkItem> = Vec::new();
         if let Some(fl) = s.busy.take() {
             dead.push(fl.item);
@@ -1655,12 +1707,11 @@ impl Kernel {
         let detail =
             format!("{why} with {residuals} residual task(s) unplaced; returning partial results");
         let unprocessed_kb: BTreeMap<JobId, u64> = self
-            .catalog
+            .jobs
             .iter()
-            .filter_map(|(&id, j)| {
-                let done = self.progress.get(&id).copied().unwrap_or(0);
+            .filter_map(|j| {
                 let input = j.spec.input_kb.0;
-                (done < input).then_some((id, input - done))
+                (j.progress < input).then_some((j.spec.id, input - j.progress))
             })
             .collect();
         self.cfg.obs.emit_with(|| {
@@ -1768,7 +1819,7 @@ impl Kernel {
         let avail: Vec<usize> = round
             .avail
             .into_iter()
-            .filter(|i| self.slots.get(i).is_some_and(|s| s.alive))
+            .filter(|&i| self.slots.get(i).is_some_and(|s| s.alive))
             .collect();
         let residuals = std::mem::take(&mut self.failed);
         // Runtime invariant check (debug builds and tests): the round
@@ -1983,13 +2034,13 @@ impl Kernel {
                 .map(|r| r.awaiting.iter().copied().collect())
                 .unwrap_or_default(),
             spec_budget_left: self.spec_budget_left,
-            progress: self.progress.clone(),
+            progress: self.jobs.iter().map(|j| (j.spec.id, j.progress)).collect(),
             job_size: self
-                .catalog
+                .jobs
                 .iter()
-                .map(|(&id, j)| (id, j.spec.input_kb.0))
+                .map(|j| (j.spec.id, j.spec.input_kb.0))
                 .collect(),
-            completed: self.completed_at.keys().copied().collect(),
+            completed: self.completed_at().into_keys().collect(),
             failed: self.failed.iter().map(Self::view_chunk).collect(),
             groups: self
                 .replica_groups
@@ -2009,7 +2060,7 @@ impl Kernel {
             slots: self
                 .slots
                 .iter()
-                .map(|(&i, s)| {
+                .map(|(i, s)| {
                     (
                         i,
                         SlotCheckView {
@@ -2063,12 +2114,12 @@ impl Kernel {
             }
             None => h.write_u8(0),
         }
-        for (&job, &done) in &self.progress {
-            h.write_u64(u64::from(job.0));
-            h.write_u64(done);
+        for j in &self.jobs {
+            h.write_u64(u64::from(j.spec.id.0));
+            h.write_u64(j.progress);
         }
-        for &job in self.completed_at.keys() {
-            h.write_u64(u64::from(job.0));
+        for j in self.jobs.iter().filter(|j| j.completed_at.is_some()) {
+            h.write_u64(u64::from(j.spec.id.0));
         }
         h.write_u64(self.failed.len() as u64);
         for item in &self.failed {
@@ -2086,7 +2137,7 @@ impl Kernel {
         // their `Debug` forms are deterministic (BTreeMap-backed).
         h.write_str(&format!("{:?}", self.predictor));
         h.write_str(&format!("{:?}", self.warm));
-        for (&i, s) in &self.slots {
+        for (i, s) in self.slots.iter() {
             h.write_u64(i as u64);
             h.write_flag(s.alive);
             h.write_u64(u64::from(s.unanswered));
@@ -2259,7 +2310,8 @@ mod tests {
         ) -> Vec<CoordCommand> {
             self.now += 1_000;
             let was_covered = self.all_covered();
-            let out = self.kernel.step(Micros(self.now), ev);
+            let mut out = Vec::new();
+            self.kernel.step_into(Micros(self.now), ev, &mut out);
             let recorded = out
                 .iter()
                 .any(|c| matches!(c, CoordCommand::RecordResult { .. }));

@@ -18,8 +18,9 @@
 //!   `crate::shard`.
 //!
 //! **Driver contract.** A driver owns all I/O and all clocks. It feeds
-//! each stimulus to [`Kernel::step`] together with its own notion of
-//! `now` (sim time or wall micros), executes every returned command, and
+//! each stimulus to [`Kernel::step_into`] together with its own notion of
+//! `now` (sim time or wall micros) and a command buffer it owns and
+//! reuses, executes every command the step appended, in order, and
 //! delivers [`CoordEvent::TimerFired`] when a requested timer elapses
 //! (stale tokens are fine — the kernel ignores them). The simulator's
 //! engine drives the kernel from a discrete-event queue; the live path

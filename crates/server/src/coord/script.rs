@@ -80,7 +80,7 @@ pub fn decode(line: &str) -> CwcResult<(Micros, CoordEvent)> {
     let kind = parts.next().ok_or_else(bad)?;
     let ev = match kind {
         "probe" => {
-            let slot = take_u64(&mut parts).ok_or_else(bad)? as usize;
+            let slot = take_slot(&mut parts).ok_or_else(bad)?;
             let id = PhoneId(take_u64(&mut parts).ok_or_else(bad)? as u32);
             let clock = take_u64(&mut parts).ok_or_else(bad)? as u32;
             let cores = take_u64(&mut parts).ok_or_else(bad)? as u32;
@@ -103,13 +103,13 @@ pub fn decode(line: &str) -> CwcResult<(Micros, CoordEvent)> {
         }
         "start" => CoordEvent::Start,
         "ok" => CoordEvent::ReportOk {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
             seq: take_u64(&mut parts).ok_or_else(bad)?,
             job: JobId(take_u64(&mut parts).ok_or_else(bad)? as u32),
             exec_ms: f64::from_bits(take_hex(&mut parts).ok_or_else(bad)?),
         },
         "failed" => CoordEvent::ReportFailed {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
             seq: take_u64(&mut parts).ok_or_else(bad)?,
             job: JobId(take_u64(&mut parts).ok_or_else(bad)? as u32),
             processed_kb: take_u64(&mut parts).ok_or_else(bad)?,
@@ -119,28 +119,28 @@ pub fn decode(line: &str) -> CwcResult<(Micros, CoordEvent)> {
             },
         },
         "ka" => CoordEvent::KeepAliveSeen {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
         },
         "dark" => CoordEvent::WentDark {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
         },
         "lost" => CoordEvent::ConnectionLost {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
             why: rest(parts),
         },
         "misbehaved" => CoordEvent::Misbehaved {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
             why: rest(parts),
         },
         "replug" => CoordEvent::Replugged {
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
         },
         "timer" => CoordEvent::TimerFired {
             kind: TIMERS
                 .get(take_u64(&mut parts).ok_or_else(bad)? as usize)
                 .copied()
                 .ok_or_else(bad)?,
-            slot: take_u64(&mut parts).ok_or_else(bad)? as usize,
+            slot: take_slot(&mut parts).ok_or_else(bad)?,
             token: take_u64(&mut parts).ok_or_else(bad)?,
         },
         _ => return Err(bad()),
@@ -149,7 +149,7 @@ pub fn decode(line: &str) -> CwcResult<(Micros, CoordEvent)> {
 }
 
 /// Records one kernel step on the obs bus (the live driver calls this
-/// before each [`Kernel::step`]).
+/// before each [`Kernel::step_into`]).
 pub fn record(obs: &cwc_obs::Obs, now: Micros, ev: &CoordEvent) {
     obs.emit_with(|| {
         cwc_obs::Event::wall(now.0, "coord", SCRIPT_EVENT)
@@ -181,10 +181,10 @@ pub fn harvest(events: &[cwc_obs::Event]) -> CwcResult<Vec<(Micros, CoordEvent)>
 pub fn replay(steps: &[(Micros, CoordEvent)], cfg: KernelConfig) -> CwcResult<Vec<String>> {
     let mut kernel = Kernel::new(cfg)?;
     let mut lines = Vec::new();
+    let mut cmds = Vec::new();
     for (now, ev) in steps {
-        for cmd in kernel.step(*now, ev.clone()) {
-            lines.push(format!("{cmd:?}"));
-        }
+        kernel.step_into(*now, ev.clone(), &mut cmds);
+        lines.extend(cmds.drain(..).map(|cmd| format!("{cmd:?}")));
     }
     Ok(lines)
 }
@@ -213,6 +213,16 @@ fn radio_index(radio: RadioTech) -> usize {
 
 fn take_u64<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Option<u64> {
     parts.next()?.parse().ok()
+}
+
+/// Slots a script may name: one kernel's fleet stays far below this,
+/// and the kernel's slot table is dense, so a decoded index is bounded
+/// before it can size that table.
+const MAX_SLOTS: u64 = 1 << 20;
+
+fn take_slot<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Option<usize> {
+    let slot = take_u64(parts).filter(|&slot| slot < MAX_SLOTS)?;
+    usize::try_from(slot).ok()
 }
 
 fn take_hex<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Option<u64> {
@@ -340,6 +350,7 @@ mod tests {
             "5 probe 1",
             "5 warp 1",
             "5 timer 9 0 0",
+            "5 replug 1048576",
         ] {
             assert!(decode(line).is_err(), "{line:?} should not parse");
         }

@@ -372,6 +372,7 @@ impl Engine {
             injections: self.injections,
             segments: Vec::new(),
             transfer_ms: None,
+            cmds: Vec::new(),
             obs: self.config.obs.clone(),
         };
 
@@ -405,14 +406,9 @@ impl Engine {
         sim.run_until(horizon, |sim, ev| driver.handle(sim, ev));
 
         // 4. Report.
-        let completed_jobs = driver.kernel.completed_at().len();
-        let makespan = driver
-            .kernel
-            .completed_at()
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(Micros::ZERO);
+        let completed_at = driver.kernel.completed_at();
+        let completed_jobs = completed_at.len();
+        let makespan = completed_at.values().copied().max().unwrap_or(Micros::ZERO);
         let obs = &self.config.obs;
         obs.emit_with(|| {
             cwc_obs::Event::sim(sim.now().0, "engine", "run.complete")
@@ -431,11 +427,11 @@ impl Engine {
                 .map(|i| driver.kernel.last_completion(i))
                 .collect(),
             segments: driver.segments,
-            partitions_per_job: driver.kernel.partitions_per_job().clone(),
+            partitions_per_job: driver.kernel.partitions_per_job(),
             completed_jobs,
             total_jobs,
             rescheduled_items: driver.kernel.rescheduled_items(),
-            completed_at: driver.kernel.completed_at().clone(),
+            completed_at,
             workers_lost: driver.kernel.workers_lost(),
             quarantined_workers: driver.kernel.quarantined(),
             fleet_loss: driver.kernel.take_fleet_loss(),
@@ -466,6 +462,8 @@ struct SimDriver {
     segments: Vec<Segment>,
     /// `span.transfer_ms`, resolved at the run's first transfer.
     transfer_ms: Option<std::sync::Arc<cwc_obs::Histogram>>,
+    /// The command buffer every step appends to; empty between feeds.
+    cmds: Vec<CoordCommand>,
     obs: cwc_obs::Obs,
 }
 
@@ -479,15 +477,21 @@ impl SimDriver {
 
     /// Feeds one event to the kernel and executes every command it emits
     /// (probes synchronously, which may cascade into further commands).
+    /// Commands run in emission order: a probe reply's commands are
+    /// appended behind the cursor, after everything already emitted.
     fn feed(&mut self, sim: &mut Simulation<Ev>, ev: CoordEvent) {
         let now = sim.now();
-        let mut queue: std::collections::VecDeque<CoordCommand> = self.kernel.step(now, ev).into();
-        while let Some(cmd) = queue.pop_front() {
-            match cmd {
+        let mut cmds = std::mem::take(&mut self.cmds);
+        self.kernel.step_into(now, ev, &mut cmds);
+        let mut next = 0;
+        while let Some(cmd) = cmds.get(next) {
+            next += 1;
+            match *cmd {
                 CoordCommand::SendProbe { slot } => {
                     // The round's fresh b_i measurement, on the spot.
                     let info = self.rts[slot].phone.info(now);
-                    queue.extend(self.kernel.step(now, CoordEvent::Probe { slot, info }));
+                    let ev = CoordEvent::Probe { slot, info };
+                    self.kernel.step_into(now, ev, &mut cmds);
                 }
                 // A replica transfers exactly like a primary: the split
                 // only matters to the kernel's bookkeeping, not to the
@@ -556,6 +560,8 @@ impl SimDriver {
                 | CoordCommand::Halt => {}
             }
         }
+        cmds.clear();
+        self.cmds = cmds;
     }
 
     fn handle(&mut self, sim: &mut Simulation<Ev>, ev: Ev) {

@@ -12,7 +12,7 @@
 //! server side of this module is a **single-threaded readiness-based
 //! event loop** (DESIGN.md §14) built on [`cwc_net::reactor`]: one
 //! [`cwc_net::Poller`] multiplexes accepts, frame decode, and write
-//! readiness for the whole fleet; [`Kernel::step`] turns each decoded
+//! readiness for the whole fleet; [`Kernel::step_into`] turns each decoded
 //! frame into commands; command fan-out goes through per-connection
 //! write queues with explicit backpressure accounting; and every
 //! wall-clock wait — kernel keep-alive/stall/speculation timers, injected
@@ -759,6 +759,10 @@ struct LiveDriver<'a> {
     /// What ends the run with an `Err`: a setup failure (every expected
     /// worker must join) or the kernel's own `Halt`. First one wins.
     fatal: Option<CwcError>,
+    /// The command buffer a feed steps the kernel into. A feed takes it
+    /// for the length of its drain, so a nested feed (a send that loses
+    /// its connection) drains a buffer of its own.
+    cmds: Vec<CoordCommand>,
 }
 
 impl<'a> LiveDriver<'a> {
@@ -792,6 +796,7 @@ impl<'a> LiveDriver<'a> {
             partials: BTreeMap::new(),
             pending_result: None,
             fatal: None,
+            cmds: Vec::new(),
         })
     }
 
@@ -819,10 +824,12 @@ impl<'a> LiveDriver<'a> {
         }
         let now = self.now();
         script::record(self.obs, now, &ev);
-        let cmds = self.kernel.step(now, ev);
-        for cmd in cmds {
+        let mut cmds = std::mem::take(&mut self.cmds);
+        self.kernel.step_into(now, ev, &mut cmds);
+        for cmd in cmds.drain(..) {
             self.apply(now, cmd);
         }
+        self.cmds = cmds;
     }
 
     /// Sends `frames` to the worker in `slot` in one pass: queue them all,
@@ -1988,8 +1995,9 @@ mod tests {
         // Cancelling superseded watchdogs changes nothing the kernel can
         // see: the recorded script replays to the same terminal state.
         let mut replayed = Kernel::new(kernel_config(cwc_obs::Obs::new()).unwrap()).unwrap();
+        let mut cmds = Vec::new();
         for (now, ev) in script::harvest(&sink.snapshot()).unwrap() {
-            replayed.step(now, ev);
+            replayed.step_into(now, ev, &mut cmds);
         }
         assert!(replayed.finished());
         assert_eq!(replayed.completed_at(), driver.kernel.completed_at());

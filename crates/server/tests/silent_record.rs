@@ -1,15 +1,21 @@
 //! A silent run pays nothing for narration: with no sink on the bus,
-//! `script::record` — called before every `Kernel::step` on the live
+//! `script::record` — called before every kernel step on the live
 //! path — must not touch the heap, and the simulator's `Engine::run` must
-//! not build its two events per chunk. Checked with a counting global
-//! allocator, which is why these tests have a binary to themselves.
+//! not build its two events per chunk. The kernel's steady-state steps
+//! allocate nothing at all, given a warm command buffer. Checked with a
+//! counting global allocator, which is why these tests have a binary to
+//! themselves.
 
 use cwc_obs::{Event, MemorySink, Obs, Severity, TraceCtx};
-use cwc_server::coord::{script, CoordEvent, TimerKind};
+use cwc_server::coord::{
+    script, CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy,
+    TimerKind,
+};
 use cwc_server::{Engine, EngineConfig, FleetBuilder, WorkloadBuilder};
-use cwc_types::{JobId, Micros, PhoneId};
+use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId, PhoneInfo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -147,4 +153,136 @@ fn engine_run_without_a_sink_builds_no_event_per_segment() {
     let (small_traced, _) = engine_run(50, &traced);
     let (large_traced, _) = engine_run(100, &traced);
     assert!(large_traced - small_traced >= extra_allocs + per_event * extra_segments);
+}
+
+fn probed(slot: usize) -> PhoneInfo {
+    let cpu = CpuSpec::new(1_400 - 200 * slot as u32, 2);
+    let radio = cwc_types::RadioTech::Wifi80211g;
+    PhoneInfo::new(PhoneId(slot as u32), cpu, radio, MsPerKb(2.0 + slot as f64))
+}
+
+/// The ship each slot has in flight, from a step's commands.
+fn note_ships(cmds: &[CoordCommand], in_flight: &mut BTreeMap<usize, (u64, JobId)>) {
+    for cmd in cmds {
+        if let CoordCommand::ShipInput { slot, seq, job, .. } = *cmd {
+            in_flight.insert(slot, (seq, job));
+        }
+    }
+}
+
+#[test]
+fn steady_state_kernel_steps_do_not_allocate() {
+    const SLOTS: usize = 3;
+    let jobs = (0..24)
+        .map(|i| JobSpec::atomic(JobId(i), "photoblur", KiloBytes(40), KiloBytes(60)))
+        .collect();
+    let mut kernel = Kernel::new(KernelConfig {
+        scheduler: cwc_core::SchedulerKind::Greedy,
+        jobs,
+        baselines: cwc_server::engine::paper_baselines(),
+        keepalive_period: Micros::from_secs(30),
+        tolerated_misses: 3,
+        reschedule: ReschedulePolicy::Solver {
+            delay: Micros::from_secs(60),
+        },
+        stall_timeout: None,
+        breaker: None,
+        reliability: None,
+        slo: BTreeMap::new(),
+        replication: None,
+        speculation: None,
+        bandwidth_blind: false,
+        style: DriverStyle::Sim,
+        obs: Obs::new(),
+    })
+    .expect("kernel");
+    let mut cmds = Vec::new();
+    let mut in_flight = BTreeMap::new();
+    let mut now = Micros::ZERO;
+    for slot in 0..SLOTS {
+        let info = probed(slot);
+        kernel.step_into(now, CoordEvent::Probe { slot, info }, &mut cmds);
+    }
+    kernel.step_into(now, CoordEvent::Start, &mut cmds);
+    note_ships(&cmds, &mut in_flight);
+    assert_eq!(in_flight.len(), SLOTS, "every slot got work");
+    let mut report = |kernel: &mut Kernel, cmds: &mut Vec<CoordCommand>, slot| {
+        let (seq, job) = in_flight[&slot];
+        now = Micros(now.0 + 1_000_000);
+        let ev = CoordEvent::ReportOk {
+            slot,
+            seq,
+            job,
+            exec_ms: 90.0,
+        };
+        cmds.clear();
+        let allocations = allocations_during(|| kernel.step_into(now, ev, cmds));
+        note_ships(cmds, &mut in_flight);
+        allocations
+    };
+    // Warm-up: every slot reports once, so each has the executable, the
+    // predictor has learned each slot's rate, and the buffer has grown.
+    for slot in 0..SLOTS {
+        report(&mut kernel, &mut cmds, slot);
+    }
+
+    // An atomic job's only chunk reports: the job is credited and
+    // completes, and the slot's next queued item ships.
+    let completed = kernel.completed_at().len();
+    assert_eq!(report(&mut kernel, &mut cmds, 0), 0, "{cmds:?}");
+    assert_eq!(kernel.completed_at().len(), completed + 1);
+    assert!(matches!(
+        cmds[0],
+        CoordCommand::RecordResult { slot: 0, .. }
+    ));
+    assert!(matches!(cmds[1], CoordCommand::ShipInput { slot: 0, .. }));
+    assert_eq!(cmds.len(), 2);
+
+    // A known slot's probe reply outside a scheduling round.
+    cmds.clear();
+    let probe = CoordEvent::Probe {
+        slot: 1,
+        info: probed(1),
+    };
+    assert_eq!(
+        allocations_during(|| kernel.step_into(now, probe, &mut cmds)),
+        0
+    );
+    assert!(cmds.is_empty());
+
+    // And inside one, while other replies are still awaited: slot 2 fails
+    // online, the round's timer fires and probes the two survivors.
+    let (seq, job) = in_flight[&2];
+    let failed = CoordEvent::ReportFailed {
+        slot: 2,
+        seq,
+        job,
+        processed_kb: 0,
+        checkpoint: None,
+    };
+    kernel.step_into(now, failed, &mut cmds);
+    let round = CoordEvent::TimerFired {
+        kind: TimerKind::Reschedule,
+        slot: 0,
+        token: 0,
+    };
+    cmds.clear();
+    kernel.step_into(now, round, &mut cmds);
+    assert!(matches!(
+        cmds[..],
+        [
+            CoordCommand::SendProbe { slot: 0 },
+            CoordCommand::SendProbe { slot: 1 }
+        ]
+    ));
+    cmds.clear();
+    let probe = CoordEvent::Probe {
+        slot: 0,
+        info: probed(0),
+    };
+    assert_eq!(
+        allocations_during(|| kernel.step_into(now, probe, &mut cmds)),
+        0
+    );
+    assert!(cmds.is_empty(), "the round waits for slot 1");
 }

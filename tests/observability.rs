@@ -415,8 +415,10 @@ mod live_tracing {
         )
         .unwrap();
         let mut kernel = Kernel::new(cfg).unwrap();
+        let mut cmds = Vec::new();
         for (now, ev) in steps {
-            kernel.step(now, ev);
+            kernel.step_into(now, ev, &mut cmds);
+            cmds.clear();
         }
         let replayed = sink.snapshot();
 
