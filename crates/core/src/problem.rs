@@ -191,6 +191,9 @@ pub struct CostTables {
     /// `by_rate[k · num_phones ..][..num_phones]`: column `k`'s
     /// `(per_kb, phone)` pairs by increasing rate, ties by index.
     by_rate: Vec<(f64, usize)>,
+    /// `skyline[skyline_of[k]]`: column `k`'s skyline as `(b_i, per_kb)`.
+    skyline: Vec<(f64, f64)>,
+    skyline_of: Vec<std::ops::Range<usize>>,
     /// `b_i`, ms per KB.
     bandwidth: Vec<f64>,
     /// `min_i b_i`.
@@ -344,6 +347,8 @@ impl CostTables {
             column_of,
             by_column,
             by_rate,
+            skyline,
+            skyline_of,
             least_bandwidth: bandwidth.iter().copied().fold(f64::INFINITY, f64::min),
             bandwidth,
             exe_kb,
@@ -382,6 +387,16 @@ impl CostTables {
     pub(crate) fn rate_order(&self, k: usize) -> &[(f64, usize)] {
         let p = self.num_phones;
         self.by_rate.get(k * p..(k + 1) * p).unwrap_or_default()
+    }
+
+    /// Column `k`'s skyline as `(b_i, per_kb)` pairs: the phones that no
+    /// other phone matches or beats on both link and rate, among which
+    /// lies the costliest phone of `E · b_i + L · per_kb` for any
+    /// `E, L ≥ 0`.
+    #[inline]
+    pub(crate) fn skyline(&self, k: usize) -> &[(f64, f64)] {
+        (self.skyline_of.get(k))
+            .map_or(&[], |run| self.skyline.get(run.clone()).unwrap_or_default())
     }
 
     /// The fleet's cheapest link, `min_i b_i`, ms per KB.

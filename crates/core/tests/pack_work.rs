@@ -9,7 +9,8 @@
 //! One is `fleet_pin.rs`'s own 1 000 × 1 000 instance, the other
 //! 200 × 1 000 (`sim-fleet`'s shape). A count is exact for an instance,
 //! so a change that does more or less work than it claims fails here
-//! in one run, with no timing noise.
+//! in one run, with no timing noise. Each count's earlier values are
+//! in the comments beside it.
 
 use cwc_core::{GreedyScheduler, GreedyStats, PackWork, RuntimePredictor, SchedProblem};
 use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech};
@@ -65,26 +66,39 @@ fn fleet_pin_instance_work_is_pinned() {
     // `fleet_pin.rs`'s instance: its pinned upper bound, 231 235 516 ms.
     assert_eq!(stats.ub_ms.to_bits(), 4_732_034_985_509_257_215);
     // Before the fill's per-kind exit and the skyline bound: 382 345
-    // fill visits and all 1 000 000 cells for the bound.
+    // fill visits and all 1 000 000 cells for the bound. Before probes
+    // stopped on the spare-bin certificate, with only the winner
+    // finished: 14 720 fill visits and 24 044 Step-2 candidates. Now 14
+    // of the 15 probes stop early (10 of them before their first bin),
+    // and the check reads 4 830 cells.
     let want = PackWork {
-        fill_visits: 14_720,
+        fill_visits: 2_867,
         bound_cells: 3_000,
-        step2_candidates: 24_044,
+        step2_candidates: 13_133,
+        early_stops: 14,
+        cert_cells: 4_830,
     };
     assert_eq!((work, stats.pack_calls), (want, 15));
     assert!(work.bound_cells <= 16 * problem.num_jobs() as u64);
+    assert!(4 * work.fill_visits <= 14_720);
 }
 
 #[test]
 fn two_hundred_phone_instance_work_is_pinned() {
     let problem = fleet_instance(200, 1_000);
     let (work, stats) = cold_work(&problem);
-    // Before: 162 055 fill visits and 200 000 bound cells.
+    // Before: 162 055 fill visits and 200 000 bound cells. Before the
+    // spare-bin certificate: 14 972 fill visits and 3 170 Step-2
+    // candidates. With five times as many items as phones it can fire
+    // only in a probe's last bins: 6 probes stop early.
     let want = PackWork {
-        fill_visits: 14_972,
+        fill_visits: 14_289,
         bound_cells: 4_000,
-        step2_candidates: 3_170,
+        step2_candidates: 3_074,
+        early_stops: 6,
+        cert_cells: 62,
     };
     assert_eq!((work, stats.pack_calls), (want, 15));
     assert!(work.bound_cells <= 16 * problem.num_jobs() as u64);
+    assert!(work.fill_visits <= 14_972 && work.step2_candidates <= 3_170);
 }
