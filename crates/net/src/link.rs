@@ -11,7 +11,10 @@
 //! [`LinkModel`] captures both: a per-technology mean throughput with an
 //! AR(1) (first-order autoregressive) fading process around it. The AR(1)
 //! parameters give WiFi a small stationary coefficient of variation and
-//! cellular a larger one, matching the measured behavior.
+//! cellular a larger one, matching the measured behavior. Reading the
+//! rate after any gap costs one normal draw: [`LinkModel::rate_at`] takes
+//! the process's exact multi-step transition instead of walking it one
+//! sample period at a time.
 
 use cwc_sim::{Distributions, SplitMix64};
 use cwc_types::{KiloBytes, Micros, MsPerKb, RadioTech};
@@ -61,17 +64,13 @@ impl LinkConfig {
     }
 }
 
-/// Elapsed sample periods beyond which the AR(1) process has mixed
-/// (`corr⁶⁴` ≈ 10⁻³ at the typical 0.9): iterating further is pointless,
-/// and [`LinkModel::rate_at`] resamples from the stationary distribution.
-const MIXED_AFTER_STEPS: u64 = 64;
-
 /// The throughput process of one phone's link to the central server.
 ///
 /// The model is an AR(1) process over throughput `x`:
 /// `x' = µ + φ(x − µ) + ε`, with `ε` scaled so the stationary standard
-/// deviation equals `µ · jitter_frac`. Throughput is floored at 5% of the
-/// mean so a deep fade slows — never deadlocks — a transfer.
+/// deviation equals `µ · jitter_frac`, advanced in whole sample periods
+/// (`φ` is per period). Throughput is floored at 5% of the mean so a deep
+/// fade slows — never deadlocks — a transfer.
 #[derive(Debug, Clone)]
 pub struct LinkModel {
     cfg: LinkConfig,
@@ -99,36 +98,27 @@ impl LinkModel {
     /// Advances the fading process to `now` and returns the instantaneous
     /// throughput in KB/s.
     ///
-    /// Up to [`MIXED_AFTER_STEPS`] elapsed periods are iterated one AR(1)
-    /// step each. A longer gap takes a stationary resample, and the
-    /// branch **draws but does not compute**: the generator is advanced
-    /// by exactly the draws the 64 iterated steps would have made, whose
-    /// values the resample would overwrite, so every later sample of this
-    /// link — and every simulated outcome pinned in `tests/determinism.rs`
-    /// and `BENCH_reliability.json` — is the one the iterating code
-    /// produced.
+    /// A gap of `k ≥ 1` whole sample periods takes the exact `k`-step
+    /// transition of the AR(1) process in one normal draw:
+    /// `x' = µ + φᵏ(x − µ) + ε`, `ε ~ N(0, σ²(1 − φ²ᵏ))`, with `σ` the
+    /// stationary deviation. That is the distribution of `k` iterated
+    /// steps, at the cost of one; as `k` grows, `φᵏ` reaches 0 and the
+    /// draw becomes a stationary sample without a cut-over point. At
+    /// `k = 1` it is the single step term for term, bit for bit. A gap
+    /// shorter than one period draws nothing. The 5% floor applies once,
+    /// to the result.
     pub fn rate_at(&mut self, now: Micros) -> f64 {
         let period = self.cfg.sample_period.0.max(1);
-        let elapsed = now.saturating_sub(self.last_step_at).0;
-        let steps = elapsed / period;
+        let steps = now.saturating_sub(self.last_step_at).0 / period;
         if steps > 0 {
             let mu = self.cfg.mean_kb_per_sec;
             let stat_sigma = mu * self.cfg.jitter_frac;
-            if steps > MIXED_AFTER_STEPS {
-                for _ in 0..MIXED_AFTER_STEPS {
-                    self.rng.skip_normal();
-                }
-                self.current_kbps = self.rng.normal(mu, stat_sigma);
-            } else {
-                // Innovation σ chosen so the stationary σ is µ·CV:
-                // stationary var = σ² / (1 − φ²).
-                let phi = self.cfg.corr;
-                let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
-                for _ in 0..steps {
-                    let eps = self.rng.normal(0.0, innov_sigma);
-                    self.current_kbps = mu + phi * (self.current_kbps - mu) + eps;
-                }
-            }
+            // k steps keep φᵏ of the deviation and add the innovation
+            // variance σ²(1 − φ²ᵏ), so the stationary σ stays µ·CV.
+            let phi = corr_pow(self.cfg.corr, steps);
+            let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
+            let eps = self.rng.normal(0.0, innov_sigma);
+            self.current_kbps = mu + phi * (self.current_kbps - mu) + eps;
             self.current_kbps = self.current_kbps.max(mu * 0.05);
             self.last_step_at = now;
         }
@@ -171,6 +161,22 @@ impl LinkModel {
         t += Micros::from_secs_f64(remaining / self.cfg.mean_kb_per_sec);
         t.saturating_sub(now)
     }
+}
+
+/// `phi` to the power `k` by square-and-multiply over the bits of `k`:
+/// at most 64 squarings, and exactly `phi` at `k = 1`. `f64::powi` is not
+/// used because its precision may differ between platforms, and every
+/// pinned simulated outcome depends on these bits.
+fn corr_pow(phi: f64, mut k: u64) -> f64 {
+    let (mut base, mut acc) = (phi, 1.0);
+    while k > 0 {
+        if k & 1 == 1 {
+            acc *= base;
+        }
+        base *= base;
+        k >>= 1;
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -241,64 +247,145 @@ mod tests {
         assert!(r1 > 0.0);
     }
 
-    /// `rate_at` as it stood before the long-gap branch stopped computing
-    /// the samples it overwrites: every step iterated, then the resample.
-    fn rate_at_iterating_every_step(l: &mut LinkModel, now: Micros) -> f64 {
-        let period = l.cfg.sample_period.0.max(1);
-        let steps = now.saturating_sub(l.last_step_at).0 / period;
-        if steps > 0 {
-            let phi = l.cfg.corr;
-            let stat_sigma = l.cfg.mean_kb_per_sec * l.cfg.jitter_frac;
-            let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
-            let mu = l.cfg.mean_kb_per_sec;
-            for _ in 0..steps.min(64) {
-                let eps = l.rng.normal(0.0, innov_sigma);
-                l.current_kbps = mu + phi * (l.current_kbps - mu) + eps;
-            }
-            if steps > 64 {
-                l.current_kbps = l.rng.normal(mu, stat_sigma);
-            }
-            l.current_kbps = l.current_kbps.max(mu * 0.05);
-            l.last_step_at = now;
-        }
+    const TECHS: [RadioTech; 5] = [
+        RadioTech::Wifi80211a,
+        RadioTech::Wifi80211g,
+        RadioTech::FourG,
+        RadioTech::ThreeG,
+        RadioTech::Edge,
+    ];
+
+    /// One AR(1) step as the iterating `rate_at` computed it before the
+    /// closed-form transition: one innovation, then the floor.
+    fn single_step_as_iterated(l: &mut LinkModel, now: Micros) -> f64 {
+        let mu = l.cfg.mean_kb_per_sec;
+        let stat_sigma = mu * l.cfg.jitter_frac;
+        let phi = l.cfg.corr;
+        let innov_sigma = stat_sigma * (1.0 - phi * phi).sqrt();
+        let eps = l.rng.normal(0.0, innov_sigma);
+        l.current_kbps = mu + phi * (l.current_kbps - mu) + eps;
+        l.current_kbps = l.current_kbps.max(mu * 0.05);
+        l.last_step_at = now;
         l.current_kbps
     }
 
     #[test]
-    fn long_gaps_keep_the_stream_of_the_iterating_loop() {
-        const GAPS: [u64; 6] = [0, 1, 63, 64, 65, 1_000_000];
-        let techs = [
-            RadioTech::Wifi80211a,
-            RadioTech::Wifi80211g,
-            RadioTech::FourG,
-            RadioTech::ThreeG,
-            RadioTech::Edge,
-        ];
-        for (t, tech) in techs.into_iter().enumerate() {
+    fn a_one_period_gap_is_the_single_step_bit_for_bit() {
+        for (t, tech) in TECHS.into_iter().enumerate() {
             for seed in 0..20 {
                 let mut gaps = RngStreams::new(seed).indexed_stream("gaps", t);
                 let mut fast = link(tech, seed);
                 let mut slow = fast.clone();
                 let mut now = Micros::ZERO;
                 for k in 0..200 {
-                    // The edge cases in turn, random gaps (in µs, so
-                    // sub-period remainders occur too) between them.
-                    let gap_us = if k % 3 == 0 {
-                        GAPS[(k / 3) % GAPS.len()] * 1_000_000
-                    } else {
-                        gaps.gen_range(0..200_000_000u64)
-                    };
-                    now += Micros(gap_us);
-                    let want = rate_at_iterating_every_step(&mut slow, now);
+                    // Every fourth read follows a long random gap, so the
+                    // single steps start from states all over the process.
+                    if k % 4 == 3 {
+                        now += Micros(gaps.gen_range(1_000_000..200_000_000u64));
+                        slow.rate_at(now);
+                        fast.rate_at(now);
+                    }
+                    now += fast.cfg.sample_period;
+                    let want = single_step_as_iterated(&mut slow, now);
                     assert_eq!(
                         fast.rate_at(now).to_bits(),
                         want.to_bits(),
-                        "{tech:?} seed {seed} step {k} gap {gap_us} us"
+                        "{tech:?} seed {seed} step {k}"
                     );
                 }
                 assert_eq!(fast.rng.next_u64(), slow.rng.next_u64());
             }
         }
+    }
+
+    #[test]
+    fn a_gap_draws_one_normal_or_none() {
+        const SECOND: u64 = 1_000_000;
+        let gaps = [
+            (0, 0),
+            (1, 0),
+            (SECOND - 1, 0),
+            (SECOND, 1),
+            (SECOND + 1, 1),
+            (2 * SECOND - 1, 1),
+            (64 * SECOND, 1),
+            (65 * SECOND, 1),
+            (1_000_000 * SECOND, 1),
+            (SECOND - 1, 0),
+        ];
+        for tech in TECHS {
+            for seed in 0..20 {
+                let mut l = link(tech, seed);
+                for &(gap_us, draws) in &gaps {
+                    let mut want = l.rng.clone();
+                    for _ in 0..draws {
+                        want.std_normal();
+                    }
+                    // The gap counts from the last step, not the last read.
+                    l.rate_at(l.last_step_at + Micros(gap_us));
+                    assert_eq!(
+                        l.rng.clone().next_u64(),
+                        want.next_u64(),
+                        "{tech:?} seed {seed} gap {gap_us} us"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_step_moments_match_the_ar1_process_with_no_cliff() {
+        // 802.11g: µ = 520, σ = 31.2, so x₀ = µ − 3σ sits far above the
+        // 5% floor and every moment below is the unfloored process's.
+        let cfg = LinkConfig::typical(RadioTech::Wifi80211g);
+        let (mu, phi) = (cfg.mean_kb_per_sec, cfg.corr);
+        let sigma = mu * cfg.jitter_frac;
+        let x0 = mu - 3.0 * sigma;
+        const SEEDS: u64 = 4_000;
+        for k in [1u64, 2, 10, 64, 65, 1_000_000] {
+            let samples: Vec<f64> = (0..SEEDS)
+                .map(|seed| {
+                    let mut l = link(RadioTech::Wifi80211g, seed);
+                    l.current_kbps = x0;
+                    l.rate_at(Micros::from_secs(k))
+                })
+                .collect();
+            let n = SEEDS as f64;
+            let mean = samples.iter().sum::<f64>() / n;
+            let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let phi_k = phi.powf(k as f64);
+            let want_mean = mu + phi_k * (x0 - mu);
+            let want_var = sigma * sigma * (1.0 - phi_k * phi_k);
+            // Five standard errors of each estimator.
+            let mean_tol = 5.0 * (want_var / n).sqrt();
+            let var_tol = 5.0 * want_var * (2.0 / (n - 1.0)).sqrt();
+            assert!(
+                (mean - want_mean).abs() < mean_tol,
+                "k {k}: mean {mean}, want {want_mean} ± {mean_tol}"
+            );
+            assert!(
+                (var - want_var).abs() < var_tol,
+                "k {k}: variance {var}, want {want_var} ± {var_tol}"
+            );
+        }
+    }
+
+    #[test]
+    fn corr_pow_is_exact_at_one_and_logarithmic_in_k() {
+        for phi in [0.0, 0.5, 0.9, 0.999_999, 1.0] {
+            assert_eq!(corr_pow(phi, 0), 1.0);
+            assert_eq!(corr_pow(phi, 1).to_bits(), phi.to_bits());
+            assert_eq!(corr_pow(phi, 2).to_bits(), (phi * phi).to_bits());
+        }
+        let mut walked = 1.0f64;
+        for k in 1..=64 {
+            walked *= 0.9;
+            let jumped = corr_pow(0.9, k);
+            assert!((jumped - walked).abs() <= 1e-14 * walked, "k {k}");
+        }
+        assert_eq!(corr_pow(0.9, 1_000_000_000), 0.0);
+        // A walk of u64::MAX multiplications would never return.
+        assert_eq!(corr_pow(0.9, u64::MAX), 0.0);
     }
 
     #[test]

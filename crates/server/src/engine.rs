@@ -659,8 +659,11 @@ impl SimDriver {
                 .field("kb", flight.kb.0)
                 .field("rescheduled", flight.rescheduled)
         });
-        // The phone's report carries its measured runtime and a fresh
-        // bandwidth reading; both refine the predictor (§4.1).
+        // The phone's report carries its measured runtime, which the
+        // kernel's runtime predictor learns from (§4.1), and a fresh
+        // bandwidth reading, which lands in the slot's info: the
+        // `Speculate` timer and the kernel digest read it, and every
+        // re-solve probes again.
         let info = rt.phone.info(now);
         self.feed(sim, CoordEvent::Probe { slot, info });
         self.feed(

@@ -264,15 +264,6 @@ pub trait Distributions {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Advances the generator exactly as one [`Distributions::std_normal`]
-    /// call would — the same rejection loop on `u1`, the same `u2` draw —
-    /// without computing the sample. For a caller that must keep its
-    /// stream position but has no use for the value.
-    fn skip_normal(&mut self) {
-        while self.next_f64() <= f64::MIN_POSITIVE {}
-        self.next_u64();
-    }
-
     /// Normal sample with the given mean and standard deviation.
     fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         debug_assert!(std_dev >= 0.0);
@@ -372,50 +363,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n as f64 - 1.0);
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.25, "var {var}");
-    }
-
-    #[test]
-    fn skip_normal_leaves_the_stream_where_std_normal_does() {
-        for seed in 0..1_000 {
-            let mut drawn = RngStreams::new(seed).stream("skip");
-            let mut skipped = drawn.clone();
-            for _ in 0..3 {
-                drawn.std_normal();
-                skipped.skip_normal();
-            }
-            assert_eq!(drawn.next_u64(), skipped.next_u64(), "seed {seed}");
-        }
-    }
-
-    /// Yields `zeros` zero words, then counts up: `next_f64()` is 0.0
-    /// that many times, so the `u1` rejection loop has to spin.
-    #[derive(Clone)]
-    struct ZerosFirst {
-        zeros: u32,
-        calls: u64,
-    }
-
-    impl Distributions for ZerosFirst {
-        fn next_u64(&mut self) -> u64 {
-            self.calls += 1;
-            if self.zeros > 0 {
-                self.zeros -= 1;
-                return 0;
-            }
-            self.calls << 32
-        }
-    }
-
-    #[test]
-    fn skip_normal_runs_the_rejection_loop() {
-        for zeros in 0..4 {
-            let mut drawn = ZerosFirst { zeros, calls: 0 };
-            let mut skipped = drawn.clone();
-            assert!(drawn.std_normal().is_finite());
-            skipped.skip_normal();
-            assert_eq!(drawn.calls, u64::from(zeros) + 2);
-            assert_eq!(skipped.calls, drawn.calls, "{zeros} rejected draws");
-        }
     }
 
     #[test]

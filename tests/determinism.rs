@@ -278,9 +278,9 @@ fn failure_mix_fleet_outcome_is_pinned() {
     assert_eq!(out.completed_jobs, out.total_jobs);
     assert_eq!(
         (out.makespan.0, out.segments.len(), out.rescheduled_items),
-        (536_725_198, 358, 47)
+        (529_636_471, 356, 46)
     );
-    assert_eq!(outcome_hash(&out), 0x96d9_0bf5_90a2_5943);
+    assert_eq!(outcome_hash(&out), 0xf06e_c1f9_4146_cf7c);
 }
 
 #[test]
@@ -294,8 +294,8 @@ fn paper_testbed_outcome_is_pinned() {
     .and_then(Engine::run)
     .expect("engine run");
     assert_eq!(out.completed_jobs, 150);
-    assert_eq!((out.makespan.0, out.segments.len()), (881_725_867, 334));
-    assert_eq!(outcome_hash(&out), 0xb042_6dce_f1e4_7154);
+    assert_eq!((out.makespan.0, out.segments.len()), (877_531_972, 334));
+    assert_eq!(outcome_hash(&out), 0xfba5_b6e6_04d2_7abf);
 }
 
 // ---------------------------------------------------------------------------
