@@ -63,10 +63,16 @@ impl RuntimePredictor {
     }
 
     /// Registers a program's profiled baseline cost `T_s` (ms per KB on
-    /// the baseline phone).
+    /// the baseline phone). The name is copied only the first time a
+    /// program is registered.
     pub fn set_baseline(&mut self, program: &str, ms_per_kb: f64) {
         assert!(ms_per_kb > 0.0 && ms_per_kb.is_finite());
-        self.baseline.insert(program.to_owned(), ms_per_kb);
+        match self.baseline.get_mut(program) {
+            Some(known) => *known = ms_per_kb,
+            None => {
+                self.baseline.insert(program.to_owned(), ms_per_kb);
+            }
+        }
     }
 
     /// Whether a program has been profiled.

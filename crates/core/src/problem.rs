@@ -23,27 +23,35 @@ impl SchedProblem {
     /// `phones × jobs` with finite, positive costs, checked once per
     /// distinct column.
     pub fn new(phones: Vec<PhoneInfo>, jobs: Vec<JobSpec>, c: CostMatrix) -> CwcResult<Self> {
-        if phones.is_empty() {
+        let problem = SchedProblem { phones, jobs, c };
+        problem.check()?;
+        Ok(problem)
+    }
+
+    /// The checks [`SchedProblem::new`] makes, for an instance built field
+    /// by field — by a caller that lends the jobs and must have them back
+    /// whatever the outcome.
+    pub fn check(&self) -> CwcResult<()> {
+        if self.phones.is_empty() {
             return Err(CwcError::Config("no phones available".into()));
         }
-        if jobs.is_empty() {
+        if self.jobs.is_empty() {
             return Err(CwcError::Config("no jobs to schedule".into()));
         }
-        for p in &phones {
+        for p in &self.phones {
             p.validate()?;
         }
-        for j in &jobs {
+        for j in &self.jobs {
             j.validate()?;
         }
-        let problem = SchedProblem { phones, jobs, c };
-        problem.check_dimensions()?;
-        let columns = problem.c.grouped(&problem.jobs);
+        self.check_dimensions()?;
+        let columns = self.c.grouped(&self.jobs);
         if columns.values.iter().any(|v| !v.is_finite() || *v <= 0.0) {
             return Err(CwcError::Config(
                 "cost matrix entries must be positive".into(),
             ));
         }
-        Ok(problem)
+        Ok(())
     }
 
     /// Whether `c` is still `phones × jobs`: the fields are public, so a

@@ -62,7 +62,7 @@ impl Schedule {
     /// Predicted per-phone completion times under the problem's cost
     /// model (the bin heights).
     pub fn predicted_heights_ms(&self, problem: &SchedProblem) -> Vec<f64> {
-        let index = job_index(problem);
+        let ids = JobIds::of(problem);
         // `shipped_to[j] == i`: job `j`'s executable is on phone `i`
         // already. Each phone's queue is walked once, in phone order, so
         // one stamp per job serves every phone.
@@ -73,7 +73,7 @@ impl Schedule {
             .map(|(i, q)| {
                 let mut h = 0.0;
                 for a in q {
-                    let j = index[&a.job];
+                    let j = ids.index(a.job).expect("every assignment names a job");
                     h += problem.cost_ms(i, j, a.input_kb, shipped_to[j] != i);
                     shipped_to[j] = i;
                 }
@@ -99,15 +99,13 @@ impl Schedule {
                 problem.num_phones()
             )));
         }
-        // Each job id with its index, by id; an id two jobs carry names
-        // the first of them, as the per-job walk below finds it.
-        let mut ids: Vec<(JobId, usize)> = problem.jobs.iter().map(|j| j.id).zip(0..).collect();
-        ids.sort_unstable();
-        ids.dedup_by_key(|&mut (id, _)| id);
-        // Every piece as `(job index, offset, len)`, an unknown job's
-        // index past the last job.
+        let ids = JobIds::of(problem);
+        // Every piece as `(job index, offset, len)` in queue order, an
+        // unknown job's index past the last job; `ends[j]` counts index
+        // `j`'s pieces.
         let unknown = problem.num_jobs();
         let mut pieces: Vec<(usize, u64, u64)> = Vec::with_capacity(self.num_assignments());
+        let mut ends = vec![0usize; unknown + 1];
         for (i, q) in self.per_phone.iter().enumerate() {
             for a in q {
                 if a.phone != problem.phones[i].id {
@@ -125,24 +123,33 @@ impl Schedule {
                         a.job, a.phone
                     )));
                 }
-                let j = match ids.binary_search_by_key(&a.job, |&(id, _)| id) {
-                    Ok(at) => ids[at].1,
-                    Err(_) => unknown,
-                };
+                let j = ids.index(a.job).unwrap_or(unknown);
+                ends[j] += 1;
                 pieces.push((j, a.offset_kb.0, a.input_kb.0));
             }
         }
-        pieces.sort_unstable();
-        let mut rest = pieces.as_slice();
+        // A counting sort on job index: `ends[j]` becomes the start of
+        // index `j`'s run, then its end as the run fills.
+        let mut start = 0;
+        for end in &mut ends {
+            start += std::mem::replace(end, start);
+        }
+        let mut runs = vec![(0u64, 0u64); pieces.len()];
+        for (j, off, len) in pieces {
+            runs[ends[j]] = (off, len);
+            ends[j] += 1;
+        }
+        let mut start = 0;
         for (j, job) in problem.jobs.iter().enumerate() {
-            let run = rest.partition_point(|&(of, _, _)| of == j);
-            let (own, after) = rest.split_at(run);
-            rest = after;
+            let own = &mut runs[start..ends[j]];
+            start = ends[j];
             if own.is_empty() {
                 return Err(CwcError::Infeasible(format!("{} not scheduled", job.id)));
             }
+            // A job's few pieces, by offset.
+            own.sort_unstable();
             let mut cursor = 0u64;
-            for &(_, off, len) in own {
+            for &(off, len) in own.iter() {
                 if off != cursor {
                     return Err(CwcError::Config(format!(
                         "{}: gap/overlap at offset {off} (expected {cursor})",
@@ -165,7 +172,7 @@ impl Schedule {
                 )));
             }
         }
-        if !rest.is_empty() {
+        if ends[unknown] > start {
             return Err(CwcError::Config("schedule references unknown jobs".into()));
         }
         Ok(())
@@ -211,26 +218,55 @@ where
     Ok(())
 }
 
-/// Maps each job id in the problem to its index (ids need not be dense —
-/// residual rounds use a high id namespace).
-pub(crate) fn job_index(problem: &SchedProblem) -> BTreeMap<JobId, usize> {
-    problem
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(idx, j)| (j.id, idx))
-        .collect()
+/// Where each job id sits in a problem's job list: the index of the
+/// first job carrying it.
+enum JobIds {
+    /// The ids run `first, first + 1, …` in job order, as in every batch
+    /// the coordinator builds (residual rounds number theirs from a high
+    /// base), so an id's index is its offset from `first`.
+    Dense { first: u64, len: usize },
+    /// Any other order: each id with its first index, by id.
+    Sorted(Vec<(JobId, usize)>),
+}
+
+impl JobIds {
+    fn of(problem: &SchedProblem) -> Self {
+        let jobs = &problem.jobs;
+        let first = jobs.first().map_or(0, |j| u64::from(j.id.0));
+        if (jobs.iter().zip(first..)).all(|(j, id)| u64::from(j.id.0) == id) {
+            let len = jobs.len();
+            return JobIds::Dense { first, len };
+        }
+        let mut ids: Vec<(JobId, usize)> = jobs.iter().map(|j| j.id).zip(0..).collect();
+        ids.sort_unstable();
+        ids.dedup_by_key(|&mut (id, _)| id);
+        JobIds::Sorted(ids)
+    }
+
+    /// The index of the first job carrying `id`, if any does.
+    fn index(&self, id: JobId) -> Option<usize> {
+        match self {
+            JobIds::Dense { first, len } => {
+                let k = u64::from(id.0).checked_sub(*first)?;
+                (k < *len as u64).then_some(k as usize)
+            }
+            JobIds::Sorted(ids) => {
+                let at = ids.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+                Some(ids[at].1)
+            }
+        }
+    }
 }
 
 /// Assigns partition offsets in place: pieces of each job receive
 /// consecutive offsets in (phone, queue-position) order. Called by every
 /// scheduler after deciding sizes.
 pub(crate) fn assign_offsets(per_phone: &mut [Vec<Assignment>], problem: &SchedProblem) {
-    let index = job_index(problem);
+    let ids = JobIds::of(problem);
     let mut cursor = vec![0u64; problem.num_jobs()];
     for q in per_phone.iter_mut() {
         for a in q.iter_mut() {
-            let j = index[&a.job];
+            let j = ids.index(a.job).expect("every assignment names a job");
             a.offset_kb = KiloBytes(cursor[j]);
             cursor[j] += a.input_kb.0;
         }

@@ -8,10 +8,12 @@
 //! for a greedy heuristic — we assert the relaxation sandwich instead).
 
 use cwc_core::{
-    derisk, relaxed_lower_bound, CostMatrix, GreedyScheduler, RuntimePredictor, SchedProblem,
-    Scheduler, SchedulerKind,
+    derisk, relaxed_lower_bound, Assignment, CostMatrix, GreedyScheduler, RuntimePredictor,
+    SchedProblem, Schedule, Scheduler, SchedulerKind,
 };
-use cwc_types::{CpuSpec, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech};
+use cwc_types::{
+    CpuSpec, CwcError, CwcResult, JobId, JobSpec, KiloBytes, MsPerKb, PhoneId, PhoneInfo, RadioTech,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -786,5 +788,256 @@ proptest! {
         case in predicted_strategy()
     ) {
         assert_predicted_matches_rows(case);
+    }
+}
+
+/// `Schedule::validate` as it was before its counting sort: every piece
+/// sorted by `(job index, offset, len)` at once, ids looked up in a
+/// sorted table. The oracle the linear version must agree with, error
+/// string for error string.
+fn validate_by_sorting(schedule: &Schedule, problem: &SchedProblem) -> CwcResult<()> {
+    if problem.c.dims() != Some((problem.phones.len(), problem.jobs.len())) {
+        return Err(CwcError::Config(format!(
+            "cost matrix must be {}x{}",
+            problem.phones.len(),
+            problem.jobs.len()
+        )));
+    }
+    if schedule.per_phone.len() != problem.num_phones() {
+        return Err(CwcError::Config(format!(
+            "schedule has {} phone queues, problem has {} phones",
+            schedule.per_phone.len(),
+            problem.num_phones()
+        )));
+    }
+    let mut ids: Vec<(JobId, usize)> = problem.jobs.iter().map(|j| j.id).zip(0..).collect();
+    ids.sort_unstable();
+    ids.dedup_by_key(|&mut (id, _)| id);
+    let unknown = problem.num_jobs();
+    let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
+    for (i, q) in schedule.per_phone.iter().enumerate() {
+        for a in q {
+            if a.phone != problem.phones[i].id {
+                return Err(CwcError::Config(format!(
+                    "assignment for {} queued on {}",
+                    a.phone, problem.phones[i].id
+                )));
+            }
+            if a.input_kb.is_zero() {
+                return Err(CwcError::Config(format!("empty partition of {}", a.job)));
+            }
+            if a.input_kb.0 > problem.phones[i].ram_kb {
+                return Err(CwcError::Config(format!(
+                    "partition of {} exceeds RAM of {}",
+                    a.job, a.phone
+                )));
+            }
+            let j = match ids.binary_search_by_key(&a.job, |&(id, _)| id) {
+                Ok(at) => ids[at].1,
+                Err(_) => unknown,
+            };
+            pieces.push((j, a.offset_kb.0, a.input_kb.0));
+        }
+    }
+    pieces.sort_unstable();
+    let mut rest = pieces.as_slice();
+    for (j, job) in problem.jobs.iter().enumerate() {
+        let run = rest.partition_point(|&(of, _, _)| of == j);
+        let (own, after) = rest.split_at(run);
+        rest = after;
+        if own.is_empty() {
+            return Err(CwcError::Infeasible(format!("{} not scheduled", job.id)));
+        }
+        let mut cursor = 0u64;
+        for &(_, off, len) in own {
+            if off != cursor {
+                return Err(CwcError::Config(format!(
+                    "{}: gap/overlap at offset {off} (expected {cursor})",
+                    job.id
+                )));
+            }
+            cursor += len;
+        }
+        if cursor != job.input_kb.0 {
+            return Err(CwcError::Config(format!(
+                "{}: covered {cursor} of {} KB",
+                job.id, job.input_kb.0
+            )));
+        }
+        if job.kind.is_atomic() && own.len() != 1 {
+            return Err(CwcError::Config(format!(
+                "atomic {} split into {} pieces",
+                job.id,
+                own.len()
+            )));
+        }
+    }
+    if !rest.is_empty() {
+        return Err(CwcError::Config("schedule references unknown jobs".into()));
+    }
+    Ok(())
+}
+
+/// Where the mutations below strike: which piece, which phone, which job.
+type Picks = [prop::sample::Index; 3];
+
+/// `(phone, queue position)` of the piece `pick` lands on, if any.
+fn piece_at(s: &Schedule, pick: &prop::sample::Index) -> Option<(usize, usize)> {
+    let total = s.num_assignments();
+    if total == 0 {
+        return None;
+    }
+    let mut k = pick.index(total);
+    for (i, q) in s.per_phone.iter().enumerate() {
+        if k < q.len() {
+            return Some((i, k));
+        }
+        k -= q.len();
+    }
+    None
+}
+
+/// Asserts the two validations agree on `s` and on every mutation of it.
+fn assert_validate_matches_the_sort(problem: &SchedProblem, s: &Schedule, picks: &Picks) {
+    let agree = |s: &Schedule, problem: &SchedProblem, what: &str| {
+        let linear = s.validate(problem).map_err(|e| e.to_string());
+        let sorted = validate_by_sorting(s, problem).map_err(|e| e.to_string());
+        assert_eq!(linear, sorted, "{what}");
+    };
+    agree(s, problem, "as scheduled");
+    let [piece, phone, job] = picks;
+    let other_phone = |i: usize| (i + 1 + phone.index(problem.num_phones())) % problem.num_phones();
+    let Some((i, k)) = piece_at(s, piece) else {
+        return;
+    };
+
+    let mut dropped = s.clone();
+    dropped.per_phone[i].remove(k);
+    agree(&dropped, problem, "a piece dropped");
+
+    let mut shifted = s.clone();
+    shifted.per_phone[i][k].offset_kb.0 += 1;
+    agree(&shifted, problem, "an offset shifted by 1 KB");
+
+    let mut twice = s.clone();
+    let to = other_phone(i);
+    let copy = Assignment {
+        phone: problem.phones[to].id,
+        ..s.per_phone[i][k].clone()
+    };
+    twice.per_phone[to].push(copy);
+    agree(&twice, problem, "a piece duplicated onto another phone");
+
+    let mut renamed = s.clone();
+    renamed.per_phone[i][k].job = JobId(u32::MAX - 7);
+    agree(&renamed, problem, "a piece renamed to an unknown job");
+
+    // Split the first atomic piece at or after the pick.
+    let atomic = |a: &Assignment| {
+        let spec = problem.jobs.iter().find(|j| j.id == a.job);
+        spec.is_some_and(|j| j.kind.is_atomic()) && a.input_kb.0 >= 2
+    };
+    let flat: Vec<(usize, usize)> = (s.per_phone.iter().enumerate())
+        .flat_map(|(i, q)| (0..q.len()).map(move |k| (i, k)))
+        .collect();
+    let start = flat.iter().position(|&at| at == (i, k)).unwrap_or(0);
+    let found =
+        (flat[start..].iter().chain(&flat[..start])).find(|&&(i, k)| atomic(&s.per_phone[i][k]));
+    if let Some(&(i, k)) = found {
+        let mut split = s.clone();
+        let whole = split.per_phone[i][k].clone();
+        let head = KiloBytes(whole.input_kb.0 / 2);
+        split.per_phone[i][k].input_kb = head;
+        let to = other_phone(i);
+        split.per_phone[to].push(Assignment {
+            phone: problem.phones[to].id,
+            input_kb: whole.input_kb - head,
+            offset_kb: whole.offset_kb + head,
+            ..whole
+        });
+        agree(&split, problem, "an atomic job split");
+    }
+
+    if problem.num_jobs() >= 2 {
+        let n = problem.num_jobs();
+        let a = job.index(n);
+        let b = (a + 1 + phone.index(n - 1)) % n;
+        let mut repeated = problem.clone();
+        repeated.jobs[b].id = repeated.jobs[a].id;
+        agree(s, &repeated, "the problem repeats a job id");
+        agree(&shifted, &repeated, "a repeated id and a shifted offset");
+    }
+
+    // Ids out of order, and with gaps: the table path instead of offsets.
+    let mut reordered = problem.clone();
+    reordered.jobs.reverse();
+    agree(s, &reordered, "the problem's jobs reversed");
+    let mut gapped = problem.clone();
+    for spec in &mut gapped.jobs {
+        spec.id = JobId(spec.id.0 * 3);
+    }
+    agree(s, &gapped, "the problem's ids spread apart");
+}
+
+/// The greedy schedule, or every job whole on the first phone where the
+/// instance is infeasible (a schedule validation then refuses).
+fn schedule_for(problem: &SchedProblem) -> Schedule {
+    if let Ok(s) = Scheduler::run(SchedulerKind::Greedy, problem) {
+        return s;
+    }
+    let mut per_phone = vec![Vec::new(); problem.num_phones()];
+    per_phone[0] = (problem.jobs.iter())
+        .map(|j| Assignment {
+            phone: problem.phones[0].id,
+            job: j.id,
+            input_kb: j.input_kb,
+            offset_kb: KiloBytes::ZERO,
+        })
+        .collect();
+    Schedule {
+        per_phone,
+        predicted_makespan_ms: 0.0,
+    }
+}
+
+fn picks() -> impl Strategy<Value = Picks> {
+    let pick = any::<prop::sample::Index>;
+    (pick(), pick(), pick()).prop_map(|(piece, phone, job)| [piece, phone, job])
+}
+
+// CI's release-mode "Packer equivalence proptests" step runs these too.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn validate_matches_the_sorting_oracle(inst in instance_strategy(), picks in picks()) {
+        let problem = problem_of(&inst);
+        assert_validate_matches_the_sort(&problem, &schedule_for(&problem), &picks);
+    }
+
+    #[test]
+    fn validate_matches_the_sorting_oracle_on_atomic_heavy_instances(
+        inst in atomic_heavy_strategy(),
+        picks in picks()
+    ) {
+        let problem = problem_of(&inst);
+        assert_validate_matches_the_sort(&problem, &schedule_for(&problem), &picks);
+    }
+
+    #[test]
+    fn validate_matches_the_sorting_oracle_on_ram_capped_instances(
+        inst in ram_capped_strategy(),
+        picks in picks()
+    ) {
+        let problem = problem_of(&inst);
+        assert_validate_matches_the_sort(&problem, &schedule_for(&problem), &picks);
+    }
+
+    #[test]
+    fn validate_matches_the_sorting_oracle_on_mixed_cost_columns(
+        problem in mixed_columns_strategy(),
+        picks in picks()
+    ) {
+        assert_validate_matches_the_sort(&problem, &schedule_for(&problem), &picks);
     }
 }

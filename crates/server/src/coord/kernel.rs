@@ -78,8 +78,8 @@ pub enum ReschedulePolicy {
 pub struct KernelConfig {
     /// Scheduling algorithm for the initial round (and solver rounds).
     pub scheduler: SchedulerKind,
-    /// The batch: every original job spec. [`Kernel::new`] moves these
-    /// into its catalogue.
+    /// The batch: every original job spec, each id once. [`Kernel::new`]
+    /// moves these into its catalogue and refuses a repeated id.
     pub jobs: Vec<JobSpec>,
     /// Profiled baseline `T_s` (ms/KB on the 806 MHz reference) per
     /// program; every job's program must be present.
@@ -157,6 +157,18 @@ struct Job {
     partitions: usize,
     /// When the credited input first covered the job's input.
     completed_at: Option<Micros>,
+}
+
+/// The row of job `id` in `jobs`, whose ids ascend: the id's offset from
+/// the first id when they run without gaps, a binary search otherwise.
+fn row_of(jobs: &[Job], id: JobId) -> Option<usize> {
+    let first = jobs.first()?.spec.id.0;
+    let span = jobs.last()?.spec.id.0 - first;
+    if span as usize + 1 == jobs.len() {
+        let row = id.0.checked_sub(first)?;
+        return (row <= span).then_some(row as usize);
+    }
+    jobs.binary_search_by_key(&id, |j| j.spec.id).ok()
 }
 
 /// Why a redundancy group exists (metric labels only — resolution
@@ -370,35 +382,52 @@ pub struct Kernel {
 
 impl Kernel {
     /// Builds a kernel over a job batch. Fails if any job's program has
-    /// no profiled baseline.
+    /// no profiled baseline, or if two jobs carry the same id (the error
+    /// names the smallest such id).
+    ///
+    /// The rows are the batch in one pass: each program's name is
+    /// interned and its baseline set once, and the rows are sorted only
+    /// if the ids do not already ascend (both drivers submit in id order).
     pub fn new(mut cfg: KernelConfig) -> CwcResult<Kernel> {
         let mut predictor = RuntimePredictor::new();
-        let mut catalog = BTreeMap::new();
-        let mut programs: BTreeSet<Arc<str>> = BTreeSet::new();
-        for spec in std::mem::take(&mut cfg.jobs) {
-            let Some(&baseline) = cfg.baselines.get(&spec.program) else {
-                return Err(CwcError::Config(format!(
-                    "no profiled baseline for {:?}",
-                    spec.program
-                )));
+        // A batch runs a handful of programs: a short list beats a map.
+        let mut programs: Vec<Arc<str>> = Vec::new();
+        let specs = std::mem::take(&mut cfg.jobs);
+        let mut jobs: Vec<Job> = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let known = programs.iter().rev().find(|p| ***p == *spec.program);
+            let program = match known {
+                Some(program) => program.clone(),
+                None => {
+                    let Some(&baseline) = cfg.baselines.get(&spec.program) else {
+                        return Err(CwcError::Config(format!(
+                            "no profiled baseline for {:?}",
+                            spec.program
+                        )));
+                    };
+                    predictor.set_baseline(&spec.program, baseline);
+                    let fresh: Arc<str> = Arc::from(spec.program.as_str());
+                    programs.push(fresh.clone());
+                    fresh
+                }
             };
-            predictor.set_baseline(&spec.program, baseline);
-            let known = programs.get(spec.program.as_str()).cloned();
-            let program = known.unwrap_or_else(|| {
-                let fresh: Arc<str> = Arc::from(spec.program.as_str());
-                programs.insert(fresh.clone());
-                fresh
-            });
-            let job = Job {
+            jobs.push(Job {
                 spec,
                 program,
                 progress: 0,
                 partitions: 0,
                 completed_at: None,
-            };
-            catalog.insert(job.spec.id, job);
+            });
         }
-        let jobs: Vec<Job> = catalog.into_values().collect();
+        if !jobs.is_sorted_by(|a, b| a.spec.id < b.spec.id) {
+            jobs.sort_unstable_by_key(|j| j.spec.id);
+            if let Some(pair) = jobs.windows(2).find(|w| w[0].spec.id == w[1].spec.id) {
+                return Err(CwcError::Config(format!(
+                    "job id {} submitted twice",
+                    pair[0].spec.id
+                )));
+            }
+        }
         let spec_budget_left = cfg.speculation.map(|s| s.budget).unwrap_or(0);
         // Nothing is credited before `Start`, and `Start` refuses a batch
         // with a zero-size input, so every job begins below its input.
@@ -489,6 +518,18 @@ impl Kernel {
     /// The initial schedule's predicted makespan (ms).
     pub fn predicted_makespan_ms(&self) -> f64 {
         self.predicted_makespan_ms
+    }
+
+    /// The batch's specs, one per row, in ascending id order.
+    pub fn specs(&self) -> impl ExactSizeIterator<Item = &JobSpec> {
+        self.jobs.iter().map(|j| &j.spec)
+    }
+
+    /// The row of job `id` in [`Kernel::specs`]: the id's offset from the
+    /// first id when the batch is numbered without gaps (both drivers
+    /// number theirs so), a binary search otherwise.
+    pub fn row_of(&self, id: JobId) -> Option<usize> {
+        row_of(&self.jobs, id)
     }
 
     /// Completion time per job (jobs that finished), built on demand.
@@ -656,9 +697,15 @@ impl Kernel {
         residuals: Option<&[WorkItem]>,
     ) -> CwcResult<Schedule> {
         let jobs: Vec<JobSpec> = match residuals {
-            // `SchedProblem` owns its jobs, so this instant's copy of the
-            // catalogue is the one clone the batch pays.
-            None => self.jobs.iter().map(|j| j.spec.clone()).collect(),
+            // `SchedProblem` owns its jobs, so the catalogue lends each
+            // row's program name for the search and takes it back below:
+            // no copy per job.
+            None => (self.jobs.iter_mut())
+                .map(|j| JobSpec {
+                    program: std::mem::take(&mut j.spec.program),
+                    ..j.spec
+                })
+                .collect(),
             // Fresh scheduling ids map back to the residual records. A
             // checkpointed residual is one continuation → atomic.
             Some(residuals) => residuals
@@ -690,29 +737,26 @@ impl Kernel {
         }
         let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
         let c = self.predictor.cost_matrix(&infos, &programs);
-        let mut problem = SchedProblem::new(infos, jobs, c)?;
-        if let Some((probs, aggressiveness)) = &self.cfg.reliability {
-            let per_avail: Vec<f64> = avail
-                .iter()
-                .map(|&i| probs.get(i).copied().unwrap_or(0.0))
-                .collect();
-            problem = cwc_core::derisk(&problem, &per_avail, *aggressiveness)?;
+        let mut problem = SchedProblem {
+            phones: infos,
+            jobs,
+            c,
+        };
+        let solved = self.solve(avail, &problem);
+        if residuals.is_none() {
+            for (row, spec) in self.jobs.iter_mut().zip(&mut problem.jobs) {
+                row.spec.program = std::mem::take(&mut spec.program);
+            }
         }
-        let (schedule, warm) = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
-            Scheduler::run_observed_warm(self.cfg.scheduler, &problem, &self.cfg.obs, self.warm)
-        })?;
-        self.warm = warm.or(self.warm);
-        schedule.validate(&problem)?;
+        let schedule = solved?;
         for (queue, i) in schedule.per_phone.iter().zip(avail) {
             let slot = self.slots.get_mut(*i).expect("available slots exist");
+            slot.queue.reserve(queue.len());
             for a in queue {
                 self.next_span += 1;
                 let item = match residuals {
                     None => {
-                        // The cold instant's assignments name jobs by id:
-                        // the one place an id is searched for.
-                        let ix = self.jobs.binary_search_by_key(&a.job, |j| j.spec.id);
-                        let ix = ix.expect("scheduled jobs are catalogued");
+                        let ix = row_of(&self.jobs, a.job).expect("scheduled jobs are catalogued");
                         let job = &self.jobs[ix];
                         WorkItem {
                             original: a.job,
@@ -745,6 +789,31 @@ impl Kernel {
             }
         }
         self.apply_slo_order(avail);
+        Ok(schedule)
+    }
+
+    /// Algorithm 1 on one instant's `problem`: checked, priced for failure
+    /// risk when the config carries a reliability profile, solved from the
+    /// previous instant's converged window, and its answer validated.
+    fn solve(&mut self, avail: &[usize], problem: &SchedProblem) -> CwcResult<Schedule> {
+        problem.check()?;
+        let derisked;
+        let problem = match &self.cfg.reliability {
+            Some((probs, aggressiveness)) => {
+                let per_avail: Vec<f64> = avail
+                    .iter()
+                    .map(|&i| probs.get(i).copied().unwrap_or(0.0))
+                    .collect();
+                derisked = cwc_core::derisk(problem, &per_avail, *aggressiveness)?;
+                &derisked
+            }
+            None => problem,
+        };
+        let (schedule, warm) = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
+            Scheduler::run_observed_warm(self.cfg.scheduler, problem, &self.cfg.obs, self.warm)
+        })?;
+        self.warm = warm.or(self.warm);
+        schedule.validate(problem)?;
         Ok(schedule)
     }
 
@@ -2615,6 +2684,74 @@ mod tests {
             cwc_core::CostMatrix::rows_built_on_this_thread(),
             rows_built
         );
+    }
+
+    /// A batch that carries one id twice is refused at admission, naming
+    /// the id, whether the batch arrives in id order or not.
+    #[test]
+    fn a_repeated_job_id_is_refused_at_admission() {
+        let refusal = |ids: &[u32]| {
+            let jobs: Vec<JobSpec> = (ids.iter())
+                .map(|&i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(50)))
+                .collect();
+            match Kernel::new(config(jobs)) {
+                Err(CwcError::Config(msg)) => msg,
+                Err(e) => panic!("{ids:?}: {e}"),
+                Ok(_) => panic!("{ids:?}: admitted"),
+            }
+        };
+        assert_eq!(refusal(&[0, 1, 1, 2]), "job id job-1 submitted twice");
+        assert_eq!(refusal(&[4, 2, 9, 2, 4]), "job id job-2 submitted twice");
+        // A missing baseline is found first, in submission order.
+        let mut jobs = atomic_jobs(&[100, 100]);
+        jobs[1].id = jobs[0].id;
+        jobs[1].program = "unprofiled".into();
+        let err = Kernel::new(config(jobs)).err().expect("refused");
+        assert!(err.to_string().contains("\"unprofiled\""), "{err}");
+    }
+
+    /// The rows are the batch in id order whatever order it arrives in,
+    /// with or without gaps in the ids; `Start` lends their specs to the
+    /// search and every spec is whole again afterwards — also when the
+    /// instant fails.
+    #[test]
+    fn admission_orders_the_rows_and_start_returns_the_lent_specs() {
+        let ids = [7u32, 3, 12, 5];
+        let jobs = (ids.iter())
+            .map(|&i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(40)))
+            .collect::<Vec<_>>();
+        let mut h = Harness::start(config(jobs.clone()), 2);
+        let mut sorted = jobs.clone();
+        sorted.sort_by_key(|j| j.id);
+        assert!(h.kernel.specs().eq(&sorted));
+        for (row, spec) in sorted.iter().enumerate() {
+            assert_eq!(h.kernel.row_of(spec.id), Some(row));
+        }
+        assert_eq!(h.kernel.row_of(JobId(4)), None);
+        assert_eq!(h.kernel.row_of(JobId(13)), None);
+        h.drain();
+        assert!(h.kernel.finished());
+
+        // Dense ids map by offset, and nothing outside them maps.
+        let dense = (10..14)
+            .map(|i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(40)))
+            .collect::<Vec<_>>();
+        let kernel = Kernel::new(config(dense)).expect("kernel");
+        assert_eq!(kernel.row_of(JobId(12)), Some(2));
+        assert_eq!(kernel.row_of(JobId(9)), None);
+        assert_eq!(kernel.row_of(JobId(14)), None);
+
+        // A zero-size input fails the instant; the catalogue stays whole.
+        let mut jobs = jobs;
+        jobs[2].input_kb = KiloBytes(0);
+        let mut kernel = Kernel::new(config(jobs.clone())).expect("kernel");
+        let info = phone(0, 2.0);
+        kernel.step(Micros(1), CoordEvent::Probe { slot: 0, info });
+        let out = kernel.step(Micros(2), CoordEvent::Start);
+        assert!(matches!(out[..], [CoordCommand::Halt]), "{out:?}");
+        assert!(kernel.take_fatal().is_some());
+        jobs.sort_by_key(|j| j.id);
+        assert!(kernel.specs().eq(&jobs));
     }
 
     /// With the planted double credit a group win counts the job's KB

@@ -332,16 +332,10 @@ impl Engine {
         });
 
         let total_jobs = self.jobs.iter().filter(|j| j.id.0 < RESIDUAL_BASE).count();
-        // `Engine::new` checked that every program is profiled.
-        let baseline_of: BTreeMap<JobId, f64> = self
-            .jobs
-            .iter()
-            .map(|j| (j.id, self.config.baselines[&j.program]))
-            .collect();
         let kernel = Kernel::new(KernelConfig {
             scheduler: self.config.scheduler,
             jobs: self.jobs,
-            baselines: self.config.baselines,
+            baselines: self.config.baselines.clone(),
             keepalive_period: cwc_net::KEEPALIVE_PERIOD,
             tolerated_misses: cwc_net::KEEPALIVE_TOLERATED_MISSES,
             reschedule: ReschedulePolicy::Solver {
@@ -357,6 +351,21 @@ impl Engine {
             style: DriverStyle::Sim,
             obs: self.config.obs.clone(),
         })?;
+        // `Engine::new` checked that every program is profiled; each is
+        // looked up once.
+        let mut resolved: Vec<(&str, f64)> = Vec::new();
+        let mut baseline_by_row = Vec::with_capacity(kernel.specs().len());
+        for spec in kernel.specs() {
+            let baseline = match resolved.iter().find(|(p, _)| *p == spec.program) {
+                Some(&(_, baseline)) => baseline,
+                None => {
+                    let baseline = self.config.baselines[&spec.program];
+                    resolved.push((&spec.program, baseline));
+                    baseline
+                }
+            };
+            baseline_by_row.push(baseline);
+        }
         let mut driver = SimDriver {
             rts: self
                 .fleet
@@ -368,7 +377,7 @@ impl Engine {
                 })
                 .collect(),
             kernel,
-            baseline_of,
+            baseline_by_row,
             injections: self.injections,
             segments: Vec::new(),
             transfer_ms: None,
@@ -456,8 +465,8 @@ impl Engine {
 struct SimDriver {
     rts: Vec<Rt>,
     kernel: Kernel,
-    /// Profiled `T_s` per job, resolved from its program once per run.
-    baseline_of: BTreeMap<JobId, f64>,
+    /// Profiled `T_s` per job, indexed like the kernel's rows.
+    baseline_by_row: Vec<f64>,
     injections: Vec<FailureInjection>,
     segments: Vec<Segment>,
     /// `span.transfer_ms`, resolved at the run's first transfer.
@@ -620,9 +629,13 @@ impl SimDriver {
         });
         // Ground-truth execution time, including this phone's efficiency
         // residual (what the scheduler cannot see).
+        let row = self
+            .kernel
+            .row_of(flight.job)
+            .expect("shipped jobs are catalogued");
         let total = rt
             .phone
-            .exec_time(MsPerKb(self.baseline_of[&flight.job]), flight.kb);
+            .exec_time(MsPerKb(self.baseline_by_row[row]), flight.kb);
         flight.phase = Phase::Executing { total };
         flight.started = now;
         sim.schedule_after(total, Ev::ExecDone { slot, seq });

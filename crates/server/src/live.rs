@@ -567,7 +567,9 @@ const fn micros_of(d: Duration) -> Micros {
 ///
 /// Live workers run native code, so predictions seed from each program's
 /// own profiled baseline rather than the Dalvik-era defaults the
-/// simulator uses.
+/// simulator uses. The batch is borrowed, so each spec is copied; the
+/// kernel built from the configuration refuses a batch that carries an id
+/// twice ([`Kernel::new`]).
 pub fn live_kernel_config(
     jobs: &[LiveJob],
     registry: &TaskRegistry,
@@ -575,8 +577,18 @@ pub fn live_kernel_config(
     policy: &LivePolicy,
     obs: cwc_obs::Obs,
 ) -> CwcResult<KernelConfig> {
-    let mut specs: Vec<JobSpec> = jobs.iter().map(|j| j.spec.clone()).collect();
-    specs.sort_by_key(|s| s.id);
+    let specs = jobs.iter().map(|j| j.spec.clone()).collect();
+    batch_kernel_config(specs, registry, kind, policy, obs)
+}
+
+/// [`live_kernel_config`] over specs the caller hands over.
+fn batch_kernel_config(
+    specs: Vec<JobSpec>,
+    registry: &TaskRegistry,
+    kind: SchedulerKind,
+    policy: &LivePolicy,
+    obs: cwc_obs::Obs,
+) -> CwcResult<KernelConfig> {
     let mut baselines: BTreeMap<String, f64> = BTreeMap::new();
     for spec in &specs {
         if !baselines.contains_key(&spec.program) {
@@ -604,6 +616,20 @@ pub fn live_kernel_config(
         style: DriverStyle::Live,
         obs,
     })
+}
+
+/// A batch split for the coordinator: the specs for the kernel, and the
+/// input bytes for the driver as a table in id order. The batch is sorted
+/// only if it does not arrive in id order, and nothing is copied per job.
+fn split_batch(mut jobs: Vec<LiveJob>) -> (Vec<JobSpec>, Vec<(JobId, bytes::Bytes)>) {
+    if !jobs.is_sorted_by_key(|j| j.spec.id) {
+        jobs.sort_by_key(|j| j.spec.id);
+    }
+    let split = |LiveJob { spec, input }| {
+        let id = spec.id;
+        (spec, (id, input))
+    };
+    jobs.into_iter().map(split).unzip()
 }
 
 /// Runs the coordinator over `expected` workers and a job batch; returns
@@ -737,7 +763,8 @@ fn queue_frame(state: &mut ConnState, frame: &Frame) -> CwcResult<()> {
 /// [`LiveDriver::turn`]s of one loop.
 struct LiveDriver<'a> {
     kernel: Kernel,
-    catalog: &'a BTreeMap<JobId, LiveJob>,
+    /// Each job's input bytes, in id order (the kernel holds the specs).
+    inputs: &'a [(JobId, bytes::Bytes)],
     listener: &'a TcpListener,
     /// Closed-world fleet size: the listener leaves the poller once this
     /// many connections are accepted.
@@ -769,7 +796,7 @@ impl<'a> LiveDriver<'a> {
     /// An idle driver: the listener is in the poller, nobody has connected.
     fn new(
         kernel: Kernel,
-        catalog: &'a BTreeMap<JobId, LiveJob>,
+        inputs: &'a [(JobId, bytes::Bytes)],
         listener: &'a TcpListener,
         expected: usize,
         policy: &'a LivePolicy,
@@ -783,7 +810,7 @@ impl<'a> LiveDriver<'a> {
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         Ok(LiveDriver {
             kernel,
-            catalog,
+            inputs,
             listener,
             expected,
             unmeasured: expected,
@@ -941,13 +968,14 @@ impl<'a> LiveDriver<'a> {
         trace: cwc_obs::TraceCtx,
         replica: bool,
     ) {
-        let Some(entry) = self.catalog.get(&job) else {
+        let at = self.inputs.binary_search_by_key(&job, |&(id, _)| id);
+        let Some((_, input)) = at.ok().and_then(|at| self.inputs.get(at)) else {
             // Impossible by construction (the kernel's catalog is built
             // from the same batch), but not worth a panic on the live path.
             return;
         };
-        let from = (offset_kb as usize * 1024).min(entry.input.len());
-        let to = ((offset_kb + len_kb) as usize * 1024).min(entry.input.len());
+        let from = (offset_kb as usize * 1024).min(input.len());
+        let to = ((offset_kb + len_kb) as usize * 1024).min(input.len());
         let frames = [
             Frame::ShipExecutable {
                 job,
@@ -965,9 +993,9 @@ impl<'a> LiveDriver<'a> {
                 parent_span: trace.parent_or_zero(),
                 replica,
                 // A window onto the job's one allocation, not a copy.
-                // from <= to <= entry.input.len() by the clamps above, which
-                // is exactly what `slice` requires.
-                data: entry.input.slice(from..to),
+                // from <= to <= input.len() by the clamps above, which is
+                // exactly what `slice` requires.
+                data: input.slice(from..to),
             },
         ];
         if !self.send(slot, &frames) {
@@ -1496,18 +1524,13 @@ pub fn run_live_server_with(
                 format!("live run: {} jobs over {expected} workers", jobs.len()),
             )
     });
-    let kernel = Kernel::new(live_kernel_config(
-        &jobs,
-        &registry,
-        kind,
-        &policy,
-        obs.clone(),
-    )?)?;
-    let catalog: BTreeMap<JobId, LiveJob> = jobs.into_iter().map(|j| (j.spec.id, j)).collect();
+    let (specs, inputs) = split_batch(jobs);
+    let config = batch_kernel_config(specs, &registry, kind, &policy, obs.clone())?;
+    let kernel = Kernel::new(config)?;
 
     // --- The event loop: one thread, the whole fleet, from the first
     // accept to the last result. ---
-    let mut driver = LiveDriver::new(kernel, &catalog, &listener, expected, &policy, obs, start)?;
+    let mut driver = LiveDriver::new(kernel, &inputs, &listener, expected, &policy, obs, start)?;
     let mut events: Vec<PollEvent> = Vec::new();
     while !driver.done() {
         if start.elapsed() > deadline {
@@ -1527,11 +1550,12 @@ pub fn run_live_server_with(
 
     // --- Aggregate. ---
     let mut results = BTreeMap::new();
-    for (&id, job) in &catalog {
+    for spec in driver.kernel.specs() {
+        let id = spec.id;
         let mut pieces = driver.partials.remove(&id).unwrap_or_default();
         pieces.sort_by_key(|(off, _)| *off);
         let ordered: Vec<Vec<u8>> = pieces.into_iter().map(|(_, r)| r).collect();
-        let program = registry.load(&job.spec.program)?;
+        let program = registry.load(&spec.program)?;
         match program.aggregate(&ordered) {
             Ok(r) => {
                 results.insert(id, r);
@@ -1862,10 +1886,10 @@ mod tests {
             obs.clone(),
         )
         .unwrap();
-        let catalog: BTreeMap<JobId, LiveJob> = jobs.into_iter().map(|j| (j.spec.id, j)).collect();
+        let (_, inputs) = split_batch(jobs);
         let mut driver = LiveDriver::new(
             Kernel::new(cfg).unwrap(),
-            &catalog,
+            &inputs,
             &listener,
             1,
             &policy,
@@ -1965,11 +1989,10 @@ mod tests {
                 obs,
             )
         };
-        let catalog: BTreeMap<JobId, LiveJob> =
-            jobs.iter().map(|j| (j.spec.id, j.clone())).collect();
+        let (_, inputs) = split_batch(jobs.clone());
         let mut driver = LiveDriver::new(
             Kernel::new(kernel_config(obs.clone()).unwrap()).unwrap(),
-            &catalog,
+            &inputs,
             &listener,
             2,
             &policy,
@@ -2120,6 +2143,42 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains(&JobId(4).to_string()), "{msg}");
         assert!(msg.contains(&MAX_ATOMIC_INPUT.to_string()), "{msg}");
+    }
+
+    #[test]
+    fn a_repeated_job_id_is_refused_before_any_worker_connects() {
+        // Two inputs under one id: the run could ship either, and the
+        // partials of both would file under one job. Refused at
+        // admission, so the coordinator never waits for a worker (nobody
+        // connects here; a run that waited would hit the deadline).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let job = |id, len| {
+            LiveJob::new(
+                JobId(id),
+                JobKind::Breakable,
+                "primecount",
+                30,
+                vec![b'7'; len],
+            )
+        };
+        let jobs = vec![job(3, 2048), job(1, 1024), job(3, 4096)];
+        let started = Instant::now();
+        let err = run_live_server_with(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(30),
+            LivePolicy::default(),
+            &cwc_obs::Obs::new(),
+        )
+        .unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(10));
+        match err {
+            CwcError::Config(msg) => assert_eq!(msg, "job id job-3 submitted twice"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

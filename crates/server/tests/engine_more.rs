@@ -266,3 +266,24 @@ fn scales_to_a_hundred_phone_fleet() {
         rr.makespan
     );
 }
+
+#[test]
+fn a_repeated_job_id_is_refused_by_the_run() {
+    // The engine admits its batch through the kernel, which refuses an id
+    // two jobs carry rather than keep one of them.
+    let mut batch = jobs(6, 300, 900);
+    batch[4].id = batch[1].id;
+    let id = batch[1].id;
+    let engine = Engine::new(
+        testbed_fleet(21),
+        batch,
+        Vec::new(),
+        EngineConfig::default(),
+    );
+    match engine.unwrap().run() {
+        Err(cwc_types::CwcError::Config(msg)) => {
+            assert_eq!(msg, format!("job id {id} submitted twice"))
+        }
+        other => panic!("{other:?}"),
+    }
+}

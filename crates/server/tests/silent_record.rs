@@ -134,6 +134,9 @@ fn engine_run_without_a_sink_builds_no_event_per_segment() {
     // extra segment — kernel bookkeeping, commands, metric names — is
     // less than building a single event for it would be.
     let silent = Obs::new();
+    // A first run registers the shared registry's metric names; the
+    // measured runs below then pay only for their own work.
+    engine_run(50, &silent);
     let (small_allocs, small_segments) = engine_run(50, &silent);
     let (large_allocs, large_segments) = engine_run(100, &silent);
     let extra_segments = large_segments - small_segments;
@@ -285,4 +288,50 @@ fn steady_state_kernel_steps_do_not_allocate() {
         0
     );
     assert!(cmds.is_empty(), "the round waits for slot 1");
+}
+
+/// A kernel config over `n` breakable single-program specs, ids ascending.
+fn batch_config(n: u32) -> KernelConfig {
+    let spec = |i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(1));
+    KernelConfig {
+        scheduler: cwc_core::SchedulerKind::Greedy,
+        jobs: (0..n).map(spec).collect(),
+        baselines: cwc_server::engine::paper_baselines(),
+        keepalive_period: Micros::from_secs(30),
+        tolerated_misses: 3,
+        reschedule: ReschedulePolicy::RoundRobin,
+        stall_timeout: None,
+        breaker: None,
+        reliability: None,
+        slo: BTreeMap::new(),
+        replication: None,
+        speculation: None,
+        bandwidth_blind: false,
+        style: DriverStyle::Live,
+        obs: Obs::new(),
+    }
+}
+
+#[test]
+fn admitting_a_batch_allocates_nothing_per_job() {
+    // The rows take one allocation and the program's name one handle,
+    // however many specs share it: no map node or name copy per job.
+    let admit = |n| {
+        let cfg = batch_config(n);
+        let mut kernel = None;
+        let allocations = allocations_during(|| kernel = Some(Kernel::new(cfg).expect("kernel")));
+        assert_eq!(kernel.expect("kernel").specs().len(), n as usize);
+        allocations
+    };
+    assert_eq!(admit(1_000), admit(4_000));
+}
+
+#[test]
+fn setting_a_known_programs_baseline_does_not_allocate() {
+    let mut predictor = cwc_core::RuntimePredictor::new();
+    predictor.set_baseline("primecount", 14.0);
+    let again = allocations_during(|| predictor.set_baseline("primecount", 12.5));
+    assert_eq!(again, 0);
+    // The counter does see a program's first registration.
+    assert!(allocations_during(|| predictor.set_baseline("wordcount", 80.0)) > 0);
 }
