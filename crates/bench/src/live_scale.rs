@@ -585,7 +585,7 @@ fn connect_stripe(
 }
 
 /// The child side of the benchmark: connects `workers` simulated workers
-/// to `addr` in parallel batches from [`CONNECT_THREADS`] threads,
+/// to `addr` in parallel batches from `CONNECT_THREADS` threads,
 /// serves the protocol until every connection closes, and returns what
 /// it saw. The last `die` workers close abruptly on their first
 /// data-phase frame (input ship or keep-alive).

@@ -1,7 +1,8 @@
-//! The bench bins' one report path: build a [`JsonValue`] with [`obj!`],
-//! [`write`] it as an artifact, [`load`] a committed baseline, and gate a
-//! throughput metric per scale point with [`compare`] (the `--compare`
-//! mode of `cwc-bench-live` and `cwc-bench-shard`, see [`compare_cli`]).
+//! The bench bins' one report path: build a [`JsonValue`] with
+//! [`obj!`](crate::obj), [`write()`] it as an artifact, [`load`] a
+//! committed baseline, and gate a throughput metric per scale point with
+//! [`compare`] (the `--compare` mode of `cwc-bench-live` and
+//! `cwc-bench-shard`, see [`compare_cli`]).
 
 pub use cwc_obs::json::JsonValue;
 use cwc_types::{CwcError, CwcResult};
@@ -29,7 +30,7 @@ pub fn write(path: &str, report: &JsonValue) -> CwcResult<()> {
         .map_err(|e| CwcError::Config(format!("write {path}: {e}")))
 }
 
-/// Loads a report written by [`write`] (or any JSON document).
+/// Loads a report written by [`write()`] (or any JSON document).
 pub fn load(path: &str) -> CwcResult<JsonValue> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CwcError::Config(format!("read {path}: {e}")))?;

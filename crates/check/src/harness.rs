@@ -29,7 +29,7 @@ pub struct Ship {
     pub len_kb: u64,
     /// Partition offset, KB.
     pub offset_kb: u64,
-    /// Shipped via `ShipReplica`.
+    /// Shipped as a redundant copy (`ShipInput { replica: true }`).
     pub replica: bool,
     /// A `CancelTask` retired this ship; the worker may still report it
     /// late exactly once.
@@ -204,6 +204,7 @@ impl Harness {
                     job,
                     offset_kb,
                     len_kb,
+                    replica,
                     ..
                 } => {
                     self.ships.insert(
@@ -212,26 +213,7 @@ impl Harness {
                             job: *job,
                             len_kb: *len_kb,
                             offset_kb: *offset_kb,
-                            replica: false,
-                            cancelled: false,
-                        },
-                    );
-                }
-                CoordCommand::ShipReplica {
-                    slot,
-                    seq,
-                    job,
-                    offset_kb,
-                    len_kb,
-                    ..
-                } => {
-                    self.ships.insert(
-                        (*slot, *seq),
-                        Ship {
-                            job: *job,
-                            len_kb: *len_kb,
-                            offset_kb: *offset_kb,
-                            replica: true,
+                            replica: *replica,
                             cancelled: false,
                         },
                     );

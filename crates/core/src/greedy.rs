@@ -20,21 +20,20 @@
 //! * new bins open only when nothing fits the open ones, choosing the bin
 //!   that minimizes Eq. 1 for the largest item.
 //!
-//! The packing inner loops live in [`crate::pack`] (a reusable
+//! The packing inner loops live in the private `pack` module (a reusable
 //! zero-allocation arena over [`crate::problem::CostTables`], which also
 //! hands the search its two starting bounds); this module owns the
 //! binary search, including the warm-started variant used by the
 //! coordinator on rescheduling instants. The search needs each probe's
 //! yes or no; only the winner's placements become the schedule. So a
 //! probe that provably packs stops early (the spare-bin certificate, in
-//! `crate::pack` under "Stopping early"), and after the search only the
+//! `pack` under "Stopping early"), and after the search only the
 //! winning probe is finished, from where it stopped.
 //!
 //! The pre-optimization packer and the two bound functions are preserved
-//! in [`reference`] as the byte-identity oracle for the equivalence
+//! in [`mod@reference`] as the byte-identity oracle for the equivalence
 //! proptests — verbatim, but for one counter: how often Step 1 chose a
-//! bin other than the newest, which [`crate::pack`] is built on being
-//! never.
+//! bin other than the newest, which `pack` is built on being never.
 
 // Panic-safety (DESIGN.md §8): this runs at every scheduling instant,
 // on the failure-recovery path where a panic takes the fleet down.
@@ -240,7 +239,7 @@ impl GreedyScheduler {
     /// The full computation with an optional warm start. With
     /// `warm: None` this follows the seed implementation's probe
     /// sequence exactly and produces byte-identical schedules (enforced
-    /// by the equivalence proptest against [`reference`]).
+    /// by the equivalence proptest against [`mod@reference`]).
     pub fn schedule_warm_with_stats(
         &self,
         problem: &SchedProblem,
@@ -501,7 +500,7 @@ pub mod reference {
 
     /// [`schedule_with_stats`] plus, over every probe of the search, how
     /// many Step-1 placements went to a bin other than the most recently
-    /// opened one. [`crate::pack`] only ever tries the newest bin, on the
+    /// opened one. The `pack` module only ever tries the newest bin, on the
     /// argument that this count is always 0; the equivalence proptests
     /// assert it next to the byte-identity it implies.
     pub fn schedule_with_probe(problem: &SchedProblem) -> CwcResult<(Schedule, GreedyStats, u64)> {

@@ -121,6 +121,25 @@ impl CostMatrix {
             .get_or_init(|| distinct_columns(self.rows(), jobs, self.num_phones))
     }
 
+    /// Multiplies every cost on phone `i` by `factors[i]`, in the
+    /// distinct columns. The grouping still holds: cells that agreed to
+    /// the bit are scaled by the same factor and agree still. The caller
+    /// has checked that the matrix is `P × jobs.len()` and that `factors`
+    /// has P entries.
+    pub(crate) fn scale_phones(&mut self, jobs: &[JobSpec], factors: &[f64]) {
+        self.grouped(jobs);
+        let width = self.num_phones.max(1);
+        if let Some(columns) = self.columns.get_mut() {
+            for column in columns.values.chunks_exact_mut(width) {
+                for (cost, &factor) in column.iter_mut().zip(factors) {
+                    *cost *= factor;
+                }
+            }
+        }
+        // Row views, if any were built, show the old costs.
+        self.rows = OnceLock::new();
+    }
+
     /// How many matrices have built their row view on the calling thread
     /// so far: a test reads it before and after an operation to prove the
     /// operation never asked for rows.

@@ -164,7 +164,7 @@ pub(crate) fn fit_kb(room_ms: f64, exe_ms: f64, per_kb_ms: f64, ram_kb: u64) -> 
 ///   of one program share their column, and a batch of any size holds a
 ///   few columns of P rates each.
 /// * Each column's phones are also kept sorted by rate, ties by index
-///   ([`CostTables::rate_order`]): Step 2 walks that order, and the
+///   (`CostTables::rate_order`): Step 2 walks that order, and the
 ///   worst-bin bound reads it backwards.
 /// * Filling a freshly opened bin walks the live items against that one
 ///   phone, and reads the same columns ([`CostTables::per_kb_ms`]): one
@@ -175,7 +175,7 @@ pub(crate) fn fit_kb(room_ms: f64, exe_ms: f64, per_kb_ms: f64, ram_kb: u64) -> 
 ///   ([`CostTables::row_min_ms`]), and separately its cheapest over the
 ///   columns breakable jobs read and over those atomic jobs read, which
 ///   with each kind's least executable and least atomic input give the
-///   fill its exit ([`CostTables::fill_floor_ms`]).
+///   fill its exit (`CostTables::fill_floor_ms`).
 /// * The capacity search's two starting bounds come from the same
 ///   build. Each job's worst bin is found among its column's
 ///   **skyline**: the phones that no other phone matches or beats on

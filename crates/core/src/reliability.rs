@@ -24,7 +24,6 @@
     clippy::indexing_slicing
 )]
 
-use crate::matrix::CostMatrix;
 use crate::problem::SchedProblem;
 use cwc_types::{CwcError, CwcResult, MsPerKb};
 
@@ -33,19 +32,16 @@ use cwc_types::{CwcError, CwcResult, MsPerKb};
 /// producing absurd scale factors.
 pub const MAX_EFFECTIVE_FAIL_PROB: f64 = 0.95;
 
-/// Transforms a scheduling problem so each phone's costs reflect its
-/// failure probability over the scheduling horizon.
+/// Scales a scheduling problem in place so each phone's costs reflect
+/// its failure probability over the scheduling horizon.
 ///
 /// `fail_prob[i]` corresponds to `problem.phones[i]`; values are clamped
 /// to `[0, MAX_EFFECTIVE_FAIL_PROB]`. `aggressiveness` ∈ [0, 1] blends
 /// between risk-neutral (0: no change) and full expected-rework pricing
-/// (1). The transformed problem schedules with the ordinary greedy
-/// packer.
-pub fn derisk(
-    problem: &SchedProblem,
-    fail_prob: &[f64],
-    aggressiveness: f64,
-) -> CwcResult<SchedProblem> {
+/// (1). The scaled problem schedules with the ordinary greedy packer. On
+/// `Err` from an input check the problem is unchanged; the scaled
+/// problem is checked as [`SchedProblem::new`] would check it.
+pub fn derisk(problem: &mut SchedProblem, fail_prob: &[f64], aggressiveness: f64) -> CwcResult<()> {
     if fail_prob.len() != problem.num_phones() {
         return Err(CwcError::Config(format!(
             "fail_prob has {} entries for {} phones",
@@ -59,32 +55,26 @@ pub fn derisk(
         )));
     }
     problem.check_dimensions()?;
-    let mut phones = problem.phones.clone();
-    let mut factors = Vec::with_capacity(phones.len());
-    for (phone, &p) in phones.iter_mut().zip(fail_prob) {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CwcError::Config(format!(
-                "failure probability {p} for {} outside [0, 1]",
-                phone.id
-            )));
-        }
-        let p = p.min(MAX_EFFECTIVE_FAIL_PROB);
-        // Expected-rework factor, blended by aggressiveness.
-        let factor = 1.0 + aggressiveness * (1.0 / (1.0 - p) - 1.0);
+    if let Some((phone, p)) =
+        (problem.phones.iter().zip(fail_prob)).find(|(_, p)| !(0.0..=1.0).contains(*p))
+    {
+        return Err(CwcError::Config(format!(
+            "failure probability {p} for {} outside [0, 1]",
+            phone.id
+        )));
+    }
+    let factors: Vec<f64> = (fail_prob.iter())
+        .map(|&p| {
+            let p = p.min(MAX_EFFECTIVE_FAIL_PROB);
+            // Expected-rework factor, blended by aggressiveness.
+            1.0 + aggressiveness * (1.0 / (1.0 - p) - 1.0)
+        })
+        .collect();
+    for (phone, &factor) in problem.phones.iter_mut().zip(&factors) {
         phone.bandwidth = MsPerKb(phone.bandwidth.0 * factor);
-        factors.push(factor);
     }
-    // Every cell of a shared column is the same bits, so scaling the
-    // column scales each of its cells exactly as scaling the cell would.
-    let columns = problem.c.grouped(&problem.jobs);
-    let mut values = columns.values.clone();
-    for column in values.chunks_exact_mut(factors.len().max(1)) {
-        for (cost, &factor) in column.iter_mut().zip(&factors) {
-            *cost *= factor;
-        }
-    }
-    let c = CostMatrix::from_columns(factors.len(), columns.column_of.clone(), values);
-    SchedProblem::new(phones, problem.jobs.clone(), c)
+    problem.c.scale_phones(&problem.jobs, &factors);
+    problem.check()
 }
 
 #[cfg(test)]
@@ -93,10 +83,21 @@ mod tests {
     use crate::greedy::GreedyScheduler;
     use crate::problem::test_support::instance;
 
+    /// A copy of `problem` derisked in place, `problem` left as it was.
+    fn derisked(
+        problem: &SchedProblem,
+        fail_prob: &[f64],
+        aggressiveness: f64,
+    ) -> CwcResult<SchedProblem> {
+        let mut derisked = problem.clone();
+        derisk(&mut derisked, fail_prob, aggressiveness)?;
+        Ok(derisked)
+    }
+
     #[test]
     fn zero_risk_is_identity() {
         let problem = instance(4, 8);
-        let derisked = derisk(&problem, &[0.0; 4], 1.0).unwrap();
+        let derisked = derisked(&problem, &[0.0; 4], 1.0).unwrap();
         for i in 0..4 {
             assert_eq!(
                 problem.phones[i].bandwidth.0,
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn zero_aggressiveness_is_identity() {
         let problem = instance(4, 8);
-        let derisked = derisk(&problem, &[0.9, 0.5, 0.1, 0.0], 0.0).unwrap();
+        let derisked = derisked(&problem, &[0.9, 0.5, 0.1, 0.0], 0.0).unwrap();
         for i in 0..4 {
             assert_eq!(problem.c[i], derisked.c[i]);
         }
@@ -118,7 +119,7 @@ mod tests {
     #[test]
     fn risky_phone_costs_inflate_by_expected_rework() {
         let problem = instance(2, 4);
-        let derisked = derisk(&problem, &[0.5, 0.0], 1.0).unwrap();
+        let derisked = derisked(&problem, &[0.5, 0.0], 1.0).unwrap();
         // p = 0.5 → factor 2.
         assert!((derisked.c[0][0] - problem.c[0][0] * 2.0).abs() < 1e-12);
         assert!(
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn certain_failure_is_clamped_not_infinite() {
         let problem = instance(2, 4);
-        let derisked = derisk(&problem, &[1.0, 0.0], 1.0).unwrap();
+        let derisked = derisked(&problem, &[1.0, 0.0], 1.0).unwrap();
         assert!(derisked.c[0][0].is_finite());
         assert!(derisked.c[0][0] > problem.c[0][0] * 10.0);
     }
@@ -140,7 +141,7 @@ mod tests {
         let problem = instance(4, 12);
         let neutral = GreedyScheduler.schedule(&problem).unwrap();
         // Phone 0 is 80% likely to vanish.
-        let derisked = derisk(&problem, &[0.8, 0.0, 0.0, 0.0], 1.0).unwrap();
+        let derisked = derisked(&problem, &[0.8, 0.0, 0.0, 0.0], 1.0).unwrap();
         let aware = GreedyScheduler.schedule(&derisked).unwrap();
         aware.validate(&derisked).unwrap();
         let load = |s: &crate::Schedule, i: usize| -> u64 {
@@ -157,16 +158,16 @@ mod tests {
     #[test]
     fn rejects_malformed_inputs() {
         let problem = instance(2, 2);
-        assert!(derisk(&problem, &[0.1], 1.0).is_err());
-        assert!(derisk(&problem, &[0.1, 1.5], 1.0).is_err());
-        assert!(derisk(&problem, &[0.1, 0.1], 2.0).is_err());
+        assert!(derisked(&problem, &[0.1], 1.0).is_err());
+        assert!(derisked(&problem, &[0.1, 1.5], 1.0).is_err());
+        assert!(derisked(&problem, &[0.1, 0.1], 2.0).is_err());
     }
 
     #[test]
     fn rejects_non_finite_and_negative_probabilities() {
         let problem = instance(2, 2);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.01, 1.01] {
-            let err = derisk(&problem, &[bad, 0.0], 1.0);
+            let err = derisked(&problem, &[bad, 0.0], 1.0);
             assert!(
                 matches!(err, Err(CwcError::Config(_))),
                 "fail_prob {bad} must be a Config error, got {err:?}"
@@ -174,7 +175,7 @@ mod tests {
         }
         // NaN aggressiveness fails the same range check.
         assert!(matches!(
-            derisk(&problem, &[0.0, 0.0], f64::NAN),
+            derisked(&problem, &[0.0, 0.0], f64::NAN),
             Err(CwcError::Config(_))
         ));
     }
@@ -186,7 +187,7 @@ mod tests {
         // priced into infinity — and the edge is continuous (p just below
         // the cap prices just below ×20).
         let problem = instance(3, 4);
-        let derisked = derisk(&problem, &[MAX_EFFECTIVE_FAIL_PROB, 1.0, 0.949], 1.0).unwrap();
+        let derisked = derisked(&problem, &[MAX_EFFECTIVE_FAIL_PROB, 1.0, 0.949], 1.0).unwrap();
         for i in [0usize, 1] {
             assert!(
                 (derisked.c[i][0] - problem.c[i][0] * 20.0).abs() < 1e-9,

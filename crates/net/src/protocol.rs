@@ -857,7 +857,7 @@ impl FrameCodec {
     }
 
     /// One `read` from `src` straight into the codec's own buffer, sized to
-    /// what the frame at the head still lacks (at least [`READ_FLOOR`], at
+    /// what the frame at the head still lacks (at least `READ_FLOOR`, at
     /// most `limit`). Returns the byte count; `Ok(0)` is end of stream (or
     /// `limit == 0`). The single read routine under both the blocking
     /// [`crate::tcp::FramedTcp`] and the reactor's [`crate::reactor::Conn`].

@@ -66,38 +66,15 @@ pub enum CoordCommand {
         rescheduled: bool,
         /// Causal identity of this chunk: minted by the kernel, carried
         /// over the wire, and stamped onto every event the chunk touches.
+        /// A redundant copy's span is a child of its primary's.
         trace: cwc_obs::TraceCtx,
-    },
-    /// Ship a redundant copy of a partition that is (or may become)
-    /// in flight elsewhere: a risk-driven replica or a speculative
-    /// straggler re-execution (DESIGN.md §12). Field-for-field identical
-    /// to [`CoordCommand::ShipInput`]; drivers transfer it the same way
-    /// (the live driver additionally marks the wire frame as a replica).
-    /// Kept as a distinct command so command streams — and therefore
-    /// record/replay byte-identity — make every proactive decision
-    /// explicit.
-    ShipReplica {
-        /// Destination slot.
-        slot: usize,
-        /// Sequence number reports must echo.
-        seq: u64,
-        /// Original (catalog) job id.
-        job: cwc_types::JobId,
-        /// Program name (the worker maps job → program): the kernel's
-        /// shared handle, so emitting a ship allocates nothing for it.
-        program: std::sync::Arc<str>,
-        /// Executable KB riding along (0 once the slot has the program).
-        exe_kb: u64,
-        /// Partition offset into the job's input.
-        offset_kb: u64,
-        /// Partition length.
-        len_kb: u64,
-        /// Checkpoint to resume from, for migrated continuations.
-        resume: Option<Vec<u8>>,
-        /// Whether this item was placed by a reschedule round.
-        rescheduled: bool,
-        /// Causal identity: a child span of the primary copy's placement.
-        trace: cwc_obs::TraceCtx,
+        /// Whether this is the redundant copy of a first-result-wins pair
+        /// (DESIGN.md §12): a risk-driven replica or a speculative
+        /// straggler re-execution. Drivers transfer it like any ship; the
+        /// live driver sets the wire frame's flag of the same name. The
+        /// flag keeps every proactive decision explicit in the command
+        /// stream, and so in record/replay byte-identity.
+        replica: bool,
     },
     /// Withdraw an in-flight partition from a slot: its replica (or the
     /// primary it duplicated) already completed elsewhere, so the loser's

@@ -120,13 +120,9 @@ pub struct KernelConfig {
 /// One shippable partition (queued or in flight).
 #[derive(Debug, Clone)]
 struct WorkItem {
-    original: JobId,
-    /// Index of `original`'s row in the kernel's job table.
+    /// Index of the item's row in the kernel's job table, where its job's
+    /// id, program and executable size are read.
     job: usize,
-    /// The catalogue's handle on the program name, shared by every item
-    /// and ship command of every job running that program.
-    program: Arc<str>,
-    exe_kb: KiloBytes,
     kb: KiloBytes,
     base_offset: KiloBytes,
     resume: Option<Vec<u8>>,
@@ -212,7 +208,8 @@ impl GroupKind {
 /// winner — then the full original slice requeues, ungrouped.
 #[derive(Clone)]
 struct ReplicaGroup {
-    original: JobId,
+    /// Row of the group's job in the kernel's job table.
+    job: usize,
     kb: KiloBytes,
     base_offset: KiloBytes,
     outstanding: u32,
@@ -718,8 +715,8 @@ impl Kernel {
                     } else {
                         JobKind::Breakable
                     },
-                    program: r.program.to_string(),
-                    exe_kb: r.exe_kb,
+                    program: self.jobs[r.job].program.to_string(),
+                    exe_kb: self.jobs[r.job].spec.exe_kb,
                     input_kb: r.kb,
                 })
                 .collect(),
@@ -742,7 +739,7 @@ impl Kernel {
             jobs,
             c,
         };
-        let solved = self.solve(avail, &problem);
+        let solved = self.solve(avail, &mut problem);
         if residuals.is_none() {
             for (row, spec) in self.jobs.iter_mut().zip(&mut problem.jobs) {
                 row.spec.program = std::mem::take(&mut spec.program);
@@ -757,12 +754,8 @@ impl Kernel {
                 let item = match residuals {
                     None => {
                         let ix = row_of(&self.jobs, a.job).expect("scheduled jobs are catalogued");
-                        let job = &self.jobs[ix];
                         WorkItem {
-                            original: a.job,
                             job: ix,
-                            program: job.program.clone(),
-                            exe_kb: job.spec.exe_kb,
                             kb: a.input_kb,
                             base_offset: a.offset_kb,
                             resume: None,
@@ -795,20 +788,15 @@ impl Kernel {
     /// Algorithm 1 on one instant's `problem`: checked, priced for failure
     /// risk when the config carries a reliability profile, solved from the
     /// previous instant's converged window, and its answer validated.
-    fn solve(&mut self, avail: &[usize], problem: &SchedProblem) -> CwcResult<Schedule> {
+    fn solve(&mut self, avail: &[usize], problem: &mut SchedProblem) -> CwcResult<Schedule> {
         problem.check()?;
-        let derisked;
-        let problem = match &self.cfg.reliability {
-            Some((probs, aggressiveness)) => {
-                let per_avail: Vec<f64> = avail
-                    .iter()
-                    .map(|&i| probs.get(i).copied().unwrap_or(0.0))
-                    .collect();
-                derisked = cwc_core::derisk(problem, &per_avail, *aggressiveness)?;
-                &derisked
-            }
-            None => problem,
-        };
+        if let Some((probs, aggressiveness)) = &self.cfg.reliability {
+            let per_avail: Vec<f64> = avail
+                .iter()
+                .map(|&i| probs.get(i).copied().unwrap_or(0.0))
+                .collect();
+            cwc_core::derisk(problem, &per_avail, *aggressiveness)?;
+        }
         let (schedule, warm) = cwc_obs::timed(&self.cfg.obs.metrics, "span.schedule_us", || {
             Scheduler::run_observed_warm(self.cfg.scheduler, problem, &self.cfg.obs, self.warm)
         })?;
@@ -827,11 +815,10 @@ impl Kernel {
         if slo.is_empty() {
             return;
         }
+        let rank = |it: &WorkItem| SloClass::rank(slo.get(&self.jobs[it.job].spec.id).copied());
         for &i in slots {
             if let Some(s) = self.slots.get_mut(i) {
-                s.queue
-                    .make_contiguous()
-                    .sort_by_key(|it| SloClass::rank(slo.get(&it.original).copied()));
+                s.queue.make_contiguous().sort_by_key(rank);
             }
         }
     }
@@ -862,37 +849,23 @@ impl Kernel {
             else {
                 continue;
             };
+            let Some(s) = self.slots.get_mut(i) else {
+                continue;
+            };
+            // The queue leaves the slot while its items open their groups.
+            let mut queue = std::mem::take(&mut s.queue);
             let mut copies: Vec<WorkItem> = Vec::new();
-            if let Some(s) = self.slots.get_mut(i) {
-                for item in s.queue.iter_mut() {
-                    if item.resume.is_some() || item.group.is_some() || item.speculative {
-                        continue;
-                    }
-                    if !self.jobs[item.job].spec.kind.is_atomic() {
-                        continue;
-                    }
-                    self.next_group += 1;
-                    let g = self.next_group;
-                    item.group = Some(g);
-                    self.next_span += 1;
-                    let mut copy = item.clone();
-                    copy.speculative = true;
-                    copy.trace = item.trace.child(self.next_span);
-                    self.replica_groups.insert(
-                        g,
-                        ReplicaGroup {
-                            original: item.original,
-                            kb: item.kb,
-                            base_offset: item.base_offset,
-                            outstanding: 2,
-                            won: false,
-                            kind: GroupKind::Replica,
-                        },
-                    );
-                    self.cfg.obs.metrics.inc("sched.replica.planned");
-                    copies.push(copy);
+            for item in queue.iter_mut() {
+                if item.resume.is_some() || item.group.is_some() || item.speculative {
+                    continue;
                 }
+                if !self.jobs[item.job].spec.kind.is_atomic() {
+                    continue;
+                }
+                copies.push(self.open_group(item, GroupKind::Replica));
+                self.cfg.obs.metrics.inc("sched.replica.planned");
             }
+            self.slot_mut(i).queue = queue;
             if copies.is_empty() {
                 continue;
             }
@@ -920,6 +893,32 @@ impl Kernel {
         }
     }
 
+    /// Opens a first-result-wins pair over `primary`: mints the group id,
+    /// then the copy's child span, joins `primary` to the group and
+    /// returns the redundant copy to queue elsewhere.
+    fn open_group(&mut self, primary: &mut WorkItem, kind: GroupKind) -> WorkItem {
+        self.next_group += 1;
+        let g = self.next_group;
+        primary.group = Some(g);
+        self.next_span += 1;
+        self.replica_groups.insert(
+            g,
+            ReplicaGroup {
+                job: primary.job,
+                kb: primary.kb,
+                base_offset: primary.base_offset,
+                outstanding: 2,
+                won: false,
+                kind,
+            },
+        );
+        WorkItem {
+            speculative: true,
+            trace: primary.trace.child(self.next_span),
+            ..primary.clone()
+        }
+    }
+
     /// Routes one dead item into the §5 failed list. Grouped
     /// (replica/speculation) members never carry partial progress out: a
     /// dying member is dropped while its twin lives, and only the *last*
@@ -944,7 +943,6 @@ impl Kernel {
         };
         if !grp.won {
             self.failed.push(WorkItem {
-                original: grp.original,
                 kb: grp.kb,
                 base_offset: grp.base_offset,
                 resume: None,
@@ -975,6 +973,7 @@ impl Kernel {
             self.cfg.obs.metrics.inc(names.won);
         }
         let style = self.cfg.style;
+        let job = self.jobs[grp.job].spec.id;
         let mut wasted = 0u64;
         let mut freed: Vec<usize> = Vec::new();
         for (j, s) in self.slots.iter_mut() {
@@ -988,11 +987,11 @@ impl Kernel {
                             .field("phone", s.id().0)
                             .field("slot", j as u64)
                             .field("seq", fl.seq)
-                            .field("job", fl.item.original.0)
+                            .field("job", job.0)
                     });
                     out.push(CoordCommand::CancelTask {
                         slot: j,
-                        job: fl.item.original,
+                        job,
                         seq: fl.seq,
                     });
                     wasted += 1;
@@ -1030,9 +1029,10 @@ impl Kernel {
         };
         let id = s.id();
         let info = s.info;
+        let row = &self.jobs[item.job];
         // Executable shipped once per slot–program pair.
-        let first = !s.has_exe.contains(&item.program) && s.has_exe.insert(item.program.clone());
-        let exe_kb = if first { item.exe_kb.0 } else { 0 };
+        let first = !s.has_exe.contains(&row.program) && s.has_exe.insert(row.program.clone());
+        let exe_kb = if first { row.spec.exe_kb.0 } else { 0 };
         self.next_seq += 1;
         let seq = self.next_seq;
         // The span's opening event, in both styles: every chunk lifecycle
@@ -1044,39 +1044,31 @@ impl Kernel {
                 .field("phone", id.0)
                 .field("slot", slot as u64)
                 .field("seq", seq)
-                .field("job", item.original.0)
+                .field("job", row.spec.id.0)
                 .field("offset_kb", item.base_offset.0)
                 .field("len_kb", item.kb.0)
                 .field("rescheduled", item.rescheduled)
                 .field("replica", item.speculative)
         });
-        // The two ship commands are field-for-field identical; the variant
-        // alone says whether this is a redundant copy.
-        macro_rules! ship {
-            ($variant:ident) => {
-                CoordCommand::$variant {
-                    slot,
-                    seq,
-                    job: item.original,
-                    program: item.program.clone(),
-                    exe_kb,
-                    offset_kb: item.base_offset.0,
-                    len_kb: item.kb.0,
-                    resume: item.resume.clone(),
-                    rescheduled: item.rescheduled,
-                    trace: item.trace,
-                }
-            };
-        }
+        out.push(CoordCommand::ShipInput {
+            slot,
+            seq,
+            job: row.spec.id,
+            program: row.program.clone(),
+            exe_kb,
+            offset_kb: item.base_offset.0,
+            len_kb: item.kb.0,
+            resume: item.resume.clone(),
+            rescheduled: item.rescheduled,
+            trace: item.trace,
+            replica: item.speculative,
+        });
         if item.speculative {
             let kind = item
                 .group
                 .and_then(|g| self.replica_groups.get(&g))
                 .map_or(GroupKind::Replica, |grp| grp.kind);
             self.cfg.obs.metrics.inc(kind.metrics().shipped);
-            out.push(ship!(ShipReplica));
-        } else {
-            out.push(ship!(ShipInput));
         }
         if let Some(timeout) = stall {
             out.push(CoordCommand::StartTimer {
@@ -1094,7 +1086,8 @@ impl Kernel {
             if item.group.is_none() && !item.speculative && self.spec_budget_left > 0 {
                 if let Some(info) = info {
                     let transfer_ms = info.bandwidth.0 * (exe_kb + item.kb.0) as f64;
-                    let exec_ms = self.predictor.c_ij(&info, &item.program) * item.kb.0 as f64;
+                    let program = &self.jobs[item.job].program;
+                    let exec_ms = self.predictor.c_ij(&info, program) * item.kb.0 as f64;
                     out.push(CoordCommand::StartTimer {
                         kind: TimerKind::Speculate,
                         slot,
@@ -1125,10 +1118,11 @@ impl Kernel {
             return;
         };
         s.unanswered = 0;
+        let jobs = &self.jobs;
         let expected = s
             .busy
             .as_ref()
-            .is_some_and(|b| b.seq == seq && b.item.original == job);
+            .is_some_and(|b| b.seq == seq && jobs[b.item.job].spec.id == job);
         if !expected {
             // Duplicate or stale (frame duplicated in flight, or the task
             // was already requeued by the watchdog).
@@ -1156,8 +1150,8 @@ impl Kernel {
         self.jobs[item.job].partitions += 1;
         // The measured runtime refines c_ij (§4.1's online update).
         if let Some(info) = info {
-            self.predictor
-                .observe(&info, &item.program, item.kb, exec_ms);
+            let program = &self.jobs[item.job].program;
+            self.predictor.observe(&info, program, item.kb, exec_ms);
         }
         let metrics = &self.cfg.obs.metrics;
         self.execute_ms
@@ -1185,30 +1179,29 @@ impl Kernel {
         if let Some(g) = item.group {
             self.resolve_group_win(now, g, item.speculative, out);
         }
-        self.credit(now, job, item.job, item.kb.0, id, out);
+        self.credit(now, item.job, item.kb.0, id, out);
         // Planted bug (`check-mutation`, cwc-check's self-test only): a
         // redundancy-group win credits the job a second time — the exact
         // replica double-credit the exactly-once oracle exists to catch.
         #[cfg(feature = "check-mutation")]
         if item.group.is_some() {
-            self.credit(now, job, item.job, item.kb.0, id, out);
+            self.credit(now, item.job, item.kb.0, id, out);
         }
         self.ship_next(now, slot, out);
     }
 
-    /// Credits `kb` of `job` (row `row` of the job table, as its work
-    /// item carried it) and latches job / batch completion.
+    /// Credits `kb` of the job in row `row` of the job table and latches
+    /// job / batch completion.
     fn credit(
         &mut self,
         now: Micros,
-        job: JobId,
         row: usize,
         kb: u64,
         phone: cwc_types::PhoneId,
         out: &mut Vec<CoordCommand>,
     ) {
         let row = &mut self.jobs[row];
-        debug_assert_eq!(row.spec.id, job, "a work item indexes another job's row");
+        let job = row.spec.id;
         row.progress += kb;
         let target = row.spec.input_kb.0;
         if self.cfg.style == DriverStyle::Sim {
@@ -1275,10 +1268,11 @@ impl Kernel {
             return;
         };
         s.unanswered = 0;
+        let jobs = &self.jobs;
         let expected = s
             .busy
             .as_ref()
-            .is_some_and(|b| b.seq == seq && b.item.original == job);
+            .is_some_and(|b| b.seq == seq && jobs[b.item.job].spec.id == job);
         if !expected {
             // A failure report for nothing in flight is a per-slot
             // protocol violation, not a batch-level error.
@@ -1351,7 +1345,7 @@ impl Kernel {
                 });
             }
             if processed > 0 {
-                self.credit(now, job, row, processed, id, out);
+                self.credit(now, row, processed, id, out);
             }
         }
         // An unplugged phone is out for the rest of the run.
@@ -1488,7 +1482,7 @@ impl Kernel {
                 None
             }
         };
-        let Some(src) = source else { return };
+        let Some(mut src) = source else { return };
         // Least-loaded live independent slot, ties on index.
         let target = self
             .slots
@@ -1497,35 +1491,18 @@ impl Kernel {
             .min_by_key(|&(j, s)| (s.queue.len() + usize::from(s.busy.is_some()), j))
             .map(|(j, _)| j);
         let Some(target) = target else { return };
-        self.next_group += 1;
-        let g = self.next_group;
+        let copy = self.open_group(&mut src, GroupKind::Speculation);
         if let Some(s) = self.slots.get_mut(slot) {
-            if s.alive {
-                if let Some(b) = s.busy.as_mut() {
-                    b.item.group = Some(g);
-                }
-            } else if let Some((_, parked)) = s.parked.as_mut() {
-                if let Some(first) = parked.first_mut() {
-                    first.group = Some(g);
-                }
+            let primary = if s.alive {
+                s.busy.as_mut().map(|b| &mut b.item)
+            } else {
+                s.parked.as_mut().and_then(|(_, parked)| parked.first_mut())
+            };
+            if let Some(primary) = primary {
+                primary.group = src.group;
             }
         }
-        self.next_span += 1;
-        let mut copy = src.clone();
-        copy.group = Some(g);
-        copy.speculative = true;
-        copy.trace = src.trace.child(self.next_span);
-        self.replica_groups.insert(
-            g,
-            ReplicaGroup {
-                original: src.original,
-                kb: src.kb,
-                base_offset: src.base_offset,
-                outstanding: 2,
-                won: false,
-                kind: GroupKind::Speculation,
-            },
-        );
+        let job = self.jobs[src.job].spec.id;
         self.spec_budget_left -= 1;
         self.cfg.obs.metrics.inc("sched.speculation.launched");
         self.cfg.obs.emit_with(|| {
@@ -1533,7 +1510,7 @@ impl Kernel {
                 .stamp(self.event(now, "sched", "speculation.launched"))
                 .field("slot", slot as u64)
                 .field("target", target as u64)
-                .field("job", src.original.0)
+                .field("job", job.0)
                 .field("seq", token)
                 .field("budget_left", u64::from(self.spec_budget_left))
                 .field(
@@ -1541,7 +1518,7 @@ impl Kernel {
                     format!(
                         "speculating {} (seq {token}, slot {slot}) onto slot {target}; \
                          {} launches left",
-                        src.original, self.spec_budget_left
+                        job, self.spec_budget_left
                     ),
                 )
         });
@@ -1655,6 +1632,7 @@ impl Kernel {
         }
         let Some(fl) = s.busy.take() else { return };
         let id = s.id();
+        let job = self.jobs[fl.item.job].spec.id;
         self.cfg.obs.metrics.inc("live.stalled");
         self.cfg.obs.emit_with(|| {
             fl.item
@@ -1662,12 +1640,11 @@ impl Kernel {
                 .stamp(self.event(now, "failure", "task.stalled"))
                 .severity(cwc_obs::Severity::Warn)
                 .field("phone", id.0)
-                .field("job", fl.item.original.0)
+                .field("job", job.0)
                 .field(
                     "msg",
                     format!(
-                        "{id}: no report for {} after {} ms; requeueing",
-                        fl.item.original,
+                        "{id}: no report for {job} after {} ms; requeueing",
                         self.cfg.stall_timeout.unwrap_or(Micros::ZERO).as_ms_f64()
                     ),
                 )
@@ -1804,7 +1781,7 @@ impl Kernel {
         // first; a stable sort keeps failure order within each class.
         if !self.cfg.slo.is_empty() {
             let slo = &self.cfg.slo;
-            residuals.sort_by_key(|r| SloClass::rank(slo.get(&r.original).copied()));
+            residuals.sort_by_key(|r| SloClass::rank(slo.get(&self.jobs[r.job].spec.id).copied()));
         }
         let alive = self.alive_slots();
         if alive.is_empty() {
@@ -1894,7 +1871,7 @@ impl Kernel {
         // Runtime invariant check (debug builds and tests): the round
         // must requeue every failed chunk exactly once.
         if cfg!(debug_assertions) {
-            let span = |r: &WorkItem| (r.original, r.base_offset.0, r.kb.0);
+            let span = |r: &WorkItem| (self.jobs[r.job].spec.id, r.base_offset.0, r.kb.0);
             if let Err(violation) = cwc_core::schedule::validate_requeue(residuals.iter().map(span))
             {
                 let round = self.reschedule_rounds;
@@ -2080,9 +2057,9 @@ impl DigestWrite for Fnv1a {
 }
 
 impl Kernel {
-    fn view_chunk(item: &WorkItem) -> ChunkView {
+    fn view_chunk(&self, item: &WorkItem) -> ChunkView {
         ChunkView {
-            job: item.original,
+            job: self.jobs[item.job].spec.id,
             kb: item.kb.0,
             offset: item.base_offset.0,
             group: item.group,
@@ -2110,7 +2087,7 @@ impl Kernel {
                 .map(|j| (j.spec.id, j.spec.input_kb.0))
                 .collect(),
             completed: self.completed_at().into_keys().collect(),
-            failed: self.failed.iter().map(Self::view_chunk).collect(),
+            failed: self.failed.iter().map(|it| self.view_chunk(it)).collect(),
             groups: self
                 .replica_groups
                 .iter()
@@ -2118,7 +2095,7 @@ impl Kernel {
                     (
                         g,
                         GroupView {
-                            job: grp.original,
+                            job: self.jobs[grp.job].spec.id,
                             kb: grp.kb.0,
                             outstanding: grp.outstanding,
                             won: grp.won,
@@ -2138,12 +2115,14 @@ impl Kernel {
                             busy: s
                                 .busy
                                 .as_ref()
-                                .map(|fl| (fl.seq, Self::view_chunk(&fl.item))),
-                            queue: s.queue.iter().map(Self::view_chunk).collect(),
+                                .map(|fl| (fl.seq, self.view_chunk(&fl.item))),
+                            queue: s.queue.iter().map(|it| self.view_chunk(it)).collect(),
                             parked: s
                                 .parked
                                 .as_ref()
-                                .map(|(_, items)| items.iter().map(Self::view_chunk).collect())
+                                .map(|(_, items)| {
+                                    items.iter().map(|it| self.view_chunk(it)).collect()
+                                })
                                 .unwrap_or_default(),
                             parked_inflight_seq: s.parked_inflight_seq,
                         },
@@ -2192,11 +2171,11 @@ impl Kernel {
         }
         h.write_u64(self.failed.len() as u64);
         for item in &self.failed {
-            Self::hash_item(&mut h, item);
+            self.hash_item(&mut h, item);
         }
         for (&g, grp) in &self.replica_groups {
             h.write_u64(u64::from(g));
-            h.write_u64(u64::from(grp.original.0));
+            h.write_u64(u64::from(self.jobs[grp.job].spec.id.0));
             h.write_u64(grp.kb.0);
             h.write_u64(grp.base_offset.0);
             h.write_u64(u64::from(grp.outstanding));
@@ -2230,13 +2209,13 @@ impl Kernel {
                 Some(fl) => {
                     h.write_u8(1);
                     h.write_u64(fl.seq);
-                    Self::hash_item(&mut h, &fl.item);
+                    self.hash_item(&mut h, &fl.item);
                 }
                 None => h.write_u8(0),
             }
             h.write_u64(s.queue.len() as u64);
             for item in &s.queue {
-                Self::hash_item(&mut h, item);
+                self.hash_item(&mut h, item);
             }
             match &s.parked {
                 Some((token, items)) => {
@@ -2244,7 +2223,7 @@ impl Kernel {
                     h.write_u64(*token);
                     h.write_u64(items.len() as u64);
                     for item in items {
-                        Self::hash_item(&mut h, item);
+                        self.hash_item(&mut h, item);
                     }
                 }
                 None => h.write_u8(0),
@@ -2254,10 +2233,11 @@ impl Kernel {
         h.finish()
     }
 
-    fn hash_item(h: &mut Fnv1a, item: &WorkItem) {
-        h.write_u64(u64::from(item.original.0));
-        h.write_str(&item.program);
-        h.write_u64(item.exe_kb.0);
+    fn hash_item(&self, h: &mut Fnv1a, item: &WorkItem) {
+        let row = &self.jobs[item.job];
+        h.write_u64(u64::from(row.spec.id.0));
+        h.write_str(&row.program);
+        h.write_u64(row.spec.exe_kb.0);
         h.write_u64(item.kb.0);
         h.write_u64(item.base_offset.0);
         match &item.resume {
@@ -2322,6 +2302,8 @@ mod tests {
     struct Harness {
         kernel: Kernel,
         outstanding: Vec<Shipped>,
+        /// Every `ShipInput` the kernel emitted, in order.
+        ships: Vec<CoordCommand>,
         speculate_timers: Vec<(usize, u64)>,
         covered: BTreeMap<JobId, u64>,
         target: BTreeMap<JobId, u64>,
@@ -2345,6 +2327,7 @@ mod tests {
             let mut h = Harness {
                 kernel: Kernel::new(cfg).expect("kernel"),
                 outstanding: Vec::new(),
+                ships: Vec::new(),
                 speculate_timers: Vec::new(),
                 covered: target.keys().map(|&id| (id, 0)).collect(),
                 target,
@@ -2395,28 +2378,24 @@ mod tests {
                 }
             }
             for cmd in &out {
-                let replica = matches!(cmd, CoordCommand::ShipReplica { .. });
                 match *cmd {
                     CoordCommand::ShipInput {
                         slot,
                         seq,
                         job,
                         len_kb,
-                        ..
-                    }
-                    | CoordCommand::ShipReplica {
-                        slot,
-                        seq,
-                        job,
-                        len_kb,
-                        ..
-                    } => self.outstanding.push(Shipped {
-                        slot,
-                        seq,
-                        job,
-                        len_kb,
                         replica,
-                    }),
+                        ..
+                    } => {
+                        self.outstanding.push(Shipped {
+                            slot,
+                            seq,
+                            job,
+                            len_kb,
+                            replica,
+                        });
+                        self.ships.push(cmd.clone());
+                    }
                     CoordCommand::CancelTask { slot, seq, .. } => {
                         self.outstanding.retain(|s| (s.slot, s.seq) != (slot, seq))
                     }
@@ -2555,8 +2534,9 @@ mod tests {
         replica_wins().assert_finished_exactly_once();
     }
 
-    #[test]
-    fn finished_fires_once_when_a_speculative_copy_wins() {
+    /// Slot 0's first chunk straggles: its copy runs on slot 1, and since
+    /// the straggler never answers, the copy wins and retires it.
+    fn speculative_copy_wins() -> Harness {
         let mut cfg = config(atomic_jobs(&[40, 50, 60, 70]));
         cfg.speculation = Some(SpeculationPolicy {
             slack: 1.5,
@@ -2586,7 +2566,57 @@ mod tests {
             "the straggler was never cancelled"
         );
         assert_eq!(obs.metrics.counter_value("sched.speculation.won"), 1);
-        h.assert_finished_exactly_once();
+        h
+    }
+
+    #[test]
+    fn finished_fires_once_when_a_speculative_copy_wins() {
+        speculative_copy_wins().assert_finished_exactly_once();
+    }
+
+    /// A redundant copy is one more `ShipInput` of its primary's slice,
+    /// told apart by `replica: true` alone: a replica group and a
+    /// speculation group each ship the same job, program, offset, length
+    /// and checkpoint twice, and exactly one of the two ships is flagged.
+    #[test]
+    fn a_groups_two_ships_differ_only_in_the_replica_flag() {
+        // One atomic job, packed onto the fast flaky slot 0: its replica
+        // ships at once on the idle slot 1.
+        let mut cfg = config(atomic_jobs(&[40]));
+        cfg.reliability = Some((vec![0.9, 0.0], 0.0));
+        cfg.replication = Some(ReplicationPolicy { threshold: 0.5 });
+        let replicated = Harness::start(cfg, 2);
+        for h in [replicated, speculative_copy_wins()] {
+            let ships: Vec<_> = (h.ships.iter())
+                .map(|c| match c {
+                    CoordCommand::ShipInput {
+                        job,
+                        program,
+                        offset_kb,
+                        len_kb,
+                        resume,
+                        trace,
+                        replica,
+                        ..
+                    } => {
+                        let slice = (*job, program.clone(), *offset_kb, *len_kb, resume.clone());
+                        (slice, *trace, *replica)
+                    }
+                    _ => unreachable!("the harness logs ships only"),
+                })
+                .collect();
+            let copies = ships.iter().filter(|(_, _, replica)| *replica);
+            assert!(copies.clone().count() >= 1, "no group was shipped");
+            for (slice, trace, _) in copies {
+                // The copy's span continues its primary's placement.
+                let primary = |(_, t, _): &&(_, TraceCtx, _)| Some(t.span_id) == trace.parent;
+                let primaries: Vec<_> = ships.iter().filter(primary).collect();
+                assert_eq!(primaries.len(), 1, "one primary per copy");
+                let (primary_slice, _, primary_flagged) = primaries[0];
+                assert_eq!(primary_slice, slice);
+                assert!(!primary_flagged, "both ships of a group flagged");
+            }
+        }
     }
 
     const SOLVER: ReschedulePolicy = ReschedulePolicy::Solver {

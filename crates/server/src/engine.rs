@@ -502,7 +502,7 @@ impl SimDriver {
                     let ev = CoordEvent::Probe { slot, info };
                     self.kernel.step_into(now, ev, &mut cmds);
                 }
-                // A replica transfers exactly like a primary: the split
+                // A replica transfers exactly like a primary: the flag
                 // only matters to the kernel's bookkeeping, not to the
                 // phone physics.
                 CoordCommand::ShipInput {
@@ -516,18 +516,7 @@ impl SimDriver {
                     resume: _,
                     rescheduled,
                     trace,
-                }
-                | CoordCommand::ShipReplica {
-                    slot,
-                    seq,
-                    job,
-                    program: _,
-                    exe_kb,
-                    offset_kb: _,
-                    len_kb,
-                    resume: _,
-                    rescheduled,
-                    trace,
+                    replica: _,
                 } => {
                     let rt = &mut self.rts[slot];
                     let shipped_kb = KiloBytes(exe_kb + len_kb);

@@ -29,8 +29,7 @@
 //! builds the 150-task evaluation workload; [`feasibility`] reproduces the
 //! §3.1 FCFS dispatch experiment (Fig. 5); [`overnight`] drives the fleet
 //! with the behavioral study's plug/unplug patterns (and feeds the
-//! failure-prediction scheduling extension); [`experiment`] is the
-//! high-level facade the examples and the figure harness drive.
+//! failure-prediction scheduling extension).
 
 #![forbid(unsafe_code)]
 // DESIGN.md §8: no `unwrap`, no silently dropped `Result`, and no bare
@@ -43,7 +42,6 @@
 
 pub mod coord;
 pub mod engine;
-pub mod experiment;
 pub mod feasibility;
 pub mod live;
 pub mod overnight;
@@ -55,7 +53,6 @@ pub mod workload;
 
 pub use coord::{CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy};
 pub use engine::{Engine, EngineConfig, EngineOutcome, FailureInjection, Segment, SegmentKind};
-pub use experiment::{Experiment, ExperimentConfig};
 pub use live::{
     live_kernel_config, run_live_server, run_live_server_with, run_worker, run_worker_chaos,
     LiveJob, LiveOutcome, LivePolicy, WorkerConfig,

@@ -876,7 +876,6 @@ impl<'a> LiveDriver<'a> {
     }
 
     fn apply(&mut self, now: Micros, cmd: CoordCommand) {
-        let replica = matches!(cmd, CoordCommand::ShipReplica { .. });
         match cmd {
             CoordCommand::ShipInput {
                 slot,
@@ -889,18 +888,7 @@ impl<'a> LiveDriver<'a> {
                 resume,
                 rescheduled: _,
                 trace,
-            }
-            | CoordCommand::ShipReplica {
-                slot,
-                seq,
-                job,
-                program,
-                exe_kb,
-                offset_kb,
-                len_kb,
-                resume,
-                rescheduled: _,
-                trace,
+                replica,
             } => self.ship(
                 slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, replica,
             ),
@@ -1664,10 +1652,18 @@ mod tests {
     /// with the byte length it was shipped (`primecount` aggregates
     /// partials by summing, so a job's result must equal its input
     /// length). It dawdles `after_exe` after each `ShipExecutable` — a
-    /// slow link, as the server sees it.
-    fn raw_serve(conn: &mut FramedTcp, kbps: f64, after_exe: Duration) -> CwcResult<()> {
+    /// slow link, as the server sees it — and hands every frame it
+    /// receives to `on_frame` first.
+    fn raw_serve(
+        conn: &mut FramedTcp,
+        kbps: f64,
+        after_exe: Duration,
+        mut on_frame: impl FnMut(&Frame),
+    ) -> CwcResult<()> {
         loop {
-            match conn.recv()? {
+            let frame = conn.recv()?;
+            on_frame(&frame);
+            match frame {
                 Frame::BandwidthProbe { probe_id, .. } => conn.send(&Frame::BandwidthReport {
                     probe_id,
                     kb_per_sec: kbps,
@@ -1696,7 +1692,7 @@ mod tests {
         thread::spawn(move || {
             let mut conn = raw_connect(addr, 0)?;
             conn.set_fault(fault);
-            raw_serve(&mut conn, 600.0, after_exe)
+            raw_serve(&mut conn, 600.0, after_exe, |_| {})
         })
     }
 
@@ -1782,7 +1778,7 @@ mod tests {
         // everything right, and waits. The run's own deadline ends it.
         let (out, _) = serve_against(2, Duration::from_millis(300), |addr| {
             let mut conn = raw_connect(addr, 0).unwrap();
-            assert!(raw_serve(&mut conn, 600.0, Duration::ZERO).is_err());
+            assert!(raw_serve(&mut conn, 600.0, Duration::ZERO, |_| {}).is_err());
         });
         let err = out.unwrap_err().to_string();
         assert!(
@@ -1830,8 +1826,8 @@ mod tests {
             // Let the server read A's pair before B's report is on the wire.
             thread::sleep(Duration::from_millis(100));
             b.send(&report(probe_b, 250.0)).unwrap();
-            let a = thread::spawn(move || raw_serve(&mut a, 600.0, Duration::ZERO));
-            raw_serve(&mut b, 250.0, Duration::ZERO).unwrap();
+            let a = thread::spawn(move || raw_serve(&mut a, 600.0, Duration::ZERO, |_| {}));
+            raw_serve(&mut b, 250.0, Duration::ZERO, |_| {}).unwrap();
             a.join().unwrap().unwrap();
         });
         let out = out.unwrap();
@@ -1955,6 +1951,73 @@ mod tests {
         drop(peer);
     }
 
+    /// A replica reaches its worker as a `ShipInput` frame flagged
+    /// `replica`; its primary, on the other worker, is unflagged.
+    #[test]
+    fn a_replica_reaches_its_worker_flagged_on_the_wire() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shipped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let workers: Vec<_> = (0..2)
+            .map(|phone| {
+                let shipped = shipped.clone();
+                thread::spawn(move || {
+                    let mut conn = raw_connect(addr, phone)?;
+                    raw_serve(&mut conn, 600.0, Duration::ZERO, |frame| {
+                        if let Frame::ShipInput {
+                            job,
+                            offset_kb,
+                            len_kb,
+                            replica,
+                            ..
+                        } = *frame
+                        {
+                            let ship = (phone, job, offset_kb, len_kb, replica);
+                            shipped.lock().unwrap().push(ship);
+                        }
+                    })
+                })
+            })
+            .collect();
+        // Both slots are flaky, so the one atomic job is replicated onto
+        // whichever slot it was not packed on.
+        let policy = LivePolicy {
+            reliability: Some((vec![0.9, 0.9], 0.0)),
+            replication: Some(ReplicationPolicy { threshold: 0.5 }),
+            ..LivePolicy::default()
+        };
+        let job = LiveJob::new(
+            JobId(0),
+            JobKind::Atomic,
+            "primecount",
+            30,
+            vec![b'7'; 10 * 1024],
+        );
+        let out = run_live_server_with(
+            listener,
+            2,
+            vec![job],
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(30),
+            policy,
+            &cwc_obs::Obs::new(),
+        )
+        .unwrap();
+        for w in workers {
+            w.join().unwrap().unwrap();
+        }
+        assert_eq!(out.results.len(), 1);
+        let mut shipped = shipped.lock().unwrap().clone();
+        shipped.sort_by_key(|&(.., replica)| replica);
+        let [(primary, job, offset, len, false), (copy, job2, offset2, len2, true)] = shipped[..]
+        else {
+            panic!("expected one primary and one replica ship, got {shipped:?}");
+        };
+        assert_ne!(primary, copy, "the replica runs on the other worker");
+        assert_eq!((job, offset, len), (job2, offset2, len2));
+    }
+
     #[test]
     fn a_slot_keeps_one_stall_deadline_however_many_chunks_it_is_shipped() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1962,7 +2025,12 @@ mod tests {
         let workers: Vec<_> = (0..2)
             .map(|phone| {
                 thread::spawn(move || {
-                    raw_serve(&mut raw_connect(addr, phone)?, 600.0, Duration::ZERO)
+                    raw_serve(
+                        &mut raw_connect(addr, phone)?,
+                        600.0,
+                        Duration::ZERO,
+                        |_| {},
+                    )
                 })
             })
             .collect();

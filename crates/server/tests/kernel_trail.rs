@@ -159,14 +159,6 @@ impl Trail {
                 exe_kb,
                 len_kb,
                 ..
-            }
-            | CoordCommand::ShipReplica {
-                slot,
-                seq,
-                job,
-                exe_kb,
-                len_kb,
-                ..
             } => {
                 let per_kb = 20.0 + self.rng.gen_range(0.0..20.0);
                 let slow = if slot == STRAGGLER { 8.0 } else { 1.0 };
@@ -278,7 +270,7 @@ fn the_kernel_trail_is_pinned_step_by_step() {
     );
     assert_eq!(
         (t.steps, t.trail.finish()),
-        (52, 0x98d5_899a_b910_5fd8),
+        (52, 0x5ee3_54c6_7301_224b),
         "the kernel's step-by-step trail moved"
     );
 }

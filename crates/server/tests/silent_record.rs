@@ -335,3 +335,27 @@ fn setting_a_known_programs_baseline_does_not_allocate() {
     // The counter does see a program's first registration.
     assert!(allocations_during(|| predictor.set_baseline("wordcount", 80.0)) > 0);
 }
+
+#[test]
+fn derisking_an_instant_allocates_nothing_per_job() {
+    // Pricing for failure risk scales the phones and the distinct cost
+    // columns where they are: no job's spec or name is copied.
+    let derisk = |n: u32| {
+        let mut predictor = cwc_core::RuntimePredictor::new();
+        predictor.set_baseline("primecount", 14.0);
+        let phones: Vec<PhoneInfo> = (0..4).map(probed).collect();
+        let spec = |i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(1));
+        let jobs: Vec<JobSpec> = (0..n).map(spec).collect();
+        let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
+        let c = predictor.cost_matrix(&phones, &programs);
+        let mut problem =
+            cwc_core::SchedProblem::new(phones.clone(), jobs.clone(), c).expect("problem");
+        let fail_prob = [0.1, 0.0, 0.3, 0.2];
+        let allocations = allocations_during(|| {
+            cwc_core::derisk(&mut problem, &fail_prob, 0.5).expect("derisked");
+        });
+        assert!(problem.phones[0].bandwidth.0 > phones[0].bandwidth.0);
+        allocations
+    };
+    assert_eq!(derisk(1_000), derisk(4_000));
+}

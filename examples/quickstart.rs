@@ -34,10 +34,8 @@ fn main() {
     let jobs = paper_workload(42);
     println!("\nworkload: {} jobs", jobs.len());
 
-    // Run all three schedulers over identical initial conditions.
-    let mut config = ExperimentConfig::default();
-    config.engine.obs = obs.clone();
-    let mut experiment = Experiment::new(fleet, jobs, config);
+    // Run all three schedulers over identical initial conditions: each
+    // run gets its own copy of the fleet and the batch.
     println!(
         "\n{:<12} {:>10} {:>12} {:>10}",
         "scheduler", "makespan", "predicted", "done"
@@ -47,7 +45,13 @@ fn main() {
         SchedulerKind::EqualSplit,
         SchedulerKind::RoundRobin,
     ] {
-        let out = experiment.run(kind).expect("schedulable");
+        let config = EngineConfig {
+            scheduler: kind,
+            obs: obs.clone(),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(fleet.clone(), jobs.clone(), vec![], config).expect("profiled");
+        let out = engine.run().expect("schedulable");
         println!(
             "{:<12} {:>9.0}s {:>11.0}s {:>7}/{}",
             kind.label(),

@@ -39,9 +39,10 @@
 //! let fleet = testbed_fleet(42);
 //! let jobs = paper_workload(42);
 //!
-//! // Schedule with the greedy CBP algorithm and simulate the execution.
-//! let mut experiment = Experiment::new(fleet, jobs, ExperimentConfig::default());
-//! let outcome = experiment.run(SchedulerKind::Greedy).expect("schedulable");
+//! // Schedule with the greedy CBP algorithm (the default) and simulate
+//! // the execution.
+//! let engine = Engine::new(fleet, jobs, vec![], EngineConfig::default()).expect("profiled");
+//! let outcome = engine.run().expect("schedulable");
 //! assert!(outcome.makespan > cwc::types::Micros::ZERO);
 //! ```
 
@@ -62,7 +63,7 @@ pub use cwc_types as types;
 pub mod prelude {
     pub use cwc_core::{Scheduler, SchedulerKind};
     pub use cwc_obs::{Event, EventBus, MetricsRegistry, Obs, Severity};
-    pub use cwc_server::{paper_workload, testbed_fleet, Experiment, ExperimentConfig};
+    pub use cwc_server::{paper_workload, testbed_fleet, Engine, EngineConfig};
     pub use cwc_types::{
         CpuSpec, CwcError, CwcResult, JobId, JobKind, JobSpec, KiloBytes, Micros, MsPerKb, PhoneId,
         PhoneInfo, RadioTech, UserId,

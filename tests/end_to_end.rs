@@ -14,10 +14,17 @@ fn paper_evaluation_ordering_holds() {
     // §6's headline: greedy < {equal-split, round-robin} on the testbed.
     let fleet = testbed_fleet(2012);
     let jobs = paper_workload(2012);
-    let mut exp = Experiment::new(fleet, jobs, ExperimentConfig::default());
-    let greedy = exp.run(SchedulerKind::Greedy).unwrap();
-    let eq = exp.run(SchedulerKind::EqualSplit).unwrap();
-    let rr = exp.run(SchedulerKind::RoundRobin).unwrap();
+    let run = |scheduler| {
+        let cfg = EngineConfig {
+            scheduler,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(fleet.clone(), jobs.clone(), vec![], cfg).unwrap();
+        engine.run().unwrap()
+    };
+    let greedy = run(SchedulerKind::Greedy);
+    let eq = run(SchedulerKind::EqualSplit);
+    let rr = run(SchedulerKind::RoundRobin);
     assert_eq!(greedy.completed_jobs, 150);
     assert_eq!(eq.completed_jobs, 150);
     assert_eq!(rr.completed_jobs, 150);
@@ -132,9 +139,8 @@ fn experiment_is_deterministic_per_seed() {
     let mk = || {
         let fleet = testbed_fleet(77);
         let jobs = paper_workload(77);
-        Experiment::new(fleet, jobs, ExperimentConfig::default())
-            .run(SchedulerKind::Greedy)
-            .unwrap()
+        let engine = Engine::new(fleet, jobs, vec![], EngineConfig::default()).unwrap();
+        engine.run().unwrap()
     };
     let a = mk();
     let b = mk();
@@ -146,14 +152,9 @@ fn experiment_is_deterministic_per_seed() {
 #[test]
 fn different_seeds_change_the_timeline() {
     let run = |seed| {
-        Experiment::new(
-            testbed_fleet(seed),
-            paper_workload(seed),
-            ExperimentConfig::default(),
-        )
-        .run(SchedulerKind::Greedy)
-        .unwrap()
-        .makespan
+        let (fleet, jobs) = (testbed_fleet(seed), paper_workload(seed));
+        let engine = Engine::new(fleet, jobs, vec![], EngineConfig::default()).unwrap();
+        engine.run().unwrap().makespan
     };
     assert_ne!(run(1), run(2));
 }
