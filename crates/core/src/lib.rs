@@ -60,6 +60,7 @@ pub mod reliability;
 pub mod schedule;
 pub mod slo;
 
+pub use cwc_types::ProgramId;
 pub use greedy::{GreedyScheduler, GreedyStats, WarmStart};
 pub use matrix::CostMatrix;
 pub use pack::PackWork;

@@ -8,6 +8,10 @@ use cwc_types::{CwcError, CwcResult, JobSpec, KiloBytes, PhoneInfo};
 ///
 /// Indices, not ids, are used internally: `phones[i]` and `jobs[j]` define
 /// the meaning of `c[i][j]`.
+///
+/// No scheduler reads a job's `program` (`c`'s `column_of` decides its
+/// costs) beyond raw rows' bit-checked grouping hint, so it may be empty,
+/// as the coordinator kernel leaves it.
 #[derive(Debug, Clone)]
 pub struct SchedProblem {
     /// Phones available for this scheduling round.
@@ -29,8 +33,7 @@ impl SchedProblem {
     }
 
     /// The checks [`SchedProblem::new`] makes, for an instance built field
-    /// by field — by a caller that lends the jobs and must have them back
-    /// whatever the outcome.
+    /// by field.
     pub fn check(&self) -> CwcResult<()> {
         if self.phones.is_empty() {
             return Err(CwcError::Config("no phones available".into()));
@@ -41,8 +44,12 @@ impl SchedProblem {
         for p in &self.phones {
             p.validate()?;
         }
-        for j in &self.jobs {
-            j.validate()?;
+        if let Some(job) = self.jobs.iter().find(|j| j.input_kb.is_zero()) {
+            let reason = "zero-size input".into();
+            return Err(CwcError::InvalidJob {
+                job: job.id,
+                reason,
+            });
         }
         self.check_dimensions()?;
         let columns = self.c.grouped(&self.jobs);

@@ -191,28 +191,22 @@ pub fn validate_requeue<I>(residuals: I) -> CwcResult<()>
 where
     I: IntoIterator<Item = (JobId, u64, u64)>,
 {
-    let mut by_job: BTreeMap<JobId, Vec<(u64, u64)>> = BTreeMap::new();
-    for (job, offset_kb, len_kb) in residuals {
-        if len_kb == 0 {
-            return Err(CwcError::Config(format!(
-                "empty residual of {job} at offset {offset_kb}"
-            )));
-        }
-        by_job.entry(job).or_default().push((offset_kb, len_kb));
+    // One list sorted by job, then offset: a job's spans are adjacent.
+    let mut spans: Vec<(JobId, u64, u64)> = residuals.into_iter().collect();
+    if let Some((job, offset_kb, _)) = spans.iter().find(|span| span.2 == 0) {
+        return Err(CwcError::Config(format!(
+            "empty residual of {job} at offset {offset_kb}"
+        )));
     }
-    for (job, mut spans) in by_job {
-        spans.sort_unstable();
-        let mut prev_end = 0u64;
-        let mut first = true;
-        for (offset_kb, len_kb) in spans {
-            if !first && offset_kb < prev_end {
-                return Err(CwcError::Config(format!(
-                    "chunk of {job} at offset {offset_kb} requeued more than once \
-                     (previous residual extends to {prev_end})"
-                )));
-            }
-            prev_end = offset_kb + len_kb;
-            first = false;
+    spans.sort_unstable();
+    for pair in spans.windows(2) {
+        let ((job, offset_kb, len_kb), (next_job, next_offset_kb, _)) = (pair[0], pair[1]);
+        let prev_end = offset_kb + len_kb;
+        if job == next_job && next_offset_kb < prev_end {
+            return Err(CwcError::Config(format!(
+                "chunk of {job} at offset {next_offset_kb} requeued more than once \
+                 (previous residual extends to {prev_end})"
+            )));
         }
     }
     Ok(())

@@ -419,12 +419,10 @@ fn assert_predicted_matches_rows(case: PredictedInstance) {
     }
     for (phone, program, kb, ms) in &reports {
         let phone = &inst.phones[phone.index(inst.phones.len())];
-        predictor.observe(
-            phone,
-            &names[program.index(names.len())],
-            KiloBytes(*kb),
-            *ms,
-        );
+        let id = predictor
+            .program(&names[program.index(names.len())])
+            .unwrap();
+        predictor.observe(phone, id, KiloBytes(*kb), *ms);
     }
     let mut jobs = inst.jobs;
     for (j, spec) in jobs.iter_mut().enumerate() {
@@ -436,7 +434,7 @@ fn assert_predicted_matches_rows(case: PredictedInstance) {
         .map(|p| {
             programs
                 .iter()
-                .map(|prog| predictor.c_ij(p, prog))
+                .map(|prog| predictor.c_ij(p, predictor.program(prog).unwrap()))
                 .collect()
         })
         .collect();

@@ -13,8 +13,8 @@ use crate::coord::command::{CoordCommand, TimerKind};
 use crate::coord::event::CoordEvent;
 use crate::resilience::WindowBreaker;
 use cwc_core::{
-    ReplicationPolicy, RuntimePredictor, SchedProblem, Schedule, Scheduler, SchedulerKind,
-    SpeculationPolicy,
+    ProgramId, ReplicationPolicy, RuntimePredictor, SchedProblem, Schedule, Scheduler,
+    SchedulerKind, SpeculationPolicy,
 };
 use cwc_obs::TraceCtx;
 use cwc_sim::Fnv1a;
@@ -139,14 +139,13 @@ struct WorkItem {
     trace: TraceCtx,
 }
 
-/// One row of the kernel's job table: the submitted spec, its program
-/// name as the shared handle work items and ship commands carry (one
-/// allocation per distinct program, not one per item, ship and flight),
-/// and what the run has made of the job so far.
+/// One row of the kernel's job table: the submitted spec, its program's
+/// id in the predictor's catalogue, and what the run has made of the job
+/// so far.
 #[derive(Clone)]
 struct Job {
     spec: JobSpec,
-    program: Arc<str>,
+    program: ProgramId,
     /// Credited input, KB.
     progress: u64,
     /// Partitions that reported success.
@@ -230,7 +229,8 @@ struct Slot {
     info: Option<PhoneInfo>,
     queue: VecDeque<WorkItem>,
     busy: Option<InFlight>,
-    has_exe: BTreeSet<Arc<str>>,
+    /// Whether the slot holds each program's executable, by program id.
+    has_exe: Vec<bool>,
     alive: bool,
     unanswered: u32,
     ka_seq: u64,
@@ -251,7 +251,7 @@ impl Slot {
             info: None,
             queue: VecDeque::new(),
             busy: None,
-            has_exe: BTreeSet::new(),
+            has_exe: Vec::new(),
             alive: true,
             unanswered: 0,
             ka_seq: 0,
@@ -337,6 +337,7 @@ pub struct Kernel {
     /// The catalogue and each job's progress, one row per job in
     /// ascending id order; work items carry their job's row index.
     jobs: Vec<Job>,
+    /// The program catalogue (name ↔ [`ProgramId`]) and its estimates.
     predictor: RuntimePredictor,
     slots: SlotTable,
     /// Jobs whose credited KB is still below their input: the batch
@@ -382,31 +383,23 @@ impl Kernel {
     /// no profiled baseline, or if two jobs carry the same id (the error
     /// names the smallest such id).
     ///
-    /// The rows are the batch in one pass: each program's name is
-    /// interned and its baseline set once, and the rows are sorted only
-    /// if the ids do not already ascend (both drivers submit in id order).
+    /// The rows are the batch in one pass: each program is interned once,
+    /// with its baseline, and the rows are sorted only if the ids do not
+    /// already ascend (both drivers submit in id order).
     pub fn new(mut cfg: KernelConfig) -> CwcResult<Kernel> {
         let mut predictor = RuntimePredictor::new();
-        // A batch runs a handful of programs: a short list beats a map.
-        let mut programs: Vec<Arc<str>> = Vec::new();
         let specs = std::mem::take(&mut cfg.jobs);
         let mut jobs: Vec<Job> = Vec::with_capacity(specs.len());
         for spec in specs {
-            let known = programs.iter().rev().find(|p| ***p == *spec.program);
-            let program = match known {
-                Some(program) => program.clone(),
-                None => {
-                    let Some(&baseline) = cfg.baselines.get(&spec.program) else {
-                        return Err(CwcError::Config(format!(
-                            "no profiled baseline for {:?}",
-                            spec.program
-                        )));
-                    };
-                    predictor.set_baseline(&spec.program, baseline);
-                    let fresh: Arc<str> = Arc::from(spec.program.as_str());
-                    programs.push(fresh.clone());
-                    fresh
-                }
+            let program = predictor.program(&spec.program).or_else(|| {
+                let baseline = *cfg.baselines.get(&spec.program)?;
+                Some(predictor.register(&spec.program, baseline))
+            });
+            let Some(program) = program else {
+                return Err(CwcError::Config(format!(
+                    "no profiled baseline for {:?}",
+                    spec.program
+                )));
             };
             jobs.push(Job {
                 spec,
@@ -522,11 +515,10 @@ impl Kernel {
         self.jobs.iter().map(|j| &j.spec)
     }
 
-    /// The row of job `id` in [`Kernel::specs`]: the id's offset from the
-    /// first id when the batch is numbered without gaps (both drivers
-    /// number theirs so), a binary search otherwise.
-    pub fn row_of(&self, id: JobId) -> Option<usize> {
-        row_of(&self.jobs, id)
+    /// The profiled `T_s` (ms/KB on the baseline phone) of job `id`.
+    pub fn baseline_of(&self, id: JobId) -> Option<f64> {
+        let row = row_of(&self.jobs, id)?;
+        Some(self.predictor.baseline(self.jobs[row].program))
     }
 
     /// Completion time per job (jobs that finished), built on demand.
@@ -693,33 +685,30 @@ impl Kernel {
         avail: &[usize],
         residuals: Option<&[WorkItem]>,
     ) -> CwcResult<Schedule> {
-        let jobs: Vec<JobSpec> = match residuals {
-            // `SchedProblem` owns its jobs, so the catalogue lends each
-            // row's program name for the search and takes it back below:
-            // no copy per job.
-            None => (self.jobs.iter_mut())
-                .map(|j| JobSpec {
-                    program: std::mem::take(&mut j.spec.program),
-                    ..j.spec
-                })
-                .collect(),
+        // The instant's specs carry no name (no scheduler reads one, see
+        // `SchedProblem`): each job's costs come by its row's program id.
+        let unnamed = |row: &Job| JobSpec {
+            program: String::new(),
+            ..row.spec
+        };
+        let (jobs, programs): (Vec<JobSpec>, Vec<ProgramId>) = match residuals {
+            None => (self.jobs.iter())
+                .map(|row| (unnamed(row), row.program))
+                .unzip(),
             // Fresh scheduling ids map back to the residual records. A
             // checkpointed residual is one continuation → atomic.
-            Some(residuals) => residuals
-                .iter()
-                .enumerate()
-                .map(|(k, r)| JobSpec {
-                    id: JobId(RESIDUAL_BASE + k as u32),
-                    kind: if r.resume.is_some() || self.jobs[r.job].spec.kind.is_atomic() {
-                        JobKind::Atomic
-                    } else {
-                        JobKind::Breakable
-                    },
-                    program: self.jobs[r.job].program.to_string(),
-                    exe_kb: self.jobs[r.job].spec.exe_kb,
-                    input_kb: r.kb,
+            Some(residuals) => (residuals.iter().enumerate())
+                .map(|(k, r)| {
+                    let row = &self.jobs[r.job];
+                    let spec = JobSpec {
+                        id: JobId(RESIDUAL_BASE + k as u32),
+                        kind: r.resume.as_ref().map_or(row.spec.kind, |_| JobKind::Atomic),
+                        input_kb: r.kb,
+                        ..unnamed(row)
+                    };
+                    (spec, row.program)
                 })
-                .collect(),
+                .unzip(),
         };
         let mut infos: Vec<PhoneInfo> = avail
             .iter()
@@ -732,20 +721,13 @@ impl Kernel {
                 info.bandwidth = cwc_types::MsPerKb(mean);
             }
         }
-        let programs: Vec<&str> = jobs.iter().map(|j| j.program.as_str()).collect();
-        let c = self.predictor.cost_matrix(&infos, &programs);
+        let c = self.predictor.cost_matrix_by_id(&infos, &programs);
         let mut problem = SchedProblem {
             phones: infos,
             jobs,
             c,
         };
-        let solved = self.solve(avail, &mut problem);
-        if residuals.is_none() {
-            for (row, spec) in self.jobs.iter_mut().zip(&mut problem.jobs) {
-                row.spec.program = std::mem::take(&mut spec.program);
-            }
-        }
-        let schedule = solved?;
+        let schedule = self.solve(avail, &mut problem)?;
         for (queue, i) in schedule.per_phone.iter().zip(avail) {
             let slot = self.slots.get_mut(*i).expect("available slots exist");
             slot.queue.reserve(queue.len());
@@ -1031,7 +1013,9 @@ impl Kernel {
         let info = s.info;
         let row = &self.jobs[item.job];
         // Executable shipped once per slot–program pair.
-        let first = !s.has_exe.contains(&row.program) && s.has_exe.insert(row.program.clone());
+        let k = row.program.index();
+        s.has_exe.resize(s.has_exe.len().max(k + 1), false);
+        let first = !std::mem::replace(&mut s.has_exe[k], true);
         let exe_kb = if first { row.spec.exe_kb.0 } else { 0 };
         self.next_seq += 1;
         let seq = self.next_seq;
@@ -1054,7 +1038,7 @@ impl Kernel {
             slot,
             seq,
             job: row.spec.id,
-            program: row.program.clone(),
+            program: self.predictor.name(row.program).clone(),
             exe_kb,
             offset_kb: item.base_offset.0,
             len_kb: item.kb.0,
@@ -1086,8 +1070,8 @@ impl Kernel {
             if item.group.is_none() && !item.speculative && self.spec_budget_left > 0 {
                 if let Some(info) = info {
                     let transfer_ms = info.bandwidth.0 * (exe_kb + item.kb.0) as f64;
-                    let program = &self.jobs[item.job].program;
-                    let exec_ms = self.predictor.c_ij(&info, program) * item.kb.0 as f64;
+                    let c_ij = self.predictor.c_ij(&info, self.jobs[item.job].program);
+                    let exec_ms = c_ij * item.kb.0 as f64;
                     out.push(CoordCommand::StartTimer {
                         kind: TimerKind::Speculate,
                         slot,
@@ -1150,7 +1134,7 @@ impl Kernel {
         self.jobs[item.job].partitions += 1;
         // The measured runtime refines c_ij (§4.1's online update).
         if let Some(info) = info {
-            let program = &self.jobs[item.job].program;
+            let program = self.jobs[item.job].program;
             self.predictor.observe(&info, program, item.kb, exec_ms);
         }
         let metrics = &self.cfg.obs.metrics;
@@ -2182,7 +2166,7 @@ impl Kernel {
             h.write_flag(grp.won);
         }
         // The predictor and warm-start hint steer future solver rounds;
-        // their `Debug` forms are deterministic (BTreeMap-backed).
+        // their `Debug` forms are deterministic (programs in name order).
         h.write_str(&format!("{:?}", self.predictor));
         h.write_str(&format!("{:?}", self.warm));
         for (i, s) in self.slots.iter() {
@@ -2202,8 +2186,11 @@ impl Kernel {
                 }
                 None => h.write_u8(0),
             }
-            for program in &s.has_exe {
-                h.write_str(program);
+            // Held executables by name, in name order.
+            for (name, program) in self.predictor.programs() {
+                if s.has_exe.get(program.index()) == Some(&true) {
+                    h.write_str(name);
+                }
             }
             match &s.busy {
                 Some(fl) => {
@@ -2236,7 +2223,7 @@ impl Kernel {
     fn hash_item(&self, h: &mut Fnv1a, item: &WorkItem) {
         let row = &self.jobs[item.job];
         h.write_u64(u64::from(row.spec.id.0));
-        h.write_str(&row.program);
+        h.write_str(self.predictor.name(row.program));
         h.write_u64(row.spec.exe_kb.0);
         h.write_u64(item.kb.0);
         h.write_u64(item.base_offset.0);
@@ -2755,10 +2742,10 @@ mod tests {
         sorted.sort_by_key(|j| j.id);
         assert!(h.kernel.specs().eq(&sorted));
         for (row, spec) in sorted.iter().enumerate() {
-            assert_eq!(h.kernel.row_of(spec.id), Some(row));
+            assert_eq!(row_of(&h.kernel.jobs, spec.id), Some(row));
         }
-        assert_eq!(h.kernel.row_of(JobId(4)), None);
-        assert_eq!(h.kernel.row_of(JobId(13)), None);
+        assert_eq!(row_of(&h.kernel.jobs, JobId(4)), None);
+        assert_eq!(row_of(&h.kernel.jobs, JobId(13)), None);
         h.drain();
         assert!(h.kernel.finished());
 
@@ -2767,9 +2754,9 @@ mod tests {
             .map(|i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(40)))
             .collect::<Vec<_>>();
         let kernel = Kernel::new(config(dense)).expect("kernel");
-        assert_eq!(kernel.row_of(JobId(12)), Some(2));
-        assert_eq!(kernel.row_of(JobId(9)), None);
-        assert_eq!(kernel.row_of(JobId(14)), None);
+        assert_eq!(row_of(&kernel.jobs, JobId(12)), Some(2));
+        assert_eq!(row_of(&kernel.jobs, JobId(9)), None);
+        assert_eq!(row_of(&kernel.jobs, JobId(14)), None);
 
         // A zero-size input fails the instant; the catalogue stays whole.
         let mut jobs = jobs;

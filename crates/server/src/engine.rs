@@ -292,14 +292,6 @@ impl Engine {
         if fleet.is_empty() {
             return Err(CwcError::Config("empty fleet".into()));
         }
-        for job in &jobs {
-            if !config.baselines.contains_key(&job.program) {
-                return Err(CwcError::Config(format!(
-                    "no profiled baseline for {:?}",
-                    job.program
-                )));
-            }
-        }
         Ok(Engine {
             config,
             fleet,
@@ -351,21 +343,6 @@ impl Engine {
             style: DriverStyle::Sim,
             obs: self.config.obs.clone(),
         })?;
-        // `Engine::new` checked that every program is profiled; each is
-        // looked up once.
-        let mut resolved: Vec<(&str, f64)> = Vec::new();
-        let mut baseline_by_row = Vec::with_capacity(kernel.specs().len());
-        for spec in kernel.specs() {
-            let baseline = match resolved.iter().find(|(p, _)| *p == spec.program) {
-                Some(&(_, baseline)) => baseline,
-                None => {
-                    let baseline = self.config.baselines[&spec.program];
-                    resolved.push((&spec.program, baseline));
-                    baseline
-                }
-            };
-            baseline_by_row.push(baseline);
-        }
         let mut driver = SimDriver {
             rts: self
                 .fleet
@@ -377,7 +354,6 @@ impl Engine {
                 })
                 .collect(),
             kernel,
-            baseline_by_row,
             injections: self.injections,
             segments: Vec::new(),
             transfer_ms: None,
@@ -465,8 +441,6 @@ impl Engine {
 struct SimDriver {
     rts: Vec<Rt>,
     kernel: Kernel,
-    /// Profiled `T_s` per job, indexed like the kernel's rows.
-    baseline_by_row: Vec<f64>,
     injections: Vec<FailureInjection>,
     segments: Vec<Segment>,
     /// `span.transfer_ms`, resolved at the run's first transfer.
@@ -618,13 +592,8 @@ impl SimDriver {
         });
         // Ground-truth execution time, including this phone's efficiency
         // residual (what the scheduler cannot see).
-        let row = self
-            .kernel
-            .row_of(flight.job)
-            .expect("shipped jobs are catalogued");
-        let total = rt
-            .phone
-            .exec_time(MsPerKb(self.baseline_by_row[row]), flight.kb);
+        let baseline = (self.kernel.baseline_of(flight.job)).expect("shipped jobs are catalogued");
+        let total = rt.phone.exec_time(MsPerKb(baseline), flight.kb);
         flight.phase = Phase::Executing { total };
         flight.started = now;
         sim.schedule_after(total, Ev::ExecDone { slot, seq });

@@ -359,3 +359,71 @@ fn derisking_an_instant_allocates_nothing_per_job() {
     };
     assert_eq!(derisk(1_000), derisk(4_000));
 }
+
+/// Allocations of the cold instant (`Start`) that queues `n` one-KB
+/// single-program jobs on one slot, and of the re-solve that moves all
+/// `n` to a second slot once the first is lost.
+fn instant_allocations(n: u32) -> (usize, usize) {
+    let mut kernel = Kernel::new(KernelConfig {
+        reschedule: ReschedulePolicy::Solver {
+            delay: Micros::from_secs(1),
+        },
+        style: DriverStyle::Sim,
+        ..batch_config(n)
+    })
+    .expect("kernel");
+    let now = Micros::ZERO;
+    let mut cmds = Vec::with_capacity(64);
+    let mut step = |kernel: &mut Kernel, ev| {
+        cmds.clear();
+        allocations_during(|| kernel.step_into(now, ev, &mut cmds))
+    };
+    step(
+        &mut kernel,
+        CoordEvent::Probe {
+            slot: 0,
+            info: probed(0),
+        },
+    );
+    let cold = step(&mut kernel, CoordEvent::Start);
+    step(
+        &mut kernel,
+        CoordEvent::Probe {
+            slot: 1,
+            info: probed(1),
+        },
+    );
+    let why = "unplugged".to_string();
+    step(&mut kernel, CoordEvent::ConnectionLost { slot: 0, why });
+    let round = CoordEvent::TimerFired {
+        kind: TimerKind::Reschedule,
+        slot: 0,
+        token: 0,
+    };
+    step(&mut kernel, round);
+    let resolve = step(
+        &mut kernel,
+        CoordEvent::Probe {
+            slot: 1,
+            info: probed(1),
+        },
+    );
+    assert_eq!(kernel.reschedule_rounds(), 1);
+    let outstanding: u64 = kernel.check_view().outstanding_kb().values().sum();
+    assert_eq!(outstanding, u64::from(n), "every residual is queued again");
+    (cold, resolve)
+}
+
+#[test]
+fn a_re_solve_allocates_no_more_per_residual_than_the_cold_instant() {
+    // Both instants pack `n` single-KB jobs onto one phone; a residual's
+    // spec and cost column come from its row's program id, as a cold
+    // job's do, so what 3 000 more jobs add is the same in both.
+    let (cold_small, resolve_small) = instant_allocations(1_000);
+    let (cold_large, resolve_large) = instant_allocations(4_000);
+    assert_eq!(
+        resolve_large - resolve_small,
+        cold_large - cold_small,
+        "cold {cold_small} -> {cold_large}, re-solve {resolve_small} -> {resolve_large}"
+    );
+}

@@ -67,6 +67,13 @@ id_type!(
     "user-"
 );
 
+id_type!(
+    /// Dense index of a profiled program in the coordinator's catalogue
+    /// (`cwc_core::RuntimePredictor`), in order of registration from 0.
+    ProgramId,
+    "program-"
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,7 @@ mod phone;
 mod units;
 
 pub use error::CwcError;
-pub use ids::{JobId, PhoneId, UserId};
+pub use ids::{JobId, PhoneId, ProgramId, UserId};
 pub use job::{JobKind, JobSpec, SloClass};
 pub use phone::{CpuSpec, PhoneInfo, RadioTech};
 pub use units::{KiloBytes, Micros, MsPerKb};

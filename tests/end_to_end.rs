@@ -35,6 +35,37 @@ fn paper_evaluation_ordering_holds() {
 }
 
 #[test]
+fn readme_quickstart_table_matches_the_example_runs() {
+    // `examples/quickstart.rs`'s three runs, each row printed as the
+    // example prints it, must appear verbatim in the README's table.
+    let readme = include_str!("../README.md");
+    let fleet = testbed_fleet(42);
+    let jobs = paper_workload(42);
+    for kind in SchedulerKind::ALL {
+        let cfg = EngineConfig {
+            scheduler: kind,
+            ..EngineConfig::default()
+        };
+        let out = Engine::new(fleet.clone(), jobs.clone(), vec![], cfg)
+            .unwrap()
+            .run()
+            .unwrap();
+        let row = format!(
+            "{:<12} {:>9.0}s {:>11.0}s {:>7}/{}",
+            kind.label(),
+            out.makespan.as_secs_f64(),
+            out.predicted_makespan_ms / 1e3,
+            out.completed_jobs,
+            out.total_jobs,
+        );
+        assert!(
+            readme.lines().any(|line| line == row),
+            "README.md's quickstart table lacks {row:?}"
+        );
+    }
+}
+
+#[test]
 fn greedy_sits_between_lp_bound_and_baselines() {
     // Build the exact problem the engine would schedule, then check
     // T_relaxed ≤ T_greedy directly.
