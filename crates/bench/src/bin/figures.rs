@@ -20,33 +20,7 @@ struct Options {
     seed: u64,
     configs: usize,
     json_dir: Option<String>,
-    dat_dir: Option<String>,
     which: Vec<String>,
-}
-
-/// Writes a gnuplot-ready two-column (or more) data file.
-fn write_dat(dir: &str, name: &str, header: &str, rows: impl IntoIterator<Item = String>) {
-    std::fs::create_dir_all(dir).expect("create dat dir");
-    let mut out = String::from("# ");
-    out.push_str(header);
-    out.push('\n');
-    for r in rows {
-        out.push_str(&r);
-        out.push('\n');
-    }
-    let path = format!("{dir}/{name}.dat");
-    std::fs::write(&path, out).expect("write dat");
-    println!("  wrote {path}");
-}
-
-/// Renders a sorted series as CDF rows `value fraction`.
-fn cdf_rows(sorted: &[f64]) -> Vec<String> {
-    let n = sorted.len().max(1) as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, v)| format!("{v} {}", (i + 1) as f64 / n))
-        .collect()
 }
 
 fn parse_args() -> Options {
@@ -54,7 +28,6 @@ fn parse_args() -> Options {
         seed: DEFAULT_SEED,
         configs: 300,
         json_dir: None,
-        dat_dir: None,
         which: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -76,9 +49,6 @@ fn parse_args() -> Options {
             }
             "--json" => {
                 opts.json_dir = Some(args.next().expect("--json needs a directory"));
-            }
-            "--dat" => {
-                opts.dat_dir = Some(args.next().expect("--dat needs a directory"));
             }
             other => opts.which.push(other.to_string()),
         }
@@ -158,35 +128,6 @@ fn main() {
                     bar(s.mean_hours_per_day, 10.0, 30)
                 );
             }
-            if let Some(dir) = &opts.dat_dir {
-                write_dat(
-                    dir,
-                    "fig2a_night",
-                    "interval_hours cdf",
-                    cdf_rows(&stats.night_lengths_h),
-                );
-                write_dat(
-                    dir,
-                    "fig2a_day",
-                    "interval_hours cdf",
-                    cdf_rows(&stats.day_lengths_h),
-                );
-                write_dat(
-                    dir,
-                    "fig2b_transfer",
-                    "mb cdf",
-                    cdf_rows(&stats.night_transfers_mb),
-                );
-                write_dat(
-                    dir,
-                    "fig2c_idle",
-                    "user mean_h sd",
-                    stats
-                        .idle
-                        .iter()
-                        .map(|s| format!("{} {} {}", s.user.0, s.mean_hours_per_day, s.std_dev)),
-                );
-            }
             json_out.insert(
                 "fig2".into(),
                 obj! {
@@ -264,15 +205,6 @@ fn main() {
             "\n  p90 improvement factor: {:.2}x (paper ≈ 1200/700 ≈ 1.7x)",
             f.p90.0 / f.p90.1
         );
-        if let Some(dir) = &opts.dat_dir {
-            write_dat(dir, "fig5_all6", "turnaround_ms cdf", cdf_rows(&f.all6_ms));
-            write_dat(
-                dir,
-                "fig5_fast4",
-                "turnaround_ms cdf",
-                cdf_rows(&f.fast4_ms),
-            );
-        }
         json_out.insert(
             "fig5".into(),
             obj! {"p90_all6_ms": f.p90.0, "p90_fast4_ms": f.p90.1},
@@ -298,14 +230,6 @@ fn main() {
         println!("  >10% faster       : {faster} (the paper's outliers)");
         for &(p, m) in pts.iter().take(10) {
             println!("    predicted {p:>5.2}  measured {m:>5.2}");
-        }
-        if let Some(dir) = &opts.dat_dir {
-            write_dat(
-                dir,
-                "fig6_speedup",
-                "predicted measured",
-                pts.iter().map(|(p, m)| format!("{p} {m}")),
-            );
         }
         json_out.insert(
             "fig6".into(),
@@ -348,23 +272,6 @@ fn main() {
                     .collect();
             println!("    {:<10} {}", o.1, series.join("  "));
         }
-        if let Some(dir) = &opts.dat_dir {
-            for (outcome, name) in [
-                (&f.idle, "idle"),
-                (&f.heavy, "heavy"),
-                (&f.throttled, "throttled"),
-            ] {
-                write_dat(
-                    dir,
-                    &format!("fig10_{name}"),
-                    "minutes charge_pct",
-                    outcome
-                        .timeline
-                        .iter()
-                        .map(|(t, pct)| format!("{} {pct}", t.as_hours_f64() * 60.0)),
-                );
-            }
-        }
         json_out.insert(
             "fig10".into(),
             obj! {
@@ -406,27 +313,6 @@ fn main() {
         );
         println!("\n  per-phone timelines (T=transfer-heavy, #=executing, scaled):");
         render_timeline(&out, 6);
-        if let Some(dir) = &opts.dat_dir {
-            write_dat(
-                dir,
-                "fig12a_segments",
-                "phone start_s end_s kind rescheduled job",
-                out.segments.iter().map(|s| {
-                    format!(
-                        "{} {} {} {} {} {}",
-                        s.phone.0,
-                        s.start.as_secs_f64(),
-                        s.end.as_secs_f64(),
-                        match s.kind {
-                            cwc_server::SegmentKind::Transfer => "T",
-                            cwc_server::SegmentKind::Execute => "E",
-                        },
-                        u8::from(s.rescheduled),
-                        s.job.0
-                    )
-                }),
-            );
-        }
         json_out.insert(
             "fig12a".into(),
             obj! {
@@ -545,16 +431,6 @@ fn main() {
         };
         println!("  greedy makespan (s): {}", cdf_quantiles(&greedy_ms));
         println!("  relaxed bound   (s): {}", cdf_quantiles(&relaxed_ms));
-        if let Some(dir) = &opts.dat_dir {
-            write_dat(dir, "fig13_gap", "gap_pct cdf", cdf_rows(&gaps));
-            write_dat(dir, "fig13_greedy", "makespan_s cdf", cdf_rows(&greedy_ms));
-            write_dat(
-                dir,
-                "fig13_relaxed",
-                "makespan_s cdf",
-                cdf_rows(&relaxed_ms),
-            );
-        }
         json_out.insert(
             "fig13".into(),
             obj! {

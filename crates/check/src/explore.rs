@@ -282,7 +282,7 @@ fn dfs(kernel: &Kernel, harness: &Harness, depth_left: usize, sleep: &[Action], 
 
     let footprints: Vec<_> = actions
         .iter()
-        .map(|a| harness.footprint(a, &view, ctx.run))
+        .map(|a| harness.footprint(a, &view))
         .collect();
     let mut explored: Vec<usize> = Vec::new();
     for (i, action) in actions.iter().enumerate() {

@@ -17,7 +17,7 @@
 use crate::scenario::{Faults, ScenarioRun};
 use cwc_server::coord::{CheckView, CoordCommand, CoordEvent, TimerKind};
 use cwc_sim::Fnv1a;
-use cwc_types::{JobId, Micros};
+use cwc_types::{JobId, Micros, ProgramId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One shipped partition the driver still holds a handle to.
@@ -75,7 +75,7 @@ pub enum Key {
     /// Per-job byte accounting.
     Job(u32),
     /// The §4.1 predictor's per-program estimator.
-    Prog(String),
+    Prog(ProgramId),
     /// The global ship sequence mint (`next_seq`).
     Mint,
 }
@@ -351,7 +351,7 @@ impl Harness {
     /// Dependency footprint of an action at the current state. Used by
     /// the sleep-set partial-order reduction; conservatively global for
     /// anything that can reach solver or fleet-wide state.
-    pub fn footprint(&self, action: &Action, view: &CheckView, run: &ScenarioRun) -> Footprint {
+    pub fn footprint(&self, action: &Action, view: &CheckView) -> Footprint {
         match *action {
             Action::Probe { slot } => {
                 // The last awaited reply triggers a full solver round.
@@ -385,10 +385,11 @@ impl Harness {
                     // Completion latch reads every job's progress.
                     return Footprint::global();
                 }
-                let mut keys = BTreeSet::from([Key::Slot(slot), Key::Job(chunk.job.0)]);
-                if let Some(p) = run.programs.get(&chunk.job) {
-                    keys.insert(Key::Prog(p.clone()));
-                }
+                let mut keys = BTreeSet::from([
+                    Key::Slot(slot),
+                    Key::Job(chunk.job.0),
+                    Key::Prog(chunk.program),
+                ]);
                 if !slot_view.queue.is_empty() {
                     // The report frees the slot: the next ship mints a
                     // global sequence number.

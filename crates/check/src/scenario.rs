@@ -43,8 +43,6 @@ pub struct ScenarioRun {
     pub breakable: BTreeSet<JobId>,
     /// Input size per job, KB (for oracle messages).
     pub sizes: BTreeMap<JobId, u64>,
-    /// Program per job (predictor footprint keys).
-    pub programs: BTreeMap<JobId, String>,
 }
 
 impl ScenarioRun {
@@ -174,10 +172,6 @@ fn replicated_atomic(seed: u64) -> ScenarioRun {
         },
         breakable: BTreeSet::new(),
         sizes: BTreeMap::from([(JobId(1), size_a), (JobId(2), size_b)]),
-        programs: BTreeMap::from([
-            (JobId(1), "primecount".to_string()),
-            (JobId(2), "primecount".to_string()),
-        ]),
     }
 }
 
@@ -216,10 +210,6 @@ fn speculative_straggler(seed: u64) -> ScenarioRun {
         },
         breakable: BTreeSet::from([JobId(1), JobId(2)]),
         sizes: BTreeMap::from([(JobId(1), size_a), (JobId(2), size_b)]),
-        programs: BTreeMap::from([
-            (JobId(1), "wordcount".to_string()),
-            (JobId(2), "wordcount".to_string()),
-        ]),
     }
 }
 
@@ -257,9 +247,5 @@ fn slo_deadline_mix(seed: u64) -> ScenarioRun {
         },
         breakable: BTreeSet::from([JobId(2)]),
         sizes: BTreeMap::from([(JobId(1), size_a), (JobId(2), size_b)]),
-        programs: BTreeMap::from([
-            (JobId(1), "primecount".to_string()),
-            (JobId(2), "primecount".to_string()),
-        ]),
     }
 }

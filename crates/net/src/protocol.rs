@@ -26,6 +26,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use cwc_types::{CwcError, CwcResult, JobId, PhoneId, RadioTech};
+use std::sync::Arc;
 
 /// Application-layer keep-alive period (30 s in the prototype).
 pub const KEEPALIVE_PERIOD: cwc_types::Micros = cwc_types::Micros(30_000_000);
@@ -345,8 +346,9 @@ pub enum Frame {
     ShipExecutable {
         /// Job whose program this is.
         job: JobId,
-        /// Program name for the device-side registry (reflection analogue).
-        program: String,
+        /// Program name for the device-side registry (reflection analogue),
+        /// shared so a sender passes on its handle instead of copying it.
+        program: Arc<str>,
         /// Executable size in KB (`E_j`).
         exe_kb: u64,
     },
@@ -550,12 +552,12 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> CwcResult<String> {
+    fn string(&mut self) -> CwcResult<Arc<str>> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         Ok(std::str::from_utf8(bytes)
             .map_err(|e| CwcError::Protocol(format!("invalid UTF-8 in frame: {e}")))?
-            .to_owned())
+            .into())
     }
 
     fn blob(&mut self) -> CwcResult<Bytes> {

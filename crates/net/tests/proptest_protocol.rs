@@ -44,7 +44,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         (any::<u32>(), "[a-z_]{0,24}", any::<u64>()).prop_map(|(j, p, kb)| {
             Frame::ShipExecutable {
                 job: JobId(j),
-                program: p,
+                program: p.into(),
                 exe_kb: kb,
             }
         }),

@@ -24,10 +24,6 @@ use cwc_types::{
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Scheduling-id namespace for residual rounds (original job ids stay
-/// far below this).
-pub const RESIDUAL_BASE: u32 = 1_000_000;
-
 /// Refuse to loop forever on an unschedulable residue.
 const MAX_ROUNDS: usize = 64;
 
@@ -133,9 +129,10 @@ struct WorkItem {
     /// True on the redundant copy of a group (the replica or the
     /// speculative re-execution), false on the primary placement.
     speculative: bool,
-    /// Causal identity. Roots are minted when the initial schedule places
-    /// a chunk; every re-placement (solver round, round-robin migration)
-    /// mints a child span so the chunk's history is one span tree.
+    /// Causal identity. An item not yet placed carries span 0, which no
+    /// mint hands out; its first placement mints the job's root span and
+    /// every re-placement (solver round, round-robin migration) a child
+    /// span, so the chunk's history is one span tree.
     trace: TraceCtx,
 }
 
@@ -636,7 +633,21 @@ impl Kernel {
                 out,
             );
         }
-        let schedule = match self.schedule_instant(&avail, None) {
+        // The batch enters as work with no progress: each row's whole
+        // input, ungrouped and not yet placed.
+        let batch: Vec<WorkItem> = (self.jobs.iter().enumerate())
+            .map(|(row, job)| WorkItem {
+                job: row,
+                kb: job.spec.input_kb,
+                base_offset: KiloBytes::ZERO,
+                resume: None,
+                rescheduled: false,
+                group: None,
+                speculative: false,
+                trace: TraceCtx::root(u64::from(job.spec.id.0), 0),
+            })
+            .collect();
+        let schedule = match self.schedule_instant(&avail, &batch) {
             Ok(s) => s,
             Err(e) => return self.fail_fatal(e, out),
         };
@@ -673,43 +684,35 @@ impl Kernel {
     }
 
     /// One scheduling instant (§5), the same code at `Start` and at every
-    /// re-solve: Algorithm 1 over the `avail` slots, each slot's share
-    /// queued in SLO admission order. `Start` packs the whole batch
-    /// (`residuals` is `None`; every placement opens a root span), a
-    /// re-solve packs the failed list (every placement continues its
-    /// residual's span). The caller narrates and ships. On `Err` nothing
-    /// was queued; what that means — fatal at `Start`, try again later in
-    /// a round — is the caller's to say.
-    fn schedule_instant(
-        &mut self,
-        avail: &[usize],
-        residuals: Option<&[WorkItem]>,
-    ) -> CwcResult<Schedule> {
+    /// re-solve: Algorithm 1 over the `avail` slots packs `items`, and each
+    /// slot's share is queued in SLO admission order. `Start` passes the
+    /// batch, one item per row with no progress; a re-solve passes the
+    /// failed list. The instant numbers its jobs by position (`JobId(k)`
+    /// is `items[k]`), and an error that names a job names the batch's id.
+    /// The caller narrates and ships. On `Err` nothing was queued; what
+    /// that means — fatal at `Start`, try again later in a round — is the
+    /// caller's to say.
+    fn schedule_instant(&mut self, avail: &[usize], items: &[WorkItem]) -> CwcResult<Schedule> {
         // The instant's specs carry no name (no scheduler reads one, see
         // `SchedProblem`): each job's costs come by its row's program id.
-        let unnamed = |row: &Job| JobSpec {
-            program: String::new(),
-            ..row.spec
-        };
-        let (jobs, programs): (Vec<JobSpec>, Vec<ProgramId>) = match residuals {
-            None => (self.jobs.iter())
-                .map(|row| (unnamed(row), row.program))
-                .unzip(),
-            // Fresh scheduling ids map back to the residual records. A
-            // checkpointed residual is one continuation → atomic.
-            Some(residuals) => (residuals.iter().enumerate())
-                .map(|(k, r)| {
-                    let row = &self.jobs[r.job];
-                    let spec = JobSpec {
-                        id: JobId(RESIDUAL_BASE + k as u32),
-                        kind: r.resume.as_ref().map_or(row.spec.kind, |_| JobKind::Atomic),
-                        input_kb: r.kb,
-                        ..unnamed(row)
-                    };
-                    (spec, row.program)
-                })
-                .unzip(),
-        };
+        // A checkpointed item is one continuation → atomic.
+        let (jobs, programs): (Vec<JobSpec>, Vec<ProgramId>) = (items.iter().enumerate())
+            .map(|(k, item)| {
+                let row = &self.jobs[item.job];
+                let kind = item
+                    .resume
+                    .as_ref()
+                    .map_or(row.spec.kind, |_| JobKind::Atomic);
+                let spec = JobSpec {
+                    id: JobId(k as u32),
+                    program: String::new(),
+                    kind,
+                    input_kb: item.kb,
+                    ..row.spec
+                };
+                (spec, row.program)
+            })
+            .unzip();
         let mut infos: Vec<PhoneInfo> = avail
             .iter()
             .map(|&i| self.slots.get(i).and_then(|s| s.info))
@@ -727,40 +730,34 @@ impl Kernel {
             jobs,
             c,
         };
-        let schedule = self.solve(avail, &mut problem)?;
+        let schedule = self.solve(avail, &mut problem).map_err(|e| match e {
+            CwcError::InvalidJob { job, reason } => CwcError::InvalidJob {
+                job: self.jobs[items[job.0 as usize].job].spec.id,
+                reason,
+            },
+            e => e,
+        })?;
         for (queue, i) in schedule.per_phone.iter().zip(avail) {
             let slot = self.slots.get_mut(*i).expect("available slots exist");
             slot.queue.reserve(queue.len());
             for a in queue {
+                let item = &items[a.job.0 as usize];
                 self.next_span += 1;
-                let item = match residuals {
-                    None => {
-                        let ix = row_of(&self.jobs, a.job).expect("scheduled jobs are catalogued");
-                        WorkItem {
-                            job: ix,
-                            kb: a.input_kb,
-                            base_offset: a.offset_kb,
-                            resume: None,
-                            rescheduled: false,
-                            group: None,
-                            speculative: false,
-                            trace: TraceCtx::root(u64::from(a.job.0), self.next_span),
-                        }
-                    }
-                    Some(residuals) => {
-                        // A residual is ungrouped by the time it is on the
-                        // failed list (`fail_item`).
-                        let r = &residuals[(a.job.0 - RESIDUAL_BASE) as usize];
-                        WorkItem {
-                            kb: a.input_kb,
-                            base_offset: r.base_offset + a.offset_kb,
-                            rescheduled: true,
-                            trace: r.trace.child(self.next_span),
-                            ..r.clone()
-                        }
-                    }
+                // A first placement opens its job's root span; a
+                // re-placement continues the item's own.
+                let placed = item.trace.span_id != 0;
+                let trace = if placed {
+                    item.trace.child(self.next_span)
+                } else {
+                    TraceCtx::root(item.trace.trace_id, self.next_span)
                 };
-                slot.queue.push_back(item);
+                slot.queue.push_back(WorkItem {
+                    kb: a.input_kb,
+                    base_offset: item.base_offset + a.offset_kb,
+                    rescheduled: placed,
+                    trace,
+                    ..item.clone()
+                });
             }
         }
         self.apply_slo_order(avail);
@@ -1188,9 +1185,9 @@ impl Kernel {
         let job = row.spec.id;
         row.progress += kb;
         let target = row.spec.input_kb.0;
-        if self.cfg.style == DriverStyle::Sim {
-            debug_assert!(row.progress <= target, "over-completion of {job}");
-        }
+        // The planted double credit over-completes on purpose.
+        #[cfg(not(feature = "check-mutation"))]
+        debug_assert!(row.progress <= target, "over-completion of {job}");
         if row.progress >= target && row.completed_at.is_none() {
             row.completed_at = Some(now);
             self.unfinished -= 1;
@@ -1862,7 +1859,7 @@ impl Kernel {
                 panic!("reschedule round {round}: requeue invariant violated: {violation}");
             }
         }
-        let Ok(schedule) = self.schedule_instant(&avail, Some(&residuals)) else {
+        let Ok(schedule) = self.schedule_instant(&avail, &residuals) else {
             self.failed = residuals;
             return self.arm_reschedule(out);
         };
@@ -1903,6 +1900,8 @@ impl Kernel {
 pub struct ChunkView {
     /// Original (catalog) job this chunk covers.
     pub job: JobId,
+    /// The job's program in the kernel's catalogue.
+    pub program: ProgramId,
     /// Chunk length, KB.
     pub kb: u64,
     /// Offset into the job's input, KB.
@@ -2042,8 +2041,10 @@ impl DigestWrite for Fnv1a {
 
 impl Kernel {
     fn view_chunk(&self, item: &WorkItem) -> ChunkView {
+        let row = &self.jobs[item.job];
         ChunkView {
-            job: self.jobs[item.job].spec.id,
+            job: row.spec.id,
+            program: row.program,
             kb: item.kb.0,
             offset: item.base_offset.0,
             group: item.group,
@@ -2758,7 +2759,9 @@ mod tests {
         assert_eq!(row_of(&kernel.jobs, JobId(9)), None);
         assert_eq!(row_of(&kernel.jobs, JobId(14)), None);
 
-        // A zero-size input fails the instant; the catalogue stays whole.
+        // A zero-size input fails the instant, and the error names the
+        // job by its batch id, not by its position in the instant; the
+        // catalogue stays whole.
         let mut jobs = jobs;
         jobs[2].input_kb = KiloBytes(0);
         let mut kernel = Kernel::new(config(jobs.clone())).expect("kernel");
@@ -2766,7 +2769,8 @@ mod tests {
         kernel.step(Micros(1), CoordEvent::Probe { slot: 0, info });
         let out = kernel.step(Micros(2), CoordEvent::Start);
         assert!(matches!(out[..], [CoordCommand::Halt]), "{out:?}");
-        assert!(kernel.take_fatal().is_some());
+        let err = kernel.take_fatal().expect("fatal error latched");
+        assert_eq!(err.to_string(), "invalid job job-12: zero-size input");
         jobs.sort_by_key(|j| j.id);
         assert!(kernel.specs().eq(&jobs));
     }

@@ -43,5 +43,5 @@ pub use event::CoordEvent;
 pub use fleet::{charging_cluster_keys, cluster_key, plan_shards, FleetAllocator, ShardPlan};
 pub use kernel::{
     CheckView, ChunkView, DriverStyle, FleetLoss, GroupView, Kernel, KernelConfig,
-    ReschedulePolicy, SlotCheckView, RESIDUAL_BASE,
+    ReschedulePolicy, SlotCheckView,
 };

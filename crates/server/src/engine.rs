@@ -33,7 +33,6 @@
 
 use crate::coord::{
     CoordCommand, CoordEvent, DriverStyle, Kernel, KernelConfig, ReschedulePolicy, TimerKind,
-    RESIDUAL_BASE,
 };
 use crate::testbed::FleetBuilder;
 use cwc_core::SchedulerKind;
@@ -323,7 +322,7 @@ impl Engine {
                 .field("scheduler", self.config.scheduler.label())
         });
 
-        let total_jobs = self.jobs.iter().filter(|j| j.id.0 < RESIDUAL_BASE).count();
+        let total_jobs = self.jobs.len();
         let kernel = Kernel::new(KernelConfig {
             scheduler: self.config.scheduler,
             jobs: self.jobs,
@@ -754,6 +753,22 @@ mod tests {
         assert!(out.makespan > Micros::ZERO);
         assert!(!out.segments.is_empty());
         assert_eq!(out.rescheduled_items, 0);
+    }
+
+    /// A job's id is only its name: large ids are counted like any other.
+    #[test]
+    fn every_job_counts_whatever_its_id() {
+        let mut jobs = small_jobs(6);
+        for (job, id) in jobs.iter_mut().zip(1_000_000..) {
+            job.id = JobId(id);
+        }
+        let out = Engine::run_on_testbed(1, jobs, vec![], EngineConfig::default()).unwrap();
+        let (completed, total) = (out.completed_jobs, out.total_jobs);
+        assert_eq!(
+            (completed, total),
+            (6, 6),
+            "completed {completed} total {total}"
+        );
     }
 
     #[test]

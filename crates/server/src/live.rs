@@ -190,7 +190,7 @@ pub fn run_worker_chaos(
         }
     }
     // Program shipped per job (the reflection-loaded "jar").
-    let mut job_program: BTreeMap<JobId, String> = BTreeMap::new();
+    let mut job_program: BTreeMap<JobId, Arc<str>> = BTreeMap::new();
     let mut pending_input: BTreeMap<JobId, PendingInput> = BTreeMap::new();
     // Frames that arrived mid-task (during slow-loris pacing) and belong
     // to the main loop.
@@ -890,7 +890,7 @@ impl<'a> LiveDriver<'a> {
                 trace,
                 replica,
             } => self.ship(
-                slot, seq, job, &program, exe_kb, offset_kb, len_kb, resume, trace, replica,
+                slot, seq, job, program, exe_kb, offset_kb, len_kb, resume, trace, replica,
             ),
             CoordCommand::CancelTask { slot, job, seq } => {
                 self.send(slot, &[Frame::CancelTask { job, seq }]);
@@ -948,7 +948,7 @@ impl<'a> LiveDriver<'a> {
         slot: usize,
         seq: u64,
         job: JobId,
-        program: &str,
+        program: Arc<str>,
         exe_kb: u64,
         offset_kb: u64,
         len_kb: u64,
@@ -967,7 +967,7 @@ impl<'a> LiveDriver<'a> {
         let frames = [
             Frame::ShipExecutable {
                 job,
-                program: program.to_owned(),
+                program,
                 exe_kb,
             },
             Frame::ShipInput {
