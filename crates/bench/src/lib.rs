@@ -14,7 +14,6 @@ pub mod live_scale;
 pub mod reliability;
 pub mod render;
 pub mod report;
-pub mod shard_scale;
 pub mod trace;
 
 pub use figures::*;

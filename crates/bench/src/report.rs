@@ -1,8 +1,8 @@
 //! The bench bins' one report path: build a [`JsonValue`] with
 //! [`obj!`](crate::obj), [`write()`] it as an artifact, [`load`] a
 //! committed baseline, and gate a throughput metric per scale point with
-//! [`compare`] (the `--compare` mode of `cwc-bench-live` and
-//! `cwc-bench-shard`, see [`compare_cli`]).
+//! [`compare`] (the `--compare` mode of `cwc-bench-live`, see
+//! [`compare_cli`]).
 
 pub use cwc_obs::json::JsonValue;
 use cwc_types::{CwcError, CwcResult};
@@ -88,8 +88,8 @@ pub fn compare(
     failures
 }
 
-/// The `--compare BASELINE.json FRESH.json [TOLERANCE]` mode shared by the
-/// scale bins; `args` are the operands after `--compare`. Prints the
+/// The `--compare BASELINE.json FRESH.json [TOLERANCE]` mode of
+/// `cwc-bench-live`; `args` are the operands after `--compare`. Prints the
 /// verdict on stderr and returns the process exit code: 0 pass, 1 on a
 /// regression, 2 on a usage or load error. TOLERANCE defaults to 0.2.
 pub fn compare_cli(bin: &str, args: &[String], key: &str, metric: &str) -> i32 {
@@ -122,7 +122,6 @@ pub fn compare_cli(bin: &str, args: &[String], key: &str, metric: &str) -> i32 {
 mod tests {
     use super::*;
     use crate::live_scale::{FleetSummary, ScalePoint};
-    use crate::shard_scale::ShardPoint;
 
     #[test]
     fn compare_gates_the_metric_per_point() {
@@ -132,51 +131,51 @@ mod tests {
                 obj! {"workers": 100u64, "ships_per_sec": ships, "accepts_per_sec": accepts},
             ])
         };
-        let shard = |jps: f64| report(vec![obj! {"shards": 4u64, "jobs_per_sec": jps}]);
-        type V = JsonValue;
-        let gate_live = |base: &V, fresh: &V| compare(base, fresh, "workers", "ships_per_sec", 0.2);
-        let gate_shard = |base: &V, fresh: &V| compare(base, fresh, "shards", "jobs_per_sec", 0.2);
+        let gate = |base: &JsonValue, fresh: &JsonValue| {
+            compare(base, fresh, "workers", "ships_per_sec", 0.2)
+        };
 
         // Within tolerance passes; only the named metric gates (accept
         // throughput tracks the host's connect latency, not the loop).
-        assert!(gate_live(&live(1000.0, 500.0), &live(900.0, 450.0)).is_empty());
-        assert!(gate_live(&live(1000.0, 500.0), &live(1000.0, 50.0)).is_empty());
-        assert!(gate_shard(&shard(100.0), &shard(95.0)).is_empty());
+        assert!(gate(&live(1000.0, 500.0), &live(900.0, 450.0)).is_empty());
+        assert!(gate(&live(1000.0, 500.0), &live(1000.0, 50.0)).is_empty());
         // A drop beyond tolerance is one named regression.
-        let r = gate_live(&live(1000.0, 500.0), &live(700.0, 450.0));
+        let r = gate(&live(1000.0, 500.0), &live(700.0, 450.0));
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(
             r[0].contains("workers 100: ships_per_sec regressed"),
             "{r:?}"
         );
-        let r = gate_shard(&shard(100.0), &shard(60.0));
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("shards 4: jobs_per_sec regressed"), "{r:?}");
 
         // A baseline that cannot gate is a failure, not a vacuous pass:
         // metric missing (schema drift), zero, or no points at all.
-        let metricless = report(vec![obj! {"shards": 4u64, "jobs_per_second": 100.0}]);
-        for broken in [metricless, shard(0.0), report(Vec::new()), obj! {"x": 1u64}] {
-            let r = gate_shard(&broken, &shard(100.0));
+        let metricless = report(vec![obj! {"workers": 100u64, "ships_per_second": 100.0}]);
+        for broken in [
+            metricless,
+            live(0.0, 500.0),
+            report(Vec::new()),
+            obj! {"x": 1u64},
+        ] {
+            let r = gate(&broken, &live(100.0, 500.0));
             assert_eq!(r.len(), 1, "{broken}: {r:?}");
             assert!(r[0].contains("baseline"), "{r:?}");
         }
         // So is a fresh report that lost the point or its metric.
-        let other = report(vec![obj! {"shards": 8u64, "jobs_per_sec": 100.0}]);
-        assert!(gate_shard(&shard(100.0), &other)[0].contains("missing from fresh"));
-        let dropped = report(vec![obj! {"shards": 4u64}]);
-        assert!(gate_shard(&shard(100.0), &dropped)[0].contains("regressed 100 -> 0"));
+        let other = report(vec![obj! {"workers": 1000u64, "ships_per_sec": 100.0}]);
+        assert!(gate(&live(100.0, 500.0), &other)[0].contains("missing from fresh"));
+        let dropped = report(vec![obj! {"workers": 100u64}]);
+        assert!(gate(&live(100.0, 500.0), &dropped)[0].contains("regressed 100 -> 0"));
     }
 
     #[test]
     fn compare_cli_exit_codes() {
         let dir = std::env::temp_dir().join(format!("cwc-report-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = |name: &str, jps: f64| {
+        let file = |name: &str, ships: f64| {
             let path = dir.join(name).to_string_lossy().into_owned();
             write(
                 &path,
-                &obj! {"points": vec![obj! {"shards": 1u64, "jobs_per_sec": jps}]},
+                &obj! {"points": vec![obj! {"workers": 100u64, "ships_per_sec": ships}]},
             )
             .unwrap();
             path
@@ -184,7 +183,7 @@ mod tests {
         let (base, slow) = (file("base.json", 100.0), file("slow.json", 70.0));
         let run = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            compare_cli("test-bin", &args, "shards", "jobs_per_sec")
+            compare_cli("test-bin", &args, "workers", "ships_per_sec")
         };
         assert_eq!(run(&[&base, &base]), 0);
         assert_eq!(run(&[&base, &slow]), 1, "default tolerance is 0.2");
@@ -231,20 +230,8 @@ mod tests {
             retries: 4,
             fleet,
         };
-        let shard = ShardPoint {
-            shards: 8,
-            phones: 100_000,
-            jobs: 400,
-            split_jobs: 5,
-            plan_ms: 12.5,
-            pack_ms: 800.0,
-            jobs_per_sec: 500.0,
-            max_shard_cells: 625_000,
-            pool_steals: 2,
-            assignments: 628,
-        };
         // What lands in the artifact: these names, this order, these values.
-        let (scale_json, shard_json) = (JsonValue::from(&scale), JsonValue::from(&shard));
+        let scale_json = JsonValue::from(&scale);
         assert_eq!(
             scale_json.to_string(),
             format!(
@@ -255,18 +242,12 @@ mod tests {
                  \"fleet\":{line}}}"
             )
         );
-        assert_eq!(
-            shard_json.to_string(),
-            "{\"shards\":8,\"phones\":100000,\"jobs\":400,\"split_jobs\":5,\"plan_ms\":12.5,\
-             \"pack_ms\":800.0,\"jobs_per_sec\":500.0,\"max_shard_cells\":625000,\
-             \"pool_steals\":2,\"assignments\":628}"
-        );
         // And the artifact file reads back to the same values.
         let path = std::env::temp_dir()
             .join(format!("cwc-report-points-{}.json", std::process::id()))
             .to_string_lossy()
             .into_owned();
-        let report = obj! {"points": vec![scale_json, shard_json]};
+        let report = obj! {"points": vec![scale_json]};
         write(&path, &report).unwrap();
         let loaded = load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();

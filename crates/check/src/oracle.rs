@@ -232,7 +232,8 @@ fn timer_sanity(ctx: &StepCtx<'_>) -> Option<Breach> {
 
 /// Structural redundancy-group invariant: every live group has 1–2
 /// members actually present in the state, matching its outstanding
-/// count, and no resolved (won) group lingers.
+/// count. A resolved group is removed from the map, so one left behind
+/// has no member present and fails the count.
 fn group_sanity(view: &CheckView) -> Option<Breach> {
     use std::collections::BTreeMap;
     let mut members: BTreeMap<u32, u32> = BTreeMap::new();
@@ -256,9 +257,6 @@ fn group_sanity(view: &CheckView) -> Option<Breach> {
         count(c.group);
     }
     for (&g, grp) in &view.groups {
-        if grp.won {
-            return breach("group_sanity", format!("resolved group {g} still live"));
-        }
         let present = members.get(&g).copied().unwrap_or(0);
         if present != grp.outstanding || !(1..=2).contains(&grp.outstanding) {
             return breach(

@@ -49,13 +49,6 @@ pub struct JobPartition {
     pub slices: BTreeMap<JobId, Vec<ShardSlice>>,
 }
 
-impl JobPartition {
-    /// Number of jobs that were divided across more than one shard.
-    pub fn split_jobs(&self) -> usize {
-        self.slices.values().filter(|s| s.len() > 1).count()
-    }
-}
-
 /// Splits `jobs` across `weights.len()` shards (see module docs for the
 /// rule). `weights[s]` is shard `s`'s capacity proxy — any non-negative
 /// scale (phone count, Σ clock×cores); shards with zero weight receive
@@ -203,7 +196,7 @@ mod tests {
             p.per_shard[0], jobs,
             "1-shard partition must not reorder or resize"
         );
-        assert_eq!(p.split_jobs(), 0);
+        assert!(p.slices.values().all(|s| s.len() == 1), "no job divided");
     }
 
     #[test]

@@ -209,7 +209,6 @@ struct ReplicaGroup {
     kb: KiloBytes,
     base_offset: KiloBytes,
     outstanding: u32,
-    won: bool,
     kind: GroupKind,
 }
 
@@ -887,7 +886,6 @@ impl Kernel {
                 kb: primary.kb,
                 base_offset: primary.base_offset,
                 outstanding: 2,
-                won: false,
                 kind,
             },
         );
@@ -920,16 +918,14 @@ impl Kernel {
         let Some(grp) = self.replica_groups.remove(&g) else {
             return;
         };
-        if !grp.won {
-            self.failed.push(WorkItem {
-                kb: grp.kb,
-                base_offset: grp.base_offset,
-                resume: None,
-                group: None,
-                speculative: false,
-                ..item
-            });
-        }
+        self.failed.push(WorkItem {
+            kb: grp.kb,
+            base_offset: grp.base_offset,
+            resume: None,
+            group: None,
+            speculative: false,
+            ..item
+        });
     }
 
     /// First-result-wins: the reporting member of group `g` won. Cancel
@@ -943,10 +939,9 @@ impl Kernel {
         winner_speculative: bool,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(mut grp) = self.replica_groups.remove(&g) else {
+        let Some(grp) = self.replica_groups.remove(&g) else {
             return;
         };
-        grp.won = true;
         let names = grp.kind.metrics();
         if winner_speculative {
             self.cfg.obs.metrics.inc(names.won);
@@ -1921,8 +1916,6 @@ pub struct GroupView {
     pub kb: u64,
     /// Members still alive.
     pub outstanding: u32,
-    /// Whether a member already credited the job.
-    pub won: bool,
 }
 
 /// One slot as the model checker sees it.
@@ -2083,7 +2076,6 @@ impl Kernel {
                             job: self.jobs[grp.job].spec.id,
                             kb: grp.kb.0,
                             outstanding: grp.outstanding,
-                            won: grp.won,
                         },
                     )
                 })
@@ -2164,7 +2156,6 @@ impl Kernel {
             h.write_u64(grp.kb.0);
             h.write_u64(grp.base_offset.0);
             h.write_u64(u64::from(grp.outstanding));
-            h.write_flag(grp.won);
         }
         // The predictor and warm-start hint steer future solver rounds;
         // their `Debug` forms are deterministic (programs in name order).

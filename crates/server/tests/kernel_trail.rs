@@ -270,7 +270,7 @@ fn the_kernel_trail_is_pinned_step_by_step() {
     );
     assert_eq!(
         (t.steps, t.trail.finish()),
-        (52, 0x5ee3_54c6_7301_224b),
+        (52, 0xf5e9_cde5_3149_445c),
         "the kernel's step-by-step trail moved"
     );
 }

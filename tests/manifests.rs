@@ -1,5 +1,6 @@
 //! Manifest hygiene: every dependency a crate declares is named where the
-//! crate builds it, and every vendored crate is declared by someone.
+//! crate builds it, every vendored crate is declared by someone, and every
+//! artifact or binary the documents cite exists.
 
 use std::path::{Path, PathBuf};
 
@@ -16,6 +17,18 @@ fn manifest_section(manifest: &str, section: &str) -> Vec<String> {
             l.chars().take_while(name).collect()
         })
         .collect()
+}
+
+/// The root package and every crate under `crates/`: the directories
+/// whose `Cargo.toml` the workspace builds.
+fn workspace_members(root: &Path) -> Vec<PathBuf> {
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let members: Vec<_> = std::iter::once(root.to_path_buf())
+        .chain(crates.flatten().map(|entry| entry.path()))
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .collect();
+    assert!(members.len() > 10, "member walk broke: {members:?}");
+    members
 }
 
 /// Whether `text` names `ident` as a whole word.
@@ -52,12 +65,7 @@ fn manifests_declare_only_dependencies_that_are_used() {
     // named by `[workspace.dependencies]` or by another vendored crate: a
     // dependency nobody uses is still built, vendored and read.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
-    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
-    let members: Vec<_> = std::iter::once(root.clone())
-        .chain(crates.flatten().map(|entry| entry.path()))
-        .filter(|dir| dir.join("Cargo.toml").is_file())
-        .collect();
-    assert!(members.len() > 10, "member walk broke: {members:?}");
+    let members = workspace_members(&root);
     let mut sources = Vec::new();
     for top in ["crates", "src", "tests", "examples"] {
         rust_sources(&root.join(top), &mut sources);
@@ -116,5 +124,61 @@ fn manifests_declare_only_dependencies_that_are_used() {
         "declared but never named where the declaring crate builds it, or \
          vendored but never declared:\n  {}",
         unused.join("\n  ")
+    );
+}
+
+#[test]
+fn documents_cite_only_artifacts_and_binaries_that_exist() {
+    // Every committed artifact (`BENCH_*.json`, `FIGURES.json`) that
+    // README.md, DESIGN.md or EXPERIMENTS.md names is at the repo root,
+    // and every `--bin NAME` they name is a `[[bin]]` some workspace
+    // manifest declares: deleting an artifact or a binary deletes its
+    // citations too.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut bins = Vec::new();
+    for dir in workspace_members(root) {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+        let mut in_bin = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_bin = line == "[[bin]]";
+            } else if let (true, Some(("name", value))) = (in_bin, line.split_once(" = ")) {
+                bins.push(value.trim_matches('"').to_string());
+            }
+        }
+    }
+    assert!(
+        bins.iter().any(|b| b == "figures"),
+        "[[bin]] walk broke: {bins:?}"
+    );
+
+    let (mut artifacts, mut cited_bins, mut missing) = (0, 0, Vec::new());
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("document");
+        let word = |c: char| !(c.is_alphanumeric() || matches!(c, '_' | '.'));
+        for name in text.split(word).map(|w| w.trim_end_matches('.')) {
+            let artifact = name.starts_with("BENCH_") || name == "FIGURES.json";
+            if artifact && name.ends_with(".json") {
+                artifacts += 1;
+                if !root.join(name).is_file() {
+                    missing.push(format!("{doc}: artifact {name}"));
+                }
+            }
+        }
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        for pair in tokens.windows(2).filter(|pair| pair[0] == "--bin") {
+            let name =
+                pair[1].trim_matches(|c: char| !(c.is_alphanumeric() || c == '-' || c == '_'));
+            cited_bins += 1;
+            if !bins.iter().any(|b| b == name) {
+                missing.push(format!("{doc}: --bin {name}"));
+            }
+        }
+    }
+    assert!(artifacts > 0 && cited_bins > 0, "citation scan broke");
+    assert!(
+        missing.is_empty(),
+        "cited but not in the repo:\n  {}",
+        missing.join("\n  ")
     );
 }
