@@ -5,10 +5,6 @@
 //! `cargo test`; CI additionally runs the release binary at depth 8+
 //! (see the model-check workflow job).
 
-// The `mutation` build plants a double-credit bug on purpose; these
-// clean-exploration guarantees only hold without it.
-#![cfg(not(feature = "mutation"))]
-
 use cwc_check::{explore, scenario_run, Options, SCENARIOS};
 
 fn opts(depth: usize, por: bool) -> Options {

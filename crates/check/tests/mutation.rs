@@ -1,16 +1,15 @@
-//! Mutation self-test: with the feature-gated double-credit bug planted
-//! in the kernel (`--features mutation`, which turns on
-//! `cwc-server/check-mutation`), the explorer must detect it, shrink the
-//! trace, and emit a counterexample script that replays byte-identically.
+//! Mutation self-test: with the double credit of
+//! `tests/mutants/double_credit.patch` applied to the kernel, the
+//! explorer must detect it, shrink the trace, and emit a counterexample
+//! script that replays byte-identically. On the clean tree there is no
+//! violation to find, so every test here is ignored; the patch's `Pass:`
+//! line runs them with `--ignored`.
 //!
-//! The planted bug credits a grouped (replicated) chunk twice on
-//! success. In release builds the `exactly_once_credit` /
-//! `byte_conservation` oracles catch the doubled delta; in debug builds
-//! the kernel's own `debug_assert` in `credit()` fires first and
-//! surfaces as a `no_panic` violation. All three verdicts prove
-//! detection.
-
-#![cfg(feature = "mutation")]
+//! The patch credits a grouped (replicated) chunk twice on success. In
+//! release builds the `exactly_once_credit` / `byte_conservation`
+//! oracles catch the doubled delta; in debug builds the kernel's own
+//! `debug_assert` in `credit()` fires first and surfaces as a `no_panic`
+//! violation. All three verdicts prove detection.
 
 use cwc_check::{cex, explore, replay_breach, replay_commands, scenario_run, shrink, Options};
 
@@ -22,12 +21,13 @@ fn find_violation() -> (cwc_check::ScenarioRun, cwc_check::Violation) {
     let v = report
         .violations
         .first()
-        .expect("planted double-credit bug must be detected")
+        .expect("the patched double credit must be detected")
         .clone();
     (run, v)
 }
 
 #[test]
+#[ignore = "run with tests/mutants/double_credit.patch applied"]
 fn planted_double_credit_is_detected() {
     let (_, v) = find_violation();
     assert!(
@@ -39,6 +39,7 @@ fn planted_double_credit_is_detected() {
 }
 
 #[test]
+#[ignore = "run with tests/mutants/double_credit.patch applied"]
 fn violation_shrinks_and_replays() {
     let (run, v) = find_violation();
     let (small, breach) = shrink(&run, &v.trace, v.oracle);
@@ -60,6 +61,7 @@ fn violation_shrinks_and_replays() {
 }
 
 #[test]
+#[ignore = "run with tests/mutants/double_credit.patch applied"]
 fn counterexample_script_round_trips() {
     let (run, v) = find_violation();
     let (small, breach) = shrink(&run, &v.trace, v.oracle);
@@ -77,6 +79,7 @@ fn counterexample_script_round_trips() {
 }
 
 #[test]
+#[ignore = "run with tests/mutants/double_credit.patch applied"]
 fn replayed_command_stream_is_deterministic() {
     let (run, v) = find_violation();
     let (small, _) = shrink(&run, &v.trace, v.oracle);

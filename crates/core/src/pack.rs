@@ -980,6 +980,12 @@ mod tests {
         JobSpec::breakable(JobId(id), "primecount", KiloBytes(30), KiloBytes(input_kb))
     }
 
+    /// An atomic job with a one-KB executable: its Eq. 1 cost is then
+    /// mostly input, the case where the margin band is reached.
+    fn atomic(id: u32, input_kb: u64) -> JobSpec {
+        JobSpec::atomic(JobId(id), "photoblur", KiloBytes(1), KiloBytes(input_kb))
+    }
+
     fn problem(num_phones: usize, ram_kb: Option<u64>, jobs: Vec<JobSpec>) -> SchedProblem {
         let mut p = phones(num_phones);
         for phone in &mut p {
@@ -1084,6 +1090,63 @@ mod tests {
         }
         // Some capacities leave job 1 one KB short: the band is reached.
         assert!(short > 0, "no capacity fell inside the margin band");
+    }
+
+    #[test]
+    fn step_two_opens_a_bin_for_an_atomic_item_only_where_the_seed_does() {
+        // Two like phones, one atomic job, at capacities on and a few
+        // ulps either side of the job's Eq. 1 cost: inside the margin band
+        // the seed's division decides, and it both fits the job under its
+        // cost and refuses it at its cost, so neither of Step 2's
+        // multiply-compares may decide there. (A bin wrongly opened
+        // takes what fits, and the second phone the atomic job's rest.)
+        let (mut under, mut refused) = (0, 0);
+        for b in [0.3, 1.0, 3.7, 12.9] {
+            for c in [0.7, 2.9, 9.81, 17.3] {
+                for input in [2, 3, 5, 7, 13] {
+                    let prob = hand_built(&[b, b], vec![vec![c]; 2], vec![atomic(0, input)]);
+                    let cost = prob.full_cost_ms(0, 0);
+                    let mut capacity = cost.next_up().next_up();
+                    for _ in 0..5 {
+                        let placed = packed(&prob, capacity).is_some();
+                        under += usize::from(placed && capacity < cost);
+                        refused += usize::from(!placed && capacity >= cost);
+                        capacity = capacity.next_down();
+                    }
+                }
+            }
+        }
+        assert!(under > 0, "no capacity under the cost fit the job");
+        assert!(refused > 0, "no capacity at or over the cost refused it");
+    }
+
+    #[test]
+    fn fill_exit_keeps_its_margin_where_the_seed_fits_an_atomic_item() {
+        // One phone; Step 2 places atomic job 0 whole, and the fill meets
+        // atomic job 1, whose Eq. 1 cost is also the fill's exit floor,
+        // at rooms on and a few ulps under that cost. Under it the
+        // seed's division can still fit all of job 1, so an exit at the
+        // floor without the margin would end the fill before the seed
+        // does.
+        let mut inside = 0;
+        for b in [0.3, 1.0, 3.7, 12.9] {
+            for c in [0.7, 2.9, 9.81, 17.3] {
+                for input in [2, 3, 5, 7, 13] {
+                    let jobs = vec![atomic(0, 500), atomic(1, input)];
+                    let prob = hand_built(&[b], vec![vec![c, c]], jobs);
+                    let (first, second) = (prob.full_cost_ms(0, 0), prob.full_cost_ms(0, 1));
+                    let mut capacity = first + second;
+                    for _ in 0..4 {
+                        let placed = packed(&prob, capacity).is_some();
+                        inside += usize::from(placed && capacity - first < second);
+                        capacity = capacity.next_down();
+                    }
+                }
+            }
+        }
+        // Some rooms under job 1's cost still place it: the band is
+        // reached.
+        assert!(inside > 0, "no room fell inside the margin band");
     }
 
     #[test]

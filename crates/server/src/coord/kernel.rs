@@ -1156,13 +1156,6 @@ impl Kernel {
             self.resolve_group_win(now, g, item.speculative, out);
         }
         self.credit(now, item.job, item.kb.0, id, out);
-        // Planted bug (`check-mutation`, cwc-check's self-test only): a
-        // redundancy-group win credits the job a second time — the exact
-        // replica double-credit the exactly-once oracle exists to catch.
-        #[cfg(feature = "check-mutation")]
-        if item.group.is_some() {
-            self.credit(now, item.job, item.kb.0, id, out);
-        }
         self.ship_next(now, slot, out);
     }
 
@@ -1180,8 +1173,6 @@ impl Kernel {
         let job = row.spec.id;
         row.progress += kb;
         let target = row.spec.input_kb.0;
-        // The planted double credit over-completes on purpose.
-        #[cfg(not(feature = "check-mutation"))]
         debug_assert!(row.progress <= target, "over-completion of {job}");
         if row.progress >= target && row.completed_at.is_none() {
             row.completed_at = Some(now);
@@ -2766,16 +2757,50 @@ mod tests {
         assert!(kernel.specs().eq(&jobs));
     }
 
-    /// With the planted double credit a group win counts the job's KB
-    /// twice; the latch counts jobs, so it neither underflows (a debug
-    /// build would panic, a release build never finish) nor fires early.
-    #[cfg(feature = "check-mutation")]
+    /// An idle slot is declared lost on the keep-alive timer that finds
+    /// `tolerated_misses` (3) probes unanswered, not on an earlier one,
+    /// and an answer starts the count again.
     #[test]
-    fn a_win_credited_twice_still_finishes_exactly_once() {
-        let h = replica_wins();
-        h.assert_finished_exactly_once();
-        let view = h.kernel.check_view();
-        let doubled = |(id, &kb): (&JobId, &u64)| kb == 2 * view.job_size[id];
-        assert!(view.progress.iter().any(doubled), "mutation not exercised");
+    fn an_idle_slot_is_lost_after_exactly_the_tolerated_keepalive_misses() {
+        let mut kernel = Kernel::new(config(atomic_jobs(&[40]))).expect("kernel");
+        for slot in 0..2 {
+            let info = phone(slot, 2.0);
+            kernel.step(Micros(1), CoordEvent::Probe { slot, info });
+        }
+        let out = kernel.step(Micros(2), CoordEvent::Start);
+        let busy = out.iter().find_map(|c| match *c {
+            CoordCommand::ShipInput { slot, .. } => Some(slot),
+            _ => None,
+        });
+        let idle = 1 - busy.expect("the job is shipped");
+        let token = out.iter().find_map(|c| match *c {
+            CoordCommand::StartTimer {
+                kind: TimerKind::KeepAlive,
+                slot,
+                token,
+                ..
+            } if slot == idle => Some(token),
+            _ => None,
+        });
+        let token = token.expect("the idle slot's keep-alive is armed");
+        let mut now = Micros(2);
+        let mut probed = |kernel: &mut Kernel, ev: CoordEvent| {
+            now = Micros(now.0 + 5_000_000);
+            let out = kernel.step(now, ev);
+            out.iter()
+                .any(|c| matches!(c, CoordCommand::SendKeepAlive { slot, .. } if *slot == idle))
+        };
+        let (kind, slot) = (TimerKind::KeepAlive, idle);
+        let fire = CoordEvent::TimerFired { kind, slot, token };
+        let mut sent = Vec::new();
+        for _ in 0..2 {
+            sent.push(probed(&mut kernel, fire.clone()));
+        }
+        assert!(!probed(&mut kernel, CoordEvent::KeepAliveSeen { slot }));
+        for _ in 0..5 {
+            sent.push(probed(&mut kernel, fire.clone()));
+        }
+        assert_eq!(sent, [true, true, true, true, true, false, false]);
+        assert_eq!(kernel.keepalives_acked(), 1);
     }
 }

@@ -169,6 +169,49 @@ fn mass_unplug_of_a_whole_shard_is_rebalanced_by_stealing() {
 }
 
 #[test]
+fn a_shard_with_no_work_steals_a_dead_shards_batch() {
+    // One atomic job on two shards: one shard gets it whole and the
+    // other idles with its phones plugged in. When every phone of the
+    // working shard goes dark, the idle shard is the only survivor and
+    // must finish the job.
+    let (fleet_seed, shards) = (11, 2);
+    let fleet = FleetBuilder::new(fleet_seed).houses(4).build();
+    let batch = WorkloadBuilder::new(7)
+        .atomic(1, "photoblur", 40, 1_500, 2_500)
+        .build();
+    let cfg = ShardConfig {
+        shards,
+        seed: 77,
+        ..Default::default()
+    };
+    let run = |injections| {
+        FleetEngine::new(fleet.clone(), batch.clone(), injections, cfg.clone())
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let calm = run(vec![]);
+    let busy = calm.per_shard.iter().position(|s| s.jobs == 1).unwrap();
+    assert!(calm
+        .per_shard
+        .iter()
+        .any(|s| s.jobs == 0 && !s.phones.is_empty()));
+    let out = run(kill_shard_injections(
+        fleet_seed,
+        shards,
+        busy,
+        Micros::from_secs(5),
+    ));
+    assert!(out.steal_rounds >= 1, "{}", out.digest());
+    assert_eq!(
+        (out.completed_jobs, out.total_jobs),
+        (1, 1),
+        "the idle shard must finish the dead shard's job: {}",
+        out.digest()
+    );
+}
+
+#[test]
 fn mass_unplug_runs_stay_deterministic_across_thread_counts() {
     // The chaos-soak variant of the byte-identity property: same dead
     // shard, same residual stealing, digests equal at 1 and 4 threads,

@@ -182,3 +182,83 @@ fn documents_cite_only_artifacts_and_binaries_that_exist() {
         missing.join("\n  ")
     );
 }
+
+#[test]
+fn every_mutant_names_its_kill_and_patches_files_that_exist() {
+    // Each `tests/mutants/*.patch` (`tests/mutants/run.sh` applies them)
+    // has at least one `Kill:` line; every `Kill:` and `Pass:` line is a
+    // `cargo test` whose `-p PKG --test NAME`, if given, is `tests/NAME.rs`
+    // of that package; and every `diff --git a/PATH` is a file in the
+    // repo. A renamed test or source file fails here, not only in CI.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let package_dirs: Vec<(String, PathBuf)> = workspace_members(root)
+        .into_iter()
+        .filter_map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            let mut package = manifest.lines().map(str::trim);
+            package.find(|l| *l == "[package]")?;
+            let name = package.find_map(|l| l.strip_prefix("name = "))?;
+            Some((name.trim_matches('"').to_string(), dir))
+        })
+        .collect();
+    let dir_of = |package: &str| {
+        let found = package_dirs.iter().find(|(name, _)| name == package);
+        found.map(|(_, dir)| dir.as_path())
+    };
+    assert!(
+        dir_of("cwc-core").is_some(),
+        "package walk broke: {package_dirs:?}"
+    );
+
+    let mutants = std::fs::read_dir(root.join("tests/mutants")).expect("tests/mutants/");
+    let (mut patches, mut faults) = (0, Vec::new());
+    for path in mutants.flatten().map(|entry| entry.path()) {
+        if path.extension().is_none_or(|ext| ext != "patch") {
+            continue;
+        }
+        patches += 1;
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let text = std::fs::read_to_string(&path).expect("patch");
+        let (header, diff) = text.split_at(text.find("diff --git ").unwrap_or(text.len()));
+        let commands: Vec<(&str, &str)> = (header.lines())
+            .filter_map(|l| l.split_once(": "))
+            .filter(|(key, _)| matches!(*key, "Kill" | "Pass"))
+            .collect();
+        if !commands.iter().any(|(key, _)| *key == "Kill") {
+            faults.push(format!("{name}: no `Kill:` line"));
+        }
+        for (key, cmd) in &commands {
+            let words: Vec<&str> = cmd.split_whitespace().collect();
+            if words.get(..2) != Some(&["cargo", "test"][..]) {
+                faults.push(format!("{name}: `{key}:` is not a `cargo test`: {cmd}"));
+            }
+            let values = |flag: &'static str| {
+                let pairs = words.windows(2).filter(move |pair| pair[0] == flag);
+                pairs.map(|pair| pair[1])
+            };
+            let package = values("-p").next().unwrap_or("cwc");
+            for test in values("--test") {
+                let file = dir_of(package).map(|dir| dir.join("tests").join(format!("{test}.rs")));
+                if !file.is_some_and(|file| file.is_file()) {
+                    faults.push(format!("{name}: no tests/{test}.rs in package {package}"));
+                }
+            }
+        }
+        let targets: Vec<&str> = (diff.lines())
+            .filter_map(|l| l.strip_prefix("diff --git a/"))
+            .filter_map(|l| l.split(" b/").next())
+            .collect();
+        if targets.is_empty() {
+            faults.push(format!("{name}: patches nothing"));
+        }
+        for target in targets {
+            if !root.join(target).is_file() {
+                faults.push(format!(
+                    "{name}: patches {target}, which is not in the repo"
+                ));
+            }
+        }
+    }
+    assert!(patches > 0, "mutant walk broke");
+    assert!(faults.is_empty(), "mutants:\n  {}", faults.join("\n  "));
+}
