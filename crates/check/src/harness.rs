@@ -4,10 +4,10 @@
 //! events back in" — so the harness is pure bookkeeping over the command
 //! stream: which ships are in flight (and which of those were cancelled
 //! and may still report late), which probes await replies, which timers
-//! are armed, which slots have gone dark, and how much fault budget the
-//! scenario has left. From that bookkeeping it derives the set of events
-//! a real driver could deliver next; the explorer branches over exactly
-//! that set.
+//! are armed, which slots are dark (and may replug), and how much fault
+//! budget the scenario has left. From that bookkeeping it derives the
+//! set of events a real driver could deliver next; the explorer branches
+//! over exactly that set.
 //!
 //! Time is logical: the n-th delivered event carries `now = (n+1) ms`.
 //! Armed timers are treated as firable in any order — a superset of real
@@ -52,6 +52,8 @@ pub enum Action {
     Fail { slot: usize, seq: u64, mode: u8 },
     /// Injected silent unplug.
     Dark { slot: usize },
+    /// A dark slot plugs back in; each `Dark` enables one.
+    Replug { slot: usize },
     /// An armed timer elapses.
     Timer { kind: u8, slot: usize, token: u64 },
 }
@@ -124,7 +126,7 @@ pub struct Harness {
     pub probes: BTreeSet<usize>,
     /// Armed timers `(kind index, slot, token)`.
     pub timers: BTreeSet<(u8, usize, u64)>,
-    /// Slots that went silently dark.
+    /// Slots that went silently dark and have not replugged.
     pub dark: BTreeSet<usize>,
     /// Remaining silent-unplug budget.
     pub dark_budget: u32,
@@ -182,14 +184,16 @@ impl Harness {
                 // A silently-unplugged worker never reports again.
                 self.ships.retain(|(s, _), _| s != slot);
             }
+            CoordEvent::Replugged { slot } => {
+                self.dark.remove(slot);
+            }
             CoordEvent::TimerFired { kind, slot, token } => {
                 self.timers.remove(&(timer_index(*kind), *slot, *token));
             }
             CoordEvent::Start => self.started = true,
             CoordEvent::KeepAliveSeen { .. }
             | CoordEvent::ConnectionLost { .. }
-            | CoordEvent::Misbehaved { .. }
-            | CoordEvent::Replugged { .. } => {}
+            | CoordEvent::Misbehaved { .. } => {}
         }
     }
 
@@ -244,7 +248,9 @@ impl Harness {
     /// Silent unplugs are only injected while no probe of that slot is
     /// outstanding: a probed-then-dark slot would wedge the solver round
     /// forever (the kernel waits for every reply), which is a driver
-    /// integration question, not a kernel-interleaving one.
+    /// integration question, not a kernel-interleaving one. A dark slot
+    /// may replug at any point, before or after its keep-alive timeout,
+    /// and then go dark again while the budget lasts.
     pub fn enabled(&self, view: &CheckView, run: &ScenarioRun) -> Vec<Action> {
         let mut out = Vec::new();
         for &slot in &self.probes {
@@ -276,6 +282,9 @@ impl Harness {
                 }
             }
         }
+        for &slot in &self.dark {
+            out.push(Action::Replug { slot });
+        }
         for &(kind, slot, token) in &self.timers {
             out.push(Action::Timer { kind, slot, token });
         }
@@ -295,7 +304,10 @@ impl Harness {
                 *kind == timer_index(TimerKind::OfflineDetect)
                     || *kind == timer_index(TimerKind::Reschedule)
             }
-            Action::LateOk { .. } | Action::Fail { .. } | Action::Dark { .. } => false,
+            Action::LateOk { .. }
+            | Action::Fail { .. }
+            | Action::Dark { .. }
+            | Action::Replug { .. } => false,
         }
     }
 
@@ -340,6 +352,7 @@ impl Harness {
                 }
             }
             Action::Dark { slot } => CoordEvent::WentDark { slot },
+            Action::Replug { slot } => CoordEvent::Replugged { slot },
             Action::Timer { kind, slot, token } => CoordEvent::TimerFired {
                 kind: TIMER_KINDS[kind as usize],
                 slot,
@@ -404,13 +417,15 @@ impl Harness {
                 global: false,
                 keys: BTreeSet::from([Key::Slot(slot)]),
             },
-            Action::Fail { .. } | Action::Dark { .. } => Footprint::global(),
+            // A replug fails and routes whatever the slot held: a
+            // reschedule timer or a migration onto every live slot.
+            Action::Fail { .. } | Action::Dark { .. } | Action::Replug { .. } => {
+                Footprint::global()
+            }
             Action::Timer { kind, slot, token } => {
                 if kind == timer_index(TimerKind::Speculate) {
-                    let live = view.slots.get(&slot).is_some_and(|s| {
-                        s.busy.as_ref().is_some_and(|(q, _)| *q == token)
-                            || s.parked_inflight_seq == Some(token)
-                    });
+                    let live = (view.slots.get(&slot))
+                        .is_some_and(|s| s.busy.as_ref().is_some_and(|(q, _)| *q == token));
                     if live && !view.finished {
                         Footprint::global()
                     } else {

@@ -47,6 +47,7 @@ pub fn check_step(ctx: &StepCtx<'_>) -> Option<Breach> {
         .or_else(|| exactly_once_credit(ctx))
         .or_else(|| byte_conservation(ctx.post, ctx.started))
         .or_else(|| cancel_safety(ctx))
+        .or_else(|| cancel_liveness(ctx))
         .or_else(|| slo_latch_once(ctx))
         .or_else(|| timer_sanity(ctx))
         .or_else(|| group_sanity(ctx.post))
@@ -120,9 +121,9 @@ fn exactly_once_credit(ctx: &StepCtx<'_>) -> Option<Breach> {
 }
 
 /// No job is ever credited past its input size, and — until the fleet is
-/// lost — every uncredited byte is still held somewhere (queued, in
-/// flight, parked, or on the failed list), with redundancy groups
-/// counted once.
+/// lost — every uncredited byte is still held somewhere (queued or in
+/// flight on a slot, dark or not, or on the failed list), with
+/// redundancy groups counted once.
 fn byte_conservation(view: &CheckView, started: bool) -> Option<Breach> {
     let outstanding = view.outstanding_kb();
     for (&job, &size) in &view.job_size {
@@ -173,6 +174,41 @@ fn cancel_safety(ctx: &StepCtx<'_>) -> Option<Breach> {
     None
 }
 
+/// The report that wins a redundancy group cancels every other member in
+/// flight on a live slot, so no phone keeps computing a slice that is
+/// already credited. A dark slot is exempt: its phone hears nothing, and
+/// its copy is dropped in place. A `ReportOk` resolves a group only by
+/// winning it, so every group it retires is checked.
+fn cancel_liveness(ctx: &StepCtx<'_>) -> Option<Breach> {
+    let CoordEvent::ReportOk { slot, seq, .. } = *ctx.event else {
+        return None;
+    };
+    let resolved = (ctx.pre.groups.keys()).filter(|g| !ctx.post.groups.contains_key(g));
+    for &g in resolved {
+        for (&i, s) in &ctx.pre.slots {
+            let Some((q, c)) = &s.busy else { continue };
+            let member = (i, *q);
+            if c.group != Some(g) || !s.alive || member == (slot, seq) {
+                continue;
+            }
+            let cancelled = ctx.commands.iter().any(|cmd| match *cmd {
+                CoordCommand::CancelTask { slot, seq, .. } => (slot, seq) == member,
+                _ => false,
+            });
+            if !cancelled {
+                return breach(
+                    "cancel_liveness",
+                    format!(
+                        "group {g} was won by slot {slot} (seq {seq}), but its member in \
+                         flight on live slot {i} (seq {q}) got no CancelTask"
+                    ),
+                );
+            }
+        }
+    }
+    None
+}
+
 /// Completion latches exactly once: the completed set only grows, the
 /// finished flag never clears, and `Finished` is emitted at most once
 /// per run.
@@ -201,8 +237,8 @@ fn slo_latch_once(ctx: &StepCtx<'_>) -> Option<Breach> {
 }
 
 /// A `Speculate` timer that outlived its chunk (the token no longer
-/// names this slot's in-flight or parked-in-flight work, or the batch
-/// already finished) must be ignored outright.
+/// names this slot's in-flight work, or the batch already finished) must
+/// be ignored outright.
 fn timer_sanity(ctx: &StepCtx<'_>) -> Option<Breach> {
     let CoordEvent::TimerFired {
         kind: TimerKind::Speculate,
@@ -213,10 +249,8 @@ fn timer_sanity(ctx: &StepCtx<'_>) -> Option<Breach> {
         return None;
     };
     let live = !ctx.pre.finished
-        && ctx.pre.slots.get(slot).is_some_and(|s| {
-            s.busy.as_ref().is_some_and(|(q, _)| q == token)
-                || s.parked_inflight_seq == Some(*token)
-        });
+        && (ctx.pre.slots.get(slot))
+            .is_some_and(|s| s.busy.as_ref().is_some_and(|(q, _)| q == token));
     if !live && !ctx.commands.is_empty() {
         return breach(
             "timer_sanity",
@@ -247,9 +281,6 @@ fn group_sanity(view: &CheckView) -> Option<Breach> {
             count(c.group);
         }
         for c in &slot.queue {
-            count(c.group);
-        }
-        for c in &slot.parked {
             count(c.group);
         }
     }

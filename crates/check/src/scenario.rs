@@ -177,9 +177,9 @@ fn replicated_atomic(seed: u64) -> ScenarioRun {
 
 /// Template 2 — **speculative-straggler**: breakable work on a 3-slot
 /// fleet with a one-launch speculation budget. Exercises the straggler
-/// watchdog, speculation onto the least-loaded slot, the parked-chunk
-/// rescue path after a silent unplug, and stale `Speculate` timers
-/// firing after their chunk already completed.
+/// watchdog, speculation onto the least-loaded slot, the rescue of a
+/// dark slot's in-flight chunk after a silent unplug, and stale
+/// `Speculate` timers firing after their chunk already completed.
 fn speculative_straggler(seed: u64) -> ScenarioRun {
     let mut rng = SplitRng::new(seed ^ 0xB2);
     let bws = [
@@ -218,7 +218,8 @@ fn speculative_straggler(seed: u64) -> ScenarioRun {
 /// migration. The logical clock (1 ms per event) makes both the met and
 /// missed deadline verdicts reachable; the fault envelope is large
 /// enough to kill every slot, so the graceful-degradation
-/// (`fleet_lost`) latch is explored too.
+/// (`fleet_lost`) latch is explored too, and to let slot 1 go dark,
+/// replug and go dark again.
 fn slo_deadline_mix(seed: u64) -> ScenarioRun {
     let mut rng = SplitRng::new(seed ^ 0xC3);
     let bws = [4.0 + rng.range(0, 3) as f64, 9.0 + rng.range(0, 4) as f64];
@@ -242,7 +243,7 @@ fn slo_deadline_mix(seed: u64) -> ScenarioRun {
         infos: (0..2).map(|i| phone(i, bws[i])).collect(),
         faults: Faults {
             dark_slots: vec![1],
-            dark_budget: 1,
+            dark_budget: 2,
             fail_budget: 1,
         },
         breakable: BTreeSet::from([JobId(2)]),

@@ -23,9 +23,9 @@ type Counts = (u64, u64, u64, u64);
 /// moved" must leave these exact; the dedup count also pins the state
 /// digest, since two states merge only when their digests agree.
 const PINNED_SEED_1: [(&str, Counts); 3] = [
-    ("replicated-atomic", (258, 90, 8, 21)),
-    ("speculative-straggler", (5878, 3178, 484, 193)),
-    ("slo-deadline-mix", (96, 25, 0, 24)),
+    ("replicated-atomic", (446, 185, 10, 20)),
+    ("speculative-straggler", (9095, 4766, 746, 192)),
+    ("slo-deadline-mix", (456, 159, 0, 39)),
 ];
 
 #[test]

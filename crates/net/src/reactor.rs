@@ -3,7 +3,7 @@
 //!
 //! A blocking socket per phone ([`crate::tcp::FramedTcp`], the worker's
 //! client transport) would cap the coordinator's fleet at OS-thread scale —
-//! one parked thread per phone. This module is the coordinator's
+//! one blocked thread per phone. This module is the coordinator's
 //! single-threaded transport (DESIGN.md §14): a [`Poller`] multiplexes
 //! readiness for thousands of sockets from one thread, each connection is a
 //! [`Conn`] holding the streaming [`crate::protocol::FrameCodec`] plus an

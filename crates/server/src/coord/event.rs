@@ -63,9 +63,9 @@ pub enum CoordEvent {
         slot: usize,
     },
     /// Silent unplug (simulator only): the slot went dark without a
-    /// report. The kernel parks its work and arms the keep-alive
-    /// detection timer; nothing surfaces until that fires (§5's offline
-    /// failure).
+    /// report. The kernel stops scheduling it, keeps its work where it
+    /// is and arms the keep-alive detection timer; nothing surfaces until
+    /// that fires (§5's offline failure) or the slot replugs.
     WentDark {
         /// The slot that lost connectivity.
         slot: usize,
@@ -87,7 +87,9 @@ pub enum CoordEvent {
         why: String,
     },
     /// A previously failed slot is plugged back in and reachable; it
-    /// becomes eligible at the next scheduling instant.
+    /// becomes eligible at the next scheduling instant. Work it still
+    /// holds from going dark fails at once, and that unplug's pending
+    /// detection timer is retired.
     Replugged {
         /// The returning slot.
         slot: usize,

@@ -29,11 +29,15 @@ const MAX_ROUNDS: usize = 64;
 
 /// Which driver the kernel narrates for. This changes *presentation* —
 /// event clock (sim vs wall), metric prefixes, and which story events are
-/// emitted — and one piece of driver plumbing: `Start` arms the per-slot
-/// keep-alive timers only for [`DriverStyle::Live`] (the simulator models
-/// liveness with `WentDark` instead). It never changes a scheduling
-/// decision: placement, ship order, cancellations and every other timer
-/// are the same under both styles.
+/// emitted — and the failure detector for a silent phone: `Start` arms
+/// the per-slot keep-alive timers only for [`DriverStyle::Live`], whose
+/// unanswered probes declare an idle slot lost, while the simulator feeds
+/// `WentDark` at the unplug and the kernel surfaces it with one
+/// `OfflineDetect` timer (DESIGN.md §7). The style therefore decides
+/// when a silent phone's work is rescheduled, and every decision after
+/// that; for one and the same event sequence, placement, ship order,
+/// cancellations and every timer but the keep-alive are the same under
+/// both styles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverStyle {
     /// Discrete-event simulator: `Event::sim`, `engine.*` metrics.
@@ -230,13 +234,10 @@ struct Slot {
     alive: bool,
     unanswered: u32,
     ka_seq: u64,
+    /// Liveness epoch: bumped whenever the slot goes down or comes back.
+    /// `KeepAlive` and `OfflineDetect` timers carry the epoch they were
+    /// armed in, so a timer from an earlier epoch is stale.
     ka_token: u64,
-    park_token: u64,
-    parked: Option<(u64, Vec<WorkItem>)>,
-    /// Ship sequence number of the in-flight item parked when the slot
-    /// went silently dark — lets the straggler check rescue the chunk
-    /// long before the keep-alive timeout surfaces the failure.
-    parked_inflight_seq: Option<u64>,
     last_done: Micros,
     breaker: Option<WindowBreaker>,
 }
@@ -252,9 +253,6 @@ impl Slot {
             unanswered: 0,
             ka_seq: 0,
             ka_token: 0,
-            park_token: 0,
-            parked: None,
-            parked_inflight_seq: None,
             last_done: Micros::ZERO,
             breaker: breaker.map(|(t, w)| WindowBreaker::new(t, w)),
         }
@@ -474,9 +472,7 @@ impl Kernel {
                 self.after_failure(now, out);
             }
             CoordEvent::Misbehaved { slot, why } => self.on_misbehaved(now, slot, why, out),
-            CoordEvent::Replugged { slot } => {
-                self.slot_mut(slot).alive = true;
-            }
+            CoordEvent::Replugged { slot } => self.on_replugged(now, slot, out),
             CoordEvent::TimerFired { kind, slot, token } => {
                 self.on_timer(now, kind, slot, token, out)
             }
@@ -929,9 +925,10 @@ impl Kernel {
     }
 
     /// First-result-wins: the reporting member of group `g` won. Cancel
-    /// every other live member — in-flight copies get a
-    /// [`CoordCommand::CancelTask`], queued and parked copies are removed
-    /// in place — and free their slots for the next item.
+    /// every other live member — a copy in flight on a live slot gets a
+    /// [`CoordCommand::CancelTask`] and frees its slot for the next item;
+    /// queued copies, and a dark slot's in-flight copy (its phone hears
+    /// nothing), are dropped in place.
     fn resolve_group_win(
         &mut self,
         now: Micros,
@@ -951,8 +948,9 @@ impl Kernel {
         let mut wasted = 0u64;
         let mut freed: Vec<usize> = Vec::new();
         for (j, s) in self.slots.iter_mut() {
-            if s.busy.as_ref().is_some_and(|b| b.item.group == Some(g)) {
-                if let Some(fl) = s.busy.take() {
+            if let Some(fl) = s.busy.take_if(|b| b.item.group == Some(g)) {
+                wasted += 1;
+                if s.alive {
                     self.cfg.obs.emit_with(|| {
                         fl.item
                             .trace
@@ -968,18 +966,12 @@ impl Kernel {
                         job,
                         seq: fl.seq,
                     });
-                    wasted += 1;
                     freed.push(j);
                 }
             }
             let before = s.queue.len();
             s.queue.retain(|it| it.group != Some(g));
             wasted += (before - s.queue.len()) as u64;
-            if let Some((_, parked)) = s.parked.as_mut() {
-                let before = parked.len();
-                parked.retain(|it| it.group != Some(g));
-                wasted += (before - parked.len()) as u64;
-            }
         }
         if wasted > 0 {
             self.cfg.obs.metrics.add(names.wasted, wasted);
@@ -1331,8 +1323,9 @@ impl Kernel {
         }
     }
 
-    /// Silent unplug (sim): park the slot's work; the server only learns
-    /// at the keep-alive timeout.
+    /// Silent unplug (sim): the slot stops being scheduled, but its work
+    /// stays where it is until the keep-alive timeout (or a replug)
+    /// surfaces the loss; the server learns nothing sooner.
     fn on_went_dark(&mut self, slot: usize, out: &mut Vec<CoordCommand>) {
         let Some(s) = self.slots.get_mut(slot) else {
             return;
@@ -1342,27 +1335,33 @@ impl Kernel {
         }
         s.alive = false;
         s.ka_token += 1;
-        let mut parked: Vec<WorkItem> = Vec::new();
-        s.parked_inflight_seq = None;
-        if let Some(fl) = s.busy.take() {
-            s.parked_inflight_seq = Some(fl.seq);
-            parked.push(fl.item);
-        }
-        parked.extend(s.queue.drain(..));
         // A silent unplug loses the partition's partial state (§5):
         // whatever checkpoint was shipped with the work is unrecoverable.
-        for item in &mut parked {
+        let busy = s.busy.iter_mut().map(|fl| &mut fl.item);
+        for item in busy.chain(s.queue.iter_mut()) {
             item.resume = None;
         }
-        s.park_token += 1;
-        let token = s.park_token;
-        s.parked = Some((token, parked));
         out.push(CoordCommand::StartTimer {
             kind: TimerKind::OfflineDetect,
             slot,
-            token,
+            token: s.ka_token,
             after: Micros(self.cfg.keepalive_period.0 * u64::from(self.cfg.tolerated_misses)),
         });
+    }
+
+    /// A slot comes back. Work it held from a silent unplug whose timeout
+    /// is still pending died with the phone's state: it fails now, and
+    /// the timeout is retired, so no slot ever holds two dark episodes.
+    fn on_replugged(&mut self, now: Micros, slot: usize, out: &mut Vec<CoordCommand>) {
+        let s = self.slot_mut(slot);
+        if s.alive {
+            return;
+        }
+        s.alive = true;
+        s.ka_token += 1;
+        if self.fail_held(slot) > 0 {
+            self.after_failure(now, out);
+        }
     }
 
     fn on_misbehaved(
@@ -1412,9 +1411,9 @@ impl Kernel {
     }
 
     /// The straggler check fired for one shipped chunk: if it is still in
-    /// flight — on a live slot that simply hasn't reported, or parked on
-    /// a slot that went silently dark — launch one speculative copy on
-    /// the least-loaded surviving slot. First result wins; the loser is
+    /// flight — on a live slot that simply hasn't reported, or on a slot
+    /// that went silently dark — launch one speculative copy on the
+    /// least-loaded surviving slot. First result wins; the loser is
     /// cancelled ([`Kernel::resolve_group_win`]). Bounded by the per-run
     /// speculation budget.
     fn on_speculate_timer(
@@ -1427,29 +1426,13 @@ impl Kernel {
         if self.cfg.speculation.is_none() || self.spec_budget_left == 0 {
             return;
         }
-        let source: Option<WorkItem> = {
-            let Some(s) = self.slots.get(slot) else {
-                return;
-            };
-            if s.alive {
-                s.busy
-                    .as_ref()
-                    .filter(|b| b.seq == token && b.item.group.is_none())
-                    .map(|b| b.item.clone())
-            } else if s.parked_inflight_seq == Some(token) {
-                // Silently-dark slot: rescue the in-flight chunk now
-                // rather than waiting out the keep-alive timeout plus the
-                // reschedule grace period.
-                s.parked
-                    .as_ref()
-                    .and_then(|(_, items)| items.first())
-                    .filter(|it| it.group.is_none())
-                    .cloned()
-            } else {
-                None
-            }
+        let Some(mut src) = (self.slots.get(slot))
+            .and_then(|s| s.busy.as_ref())
+            .filter(|b| b.seq == token && b.item.group.is_none())
+            .map(|b| b.item.clone())
+        else {
+            return;
         };
-        let Some(mut src) = source else { return };
         // Least-loaded live independent slot, ties on index.
         let target = self
             .slots
@@ -1459,15 +1442,8 @@ impl Kernel {
             .map(|(j, _)| j);
         let Some(target) = target else { return };
         let copy = self.open_group(&mut src, GroupKind::Speculation);
-        if let Some(s) = self.slots.get_mut(slot) {
-            let primary = if s.alive {
-                s.busy.as_mut().map(|b| &mut b.item)
-            } else {
-                s.parked.as_mut().and_then(|(_, parked)| parked.first_mut())
-            };
-            if let Some(primary) = primary {
-                primary.group = src.group;
-            }
+        if let Some(b) = self.slots.get_mut(slot).and_then(|s| s.busy.as_mut()) {
+            b.item.group = src.group;
         }
         let job = self.jobs[src.job].spec.id;
         self.spec_budget_left -= 1;
@@ -1493,8 +1469,8 @@ impl Kernel {
         self.ship_next(now, target, out);
     }
 
-    /// The keep-alive timeout elapsed on a parked (silently dark) slot:
-    /// the offline failure surfaces now (§5).
+    /// The keep-alive timeout elapsed on a silently dark slot: the offline
+    /// failure surfaces now (§5).
     fn on_offline_detect(
         &mut self,
         now: Micros,
@@ -1502,20 +1478,14 @@ impl Kernel {
         token: u64,
         out: &mut Vec<CoordCommand>,
     ) {
-        let Some(s) = self.slots.get_mut(slot) else {
+        let Some(s) = self.slots.get(slot) else {
             return;
         };
-        if s.parked.as_ref().is_none_or(|(t, _)| *t != token) {
+        if s.alive || s.ka_token != token {
             return;
         }
-        let Some((_, mut residuals)) = s.parked.take() else {
-            return;
-        };
-        // A solver round racing the unplug may have queued fresh work on
-        // this slot after its state was parked; sweep that out too.
-        residuals.extend(s.queue.drain(..));
-        s.parked_inflight_seq = None;
         let id = s.id();
+        let lost = self.fail_held(slot);
         // The sim collapses the keep-alive probes into one timeout event;
         // the counter still reflects the individual misses that elapsed.
         let misses = u64::from(self.cfg.tolerated_misses);
@@ -1525,15 +1495,12 @@ impl Kernel {
                 .severity(cwc_obs::Severity::Warn)
                 .field("phone", id.to_string())
                 .field("keepalive_misses", misses)
-                .field("lost_residuals", residuals.len())
+                .field("lost_residuals", lost)
                 .field(
                     "msg",
                     format!("{id} declared offline after {misses} missed keep-alives"),
                 )
         });
-        for item in residuals {
-            self.fail_item(item);
-        }
         self.after_failure(now, out);
     }
 
@@ -1653,7 +1620,8 @@ impl Kernel {
     }
 
     /// Marks a slot failed: emits the event (live), and moves its
-    /// in-flight task and queue into the failed list (§5's `F_A`).
+    /// in-flight task and queue into the failed list (§5's `F_A`). A dark
+    /// slot is already down; its work waits for its timeout or replug.
     fn mark_failed(&mut self, now: Micros, slot: usize, event: &str, why: String) {
         let live = self.live();
         let Some(s) = self.slots.get_mut(slot) else {
@@ -1673,15 +1641,23 @@ impl Kernel {
                     .field("msg", why)
             });
         }
-        let s = self.slots.get_mut(slot).expect("slot exists");
-        let mut dead: Vec<WorkItem> = Vec::new();
-        if let Some(fl) = s.busy.take() {
-            dead.push(fl.item);
-        }
-        dead.extend(s.queue.drain(..));
-        for item in dead {
+        self.fail_held(slot);
+    }
+
+    /// Fails everything `slot` holds — its in-flight chunk, then its
+    /// queue, in that order onto the failed list — and returns how many
+    /// chunks that was. The one way work leaves a lost slot.
+    fn fail_held(&mut self, slot: usize) -> usize {
+        let Some(s) = self.slots.get_mut(slot) else {
+            return 0;
+        };
+        let busy = s.busy.take().map(|fl| fl.item);
+        let queue = std::mem::take(&mut s.queue);
+        let held = usize::from(busy.is_some()) + queue.len();
+        for item in busy.into_iter().chain(queue) {
             self.fail_item(item);
         }
+        held
     }
 
     /// Routes accumulated residuals per the configured policy.
@@ -1916,14 +1892,11 @@ pub struct SlotCheckView {
     pub alive: bool,
     /// Has a `PhoneInfo` (was probed).
     pub probed: bool,
-    /// In-flight chunk: `(ship seq, chunk)`.
+    /// In-flight chunk: `(ship seq, chunk)`. A dark slot keeps the chunk
+    /// it was running until its loss surfaces.
     pub busy: Option<(u64, ChunkView)>,
     /// Queued chunks, ship order.
     pub queue: Vec<ChunkView>,
-    /// Chunks parked by a silent unplug (awaiting offline detection).
-    pub parked: Vec<ChunkView>,
-    /// Ship seq of the in-flight chunk parked when the slot went dark.
-    pub parked_inflight_seq: Option<u64>,
 }
 
 /// A read-only snapshot of everything the `cwc-check` invariant oracles
@@ -1960,9 +1933,8 @@ pub struct CheckView {
 
 impl CheckView {
     /// KB of outstanding (not yet credited) work per job, counting each
-    /// redundancy group exactly once: queued + in-flight + parked +
-    /// failed chunks, with grouped members collapsed onto their group's
-    /// full slice.
+    /// redundancy group exactly once: queued + in-flight + failed chunks,
+    /// with grouped members collapsed onto their group's full slice.
     pub fn outstanding_kb(&self) -> std::collections::BTreeMap<JobId, u64> {
         let mut out: std::collections::BTreeMap<JobId, u64> = std::collections::BTreeMap::new();
         let mut counted: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
@@ -1986,9 +1958,6 @@ impl CheckView {
                 add(chunk, &mut out);
             }
             for chunk in &slot.queue {
-                add(chunk, &mut out);
-            }
-            for chunk in &slot.parked {
                 add(chunk, &mut out);
             }
         }
@@ -2085,14 +2054,6 @@ impl Kernel {
                                 .as_ref()
                                 .map(|fl| (fl.seq, self.view_chunk(&fl.item))),
                             queue: s.queue.iter().map(|it| self.view_chunk(it)).collect(),
-                            parked: s
-                                .parked
-                                .as_ref()
-                                .map(|(_, items)| {
-                                    items.iter().map(|it| self.view_chunk(it)).collect()
-                                })
-                                .unwrap_or_default(),
-                            parked_inflight_seq: s.parked_inflight_seq,
                         },
                     )
                 })
@@ -2158,8 +2119,6 @@ impl Kernel {
             h.write_u64(u64::from(s.unanswered));
             h.write_u64(s.ka_seq);
             h.write_u64(s.ka_token);
-            h.write_u64(s.park_token);
-            h.write_opt(s.parked_inflight_seq);
             match &s.info {
                 Some(info) => {
                     h.write_u8(1);
@@ -2186,17 +2145,6 @@ impl Kernel {
             h.write_u64(s.queue.len() as u64);
             for item in &s.queue {
                 self.hash_item(&mut h, item);
-            }
-            match &s.parked {
-                Some((token, items)) => {
-                    h.write_u8(1);
-                    h.write_u64(*token);
-                    h.write_u64(items.len() as u64);
-                    for item in items {
-                        self.hash_item(&mut h, item);
-                    }
-                }
-                None => h.write_u8(0),
             }
             h.write_str(&format!("{:?}", s.breaker));
         }
@@ -2755,6 +2703,77 @@ mod tests {
         assert_eq!(err.to_string(), "invalid job job-12: zero-size input");
         jobs.sort_by_key(|j| j.id);
         assert!(kernel.specs().eq(&jobs));
+    }
+
+    /// A slot that goes dark, replugs before its keep-alive timeout and
+    /// goes dark again holds one episode's work at a time: the replug
+    /// fails the first episode's work at once and retires its timeout, so
+    /// every uncredited KB stays accounted for, the retired timeout
+    /// surfaces nothing and the live one surfaces the second episode.
+    #[test]
+    fn a_flapping_slot_loses_no_work() {
+        let job = |i| JobSpec::breakable(JobId(i), "primecount", KiloBytes(30), KiloBytes(900));
+        let mut cfg = config((0..3).map(job).collect());
+        (cfg.reschedule, cfg.style) = (SOLVER, DriverStyle::Sim);
+        let mut kernel = Kernel::new(cfg).expect("kernel");
+        let at = |kernel: &mut Kernel, secs: u64, ev: CoordEvent| {
+            let out = kernel.step(Micros::from_secs(secs), ev);
+            let view = kernel.check_view();
+            let held = view.outstanding_kb();
+            for (job, &size) in &view.job_size {
+                let kb = view.progress[job] + held.get(job).copied().unwrap_or(0);
+                assert_eq!(kb, size, "{job}: {kb} of {size} KB accounted at {secs} s");
+            }
+            out
+        };
+        for slot in 0..3 {
+            let info = phone(slot, 2.0 + slot as f64);
+            kernel.step(Micros::ZERO, CoordEvent::Probe { slot, info });
+        }
+        at(&mut kernel, 0, CoordEvent::Start);
+        let slot = 0;
+        let holds = |kernel: &Kernel| kernel.check_view().slots[&slot].busy.is_some();
+        let detect = |out: Vec<CoordCommand>| match out[..] {
+            [CoordCommand::StartTimer {
+                kind: TimerKind::OfflineDetect,
+                token,
+                ..
+            }] => CoordEvent::TimerFired {
+                kind: TimerKind::OfflineDetect,
+                slot,
+                token,
+            },
+            _ => panic!("no detection timer armed: {out:?}"),
+        };
+        let first = detect(at(&mut kernel, 1, CoordEvent::WentDark { slot }));
+        // The replug fails the dark-era work, and a re-solve places it
+        // again, slot 0 included.
+        let replug = at(&mut kernel, 2, CoordEvent::Replugged { slot });
+        let (kind, token) = (TimerKind::Reschedule, 0);
+        let probes = at(&mut kernel, 3, CoordEvent::TimerFired { kind, slot, token });
+        for slot in 0..3 {
+            let info = phone(slot, 2.0 + slot as f64);
+            at(&mut kernel, 3, CoordEvent::Probe { slot, info });
+        }
+        let second = detect(at(&mut kernel, 4, CoordEvent::WentDark { slot }));
+        let rearmed = |c: &CoordCommand| {
+            matches!(
+                c,
+                CoordCommand::StartTimer {
+                    kind: TimerKind::Reschedule,
+                    ..
+                }
+            )
+        };
+        assert!(matches!(replug[..], [ref c] if rearmed(c)), "{replug:?}");
+        assert_eq!(probes.len(), 3, "one probe per live slot");
+        assert!(holds(&kernel), "the second episode holds no work");
+        assert!(
+            at(&mut kernel, 91, first).is_empty(),
+            "a retired timeout fired"
+        );
+        assert!(!at(&mut kernel, 94, second).is_empty());
+        assert!(!holds(&kernel), "the second episode's work is still held");
     }
 
     /// An idle slot is declared lost on the keep-alive timer that finds

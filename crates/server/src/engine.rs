@@ -676,7 +676,7 @@ impl SimDriver {
         let flight = rt.flight.take();
         if inj.offline {
             // Silent unplug: no report reaches the server; the kernel
-            // parks the work until the keep-alive timeout fires.
+            // holds the work until the keep-alive timeout fires.
             self.feed(sim, CoordEvent::WentDark { slot });
             return;
         }
@@ -897,6 +897,28 @@ mod tests {
         }];
         let out = Engine::run_on_testbed(7, jobs, injections, EngineConfig::default()).unwrap();
         assert_eq!(out.completed_jobs, 30);
+    }
+
+    /// A phone that goes dark and replugs before the keep-alive timeout
+    /// loses no job, whether it stays plugged in or goes dark again: the
+    /// replug fails the unplug's work at once, and a second unplug's
+    /// timeout surfaces what the phone took on after the replug.
+    #[test]
+    fn a_phone_that_replugs_before_its_timeout_loses_no_job() {
+        let dark = |at: u64, replug_at: Option<u64>| FailureInjection {
+            at: Micros::from_secs(at),
+            phone: PhoneId(0),
+            offline: true,
+            replug_at: replug_at.map(Micros::from_secs),
+        };
+        let flap = vec![dark(30, Some(40)), dark(50, None)];
+        for injections in [vec![dark(30, Some(40))], flap] {
+            let cfg = EngineConfig::default();
+            let out =
+                Engine::run_on_testbed(7, paper_workload(11), injections.clone(), cfg).unwrap();
+            assert!(out.fleet_loss.is_none(), "{injections:?}");
+            assert_eq!(out.completed_jobs, 150, "{injections:?}");
+        }
     }
 
     #[test]

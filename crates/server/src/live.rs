@@ -1437,7 +1437,7 @@ impl<'a> LiveDriver<'a> {
 
     /// Queues `Shutdown` on every live connection and keeps turning the
     /// loop until the write queues are empty or [`FAREWELL_BOUND`] is up.
-    /// Dead workers' threads may still be parked on recv; a `Shutdown` on
+    /// Dead workers' threads may still be blocked on recv; a `Shutdown` on
     /// a torn connection is a no-op, on a live one it lets the thread exit.
     fn farewell(&mut self, events: &mut Vec<PollEvent>) -> CwcResult<()> {
         for slot in 0..self.conns.len() {

@@ -1,9 +1,10 @@
 //! The coordinator kernel's step-by-step trail, pinned. One seeded
 //! script walks every per-event path — `Start`, ok reports, an online
-//! failure with a checkpoint, a silent unplug surfaced by the keep-alive
-//! timeout, a solver re-solve, a replica group, a speculative copy and a
-//! replug — and [`Kernel::digest`] after every step plus every emitted
-//! command's `Debug` form fold into one FNV-1a value.
+//! failure with a checkpoint, a silent unplug, a solver re-solve, a
+//! replica group, a speculative copy (of the dark slot's in-flight
+//! chunk) and a replug inside the unplug's keep-alive timeout, which
+//! retires it — and [`Kernel::digest`] after every step plus every
+//! emitted command's `Debug` form fold into one FNV-1a value.
 //!
 //! `tests/determinism.rs` pins whole-run outcomes; this pin moves as soon
 //! as any intermediate state or command does (a slot visited out of
@@ -23,7 +24,8 @@ use std::collections::BTreeMap;
 const SLOTS: usize = 6;
 /// Slot 1's second report is an online failure carrying a checkpoint.
 const FAILS_ONLINE: usize = 1;
-/// Slot 2 goes silently dark, and later replugs.
+/// Slot 2 goes silently dark, and replugs before its keep-alive timeout
+/// (`DARK_AT` + 3 × 30 s) elapses.
 const GOES_DARK: usize = 2;
 /// Slot 3 runs eight times slower than predicted: a straggler.
 const STRAGGLER: usize = 3;
@@ -254,7 +256,11 @@ fn the_kernel_trail_is_pinned_step_by_step() {
     // The script reaches every path it exists to cover.
     let counter = |name| obs.metrics.counter_value(name);
     assert_eq!(t.online_failures, 1);
-    assert!(counter("engine.keepalive_miss") > 0, "no offline loss");
+    assert_eq!(
+        counter("engine.keepalive_miss"),
+        0,
+        "the replug did not retire the keep-alive timeout"
+    );
     assert!(
         counter("engine.reschedule_rounds") > 0,
         "no solver re-solve"
@@ -270,7 +276,7 @@ fn the_kernel_trail_is_pinned_step_by_step() {
     );
     assert_eq!(
         (t.steps, t.trail.finish()),
-        (52, 0xf5e9_cde5_3149_445c),
+        (52, 0x06ea_fe10_38d0_d1a1),
         "the kernel's step-by-step trail moved"
     );
 }

@@ -159,6 +159,20 @@ fn mass_unplug_of_a_whole_shard_is_rebalanced_by_stealing() {
         "survivors must finish the stolen residuals: {}",
         out.digest()
     );
+    // The makespan composes sequentially: each steal round starts once
+    // the initial epoch has ended and appends its own epoch. The stolen
+    // quarter of the batch over three survivors takes less than the
+    // initial epoch, so a `max` over the epochs would hide it.
+    let initial = (out.per_shard.iter())
+        .filter_map(|s| s.outcome.as_ref())
+        .map(|o| o.makespan)
+        .max()
+        .unwrap();
+    assert!(
+        out.makespan > initial,
+        "the steal rounds added nothing to the initial epoch's {initial}: {}",
+        out.digest()
+    );
     let loss = out.fleet_loss.expect("lost workers must be reported");
     assert_eq!(loss.workers_lost, lost);
     assert!(
