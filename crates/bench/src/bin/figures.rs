@@ -6,10 +6,16 @@
 //!
 //! With no figure arguments, everything runs. Output is plain text with
 //! the paper's expected values alongside the measured ones; `--json DIR`
-//! additionally dumps machine-readable results per figure.
+//! additionally dumps machine-readable results per figure. The `proactive`
+//! section (DESIGN.md §12's reliability ladder) always runs at
+//! `reliability::SEED`, whatever `--seed` says, and records that seed:
+//! it is the scenario set the `reliability_acceptance` test gates.
 
 #![forbid(unsafe_code)]
 
+use cwc_bench::reliability::{
+    self, ATOMIC_JOBS, BREAKABLE_JOBS, DEADLINE_JOBS, DEADLINE_MS, FLEET,
+};
 use cwc_bench::render::{bar, cdf_quantiles, header, hourly_profile};
 use cwc_bench::report::{self, JsonValue};
 use cwc_bench::*;
@@ -567,6 +573,59 @@ fn main() {
                     .map(|(n, g, r)| obj! {"phones": n, "greedy_s": g, "round_robin_s": r})
                     .collect::<Vec<_>>(),
             ),
+        );
+    }
+
+    if wants("proactive") {
+        print!(
+            "{}",
+            header("§12 — proactive reliability vs reactive recovery")
+        );
+        println!("10/20/30% of the fleet unplugs silently late in the run; with perfect");
+        println!("prediction, replication + speculation must beat keep-alive recovery.");
+        println!("Seed {} at every --seed.\n", reliability::SEED);
+        let mut rows = Vec::new();
+        for s in reliability::run_acceptance(reliability::SEED) {
+            let speedup = s.baseline_ms / s.proactive_ms;
+            println!(
+                "  failure {:>3.0}% ({} phones): baseline {:>7.0} ms, proactive {:>7.0} ms \
+                 ({speedup:.2}x; {} replicas planned, {} speculations, SLO {}/{} met)",
+                s.failure_fraction * 100.0,
+                s.phones_failed,
+                s.baseline_ms,
+                s.proactive_ms,
+                s.replicas_planned,
+                s.speculation_launched,
+                s.deadline_met,
+                s.deadline_met + s.deadline_missed,
+            );
+            rows.push(obj! {
+                "failure_fraction": s.failure_fraction,
+                "phones_failed": s.phones_failed,
+                "baseline_makespan_ms": s.baseline_ms,
+                "proactive_makespan_ms": s.proactive_ms,
+                "speedup": speedup,
+                "baseline_completed": s.baseline_completed,
+                "proactive_completed": s.proactive_completed,
+                "replicas_planned": s.replicas_planned,
+                "speculation_launched": s.speculation_launched,
+                "deadline_met": s.deadline_met,
+                "deadline_missed": s.deadline_missed,
+            });
+        }
+        json_out.insert(
+            "proactive_reliability".into(),
+            obj! {
+                "fleet_phones": FLEET,
+                "workload": obj! {
+                    "breakable_jobs": BREAKABLE_JOBS,
+                    "atomic_jobs": ATOMIC_JOBS,
+                    "deadline_jobs": DEADLINE_JOBS,
+                    "deadline_ms": DEADLINE_MS,
+                },
+                "seed": reliability::SEED,
+                "scenarios": rows,
+            },
         );
     }
 

@@ -30,7 +30,7 @@ pub const STUDY_DAYS: u32 = 28;
 
 /// Fig. 1: CoreMark-style CPU comparison. `(name, score, is_reference)`.
 pub fn fig1() -> Vec<(&'static str, f64, bool)> {
-    coremark::scaled_scores(200_000)
+    coremark::scores()
 }
 
 // ------------------------------------------------------------- Figs. 2–3

@@ -6,9 +6,10 @@
 //! where 10–30% of the phones unplug silently late in the run with
 //! perfect failure prediction. Both runs see identical workloads and identical
 //! injections; the only difference is whether the kernel acts on the
-//! prediction before the failure. Used by the committed
-//! `BENCH_reliability.json` artifact (`cwc-bench-reliability`) and the
-//! `reliability_acceptance` test gate.
+//! prediction before the failure. The `figures proactive` section records
+//! the ladder at [`SEED`] under `proactive_reliability` in the committed
+//! `FIGURES.json`, and the `reliability_acceptance` test gates the same
+//! scenarios.
 
 use cwc_core::{ReplicationPolicy, SpeculationPolicy};
 use cwc_obs::Obs;
@@ -16,6 +17,10 @@ use cwc_server::workload::WorkloadBuilder;
 use cwc_server::{Engine, EngineConfig, FailureInjection};
 use cwc_types::{JobId, JobSpec, Micros, PhoneId, SloClass};
 use std::collections::BTreeMap;
+
+/// The seed of the recorded ladder and of its acceptance gate, so the
+/// committed numbers are the scenarios the gate checks.
+pub const SEED: u64 = 41;
 
 /// Phones in the standard testbed fleet.
 pub const FLEET: usize = 18;

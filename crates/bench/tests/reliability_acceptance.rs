@@ -1,5 +1,6 @@
 //! Chaos acceptance gate for the proactive-reliability stack
-//! (DESIGN.md §12, recorded in the committed `BENCH_reliability.json`).
+//! (DESIGN.md §12, recorded under `proactive_reliability` in the committed
+//! `FIGURES.json`).
 //!
 //! On the tracked 10/20/30%-silent-failure scenarios, the proactive arm
 //! (risk-driven replication + speculative re-execution + SLO classes)
@@ -7,11 +8,11 @@
 //! finish the whole batch, and the (comfortably feasible) deadline-class
 //! jobs must meet their deadlines.
 
-use cwc_bench::reliability::{run_acceptance, ATOMIC_JOBS, BREAKABLE_JOBS, DEADLINE_JOBS};
+use cwc_bench::reliability::{run_acceptance, ATOMIC_JOBS, BREAKABLE_JOBS, DEADLINE_JOBS, SEED};
 
 #[test]
 fn proactive_stack_strictly_beats_reactive_recovery() {
-    let scenarios = run_acceptance(41);
+    let scenarios = run_acceptance(SEED);
     assert_eq!(scenarios.len(), 3, "10/20/30% ladder");
 
     let total_jobs = BREAKABLE_JOBS + ATOMIC_JOBS;

@@ -1,15 +1,12 @@
-//! CoreMark-like CPU benchmark (Fig. 1 substrate).
+//! CoreMark CPU comparison (Fig. 1 substrate).
 //!
 //! Fig. 1 of the paper compares smartphone CPUs against an Intel Core 2 Duo
 //! using published CoreMark scores. We cannot rerun CoreMark on 2012-era
 //! silicon, so we reproduce the figure the way its *shape* is generated:
 //! each CPU's score is (per-MHz-per-core IPC factor) × clock × cores, with
 //! IPC factors taken from the public CoreMark database for those parts.
-//! To keep the number honest rather than a lookup table, the per-MHz unit
-//! of work is anchored by actually executing a CoreMark-like kernel —
-//! linked-list traversal, small matrix arithmetic, and a CRC-16 state
-//! machine, the same three workload classes real CoreMark uses — on the
-//! host, and scaling the measured iterations/second.
+//! The scores read no clock, so Fig. 1 is as deterministic as every other
+//! figure.
 
 use cwc_types::CpuSpec;
 
@@ -88,105 +85,15 @@ pub const CPU_CATALOG: [CpuCatalogEntry; 6] = [
     },
 ];
 
-/// Runs the CoreMark-like kernel for `iterations` and returns a checksum
-/// (preventing the optimizer from deleting the work) — the three classic
-/// CoreMark workload classes:
-///
-/// 1. linked-list find/reverse over a scrambled 64-node list,
-/// 2. 8×8 integer matrix multiply-accumulate,
-/// 3. a CRC-16 driven state machine over a pseudo-input stream.
-pub fn coremark_kernel(iterations: u32) -> u64 {
-    let mut checksum = 0u64;
-
-    // Workload 1 data: a "linked list" as an index-chained array.
-    let mut next: [usize; 64] = [0; 64];
-    for (i, slot) in next.iter_mut().enumerate() {
-        *slot = (i * 37 + 11) % 64;
-    }
-
-    // Workload 2 data: two 8x8 matrices.
-    let mut a = [[0i32; 8]; 8];
-    let mut b = [[0i32; 8]; 8];
-    for i in 0..8 {
-        for j in 0..8 {
-            a[i][j] = (i * 8 + j) as i32;
-            b[i][j] = ((i + 1) * (j + 3)) as i32 % 17;
-        }
-    }
-
-    let mut crc: u16 = 0xFFFF;
-    let mut state: u8 = 0;
-
-    for iter in 0..iterations {
-        // 1. List walk: follow the chain 64 hops from a rotating start.
-        let mut node = (iter as usize) % 64;
-        for _ in 0..64 {
-            node = next[node];
-            checksum = checksum.wrapping_add(node as u64);
-        }
-        // Mutate the chain so the walk cannot be constant-folded.
-        next[node] = (next[node] + 1) % 64;
-
-        // 2. Matrix multiply-accumulate into the checksum.
-        let mut acc = 0i64;
-        for a_row in &a {
-            let mut row = [0i32; 8];
-            for (a_cell, b_row) in a_row.iter().zip(&b) {
-                for (cell, b_cell) in row.iter_mut().zip(b_row) {
-                    *cell = cell.wrapping_add(a_cell.wrapping_mul(*b_cell));
-                }
-            }
-            for cell in row {
-                acc = acc.wrapping_add(i64::from(cell));
-            }
-        }
-        a[(iter % 8) as usize][((iter / 8) % 8) as usize] ^= (acc & 0xF) as i32;
-        checksum = checksum.wrapping_add(acc as u64);
-
-        // 3. CRC-16 (CCITT) state machine over bytes derived from the walk.
-        let byte = (node as u8).wrapping_add(state);
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-        }
-        state = match state & 0x3 {
-            0 => state.wrapping_add((crc & 0xFF) as u8),
-            1 => state.rotate_left(3),
-            2 => state ^ (crc >> 8) as u8,
-            _ => state.wrapping_mul(5).wrapping_add(1),
-        };
-        checksum = checksum.wrapping_add(u64::from(crc));
-    }
-    checksum
-}
-
-/// Measures the host's kernel throughput (iterations/second) and projects
-/// CoreMark-style scores for every catalog CPU.
-///
-/// Returns `(name, score, is_reference)` tuples in catalog order. Only the
-/// *relative* scores matter for Fig. 1; anchoring them in a real measured
-/// kernel run keeps the harness honest (the work is really executed).
-pub fn scaled_scores(calibration_iters: u32) -> Vec<(&'static str, f64, bool)> {
-    use std::time::Instant;
-    let start = Instant::now();
-    let checksum = coremark_kernel(calibration_iters);
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    // Fold the checksum in at zero weight: forces the compiler to keep it.
-    let host_iters_per_sec = calibration_iters as f64 / elapsed + (checksum % 2) as f64 * 1e-12;
-
+/// CoreMark-style scores for every catalog CPU, in catalog order:
+/// `(name, score, is_reference)`, where the score is the part's
+/// published CoreMark per MHz per core × clock × cores.
+pub fn scores() -> Vec<(&'static str, f64, bool)> {
     CPU_CATALOG
         .iter()
         .map(|c| {
-            let relative =
+            let score =
                 c.coremark_per_mhz_per_core * f64::from(c.spec.clock_mhz) * f64::from(c.spec.cores);
-            // Normalize so scores are in "kernel iterations/sec on modelled
-            // part" units: host throughput × (part factor / host-unknown
-            // factor). Since only ratios matter, scale by a fixed constant.
-            let score = relative * (host_iters_per_sec / 1e6).max(1e-12);
             (c.name, score, c.is_reference)
         })
         .collect()
@@ -197,18 +104,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_is_deterministic() {
-        assert_eq!(coremark_kernel(1_000), coremark_kernel(1_000));
-    }
-
-    #[test]
-    fn kernel_depends_on_iterations() {
-        assert_ne!(coremark_kernel(1_000), coremark_kernel(1_001));
-    }
-
-    #[test]
     fn tegra3_beats_core2duo_and_duals_trail_by_half() {
-        let scores = scaled_scores(10_000);
+        let scores = scores();
         let get = |needle: &str| {
             scores
                 .iter()

@@ -8,9 +8,8 @@
 //!   profiled phone (§4.1), plus a per-device efficiency factor that
 //!   reproduces the paper's observation that a few phones beat their
 //!   clock-ratio prediction (Fig. 6's off-diagonal points).
-//! * [`coremark`] — a real CoreMark-like compute kernel (linked-list
-//!   shuffling, matrix arithmetic, CRC-16 state machine) used to regenerate
-//!   Fig. 1's CPU comparison with genuine computation.
+//! * [`coremark`] — the CPU catalog behind Fig. 1: published CoreMark per
+//!   MHz per core × clock × cores for each compared part.
 //! * [`battery`] — the charging model: linear residual-charge growth whose
 //!   rate is degraded by CPU load (heavy compute stretches a 100-minute
 //!   HTC Sensation charge to ~135 minutes, §4.3).
@@ -38,7 +37,7 @@ pub mod task;
 pub mod throttle;
 
 pub use battery::{BatteryModel, BatteryParams};
-pub use coremark::{coremark_kernel, scaled_scores, CpuCatalogEntry, CPU_CATALOG};
+pub use coremark::{CpuCatalogEntry, CPU_CATALOG};
 pub use cpu::{CpuModel, BASELINE_CLOCK_MHZ};
 pub use executor::{ExecutionOutcome, Executor};
 pub use phone::{Phone, PhoneSpec, PlugState, PHONE_MODELS};

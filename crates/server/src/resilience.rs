@@ -110,4 +110,15 @@ mod tests {
         // The second is 1 s old when the third lands: still in the window.
         assert!(b.record(Micros(12_000_000)), "two in window trip");
     }
+
+    #[test]
+    fn breaker_window_keeps_a_failure_exactly_one_window_old() {
+        let mut b = WindowBreaker::new(2, Micros(10_000_000));
+        assert!(!b.record(Micros(0)));
+        // Exactly 10 s old: still inside the window, so this trips.
+        assert!(
+            b.record(Micros(10_000_000)),
+            "the window is closed at its far end"
+        );
+    }
 }

@@ -1,7 +1,9 @@
 //! Manifest hygiene: every dependency a crate declares is named where the
-//! crate builds it, every vendored crate is declared by someone, and every
-//! artifact or binary the documents cite exists.
+//! crate builds it, every vendored crate is declared by someone, every
+//! artifact or binary the documents cite exists, and every number they
+//! cite from an artifact matches it.
 
+use cwc_obs::json::JsonValue;
 use std::path::{Path, PathBuf};
 
 /// The entry names of one `[section]` of a manifest (`name = …`,
@@ -180,6 +182,63 @@ fn documents_cite_only_artifacts_and_binaries_that_exist() {
         missing.is_empty(),
         "cited but not in the repo:\n  {}",
         missing.join("\n  ")
+    );
+}
+
+#[test]
+fn cited_numbers_match_the_artifact_values_they_cite() {
+    // A number followed by ` [↗](FILE#PATH)` in README.md, DESIGN.md or
+    // EXPERIMENTS.md quotes the value at PATH (object keys and array
+    // indices joined by dots) of the committed artifact FILE. Spaces
+    // between its digit groups are separators, and it must equal the
+    // value rounded to the decimals it prints: a regenerated artifact
+    // that moves a cited number fails here until the document follows.
+    const MARKER: &str = " [↗](";
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut artifacts = std::collections::BTreeMap::new();
+    let (mut cited, mut wrong) = (0, Vec::new());
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("document");
+        for (at, _) in text.match_indices(MARKER) {
+            cited += 1;
+            let link = &text[at + MARKER.len()..];
+            let target = &link[..link.find(')').unwrap_or(link.len())];
+            let number = |c: char| c.is_ascii_digit() || c == '.' || c == ' ';
+            let head = text[..at].trim_end_matches(number);
+            let printed = text[head.len()..at].trim_start();
+            let Some((file, path)) = target.split_once('#') else {
+                wrong.push(format!("{doc}: {target}: no #PATH"));
+                continue;
+            };
+            let json = artifacts.entry(file.to_string()).or_insert_with(|| {
+                let text = std::fs::read_to_string(root.join(file)).unwrap_or_default();
+                cwc_obs::json::parse(&text).ok()
+            });
+            let value = json.as_ref().and_then(|json| {
+                path.split('.').try_fold(json, |v, key| match v {
+                    JsonValue::Arr(items) => items.get(key.parse::<usize>().ok()?),
+                    obj => obj.get(key),
+                })
+            });
+            let Some(value) = value.and_then(JsonValue::as_f64) else {
+                wrong.push(format!("{doc}: {target}: no number at that path"));
+                continue;
+            };
+            let digits = printed.replace(' ', "");
+            let decimals = digits.split_once('.').map_or(0, |(_, frac)| frac.len());
+            let expected = format!("{value:.decimals$}");
+            if digits.is_empty() || digits != expected {
+                wrong.push(format!(
+                    "{doc}: {target}: printed {printed:?}, the artifact reads {expected}"
+                ));
+            }
+        }
+    }
+    assert!(cited > 0, "citation scan broke");
+    assert!(
+        wrong.is_empty(),
+        "cited numbers that disagree with their artifact:\n  {}",
+        wrong.join("\n  ")
     );
 }
 
