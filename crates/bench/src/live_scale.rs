@@ -539,8 +539,8 @@ impl FleetState {
                     fc.finishing = true;
                 }
             }
-            // RegisterAck, ShipExecutable, CancelTask, duplicates: the
-            // simulated worker has nothing to do with them.
+            // RegisterAck, ShipExecutable, duplicates: the simulated
+            // worker has nothing to do with them.
             _ => {}
         }
         true

@@ -478,7 +478,7 @@ mod tests {
         let mut b = vec![
             Event::wall(42, "driver", "run.start").field("jobs", 1u64),
             a[0].clone(),
-            Event::wall(77, "worker", "input.buffered").field("job", 1u64),
+            Event::wall(77, "worker", "frame.skipped").field("job", 1u64),
             a[1].clone(),
         ];
         // Different bus seq numbers on the two streams.

@@ -15,10 +15,15 @@
 //! failing soak run reproduces from its seed alone.
 //!
 //! The wire-level classes ride the [`cwc_net::WireFault`] hook on the
-//! transport send path: dropped, duplicated, reordered, bit-flipped
-//! (CRC-rejected), partially-written, delayed frames and connection
-//! resets. The worker-level classes — crash at a chunk boundary,
-//! slow-loris execution — are consulted by the worker loop directly.
+//! transport send path: dropped, duplicated, bit-flipped (CRC-rejected),
+//! partially-written, delayed frames and connection resets. Each one
+//! exercises a recovery mechanism that a real fault can also trigger:
+//! a drop is a hung peer (the stall watchdog), a duplicate is the late
+//! report of a requeued or speculative copy (sequence-number dedup), a
+//! flipped bit is line noise (the CRC). TCP delivers a connection's
+//! frames in order, so no class reorders them. The worker-level classes
+//! — crash at a chunk boundary, slow-loris execution — are consulted by
+//! the worker loop directly.
 //!
 //! Dependency-light by design: `cwc-net`, `cwc-obs`, and `cwc-sim` for
 //! the workspace's one seeded generator, nothing else.

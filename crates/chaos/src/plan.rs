@@ -21,8 +21,6 @@ pub enum FaultKind {
     Drop,
     /// Outbound frame written twice back-to-back.
     Duplicate,
-    /// Outbound frame held and written *after* the next one (pairwise swap).
-    Reorder,
     /// One bit of the frame body flipped in flight (CRC must catch it).
     Corrupt,
     /// Frame written in two bursts with a pause in between (stuttered
@@ -40,10 +38,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every fault class, in the (fixed) order scripts roll them.
-    pub const ALL: [FaultKind; 9] = [
+    pub const ALL: [FaultKind; 8] = [
         FaultKind::Drop,
         FaultKind::Duplicate,
-        FaultKind::Reorder,
         FaultKind::Corrupt,
         FaultKind::PartialWrite,
         FaultKind::Reset,
@@ -58,7 +55,6 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
-            FaultKind::Reorder => "reorder",
             FaultKind::Corrupt => "corrupt",
             FaultKind::PartialWrite => "partial-write",
             FaultKind::Reset => "reset",
@@ -73,7 +69,6 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "chaos.injected.drop",
             FaultKind::Duplicate => "chaos.injected.duplicate",
-            FaultKind::Reorder => "chaos.injected.reorder",
             FaultKind::Corrupt => "chaos.injected.corrupt",
             FaultKind::PartialWrite => "chaos.injected.partial-write",
             FaultKind::Reset => "chaos.injected.reset",
@@ -282,13 +277,12 @@ mod tests {
         let position = |k: FaultKind| match k {
             FaultKind::Drop => 0,
             FaultKind::Duplicate => 1,
-            FaultKind::Reorder => 2,
-            FaultKind::Corrupt => 3,
-            FaultKind::PartialWrite => 4,
-            FaultKind::Reset => 5,
-            FaultKind::Delay => 6,
-            FaultKind::Crash => 7,
-            FaultKind::SlowLoris => 8,
+            FaultKind::Corrupt => 2,
+            FaultKind::PartialWrite => 3,
+            FaultKind::Reset => 4,
+            FaultKind::Delay => 5,
+            FaultKind::Crash => 6,
+            FaultKind::SlowLoris => 7,
         };
         for (i, k) in FaultKind::ALL.into_iter().enumerate() {
             assert_eq!(position(k), i, "{}", k.name());

@@ -17,10 +17,9 @@ use std::time::Duration;
 
 /// The fault classes a wire script can express; crash and slow-loris are
 /// worker-level and handled by [`WorkerChaos`] instead.
-const WIRE_KINDS: [FaultKind; 7] = [
+const WIRE_KINDS: [FaultKind; 6] = [
     FaultKind::Drop,
     FaultKind::Duplicate,
-    FaultKind::Reorder,
     FaultKind::Corrupt,
     FaultKind::PartialWrite,
     FaultKind::Reset,
@@ -33,8 +32,6 @@ pub struct FaultScript {
     profile: FaultProfile,
     label: String,
     obs: Option<cwc_obs::Obs>,
-    /// Frame held back by a pending reorder; written after the next send.
-    held: Option<Vec<u8>>,
     injected: u64,
 }
 
@@ -50,7 +47,6 @@ impl FaultScript {
             profile,
             label,
             obs,
-            held: None,
             injected: 0,
         }
     }
@@ -93,14 +89,6 @@ impl FaultScript {
         let cap = self.profile.max_delay.as_millis().max(1) as u64;
         Duration::from_millis(1 + self.rng.below(cap))
     }
-
-    /// Appends the held (reordered) frame, completing the pairwise swap.
-    fn flush_held_after(&mut self, mut ops: Vec<WireOp>) -> Vec<WireOp> {
-        if let Some(prev) = self.held.take() {
-            ops.push(WireOp::Write(prev));
-        }
-        ops
-    }
 }
 
 impl std::fmt::Debug for FaultScript {
@@ -108,7 +96,6 @@ impl std::fmt::Debug for FaultScript {
         f.debug_struct("FaultScript")
             .field("label", &self.label)
             .field("injected", &self.injected)
-            .field("holding", &self.held.is_some())
             .finish()
     }
 }
@@ -119,36 +106,20 @@ impl WireFault for FaultScript {
         if tag.is_some_and(is_handshake_tag) {
             // Handshake frames pass untouched: chaos there only prevents a
             // run from starting, while chaos on the data phase is what
-            // exercises recovery. Flush any held frame *first* so nothing
-            // data-bearing trails an orderly shutdown.
-            let mut ops = Vec::new();
-            if let Some(prev) = self.held.take() {
-                ops.push(WireOp::Write(prev));
-            }
-            ops.push(WireOp::Write(encoded.to_vec()));
-            return ops;
+            // exercises recovery.
+            return vec![WireOp::Write(encoded.to_vec())];
         }
 
         let Some(kind) = self.roll() else {
-            return self.flush_held_after(vec![WireOp::Write(encoded.to_vec())]);
+            return vec![WireOp::Write(encoded.to_vec())];
         };
         self.note(kind);
         match kind {
-            FaultKind::Drop => self.flush_held_after(vec![]),
-            FaultKind::Duplicate => self.flush_held_after(vec![
+            FaultKind::Drop => vec![],
+            FaultKind::Duplicate => vec![
                 WireOp::Write(encoded.to_vec()),
                 WireOp::Write(encoded.to_vec()),
-            ]),
-            FaultKind::Reorder => {
-                if self.held.is_some() {
-                    // Already holding one; deliver normally to complete it.
-                    self.flush_held_after(vec![WireOp::Write(encoded.to_vec())])
-                } else {
-                    // Hold this frame; it goes out after the next one.
-                    self.held = Some(encoded.to_vec());
-                    vec![]
-                }
-            }
+            ],
             FaultKind::Corrupt => {
                 let mut bytes = encoded.to_vec();
                 if bytes.len() > FRAME_HEADER_LEN {
@@ -157,27 +128,24 @@ impl WireFault for FaultScript {
                     let bit = self.rng.below(8) as u8;
                     bytes[at] ^= 1 << bit;
                 }
-                self.flush_held_after(vec![WireOp::Write(bytes)])
+                vec![WireOp::Write(bytes)]
             }
             FaultKind::PartialWrite => {
                 let cut = 1 + self.rng.below(encoded.len().saturating_sub(1) as u64) as usize;
                 let pause = self.pause();
-                self.flush_held_after(vec![
+                vec![
                     WireOp::Write(encoded[..cut].to_vec()),
                     WireOp::Sleep(pause),
                     WireOp::Write(encoded[cut..].to_vec()),
-                ])
+                ]
             }
             FaultKind::Reset => {
-                // A held frame dies with the connection — exactly what a
-                // real reset does to queued bytes.
-                self.held = None;
                 let cut = self.rng.below(encoded.len() as u64 + 1) as usize;
                 vec![WireOp::Write(encoded[..cut].to_vec()), WireOp::Reset]
             }
             FaultKind::Delay => {
                 let pause = self.pause();
-                self.flush_held_after(vec![WireOp::Sleep(pause), WireOp::Write(encoded.to_vec())])
+                vec![WireOp::Sleep(pause), WireOp::Write(encoded.to_vec())]
             }
             FaultKind::Crash | FaultKind::SlowLoris => unreachable!("worker-level kinds"),
         }
@@ -283,7 +251,7 @@ mod tests {
     fn handshake_frames_are_spared() {
         let plan = FaultPlan::new(2, FaultProfile::all(1.0));
         let mut script = plan.script("c");
-        let reg = encoded(&Frame::RegisterAck { server_time_us: 1 });
+        let reg = encoded(&Frame::RegisterAck);
         for _ in 0..20 {
             assert_eq!(script.on_send(&reg), vec![WireOp::Write(reg.clone())]);
         }
@@ -310,31 +278,18 @@ mod tests {
     }
 
     #[test]
-    fn reorder_swaps_adjacent_frames() {
-        let plan = FaultPlan::new(5, FaultProfile::single(FaultKind::Reorder, 1.0));
+    fn only_the_earliest_firing_class_is_injected() {
+        // Drop comes before Corrupt in `WIRE_KINDS`: with both certain to
+        // fire, every frame is dropped and none is corrupted.
+        let obs = cwc_obs::Obs::new();
+        let profile = FaultProfile::single(FaultKind::Drop, 1.0).with_rate(FaultKind::Corrupt, 1.0);
+        let plan = FaultPlan::observed(14, profile, obs.clone());
         let mut script = plan.script("c");
-        let a = keepalive(1);
-        let b = keepalive(2);
-        assert_eq!(script.on_send(&a), vec![]);
-        // Second send: b goes out first, then the held a — a pairwise swap.
-        assert_eq!(
-            script.on_send(&b),
-            vec![WireOp::Write(b.clone()), WireOp::Write(a.clone())]
-        );
-    }
-
-    #[test]
-    fn held_frame_flushes_before_handshake() {
-        let profile = FaultProfile::single(FaultKind::Reorder, 1.0);
-        let plan = FaultPlan::new(6, profile);
-        let mut script = plan.script("c");
-        let a = keepalive(1);
-        let bye = encoded(&Frame::Shutdown);
-        assert_eq!(script.on_send(&a), vec![]);
-        assert_eq!(
-            script.on_send(&bye),
-            vec![WireOp::Write(a.clone()), WireOp::Write(bye.clone())]
-        );
+        for seq in 0..5 {
+            assert_eq!(script.on_send(&keepalive(seq)), vec![]);
+        }
+        assert_eq!(obs.metrics.counter_value("chaos.injected.drop"), 5);
+        assert_eq!(obs.metrics.counter_value("chaos.injected.corrupt"), 0);
     }
 
     #[test]

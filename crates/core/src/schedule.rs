@@ -143,33 +143,32 @@ impl Schedule {
         for (j, job) in problem.jobs.iter().enumerate() {
             let own = &mut runs[start..ends[j]];
             start = ends[j];
+            let invalid = |reason: String| CwcError::InvalidJob {
+                job: job.id,
+                reason,
+            };
             if own.is_empty() {
-                return Err(CwcError::Infeasible(format!("{} not scheduled", job.id)));
+                return Err(invalid("not scheduled".into()));
             }
             // A job's few pieces, by offset.
             own.sort_unstable();
             let mut cursor = 0u64;
             for &(off, len) in own.iter() {
                 if off != cursor {
-                    return Err(CwcError::Config(format!(
-                        "{}: gap/overlap at offset {off} (expected {cursor})",
-                        job.id
+                    return Err(invalid(format!(
+                        "gap/overlap at offset {off} (expected {cursor})"
                     )));
                 }
                 cursor += len;
             }
             if cursor != job.input_kb.0 {
-                return Err(CwcError::Config(format!(
-                    "{}: covered {cursor} of {} KB",
-                    job.id, job.input_kb.0
+                return Err(invalid(format!(
+                    "covered {cursor} of {} KB",
+                    job.input_kb.0
                 )));
             }
             if job.kind.is_atomic() && own.len() != 1 {
-                return Err(CwcError::Config(format!(
-                    "atomic {} split into {} pieces",
-                    job.id,
-                    own.len()
-                )));
+                return Err(invalid(format!("atomic, split into {} pieces", own.len())));
             }
         }
         if ends[unknown] > start {
@@ -348,6 +347,16 @@ mod tests {
         s.validate(problem).unwrap_err().to_string()
     }
 
+    /// `s`'s first validation error, which must be a per-job one: the job
+    /// it names and its reason. The kernel renames exactly this variant's
+    /// positional id to the batch id, so every per-job failure must be it.
+    fn invalid_job(s: &Schedule, problem: &SchedProblem) -> (JobId, String) {
+        match s.validate(problem) {
+            Err(CwcError::InvalidJob { job, reason }) => (job, reason),
+            other => panic!("expected InvalidJob, got {other:?}"),
+        }
+    }
+
     #[test]
     fn an_assignment_on_another_phones_queue_is_named() {
         let problem = instance(3, 4);
@@ -392,8 +401,8 @@ mod tests {
         s.per_phone[0][1].offset_kb = KiloBytes(5);
         let job = problem.jobs[1].id;
         assert_eq!(
-            first_error(&s, &problem),
-            format!("configuration error: {job}: gap/overlap at offset 5 (expected 0)")
+            invalid_job(&s, &problem),
+            (job, "gap/overlap at offset 5 (expected 0)".into())
         );
     }
 
@@ -404,8 +413,8 @@ mod tests {
         s.per_phone[0][0].input_kb = KiloBytes(199);
         let job = problem.jobs[0].id;
         assert_eq!(
-            first_error(&s, &problem),
-            format!("configuration error: {job}: covered 199 of 200 KB")
+            invalid_job(&s, &problem),
+            (job, "covered 199 of 200 KB".into())
         );
     }
 
@@ -421,8 +430,8 @@ mod tests {
         s.per_phone[0].push(tail);
         let job = problem.jobs[2].id;
         assert_eq!(
-            first_error(&s, &problem),
-            format!("configuration error: atomic {job} split into 2 pieces")
+            invalid_job(&s, &problem),
+            (job, "atomic, split into 2 pieces".into())
         );
     }
 
@@ -432,10 +441,7 @@ mod tests {
         let mut s = toy_schedule(&problem);
         s.per_phone[0].remove(1);
         let job = problem.jobs[1].id;
-        assert_eq!(
-            first_error(&s, &problem),
-            format!("no feasible schedule: {job} not scheduled")
-        );
+        assert_eq!(invalid_job(&s, &problem), (job, "not scheduled".into()));
     }
 
     #[test]
@@ -484,10 +490,34 @@ mod tests {
             ..stray
         });
         let job = problem.jobs[1].id;
-        assert_eq!(
-            first_error(&s, &problem),
-            format!("no feasible schedule: {job} not scheduled")
-        );
+        assert_eq!(invalid_job(&s, &problem), (job, "not scheduled".into()));
+    }
+
+    #[test]
+    fn per_job_failures_name_the_jobs_id_not_its_position() {
+        // Ids in reverse of position: a failure naming the index instead
+        // of the id names another job.
+        let mut problem = instance(3, 4);
+        for (k, job) in problem.jobs.iter_mut().enumerate() {
+            job.id = JobId(40 - 10 * k as u32);
+        }
+        let named = |s: &Schedule| invalid_job(s, &problem).0;
+        let mut unscheduled = toy_schedule(&problem);
+        unscheduled.per_phone[0].remove(1);
+        assert_eq!(named(&unscheduled), JobId(30));
+        let mut gap = toy_schedule(&problem);
+        gap.per_phone[0][1].offset_kb = KiloBytes(5);
+        assert_eq!(named(&gap), JobId(30));
+        let mut short = toy_schedule(&problem);
+        short.per_phone[0][0].input_kb = KiloBytes(199);
+        assert_eq!(named(&short), JobId(40));
+        let mut split = toy_schedule(&problem);
+        let mut tail = split.per_phone[0][2].clone();
+        split.per_phone[0][2].input_kb = KiloBytes(100);
+        tail.input_kb = KiloBytes(400);
+        tail.offset_kb = KiloBytes(100);
+        split.per_phone[0].push(tail);
+        assert_eq!(named(&split), JobId(20));
     }
 
     #[test]
@@ -500,8 +530,8 @@ mod tests {
         let s = toy_schedule(&problem);
         let job = problem.jobs[1].id;
         assert_eq!(
-            first_error(&s, &problem),
-            format!("configuration error: {job}: covered 700 of 350 KB")
+            invalid_job(&s, &problem),
+            (job, "covered 700 of 350 KB".into())
         );
     }
 

@@ -854,31 +854,30 @@ fn validate_by_sorting(schedule: &Schedule, problem: &SchedProblem) -> CwcResult
         let run = rest.partition_point(|&(of, _, _)| of == j);
         let (own, after) = rest.split_at(run);
         rest = after;
+        let invalid = |reason: String| CwcError::InvalidJob {
+            job: job.id,
+            reason,
+        };
         if own.is_empty() {
-            return Err(CwcError::Infeasible(format!("{} not scheduled", job.id)));
+            return Err(invalid("not scheduled".into()));
         }
         let mut cursor = 0u64;
         for &(_, off, len) in own {
             if off != cursor {
-                return Err(CwcError::Config(format!(
-                    "{}: gap/overlap at offset {off} (expected {cursor})",
-                    job.id
+                return Err(invalid(format!(
+                    "gap/overlap at offset {off} (expected {cursor})"
                 )));
             }
             cursor += len;
         }
         if cursor != job.input_kb.0 {
-            return Err(CwcError::Config(format!(
-                "{}: covered {cursor} of {} KB",
-                job.id, job.input_kb.0
+            return Err(invalid(format!(
+                "covered {cursor} of {} KB",
+                job.input_kb.0
             )));
         }
         if job.kind.is_atomic() && own.len() != 1 {
-            return Err(CwcError::Config(format!(
-                "atomic {} split into {} pieces",
-                job.id,
-                own.len()
-            )));
+            return Err(invalid(format!("atomic, split into {} pieces", own.len())));
         }
     }
     if !rest.is_empty() {

@@ -18,7 +18,7 @@ use std::time::Duration;
 /// One step of what goes onto the wire for a single logical send.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireOp {
-    /// Write these bytes (possibly mutated, duplicated, or reordered).
+    /// Write these bytes (possibly mutated or duplicated).
     Write(Vec<u8>),
     /// Sleep before the next op — delayed delivery / slow-loris pacing.
     Sleep(Duration),

@@ -324,16 +324,11 @@ pub enum Frame {
         ram_kb: u64,
     },
     /// Server → phone: registration accepted.
-    RegisterAck {
-        /// Server wall-clock at acceptance (µs) — lets phones stamp reports.
-        server_time_us: u64,
-    },
-    /// Server → phone: bandwidth probe payload (iperf-style).
+    RegisterAck,
+    /// Server → phone: bandwidth probe (iperf-style).
     BandwidthProbe {
         /// Correlates probe and report.
         probe_id: u32,
-        /// Probe payload size in KB.
-        payload_kb: u32,
     },
     /// Phone → server: measured downlink throughput for a probe.
     BandwidthReport {
@@ -349,8 +344,6 @@ pub enum Frame {
         /// Program name for the device-side registry (reflection analogue),
         /// shared so a sender passes on its handle instead of copying it.
         program: Arc<str>,
-        /// Executable size in KB (`E_j`).
-        exe_kb: u64,
     },
     /// Server → phone: ship an input partition and start execution.
     ShipInput {
@@ -421,20 +414,6 @@ pub enum Frame {
         /// Echoed sequence number.
         seq: u64,
     },
-    /// Phone → server: plugged into a charger (eligible for work).
-    Plugged,
-    /// Phone → server: unplugged (will stop computing; tasks migrate).
-    Unplugged,
-    /// Server → phone: abandon an in-flight (or still-buffered) partition —
-    /// its first-result-wins twin already completed elsewhere. Workers
-    /// that predate this frame skip-and-warn it; their late report is
-    /// absorbed by the server's stale-sequence dedup.
-    CancelTask {
-        /// Job whose partition is withdrawn.
-        job: JobId,
-        /// Ship sequence number of the withdrawn partition.
-        seq: u64,
-    },
     /// Either direction: orderly connection shutdown.
     Shutdown,
 }
@@ -450,10 +429,9 @@ mod tag {
     pub const TASK_FAILED: u8 = 8;
     pub const KEEPALIVE: u8 = 9;
     pub const KEEPALIVE_ACK: u8 = 10;
-    pub const PLUGGED: u8 = 11;
-    pub const UNPLUGGED: u8 = 12;
+    // 11, 12 and 14 are retired, never reused: an old peer's frame with
+    // one fails decode instead of meaning something else.
     pub const SHUTDOWN: u8 = 13;
-    pub const CANCEL_TASK: u8 = 14;
 }
 
 fn radio_to_u8(r: RadioTech) -> u8 {
@@ -599,17 +577,10 @@ impl Frame {
                 out.put_u8(radio_to_u8(*radio));
                 out.put_u64(*ram_kb);
             }
-            Frame::RegisterAck { server_time_us } => {
-                out.put_u8(tag::REGISTER_ACK);
-                out.put_u64(*server_time_us);
-            }
-            Frame::BandwidthProbe {
-                probe_id,
-                payload_kb,
-            } => {
+            Frame::RegisterAck => out.put_u8(tag::REGISTER_ACK),
+            Frame::BandwidthProbe { probe_id } => {
                 out.put_u8(tag::BW_PROBE);
                 out.put_u32(*probe_id);
-                out.put_u32(*payload_kb);
             }
             Frame::BandwidthReport {
                 probe_id,
@@ -619,15 +590,10 @@ impl Frame {
                 out.put_u32(*probe_id);
                 out.put_u64(kb_per_sec.to_bits());
             }
-            Frame::ShipExecutable {
-                job,
-                program,
-                exe_kb,
-            } => {
+            Frame::ShipExecutable { job, program } => {
                 out.put_u8(tag::SHIP_EXE);
                 out.put_u32(job.0);
                 put_string(out, program);
-                out.put_u64(*exe_kb);
             }
             Frame::ShipInput {
                 job,
@@ -691,13 +657,6 @@ impl Frame {
                 out.put_u8(tag::KEEPALIVE_ACK);
                 out.put_u64(*seq);
             }
-            Frame::Plugged => out.put_u8(tag::PLUGGED),
-            Frame::Unplugged => out.put_u8(tag::UNPLUGGED),
-            Frame::CancelTask { job, seq } => {
-                out.put_u8(tag::CANCEL_TASK);
-                out.put_u32(job.0);
-                out.put_u64(*seq);
-            }
             Frame::Shutdown => out.put_u8(tag::SHUTDOWN),
         }
         let body = out.get(start + FRAME_HEADER_LEN..).unwrap_or(&[]);
@@ -720,13 +679,8 @@ impl Frame {
                 radio: radio_from_u8(r.u8()?)?,
                 ram_kb: r.u64()?,
             },
-            tag::REGISTER_ACK => Frame::RegisterAck {
-                server_time_us: r.u64()?,
-            },
-            tag::BW_PROBE => Frame::BandwidthProbe {
-                probe_id: r.u32()?,
-                payload_kb: r.u32()?,
-            },
+            tag::REGISTER_ACK => Frame::RegisterAck,
+            tag::BW_PROBE => Frame::BandwidthProbe { probe_id: r.u32()? },
             tag::BW_REPORT => Frame::BandwidthReport {
                 probe_id: r.u32()?,
                 kb_per_sec: r.f64()?,
@@ -734,7 +688,6 @@ impl Frame {
             tag::SHIP_EXE => Frame::ShipExecutable {
                 job: JobId(r.u32()?),
                 program: r.string()?,
-                exe_kb: r.u64()?,
             },
             tag::SHIP_INPUT => {
                 let job = JobId(r.u32()?);
@@ -790,12 +743,6 @@ impl Frame {
             },
             tag::KEEPALIVE => Frame::KeepAlive { seq: r.u64()? },
             tag::KEEPALIVE_ACK => Frame::KeepAliveAck { seq: r.u64()? },
-            tag::PLUGGED => Frame::Plugged,
-            tag::UNPLUGGED => Frame::Unplugged,
-            tag::CANCEL_TASK => Frame::CancelTask {
-                job: JobId(r.u32()?),
-                seq: r.u64()?,
-            },
             tag::SHUTDOWN => Frame::Shutdown,
             other => return Err(CwcError::Protocol(format!("unknown frame tag {other}"))),
         };
@@ -994,11 +941,8 @@ mod tests {
                 radio: RadioTech::ThreeG,
                 ram_kb: 1_048_576,
             },
-            Frame::RegisterAck { server_time_us: 42 },
-            Frame::BandwidthProbe {
-                probe_id: 7,
-                payload_kb: 256,
-            },
+            Frame::RegisterAck,
+            Frame::BandwidthProbe { probe_id: 7 },
             Frame::BandwidthReport {
                 probe_id: 7,
                 kb_per_sec: 812.75,
@@ -1006,7 +950,6 @@ mod tests {
             Frame::ShipExecutable {
                 job: JobId(9),
                 program: "wordcount".into(),
-                exe_kb: 30,
             },
             Frame::ShipInput {
                 job: JobId(9),
@@ -1046,12 +989,6 @@ mod tests {
             },
             Frame::KeepAlive { seq: 1 },
             Frame::KeepAliveAck { seq: 1 },
-            Frame::Plugged,
-            Frame::Unplugged,
-            Frame::CancelTask {
-                job: JobId(9),
-                seq: 12,
-            },
             Frame::Shutdown,
         ];
         for f in &frames {
@@ -1087,12 +1024,12 @@ mod tests {
     #[test]
     fn two_frames_in_one_read() {
         let mut wire = BytesMut::new();
-        Frame::Plugged.encode(&mut wire);
-        Frame::Unplugged.encode(&mut wire);
+        Frame::RegisterAck.encode(&mut wire);
+        Frame::Shutdown.encode(&mut wire);
         let mut codec = FrameCodec::new();
         codec.extend(&wire);
-        assert_eq!(codec.next_frame().unwrap(), Some(Frame::Plugged));
-        assert_eq!(codec.next_frame().unwrap(), Some(Frame::Unplugged));
+        assert_eq!(codec.next_frame().unwrap(), Some(Frame::RegisterAck));
+        assert_eq!(codec.next_frame().unwrap(), Some(Frame::Shutdown));
         assert_eq!(codec.next_frame().unwrap(), None);
     }
 
@@ -1331,7 +1268,10 @@ mod tests {
     /// One value of every [`Frame`] variant with the exact bytes the
     /// pre-rewrite encoder (staging buffer + bytewise CRC) put on the wire
     /// for it, captured from that commit: "byte-identical wire format" as
-    /// a test. Workers in the field speak these bytes.
+    /// a test. Workers in the field speak these bytes. `RegisterAck`,
+    /// `BandwidthProbe` and `ShipExecutable` were re-pinned when the fields
+    /// no receiver read left them (server clock, probe size, executable
+    /// size); every other variant is still the original capture.
     fn golden() -> Vec<(Frame, &'static str)> {
         vec![
             (
@@ -1344,16 +1284,10 @@ mod tests {
                 },
                 "00000016d60089ff0100000003000004b000000002030000000000100000",
             ),
+            (Frame::RegisterAck, "000000013c0c8ea102"),
             (
-                Frame::RegisterAck { server_time_us: 42 },
-                "000000091344f5fe02000000000000002a",
-            ),
-            (
-                Frame::BandwidthProbe {
-                    probe_id: 7,
-                    payload_kb: 256,
-                },
-                "0000000974bfc53a030000000700000100",
+                Frame::BandwidthProbe { probe_id: 7 },
+                "000000051fe6186e0300000007",
             ),
             (
                 Frame::BandwidthReport {
@@ -1366,9 +1300,8 @@ mod tests {
                 Frame::ShipExecutable {
                     job: JobId(9),
                     program: "wordcount".into(),
-                    exe_kb: 30,
                 },
-                "000000187d9fd7ea05000000090009776f7264636f756e74000000000000001e",
+                "00000010c13ea42205000000090009776f7264636f756e74",
             ),
             (
                 Frame::ShipInput {
@@ -1429,15 +1362,6 @@ mod tests {
                 Frame::KeepAliveAck { seq: 1 },
                 "000000090420aea60a0000000000000001",
             ),
-            (Frame::Plugged, "0000000145d036050b"),
-            (Frame::Unplugged, "00000001dbb4a3a60c"),
-            (
-                Frame::CancelTask {
-                    job: JobId(9),
-                    seq: 12,
-                },
-                "0000000d5087b0420e00000009000000000000000c",
-            ),
             (Frame::Shutdown, "00000001acb393300d"),
         ]
     }
@@ -1466,8 +1390,8 @@ mod tests {
             variants.insert(want[FRAME_HEADER_LEN]);
         }
         // Every tag the protocol defines appears above.
-        assert_eq!(variants.len(), 14);
-        assert_eq!(variants.last(), Some(&tag::CANCEL_TASK));
+        assert_eq!(variants.len(), 11);
+        assert_eq!(variants.last(), Some(&tag::SHUTDOWN));
     }
 
     /// `frame`'s wire tag, by a match with no wildcard arm: a new variant
@@ -1475,7 +1399,7 @@ mod tests {
     fn tag_of(frame: &Frame) -> u8 {
         match frame {
             Frame::Register { .. } => tag::REGISTER,
-            Frame::RegisterAck { .. } => tag::REGISTER_ACK,
+            Frame::RegisterAck => tag::REGISTER_ACK,
             Frame::BandwidthProbe { .. } => tag::BW_PROBE,
             Frame::BandwidthReport { .. } => tag::BW_REPORT,
             Frame::ShipExecutable { .. } => tag::SHIP_EXE,
@@ -1484,9 +1408,6 @@ mod tests {
             Frame::TaskFailed { .. } => tag::TASK_FAILED,
             Frame::KeepAlive { .. } => tag::KEEPALIVE,
             Frame::KeepAliveAck { .. } => tag::KEEPALIVE_ACK,
-            Frame::Plugged => tag::PLUGGED,
-            Frame::Unplugged => tag::UNPLUGGED,
-            Frame::CancelTask { .. } => tag::CANCEL_TASK,
             Frame::Shutdown => tag::SHUTDOWN,
         }
     }
@@ -1592,7 +1513,7 @@ mod tests {
         // AddressSanitizer; this is the one that puts 4 KB+ bodies at every
         // offset mod 16 in both the encoder's and the decoder's buffer, so
         // the folding kernel's unaligned 16-byte loads run where a read past
-        // either end of the body would be caught. `Plugged` is 9 wire bytes
+        // either end of the body would be caught. `Shutdown` is 9 wire bytes
         // and 9 is coprime to 16.
         for lead in 0..16usize {
             let frame = Frame::ShipInput {
@@ -1609,7 +1530,7 @@ mod tests {
             };
             let mut wire = BytesMut::new();
             for _ in 0..lead {
-                Frame::Plugged.encode(&mut wire);
+                Frame::Shutdown.encode(&mut wire);
             }
             assert_eq!(wire.len(), 9 * lead);
             frame.encode(&mut wire);
@@ -1617,7 +1538,7 @@ mod tests {
             let mut codec = FrameCodec::new();
             codec.extend(&wire);
             for _ in 0..lead {
-                assert_eq!(codec.next_frame().unwrap(), Some(Frame::Plugged));
+                assert_eq!(codec.next_frame().unwrap(), Some(Frame::Shutdown));
             }
             assert_eq!(codec.next_frame().unwrap(), Some(frame));
             assert_eq!(codec.buffered(), 0);

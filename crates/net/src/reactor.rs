@@ -1013,7 +1013,7 @@ mod tests {
         let mut a = Conn::from_stream(client).unwrap();
         let mut b = Conn::from_stream(server).unwrap();
         let mut encoded = BytesMut::new();
-        Frame::Plugged.encode(&mut encoded);
+        Frame::Shutdown.encode(&mut encoded);
         Frame::KeepAlive { seq: 9 }.encode(&mut encoded);
         a.queue_bytes(encoded.to_vec());
         assert_eq!(a.flush().unwrap(), FlushStatus::Clean);
@@ -1022,7 +1022,7 @@ mod tests {
         poller.register(b.fd(), 1, Interest::READ).unwrap();
         wait_readable(&mut poller, 1);
         assert_eq!(b.fill().unwrap(), ReadStatus::Open);
-        assert_eq!(b.next_frame().unwrap(), Some(Frame::Plugged));
+        assert_eq!(b.next_frame().unwrap(), Some(Frame::Shutdown));
         assert_eq!(b.next_frame().unwrap(), Some(Frame::KeepAlive { seq: 9 }));
         assert!(b.next_frame().unwrap().is_none());
     }

@@ -202,10 +202,10 @@ mod tests {
     fn injected_drop_swallows_the_frame() {
         let (mut client, mut server) = pair();
         client.set_fault(Some(Box::new(|_: &[u8]| Vec::new())));
-        client.send(&Frame::Plugged).unwrap(); // "succeeds", delivers nothing
+        client.send(&Frame::RegisterAck).unwrap(); // "succeeds", delivers nothing
         client.set_fault(None);
-        client.send(&Frame::Unplugged).unwrap();
-        assert_eq!(server.recv().unwrap(), Frame::Unplugged);
+        client.send(&Frame::Shutdown).unwrap();
+        assert_eq!(server.recv().unwrap(), Frame::Shutdown);
     }
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
         client.set_fault(Some(Box::new(|encoded: &[u8]| {
             vec![WireOp::Write(encoded[..3].to_vec()), WireOp::Reset]
         })));
-        let err = client.send(&Frame::Plugged).unwrap_err();
+        let err = client.send(&Frame::Shutdown).unwrap_err();
         assert!(err.to_string().contains("injected connection reset"));
         // The server sees a truncated stream then EOF: an error, no frame.
         assert!(server.recv().is_err());
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn recv_timeout_returns_frame_when_available() {
         let (mut client, mut server) = pair();
-        client.send(&Frame::Plugged).unwrap();
+        client.send(&Frame::Shutdown).unwrap();
         // Allow the kernel to deliver.
         let mut got = None;
         for _ in 0..100 {
@@ -239,7 +239,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(got, Some(Frame::Plugged));
+        assert_eq!(got, Some(Frame::Shutdown));
     }
 
     #[test]
@@ -266,12 +266,7 @@ mod tests {
             Frame::Register { phone, .. } => assert_eq!(phone, cwc_types::PhoneId(1)),
             other => panic!("unexpected {other:?}"),
         }
-        server
-            .send(&Frame::RegisterAck { server_time_us: 7 })
-            .unwrap();
-        assert_eq!(
-            client.recv().unwrap(),
-            Frame::RegisterAck { server_time_us: 7 }
-        );
+        server.send(&Frame::RegisterAck).unwrap();
+        assert_eq!(client.recv().unwrap(), Frame::RegisterAck);
     }
 }

@@ -32,21 +32,15 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                 radio,
                 ram_kb: ram,
             }),
-        any::<u64>().prop_map(|t| Frame::RegisterAck { server_time_us: t }),
-        (any::<u32>(), any::<u32>()).prop_map(|(id, kb)| Frame::BandwidthProbe {
-            probe_id: id,
-            payload_kb: kb,
-        }),
+        Just(Frame::RegisterAck),
+        any::<u32>().prop_map(|id| Frame::BandwidthProbe { probe_id: id }),
         (any::<u32>(), 0.0..1e6f64).prop_map(|(id, r)| Frame::BandwidthReport {
             probe_id: id,
             kb_per_sec: r,
         }),
-        (any::<u32>(), "[a-z_]{0,24}", any::<u64>()).prop_map(|(j, p, kb)| {
-            Frame::ShipExecutable {
-                job: JobId(j),
-                program: p.into(),
-                exe_kb: kb,
-            }
+        (any::<u32>(), "[a-z_]{0,24}").prop_map(|(j, p)| Frame::ShipExecutable {
+            job: JobId(j),
+            program: p.into(),
         }),
         (
             any::<u32>(),
@@ -99,9 +93,6 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             }),
         any::<u64>().prop_map(|s| Frame::KeepAlive { seq: s }),
         any::<u64>().prop_map(|s| Frame::KeepAliveAck { seq: s }),
-        (any::<u32>(), any::<u64>()).prop_map(|(j, seq)| Frame::CancelTask { job: JobId(j), seq }),
-        Just(Frame::Plugged),
-        Just(Frame::Unplugged),
         Just(Frame::Shutdown),
     ]
 }

@@ -16,7 +16,7 @@
 //!
 //! `--chaos-profile` arms deterministic fault injection on the server's
 //! send paths (`none`, `all`, or a single fault kind such as `drop`,
-//! `corrupt`, `reorder`, `partial-write`, `reset`, `delay`, `duplicate`);
+//! `corrupt`, `partial-write`, `reset`, `delay`, `duplicate`);
 //! `--chaos-seed` picks the reproducible fault stream (default 0).
 //!
 //! Proactive reliability (DESIGN.md §12):
@@ -30,7 +30,8 @@
 //!   the straggler watchdog: a chunk in flight longer than `SLACK ×` its
 //!   predicted duration gets one speculative copy on the least-loaded
 //!   worker, at most `BUDGET` copies per run. First result wins; the
-//!   loser is cancelled over the wire.
+//!   loser runs out on its worker and its report is dropped by sequence
+//!   number.
 //! - `--replicate THRESHOLD` replicates every atomic placement on a
 //!   worker whose predicted unplug probability (see `--fail-prob`)
 //!   exceeds `THRESHOLD` onto the most reliable independent worker.

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `--chaos-profile` arms deterministic fault injection on this worker's
-//! send path and execution loop (dropped/corrupted/reordered frames,
+//! send path and execution loop (dropped/corrupted/duplicated frames,
 //! crash-at-chunk-boundary, slow-loris pacing); `--chaos-seed` picks the
 //! reproducible fault stream (default 0).
 //!
@@ -25,8 +25,8 @@
 //! When the server runs with `--speculation` or `--replicate`
 //! (DESIGN.md §12), this worker needs no flags of its own: redundant
 //! copies arrive as ordinary `ShipInput` frames (marked `replica` for
-//! accounting), and a `CancelTask` frame retires a buffered task the
-//! server no longer wants — the first-result-wins race is decided
+//! accounting), and a losing copy runs to completion: the server drops
+//! its report by sequence number — the first-result-wins race is decided
 //! entirely server-side.
 
 #![forbid(unsafe_code)]

@@ -79,8 +79,9 @@ pub enum CoordCommand {
     /// Withdraw an in-flight partition from a slot: its replica (or the
     /// primary it duplicated) already completed elsewhere, so the loser's
     /// work is no longer wanted. The sim driver aborts the flight; the
-    /// live driver sends a `CancelTask` frame (old workers skip-and-warn
-    /// it, and their late report is absorbed as a stale duplicate).
+    /// live driver sends nothing, since a worker acts on no frame
+    /// mid-task: the losing copy runs to completion and its report is
+    /// dropped as stale by seq.
     CancelTask {
         /// Slot holding the cancelled work.
         slot: usize,

@@ -125,15 +125,6 @@ pub fn run_worker(
     run_worker_chaos(addr, cfg, registry, unplug, &cwc_obs::Obs::new(), None)
 }
 
-/// An input partition that arrived before its executable (frame
-/// reordering) — held until the `ShipExecutable` lands.
-struct PendingInput {
-    seq: u64,
-    resume_from: Option<bytes::Bytes>,
-    trace: cwc_obs::TraceCtx,
-    data: bytes::Bytes,
-}
-
 /// What the worker loop should do after handling one input.
 enum WorkerStep {
     /// Keep serving.
@@ -151,10 +142,11 @@ enum WorkerStep {
 /// worker's send path, and its worker chaos decides crash-at-chunk and
 /// slow-loris behavior per task.
 ///
-/// The worker loop itself is hardened: an input arriving before its
-/// executable is buffered (recovers frame reordering locally), and
-/// unexpected frames are skipped with a warning rather than killing the
-/// worker — protocol evolution must not strand old workers. Frames that
+/// The worker loop itself is hardened: a frame that arrives out of place
+/// — an input whose job has no executable here, a frame a worker does not
+/// act on — is skipped with a warning and counted on
+/// `worker.frames_skipped` rather than killing the worker; the server's
+/// stall watchdog requeues whatever the skip left unanswered. Frames that
 /// arrive while a slow-loris task is pacing between chunks are served
 /// inline (keep-alives) or deferred to the main loop (everything else),
 /// so a slow worker never goes deaf.
@@ -182,7 +174,7 @@ pub fn run_worker_chaos(
         ram_kb: cfg.ram_kb,
     })?;
     match conn.recv()? {
-        Frame::RegisterAck { .. } => {}
+        Frame::RegisterAck => {}
         other => {
             return Err(CwcError::Protocol(format!(
                 "expected RegisterAck, got {other:?}"
@@ -191,7 +183,6 @@ pub fn run_worker_chaos(
     }
     // Program shipped per job (the reflection-loaded "jar").
     let mut job_program: BTreeMap<JobId, Arc<str>> = BTreeMap::new();
-    let mut pending_input: BTreeMap<JobId, PendingInput> = BTreeMap::new();
     // Frames that arrived mid-task (during slow-loris pacing) and belong
     // to the main loop.
     let mut deferred: VecDeque<Frame> = VecDeque::new();
@@ -201,35 +192,14 @@ pub fn run_worker_chaos(
             None => conn.recv()?,
         };
         match next {
-            Frame::BandwidthProbe { probe_id, .. } => {
+            Frame::BandwidthProbe { probe_id } => {
                 conn.send(&Frame::BandwidthReport {
                     probe_id,
                     kb_per_sec: cfg.reported_kb_per_sec,
                 })?;
             }
-            Frame::ShipExecutable { job, program, .. } => {
-                job_program.insert(job, program.clone());
-                // A reordered input for this job may already be waiting.
-                if let Some(p) = pending_input.remove(&job) {
-                    let step = execute_task(
-                        &mut conn,
-                        &cfg,
-                        &registry,
-                        &unplug,
-                        obs,
-                        exec_chaos.as_mut(),
-                        &program,
-                        job,
-                        p.seq,
-                        p.resume_from,
-                        p.trace,
-                        p.data,
-                        &mut deferred,
-                    )?;
-                    if matches!(step, WorkerStep::Crash) {
-                        return Ok(());
-                    }
-                }
+            Frame::ShipExecutable { job, program } => {
+                job_program.insert(job, program);
             }
             Frame::ShipInput {
                 job,
@@ -241,79 +211,38 @@ pub fn run_worker_chaos(
                 data,
                 ..
             } => {
-                let trace = cwc_obs::TraceCtx::from_wire(trace_id, span_id, parent_span);
-                if let Some(program) = job_program.get(&job).cloned() {
-                    let step = execute_task(
-                        &mut conn,
-                        &cfg,
-                        &registry,
-                        &unplug,
-                        obs,
-                        exec_chaos.as_mut(),
-                        &program,
-                        job,
-                        seq,
-                        resume_from,
-                        trace,
-                        data,
-                        &mut deferred,
-                    )?;
-                    if matches!(step, WorkerStep::Crash) {
-                        return Ok(());
-                    }
-                } else {
-                    // Input before its executable: the pair was reordered
-                    // in flight. Hold it; the executable is (probably) a
-                    // frame away. If it never arrives, the server's stall
-                    // watchdog requeues the task elsewhere.
-                    obs.metrics.inc("worker.inputs_buffered");
-                    obs.emit_with(|| {
-                        obs.wall_event("worker", "input.buffered")
-                            .severity(cwc_obs::Severity::Warn)
-                            .field("job", job.0)
-                            .field("seq", seq)
-                            .field(
-                                "msg",
-                                format!(
-                                    "{}: input for {job} before its executable; buffering",
-                                    cfg.phone
-                                ),
-                            )
+                // The coordinator writes a ship's executable and input in
+                // one send, so an input with no program here lost its
+                // executable on the way (a dropped frame).
+                let Some(program) = job_program.get(&job).cloned() else {
+                    skip(obs, cfg.phone, || {
+                        format!("input {seq} for {job}: no executable")
                     });
-                    pending_input.insert(
-                        job,
-                        PendingInput {
-                            seq,
-                            resume_from,
-                            trace,
-                            data,
-                        },
-                    );
+                    continue;
+                };
+                let trace = cwc_obs::TraceCtx::from_wire(trace_id, span_id, parent_span);
+                let step = execute_task(
+                    &mut conn,
+                    &cfg,
+                    &registry,
+                    &unplug,
+                    obs,
+                    exec_chaos.as_mut(),
+                    &program,
+                    job,
+                    seq,
+                    resume_from,
+                    trace,
+                    data,
+                    &mut deferred,
+                )?;
+                if matches!(step, WorkerStep::Crash) {
+                    return Ok(());
                 }
             }
             Frame::KeepAlive { seq } => {
                 obs.metrics.inc("worker.keepalive_acks");
                 conn.send(&Frame::KeepAliveAck { seq })?;
-            }
-            Frame::CancelTask { job, seq } => {
-                // The worker runs tasks synchronously, so a cancel can only
-                // catch work still buffered behind its executable; anything
-                // already executed was reported, and the server's stale
-                // dedup absorbs the duplicate.
-                if pending_input.get(&job).is_some_and(|p| p.seq == seq) {
-                    pending_input.remove(&job);
-                    obs.metrics.inc("worker.tasks_cancelled");
-                    obs.emit_with(|| {
-                        obs.wall_event("worker", "task.cancelled")
-                            .severity(cwc_obs::Severity::Debug)
-                            .field("job", job.0)
-                            .field("seq", seq)
-                            .field(
-                                "msg",
-                                format!("{}: cancelled buffered input for {job}", cfg.phone),
-                            )
-                    });
-                }
             }
             Frame::Shutdown => {
                 // Echoing the farewell is a courtesy; the peer may already
@@ -322,21 +251,20 @@ pub fn run_worker_chaos(
                 conn.send(&Frame::Shutdown).ok();
                 return Ok(());
             }
-            other => {
-                // Skip-and-warn: an unknown-but-well-formed frame is not a
-                // reason to strand a healthy worker.
-                obs.metrics.inc("worker.frames_skipped");
-                obs.emit_with(|| {
-                    obs.wall_event("worker", "frame.skipped")
-                        .severity(cwc_obs::Severity::Warn)
-                        .field(
-                            "msg",
-                            format!("{}: skipping unexpected frame {other:?}", cfg.phone),
-                        )
-                });
-            }
+            other => skip(obs, cfg.phone, || format!("unexpected frame {other:?}")),
         }
     }
+}
+
+/// Skip-and-warn: a well-formed frame that arrives out of place is not a
+/// reason to strand a healthy worker.
+fn skip(obs: &cwc_obs::Obs, phone: PhoneId, what: impl FnOnce() -> String) {
+    obs.metrics.inc("worker.frames_skipped");
+    obs.emit_with(|| {
+        obs.wall_event("worker", "frame.skipped")
+            .severity(cwc_obs::Severity::Warn)
+            .field("msg", format!("{phone}: skipping {}", what()))
+    });
 }
 
 /// Serves the connection while a slow-loris task paces between chunks:
@@ -454,7 +382,6 @@ fn execute_task(
                 processed_kb: processed.0,
                 checkpoint: checkpoint.into(),
             })?;
-            conn.send(&Frame::Unplugged)?;
         }
     }
     Ok(WorkerStep::Continue)
@@ -892,9 +819,9 @@ impl<'a> LiveDriver<'a> {
             } => self.ship(
                 slot, seq, job, program, exe_kb, offset_kb, len_kb, resume, trace, replica,
             ),
-            CoordCommand::CancelTask { slot, job, seq } => {
-                self.send(slot, &[Frame::CancelTask { job, seq }]);
-            }
+            // A worker acts on no frame mid-task, so the losing copy runs
+            // out and its report is dropped by seq.
+            CoordCommand::CancelTask { .. } => {}
             CoordCommand::SendKeepAlive { slot, seq } => {
                 self.send(slot, &[Frame::KeepAlive { seq }]);
             }
@@ -965,11 +892,7 @@ impl<'a> LiveDriver<'a> {
         let from = (offset_kb as usize * 1024).min(input.len());
         let to = ((offset_kb + len_kb) as usize * 1024).min(input.len());
         let frames = [
-            Frame::ShipExecutable {
-                job,
-                program,
-                exe_kb,
-            },
+            Frame::ShipExecutable { job, program },
             Frame::ShipInput {
                 job,
                 seq,
@@ -1194,13 +1117,10 @@ impl<'a> LiveDriver<'a> {
                         .field("cores", cores)
                 });
                 let greeting = [
-                    Frame::RegisterAck {
-                        server_time_us: self.now().0,
-                    },
+                    Frame::RegisterAck,
                     // The iperf analogue; the report is the worker's `b_i`.
                     Frame::BandwidthProbe {
                         probe_id: slot as u32,
-                        payload_kb: 256,
                     },
                 ];
                 self.send(slot, &greeting);
@@ -1285,10 +1205,6 @@ impl<'a> LiveDriver<'a> {
                     processed_kb,
                     checkpoint: Some(checkpoint.to_vec()),
                 });
-            }
-            Frame::Unplugged => {
-                // Follows a TaskFailed; the kernel already marked the
-                // worker dead by then.
             }
             Frame::KeepAliveAck { .. } => {
                 self.feed(CoordEvent::KeepAliveSeen { slot });
@@ -1640,7 +1556,7 @@ mod tests {
     /// The server's reply to `Register`: `RegisterAck`, then the probe
     /// (whose id is returned) — in that order on the wire.
     fn expect_greeting(conn: &mut FramedTcp) -> u32 {
-        assert!(matches!(conn.recv().unwrap(), Frame::RegisterAck { .. }));
+        assert!(matches!(conn.recv().unwrap(), Frame::RegisterAck));
         match conn.recv().unwrap() {
             Frame::BandwidthProbe { probe_id, .. } => probe_id,
             other => panic!("expected BandwidthProbe, got {other:?}"),
@@ -2438,5 +2354,86 @@ mod tests {
         // Worker 0 was failed by the server but its thread exits when the
         // connection closes or on its own; don't assert on its result.
         drop(handles);
+    }
+
+    /// An input whose executable never reached the worker is skipped, not
+    /// held: a `ShipExecutable` landing later does not run it. Only the
+    /// input shipped after its executable completes, and the skip is
+    /// counted.
+    #[test]
+    fn input_before_its_executable_is_skipped() {
+        use cwc_net::FrameCodec;
+        use std::io::Write;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let obs = cwc_obs::Obs::new();
+        let worker = {
+            let obs = obs.clone();
+            let cfg = WorkerConfig::new(PhoneId(0), 1200, 500.0);
+            let unplug = Arc::new(AtomicBool::new(false));
+            thread::spawn(move || {
+                run_worker_chaos(addr, cfg, standard_registry(), unplug, &obs, None)
+            })
+        };
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut codec = FrameCodec::new();
+        let mut recv = |stream: &mut std::net::TcpStream| loop {
+            if let Some(frame) = codec.next_frame().unwrap() {
+                return frame;
+            }
+            assert!(
+                codec.read_from(stream, 1 << 16).unwrap() > 0,
+                "worker hung up"
+            );
+        };
+        let send = |stream: &mut std::net::TcpStream, frames: &[Frame]| {
+            let mut wire = BytesMut::new();
+            for f in frames {
+                f.encode(&mut wire);
+            }
+            stream.write_all(&wire).unwrap();
+        };
+        let input = |seq| Frame::ShipInput {
+            job: JobId(5),
+            seq,
+            offset_kb: 0,
+            len_kb: 1,
+            resume_from: None,
+            trace_id: 5,
+            span_id: seq,
+            parent_span: 0,
+            replica: false,
+            data: inputs::number_file(1, 3).into(),
+        };
+
+        assert!(matches!(recv(&mut stream), Frame::Register { .. }));
+        send(
+            &mut stream,
+            &[
+                Frame::RegisterAck,
+                input(1),
+                Frame::ShipExecutable {
+                    job: JobId(5),
+                    program: "primecount".into(),
+                },
+                input(2),
+                // Answered only after every frame before it was handled.
+                Frame::KeepAlive { seq: 9 },
+            ],
+        );
+        let mut completed = Vec::new();
+        loop {
+            match recv(&mut stream) {
+                Frame::TaskComplete { job, seq, .. } => completed.push((job, seq)),
+                Frame::KeepAliveAck { seq: 9 } => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(completed, vec![(JobId(5), 2)]);
+        send(&mut stream, &[Frame::Shutdown]);
+        assert_eq!(recv(&mut stream), Frame::Shutdown);
+        worker.join().unwrap().unwrap();
+        assert_eq!(obs.metrics.counter_value("worker.frames_skipped"), 1);
     }
 }

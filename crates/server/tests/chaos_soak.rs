@@ -152,7 +152,7 @@ fn assert_identical(results: &BTreeMap<JobId, Vec<u8>>, reference: &BTreeMap<Job
 /// Every recoverable wire-fault class, injected on the *server's* send
 /// paths: the batch must complete with bytes identical to the fault-free
 /// run. Lost and mangled frames degrade to stall-requeues; duplicates are
-/// deduplicated by sequence number; reordering is buffered away worker-side.
+/// deduplicated by sequence number.
 #[test]
 fn wire_faults_on_the_server_side_preserve_results() {
     let seed = soak_seed();
@@ -160,7 +160,6 @@ fn wire_faults_on_the_server_side_preserve_results() {
     for kind in [
         FaultKind::Drop,
         FaultKind::Duplicate,
-        FaultKind::Reorder,
         FaultKind::Corrupt,
         FaultKind::PartialWrite,
         FaultKind::Delay,
